@@ -4,14 +4,18 @@ Every subcommand reads one JSON document (from a file argument or
 stdin), validates it strictly, calls the library, and prints a
 deterministic JSON report (sort_keys, fixed indentation).  Errors are
 emitted as structured JSON on stderr with stable exit codes: 1 for
-domain errors, 2 for exhausted search caps, 3 for malformed input.
+domain and internal errors, 2 for exhausted search caps, 3 for malformed
+input; any other exception is reported as internal, never as a raw
+traceback.
 Field elements are printed with exact rational coordinates plus a
 decimal approximation whose precision is stated alongside.
 """
 
 import argparse
 import json
+import os
 import sys
+import traceback
 from fractions import Fraction
 
 from .bratteli import OrderedDiagram, diagram_from_substitution
@@ -39,14 +43,29 @@ from .words import RunWord
 APPROX_DIGITS = 12
 
 
-def _fail_kind(exc):
+def _failure(exc):
+    """Error kind, exit code and message for an exception leaving main.
+
+    An exception from outside the hierarchy (a bug, or MemoryError) is
+    reported as internal, with its type and innermost source line in
+    place of a traceback.
+    """
     if isinstance(exc, MalformedInputError):
-        return "malformed", 3
+        return "malformed", 3, str(exc)
     if isinstance(exc, CapabilityError):
-        return "capability", 2
+        return "capability", 2, str(exc)
     if isinstance(exc, InternalError):
-        return "internal", 1
-    return "domain", 1
+        return "internal", 1, str(exc)
+    if isinstance(exc, SubstoeError):
+        return "domain", 1, str(exc)
+    message = type(exc).__name__
+    if str(exc):
+        message += ": %s" % exc
+    frames = traceback.extract_tb(exc.__traceback__)
+    if frames:
+        message += " (at %s:%d)" % (os.path.basename(frames[-1].filename),
+                                     frames[-1].lineno)
+    return "internal", 1, message
 
 
 def _check_keys(doc, where, required, optional=()):
@@ -714,9 +733,9 @@ def main(argv=None):
         else:
             print(json.dumps(out, sort_keys=True, indent=2))
         return 0
-    except SubstoeError as exc:
-        kind, code = _fail_kind(exc)
-        payload = {"error": {"kind": kind, "message": str(exc)}}
+    except Exception as exc:
+        kind, code, message = _failure(exc)
+        payload = {"error": {"kind": kind, "message": message}}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return code
 

@@ -586,8 +586,9 @@ def build_oe_alphabet_family(subst, steps=1, probe_n=40, scan_n=60,
         proper = zeta.properness_witness()
         if proper is None or proper[0] != 1:
             raise InternalError("family member is not proper")
-        for n in range(1, scan_n + 1):
-            if zeta.complexity(n) <= (bound + 1) * n:
+        profile = zeta.complexity_profile(scan_n)
+        for n, count in enumerate(profile, start=1):
+            if count <= (bound + 1) * n:
                 raise InternalError("family member complexity fails the "
                                     "slope bound at length %d" % n)
         comparison = groups_equal(

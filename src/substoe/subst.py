@@ -7,11 +7,13 @@ clamped to the window size.  Clamping preserves all factors up to the
 window, so the enumeration is exact while huge rule words stay cheap.
 """
 
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import CapabilityError, DomainError, InternalError, SeedError
 from .matrix import ExactMatrix, primitivity_exponent
-from .words import RunWord, word_of
+from .words import EXPAND_CAP, RunWord, word_of
 
 PRIVATE_BASE = 0xE000
 LENGTH_GUARD = 2_000_000
@@ -19,19 +21,89 @@ POWER_ITER_CAP = 10_000
 
 
 def _apply_rules(rules, word, clamp=None):
-    parts = []
+    """One substitution step, runs cut to clamp letters when given.
+
+    Refuses as soon as the running (clamped) length passes LENGTH_GUARD,
+    before the rest of the image is built.  Without a clamp, runs are cut
+    just above the guard: such a run is refused either way.
+    """
+    cap = clamp if clamp is not None else LENGTH_GUARD + 1
+    runs = []
+    size = 0
     for letter, count in word.runs:
         if letter not in rules:
             raise DomainError("letter %r has no rule" % letter)
-        image = rules[letter]
-        copies = min(count, clamp) if clamp is not None else count
-        parts.extend(image.repeat(copies).runs)
-    out = RunWord(parts)
-    if clamp is not None:
-        out = out.clamp(clamp)
-    if out.length > LENGTH_GUARD:
-        raise CapabilityError("image exceeds the expansion budget")
-    return out
+        for l, c in rules[letter].repeat(min(count, cap)).runs:
+            if runs and runs[-1][0] == l:
+                before = runs[-1][1]
+                runs[-1][1] = before + c
+                size += min(before + c, cap) - min(before, cap)
+            else:
+                runs.append([l, c])
+                size += min(c, cap)
+        if size > LENGTH_GUARD:
+            raise CapabilityError(
+                "image passed %d letters, over the expansion budget of %d"
+                % (size, LENGTH_GUARD))
+    return RunWord((l, min(c, cap)) for l, c in runs)
+
+
+def _substring_profile(texts, letters, n):
+    """Counts of distinct j-letter substrings of the texts, j = 1..n.
+
+    Builds the generalized suffix automaton of the texts (Blumer et al.,
+    "The smallest automaton recognizing the subwords of a text", TCS
+    1985) in flat tables: state length, suffix link, and transitions at
+    state*k + letter, where 0 means none since no transition enters the
+    root.  Each state s stands for exactly one distinct substring of
+    every length in (len(link(s)), len(s)], so one difference array over
+    those ranges gives every count.
+    """
+    k = len(letters)
+    blank = array("i", [0]) * k
+    size = array("i", [0])
+    link = array("i", [-1])
+    go = array("i", blank)
+
+    def split(p, q, c):
+        # clone q at length len(p)+1 and move p's suffix chain onto it
+        clone = len(size)
+        size.append(size[p] + 1)
+        link.append(link[q])
+        go.extend(go[q * k:q * k + k])
+        while p != -1 and go[p * k + c] == q:
+            go[p * k + c] = clone
+            p = link[p]
+        link[q] = clone
+        return clone
+
+    for text in texts:
+        last = 0
+        for ch in text:
+            c = letters[ch]
+            q = go[last * k + c]
+            if q:
+                last = q if size[q] == size[last] + 1 else split(last, q, c)
+                continue
+            cur = len(size)
+            size.append(size[last] + 1)
+            link.append(0)
+            go.extend(blank)
+            p = last
+            while p != -1 and not go[p * k + c]:
+                go[p * k + c] = cur
+                p = link[p]
+            if p != -1:
+                q = go[p * k + c]
+                link[cur] = q if size[q] == size[p] + 1 else split(p, q, c)
+            last = cur
+    diff = [0] * (n + 2)
+    for parent, top in zip(link[1:], size[1:]):
+        low = size[parent] + 1
+        if low <= n:
+            diff[low] += 1
+            diff[min(top, n) + 1] -= 1
+    return tuple(accumulate(diff[1:n + 1]))
 
 
 @dataclass(frozen=True)
@@ -294,8 +366,15 @@ class Substitution:
                 return work
             work = grown
 
-    def _window_words(self, n):
-        """Encoded n-factor strings of the substitution language."""
+    def _window_texts(self, n):
+        """Encoded texts whose n-windows are exactly the n-factors.
+
+        Each clamped image of a letter comes once, and each admissible
+        two-block bc adds the junction of the last n-1 letters of image(b)
+        with the first n-1 of image(c).  Images are at least n letters
+        long, so every n-window of image(b) + image(c) lies inside one
+        image or inside that junction.
+        """
         if n < 1:
             raise DomainError("factor length must be positive")
         if not self.is_primitive():
@@ -309,10 +388,21 @@ class Substitution:
             img = RunWord(((ch, 1),))
             for _ in range(m):
                 img = _apply_rules(rules, img, clamp=n)
+            if img.length > EXPAND_CAP:
+                raise CapabilityError(
+                    "clamped image has %d letters, over the expansion cap "
+                    "of %d" % (img.length, EXPAND_CAP))
             images[ch] = img.as_compact()
+        texts = list(images.values())
+        if n > 1:
+            texts += [images[b][1 - n:] + images[c][:n - 1] for b, c in blocks]
+        return texts, blocks, enc
+
+    def _window_words(self, n):
+        """Encoded n-factor strings of the substitution language."""
+        texts, blocks, enc = self._window_texts(n)
         out = set()
-        for b, c in blocks:
-            text = images[b] + images[c]
+        for text in texts:
             for i in range(len(text) - n + 1):
                 out.add(text[i:i + n])
         return out, blocks, enc
@@ -331,24 +421,16 @@ class Substitution:
     def complexity_profile(self, n_max, validate=True):
         """Tuple of factor counts p(1), ..., p(n_max).
 
-        Every factor extends to the right inside the language, so the
-        j-factors are exactly the j-prefixes of the n_max-factors; the
-        counts fall out of the sorted list and its common-prefix lengths.
+        For j <= n_max the j-factors are exactly the j-letter substrings
+        of the window texts: each such substring lies in an n_max-window,
+        and every factor extends to an n_max-factor.  One suffix automaton
+        over the texts counts them all in linear time and memory.
         """
         if n_max < 1:
             raise DomainError("profile needs n_max >= 1")
-        words = sorted(self._window_words(n_max)[0])
-        hist = [0] * (n_max + 1)
-        for prev, cur in zip(words, words[1:]):
-            lcp = 0
-            while lcp < n_max and prev[lcp] == cur[lcp]:
-                lcp += 1
-            hist[min(lcp, n_max)] += 1
-        profile = []
-        below = 0
-        for j in range(1, n_max + 1):
-            below += hist[j - 1]
-            profile.append(1 + below)
+        texts, _, enc = self._window_texts(n_max)
+        letters = {ch: i for i, ch in enumerate(enc.values())}
+        profile = _substring_profile(texts, letters, n_max)
         if validate:
             for k in sorted({1, min(3, n_max)}):
                 if profile[k - 1] != self.complexity(k):

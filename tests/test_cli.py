@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from substoe import cli as cli_module
 from substoe.cli import main
 
 GOLDEN = {"substitution": {"rules": {"a": "ab", "b": "abb"}}}
@@ -333,3 +334,18 @@ class TestVerifyPaper:
         entry = {c["id"]: c for c in out_json(out)["checks"]}[
             "rewrite-properness-discrepancy"]
         assert entry["witness"]["properness_witness"] is None
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("exc", [TypeError("boom"), MemoryError()])
+    def test_unexpected_exception_is_structured(self, cli, monkeypatch, exc):
+        def broken(doc, args):
+            raise exc
+
+        monkeypatch.setitem(cli_module._HANDLERS, "complexity", broken)
+        code, out, err = cli(["complexity", "-"], document=GOLDEN)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "internal"
+        assert error["message"].startswith(type(exc).__name__)
+        assert "test_cli.py" in error["message"]

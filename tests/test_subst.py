@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from substoe import subst as subst_module
 from substoe.errors import CapabilityError, DomainError, SeedError
 from substoe.subst import FactorLanguage, Substitution, linear_bound_estimate
 from substoe.words import RunWord
@@ -229,6 +230,43 @@ class TestComplexity:
         for n in (1, 4, 7, 12):
             assert prof[n - 1] == s.complexity(n)
 
+    @pytest.mark.parametrize("rules, n", [
+        ({"x0": ["x0", "y1", "y1"], "y1": ["x0", "zz"], "zz": ["x0"]}, 30),
+        ({"x": {"runs": [["x", 2], ["y", 10 ** 22], ["x", 1]]}, "y": "xy"}, 30),
+        ({"a": {"runs": [["a", 40], ["b", 3], ["a", 1]]}, "b": "ab"}, 50),
+        (ZETA, 1),
+    ])
+    def test_profile_matches_every_direct_count(self, rules, n):
+        s = Substitution(rules)
+        assert s.complexity_profile(n) == tuple(
+            s.complexity(j) for j in range(1, n + 1))
+
+    def test_periodic_profile_is_constant(self):
+        s = Substitution({"a": "aa"})
+        assert s.complexity_profile(12) == (1,) * 12 == tuple(
+            s.complexity(j) for j in range(1, 13))
+
+    def test_large_sturmian_profile(self):
+        prof = Substitution({"a": "ab", "b": "a"}).complexity_profile(20_000)
+        assert prof == tuple(range(2, 20_002))
+
+    def test_image_over_expansion_cap(self, monkeypatch):
+        monkeypatch.setattr(subst_module, "EXPAND_CAP", 500)
+        s = Substitution({"a": {"runs": [["a", 1], ["b", 1]] * 20}, "b": "ab"})
+        for call in (s.complexity, s.complexity_profile):
+            with pytest.raises(CapabilityError,
+                               match="840 letters, over the expansion cap of 500"):
+                call(3)
+
+    def test_image_stops_at_length_guard(self, monkeypatch):
+        monkeypatch.setattr(subst_module, "LENGTH_GUARD", 10_000)
+        with pytest.raises(CapabilityError, match="budget of 10000"):
+            Substitution({"a": "ab", "b": "a"}).complexity_profile(6000)
+        # refused on the first run, before the unknown letter is reached
+        monkeypatch.setattr(subst_module, "LENGTH_GUARD", 5)
+        with pytest.raises(CapabilityError, match="8 letters"):
+            Substitution({"a": "abab", "b": "ba"}).apply("aaz")
+
     def test_aperiodicity_scan(self):
         assert golden().aperiodicity_scan(40)["aperiodic"] is True
         report = Substitution({"a": "ab", "b": "ab"}).aperiodicity_scan(10)
@@ -252,3 +290,21 @@ def test_random_language_consistency(seed):
         text = "".join(w)
         assert text[:3] in lang3
         assert text[1:] in lang3
+
+
+@st.composite
+def primitive_substitutions(draw):
+    letters = "abcd"[:draw(st.integers(1, 4))]
+    rules = {l: draw(st.text(alphabet=letters, min_size=1, max_size=5))
+             for l in letters}
+    s = Substitution(rules)
+    assume(s.is_primitive() and any(len(w) > 1 for w in rules.values()))
+    return s
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(primitive_substitutions(), st.integers(1, 24))
+def test_random_profile_matches_direct_counts(s, n):
+    """Every automaton count equals the size of the sliced window set."""
+    assert s.complexity_profile(n) == tuple(
+        s.complexity(j) for j in range(1, n + 1))
