@@ -31,6 +31,7 @@ from .field import (
 from .perron import (
     MultiplicationPair,
     PerronData,
+    companion_matrix,
     coordinates_of,
     embed,
     multiplication_matrices,

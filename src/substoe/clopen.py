@@ -12,7 +12,7 @@ from math import gcd, lcm
 from .errors import DomainError, FieldMismatchError
 from .field import FieldElement, certified_sign, minimal_polynomial, value_interval
 from .matrix import ExactMatrix, hnf_basis
-from .perron import multiplication_matrices
+from .perron import companion_matrix
 
 
 def _triangular_coords(h, den, vec):
@@ -46,7 +46,7 @@ class LatticeGroup:
         if any(len(v) != field.degree for v in vectors):
             raise DomainError("generator length does not match the field degree")
         basis, den = hnf_basis(vectors)
-        mult = multiplication_matrices(field).c
+        mult = companion_matrix(field)
         for j in range(field.degree):
             image = mult.apply(basis.column(j))
             coeffs = _triangular_coords(basis, 1, image)

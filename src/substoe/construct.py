@@ -23,7 +23,7 @@ from .matrix import (
     hnf_basis,
     primitivity_exponent,
 )
-from .perron import multiplication_matrices, perron_data
+from .perron import companion_matrix, multiplication_matrices, perron_data
 from .subst import Substitution, linear_bound_estimate
 from .words import RunWord
 
@@ -178,10 +178,10 @@ class _Cone:
 
 def _power_search(field, inv, start_vecs, accept, start, cap, what):
     """Scan F^-1 C^t applied to start_vecs for the first accepted t."""
-    mp = multiplication_matrices(field)
+    c_mat = companion_matrix(field)
     vecs = [list(v) for v in start_vecs]
     for _ in range(start):
-        vecs = [list(mp.c.apply(v)) for v in vecs]
+        vecs = [list(c_mat.apply(v)) for v in vecs]
     for t in range(start, cap + 1):
         cols = []
         for v in vecs:
@@ -191,7 +191,7 @@ def _power_search(field, inv, start_vecs, accept, start, cap, what):
             cols.append([int(x) for x in col])
         if accept(cols):
             return t, cols
-        vecs = [list(mp.c.apply(v)) for v in vecs]
+        vecs = [list(c_mat.apply(v)) for v in vecs]
     raise CapabilityError("no usable power of the eigenvalue below %d for %s"
                           % (cap, what))
 

@@ -167,6 +167,8 @@ class FieldElement:
         return FieldElement(self.field, [-a for a in self.coords])
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FieldElement(self.field, [c * other for c in self.coords])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -306,12 +308,19 @@ def number_field(min_poly):
 def perron_minimal_polynomial(m):
     """Field generated by the dominant eigenvalue of a primitive matrix.
 
-    Returns (field, k).  The characteristic polynomial is made squarefree,
-    its largest real root is isolated, and the irreducible factor owning
-    that root becomes the minimal polynomial.  The isolating interval is
-    refined until its lower end exceeds 1.
+    Returns (field, k); see dominant_root_field.
     """
-    cp = charpoly(m)
+    return dominant_root_field(charpoly(m))
+
+
+def dominant_root_field(cp):
+    """Field of the largest real root of a characteristic polynomial.
+
+    Returns (field, k).  The polynomial is made squarefree, its largest
+    real root is isolated, and the irreducible factor owning that root
+    becomes the minimal polynomial.  The isolating interval is refined
+    until its lower end exceeds 1.
+    """
     sf = squarefree_part(cp)
     lo, hi = isolate_largest_real_root(sf)
     factors = factor_monic_squarefree(sf)

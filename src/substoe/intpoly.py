@@ -167,39 +167,48 @@ X = IntPolynomial([0, 1])
 ONE = IntPolynomial([1])
 
 
-def _frac_strip(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _primitive(coeffs):
+    """coeffs divided by their positive content, so every sign is kept."""
+    g = 0
+    for c in coeffs:
+        g = gcd(g, c)
+    return [c // g for c in coeffs] if g > 1 else coeffs
 
 
-def _frac_rem(a, b):
-    """Remainder of a by b, both Fraction coefficient lists (lowest first)."""
-    a = list(a)
-    while len(a) >= len(b) and _frac_strip(a):
-        q = a[-1] / b[-1]
-        shift = len(a) - len(b)
+def _prem(a, b):
+    """Pseudo-remainder: the remainder of a by b times a positive integer.
+
+    Each elimination step scales the running remainder by |lc(b)|, so the
+    result is |lc(b)|**e * rem(a, b) for some e <= deg a - deg b + 1 and
+    keeps the sign pattern of the rational remainder.
+    """
+    r = list(a)
+    lead = b[-1]
+    scale = abs(lead)
+    sgn = 1 if lead > 0 else -1
+    nb = len(b)
+    while len(r) >= nb:
+        top = sgn * r[-1]
+        shift = len(r) - nb
+        r = [scale * c for c in r]
         for i, c in enumerate(b):
-            a[shift + i] -= q * c
-        a = _frac_strip(a)
-        if not a:
-            break
-    return a
+            r[shift + i] -= top * c
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return r
 
 
 def poly_gcd(f, g):
-    """Primitive gcd over the integers with positive leading coefficient."""
-    a = [Fraction(c) for c in f.coeffs]
-    b = [Fraction(c) for c in g.coeffs]
+    """Primitive gcd over the integers with positive leading coefficient.
+
+    Euclid on primitive pseudo-remainders (Collins, JACM 1967): integer
+    arithmetic throughout, with each remainder divided by its content.
+    """
+    a, b = _primitive(list(f.coeffs)), _primitive(list(g.coeffs))
     while b:
-        a, b = b, _frac_rem(a, b)
-    if not a:
-        return IntPolynomial([])
-    den = 1
-    for c in a:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in a]
-    return IntPolynomial(ints).primitive_part()
+        a, b = b, _primitive(_prem(a, b))
+    return IntPolynomial(a).primitive_part()
 
 
 def squarefree_part(f):
@@ -217,29 +226,39 @@ def squarefree_part(f):
 
 
 def sturm_chain(f):
-    chain = [[Fraction(c) for c in f.coeffs]]
-    d = [Fraction(c) for c in f.derivative().coeffs]
+    """Sturm sequence of f as primitive integer lists, lowest degree first.
+
+    Each member is a positive multiple of the classical rational Sturm
+    sequence member (the primitive pseudo-remainder sequence of Collins,
+    JACM 1967), so sign variations, and every count, are unchanged.
+    """
+    chain = [_primitive(list(f.coeffs))]
+    d = _primitive(list(f.derivative().coeffs))
     if d:
         chain.append(d)
     while len(chain[-1]) > 1:
-        r = _frac_rem(chain[-2], chain[-1])
+        r = _prem(chain[-2], chain[-1])
         if not r:
             break
-        chain.append([-c for c in r])
+        chain.append(_primitive([-c for c in r]))
     return chain
 
 
-def _eval_frac(coeffs, x):
-    acc = Fraction(0)
+def _eval_at(coeffs, x):
+    """q**d * f(p/q) for x = p/q with q > 0: an integer with the sign of f(x)."""
+    p, q = x.numerator, x.denominator
+    acc = 0
+    qq = 1
     for c in reversed(coeffs):
-        acc = acc * x + c
+        acc = acc * p + c * qq
+        qq *= q
     return acc
 
 
 def _variations(chain, x):
     signs = []
     for coeffs in chain:
-        v = _eval_frac(coeffs, x)
+        v = _eval_at(coeffs, x)
         if v != 0:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -267,6 +286,17 @@ def root_bound(f):
     return Fraction(m, lead) + 1
 
 
+def _root_radius_bound(f):
+    """A power of two above |z| for every complex root z of f.
+
+    Fujiwara's bound 2 * max_i |a_(n-i) / a_n| ** (1/i), rounded up through
+    the bit lengths of the integer coefficients.
+    """
+    n = f.degree
+    c = f.coeffs
+    return 2 ** (1 + max(-(-abs(c[n - i]).bit_length() // i) for i in range(1, n + 1)))
+
+
 def isolate_largest_real_root(f):
     """Open interval (lo, hi) holding exactly the largest real root of f.
 
@@ -278,31 +308,41 @@ def isolate_largest_real_root(f):
     chain = sturm_chain(f)
     bound = root_bound(f)
     lo, hi = -bound, bound
-    total = count_real_roots(f, lo, hi, chain)
-    if total < 1:
+    vlo, vhi = _variations(chain, lo), _variations(chain, hi)
+    if vlo - vhi < 1:
         raise DomainError("polynomial has no real root")
-    # Shrink (lo, hi] keeping at least one root above lo and none above hi.
-    while count_real_roots(f, lo, hi, chain) > 1:
+    # Shrink (lo, hi] keeping at least one root above lo and none above hi;
+    # vlo - vhi counts the roots in (lo, hi], so each step evaluates once.
+    # A midpoint at or above top has no root in (mid, hi], so it becomes hi
+    # without an evaluation: the halvings from the crude root_bound down to
+    # the true root radius cost nothing and the intervals stay the same.
+    top = _root_radius_bound(f)
+    while vlo - vhi > 1:
         mid = (lo + hi) / 2
-        if count_real_roots(f, mid, hi, chain) >= 1:
-            lo = mid
-        else:
+        if mid >= top:
             hi = mid
+            continue
+        vmid = _variations(chain, mid)
+        if vmid - vhi >= 1:
+            lo, vlo = mid, vmid
+        else:
+            hi, vhi = mid, vmid
     # Convert to a sign-change certificate with nonvanishing endpoints.
-    flo = _eval_frac([Fraction(c) for c in f.coeffs], lo)
-    fhi = _eval_frac([Fraction(c) for c in f.coeffs], hi)
+    coeffs = f.coeffs
+    flo = _eval_at(coeffs, lo)
+    fhi = _eval_at(coeffs, hi)
     if fhi == 0:
         # hi is the root itself (possible only for a rational root); re-center.
         w = (hi - lo) / 4
         lo, hi = hi - w, hi + w
-        flo = _eval_frac([Fraction(c) for c in f.coeffs], lo)
-        fhi = _eval_frac([Fraction(c) for c in f.coeffs], hi)
+        flo = _eval_at(coeffs, lo)
+        fhi = _eval_at(coeffs, hi)
     if flo == 0:
         # lo landed on a smaller root; nudge it up, halving toward hi.
         step = (hi - lo) / 4
         while True:
             cand = lo + step
-            v = _eval_frac([Fraction(c) for c in f.coeffs], cand)
+            v = _eval_at(coeffs, cand)
             if v != 0 and count_real_roots(f, cand, hi, chain) == 1:
                 lo, flo = cand, v
                 break
@@ -315,12 +355,11 @@ def isolate_largest_real_root(f):
 def refine_root_interval(f, lo, hi):
     """One bisection step on a sign-change interval; returns the new (lo, hi)."""
     mid = (Fraction(lo) + Fraction(hi)) / 2
-    coeffs = [Fraction(c) for c in f.coeffs]
-    vmid = _eval_frac(coeffs, mid)
+    vmid = _eval_at(f.coeffs, mid)
     if vmid == 0:
         w = (hi - lo) / 8
         return mid - w, mid + w
-    vlo = _eval_frac(coeffs, lo)
+    vlo = _eval_at(f.coeffs, lo)
     if (vlo > 0) != (vmid > 0):
         return lo, mid
     return mid, hi

@@ -261,26 +261,37 @@ class ExactMatrix:
 
 
 def charpoly(m):
-    """Characteristic polynomial det(tI - m) of an integer square matrix."""
+    """Characteristic polynomial det(tI - m) of an integer square matrix.
+
+    Faddeev-LeVerrier on integer lists: B_0 = I, then B_i = m B_(i-1) + c I
+    with c = -tr(m B_(i-1)) / i, a division that must be exact.
+    """
     if not m.is_square:
         raise DimensionError("characteristic polynomial of a non-square matrix")
     if not m.is_integer:
         raise DomainError("integer matrix required")
     n = m.rows
-    ident = ExactMatrix.identity(n)
-    b = ident
+    a = m.int_rows()
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
     cs = []
     for i in range(1, n + 1):
-        prod = m * b
-        c = -prod.trace() / i
+        prod = _int_matmul(a, b)
+        c, r = divmod(-sum(prod[j][j] for j in range(n)), i)
+        if r:
+            raise InternalError("characteristic polynomial came out non-integral")
         cs.append(c)
-        b = prod + ident * c
-    if any(x != 0 for x in b.entries):
+        for j in range(n):
+            prod[j][j] += c
+        b = prod
+    if any(x for row in b for x in row):
         raise InternalError("characteristic polynomial recursion did not close")
-    coeffs = [c for c in reversed(cs)] + [Fraction(1)]
-    if any(c.denominator != 1 for c in coeffs):
-        raise InternalError("characteristic polynomial came out non-integral")
-    return IntPolynomial([int(c) for c in coeffs])
+    return IntPolynomial(cs[::-1] + [1])
+
+
+def _int_matmul(a, b):
+    """Product of two integer matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def wielandt_bound(n):

@@ -1,7 +1,8 @@
 """Dominant eigendata of primitive integer matrices, kept exact.
 
-The eigenvector is computed over the number field of the dominant
-eigenvalue and normalized so its entries sum to one.  The companion-style
+The eigenvector is a column of adj(lam I - A), computed with integer
+arithmetic and reduced modulo the minimal polynomial of lam, then
+normalized once so its entries sum to one.  The companion-style
 multiplication matrices express multiplication by lam and by 1/lam on the
 coordinate lattice Z^k of the field.
 """
@@ -10,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalError
-from .field import FieldElement, NumberField, certified_sign, perron_minimal_polynomial
-from .matrix import ExactMatrix, primitivity_exponent
+from .field import FieldElement, NumberField, certified_sign, dominant_root_field
+from .matrix import ExactMatrix, charpoly, primitivity_exponent
 
 
 def coordinates_of(elt):
@@ -25,7 +26,11 @@ def embed(field, coords):
 
 
 def field_kernel_basis(rows, field):
-    """Basis of the kernel of a square matrix of field elements."""
+    """Basis of the kernel of a square matrix of field elements.
+
+    Gauss-Jordan over the field; the eigenvectors below come from adjugate
+    columns instead, and this stays as the reference they are tested on.
+    """
     n = len(rows)
     m = [list(r) for r in rows]
     width = len(m[0]) if m else 0
@@ -77,6 +82,43 @@ class MultiplicationPair:
     y1: tuple
 
 
+def adjugate_column(rows, cp, min_poly):
+    """Column 0 of adj(lam I - A) as integer power-basis coordinates.
+
+    rows is the integer matrix A, cp its characteristic polynomial and
+    min_poly the monic minimal polynomial of the root lam of cp.
+    adj(tI - A) = sum_j t^j B_j with B_(s-1) = I and B_(j-1) = A B_j + c_j I,
+    so column 0 needs only b_(j-1) = A b_j + c_j e_0.  Entry i is the
+    polynomial sum_j b_j[i] t^j, reduced modulo min_poly.  When lam is a
+    simple root the column is a multiple of the lam-eigenvector, and it is
+    nonzero exactly when rank(lam I - A) = s - 1 and the left eigenvector
+    has a nonzero first entry.
+    """
+    s = len(rows)
+    c = cp.coeffs
+    b = [int(i == 0) for i in range(s)]
+    polys = [[0] * s for _ in range(s)]
+    for j in range(s - 1, -1, -1):
+        for i in range(s):
+            polys[i][j] = b[i]
+        if j:
+            b = [sum(x * y for x, y in zip(row, b)) for row in rows]
+            b[0] += c[j]
+    return [_rem_monic(p, min_poly.coeffs) for p in polys]
+
+
+def _rem_monic(p, f):
+    """Remainder of the integer polynomial p modulo monic f, length deg f."""
+    k = len(f) - 1
+    r = list(p) + [0] * max(0, k - len(p))
+    for top in range(len(r) - 1, k - 1, -1):
+        q = r[top]
+        if q:
+            for i in range(k):
+                r[top - k + i] -= q * f[i]
+    return r[:k]
+
+
 def perron_data(m):
     """Exact dominant eigendata of a primitive integer matrix.
 
@@ -85,29 +127,17 @@ def perron_data(m):
     """
     if primitivity_exponent(m) is None:
         raise DomainError("matrix is not primitive")
-    field, k = perron_minimal_polynomial(m)
+    cp = charpoly(m)
+    field, k = dominant_root_field(cp)
     lam = field.lam()
-    s = m.rows
-    rows = []
-    for i in range(s):
-        row = []
-        for j in range(s):
-            entry = field.from_rational(m.at(i, j))
-            if i == j:
-                entry = entry - lam
-            row.append(entry)
-        rows.append(row)
-    kernel = field_kernel_basis(rows, field)
-    if len(kernel) != 1:
+    col = adjugate_column(m.int_rows(), cp, field.min_poly)
+    if not any(any(x) for x in col):
         raise InternalError("dominant eigenspace is not one-dimensional")
-    vec = kernel[0]
-    total = field.zero()
-    for x in vec:
-        total = total + x
+    total = field.from_coords([sum(x) for x in zip(*col)])
     if total.is_zero:
         raise InternalError("eigenvector entries sum to zero")
     inv_total = total.inverse()
-    vec = [x * inv_total for x in vec]
+    vec = [field.from_coords(x) * inv_total for x in col]
     for x in vec:
         if certified_sign(x) <= 0:
             raise InternalError("normalized eigenvector has a nonpositive entry")
@@ -122,9 +152,24 @@ def _check_eigvec(m, lam, vec, field):
     for i in range(s):
         acc = field.zero()
         for j in range(s):
-            acc = acc + vec[j] * Fraction(m.at(i, j))
+            acc = acc + vec[j] * m.at(i, j)
         if acc != lam * vec[i]:
             raise InternalError("eigenvector equation failed exact verification")
+
+
+def companion_matrix(field):
+    """C: multiplication by lam on power-basis coordinates.
+
+    It is the companion matrix of the minimal polynomial.
+    """
+    k = field.degree
+    cols = []
+    for j in range(k - 1):
+        col = [0] * k
+        col[j + 1] = 1
+        cols.append(col)
+    cols.append([-c for c in field.min_poly.coeffs[:k]])
+    return ExactMatrix.from_columns(cols)
 
 
 def multiplication_matrices(field):
@@ -132,35 +177,21 @@ def multiplication_matrices(field):
 
     C is the companion matrix of the minimal polynomial, D its inverse,
     and y1 the C-eigenvector for lam, with first nonzero coordinate set
-    to 1 and the sign flipped if its field value is negative.
+    to 1 and the sign flipped if its field value is negative.  y1 comes
+    from column 0 of adj(lam I - C), which is nonzero because the left
+    lam-eigenvector of C is (1, lam, ..., lam^(k-1)).
     """
     k = field.degree
-    cols = []
-    for j in range(k - 1):
-        col = [Fraction(0)] * k
-        col[j + 1] = Fraction(1)
-        cols.append(col)
-    cols.append([Fraction(-c) for c in field.min_poly.coeffs[:k]])
-    c_mat = ExactMatrix.from_columns(cols)
+    c_mat = companion_matrix(field)
     d_mat = c_mat.inverse()
     lam = field.lam()
-    rows = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            entry = field.from_rational(c_mat.at(i, j))
-            if i == j:
-                entry = entry - lam
-            row.append(entry)
-        rows.append(row)
-    kernel = field_kernel_basis(rows, field)
-    if len(kernel) != 1:
-        raise InternalError("companion eigenspace is not one-dimensional")
-    y1 = kernel[0]
+    f = field.min_poly
+    y1 = [field.from_coords(x) for x in adjugate_column(c_mat.int_rows(), f, f)]
     lead = next((i for i, x in enumerate(y1) if not x.is_zero), None)
     if lead is None:
-        raise InternalError("zero eigenvector")
-    y1 = [x * y1[lead].inverse() for x in y1]
+        raise InternalError("companion eigenspace is not one-dimensional")
+    inv = y1[lead].inverse()
+    y1 = [x * inv for x in y1]
     value = field.zero()
     powers = field.one()
     for i, x in enumerate(y1):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,9 @@ from substoe.intpoly import (
     isolate_largest_real_root,
     poly_gcd,
     refine_root_interval,
+    root_bound,
     squarefree_part,
+    sturm_chain,
 )
 
 
@@ -137,6 +140,89 @@ class TestRoots:
             lo, hi = refine_root_interval(f, lo, hi)
             assert f(lo) * f(hi) < 0
         assert hi - lo < Fraction(1, 10 ** 6)
+
+
+def _rational_sturm(f):
+    """Classical Sturm sequence over the rationals: f, f', -rem, ..."""
+    chain = [[Fraction(c) for c in f.coeffs], [Fraction(c) for c in f.derivative().coeffs]]
+    while len(chain[-1]) > 1:
+        a, b = list(chain[-2]), chain[-1]
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= q * c
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        if not a:
+            break
+        chain.append([-c for c in a])
+    return chain
+
+
+class TestSturmChain:
+    def test_primitive_integer_lists(self):
+        for f in (P(6, -18, 6), P(-4, 0, 8, 2), P(1, -3, 1) * P(1, 5) * P(2, 0, -7)):
+            chain = sturm_chain(f)
+            assert chain[0] == [c // f.content() for c in f.coeffs]
+            for member in chain:
+                assert all(type(c) is int for c in member)
+                assert member[-1] != 0
+                g = 0
+                for c in member:
+                    g = gcd(g, c)
+                assert g == 1
+            assert all(len(a) > len(b) for a, b in zip(chain, chain[1:]))
+
+    @given(st.lists(st.integers(-30, 30), min_size=2, max_size=8).map(IntPolynomial))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_positive_multiples_of_the_rational_chain(self, f):
+        if f.degree < 1:
+            return
+        ints, fracs = sturm_chain(f), _rational_sturm(f)
+        assert len(ints) == len(fracs)
+        for a, b in zip(ints, fracs):
+            assert len(a) == len(b)
+            ratio = Fraction(a[-1]) / b[-1]
+            assert ratio > 0
+            assert all(x == ratio * y for x, y in zip(a, b))
+
+
+def _plain_isolation_bisection(f):
+    """The bisection of isolate_largest_real_root, evaluating every midpoint."""
+    chain = sturm_chain(f)
+    bound = root_bound(f)
+    lo, hi = -bound, bound
+    while count_real_roots(f, lo, hi, chain) > 1:
+        mid = (lo + hi) / 2
+        if count_real_roots(f, mid, hi, chain) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+class TestIsolationShortcuts:
+    @given(st.lists(st.integers(-10 ** 40, 10 ** 40), min_size=2, max_size=7),
+           st.integers(1, 3))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_same_interval_as_the_plain_bisection(self, coeffs, lead):
+        f = squarefree_part(IntPolynomial(coeffs + [lead]))
+        bound = root_bound(f)
+        if f.degree < 1 or count_real_roots(f, -bound, bound) == 0:
+            return
+        lo, hi = _plain_isolation_bisection(f)
+        if f(lo) != 0 and f(hi) != 0:
+            assert isolate_largest_real_root(f) == (lo, hi)
+
+    def test_roots_far_below_the_crude_bound(self):
+        # root_bound is about 3 * 2**80; every root has modulus below 2**11.
+        f = P(1, -3, 1) * IntPolynomial([2 ** 80] + [0] * 7 + [1])
+        lo, hi = isolate_largest_real_root(f)
+        assert (lo, hi) == _plain_isolation_bisection(f)
+        assert lo < Fraction(2618, 1000) < hi
+        assert count_real_roots(f, lo, hi) == 1
 
 
 class TestFactorization:

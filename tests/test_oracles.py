@@ -1,0 +1,129 @@
+"""The in-house polynomial algebra against sympy as an independent oracle.
+
+sympy is a test-only dependency; the whole module is skipped without it.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from substoe.construct import enlarge_matrix
+from substoe.intpoly import (
+    IntPolynomial,
+    count_real_roots,
+    isolate_largest_real_root,
+    poly_gcd,
+    root_bound,
+    squarefree_part,
+)
+from substoe.matrix import ExactMatrix, charpoly
+
+sympy = pytest.importorskip("sympy")
+T = sympy.Symbol("t")
+
+
+def _sympy_poly(f):
+    return sympy.Poly(list(reversed(f.coeffs)), T)
+
+
+def _ints(p):
+    """Coefficients of a sympy Poly, lowest degree first."""
+    return [int(c) for c in reversed(p.all_coeffs())]
+
+
+def _fraction(q):
+    q = sympy.Rational(q)
+    return Fraction(int(q.p), int(q.q))
+
+
+def _random_squarefree(rng, max_digits, count):
+    """Random squarefree polynomials of degree 1..8 with big coefficients."""
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, 8)
+        top = 10 ** rng.randint(1, max_digits)
+        coeffs = [rng.randint(-top, top) for _ in range(d + 1)]
+        if coeffs[-1] == 0:
+            continue
+        f = IntPolynomial(coeffs)
+        if sympy.gcd(_sympy_poly(f), _sympy_poly(f.derivative())).degree() == 0:
+            out.append(f)
+    return out
+
+
+def _golden_member(size):
+    m = ExactMatrix.from_rows([[1, 1], [1, 2]])
+    while m.rows < size:
+        m = enlarge_matrix(m)["matrix"]
+    return m
+
+
+class TestCharpoly:
+    def test_random_integer_matrices(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            s = rng.randint(1, 8)
+            rows = [[rng.randint(-9, 9) for _ in range(s)] for _ in range(s)]
+            expected = sympy.Matrix(rows).charpoly(T).all_coeffs()
+            assert list(charpoly(ExactMatrix.from_rows(rows)).coeffs) == [
+                int(c) for c in reversed(expected)]
+
+    def test_golden_chain_members(self):
+        for size in (7, 8):
+            m = _golden_member(size)
+            assert max(len(str(abs(x))) for x in m.entries) >= 26
+            expected = sympy.Matrix(m.int_rows()).charpoly(T).all_coeffs()
+            assert list(charpoly(m).coeffs) == [int(c) for c in reversed(expected)]
+
+
+class TestRealRoots:
+    def test_counts_on_sympy_isolating_intervals(self):
+        for f in _random_squarefree(random.Random(5), 60, 40):
+            intervals = [(_fraction(a), _fraction(b))
+                         for (a, b), _ in _sympy_poly(f).intervals()]
+            bound = root_bound(f)
+            assert count_real_roots(f, -bound, bound) == len(intervals)
+            for i, (a, b) in enumerate(intervals):
+                if a == b:
+                    # A rational root: widen to the left, short of the last interval.
+                    a -= (a - intervals[i - 1][1]) / 2 if i else 1
+                assert count_real_roots(f, a, b) == 1
+                assert count_real_roots(f, a, bound) == len(intervals) - i
+
+    def test_largest_root_isolation(self):
+        checked = 0
+        for f in _random_squarefree(random.Random(9), 60, 40):
+            p = _sympy_poly(f)
+            if p.count_roots() == 0:
+                continue
+            lo, hi = isolate_largest_real_root(f)
+            # Sign-change endpoints: [lo, hi] holds exactly one root and
+            # nothing lies above it, so it is sympy's largest real root.
+            assert f(lo) * f(hi) < 0
+            assert p.count_roots(sympy.Rational(lo.numerator, lo.denominator),
+                                 sympy.Rational(hi.numerator, hi.denominator)) == 1
+            assert p.count_roots(sympy.Rational(hi.numerator, hi.denominator), None) == 0
+            checked += 1
+        assert checked >= 20
+
+
+class TestGcdAndSquarefree:
+    def test_gcd_and_squarefree_part(self):
+        rng = random.Random(13)
+
+        def factor():
+            return IntPolynomial([rng.randint(-10 ** 12, 10 ** 12)
+                                  for _ in range(rng.randint(1, 3))] + [rng.randint(1, 9)])
+
+        for _ in range(30):
+            common, f1, f2 = factor(), factor(), factor()
+            f, g = common * f1 * f1, common * f2
+            expected = sympy.gcd(_sympy_poly(f), _sympy_poly(g)).primitive()[1]
+            if expected.LC() < 0:
+                expected = -expected
+            assert list(poly_gcd(f, g).coeffs) == _ints(expected)
+            sqf = _sympy_poly(f).sqf_part().primitive()[1]
+            if sqf.LC() < 0:
+                sqf = -sqf
+            assert list(squarefree_part(f).coeffs) == _ints(sqf)

@@ -1,15 +1,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from substoe.construct import enlarge_matrix
 from substoe.errors import DomainError
 from substoe.field import certified_sign, number_field
 from substoe.intpoly import IntPolynomial
-from substoe.matrix import ExactMatrix
+from substoe.matrix import ExactMatrix, charpoly, primitivity_exponent
 from substoe.perron import (
+    adjugate_column,
+    companion_matrix,
     coordinates_of,
     eigen_growth_check,
     embed,
+    field_kernel_basis,
     multiplication_matrices,
     perron_data,
 )
@@ -127,3 +133,89 @@ class TestGrowthCheck:
     def test_three_letter(self):
         pd = perron_data(A1)
         assert eigen_growth_check(A1, pd.field)
+
+
+def _kernel_vector(m, field):
+    """The one kernel vector of m - lam I by Gauss-Jordan over the field."""
+    lam = field.lam()
+    rows = [[field.from_rational(m.at(i, j)) - (lam if i == j else 0)
+             for j in range(m.cols)] for i in range(m.rows)]
+    kernel = field_kernel_basis(rows, field)
+    assert len(kernel) == 1
+    return kernel[0]
+
+
+def _reference_eigvec(m, field):
+    vec = _kernel_vector(m, field)
+    total = sum(vec, field.zero())
+    return tuple(x / total for x in vec)
+
+
+def _reference_y1(field):
+    vec = _kernel_vector(companion_matrix(field), field)
+    lead = next(x for x in vec if not x.is_zero)
+    vec = [x / lead for x in vec]
+    lam = field.lam()
+    value = sum((x * lam ** i for i, x in enumerate(vec)), field.zero())
+    if certified_sign(value) < 0:
+        vec = [-x for x in vec]
+    return tuple(vec)
+
+
+def _golden_chain(top):
+    """Golden-chain members with 3..top vertices, grown by enlarge_matrix."""
+    m = A0
+    out = []
+    while m.rows < top:
+        m = enlarge_matrix(m)["matrix"]
+        out.append(m)
+    return out
+
+
+square_matrices = st.integers(1, 7).flatmap(
+    lambda s: st.lists(st.lists(st.integers(0, 3), min_size=s, max_size=s),
+                       min_size=s, max_size=s))
+
+
+class TestAdjugateAgainstKernel:
+    """The adjugate-column eigenvectors against Gauss-Jordan over Q(lam)."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(square_matrices)
+    def test_random_primitive(self, rows):
+        m = ExactMatrix.from_rows(rows)
+        # [[1]] is the only primitive integer matrix with eigenvalue <= 1.
+        assume(rows != [[1]] and primitivity_exponent(m) is not None)
+        pd = perron_data(m)
+        assert pd.eigvec == _reference_eigvec(m, pd.field)
+        assert multiplication_matrices(pd.field).y1 == _reference_y1(pd.field)
+
+    def test_golden_chain(self):
+        for m in _golden_chain(8):
+            pd = perron_data(m)
+            assert pd.eigvec == _reference_eigvec(m, pd.field)
+            assert multiplication_matrices(pd.field).y1 == _reference_y1(pd.field)
+
+    def test_zero_column_on_a_repeated_root(self):
+        # lam = 1 is a double root of I_2 with rank(lam I - I) = 0 < s - 1.
+        ident = ExactMatrix.identity(2)
+        col = adjugate_column(ident.int_rows(), charpoly(ident), IntPolynomial([-1, 1]))
+        assert col == [[0], [0]]
+
+    def test_column_is_reduced_modulo_min_poly(self):
+        # A1 has a degree-3 charpoly but a degree-2 dominant field.
+        pd = perron_data(A1)
+        col = adjugate_column(A1.int_rows(), charpoly(A1), pd.field.min_poly)
+        assert all(len(x) == 2 and all(isinstance(c, int) for c in x) for x in col)
+        vec = [pd.field.from_coords(x) for x in col]
+        assert all(certified_sign(x) == 1 for x in vec)
+        total = sum(vec, pd.field.zero())
+        assert tuple(x / total for x in vec) == pd.eigvec
+
+
+class TestCompanionMatrix:
+    def test_is_the_pair_c(self):
+        for poly in ([1, -3, 1], [-46, -15, 3, 1], [-2, 1]):
+            f = number_field(IntPolynomial(poly))
+            assert companion_matrix(f) == multiplication_matrices(f).c
+            assert charpoly(companion_matrix(f)) == f.min_poly
