@@ -32,8 +32,6 @@ from .perron import (
     MultiplicationPair,
     PerronData,
     companion_matrix,
-    coordinates_of,
-    embed,
     multiplication_matrices,
     perron_data,
 )

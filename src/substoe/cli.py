@@ -635,6 +635,34 @@ def verify_paper_report():
     return {"checks": checks, "all_passed": all_passed}
 
 
+# Each subcommand gets only the flags its handler reads; any other flag
+# is malformed input.
+_FLAG_SPECS = {
+    "--n-max": dict(type=int, default=None,
+                    help="length / depth bound"),
+    "--cap-power": dict(type=int, default=None,
+                        help="search cap override"),
+    "--probe": dict(type=int, default=None,
+                    help="probe window for complexity slope estimates"),
+    "--seed-letter": dict(default=None,
+                          help="fixed point seed letter"),
+    "--dot": dict(action="store_true",
+                  help="emit DOT instead of JSON"),
+}
+
+_FLAGS = {
+    "complexity": ("--n-max",),
+    "language": ("--n-max", "--seed-letter"),
+    "diagram": ("--n-max", "--dot"),
+    "enlarge": ("--cap-power",),
+    "minimize": ("--cap-power",),
+    "family-soe": ("--cap-power",),
+    "family-oe": ("--cap-power", "--probe"),
+    "s-member": ("--cap-power",),
+    "groups-equal": ("--cap-power",),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise MalformedInputError(message)
@@ -662,18 +690,8 @@ def build_parser():
         if name != "verify-paper":
             p.add_argument("input", nargs="?", default="-",
                            help="JSON document path, or - for stdin")
-        p.add_argument("--n-max", type=int, default=None,
-                       help="length / depth bound where applicable")
-        p.add_argument("--cap-power", type=int, default=None,
-                       help="search cap override where applicable")
-        p.add_argument("--probe", type=int, default=None,
-                       help="probe window for complexity slope estimates")
-        p.add_argument("--seed-letter", default=None,
-                       help="fixed point seed letter for language output")
-        p.add_argument("--json", action="store_true",
-                       help="emit JSON (the default)")
-        p.add_argument("--dot", action="store_true",
-                       help="emit DOT instead of JSON (diagram only)")
+        for flag in _FLAGS.get(name, ()):
+            p.add_argument(flag, **_FLAG_SPECS[flag])
     return parser
 
 

@@ -3,20 +3,28 @@
 A group is presented by a finitely generated lattice of field elements
 that multiplication by the eigenvalue maps into itself; the group is the
 union of the lattice divided by all eigenvalue powers.  Membership and
-equality questions reduce to integer linear algebra on coordinates.
+equality questions reduce to integer linear algebra on coordinates: a
+vector is kept as integer numerators over one denominator, tested by exact
+division down the triangular basis, and multiplied by the eigenvalue with
+integer companion steps.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DomainError, FieldMismatchError
-from .field import FieldElement, certified_sign, minimal_polynomial, value_interval
+from .field import (FieldElement, _cleared, certified_sign, minimal_polynomial,
+                    value_interval)
 from .matrix import ExactMatrix, hnf_basis
 from .perron import companion_matrix
 
 
 def _triangular_coords(h, den, vec):
-    """Rational coordinates of vec in the column basis h/den."""
+    """Rational coordinates of vec in the column basis h/den.
+
+    Only the denominators of these are ever needed; a plain membership test
+    is _in_lattice.
+    """
     k = h.rows
     t = [Fraction(x) * den for x in vec]
     coeffs = []
@@ -27,6 +35,53 @@ def _triangular_coords(h, den, vec):
             for r in range(i + 1, k):
                 t[r] -= c * h.at(r, i)
     return coeffs
+
+
+def _int_columns(h):
+    """Columns of an integer matrix as lists of ints."""
+    return [[int(x) for x in h.column(j)] for j in range(h.cols)]
+
+
+def _in_lattice(cols, den, nums, e):
+    """Whether nums/e lies in the lattice spanned by the columns / den.
+
+    cols is a lower-triangular integer basis (hnf_basis, as _int_columns);
+    den*nums = e*H*c is solved by exact division down the triangle,
+    stopping at the first coordinate that is not an integer.
+    """
+    t = [x * den for x in nums]
+    k = len(t)
+    for i in range(k):
+        col = cols[i]
+        c, r = divmod(t[i], col[i] * e)
+        if r:
+            return False
+        if c:
+            c *= e
+            for j in range(i + 1, k):
+                t[j] -= c * col[j]
+    return True
+
+
+def _lam_step(field, m=1):
+    """Multiplication by lam**m on integer coordinate numerators.
+
+    For m = 1 this is the companion shift-and-subtract; higher powers
+    apply the integer matrix C**m.
+    """
+    if m == 1:
+        lower = field.min_poly.coeffs[:-1]
+
+        def step(v):
+            top = v[-1]
+            out = [0] + v[:-1]
+            if top:
+                for i, c in enumerate(lower):
+                    out[i] -= top * c
+            return out
+        return step
+    rows = (companion_matrix(field) ** m).int_rows()
+    return lambda v: [sum(a * x for a, x in zip(row, v)) for row in rows]
 
 
 def _coordinate_denominator(coeffs):
@@ -46,18 +101,18 @@ class LatticeGroup:
         if any(len(v) != field.degree for v in vectors):
             raise DomainError("generator length does not match the field degree")
         basis, den = hnf_basis(vectors)
-        mult = companion_matrix(field)
-        for j in range(field.degree):
-            image = mult.apply(basis.column(j))
-            coeffs = _triangular_coords(basis, 1, image)
-            if any(c.denominator != 1 for c in coeffs):
+        cols = _int_columns(basis)
+        step = _lam_step(field)
+        for col in cols:
+            if not _in_lattice(cols, 1, step(col), 1):
                 raise DomainError(
                     "not closed under multiplication by the eigenvalue")
         self.field = field
         self.generators = vectors
         self.basis = basis
         self.den = den
-        self.mult = mult
+        self._cols = cols
+        self._step = step
 
     def basis_vectors(self):
         """Lattice basis as field elements."""
@@ -69,19 +124,18 @@ class LatticeGroup:
         """Whether the element lies in the lattice itself (no rescaling)."""
         if elt.field != self.field:
             raise FieldMismatchError("element lives in a different field")
-        coeffs = _triangular_coords(self.basis, self.den, elt.coords)
-        return all(c.denominator == 1 for c in coeffs)
+        nums, e = _cleared(elt.coords)
+        return _in_lattice(self._cols, self.den, nums, e)
 
     def membership_exponent(self, elt, cap=64):
         """Least n with lam**n * elt in the lattice, or None within the cap."""
         if elt.field != self.field:
             raise FieldMismatchError("element lives in a different field")
-        cur = list(elt.coords)
+        nums, e = _cleared(elt.coords)
         for n in range(cap + 1):
-            coeffs = _triangular_coords(self.basis, self.den, cur)
-            if all(c.denominator == 1 for c in coeffs):
+            if _in_lattice(self._cols, self.den, nums, e):
                 return n
-            cur = self.mult.apply(cur)
+            nums = self._step(nums)
         return None
 
     def __repr__(self):
@@ -141,6 +195,8 @@ def _strip_shared_primes(d, modulus):
 def _absorption(step, h, den, norm, vectors, cap):
     """Least t with step**t applied to every vector landing in h/den.
 
+    step acts on integer numerators (see _lam_step).
+
     norm carries the primes that step can clear from denominators; any
     other prime in a coordinate denominator blocks absorption forever.
     """
@@ -149,17 +205,12 @@ def _absorption(step, h, den, norm, vectors, cap):
         blocked = _strip_shared_primes(d, norm)
         if blocked > 1:
             return {"status": "never", "denominator": blocked}
-    cur = [list(v) for v in vectors]
+    cols = _int_columns(h)
+    cur = [_cleared(v) for v in vectors]
     for t in range(cap + 1):
-        done = True
-        for v in cur:
-            coeffs = _triangular_coords(h, den, v)
-            if any(c.denominator != 1 for c in coeffs):
-                done = False
-                break
-        if done:
+        if all(_in_lattice(cols, den, nums, e) for nums, e in cur):
             return {"status": "at", "exponent": t}
-        cur = [step.apply(v) for v in cur]
+        cur = [(step(nums), e) for nums, e in cur]
     return {"status": "unknown"}
 
 
@@ -206,13 +257,14 @@ def groups_equal(first, second, m, cap=64):
     gens1 = [[Fraction(x, first.den) for x in first.basis.column(j)]
              for j in range(k1)]
     norm = abs(first.field.min_poly.coeffs[0])
-    into_first = _absorption(first.mult, first.basis, first.den,
+    into_first = _absorption(first._step, first.basis, first.den,
                              norm, gens2, cap)
     if into_first["status"] == "never":
         return {"status": "unequal", "reason": "prime-denominator",
                 "direction": "second-into-first",
                 "denominator": into_first["denominator"]}
-    into_second = _absorption(first.mult ** m, h2, den2, norm, gens1, cap)
+    into_second = _absorption(_lam_step(first.field, m), h2, den2, norm,
+                              gens1, cap)
     if into_second["status"] == "never":
         return {"status": "unequal", "reason": "prime-denominator",
                 "direction": "first-into-second",

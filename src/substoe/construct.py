@@ -12,7 +12,8 @@ from itertools import product
 from math import gcd
 
 from .bratteli import diagram_from_substitution
-from .clopen import LatticeGroup, _triangular_coords, groups_equal, lattice_of
+from .clopen import (LatticeGroup, _in_lattice, _int_columns, _lam_step,
+                     groups_equal, lattice_of)
 from .errors import CapabilityError, DomainError, InternalError, RankError
 from .field import certified_sign, perron_minimal_polynomial, value_interval
 from .intpoly import IntPolynomial
@@ -320,7 +321,6 @@ def realize_group_matrix(matrix, weights, closure_cap=24,
     a = _coerce_matrix(matrix)
     pd = perron_data(a)
     field = pd.field
-    k = field.degree
     xs = []
     for coords in weights:
         elt = coords if not isinstance(coords, (list, tuple)) \
@@ -337,11 +337,13 @@ def realize_group_matrix(matrix, weights, closure_cap=24,
         raise DomainError("weights must span the field over the rationals")
 
     mp = multiplication_matrices(field)
-    cols = [[h0.at(i, j) / den0 for i in range(k)] for j in range(k)]
+    h_cols = _int_columns(h0)
+    step = _lam_step(field)
+    cols = h_cols
     closure_power = None
     for t in range(1, closure_cap + 1):
-        cols = [list(mp.c.apply(v)) for v in cols]
-        if all(_is_integral(_triangular_coords(h0, den0, v)) for v in cols):
+        cols = [step(v) for v in cols]
+        if all(_in_lattice(h_cols, den0, v, den0) for v in cols):
             closure_power = t
             break
     if closure_power is None:

@@ -4,10 +4,14 @@ A field carries an isolating interval for its distinguished root, always the
 largest real root of the minimal polynomial, with rational endpoints where
 the polynomial changes sign.  Sign certification works by interval
 evaluation plus bisection of that interval; it terminates because a nonzero
-element of the field cannot vanish at the root.
+element of the field cannot vanish at the root.  The evaluation is interval
+Horner on integers (coordinates and endpoints over common denominators), and
+each field keeps its chain of bisected intervals, so every bisection step
+runs once per field however many elements are certified.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionError, DomainError, InternalError
 from .intpoly import (
@@ -24,7 +28,7 @@ from .matrix import ExactMatrix, charpoly
 class NumberField:
     """Q(lam) for lam the largest real root of a monic irreducible polynomial."""
 
-    __slots__ = ("min_poly", "degree", "interval", "_reduction")
+    __slots__ = ("min_poly", "degree", "interval", "_reduction", "_chain")
 
     def __init__(self, min_poly, interval):
         if not isinstance(min_poly, IntPolynomial) or not min_poly.is_monic:
@@ -41,6 +45,8 @@ class NumberField:
         object.__setattr__(self, "min_poly", min_poly)
         object.__setattr__(self, "degree", min_poly.degree)
         object.__setattr__(self, "interval", (lo, hi))
+        # _chain[i] is the interval bisected i times; see _first_accepted.
+        object.__setattr__(self, "_chain", [(lo, hi)])
         k = min_poly.degree
         # Reduction rows: coordinates of lam^k .. lam^(2k-2) on 1..lam^(k-1).
         rows = []
@@ -100,12 +106,29 @@ class NumberField:
                     out[j] += c * row[j]
         return out
 
+    def _first_accepted(self, accept):
+        """accept(lo, hi) at the first interval of the bisection chain where
+        it is not None.
+
+        The chain holds the interval bisected 0, 1, 2, ... times.  It is
+        deterministic, so it is extended on demand and each step runs once
+        for the life of the field, and the walk sees the same intervals as
+        bisecting the coarse interval afresh would.
+        """
+        chain = self._chain
+        i = 0
+        while True:
+            if i == len(chain):
+                chain.append(refine_root_interval(self.min_poly, *chain[-1]))
+            found = accept(*chain[i])
+            if found is not None:
+                return found
+            i += 1
+
     def refined_interval(self, width):
         """A sign-change isolating interval no wider than width."""
-        lo, hi = self.interval
-        while hi - lo > width:
-            lo, hi = refine_root_interval(self.min_poly, lo, hi)
-        return lo, hi
+        return self._first_accepted(
+            lambda lo, hi: (lo, hi) if hi - lo <= width else None)
 
 
 class FieldElement:
@@ -255,22 +278,45 @@ class FieldElement:
         return "%s%d.%0*d" % (sign, whole, digits, frac)
 
 
-def _interval_eval(coords, lo, hi):
-    """Range of the coordinate polynomial over [lo, hi] by interval Horner."""
-    vlo = vhi = Fraction(0)
-    for c in reversed(coords):
-        cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
-        vlo, vhi = min(cands) + c, max(cands) + c
-    return vlo, vhi
+def _cleared(coords):
+    """(nums, d): integer numerators over the lcm d of the denominators."""
+    d = 1
+    for c in coords:
+        d = lcm(d, c.denominator)
+    return [c.numerator * (d // c.denominator) for c in coords], d
+
+
+def _interval_horner(nums, lo, hi):
+    """Integer interval Horner of the polynomial with coefficients nums.
+
+    With lo = a/q and hi = b/q over one denominator, returns (vlo, vhi, s)
+    such that [vlo/s, vhi/s] is the range that rational interval Horner
+    gives over [lo, hi]; s = q**(len(nums) - 1) > 0, so scaling never
+    changes an order or a sign.
+    """
+    q = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (q // lo.denominator)
+    b = hi.numerator * (q // hi.denominator)
+    coeffs = reversed(nums)
+    vlo = vhi = next(coeffs)
+    s = 1
+    for c in coeffs:
+        s *= q
+        cands = (vlo * a, vlo * b, vhi * a, vhi * b)
+        vlo, vhi = min(cands) + c * s, max(cands) + c * s
+    return vlo, vhi, s
 
 
 def _value_interval(elt, width):
-    lo, hi = elt.field.interval
-    while True:
-        vlo, vhi = _interval_eval(elt.coords, lo, hi)
-        if vhi - vlo <= width:
-            return vlo, vhi
-        lo, hi = refine_root_interval(elt.field.min_poly, lo, hi)
+    nums, d = _cleared(elt.coords)
+
+    def enclosure(lo, hi):
+        vlo, vhi, s = _interval_horner(nums, lo, hi)
+        s *= d
+        if (vhi - vlo) * width.denominator <= width.numerator * s:
+            return Fraction(vlo, s), Fraction(vhi, s)
+        return None
+    return elt.field._first_accepted(enclosure)
 
 
 def value_interval(elt, width):
@@ -282,14 +328,16 @@ def certified_sign(elt):
     """Exact sign of a field element: -1, 0, or 1."""
     if elt.is_zero:
         return 0
-    lo, hi = elt.field.interval
-    while True:
-        vlo, vhi = _interval_eval(elt.coords, lo, hi)
+    nums, _ = _cleared(elt.coords)
+
+    def sign(lo, hi):
+        vlo, vhi, _ = _interval_horner(nums, lo, hi)
         if vlo > 0:
             return 1
         if vhi < 0:
             return -1
-        lo, hi = refine_root_interval(elt.field.min_poly, lo, hi)
+        return None
+    return elt.field._first_accepted(sign)
 
 
 def number_field(min_poly):

@@ -15,16 +15,6 @@ from .field import FieldElement, NumberField, certified_sign, dominant_root_fiel
 from .matrix import ExactMatrix, charpoly, primitivity_exponent
 
 
-def coordinates_of(elt):
-    """Coordinate vector of a field element on the power basis."""
-    return tuple(elt.coords)
-
-
-def embed(field, coords):
-    """Field element with the given power-basis coordinates."""
-    return FieldElement(field, coords)
-
-
 def field_kernel_basis(rows, field):
     """Basis of the kernel of a square matrix of field elements.
 

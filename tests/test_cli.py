@@ -65,6 +65,23 @@ class TestExitCodes:
                            document=GOLDEN)
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["perron", "-", "--n-max", "3"],
+        ["complexity", "-", "--cap-power", "3"],
+        ["language", "-", "--dot"],
+        ["diagram", "-", "--seed-letter", "a"],
+        ["enlarge", "-", "--probe", "5"],
+        ["s-member", "-", "--n-max", "3"],
+        ["enumerate-y", "-", "--cap-power", "3"],
+        ["verify-paper", "--cap-power", "3"],
+        ["complexity", "-", "--json"],
+    ])
+    def test_flag_of_another_subcommand_is_malformed(self, cli, argv):
+        code, out, err = cli(argv, document=GOLDEN)
+        assert code == 3
+        assert out == ""
+        assert err_json(err)["kind"] == "malformed"
+
     def test_domain_error_exits_one(self, cli):
         code, _, err = cli(
             ["perron", "-"], document={"matrix": [[1, 0], [0, 1]]})

@@ -1,14 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from substoe.clopen import (LatticeGroup, groups_equal, lattice_from_elements,
-                            lattice_of, s_membership)
+from substoe.clopen import (LatticeGroup, _triangular_coords, groups_equal,
+                            lattice_from_elements, lattice_of, s_membership)
+from substoe.construct import enlarge_matrix
 from substoe.errors import DomainError, FieldMismatchError, RankError
 from substoe.field import NumberField, number_field
 from substoe.intpoly import IntPolynomial
 from substoe.matrix import ExactMatrix
-from substoe.perron import perron_data
+from substoe.perron import companion_matrix, perron_data
 
 A0 = ExactMatrix.from_rows([[1, 1], [1, 2]])
 A1 = ExactMatrix.from_rows([[1, 1, 1], [2, 3, 1], [8, 13, 0]])
@@ -169,3 +172,143 @@ class TestGroupsEqual:
         g = golden_group()
         with pytest.raises(DomainError):
             groups_equal(g, g, 0)
+
+
+def fraction_membership_exponent(group, elt, cap):
+    """The rational scan the integer one replaced: the reference."""
+    mult = companion_matrix(group.field)
+    cur = elt.coords
+    for n in range(cap + 1):
+        coeffs = _triangular_coords(group.basis, group.den, cur)
+        if all(c.denominator == 1 for c in coeffs):
+            return n
+        cur = mult.apply(cur)
+    return None
+
+
+# Golden (a unit), t^2 - 2t - 5, t^3 - 2t - 2 and t - 6 (degree 1).
+LATTICE_FIELDS = [number_field(IntPolynomial(p))
+                  for p in ([1, -3, 1], [-5, -2, 1], [-2, -2, 0, 1], [-6, 1])]
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+def module_lattice(field, gens):
+    """The lattice spanned by gens times lam**j, j < k: closed under lam."""
+    lam = field.lam()
+    elements = []
+    for g in gens:
+        x = field.from_coords(g)
+        for _ in range(field.degree):
+            elements.append(x)
+            x = x * lam
+    return lattice_from_elements(field, elements)
+
+
+class TestIntegerMembership:
+    """The integer membership scan against the rational one."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.sampled_from(range(len(LATTICE_FIELDS))),
+           st.lists(st.lists(small_fractions, min_size=3, max_size=3),
+                    min_size=1, max_size=3),
+           st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+           st.lists(small_fractions, min_size=3, max_size=3),
+           st.integers(0, 5), st.booleans())
+    def test_matches_fraction_scan(self, idx, gens, ints, coords, n, member):
+        field = LATTICE_FIELDS[idx]
+        k = field.degree
+        gens = [g[:k] for g in gens]
+        assume(any(any(g) for g in gens))
+        group = module_lattice(field, gens)
+        if member:
+            # a lattice point divided by lam**n: in the group, exponent <= n
+            basis = group.basis_vectors()
+            x = sum((b * c for b, c in zip(basis, ints)), field.zero())
+            elt = x * field.lam() ** -n
+        else:
+            elt = field.from_coords(coords[:k])
+        want = fraction_membership_exponent(group, elt, 12)
+        assert group.membership_exponent(elt, 12) == want
+        assert group.lattice_contains(elt) == (want == 0)
+        if want is not None:
+            # the cap boundary: found at cap = want, not below it
+            assert group.membership_exponent(elt, want) == want
+            if want > 0:
+                assert group.membership_exponent(elt, want - 1) is None
+
+    def test_denominator_and_fractional_coords(self):
+        field = LATTICE_FIELDS[2]
+        group = module_lattice(field, [(Fraction(1, 4), Fraction(-1, 6), 1)])
+        assert group.den > 1
+        lam = field.lam()
+        for elt in (field.from_coords((Fraction(1, 3), Fraction(5, 2), Fraction(-1, 7))),
+                    field.from_coords((Fraction(1, 4), Fraction(-1, 6), 1)) * lam ** -4,
+                    field.from_rational(Fraction(1, 2))):
+            for cap in range(8):
+                assert group.membership_exponent(elt, cap) == \
+                    fraction_membership_exponent(group, elt, cap)
+
+
+def _golden_chain(top):
+    m = A0
+    out = [m]
+    while m.rows < top:
+        m = enlarge_matrix(m)["matrix"]
+        out.append(m)
+    return out
+
+
+def _scaled(pd, s):
+    """The Perron lattice divided by lam**s."""
+    mu = pd.lam ** -s
+    return lattice_from_elements(
+        pd.field, [x * mu for x in lattice_of(pd).basis_vectors()])
+
+
+class TestGroupsEqualIntegerScan:
+    """groups_equal reports, unchanged by the integer absorption scan."""
+
+    def test_golden_chain_neighbours(self):
+        chain = _golden_chain(5)
+        groups = [lattice_of(perron_data(m)) for m in chain]
+        both_zero = {"status": "equal", "first_absorbs_at": 0,
+                     "second_absorbs_at": 0}
+        for i, m in enumerate(chain[:-1]):
+            for power in (1, 2, 3):
+                other = lattice_of(perron_data(m ** power))
+                assert groups_equal(groups[i], other, power) == both_zero
+            assert groups_equal(groups[i], groups[i + 1], 2) == both_zero
+
+    @pytest.mark.parametrize("rows", [[[1, 2], [3, 1]],
+                                      [[2, 1, 0], [1, 1, 1], [1, 0, 1]],
+                                      [[1, 1], [2, 0]]])
+    def test_absorption_exponents(self, rows):
+        # lam is not a unit here, so lam**-s1 L and lam**-(m*s2) L absorb
+        # each other only after the steps of lam (first) or of lam**m
+        # (second) that make up the difference of the exponents
+        a = ExactMatrix.from_rows(rows)
+        pd = perron_data(a)
+        for m in (1, 2, 3):
+            pdm = perron_data(a ** m)
+            for s1, s2 in ((0, 0), (0, 2), (1, 0), (0, 1), (2, 0), (3, 1)):
+                first, second = _scaled(pd, s1), _scaled(pdm, s2)
+                want = {"status": "equal",
+                        "first_absorbs_at": max(0, m * s2 - s1),
+                        "second_absorbs_at": max(0, -((m * s2 - s1) // m))}
+                assert groups_equal(first, second, m) == want
+                capped = groups_equal(first, second, m, cap=1)
+                if max(want["first_absorbs_at"], want["second_absorbs_at"]) <= 1:
+                    assert capped == want
+                else:
+                    assert capped == {"status": "undecided-up-to", "cap": 1}
+
+    def test_unequal_pair(self):
+        # two matrices with characteristic polynomial t^2 - 7t + 1
+        a = lattice_of(perron_data(ExactMatrix.from_rows([[1, 5], [1, 6]])))
+        b = lattice_of(perron_data(ExactMatrix.from_rows([[1, 1], [5, 6]])))
+        assert groups_equal(a, b, 1) == {
+            "status": "unequal", "reason": "prime-denominator",
+            "direction": "first-into-second", "denominator": 9}
+        assert groups_equal(b, a, 1) == {
+            "status": "unequal", "reason": "prime-denominator",
+            "direction": "second-into-first", "denominator": 9}

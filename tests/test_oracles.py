@@ -10,14 +10,17 @@ import pytest
 
 from substoe.construct import enlarge_matrix
 from substoe.intpoly import (
+    FACTOR_DEGREE_CAP,
     IntPolynomial,
     count_real_roots,
+    factor_monic_squarefree,
     isolate_largest_real_root,
     poly_gcd,
     root_bound,
     squarefree_part,
 )
-from substoe.matrix import ExactMatrix, charpoly
+from substoe.matrix import ExactMatrix, charpoly, primitivity_exponent
+from substoe.perron import perron_data
 
 sympy = pytest.importorskip("sympy")
 T = sympy.Symbol("t")
@@ -50,6 +53,10 @@ def _random_squarefree(rng, max_digits, count):
         if sympy.gcd(_sympy_poly(f), _sympy_poly(f.derivative())).degree() == 0:
             out.append(f)
     return out
+
+
+def _rational(q):
+    return sympy.Rational(q.numerator, q.denominator)
 
 
 def _golden_member(size):
@@ -127,3 +134,47 @@ class TestGcdAndSquarefree:
             if sqf.LC() < 0:
                 sqf = -sqf
             assert list(squarefree_part(f).coeffs) == _ints(sqf)
+
+
+class TestFactorization:
+    def test_products_of_random_monic_factors(self):
+        rng = random.Random(17)
+        checked = 0
+        while checked < 40:
+            factors = [IntPolynomial([rng.randint(-20, 20)
+                                      for _ in range(rng.randint(1, 4))] + [1])
+                       for _ in range(rng.randint(1, 4))]
+            f = factors[0]
+            for g in factors[1:]:
+                f = f * g
+            p = _sympy_poly(f)
+            if f.degree > FACTOR_DEGREE_CAP or not p.is_sqf:
+                continue
+            content, pairs = sympy.factor_list(p)
+            assert content == 1 and all(mult == 1 for _, mult in pairs)
+            expected = sorted((q.degree(), _ints(q)) for q, _ in pairs)
+            got = [(g.degree, list(g.coeffs)) for g in factor_monic_squarefree(f)]
+            assert got == expected
+            checked += 1
+
+
+class TestPerronMinimalPolynomial:
+    def test_random_primitive_matrices(self):
+        rng = random.Random(19)
+        checked = 0
+        while checked < 20:
+            s = rng.randint(1, 6)
+            rows = [[rng.randint(0, 3) for _ in range(s)] for _ in range(s)]
+            m = ExactMatrix.from_rows(rows)
+            if primitivity_exponent(m) is None:
+                continue
+            p = sympy.Poly(sympy.Matrix(rows).charpoly(T).as_expr(), T)
+            root = max(p.real_roots())
+            if root <= 1:
+                continue
+            pd = perron_data(m)
+            expected = sympy.Poly(sympy.minimal_polynomial(root, T), T)
+            assert list(pd.field.min_poly.coeffs) == _ints(expected)
+            lo, hi = pd.field.interval
+            assert _rational(lo) < root < _rational(hi)
+            checked += 1

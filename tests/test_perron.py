@@ -12,9 +12,7 @@ from substoe.matrix import ExactMatrix, charpoly, primitivity_exponent
 from substoe.perron import (
     adjugate_column,
     companion_matrix,
-    coordinates_of,
     eigen_growth_check,
-    embed,
     field_kernel_basis,
     multiplication_matrices,
     perron_data,
@@ -68,12 +66,12 @@ class TestCoordinates:
     def test_roundtrip(self):
         pd = perron_data(A0)
         for x in pd.eigvec:
-            assert embed(pd.field, coordinates_of(x)) == x
+            assert pd.field.from_coords(x.coords) == x
 
     def test_embed_basis(self):
         f = number_field(IntPolynomial([1, -3, 1]))
-        assert embed(f, (0, 1)) == f.lam()
-        assert embed(f, (Fraction(1, 2), 0)) == f.from_rational(Fraction(1, 2))
+        assert f.from_coords((0, 1)) == f.lam()
+        assert f.from_coords((Fraction(1, 2), 0)) == f.from_rational(Fraction(1, 2))
 
 
 class TestMultiplicationMatrices:
@@ -98,9 +96,9 @@ class TestMultiplicationMatrices:
         pair = multiplication_matrices(f)
         lam = f.lam()
         for coords in [(1, 0), (0, 1), (2, -5)]:
-            x = embed(f, coords)
-            assert embed(f, pair.c.apply(coords)) == lam * x
-            assert embed(f, pair.d.apply(coords)) == x / lam
+            x = f.from_coords(coords)
+            assert f.from_coords(pair.c.apply(coords)) == lam * x
+            assert f.from_coords(pair.d.apply(coords)) == x / lam
 
     def test_seven_field_pair(self):
         f = number_field(IntPolynomial([1, -7, 1]))
