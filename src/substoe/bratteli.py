@@ -9,7 +9,7 @@ words as rules, with F the transpose of the substitution incidence.
 
 from .errors import CapabilityError, DomainError, InternalError, PathError
 from .matrix import ExactMatrix, primitivity_exponent
-from .perron import perron_data
+from .perron import measure_weights, perron_data
 from .subst import Substitution
 from .words import RunWord, word_of
 
@@ -96,12 +96,7 @@ class OrderedDiagram:
         if primitivity_exponent(a) is None:
             raise DomainError("measure needs a primitive incidence matrix")
         pd = perron_data(a)
-        pairing = pd.field.zero()
-        for m, x in zip(self.level0, pd.eigvec):
-            pairing = pairing + x * m
-        inv = pairing.inverse()
-        weights = tuple(x * inv for x in pd.eigvec)
-        self._measure = (pd.field, weights, pd.lam)
+        self._measure = (pd.field, measure_weights(pd, self.level0), pd.lam)
         return self._measure
 
     def cylinder_measure(self, path):

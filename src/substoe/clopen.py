@@ -10,13 +10,13 @@ integer companion steps.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DomainError, FieldMismatchError
 from .field import (FieldElement, _cleared, certified_sign, minimal_polynomial,
                     value_interval)
 from .matrix import ExactMatrix, hnf_basis
-from .perron import companion_matrix
+from .perron import companion_matrix, measure_weights
 
 
 def _triangular_coords(h, den, vec):
@@ -84,13 +84,6 @@ def _lam_step(field, m=1):
     return lambda v: [sum(a * x for a, x in zip(row, v)) for row in rows]
 
 
-def _coordinate_denominator(coeffs):
-    d = 1
-    for c in coeffs:
-        d = lcm(d, c.denominator)
-    return d
-
-
 class LatticeGroup:
     """Lattice of field elements closed under multiplication by lam."""
 
@@ -145,16 +138,7 @@ class LatticeGroup:
 def lattice_of(pd, level0=None):
     """Group of the eigenvector entries, optionally renormalized so the
     pairing with root multiplicities is one."""
-    xs = list(pd.eigvec)
-    if level0 is not None:
-        ms = [int(m) for m in level0]
-        if len(ms) != len(xs) or any(m < 1 for m in ms):
-            raise DomainError("multiplicities must be positive, one per entry")
-        pairing = pd.field.zero()
-        for m, x in zip(ms, xs):
-            pairing = pairing + x * m
-        inv = pairing.inverse()
-        xs = [x * inv for x in xs]
+    xs = pd.eigvec if level0 is None else measure_weights(pd, level0)
     return LatticeGroup(pd.field, [x.coords for x in xs])
 
 
@@ -201,7 +185,7 @@ def _absorption(step, h, den, norm, vectors, cap):
     other prime in a coordinate denominator blocks absorption forever.
     """
     for v in vectors:
-        d = _coordinate_denominator(_triangular_coords(h, den, v))
+        d = _cleared(_triangular_coords(h, den, v))[1]
         blocked = _strip_shared_primes(d, norm)
         if blocked > 1:
             return {"status": "never", "denominator": blocked}

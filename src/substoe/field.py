@@ -22,7 +22,7 @@ from .intpoly import (
     refine_root_interval,
     squarefree_part,
 )
-from .matrix import ExactMatrix, charpoly
+from .matrix import ExactMatrix, charpoly, kernel_basis
 
 
 class NumberField:
@@ -391,49 +391,22 @@ def dominant_root_field(cp):
 
 
 def minimal_polynomial(elt):
-    """Monic integer minimal polynomial of an algebraic integer element."""
-    k = elt.field.degree
-    powers = [elt.field.one().coords]
-    cur = elt.field.one()
-    for j in range(1, k + 1):
+    """Monic integer minimal polynomial of an algebraic integer element.
+
+    The first power whose coordinate column depends on the lower powers
+    fixes the degree; the kernel vector of the power columns, which ends
+    in 1, holds the coefficients.
+    """
+    one = elt.field.one()
+    powers = [one.coords]
+    cur = one
+    for _ in range(elt.field.degree):
         cur = cur * elt
         powers.append(cur.coords)
-        # The first power expressible through its predecessors fixes the degree.
-        sol = _dependence(powers)
-        if sol is not None:
-            coeffs = [-c for c in sol] + [Fraction(1)]
+        kernel = kernel_basis([list(r) for r in zip(*powers)], Fraction(0), Fraction(1))
+        if kernel:
+            (coeffs,) = kernel
             if any(c.denominator != 1 for c in coeffs):
                 raise DomainError("element is not an algebraic integer")
             return IntPolynomial([int(c) for c in coeffs])
     raise InternalError("no dependence found within the field degree")
-
-
-def _dependence(powers):
-    """Coefficients writing the last vector as a combination of the others."""
-    *prev, last = powers
-    k = len(last)
-    rows = [[prev[j][i] for j in range(len(prev))] for i in range(k)]
-    aug = [row + [last[i]] for i, row in enumerate(rows)]
-    ncols = len(prev)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, k) if aug[i][c] != 0), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(k):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, k):
-        if aug[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for idx, c in enumerate(pivots):
-        sol[c] = aug[idx][ncols]
-    return sol

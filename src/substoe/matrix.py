@@ -1,7 +1,7 @@
 """Exact rational matrices and the lattice utilities built on them."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionError, DomainError, InternalError, RankError
 from .intpoly import IntPolynomial
@@ -192,72 +192,99 @@ class ExactMatrix:
                                                for i in range(self.rows)],)
 
     def det(self):
+        """Bareiss fraction-free elimination on D*A, D the lcm of the entry
+        denominators, divided by D**n at the end."""
         if not self.is_square:
             raise DimensionError("determinant of a non-square matrix")
         n = self.rows
         if n == 0:
             return Fraction(1)
-        if self.is_integer:
-            # Bareiss fraction-free elimination.
-            m = [[int(x) for x in self.row(i)] for i in range(n)]
-            sign = 1
-            prev = 1
-            for k in range(n - 1):
-                if m[k][k] == 0:
-                    swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-                    if swap is None:
-                        return Fraction(0)
-                    m[k], m[swap] = m[swap], m[k]
-                    sign = -sign
-                for i in range(k + 1, n):
-                    for j in range(k + 1, n):
-                        m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                    m[i][k] = 0
-                prev = m[k][k]
-            return Fraction(sign * m[n - 1][n - 1])
-        m = [list(self.row(i)) for i in range(n)]
-        det = Fraction(1)
-        for k in range(n):
-            pivot = next((r for r in range(k, n) if m[r][k] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != k:
-                m[k], m[pivot] = m[pivot], m[k]
-                det = -det
-            det *= m[k][k]
-            inv = 1 / m[k][k]
+        d = lcm(*(e.denominator for e in self.entries))
+        m = [[x.numerator * (d // x.denominator) for x in self.row(i)] for i in range(n)]
+        sign = 1
+        prev = 1
+        for k in range(n - 1):
+            if m[k][k] == 0:
+                swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+                if swap is None:
+                    return Fraction(0)
+                m[k], m[swap] = m[swap], m[k]
+                sign = -sign
             for i in range(k + 1, n):
-                if m[i][k]:
-                    c = m[i][k] * inv
-                    for j in range(k, n):
-                        m[i][j] -= c * m[k][j]
-        return det
+                for j in range(k + 1, n):
+                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+                m[i][k] = 0
+            prev = m[k][k]
+        return Fraction(sign * m[n - 1][n - 1], d ** n)
 
     def inverse(self):
+        """Gauss-Jordan on [A | I]."""
         if not self.is_square:
             raise DimensionError("inverse of a non-square matrix")
         n = self.rows
-        m = [list(self.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for k in range(n):
-            pivot = next((r for r in range(k, n) if m[r][k] != 0), None)
-            if pivot is None:
-                raise DomainError("matrix is singular")
-            if pivot != k:
-                m[k], m[pivot] = m[pivot], m[k]
-            inv = 1 / m[k][k]
-            m[k] = [x * inv for x in m[k]]
-            for i in range(n):
-                if i != k and m[i][k]:
-                    c = m[i][k]
-                    m[i] = [x - c * y for x, y in zip(m[i], m[k])]
-        return ExactMatrix.from_rows([r[n:] for r in m])
+        rows = [list(self.row(i)) + [Fraction(int(i == j)) for j in range(n)]
+                for i in range(n)]
+        if len(gauss_jordan(rows, n)) < n:
+            raise DomainError("matrix is singular")
+        return ExactMatrix.from_rows([r[n:] for r in rows])
 
     def solve(self, rhs):
-        """Unique solution x of self @ x = rhs; DomainError if singular."""
+        """Unique solution x of self @ x = rhs by Gauss-Jordan on [A | b];
+        DomainError if singular."""
         if not self.is_square:
             raise DimensionError("solve needs a square matrix")
-        inv = self.inverse()
-        return inv.apply(rhs)
+        n = self.rows
+        rhs = [Fraction(x) for x in rhs]
+        if len(rhs) != n:
+            raise DimensionError("vector length mismatch")
+        rows = [list(self.row(i)) + [rhs[i]] for i in range(n)]
+        if len(gauss_jordan(rows, n)) < n:
+            raise DomainError("matrix is singular")
+        return tuple(r[n] for r in rows)
+
+
+def gauss_jordan(rows, ncols):
+    """Reduce the row lists in place to reduced echelon form on their first
+    ncols columns; returns the pivot columns, in row order.
+
+    Entries need only -, *, / and a comparison with 0, so rows of Fraction
+    and rows of field elements share this one elimination.
+    """
+    pivots = []
+    n = len(rows)
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, n) if rows[i][c] != 0), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        row = rows[r]
+        inv = 1 / row[c]
+        row[c:] = tail = [x * inv for x in row[c:]]
+        for i, other in enumerate(rows):
+            f = other[c]
+            if i != r and f != 0:
+                other[c:] = [x - f * y for x, y in zip(other[c:], tail)]
+        pivots.append(c)
+    return pivots
+
+
+def kernel_basis(rows, zero, one):
+    """Basis of the kernel of the matrix given by its row lists, one vector
+    per non-pivot column, with 1 there and 0 in the other non-pivot
+    columns.  The rows are reduced in place."""
+    width = len(rows[0]) if rows else 0
+    pivots = gauss_jordan(rows, width)
+    basis = []
+    for c in range(width):
+        if c in pivots:
+            continue
+        vec = [zero] * width
+        vec[c] = one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][c]
+        basis.append(vec)
+    return basis
 
 
 def charpoly(m):
@@ -399,28 +426,3 @@ def hnf_basis(vectors):
             if q:
                 ech[j] = [u - q * w for u, w in zip(ech[j], ech[i])]
     return ExactMatrix.from_columns(ech), den
-
-
-def hnf_solve(h, target):
-    """Integer coordinates of an integer vector in the column basis of h.
-
-    h must come from hnf_basis (lower triangular, positive diagonal).
-    Returns None when the vector is outside the lattice spanned by h.
-    """
-    k = h.rows
-    t = [int(x) for x in target]
-    if len(t) != k:
-        raise DimensionError("vector length mismatch")
-    coeffs = []
-    for i in range(k):
-        piv = int(h.at(i, i))
-        if t[i] % piv:
-            return None
-        q = t[i] // piv
-        coeffs.append(q)
-        if q:
-            for r in range(i, k):
-                t[r] -= q * int(h.at(r, i))
-    if any(t):
-        raise InternalError("triangular solve left a nonzero remainder")
-    return coeffs

@@ -12,47 +12,16 @@ from fractions import Fraction
 
 from .errors import DomainError, InternalError
 from .field import FieldElement, NumberField, certified_sign, dominant_root_field
-from .matrix import ExactMatrix, charpoly, primitivity_exponent
+from .matrix import ExactMatrix, charpoly, kernel_basis, primitivity_exponent
 
 
 def field_kernel_basis(rows, field):
     """Basis of the kernel of a square matrix of field elements.
 
-    Gauss-Jordan over the field; the eigenvectors below come from adjugate
-    columns instead, and this stays as the reference they are tested on.
+    The eigenvectors below come from adjugate columns instead; this stays
+    as the reference they are tested on.
     """
-    n = len(rows)
-    m = [list(r) for r in rows]
-    width = len(m[0]) if m else 0
-    pivots = {}
-    r = 0
-    for c in range(width):
-        sel = None
-        for i in range(r, n):
-            if not m[i][c].is_zero:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n):
-            if i != r and not m[i][c].is_zero:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    for c in range(width):
-        if c in pivots:
-            continue
-        vec = [field.zero()] * width
-        vec[c] = field.one()
-        for pc, pr in pivots.items():
-            vec[pc] = -m[pr][c]
-        basis.append(vec)
-    return basis
+    return kernel_basis([list(r) for r in rows], field.zero(), field.one())
 
 
 @dataclass(frozen=True)
@@ -135,6 +104,19 @@ def perron_data(m):
     coords = ExactMatrix.from_columns([list(x.coords) for x in vec])
     return PerronData(matrix=m, field=field, k=k, lam=lam,
                       eigvec=tuple(vec), coords_matrix=coords)
+
+
+def measure_weights(pd, level0):
+    """Eigenvector entries scaled so that their pairing with the root
+    multiplicities level0 is one."""
+    ms = [int(m) for m in level0]
+    if len(ms) != len(pd.eigvec) or any(m < 1 for m in ms):
+        raise DomainError("multiplicities must be positive, one per entry")
+    pairing = pd.field.zero()
+    for m, x in zip(ms, pd.eigvec):
+        pairing = pairing + x * m
+    inv = pairing.inverse()
+    return tuple(x * inv for x in pd.eigvec)
 
 
 def _check_eigvec(m, lam, vec, field):

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from substoe.errors import DomainError, RankError
+from substoe.clopen import _in_lattice, _int_columns
+from substoe.errors import DimensionError, DomainError, RankError
 from substoe.intpoly import IntPolynomial
 from substoe.matrix import (
     ExactMatrix,
     charpoly,
     eventual_positivity_exponent,
+    gauss_jordan,
     hnf_basis,
-    hnf_solve,
+    kernel_basis,
     primitivity_exponent,
     wielandt_bound,
 )
@@ -34,12 +36,17 @@ def naive_det(rows):
     return total
 
 
-small_square = st.integers(1, 4).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(-6, 6), min_size=n, max_size=n),
-        min_size=n, max_size=n,
+def _square(entries):
+    return st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(entries, min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        )
     )
-)
+
+
+small_square = _square(st.integers(-6, 6))
+rational_square = _square(st.fractions(min_value=-4, max_value=4, max_denominator=6))
 
 
 class TestArithmetic:
@@ -69,17 +76,40 @@ class TestArithmetic:
     def test_singular_inverse_raises(self):
         with pytest.raises(DomainError):
             ExactMatrix.from_rows([[1, 2], [2, 4]]).inverse()
+        third = Fraction(1, 3)
+        m = ExactMatrix.from_rows([[third, 1, 2], [1, third, 0], [2 * third, 2, 4]])
+        assert m.det() == 0
+        with pytest.raises(DomainError):
+            m.inverse()
+        with pytest.raises(DomainError):
+            m.solve((1, 2, 3))
 
     def test_solve(self):
         a = ExactMatrix.from_rows([[2, 1], [1, 1]])
         x = a.solve((3, 2))
         assert a.apply(x) == (Fraction(3), Fraction(2))
 
-    @given(small_square)
-    @settings(max_examples=60, deadline=None)
-    def test_det_matches_cofactor_expansion(self, rows):
+    @given(st.one_of(small_square, rational_square), st.data())
+    @settings(max_examples=180, deadline=None, derandomize=True)
+    def test_det_matches_cofactor_expansion(self, rows, data):
         m = ExactMatrix.from_rows(rows)
+        n = m.rows
         assert m.det() == naive_det(rows)
+        b = data.draw(st.lists(st.fractions(min_value=-5, max_value=5,
+                                            max_denominator=7),
+                               min_size=n, max_size=n))
+        if m.det() == 0:
+            with pytest.raises(DomainError):
+                m.inverse()
+            with pytest.raises(DomainError):
+                m.solve(b)
+            return
+        assert m * m.inverse() == ExactMatrix.identity(n)
+        assert m.apply(m.solve(b)) == tuple(b)
+
+    def test_solve_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            ExactMatrix.identity(2).solve((1, 2, 3))
 
     def test_det_rational_entries(self):
         m = ExactMatrix.from_rows([[Fraction(1, 2), 1], [1, Fraction(1, 3)]])
@@ -197,15 +227,41 @@ class TestHNF:
     def test_solve_inside(self):
         vecs = [(6, 2), (2, 8)]
         h, den = hnf_basis(vecs)
+        cols = _int_columns(h)
         for v in vecs:
-            scaled = tuple(Fraction(x) * den for x in v)
-            coeffs = hnf_solve(h, scaled)
-            assert coeffs is not None
-            recon = [sum(c * h.at(i, j) for j, c in enumerate(coeffs))
-                     for i in range(2)]
-            assert tuple(recon) == scaled
+            assert _in_lattice(cols, den, list(v), 1)
 
     def test_solve_outside(self):
         h, den = hnf_basis([(2, 0), (0, 2)])
-        assert hnf_solve(h, (1, 0)) is None
-        assert hnf_solve(h, (1, 1)) is None
+        cols = _int_columns(h)
+        assert not _in_lattice(cols, den, [1, 0], 1)
+        assert not _in_lattice(cols, den, [1, 1], 1)
+
+
+class TestGaussJordan:
+    def test_reduced_echelon_form(self):
+        rows = [[Fraction(x) for x in r]
+                for r in ([0, 2, 4, 2], [1, 1, 1, 0], [2, 4, 6, 2])]
+        assert gauss_jordan(rows, 3) == [0, 1]
+        assert rows == [[1, 0, -1, -1], [0, 1, 2, 1], [0, 0, 0, 0]]
+
+    def test_pivots_only_within_ncols(self):
+        rows = [[Fraction(1), Fraction(2), Fraction(5)],
+                [Fraction(2), Fraction(4), Fraction(7)]]
+        assert gauss_jordan(rows, 2) == [0]
+        assert rows[1] == [0, 0, -3]
+
+    @given(st.lists(st.lists(st.fractions(min_value=-3, max_value=3,
+                                          max_denominator=4),
+                             min_size=4, max_size=4),
+                    min_size=1, max_size=4))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_kernel_basis(self, rows):
+        original = [list(r) for r in rows]
+        basis = kernel_basis(rows, Fraction(0), Fraction(1))
+        rank = len(gauss_jordan([list(r) for r in original], 4))
+        assert len(basis) == 4 - rank
+        for vec in basis:
+            assert all(sum(a * x for a, x in zip(r, vec)) == 0 for r in original)
+        if basis:
+            assert len(gauss_jordan([list(v) for v in basis], 4)) == len(basis)

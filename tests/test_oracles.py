@@ -9,6 +9,8 @@ from fractions import Fraction
 import pytest
 
 from substoe.construct import enlarge_matrix
+from substoe.errors import DomainError
+from substoe.field import minimal_polynomial
 from substoe.intpoly import (
     FACTOR_DEGREE_CAP,
     IntPolynomial,
@@ -177,4 +179,53 @@ class TestPerronMinimalPolynomial:
             assert list(pd.field.min_poly.coeffs) == _ints(expected)
             lo, hi = pd.field.interval
             assert _rational(lo) < root < _rational(hi)
+            checked += 1
+
+
+class TestElimination:
+    def test_inverse_and_det(self):
+        rng = random.Random(29)
+        singular = 0
+        for _ in range(80):
+            s = rng.randint(1, 6)
+            rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.7
+                     else Fraction(0) for _ in range(s)] for _ in range(s)]
+            m = ExactMatrix.from_rows(rows)
+            expected = sympy.Matrix([[_rational(x) for x in r] for r in rows])
+            det = expected.det()
+            assert m.det() == _fraction(det)
+            if det == 0:
+                singular += 1
+                with pytest.raises(DomainError):
+                    m.inverse()
+                continue
+            inv = expected.inv()
+            assert m.inverse().to_rows() == [
+                [_fraction(inv[i, j]) for j in range(s)] for i in range(s)]
+        assert 0 < singular < 80
+
+
+class TestElementMinimalPolynomial:
+    def test_random_elements_of_perron_fields(self):
+        rng = random.Random(31)
+        checked = 0
+        while checked < 30:
+            s = rng.randint(1, 6)
+            rows = [[rng.randint(0, 3) for _ in range(s)] for _ in range(s)]
+            m = ExactMatrix.from_rows(rows)
+            # [[1]] is primitive, but perron_data refuses its root 1.
+            if primitivity_exponent(m) is None or m.rows == 1 and m.at(0, 0) == 1:
+                continue
+            field = perron_data(m).field
+            k = field.degree
+            coords = [rng.randint(-4, 4) for _ in range(k)]
+            if rng.random() < 0.2:
+                coords[1:] = [0] * (k - 1)
+            root = max(_sympy_poly(field.min_poly).real_roots())
+            # As an AlgebraicNumber the element stays on sympy's polynomial
+            # path; the same sum of CRootOf powers stalls it at degree 6.
+            element = sympy.AlgebraicNumber(root, list(reversed(coords)))
+            expected = sympy.Poly(sympy.minimal_polynomial(element, T), T)
+            got = minimal_polynomial(field.from_coords(coords))
+            assert list(got.coeffs) == _ints(expected)
             checked += 1
