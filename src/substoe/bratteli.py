@@ -7,11 +7,11 @@ Diagrams and substitutions translate into each other by reading order
 words as rules, with F the transpose of the substitution incidence.
 """
 
-from .errors import CapabilityError, DomainError, InternalError, PathError
-from .matrix import ExactMatrix, primitivity_exponent
+from .errors import CapabilityError, DomainError, PathError
+from .matrix import primitivity_exponent
 from .perron import measure_weights, perron_data
 from .subst import Substitution
-from .words import RunWord, word_of
+from .words import word_of
 
 
 class OrderedDiagram:

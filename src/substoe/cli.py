@@ -30,7 +30,6 @@ from .construct import (
 )
 from .errors import (
     CapabilityError,
-    DomainError,
     InternalError,
     MalformedInputError,
     SubstoeError,

@@ -62,10 +62,6 @@ class ExactMatrix:
     def identity(cls, n):
         return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
-
     def at(self, i, j):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise DimensionError("index out of range")

@@ -7,6 +7,7 @@ clamped to the window size.  Clamping preserves all factors up to the
 window, so the enumeration is exact while huge rule words stay cheap.
 """
 
+import re
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
@@ -18,16 +19,23 @@ from .words import EXPAND_CAP, RunWord, word_of
 PRIVATE_BASE = 0xE000
 LENGTH_GUARD = 2_000_000
 POWER_ITER_CAP = 10_000
+SLICE = 1 << 20
 
 
-def _apply_rules(rules, word, clamp=None):
-    """One substitution step, runs cut to clamp letters when given.
+def _over_guard(size):
+    return CapabilityError(
+        "image passed %d letters, over the expansion budget of %d"
+        % (size, LENGTH_GUARD))
 
-    Refuses as soon as the running (clamped) length passes LENGTH_GUARD,
-    before the rest of the image is built.  Without a clamp, runs are cut
-    just above the guard: such a run is refused either way.
+
+def _apply_rules(rules, word):
+    """One substitution step.
+
+    Refuses as soon as the running length passes LENGTH_GUARD, before the
+    rest of the image is built.  Runs are cut just above the guard: such
+    a run is refused either way.
     """
-    cap = clamp if clamp is not None else LENGTH_GUARD + 1
+    cap = LENGTH_GUARD + 1
     runs = []
     size = 0
     for letter, count in word.runs:
@@ -42,22 +50,84 @@ def _apply_rules(rules, word, clamp=None):
                 runs.append([l, c])
                 size += min(c, cap)
         if size > LENGTH_GUARD:
-            raise CapabilityError(
-                "image passed %d letters, over the expansion budget of %d"
-                % (size, LENGTH_GUARD))
+            raise _over_guard(size)
     return RunWord((l, min(c, cap)) for l, c in runs)
 
 
-def _substring_profile(texts, letters, n):
-    """Counts of distinct j-letter substrings of the texts, j = 1..n.
+def _run_cutter(letter, width):
+    """Pattern and replacement that cut each run of letter to width."""
+    pattern = re.compile("%s{%d,}" % (re.escape(letter), width + 1))
+    return pattern, lambda run: run.group()[:width]
 
-    Builds the generalized suffix automaton of the texts (Blumer et al.,
-    "The smallest automaton recognizing the subwords of a text", TCS
-    1985) in flat tables: state length, suffix link, and transitions at
+
+def _image_step(rules, n):
+    """One clamped substitution step on encoded strings, as a function.
+
+    The function maps an image s, whose runs have at most n letters, to
+    an image with the n-windows, the (n-1)-letter prefix and suffix and
+    the length of at least n of clamp(rule(s)), which is rule(s) with
+    every run cut to n.  It translates s by the rules with their runs cut
+    to n, then cuts the runs of the result to n.  Before translating,
+    each run x^r of s keeps only c = ceil((n-1)/|rule(x)|) + 1 copies of
+    x, as in RunWord.repeat_clamped: c consecutive copies of rule(x) hold
+    every n-window of rule(x)^r and its (n-1)-letter prefix and suffix.
+
+    The image is built from slices of at most about SLICE letters and
+    refused as soon as its length passes LENGTH_GUARD.  Runs are cut to
+    at most LENGTH_GUARD + 1 letters: a longer run is refused either way.
+    """
+    width = min(n, LENGTH_GUARD + 1)
+    table = {}
+    cuts = []
+    for letter, rule in rules.items():
+        size = sum(min(c, n) for _, c in rule.runs)
+        if size > LENGTH_GUARD:
+            raise _over_guard(size)
+        table[ord(letter)] = "".join(l * min(c, n) for l, c in rule.runs)
+        copies = -(-(n - 1) // size) + 1
+        if copies < width:
+            cuts.append(_run_cutter(letter, copies))
+    clamps = [_run_cutter(letter, width) for letter in rules]
+    piece = max(1, SLICE // max(map(len, table.values())))
+
+    def step(word):
+        for pattern, cut in cuts:
+            word = pattern.sub(cut, word)
+        parts = []
+        built = 0
+        carry = ""
+        for start in range(0, len(word), piece):
+            out = carry + word[start:start + piece].translate(table)
+            for pattern, cut in clamps:
+                out = pattern.sub(cut, out)
+            # the last run may go on in the next slice
+            end = len(out.rstrip(out[-1]))
+            parts.append(out[:end])
+            carry = out[end:]
+            built += end
+            if built + len(carry) > LENGTH_GUARD:
+                raise _over_guard(built + len(carry))
+        parts.append(carry)
+        return "".join(parts)
+
+    return step
+
+
+def _substring_profile(images, blocks, letters, n):
+    """Counts of distinct j-letter factors of the window texts, j = 1..n.
+
+    Builds the generalized suffix automaton (Blumer et al., "The smallest
+    automaton recognizing the subwords of a text", TCS 1985) of every
+    image and of image(b) + image(c)[:n-1] for every two-block bc, in
+    flat tables: state length, suffix link, and transitions at
     state*k + letter, where 0 means none since no transition enters the
-    root.  Each state s stands for exactly one distinct substring of
-    every length in (len(link(s)), len(s)], so one difference array over
-    those ranges gives every count.
+    root.  Each image goes in once; a two-block text goes on from the
+    state reached at the end of image(b), which stands for image(b)
+    itself.  Its factors of at most n letters are those of image(b) and
+    of the junction image(b)[-(n-1):] + image(c)[:n-1].  Each state s
+    stands for exactly one distinct substring of every length in
+    (len(link(s)), len(s)], so one difference array over those ranges
+    cut at n gives every count.
     """
     k = len(letters)
     blank = array("i", [0]) * k
@@ -77,8 +147,12 @@ def _substring_profile(texts, letters, n):
         link[q] = clone
         return clone
 
-    for text in texts:
-        last = 0
+    ends = {}
+    texts = [(ch, None, image) for ch, image in images.items()]
+    if n > 1:
+        texts += [(None, b, images[c][:n - 1]) for b, c in blocks]
+    for name, after, text in texts:
+        last = 0 if after is None else ends[after]
         for ch in text:
             c = letters[ch]
             q = go[last * k + c]
@@ -97,6 +171,8 @@ def _substring_profile(texts, letters, n):
                 q = go[p * k + c]
                 link[cur] = q if size[q] == size[p] + 1 else split(p, q, c)
             last = cur
+        if name is not None:
+            ends[name] = last
     diff = [0] * (n + 2)
     for parent, top in zip(link[1:], size[1:]):
         low = size[parent] + 1
@@ -149,6 +225,7 @@ class Substitution:
         self._index = {l: i for i, l in enumerate(alphabet)}
         self._primitivity = None
         self._primitivity_known = False
+        self._language = None
 
     @property
     def size(self):
@@ -171,8 +248,8 @@ class Substitution:
     def is_primitive(self):
         return self.primitivity() is not None
 
-    def apply(self, word, clamp=None):
-        return _apply_rules(self.rules, word_of(word), clamp)
+    def apply(self, word):
+        return _apply_rules(self.rules, word_of(word))
 
     def compose(self, other):
         """Substitution sending each letter to self(other(letter))."""
@@ -366,41 +443,52 @@ class Substitution:
                 return work
             work = grown
 
-    def _window_texts(self, n):
-        """Encoded texts whose n-windows are exactly the n-factors.
+    def _encoded_language(self):
+        """Encoding, encoded rules and two-block language, built once."""
+        if self._language is None:
+            enc = self._encoding()
+            rules = self._encoded_rules(enc)
+            self._language = (enc, rules, self._two_blocks_encoded(rules))
+        return self._language
 
-        Each clamped image of a letter comes once, and each admissible
-        two-block bc adds the junction of the last n-1 letters of image(b)
-        with the first n-1 of image(c).  Images are at least n letters
-        long, so every n-window of image(b) + image(c) lies inside one
-        image or inside that junction.
+    def _window_texts(self, n):
+        """Encoded letter images whose n-windows give the n-factors.
+
+        Returns (images, blocks, enc): images maps each encoded letter of
+        the two-block language, in alphabet order, to a string with the
+        n-windows and the (n-1)-letter prefix and suffix of its clamped
+        m-step image, m the growth power for n.  Images are at least n
+        letters long, so every n-window of image(b) + image(c) for an
+        admissible two-block bc lies inside one image or inside the
+        junction image(b)[-(n-1):] + image(c)[:n-1].
         """
         if n < 1:
             raise DomainError("factor length must be positive")
         if not self.is_primitive():
             raise DomainError("factor language needs a primitive substitution")
-        enc = self._encoding()
-        rules = self._encoded_rules(enc)
-        blocks = self._two_blocks_encoded(rules)
+        enc, rules, blocks = self._encoded_language()
         m = self._growth_power(n)
-        images = {}
-        for ch in {b for b, _ in blocks} | {c for _, c in blocks}:
-            img = RunWord(((ch, 1),))
-            for _ in range(m):
-                img = _apply_rules(rules, img, clamp=n)
-            if img.length > EXPAND_CAP:
-                raise CapabilityError(
-                    "clamped image has %d letters, over the expansion cap "
-                    "of %d" % (img.length, EXPAND_CAP))
-            images[ch] = img.as_compact()
-        texts = list(images.values())
-        if n > 1:
-            texts += [images[b][1 - n:] + images[c][:n - 1] for b, c in blocks]
-        return texts, blocks, enc
+        used = {ch for block in blocks for ch in block}
+        images = {ch: ch for ch in enc.values() if ch in used}
+        if m:
+            step = _image_step(rules, n)
+            for ch in images:
+                img = ch
+                for _ in range(m):
+                    img = step(img)
+                if len(img) > EXPAND_CAP:
+                    raise CapabilityError(
+                        "clamped image has %d letters, over the expansion cap "
+                        "of %d" % (len(img), EXPAND_CAP))
+                images[ch] = img
+        return images, blocks, enc
 
     def _window_words(self, n):
         """Encoded n-factor strings of the substitution language."""
-        texts, blocks, enc = self._window_texts(n)
+        images, blocks, enc = self._window_texts(n)
+        texts = list(images.values())
+        if n > 1:
+            texts += [images[b][1 - n:] + images[c][:n - 1] for b, c in blocks]
         out = set()
         for text in texts:
             for i in range(len(text) - n + 1):
@@ -424,13 +512,14 @@ class Substitution:
         For j <= n_max the j-factors are exactly the j-letter substrings
         of the window texts: each such substring lies in an n_max-window,
         and every factor extends to an n_max-factor.  One suffix automaton
-        over the texts counts them all in linear time and memory.
+        over the images and junctions counts them all in linear time and
+        memory.
         """
         if n_max < 1:
             raise DomainError("profile needs n_max >= 1")
-        texts, _, enc = self._window_texts(n_max)
+        images, blocks, enc = self._window_texts(n_max)
         letters = {ch: i for i, ch in enumerate(enc.values())}
-        profile = _substring_profile(texts, letters, n_max)
+        profile = _substring_profile(images, blocks, letters, n_max)
         if validate:
             for k in sorted({1, min(3, n_max)}):
                 if profile[k - 1] != self.complexity(k):

@@ -1,7 +1,8 @@
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from substoe import subst as subst_module
 from substoe.errors import CapabilityError, DomainError, SeedError
@@ -308,3 +309,134 @@ def test_random_profile_matches_direct_counts(s, n):
     """Every automaton count equals the size of the sliced window set."""
     assert s.complexity_profile(n) == tuple(
         s.complexity(j) for j in range(1, n + 1))
+
+
+# -- clamped image steps --------------------------------------------------
+
+# long runs in both rules, in the style of the benchmark's long rule: runs
+# of a in the images are far longer than the copies the cut keeps
+LONG_RUNS = {
+    "a": {"runs": [["a", 9], ["b", 1], ["a", 2], ["b", 1], ["a", 40],
+                   ["b", 2], ["a", 1], ["b", 3]]},
+    "b": {"runs": [["a", 1], ["b", 1], ["a", 60], ["b", 90], ["a", 1]]},
+}
+
+
+def runword_images(s, n):
+    """Clamped images built as RunWords, one clamp(rule(w)) per step."""
+    enc, rules, blocks = s._encoded_language()
+    m = s._growth_power(n)
+    used = {ch for block in blocks for ch in block}
+    images = {}
+    for ch in used:
+        img = RunWord(((ch, 1),))
+        for _ in range(m):
+            img = RunWord(run for l, c in img.runs
+                          for run in rules[l].repeat(min(c, n)).runs).clamp(n)
+        images[ch] = "".join(img.expand())
+    return images
+
+
+def n_view(text, n):
+    edge = n - 1
+    return (brute_factors(text, n), text[:edge], text[len(text) - edge:],
+            len(text) >= n)
+
+
+@st.composite
+def run_rule_substitutions(draw):
+    if draw(st.booleans()):
+        letters = ["x0", "y1", "zz"][:draw(st.integers(1, 3))]
+    else:
+        letters = list("abc"[:draw(st.integers(1, 3))])
+    count = st.one_of(st.integers(1, 3), st.integers(1, 60),
+                      st.just(10 ** 22), st.integers(1, 10 ** 22))
+    rules = {l: {"runs": draw(st.lists(
+        st.tuples(st.sampled_from(letters), count).map(list),
+        min_size=1, max_size=6))} for l in letters}
+    s = Substitution(rules)
+    assume(s.is_primitive())
+    assume(any(len(w.runs) > 1 or w.length > 1 for w in s.rules.values()))
+    return s
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(run_rule_substitutions(), st.integers(1, 40))
+@example(Substitution({"a": "ab", "b": {"runs": [["a", 10 ** 22]]}}), 30)
+@example(Substitution({"a": "ab", "b": {"runs": [["a", 7]]}}), 25)
+@example(Substitution(LONG_RUNS), 150)
+@example(Substitution({"x0": ["x0", "y1"], "y1": {"runs": [["x0", 5]]}}), 17)
+def test_image_step_keeps_the_runword_n_view(s, n):
+    """String images have the n-windows, (n-1)-prefix and suffix and the
+    length >= n of the RunWord clamp(rule(w)) images, sliced or not."""
+    old = runword_images(s, n)
+    images = s._window_texts(n)[0]
+    assert set(images) == set(old)
+    for ch, image in images.items():
+        assert n_view(image, n) == n_view(old[ch], n)
+        assert len(image) <= len(old[ch])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subst_module, "SLICE", 3)
+        assert s._window_texts(n)[0] == images
+
+
+def test_copy_cut_fires_and_keeps_the_profile():
+    s = Substitution(LONG_RUNS)
+    n = 150
+    images = s._window_texts(n)[0]
+    old = runword_images(s, n)
+    assert any(len(images[ch]) < len(old[ch]) for ch in images)
+    assert s.complexity_profile(n) == tuple(
+        s.complexity(j) for j in range(1, n + 1))
+
+
+def test_language_is_built_once(monkeypatch):
+    calls = []
+    closure = Substitution._two_blocks_encoded
+
+    def counted(self, rules):
+        calls.append(1)
+        return closure(self, rules)
+    monkeypatch.setattr(Substitution, "_two_blocks_encoded", counted)
+    s = zeta()
+    s.complexity_profile(30)
+    s.factor_language(4)
+    assert len(calls) == 1
+
+
+def test_fibonacci_refusal_is_quick_and_small():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError,
+                           match="budget of %d" % subst_module.LENGTH_GUARD):
+            Substitution({"a": "ab", "b": "a"}).complexity_profile(10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+def test_many_run_image_over_expansion_cap():
+    s = Substitution({"a": {"runs": [["a", 1], ["b", 1]] * 750}, "b": "ab"})
+    with pytest.raises(CapabilityError,
+                       match="1126500 letters, over the expansion cap"):
+        s.complexity(3)
+
+
+def test_guard_refuses_between_slices(monkeypatch):
+    monkeypatch.setattr(subst_module, "SLICE", 64)
+    monkeypatch.setattr(subst_module, "LENGTH_GUARD", 1000)
+    fibonacci = Substitution({"a": "ab", "b": "a"})
+    with pytest.raises(CapabilityError, match="budget of 1000"):
+        fibonacci.complexity_profile(800)
+    # the 600-letter images of a and b have 987 and 610 letters
+    monkeypatch.setattr(subst_module, "LENGTH_GUARD", 986)
+    with pytest.raises(CapabilityError, match="987 letters"):
+        fibonacci.complexity_profile(600)
+    monkeypatch.setattr(subst_module, "LENGTH_GUARD", 987)
+    assert fibonacci.complexity_profile(600)[-1] == 601
+    monkeypatch.setattr(subst_module, "LENGTH_GUARD", 1000)
+    # a clamped rule over the guard is refused before it is built
+    with pytest.raises(CapabilityError, match="1000000003 letters"):
+        Substitution({"a": {"runs": [["a", 2], ["b", 10 ** 22], ["a", 1]]},
+                      "b": "ab"}).complexity_profile(10 ** 9)
