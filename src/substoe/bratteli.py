@@ -13,6 +13,8 @@ from .perron import measure_weights, perron_data
 from .subst import Substitution
 from .words import word_of
 
+PATH_COUNT_BITS = 4096
+
 
 class OrderedDiagram:
     def __init__(self, vertices, incidence, level0, orders):
@@ -72,13 +74,24 @@ class OrderedDiagram:
                               dict(subst.rules))
 
     def path_counts(self, depth):
-        """Numbers of root paths into each vertex, level by level."""
+        """Numbers of root paths into each vertex, level by level.
+
+        Refuses once a count needs more than PATH_COUNT_BITS bits, which
+        keeps every count printable in decimal.
+        """
         if depth < 1:
             raise DomainError("depth must be positive")
-        out = [self.level0]
+        rows = self.incidence.int_rows()
         h = self.level0
-        for _ in range(depth - 1):
-            h = tuple(int(x) for x in self.incidence.apply(h))
+        out = []
+        for level in range(1, depth + 1):
+            if level > 1:
+                h = tuple(sum(a * x for a, x in zip(row, h)) for row in rows)
+            bits = max(h).bit_length()
+            if bits > PATH_COUNT_BITS:
+                raise CapabilityError(
+                    "path count at depth %d has %d bits, over the budget of "
+                    "%d bits" % (level, bits, PATH_COUNT_BITS))
             out.append(h)
         return out
 
@@ -140,7 +153,7 @@ class OrderedDiagram:
             root = 0
         else:
             root = self.level0[self._vindex[vertices[0]]] - 1
-        return FinitePath(self, vertices, root, choices)
+        return FinitePath._derived(self, vertices, root, choices)
 
     def vershik_successor(self, path):
         """Next path in the chain order, or None past the maximal path.
@@ -154,11 +167,12 @@ class OrderedDiagram:
         """
         if path.diagram is not self:
             raise DomainError("path belongs to a different diagram")
+        root_cap = self.level0[self._vindex[path.vertices[0]]]
+        if path.root_index + 1 < root_cap:
+            return FinitePath._derived(self, path.vertices,
+                                       path.root_index + 1, path.choices)
         vertices = list(path.vertices)
         choices = list(path.choices)
-        root_cap = self.level0[self._vindex[vertices[0]]]
-        if path.root_index + 1 < root_cap:
-            return FinitePath(self, vertices, path.root_index + 1, choices)
         for i, pos in enumerate(choices):
             order = self.orders[vertices[i + 1]]
             if pos + 1 < order.length:
@@ -168,7 +182,7 @@ class OrderedDiagram:
                     inner = self.orders[vertices[j + 1]]
                     choices[j] = 0
                     vertices[j] = inner.first
-                return FinitePath(self, vertices, 0, choices)
+                return FinitePath._derived(self, vertices, 0, choices)
         t = self._vindex[vertices[-1]]
         if t + 1 < len(self.vertices):
             return self.minimal_path(path.depth, self.vertices[t + 1])
@@ -238,6 +252,21 @@ class FinitePath:
         self.vertices = vertices
         self.root_index = root_index
         self.choices = choices
+
+    @classmethod
+    def _derived(cls, diagram, vertices, root_index, choices):
+        """A path built by the diagram itself, stored without the checks.
+
+        Extremal paths and Vershik successors are valid by construction:
+        every choice is a position inside the order word of the next
+        vertex, and every vertex is the letter read at that position.
+        """
+        path = cls.__new__(cls)
+        path.diagram = diagram
+        path.vertices = tuple(vertices)
+        path.root_index = root_index
+        path.choices = tuple(choices)
+        return path
 
     @property
     def depth(self):

@@ -427,12 +427,17 @@ def _cmd_enumerate_y(doc, args):
     _check_keys(doc, "input", required=("q",))
     q = _positive_int(doc, "q", "input")
     systems = enumerate_rational_y(q)
+    # q distinct weights, one per row value: format each once, keyed on
+    # the int row (hashing a Fraction is far slower than hashing an int)
+    weights = {row: weight for s in systems
+               for row, weight in zip(s["rows"], s["weights"])}
+    texts = {row: _rational_str(weight) for row, weight in weights.items()}
     return {
         "q": q,
         "count": len(systems),
         "systems": [{
             "partition": list(s["partition"]),
-            "weights": [_rational_str(w) for w in s["weights"]],
+            "weights": [texts[row] for row in s["rows"]],
             "rows": list(s["rows"]),
             "level0": s["level0"],
             "matrix": [list(row) for row in s["matrix"]],

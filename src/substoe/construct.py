@@ -610,6 +610,11 @@ def build_oe_alphabet_family(subst, steps=1, probe_n=40, scan_n=60,
     return members
 
 
+Y_SYSTEM_CAP = 10_000
+# c(q) >= p(q - 1) > Y_SYSTEM_CAP long before this; exact counts stop here
+_Y_COUNT_LIMIT = 1_000
+
+
 def _partitions(total, max_part):
     if total == 0:
         yield ()
@@ -619,39 +624,93 @@ def _partitions(total, max_part):
             yield (part,) + rest
 
 
+def _partition_numbers(n):
+    """p(0), ..., p(n) by Euler's pentagonal number recurrence."""
+    p = [1] * (n + 1)
+    for m in range(1, n + 1):
+        total = 0
+        k = 1
+        while True:
+            g = k * (3 * k - 1) // 2
+            if g > m:
+                break
+            sign = 1 if k % 2 else -1
+            total += sign * p[m - g]
+            if g + k <= m:
+                total += sign * p[m - g - k]
+            k += 1
+        p[m] = total
+    return p
+
+
+def _mobius(n):
+    result = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            result = -result
+        d += 1
+    return -result if n > 1 else result
+
+
+def coprime_partition_count(q):
+    """c(q) = sum over d | q of mu(d) p(q/d): the partitions of q whose
+    parts have no common factor, one per enumerate_rational_y system."""
+    p = _partition_numbers(q)
+    return sum(_mobius(d) * p[q // d] for d in range(1, q + 1) if q % d == 0)
+
+
 def enumerate_rational_y(q):
     """All stationary odometer presentations of the rational weights Y
     with denominator exactly q.
 
     Each admissible descending partition of q gives one system; the
     report carries the exact regeneration identity rows * base = weights.
+    Every row is a part c of q and every weight is c/q, so the identity
+    is checked once per entry of the table of the q possible weights.
+    Denominators with more than Y_SYSTEM_CAP systems are refused before
+    any system is built.
     """
     q = int(q)
     if q < 1:
         raise DomainError("denominator must be at least 1")
+    if q > _Y_COUNT_LIMIT:
+        raise CapabilityError(
+            "denominator %d has at least p(%d) coprime partitions, over "
+            "the cap of %d systems" % (q, _Y_COUNT_LIMIT, Y_SYSTEM_CAP))
+    count = coprime_partition_count(q)
+    if count > Y_SYSTEM_CAP:
+        raise CapabilityError(
+            "denominator %d has %d coprime partitions, over the cap of "
+            "%d systems" % (q, count, Y_SYSTEM_CAP))
+    base = Fraction(1, q)
+    level0 = q
+    weight = [None] + [Fraction(c, q) for c in range(1, q + 1)]
+    for c in range(1, q + 1):
+        if c * base != weight[c]:
+            raise InternalError("rows do not regenerate the weights")
+    if level0 * base != 1:
+        raise InternalError("path weights do not sum to one")
+    matrix = ((q,),)
     systems = []
     for parts in _partitions(q, q):
         # the gcd of the parts divides their sum q, so coprimality with
         # q is the same as the parts having no common factor
         if gcd(*parts) != 1:
             continue
-        weights = [Fraction(c, q) for c in parts]
-        rows = parts
-        base = Fraction(1, q)
-        level0 = q
-        for row, weight in zip(rows, weights):
-            if row * base != weight:
-                raise InternalError("rows do not regenerate the weights")
-        if level0 * base != 1:
-            raise InternalError("path weights do not sum to one")
         systems.append({
             "partition": parts,
-            "weights": tuple(weights),
-            "rows": tuple(rows),
+            "weights": tuple([weight[c] for c in parts]),
+            "rows": parts,
             "level0": level0,
-            "matrix": ((q,),),
+            "matrix": matrix,
             "base": base,
         })
+    if len(systems) != count:
+        raise InternalError("system count differs from c(q)")
     return systems
 
 

@@ -669,21 +669,26 @@ def factor_monic_squarefree(f, degree_cap=FACTOR_DEGREE_CAP):
         raise CapabilityError("degree %d above factorization cap %d" % (f.degree, degree_cap))
     if f.degree <= 1:
         return [f]
-    if poly_gcd(f, f.derivative()).degree != 0:
-        raise DomainError("squarefree polynomial required")
 
+    # A prime keeping the degree with gcd(f mod p, f' mod p) = 1 also
+    # certifies f squarefree: a square factor g^2 of monic f survives
+    # reduction as a square of the monic g mod p.  So the gcd over the
+    # integers runs only when no small prime is usable.
+    df = f.derivative()
     chosen = None
     for p in _SMALL_PRIMES:
         fp = [c % p for c in f.coeffs]
         if len(_gf_strip(list(fp))) - 1 != f.degree:
             continue
-        d = _gf_strip([c % p for c in f.derivative().coeffs])
+        d = _gf_strip([c % p for c in df.coeffs])
         if not d:
             continue
         if len(_gf_gcd(list(fp), d, p)) - 1 == 0:
             chosen = p
             break
     if chosen is None:
+        if poly_gcd(f, df).degree != 0:
+            raise DomainError("squarefree polynomial required")
         raise CapabilityError("no usable small prime for factorization")
     p = chosen
 

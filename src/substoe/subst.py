@@ -259,8 +259,27 @@ class Substitution:
         return Substitution(rules, self.alphabet)
 
     def power(self, p):
+        """The p-th iterate, refused before any image is built when the
+        image of a letter under some k-th iterate, k <= p, would pass
+        LENGTH_GUARD.
+
+        The lengths |rule^k(l)| = sum over x of (count of x in rule(l)) *
+        |rule^(k-1)(x)| are followed in integers first, so the refusal
+        names the first such k without composing up to it.
+        """
         if p < 1:
             raise DomainError("power must be positive")
+        counts = [self.rules[l].letter_counts() for l in self.alphabet]
+        lengths = {l: self.rules[l].length for l in self.alphabet}
+        for k in range(2, p + 1):
+            lengths = {l: sum(c * lengths[x] for x, c in cnt.items())
+                       for l, cnt in zip(self.alphabet, counts)}
+            for l in self.alphabet:
+                if lengths[l] > LENGTH_GUARD:
+                    raise CapabilityError(
+                        "power %d image of %r has %d letters, over the "
+                        "expansion budget of %d"
+                        % (k, l, lengths[l], LENGTH_GUARD))
         out = self
         for _ in range(p - 1):
             out = self.compose(out)

@@ -352,3 +352,100 @@ class TestProperties:
     def test_telescope_matches_power(self, s):
         d = diagram_from_substitution(s).telescope(2)
         assert d.substitution_read().rules == s.power(2).rules
+
+
+@st.composite
+def ordered_diagrams(draw):
+    """Random ordered diagrams: 1-3 vertices, root multiplicities up to 3,
+    order words in runs form, sometimes telescoped."""
+    vertices = ("a", "b", "c")[:draw(st.integers(1, 3))]
+    orders = {}
+    for v in vertices:
+        runs = draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                       st.integers(1, 3)),
+                             min_size=1, max_size=4))
+        orders[v] = RunWord(runs)
+    # every vertex needs an outgoing edge: put it into some order word
+    for i, v in enumerate(vertices):
+        if all(v not in orders[w].letters_used() for w in vertices):
+            host = vertices[(i + 1) % len(vertices)]
+            orders[host] = orders[host] + RunWord([(v, 1)])
+    counts = [orders[v].letter_counts() for v in vertices]
+    incidence = ExactMatrix.from_rows(
+        [[cnt.get(w, 0) for w in vertices] for cnt in counts])
+    level0 = draw(st.lists(st.integers(1, 3), min_size=len(vertices),
+                           max_size=len(vertices)))
+    d = OrderedDiagram(vertices, incidence, level0, orders)
+    if draw(st.booleans()):
+        d = d.telescope(2)
+    return d
+
+
+def validated(path):
+    """The same path rebuilt through the public, fully checked constructor."""
+    return FinitePath(path.diagram, path.vertices, path.root_index,
+                      path.choices)
+
+
+class TestDerivedPaths:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(ordered_diagrams(), st.integers(1, 4))
+    def test_walk_matches_validated_paths(self, d, depth):
+        total = sum(d.path_counts(depth)[-1])
+        if total > 3000:
+            return
+        paths = list(d.chain_paths(depth))
+        assert len(paths) == total
+        assert len(set(paths)) == total
+        for path in paths:
+            again = validated(path)
+            assert again == path
+            assert type(path.vertices) is tuple and type(path.choices) is tuple
+            assert all(type(c) is int for c in path.choices)
+            assert type(path.root_index) is int
+        for path, following in zip(paths, paths[1:] + [None]):
+            step = d.vershik_successor(path)
+            assert step == following
+            if step is not None:
+                assert validated(step) == step
+        for v in d.vertices:
+            for path in (d.minimal_path(depth, v), d.maximal_path(depth, v)):
+                assert validated(path) == path
+
+
+class TestPathCountBudget:
+    def test_doubling_counts_stop_past_the_budget(self):
+        from substoe.bratteli import PATH_COUNT_BITS
+        d = OrderedDiagram(("a",), ExactMatrix.from_rows([[2]]), (1,),
+                           {"a": "aa"})
+        counts = d.path_counts(PATH_COUNT_BITS)
+        assert counts[-1] == (2 ** (PATH_COUNT_BITS - 1),)
+        with pytest.raises(CapabilityError,
+                           match="depth 4097 has 4097 bits, over the budget "
+                                 "of 4096 bits"):
+            d.path_counts(PATH_COUNT_BITS + 1)
+
+    def test_fibonacci_refuses_at_the_first_depth_over(self):
+        d = diagram_from_substitution(Substitution({"a": "ab", "b": "a"}))
+        with pytest.raises(CapabilityError, match="depth 5901 has 4097 bits"):
+            d.path_counts(200_000)
+
+    def test_huge_root_multiplicity_refused_at_depth_one(self):
+        f = ExactMatrix.from_rows([[1, 1], [1, 2]])
+        d = OrderedDiagram(("a", "b"), f, (2 ** 5000, 1),
+                           {"a": "ab", "b": "abb"})
+        with pytest.raises(CapabilityError, match="depth 1 has 5001 bits"):
+            d.path_counts(1)
+
+
+class TestTelescopeBudget:
+    def test_refused_before_any_composition(self, monkeypatch):
+        def no_compose(self, other):
+            raise AssertionError("composed an image")
+
+        monkeypatch.setattr(Substitution, "compose", no_compose)
+        d = diagram_from_substitution(Substitution({"a": "ab", "b": "a"}))
+        with pytest.raises(CapabilityError,
+                           match="power 30 image of 'a' has 2178309 letters, "
+                                 "over the expansion budget of 2000000"):
+            d.telescope(100_000)

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -306,6 +307,57 @@ class TestEnumerate:
             code, out, _ = cli(["enumerate-y", "-"], document={"q": q})
             assert code == 0
             assert out_json(out)["count"] == count
+
+    @pytest.mark.parametrize("q", range(1, 13))
+    def test_document_matches_per_system_formatting(self, cli, q):
+        from substoe.construct import enumerate_rational_y
+
+        def text(value):
+            fr = Fraction(value)
+            if fr.denominator == 1:
+                return str(fr.numerator)
+            return "%d/%d" % (fr.numerator, fr.denominator)
+
+        systems = enumerate_rational_y(q)
+        want = {"q": q, "count": len(systems), "systems": [{
+            "partition": list(s["partition"]),
+            "weights": [text(w) for w in s["weights"]],
+            "rows": list(s["rows"]),
+            "level0": s["level0"],
+            "matrix": [list(row) for row in s["matrix"]],
+            "base": text(s["base"]),
+        } for s in systems]}
+        code, out, _ = cli(["enumerate-y", "-"], document={"q": q})
+        assert code == 0
+        assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
+class TestBudgets:
+    def test_enumerate_over_the_cap(self, cli):
+        code, out, err = cli(["enumerate-y", "-"], document={"q": 60})
+        assert (code, out) == (2, "")
+        error = err_json(err)
+        assert error["kind"] == "capability"
+        assert "960215 coprime partitions" in error["message"]
+        assert "cap of 10000 systems" in error["message"]
+
+    def test_diagram_depth_over_the_bit_budget(self, cli):
+        doc = {"substitution": {"rules": {"a": "ab", "b": "a"}}}
+        code, out, err = cli(["diagram", "-", "--n-max", "30000"],
+                             document=doc)
+        assert (code, out) == (2, "")
+        assert err_json(err)["message"] == (
+            "path count at depth 5901 has 4097 bits, over the budget of "
+            "4096 bits")
+
+    def test_telescope_over_the_length_budget(self, cli):
+        doc = {"substitution": {"rules": {"a": "ab", "b": "a"}},
+               "telescope": 100000}
+        code, out, err = cli(["diagram", "-"], document=doc)
+        assert (code, out) == (2, "")
+        assert err_json(err)["message"] == (
+            "power 30 image of 'a' has 2178309 letters, over the expansion "
+            "budget of 2000000")
 
 
 def eval_fraction(text):

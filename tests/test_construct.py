@@ -6,12 +6,15 @@ regression oracles.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from substoe.clopen import groups_equal, lattice_of
 from substoe.construct import (
+    Y_SYSTEM_CAP,
     build_oe_alphabet_family,
+    coprime_partition_count,
     build_soe_substitution,
     enlarge_matrix,
     enumerate_rational_y,
@@ -19,7 +22,7 @@ from substoe.construct import (
     realize_group_matrix,
     verify_lind_example,
 )
-from substoe.errors import DomainError
+from substoe.errors import CapabilityError, DomainError
 from substoe.field import minimal_polynomial
 from substoe.intpoly import IntPolynomial
 from substoe.matrix import ExactMatrix
@@ -305,7 +308,6 @@ class TestRationalWeights:
                     assert row * system["base"] == weight
 
     def test_partitions_are_coprime_and_sorted(self):
-        from math import gcd
         for system in enumerate_rational_y(6):
             parts = system["partition"]
             assert sum(parts) == 6
@@ -315,6 +317,57 @@ class TestRationalWeights:
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
             enumerate_rational_y(0)
+
+    @pytest.mark.parametrize("q", range(1, 21))
+    def test_matches_the_per_part_construction(self, q):
+        assert enumerate_rational_y(q) == per_part_systems(q)
+
+    def test_count_formula(self):
+        for q in range(1, 41):
+            brute = sum(1 for parts in descending_partitions(q, q)
+                        if gcd(*parts) == 1)
+            assert coprime_partition_count(q) == brute, q
+
+    def test_cap_admits_q_up_to_32(self):
+        assert coprime_partition_count(32) == 8118 <= Y_SYSTEM_CAP
+        assert len(enumerate_rational_y(32)) == 8118
+
+    @pytest.mark.parametrize("q, count", [(33, 10085), (60, 960215)])
+    def test_over_the_cap_refused_with_the_count(self, q, count):
+        with pytest.raises(CapabilityError,
+                           match="denominator %d has %d coprime partitions, "
+                                 "over the cap of 10000 systems" % (q, count)):
+            enumerate_rational_y(q)
+
+    def test_huge_denominator_refused_without_counting(self):
+        with pytest.raises(CapabilityError,
+                           match="at least p\\(1000\\) coprime partitions"):
+            enumerate_rational_y(10 ** 18)
+
+
+def descending_partitions(total, max_part):
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, max_part), 0, -1):
+        for rest in descending_partitions(total - part, part):
+            yield (part,) + rest
+
+
+def per_part_systems(q):
+    """The enumeration built part by part, one Fraction per part."""
+    systems = []
+    for parts in descending_partitions(q, q):
+        if gcd(*parts) != 1:
+            continue
+        base = Fraction(1, q)
+        weights = [Fraction(c, q) for c in parts]
+        for row, weight in zip(parts, weights):
+            assert row * base == weight
+        systems.append({"partition": parts, "weights": tuple(weights),
+                        "rows": tuple(parts), "level0": q,
+                        "matrix": ((q,),), "base": base})
+    return systems
 
 
 class TestCubicPositivity:

@@ -270,6 +270,48 @@ class TestFactorization:
         with pytest.raises(DomainError):
             factor_monic_squarefree(P(1, -2, 1))
 
+    @pytest.mark.parametrize("f", [
+        P(1, -2, 1) * P(1, 3),            # (x - 1)^2 (x + 3)
+        P(1, 0, 1) * P(1, 0, 1),          # (x^2 + 1)^2
+        P(1, 0, 0),                       # x^2
+        P(1, 1, 1) * P(1, 1, 1) * P(1, -5),
+        P(1, 0, -2) * P(1, 0, -2) * P(1, 0, -2),
+    ])
+    def test_non_squarefree_inputs_rejected(self, f):
+        assert poly_gcd(f, f.derivative()).degree > 0
+        with pytest.raises(DomainError, match="squarefree polynomial required"):
+            factor_monic_squarefree(f)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from([
+        (1, 1), (1, -1), (1, 2), (1, 0, 1), (1, 1, 1), (1, 0, -2),
+    ]), min_size=1, max_size=4))
+    def test_domain_error_exactly_when_not_squarefree(self, specs):
+        f = IntPolynomial([1])
+        for spec in specs:
+            f = f * P(*spec)
+        if len(set(specs)) < len(specs):
+            with pytest.raises(DomainError):
+                factor_monic_squarefree(f)
+        else:
+            prod = IntPolynomial([1])
+            for g in factor_monic_squarefree(f):
+                prod = prod * g
+            assert prod == f
+
+    def test_no_usable_prime(self):
+        # x^2 - D with D the product of every small prime: x^2 mod p for
+        # each of them, so no prime certifies; squarefree, so the refusal
+        # is the capability one, and its square is a domain error
+        d = 1
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
+            d *= p
+        f = P(1, 0, -d)
+        with pytest.raises(CapabilityError, match="no usable small prime"):
+            factor_monic_squarefree(f)
+        with pytest.raises(DomainError, match="squarefree polynomial required"):
+            factor_monic_squarefree(f * f)
+
     def test_degree_cap(self):
         f = IntPolynomial([1] + [0] * 12 + [1])
         with pytest.raises(CapabilityError):

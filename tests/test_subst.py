@@ -440,3 +440,29 @@ def test_guard_refuses_between_slices(monkeypatch):
     with pytest.raises(CapabilityError, match="1000000003 letters"):
         Substitution({"a": {"runs": [["a", 2], ["b", 10 ** 22], ["a", 1]]},
                       "b": "ab"}).complexity_profile(10 ** 9)
+
+
+def test_power_budget_matches_the_composition_guard():
+    # |s^2(a)| = 1206 * (1206 + y) + y: exactly the guard for y = 452
+    for y, fits in ((452, True), (453, False)):
+        s = Substitution({"a": {"runs": [["a", 1206], ["b", y]]}, "b": "b"})
+        if fits:
+            assert s.power(2).rules == s.compose(s).rules
+            assert s.power(2).rules["a"].length == subst_module.LENGTH_GUARD
+            continue
+        with pytest.raises(CapabilityError, match="budget"):
+            s.compose(s)
+        with pytest.raises(CapabilityError,
+                           match="power 2 image of 'a' has 2001207 letters, "
+                                 "over the expansion budget of 2000000"):
+            s.power(2)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("p", (1, 2, 3, 5))
+def test_power_equals_repeated_composition(seed, p):
+    s = random_primitive(seed)
+    out = s
+    for _ in range(p - 1):
+        out = s.compose(out)
+    assert s.power(p).rules == out.rules
