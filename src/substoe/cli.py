@@ -12,11 +12,13 @@ decimal approximation whose precision is stated alongside.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
 import traceback
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .bratteli import OrderedDiagram, diagram_from_substitution
 from .clopen import groups_equal, lattice_of, s_membership
@@ -40,6 +42,81 @@ from .subst import Substitution
 from .words import RunWord
 
 APPROX_DIGITS = 12
+# Largest integer a document may hold, in bits: at most 4,215 decimal
+# digits, inside Python's 4,300-digit limit on int/str conversion.
+OUTPUT_INT_BITS = 14_000
+
+
+def _int_text(values):
+    """Decimal texts of the ints in values, within OUTPUT_INT_BITS."""
+    bits = max(map(int.bit_length, values))
+    if bits > OUTPUT_INT_BITS:
+        raise CapabilityError(
+            "output integer has %d bits, over the budget of %d bits"
+            % (bits, OUTPUT_INT_BITS))
+    return map(int.__repr__, values)
+
+
+def _write(node, pad, out):
+    """Append the text json.dumps(node, sort_keys=True, indent=2) gives,
+    for a node whose line starts with pad (a newline and its indent).
+
+    A list of only ints or only strs is one join over C formatters.
+    """
+    kind = type(node)
+    if kind is dict:
+        if not node:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(node):
+            if type(key) is not str:
+                raise TypeError("keys must be str, not %s"
+                                % type(key).__name__)
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(node[key], inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif kind is list or kind is tuple:
+        if not node:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        kinds = set(map(type, node))
+        if kinds == {int}:
+            items = _int_text(node)
+        elif kinds == {str}:
+            items = map(encode_basestring_ascii, node)
+        else:
+            sep = "[" + inner
+            for item in node:
+                out.append(sep)
+                _write(item, inner, out)
+                sep = "," + inner
+            out.append(pad + "]")
+            return
+        out.append("[" + inner + ("," + inner).join(items) + pad + "]")
+    elif kind is str:
+        out.append(encode_basestring_ascii(node))
+    elif kind is int:
+        out.extend(_int_text((node,)))
+    elif kind is bool:
+        out.append("true" if node else "false")
+    elif node is None:
+        out.append("null")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % kind.__name__)
+
+
+def _dumps(doc):
+    """json.dumps(doc, sort_keys=True, indent=2), byte for byte, for
+    documents with str keys and no floats; ints over OUTPUT_INT_BITS are
+    refused."""
+    out = []
+    _write(doc, "\n", out)
+    return "".join(out)
 
 
 def _failure(exc):
@@ -737,8 +814,14 @@ def _validate_flags(args):
                                       % name.replace("_", "-"))
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -746,14 +829,14 @@ def main(argv=None):
         _validate_flags(args)
         if args.command == "verify-paper":
             report = verify_paper_report()
-            print(json.dumps(report, sort_keys=True, indent=2))
+            print(_dumps(report))
             return 0 if report["all_passed"] else 1
         doc = _load_document(args.input)
         out = _HANDLERS[args.command](doc, args)
         if isinstance(out, str):
             print(out)
         else:
-            print(json.dumps(out, sort_keys=True, indent=2))
+            print(_dumps(out))
         return 0
     except Exception as exc:
         kind, code, message = _failure(exc)

@@ -8,7 +8,7 @@ be trusted without re-checking.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import gcd
 
 from .bratteli import diagram_from_substitution
@@ -24,7 +24,8 @@ from .matrix import (
     hnf_basis,
     primitivity_exponent,
 )
-from .perron import companion_matrix, multiplication_matrices, perron_data
+from .perron import (_transported, companion_matrix, multiplication_matrices,
+                     perron_data)
 from .subst import Substitution, linear_bound_estimate
 from .words import RunWord
 
@@ -363,6 +364,18 @@ def realize_group_matrix(matrix, weights, closure_cap=24,
     return report
 
 
+def _require_equal(comparison, power, unequal):
+    """Pass an equal group comparison; an undecided one is a cap, an
+    unequal one a failed certificate."""
+    status = comparison["status"]
+    if status == "undecided-up-to":
+        raise CapabilityError(
+            "group comparison at power %d undecided within the scan cap "
+            "of %d" % (power, comparison["cap"]))
+    if status != "equal":
+        raise InternalError(unequal)
+
+
 def enlarge_matrix(a, k_cap=64):
     """Grow a primitive matrix by one vertex, preserving its group.
 
@@ -370,19 +383,30 @@ def enlarge_matrix(a, k_cap=64):
     eigenvalue it realizes; the identity A' (x, lam-1) = lam^k (x, lam-1)
     and the group comparison are certified exactly.
     """
-    a = _coerce_matrix(a)
-    pd = perron_data(a)
+    pd = perron_data(_coerce_matrix(a))
+    return _enlarge(pd, pd, 1, pd.eigvec, k_cap)[0]
+
+
+def _enlarge(pd, base, power, vec, k_cap):
+    """enlarge_matrix on pd.matrix, whose Perron data pd is at hand.
+
+    Its eigenvalue is lam0**power, lam0 the root of base, and vec is its
+    positive eigenvector in base's field, summing to one.  Returns
+    (report, out_pd, out_power, out_vec), the same three for the enlarged
+    matrix, whose data is transported from base.
+    """
+    a = pd.matrix
     s = a.rows
     colsums = [sum(int(a.at(i, j)) for i in range(s)) for j in range(s)]
-    power = None
+    step = None
     p = a
     for k in range(1, k_cap + 1):
         if all(int(p.at(i, j)) >= colsums[j]
                for i in range(s) for j in range(s)):
-            power = k
+            step = k
             break
         p = p * a
-    if power is None:
+    if step is None:
         raise CapabilityError("no power below %d dominates the column sums"
                               % k_cap)
     nxt = p * a
@@ -398,25 +422,29 @@ def enlarge_matrix(a, k_cap=64):
     exponent = primitivity_exponent(out)
     if exponent is None:
         raise InternalError("enlargement lost primitivity")
-    lam = pd.field.lam()
-    y = list(pd.eigvec) + [lam - pd.field.one()]
-    scale = lam ** power
+    f0 = base.field
+    lam = f0.lam() ** power
+    y = list(vec) + [lam - f0.one()]
+    scale = lam ** step
     for i in range(s + 1):
         lhs = sum((y[j] * int(out.at(i, j)) for j in range(s + 1)),
-                  pd.field.zero())
+                  f0.zero())
         if lhs != scale * y[i]:
             raise InternalError("enlargement broke the eigenvector "
                                 "identity")
-    comparison = groups_equal(lattice_of(pd),
-                              lattice_of(perron_data(out)), m=power)
-    if comparison["status"] != "equal":
-        raise InternalError("enlargement changed the path group")
-    return {
+    # the entries of y sum to 1 + (lam - 1)
+    inv = lam.inverse()
+    out_vec = [x * inv for x in y]
+    out_pd = _transported(out, base, power * step, out_vec)
+    comparison = groups_equal(lattice_of(pd), lattice_of(out_pd), m=step)
+    _require_equal(comparison, step, "enlargement changed the path group")
+    report = {
         "matrix": out,
-        "power": power,
+        "power": step,
         "primitivity": exponent,
         "groups": comparison,
     }
+    return report, out_pd, power * step, out_vec
 
 
 def _needs(letters, extra_counts):
@@ -448,11 +476,6 @@ def _frame_rules(letters, cols, needs, middles):
     return rules
 
 
-def _contains_subword(big, small):
-    n, m = len(big), len(small)
-    return any(big[i:i + m] == small for i in range(n - m + 1))
-
-
 def build_soe_substitution(subst, block_length, n_cap=64,
                            piece_check_limit=10 ** 6):
     """Rewrite a primitive substitution so every length-(l+1) word occurs.
@@ -473,10 +496,8 @@ def build_soe_substitution(subst, block_length, n_cap=64,
     s = len(letters)
     a = subst.incidence_matrix()
 
-    pieces = [tuple(w) for w in product(letters, repeat=l + 1)]
-    block = RunWord(())
-    for piece in pieces:
-        block = block + RunWord.from_letters(piece)
+    pieces = list(product(letters, repeat=l + 1))
+    block = RunWord.from_letters(chain.from_iterable(pieces))
     block_counts = block.letter_counts()
     extra = [[0] * s for _ in range(s)]
     for t, letter in enumerate(letters):
@@ -509,19 +530,20 @@ def build_soe_substitution(subst, block_length, n_cap=64,
     pieces_checked = first_rule.length <= piece_check_limit
     if pieces_checked:
         text = first_rule.expand()
-        for piece in pieces:
-            if not _contains_subword(text, piece):
-                raise InternalError("a word block is missing from the "
-                                    "first rule")
+        windows = {text[i:i + l + 1] for i in range(len(text) - l)}
+        if not windows.issuperset(pieces):
+            raise InternalError("a word block is missing from the "
+                                "first rule")
     count = zeta.complexity(l + 1)
     if count != s ** (l + 1):
         raise InternalError("rewritten language misses a word of length "
                             "%d" % (l + 1))
     original = subst.complexity(l + 1)
-    comparison = groups_equal(lattice_of(perron_data(a)),
-                              lattice_of(perron_data(p)), m=power)
-    if comparison["status"] != "equal":
-        raise InternalError("rewriting changed the path group")
+    pd = perron_data(a)
+    comparison = groups_equal(
+        lattice_of(pd), lattice_of(_transported(p, pd, power, pd.eigvec)),
+        m=power)
+    _require_equal(comparison, power, "rewriting changed the path group")
     return {
         "substitution": zeta,
         "power": power,
@@ -551,15 +573,21 @@ def build_oe_alphabet_family(subst, steps=1, probe_n=40, scan_n=60,
         raise DomainError("substitution must be primitive")
     members = []
     current = subst
+    base = None
     for _ in range(int(steps)):
         bound = max(linear_bound_estimate(current, probe_n), current.size)
         target = bound + 2
-        a = current.incidence_matrix()
+        if base is None:
+            # every member's Perron data is transported from the input's
+            base = perron_data(subst.incidence_matrix())
+            pd, power, vec = base, 1, base.eigvec
+        grown_pd, grown_power, grown_vec = pd, power, vec
         accumulated = 1
-        while a.rows < target:
-            grown = enlarge_matrix(a, k_cap=k_cap)
-            a = grown["matrix"]
+        while grown_pd.matrix.rows < target:
+            grown, grown_pd, grown_power, grown_vec = _enlarge(
+                grown_pd, base, grown_power, grown_vec, k_cap)
             accumulated *= grown["power"]
+        a = grown_pd.matrix
         s = a.rows
         b = a
         exponent = None
@@ -593,11 +621,11 @@ def build_oe_alphabet_family(subst, steps=1, probe_n=40, scan_n=60,
             if count <= (bound + 1) * n:
                 raise InternalError("family member complexity fails the "
                                     "slope bound at length %d" % n)
-        comparison = groups_equal(
-            lattice_of(perron_data(current.incidence_matrix())),
-            lattice_of(perron_data(b)), m=accumulated)
-        if comparison["status"] != "equal":
-            raise InternalError("family member changed the path group")
+        member_pd = _transported(b, base, grown_power * exponent, grown_vec)
+        comparison = groups_equal(lattice_of(pd), lattice_of(member_pd),
+                                  m=accumulated)
+        _require_equal(comparison, accumulated,
+                       "family member changed the path group")
         members.append({
             "substitution": zeta,
             "alphabet_size": s,
@@ -607,6 +635,7 @@ def build_oe_alphabet_family(subst, steps=1, probe_n=40, scan_n=60,
             "groups": comparison,
         })
         current = zeta
+        pd, power, vec = member_pd, grown_power * exponent, grown_vec
     return members
 
 

@@ -4,9 +4,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from substoe import cli as cli_module
 from substoe.cli import main
+from substoe.errors import CapabilityError
 
 GOLDEN = {"substitution": {"rules": {"a": "ab", "b": "abb"}}}
 A0 = [[1, 1], [1, 2]]
@@ -418,3 +421,99 @@ class TestInternalErrors:
         assert error["kind"] == "internal"
         assert error["message"].startswith(type(exc).__name__)
         assert "test_cli.py" in error["message"]
+
+
+json_leaves = (st.none() | st.booleans()
+               | st.integers(-2 ** 70, 2 ** 70)
+               | st.text(alphabet=st.characters(min_codepoint=0,
+                                                max_codepoint=0x1F600)))
+json_documents = st.recursive(
+    json_leaves,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.tuples(inner, inner)
+                   | st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=5)
+                   | st.lists(st.text(max_size=4), max_size=5)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=5)),
+    max_leaves=40)
+
+
+class TestWriter:
+    """cli._dumps against json.dumps(sort_keys=True, indent=2)."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(json_documents)
+    def test_random_documents(self, doc):
+        assert cli_module._dumps(doc) == json.dumps(doc, sort_keys=True,
+                                                    indent=2)
+
+    def test_escapes_and_empty_containers(self):
+        doc = {"é\n": ["\"\\\t", "\U0001F600", "\x00"], "": {},
+               "b": [], "c": [[], {}, ()], "d": [True, False, None, 1, "x"],
+               "e": (1, 2), "f": [-0, 10 ** 40]}
+        assert cli_module._dumps(doc) == json.dumps(doc, sort_keys=True,
+                                                    indent=2)
+
+    @pytest.mark.parametrize("q", range(1, 32))
+    def test_enumerate_y_documents(self, q):
+        doc = cli_module._cmd_enumerate_y({"q": q}, None)
+        assert cli_module._dumps(doc) == json.dumps(doc, sort_keys=True,
+                                                    indent=2)
+
+    def test_integer_budget(self):
+        bits = cli_module.OUTPUT_INT_BITS
+        top = 2 ** bits - 1
+        assert cli_module._dumps([top, -top]) == json.dumps([top, -top],
+                                                             indent=2)
+        for doc in ([1, top + 1], top + 1, {"a": [[-(top + 1)]]}):
+            with pytest.raises(CapabilityError,
+                               match="output integer has %d bits, over the "
+                                     "budget of %d bits" % (bits + 1, bits)):
+                cli_module._dumps(doc)
+
+    def test_unsupported_values(self):
+        for doc in ([1.5], {1: 2}, Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                cli_module._dumps(doc)
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert cli_module._parser() is cli_module._parser()
+
+    def test_bad_flag_after_a_good_call(self, cli):
+        code, first, _ = cli(["complexity", "-", "--n-max", "5"],
+                             document=GOLDEN)
+        assert code == 0
+        code, out, err = cli(["complexity", "-", "--cap-power", "5"],
+                             document=GOLDEN)
+        assert (code, out) == (3, "")
+        assert err_json(err)["kind"] == "malformed"
+        # an earlier flag value never leaks into a later call
+        code, second, _ = cli(["complexity", "-", "--n-max", "5"],
+                              document=GOLDEN)
+        assert (code, second) == (0, first)
+        _, default, _ = cli(["complexity", "-"], document=GOLDEN)
+        assert out_json(default)["n_max"] == 20
+
+
+class TestFamilyRefusals:
+    """family-oe with steps=2 ends on a stated cap, never as internal."""
+
+    def test_thue_morse_undecided_group(self, cli):
+        doc = {"substitution": {"rules": {"a": "ab", "b": "ba"}}, "steps": 2}
+        code, out, err = cli(["family-oe", "-"], document=doc)
+        assert (code, out) == (2, "")
+        assert err_json(err) == {
+            "kind": "capability",
+            "message": "group comparison at power 512 undecided within the "
+                       "scan cap of 64"}
+
+    def test_four_letter_output_integers(self, cli):
+        doc = {"substitution": {"rules": {"a": "abc", "b": "acd", "c": "ad",
+                                          "d": "a"}}, "steps": 2}
+        code, out, err = cli(["family-oe", "-"], document=doc)
+        assert (code, out) == (2, "")
+        error = err_json(err)
+        assert error["kind"] == "capability"
+        assert error["message"].startswith("output integer has ")
+        assert error["message"].endswith("bits, over the budget of 14000 bits")
