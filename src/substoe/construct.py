@@ -15,7 +15,7 @@ from .bratteli import diagram_from_substitution
 from .clopen import (LatticeGroup, _in_lattice, _int_columns, _lam_step,
                      groups_equal, lattice_of)
 from .errors import CapabilityError, DomainError, InternalError, RankError
-from .field import certified_sign, perron_minimal_polynomial, value_interval
+from .field import _cleared, certified_sign, perron_minimal_polynomial
 from .intpoly import IntPolynomial
 from .matrix import (
     ExactMatrix,
@@ -24,8 +24,7 @@ from .matrix import (
     hnf_basis,
     primitivity_exponent,
 )
-from .perron import (_transported, companion_matrix, multiplication_matrices,
-                     perron_data)
+from .perron import _transported, multiplication_matrices, perron_data
 from .subst import Substitution, linear_bound_estimate
 from .words import RunWord
 
@@ -44,45 +43,6 @@ def _coerce_matrix(m):
     return ExactMatrix.from_rows(m)
 
 
-def _floor_fraction(q):
-    return q.numerator // q.denominator
-
-
-def _largest_int_below(beta):
-    """Largest integer m with m < beta, for an exact field element."""
-    if beta.is_rational:
-        q = beta.as_rational()
-        if q.denominator == 1:
-            return q.numerator - 1
-        return _floor_fraction(q)
-    width = Fraction(1, 4)
-    while True:
-        lo, hi = value_interval(beta, width)
-        if _floor_fraction(lo) == _floor_fraction(hi):
-            return _floor_fraction(lo)
-        width /= 8
-
-
-def _scaled(vec, m):
-    return [m * v for v in vec]
-
-
-def _vec_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def _vec_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def _is_integral(vec):
-    return all(Fraction(v).denominator == 1 for v in vec)
-
-
-def _sort_weight(elt):
-    return float(elt.approx(20))
-
-
 class _Cone:
     """Mutable bookkeeping for a lattice basis under column moves.
 
@@ -94,13 +54,12 @@ class _Cone:
     """
 
     def __init__(self, field, f_vecs):
-        self.field = field
         self.f = [list(v) for v in f_vecs]
         self.p = []
         for j, vec in enumerate(self.f):
             elt = field.from_coords(vec)
             if certified_sign(elt) < 0:
-                self.f[j] = _scaled(vec, -1)
+                self.f[j] = [-x for x in vec]
                 elt = -elt
             self.p.append(elt)
         mp = multiplication_matrices(field)
@@ -114,63 +73,48 @@ class _Cone:
                 acc = acc + mp.y1[j] * inv.at(i, j)
             self.c.append(acc)
 
-    def bad_indices(self):
-        return [i for i, ci in enumerate(self.c) if certified_sign(ci) <= 0]
+    def _top_two(self):
+        """Indices of the largest and second-largest value p.
 
-    def helpers(self, skip):
-        cand = [j for j in range(len(self.c))
-                if j != skip and certified_sign(self.c[j]) > 0]
-        cand.sort(key=lambda j: -_sort_weight(self.c[j] * self.p[j]))
-        return cand
-
-    def _try_shear(self, i, j):
-        # f_j += m f_i keeps p_j, c_j signs iff m sits in the open
-        # interval (-p_j/p_i, c_i/c_j); afterwards c_i flips positive.
-        alpha = -(self.p[j] * self.p[i].inverse())
-        beta = self.c[i] * self.c[j].inverse()
-        m = _largest_int_below(beta)
-        if certified_sign(self.field.from_rational(m) - alpha) <= 0:
-            return None
-        self.f[j] = _vec_add(self.f[j], _scaled(self.f[i], m))
-        self.p[j] = self.p[j] + self.p[i] * m
-        self.c[i] = self.c[i] - self.c[j] * m
-        return ("shear", i, j, m)
-
-    def _try_reflect(self, i, j):
-        # f_i <- m f_j - f_i flips c_i to -c_i > 0 when c_i < 0; the
-        # window for m is (p_i/p_j, -c_j/c_i).
-        if certified_sign(self.c[i]) == 0:
-            return None
-        alpha = self.p[i] * self.p[j].inverse()
-        beta = -(self.c[j] * self.c[i].inverse())
-        m = _largest_int_below(beta)
-        if certified_sign(self.field.from_rational(m) - alpha) <= 0:
-            return None
-        self.f[i] = _vec_sub(_scaled(self.f[j], m), self.f[i])
-        self.p[i] = self.p[j] * m - self.p[i]
-        self.c[j] = self.c[j] + self.c[i] * m
-        self.c[i] = -self.c[i]
-        return ("reflect", i, j, m)
+        The values are Q-independent, so no two are equal and every
+        comparison is a certified sign of a nonzero difference.
+        """
+        p = self.p
+        first, second = (0, 1) if certified_sign(p[0] - p[1]) > 0 else (1, 0)
+        for m in range(2, len(p)):
+            if certified_sign(p[m] - p[second]) > 0:
+                if certified_sign(p[m] - p[first]) > 0:
+                    first, second = m, first
+                else:
+                    second = m
+        return first, second
 
     def fix(self, cap):
+        """Dual Brun steps on the values p until every c is positive.
+
+        With p_i the largest value and p_j the second largest, the move
+        ("shear", j, i, -1) sets f_i <- f_i - f_j: p_i drops by p_j and
+        stays positive, c_j grows by c_i.  As Brun's algorithm shrinks
+        its cone onto p, the basis cone grows until it holds y1, whose
+        value multiplication_matrices certifies positive (Brentjes 1981;
+        Schweiger 2000).  Completeness is not claimed: cap is the stated
+        budget of moves.
+        """
         moves = []
-        for _ in range(cap):
-            bad = self.bad_indices()
-            if not bad:
-                self.certify()
-                return moves
-            i = bad[0]
-            done = None
-            for j in self.helpers(i):
-                done = self._try_shear(i, j) or self._try_reflect(i, j)
-                if done:
-                    break
-            if done is None:
+        signs = [certified_sign(ci) for ci in self.c]
+        while min(signs) <= 0:
+            if len(moves) == cap:
                 raise CapabilityError(
-                    "no basis move repairs coordinate %d" % i)
-            moves.append(done)
-        raise CapabilityError(
-            "basis adjustment did not stabilize within %d moves" % cap)
+                    "basis adjustment did not stabilize within %d moves"
+                    % cap)
+            i, j = self._top_two()
+            self.f[i] = [x - y for x, y in zip(self.f[i], self.f[j])]
+            self.p[i] = self.p[i] - self.p[j]
+            self.c[j] = self.c[j] + self.c[i]
+            signs[j] = certified_sign(self.c[j])
+            moves.append(("shear", j, i, -1))
+        self.certify()
+        return moves
 
     def certify(self):
         for elt in self.p + self.c:
@@ -179,21 +123,36 @@ class _Cone:
 
 
 def _power_search(field, inv, start_vecs, accept, start, cap, what):
-    """Scan F^-1 C^t applied to start_vecs for the first accepted t."""
-    c_mat = companion_matrix(field)
-    vecs = [list(v) for v in start_vecs]
-    for _ in range(start):
-        vecs = [list(c_mat.apply(v)) for v in vecs]
+    """Scan F^-1 C^t applied to start_vecs for the first accepted t.
+
+    The scan runs on integers: F^-1 is cleared once to integer rows over
+    one denominator, each start vector to numerators over its own, and
+    C steps those numerators by the companion shift.
+    """
+    flat, den = _cleared(inv.entries)
+    k = inv.cols
+    rows = [flat[i:i + k] for i in range(0, len(flat), k)]
+    step = _lam_step(field)
+    vecs = []
+    for v in start_vecs:
+        nums, e = _cleared(v)
+        for _ in range(start):
+            nums = step(nums)
+        vecs.append((nums, den * e))
     for t in range(start, cap + 1):
         cols = []
-        for v in vecs:
-            col = list(inv.apply(v))
-            if not _is_integral(col):
-                raise InternalError("lattice coordinates left the lattice")
-            cols.append([int(x) for x in col])
+        for nums, d in vecs:
+            col = []
+            for row in rows:
+                q, r = divmod(sum(a * x for a, x in zip(row, nums)), d)
+                if r:
+                    raise InternalError(
+                        "lattice coordinates left the lattice")
+                col.append(q)
+            cols.append(col)
         if accept(cols):
             return t, cols
-        vecs = [list(c_mat.apply(v)) for v in vecs]
+        vecs = [(step(nums), d) for nums, d in vecs]
     raise CapabilityError("no usable power of the eigenvalue below %d for %s"
                           % (cap, what))
 
@@ -260,10 +219,13 @@ def _minimize_core(field, lattice, xs, move_cap=200, n_cap=200, m_cap=200):
 
     pd_out = perron_data(a_tilde)
     out_lattice = lattice_of(pd_out, level0=level0)
+    mu_powers = [field.one()]
+    for _ in range(1, pd_out.k):
+        mu_powers.append(mu_powers[-1] * mu)
     for j in range(k):
         gen = out_lattice.generators[j]
         transported = sum(
-            ((mu ** t) * gen[t] for t in range(pd_out.k)), field.zero())
+            (mu_t * g for mu_t, g in zip(mu_powers, gen)), field.zero())
         if transported != z[j]:
             raise InternalError("output eigenvector does not match the "
                                 "constructed weights")

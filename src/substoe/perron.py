@@ -8,7 +8,6 @@ coordinate lattice Z^k of the field.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CapabilityError, DomainError, InternalError
 from .field import (FieldElement, NumberField, certified_sign,
@@ -249,23 +248,3 @@ def multiplication_matrices(field):
     if sgn < 0:
         y1 = [-x for x in y1]
     return MultiplicationPair(c=c_mat, d=d_mat, y1=tuple(y1))
-
-
-def eigen_growth_check(m, field, max_steps=200):
-    """Least n with all one-step growth ratios of m**n inside the interval.
-
-    The entry sums of successive powers have ratios converging to the
-    dominant eigenvalue; this scans until the ratio vector lands inside the
-    field's isolating interval, refined to width 1/16 first.
-    """
-    lo, hi = field.refined_interval(Fraction(1, 16))
-    power = m
-    prev = [sum(power.row(i)) for i in range(m.rows)]
-    for n in range(1, max_steps + 1):
-        power = power * m
-        cur = [sum(power.row(i)) for i in range(m.rows)]
-        ratios = [c / p for c, p in zip(cur, prev) if p != 0]
-        if ratios and all(lo < r < hi for r in ratios):
-            return n
-        prev = cur
-    raise InternalError("growth ratios never entered the isolating interval")

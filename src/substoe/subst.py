@@ -16,7 +16,6 @@ from .errors import CapabilityError, DomainError, InternalError, SeedError
 from .matrix import ExactMatrix, primitivity_exponent
 from .words import EXPAND_CAP, RunWord, word_of
 
-PRIVATE_BASE = 0xE000
 LENGTH_GUARD = 2_000_000
 POWER_ITER_CAP = 10_000
 SLICE = 1 << 20
@@ -393,7 +392,7 @@ class Substitution:
     def _encoding(self):
         if all(len(l) == 1 for l in self.alphabet):
             return {l: l for l in self.alphabet}
-        return {l: chr(PRIVATE_BASE + i) for i, l in enumerate(self.alphabet)}
+        return {l: chr(i) for i, l in enumerate(self.alphabet)}
 
     def _encoded_rules(self, enc):
         out = {}

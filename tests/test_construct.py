@@ -6,13 +6,18 @@ regression oracles.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from substoe.clopen import groups_equal, lattice_of
 from substoe.construct import (
     Y_SYSTEM_CAP,
+    _Cone,
+    _power_search,
     build_oe_alphabet_family,
     coprime_partition_count,
     build_soe_substitution,
@@ -22,11 +27,11 @@ from substoe.construct import (
     realize_group_matrix,
     verify_lind_example,
 )
-from substoe.errors import CapabilityError, DomainError
-from substoe.field import minimal_polynomial
+from substoe.errors import CapabilityError, DomainError, InternalError
+from substoe.field import certified_sign, minimal_polynomial
 from substoe.intpoly import IntPolynomial
-from substoe.matrix import ExactMatrix
-from substoe.perron import perron_data
+from substoe.matrix import ExactMatrix, primitivity_exponent
+from substoe.perron import companion_matrix, perron_data
 from substoe.subst import Substitution, linear_bound_estimate
 
 A0 = [[1, 1], [1, 2]]
@@ -158,6 +163,121 @@ class TestMinimize:
     def test_rejects_reducible(self):
         with pytest.raises(DomainError):
             minimize_vertices([[1, 0], [0, 2]])
+
+
+# a three-vertex input whose basis repair needs 18 dual Brun moves
+BRUN_18 = [[0, 2, 3], [0, 3, 2], [3, 0, 3]]
+
+
+def hnf_start(pd):
+    """The lattice basis _minimize_core starts from, as Fraction columns."""
+    lattice = lattice_of(pd)
+    k = pd.field.degree
+    return [[Fraction(lattice.basis.at(i, j), lattice.den) for i in range(k)]
+            for j in range(k)]
+
+
+@st.composite
+def primitive_matrices(draw):
+    n = draw(st.integers(3, 5))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    assume(primitivity_exponent(ExactMatrix.from_rows(rows)) is not None)
+    return rows
+
+
+class TestBrunRepair:
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(primitive_matrices())
+    def test_random_primitive_inputs_minimize(self, rows):
+        r = minimize_vertices(rows)
+        assert r["output_size"] == perron_data(ExactMatrix.from_rows(rows)).k
+        assert r["groups"]["status"] == "equal"
+
+    def test_long_repair(self):
+        r = minimize_vertices(BRUN_18)
+        assert len(r["moves"]) == 18
+        assert {m[0] for m in r["moves"]} == {"shear"}
+        assert {m[3] for m in r["moves"]} == {-1}
+        assert r["output_size"] == 3
+        assert r["groups"]["status"] == "equal"
+
+    def test_move_cap_is_the_budget(self):
+        with pytest.raises(CapabilityError,
+                           match="did not stabilize within 17 moves"):
+            minimize_vertices(BRUN_18, move_cap=17)
+        assert len(minimize_vertices(BRUN_18, move_cap=18)["moves"]) == 18
+
+    @pytest.mark.parametrize("matrix", [A1, BRUN_18, [[2, 2, 2], [3, 2, 1],
+                                                      [3, 2, 2]]])
+    def test_moves_replay_to_the_final_basis(self, matrix):
+        r = minimize_vertices(matrix)
+        pd = perron_data(ExactMatrix.from_rows(matrix))
+        field = pd.field
+        basis = hnf_start(pd)
+        for j, vec in enumerate(basis):
+            if certified_sign(field.from_coords(vec)) < 0:
+                basis[j] = [-x for x in vec]
+        for kind, src, dst, m in r["moves"]:
+            assert kind == "shear"
+            basis[dst] = [x + m * y for x, y in zip(basis[dst], basis[src])]
+        # the output weights are the final basis values over lam**n
+        scale = field.lam() ** r["basis_power"]
+        assert [field.from_coords(vec) for vec in basis] == \
+            [z * scale for z in r["weights"]]
+
+
+def fraction_power_search(field, inv, start_vecs, accept, start, cap):
+    """The scan of F^-1 C^t over Fractions, one matrix product a step."""
+    c_mat = companion_matrix(field)
+    vecs = [list(v) for v in start_vecs]
+    for _ in range(start):
+        vecs = [list(c_mat.apply(v)) for v in vecs]
+    for t in range(start, cap + 1):
+        cols = []
+        for v in vecs:
+            col = list(inv.apply(v))
+            if any(Fraction(x).denominator != 1 for x in col):
+                raise InternalError("lattice coordinates left the lattice")
+            cols.append([int(x) for x in col])
+        if accept(cols):
+            return t, cols
+        vecs = [list(c_mat.apply(v)) for v in vecs]
+    raise CapabilityError("no usable power below %d" % cap)
+
+
+class TestPowerSearch:
+    def cone(self, matrix):
+        pd = perron_data(ExactMatrix.from_rows(matrix))
+        cone = _Cone(pd.field, hnf_start(pd))
+        cone.fix(200)
+        return pd, cone, ExactMatrix.from_columns(cone.f).inverse()
+
+    @pytest.mark.parametrize("matrix", [A0, A1, BRUN_18,
+                                        [[1, 1, 0], [0, 1, 1], [1, 0, 1]]])
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_integer_scan_matches_fraction_scan(self, matrix, start):
+        pd, cone, inv = self.cone(matrix)
+        starts = [cone.f, [x.coords for x in pd.eigvec]]
+        for vecs, accept in product(starts, [
+                lambda cols: all(x >= 1 for col in cols for x in col),
+                lambda cols: all(x >= 0 for col in cols for x in col)]):
+            got = _power_search(pd.field, inv, vecs, accept, start, 200, "x")
+            assert got == fraction_power_search(pd.field, inv, vecs, accept,
+                                                start, 200)
+
+    def test_cap_and_lattice_exit(self):
+        pd, cone, inv = self.cone(A1)
+        with pytest.raises(CapabilityError, match="below 0 for x"):
+            _power_search(pd.field, inv, cone.f, lambda cols: False, 0, 0,
+                          "x")
+        outside = [[x / 7 for x in cone.f[0]]]
+        with pytest.raises(InternalError, match="left the lattice"):
+            _power_search(pd.field, inv, outside, lambda cols: True, 0, 5,
+                          "x")
+        with pytest.raises(InternalError, match="left the lattice"):
+            fraction_power_search(pd.field, inv, outside, lambda cols: True,
+                                  0, 5)
 
 
 class TestRealize:

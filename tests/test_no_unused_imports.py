@@ -1,9 +1,12 @@
-"""No library module imports a name it never reads.
+"""No library module imports a name it never reads, and no private
+helper outlives its last caller.
 
 Each module of src/substoe except the package's __init__ (whose imports
 are its exports) is parsed; every name bound by an import must be read
 somewhere in the same module, as a plain name or as the base of an
-attribute access.
+attribute access.  Every private module-level function or class must be
+read somewhere in src/substoe outside its own body: as a plain name, as
+an attribute, or as a name imported from its module.
 """
 
 import ast
@@ -13,6 +16,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "substoe"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source):
@@ -27,6 +31,52 @@ def unused_imports(source):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted((line, name) for name, line in imported.items()
                   if name not in read)
+
+
+def _reads(nodes):
+    names = set()
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unread_private_defs(sources):
+    """(module, line, name) of private top-level defs nobody reads.
+
+    sources maps module names to their text.  Reads outside every private
+    def are the roots; a private def is read when a root or the body of
+    a def already read names it.  So a def read only by itself
+    (recursion) or only by other unread defs is reported too.
+    """
+    bodies = {}
+    defs = []
+    roots = set()
+    for mod, text in sources.items():
+        tree = ast.parse(text)
+        inside = set()
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            nodes = list(ast.walk(node))
+            inside.update(id(n) for n in nodes)
+            bodies.setdefault(node.name, set()).update(_reads(nodes))
+            defs.append((mod, node.lineno, node.name))
+        roots |= _reads(n for n in ast.walk(tree) if id(n) not in inside)
+    read = set()
+    todo = list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in read:
+            read.add(name)
+            todo.extend(bodies.get(name, ()))
+    return sorted(d for d in defs if d[2] not in read)
 
 
 def test_scanner_finds_an_unused_import():
@@ -45,3 +95,26 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_scanner_finds_unread_private_defs():
+    sources = {
+        "a": "def _dead(n):\n    return _dead(n - 1)\n"
+             "def _used():\n    pass\nclass _Gone:\n    pass\n"
+             "def _local():\n    pass\nx = [_local]\n"
+             "def _chain():\n    return _gone()\ndef _gone():\n    pass\n",
+        "b": "from .a import _used\n",
+    }
+    assert unread_private_defs(sources) == [
+        ("a", 1, "_dead"), ("a", 5, "_Gone"), ("a", 10, "_chain"),
+        ("a", 12, "_gone")]
+
+
+def test_scanner_counts_attribute_reads():
+    sources = {"a": "def _f():\n    pass\n", "b": "import a\na._f()\n"}
+    assert unread_private_defs(sources) == []
+
+
+def test_every_private_def_is_read():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    assert unread_private_defs(sources) == []

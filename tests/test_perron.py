@@ -12,7 +12,6 @@ from substoe.matrix import ExactMatrix, charpoly, primitivity_exponent
 from substoe.perron import (
     adjugate_column,
     companion_matrix,
-    eigen_growth_check,
     field_kernel_basis,
     multiplication_matrices,
     perron_data,
@@ -121,16 +120,6 @@ class TestMultiplicationMatrices:
             image = [sum((f.from_rational(Fraction(pair.c.at(i, j))) * pair.y1[j]
                           for j in range(k)), f.zero()) for i in range(k)]
             assert tuple(image) == tuple(lam * y for y in pair.y1)
-
-
-class TestGrowthCheck:
-    def test_golden(self):
-        pd = perron_data(A0)
-        assert eigen_growth_check(A0, pd.field)
-
-    def test_three_letter(self):
-        pd = perron_data(A1)
-        assert eigen_growth_check(A1, pd.field)
 
 
 def _kernel_vector(m, field):
