@@ -21,6 +21,7 @@ from .matrix import (
     ExactMatrix,
     charpoly,
     eventual_positivity_exponent,
+    first_power,
     hnf_basis,
     primitivity_exponent,
 )
@@ -157,12 +158,14 @@ def _power_search(field, inv, start_vecs, accept, start, cap, what):
                           % (cap, what))
 
 
-def _minimize_core(field, lattice, xs, move_cap=200, n_cap=200, m_cap=200):
+def _minimize_core(base, lattice, xs, move_cap=200, n_cap=200, m_cap=200):
     """Shared pipeline: adjusted basis -> rows -> stationary system.
 
-    lattice must be closed under multiplication by the field generator
-    and contain every entry of xs; xs must be positive with sum one.
+    base is the input's PerronData.  lattice must be closed under
+    multiplication by the field generator and contain every entry of xs;
+    xs must be positive with sum one.
     """
+    field = base.field
     k = field.degree
     f_vecs = [[Fraction(lattice.basis.at(i, j), lattice.den)
                for i in range(k)] for j in range(k)]
@@ -194,13 +197,6 @@ def _minimize_core(field, lattice, xs, move_cap=200, n_cap=200, m_cap=200):
     one = field.one()
     if sum((z[j] * level0[j] for j in range(k)), field.zero()) != one:
         raise InternalError("path weights do not sum to one")
-    mu = field.lam() ** m_power
-    for i in range(k):
-        lhs = sum((z[j] * int(a_tilde.at(i, j)) for j in range(k)),
-                  field.zero())
-        if lhs != mu * z[i]:
-            raise InternalError("weights are not an eigenvector of the "
-                                "output matrix")
     for i, x in enumerate(xs):
         lhs = sum((z[j] * rows[i][j] for j in range(k)), field.zero())
         if lhs != x:
@@ -210,29 +206,21 @@ def _minimize_core(field, lattice, xs, move_cap=200, n_cap=200, m_cap=200):
     rules = {}
     for j, letter in enumerate(letters):
         rules[letter] = RunWord(
-            (letters[t], int(a_tilde.at(t, j))) for t in range(k))
+            (letters[t], x_cols[t][j]) for t in range(k))
     out = Substitution(rules, alphabet=letters)
     proper = out.properness_witness()
     if proper is None or proper[0] != 1:
         raise InternalError("output substitution is not proper at depth one")
     diagram = diagram_from_substitution(out, level0=level0)
 
-    pd_out = perron_data(a_tilde)
+    # the cone certified every p positive, so z is a positive eigenvector
+    alpha = sum(z[1:], z[0])
+    scale = alpha.inverse()
+    pd_out = _transported(a_tilde, base, m_power, [x * scale for x in z])
     out_lattice = lattice_of(pd_out, level0=level0)
-    mu_powers = [field.one()]
-    for _ in range(1, pd_out.k):
-        mu_powers.append(mu_powers[-1] * mu)
-    for j in range(k):
-        gen = out_lattice.generators[j]
-        transported = sum(
-            (mu_t * g for mu_t, g in zip(mu_powers, gen)), field.zero())
-        if transported != z[j]:
-            raise InternalError("output eigenvector does not match the "
-                                "constructed weights")
     comparison = groups_equal(lattice, out_lattice, m=m_power)
-    if comparison["status"] != "equal":
-        raise InternalError("output group is not identified with the input "
-                            "group")
+    _require_equal(comparison, m_power,
+                   "output group is not identified with the input group")
 
     return {
         "field": field,
@@ -241,7 +229,7 @@ def _minimize_core(field, lattice, xs, move_cap=200, n_cap=200, m_cap=200):
         "rows": rows,
         "level0": level0,
         "weights": tuple(z),
-        "alpha": sum(z[1:], z[0]) if k > 1 else z[0],
+        "alpha": alpha,
         "basis_power": n_power,
         "matrix_power": m_power,
         "moves": moves,
@@ -265,7 +253,7 @@ def minimize_vertices(system, move_cap=200, n_cap=200, m_cap=200):
         a = _coerce_matrix(system)
     pd = perron_data(a)
     lattice = lattice_of(pd)
-    report = _minimize_core(pd.field, lattice, list(pd.eigvec),
+    report = _minimize_core(pd, lattice, list(pd.eigvec),
                             move_cap=move_cap, n_cap=n_cap, m_cap=m_cap)
     report["input_size"] = a.rows
     report["output_size"] = pd.k
@@ -320,7 +308,7 @@ def realize_group_matrix(matrix, weights, closure_cap=24,
         gens.extend([list(v) for v in layer])
     saturated = LatticeGroup(field, gens)
 
-    report = _minimize_core(field, saturated, xs,
+    report = _minimize_core(pd, saturated, xs,
                             move_cap=move_cap, n_cap=n_cap, m_cap=m_cap)
     report["closure_power"] = closure_power
     return report
@@ -358,43 +346,29 @@ def _enlarge(pd, base, power, vec, k_cap):
     matrix, whose data is transported from base.
     """
     a = pd.matrix
-    s = a.rows
-    colsums = [sum(int(a.at(i, j)) for i in range(s)) for j in range(s)]
-    step = None
-    p = a
-    for k in range(1, k_cap + 1):
-        if all(int(p.at(i, j)) >= colsums[j]
-               for i in range(s) for j in range(s)):
-            step = k
-            break
-        p = p * a
-    if step is None:
+    a_cols = list(zip(*a.int_rows()))
+    colsums = [sum(col) for col in a_cols]
+    found = first_power(
+        a, lambda rows: all(x >= c for row in rows
+                            for x, c in zip(row, colsums)), k_cap)
+    if found is None:
         raise CapabilityError("no power below %d dominates the column sums"
                               % k_cap)
-    nxt = p * a
-    rows = []
-    for i in range(s):
-        rows.append([int(p.at(i, j)) - (colsums[j] - 1) for j in range(s)]
-                    + [1])
-    last = [sum(int(nxt.at(i, j)) - int(p.at(i, j)) for i in range(s))
-            for j in range(s)] + [0]
-    rows.append(last)
+    step, p = found
+    rows = [[x - (c - 1) for x, c in zip(row, colsums)] + [1] for row in p]
+    # column sums of A^(step+1) - A^step, from those of A^step
+    psums = [sum(col) for col in zip(*p)]
+    rows.append([sum(x * y for x, y in zip(psums, col)) - q
+                 for col, q in zip(a_cols, psums)] + [0])
     out = ExactMatrix.from_rows(rows)
 
     exponent = primitivity_exponent(out)
     if exponent is None:
         raise InternalError("enlargement lost primitivity")
-    f0 = base.field
-    lam = f0.lam() ** power
-    y = list(vec) + [lam - f0.one()]
-    scale = lam ** step
-    for i in range(s + 1):
-        lhs = sum((y[j] * int(out.at(i, j)) for j in range(s + 1)),
-                  f0.zero())
-        if lhs != scale * y[i]:
-            raise InternalError("enlargement broke the eigenvector "
-                                "identity")
-    # the entries of y sum to 1 + (lam - 1)
+    lam = base.field.lam() ** power
+    y = list(vec) + [lam - 1]
+    # the entries of y sum to 1 + (lam - 1); _transported checks that y
+    # is an eigenvector of out for lam**step
     inv = lam.inverse()
     out_vec = [x * inv for x in y]
     out_pd = _transported(out, base, power * step, out_vec)
@@ -423,19 +397,30 @@ def _needs(letters, extra_counts):
     return needs
 
 
-def _frame_rules(letters, cols, needs, middles):
-    """Rules a1 a_j <middle> <surplus runs> a1 with exact letter counts."""
+def _frame_rules(letters, rows, needs, middles, what):
+    """The substitution a_j -> a1 a_j <middle> <surplus runs> a1 whose
+    incidence is the matrix with integer rows rows.
+
+    Returns (substitution, incidence, properness witness), with the
+    incidence checked against rows and properness at depth one.
+    """
     rules = {}
     for j, letter in enumerate(letters):
-        surplus = [cols[j][t] - needs[j][t] for t in range(len(letters))]
+        surplus = [row[j] - need for row, need in zip(rows, needs[j])]
         if any(x < 0 for x in surplus):
             raise InternalError("column cannot host the frame letters")
         word = RunWord.from_letters((letters[0], letter))
         word = word + middles[j]
-        word = word + RunWord((letters[t], surplus[t])
-                              for t in range(len(letters)))
+        word = word + RunWord(zip(letters, surplus))
         rules[letter] = word + RunWord.from_letters((letters[0],))
-    return rules
+    zeta = Substitution(rules, alphabet=letters)
+    incidence = zeta.incidence_matrix()
+    if incidence.int_rows() != rows:
+        raise InternalError("%s miscounts the incidence" % what)
+    proper = zeta.properness_witness()
+    if proper is None or proper[0] != 1:
+        raise InternalError("%s is not proper" % what)
+    return zeta, incidence, proper
 
 
 def build_soe_substitution(subst, block_length, n_cap=64,
@@ -466,28 +451,17 @@ def build_soe_substitution(subst, block_length, n_cap=64,
         extra[0][t] = block_counts.get(letter, 0)
     needs = _needs(letters, extra)
 
-    power = None
-    p = a
-    for n in range(1, n_cap + 1):
-        cols = [[int(p.at(t, j)) for t in range(s)] for j in range(s)]
-        if all(cols[j][t] >= needs[j][t]
-               for j in range(s) for t in range(s)):
-            power = n
-            break
-        p = p * a
-    if power is None:
+    found = first_power(
+        a, lambda rows: all(rows[t][j] >= needs[j][t]
+                            for j in range(s) for t in range(s)), n_cap)
+    if found is None:
         raise CapabilityError("no power below %d fits the word blocks"
                               % n_cap)
+    power, rows = found
 
     middles = [block] + [RunWord(()) for _ in range(s - 1)]
-    rules = _frame_rules(letters, cols, needs, middles)
-    zeta = Substitution(rules, alphabet=letters)
-
-    if zeta.incidence_matrix() != p:
-        raise InternalError("rewritten rules miscount the incidence")
-    proper = zeta.properness_witness()
-    if proper is None or proper[0] != 1:
-        raise InternalError("rewritten substitution is not proper")
+    zeta, p, proper = _frame_rules(letters, rows, needs, middles,
+                                   "rewritten substitution")
     first_rule = zeta.rules[letters[0]]
     pieces_checked = first_rule.length <= piece_check_limit
     if pieces_checked:
@@ -549,35 +523,23 @@ def build_oe_alphabet_family(subst, steps=1, probe_n=40, scan_n=60,
             grown, grown_pd, grown_power, grown_vec = _enlarge(
                 grown_pd, base, grown_power, grown_vec, k_cap)
             accumulated *= grown["power"]
-        a = grown_pd.matrix
-        s = a.rows
-        b = a
-        exponent = None
-        for e in range(1, power_cap + 1):
-            entries = [[int(b.at(i, j)) for j in range(s)] for i in range(s)]
-            if (all(x >= 1 for row in entries for x in row)
-                    and all(entries[0][j] >= 2 for j in range(s))
-                    and entries[0][0] >= 3):
-                exponent = e
-                break
-            b = b * a
-        if exponent is None:
+        s = grown_pd.matrix.rows
+        found = first_power(
+            grown_pd.matrix,
+            lambda rows: (all(x >= 1 for row in rows for x in row)
+                          and all(x >= 2 for x in rows[0])
+                          and rows[0][0] >= 3), power_cap)
+        if found is None:
             raise CapabilityError("no power below %d seats the frame"
                                   % power_cap)
+        exponent, rows = found
         accumulated *= exponent
 
         letters = _default_letters(s)
-        cols = [[int(b.at(t, j)) for t in range(s)] for j in range(s)]
         needs = _needs(letters, [[0] * s for _ in range(s)])
         middles = [RunWord(()) for _ in range(s)]
-        rules = _frame_rules(letters, cols, needs, middles)
-        zeta = Substitution(rules, alphabet=letters)
-
-        if zeta.incidence_matrix() != b:
-            raise InternalError("family member miscounts the incidence")
-        proper = zeta.properness_witness()
-        if proper is None or proper[0] != 1:
-            raise InternalError("family member is not proper")
+        zeta, b, proper = _frame_rules(letters, rows, needs, middles,
+                                       "family member")
         profile = zeta.complexity_profile(scan_n)
         for n, count in enumerate(profile, start=1):
             if count <= (bound + 1) * n:

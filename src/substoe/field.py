@@ -28,7 +28,7 @@ from .matrix import ExactMatrix, charpoly, kernel_basis
 class NumberField:
     """Q(lam) for lam the largest real root of a monic irreducible polynomial."""
 
-    __slots__ = ("min_poly", "degree", "interval", "_reduction", "_chain")
+    __slots__ = ("min_poly", "degree", "interval", "_chain")
 
     def __init__(self, min_poly, interval):
         if not isinstance(min_poly, IntPolynomial) or not min_poly.is_monic:
@@ -47,20 +47,6 @@ class NumberField:
         object.__setattr__(self, "interval", (lo, hi))
         # _chain[i] is the interval bisected i times; see _first_accepted.
         object.__setattr__(self, "_chain", [(lo, hi)])
-        k = min_poly.degree
-        # Reduction rows: coordinates of lam^k .. lam^(2k-2) on 1..lam^(k-1).
-        rows = []
-        cur = [Fraction(-c) for c in min_poly.coeffs[:k]]
-        rows.append(tuple(cur))
-        for _ in range(k - 2):
-            shifted = [Fraction(0)] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for i in range(k):
-                    shifted[i] += top * -min_poly.coeffs[i]
-            cur = shifted
-            rows.append(tuple(cur))
-        object.__setattr__(self, "_reduction", tuple(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("NumberField is immutable")
@@ -94,17 +80,6 @@ class NumberField:
 
     def from_coords(self, coords):
         return FieldElement(self, coords)
-
-    def _reduce(self, long_coords):
-        """Fold a degree < 2k-1 coefficient list back onto the power basis."""
-        k = self.degree
-        out = list(long_coords[:k]) + [Fraction(0)] * (k - len(long_coords[:k]))
-        for i, c in enumerate(long_coords[k:]):
-            if c:
-                row = self._reduction[i]
-                for j in range(k):
-                    out[j] += c * row[j]
-        return out
 
     def _first_accepted(self, accept):
         """accept(lo, hi) at the first interval of the bisection chain where
@@ -202,7 +177,8 @@ class FieldElement:
             if x:
                 for j, y in enumerate(b):
                     prod[i + j] += x * y
-        return FieldElement(self.field, self.field._reduce(prod))
+        return FieldElement(self.field,
+                            _rem_monic(prod, self.field.min_poly.coeffs))
 
     __rmul__ = __mul__
 
@@ -276,6 +252,18 @@ class FieldElement:
         q = abs(q)
         whole, frac = divmod(q, 10 ** digits)
         return "%s%d.%0*d" % (sign, whole, digits, frac)
+
+
+def _rem_monic(p, f):
+    """Remainder of the polynomial p modulo monic f, length deg f."""
+    k = len(f) - 1
+    r = list(p) + [0] * max(0, k - len(p))
+    for top in range(len(r) - 1, k - 1, -1):
+        q = r[top]
+        if q:
+            for i in range(k):
+                r[top - k + i] -= q * f[i]
+    return r[:k]
 
 
 def _cleared(coords):

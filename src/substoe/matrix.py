@@ -363,19 +363,28 @@ def _bool_row_mul(row_mask, rows, n):
     return out
 
 
+def first_power(m, accept, cap):
+    """(e, rows) for the least e <= cap with accept(rows), rows the integer
+    rows of m**e; None if accept holds at no such power."""
+    base = m.int_rows()
+    rows = base
+    for e in range(1, cap + 1):
+        if accept(rows):
+            return e, rows
+        if e < cap:
+            rows = _int_matmul(rows, base)
+    return None
+
+
 def eventual_positivity_exponent(m, cap=64):
     """Least e <= cap with m**e entrywise positive, using exact powers."""
     if not m.is_square:
         raise DimensionError("positivity needs a square matrix")
     if not m.is_integer:
         raise DomainError("integer matrix required")
-    power = m
-    for e in range(1, cap + 1):
-        if power.is_positive:
-            return e
-        if e < cap:
-            power = power * m
-    return None
+    found = first_power(
+        m, lambda rows: all(x > 0 for row in rows for x in row), cap)
+    return None if found is None else found[0]
 
 
 def hnf_basis(vectors):

@@ -10,7 +10,7 @@ coordinate lattice Z^k of the field.
 from dataclasses import dataclass
 
 from .errors import CapabilityError, DomainError, InternalError
-from .field import (FieldElement, NumberField, certified_sign,
+from .field import (FieldElement, NumberField, _rem_monic, certified_sign,
                     dominant_root_field, minimal_polynomial)
 from .matrix import (ExactMatrix, charpoly, gauss_jordan, kernel_basis,
                      primitivity_exponent)
@@ -67,18 +67,6 @@ def adjugate_column(rows, cp, min_poly):
     return [_rem_monic(p, min_poly.coeffs) for p in polys]
 
 
-def _rem_monic(p, f):
-    """Remainder of the integer polynomial p modulo monic f, length deg f."""
-    k = len(f) - 1
-    r = list(p) + [0] * max(0, k - len(p))
-    for top in range(len(r) - 1, k - 1, -1):
-        q = r[top]
-        if q:
-            for i in range(k):
-                r[top - k + i] -= q * f[i]
-    return r[:k]
-
-
 def perron_data(m):
     """Exact dominant eigendata of a primitive integer matrix.
 
@@ -123,11 +111,13 @@ def _transported(m, base, power, vec):
 
     - Positivity is carried, not re-signed.  The callers build vec from
       base's eigenvector entries, each certified positive by
-      perron_data, and values lam0**j - 1 with j >= 1, positive since
-      lam0 > lo0 > 1; sums, products and quotients keep it.  By
-      Perron-Frobenius the eigenvalue of a positive eigenvector of a
-      primitive matrix is its Perron root, so mu = lam0**power is the
-      dominant root of m, and a simple one.
+      perron_data, from values lam0**j - 1 with j >= 1, positive since
+      lam0 > lo0 > 1, and from lattice basis values that the vertex
+      minimization's cone certified positive, times lam0**-n; sums,
+      products and quotients keep it.  By Perron-Frobenius the
+      eigenvalue of a positive eigenvector of a primitive matrix is its
+      Perron root, so mu = lam0**power is the dominant root of m, and a
+      simple one.
     - The minimal polynomial of mu comes from base's field.  Its degree
       is base's: a conjugate of lam0 with the same power-th power would
       have lam0's modulus, which the Perron root of a primitive matrix

@@ -258,31 +258,55 @@ class Substitution:
         return Substitution(rules, self.alphabet)
 
     def power(self, p):
-        """The p-th iterate, refused before any image is built when the
-        image of a letter under some k-th iterate, k <= p, would pass
-        LENGTH_GUARD.
+        """The p-th iterate, composed by repeated squaring, refused before
+        any image is built when the image of a letter under some k-th
+        iterate, k <= p, would pass LENGTH_GUARD.
 
-        The lengths |rule^k(l)| = sum over x of (count of x in rule(l)) *
-        |rule^(k-1)(x)| are followed in integers first, so the refusal
-        names the first such k without composing up to it.
+        Rules are nonempty, so images never shrink under a step and
+        |rule^k(l)| does not decrease as k grows.  The largest k <= p
+        within the guard is found in integers by binary lifting: the
+        lengths of the (k + 2^i)-th images are those of the k-th images
+        through the letter counts of the 2^i-th iterate, a matrix kept
+        saturated at LENGTH_GUARD + 1.  The refusal names the first k
+        over the guard, with its letter and exact length.
         """
         if p < 1:
             raise DomainError("power must be positive")
-        counts = [self.rules[l].letter_counts() for l in self.alphabet]
-        lengths = {l: self.rules[l].length for l in self.alphabet}
-        for k in range(2, p + 1):
-            lengths = {l: sum(c * lengths[x] for x, c in cnt.items())
-                       for l, cnt in zip(self.alphabet, counts)}
-            for l in self.alphabet:
-                if lengths[l] > LENGTH_GUARD:
+        cap = LENGTH_GUARD + 1
+        letters = self.alphabet
+        counts = [self.rules[l].letter_counts() for l in letters]
+        # steps[i][l][x]: count of letter x in the 2^i-th image of l
+        steps = [[[cnt.get(x, 0) for x in letters] for cnt in counts]]
+        while 1 << len(steps) < p:
+            q = steps[-1]
+            steps.append([[min(cap, sum(a * b for a, b in zip(row, col)))
+                           for col in zip(*q)] for row in q])
+        k = 1
+        lengths = [self.rules[l].length for l in letters]
+        for i in range(len(steps) - 1, -1, -1):
+            if k + (1 << i) <= p:
+                nxt = [min(cap, sum(a * b for a, b in zip(row, lengths)))
+                       for row in steps[i]]
+                if max(nxt) <= LENGTH_GUARD:
+                    k += 1 << i
+                    lengths = nxt
+        if k < p:
+            for l, row in zip(letters, steps[0]):
+                size = sum(a * b for a, b in zip(row, lengths))
+                if size > LENGTH_GUARD:
                     raise CapabilityError(
                         "power %d image of %r has %d letters, over the "
                         "expansion budget of %d"
-                        % (k, l, lengths[l], LENGTH_GUARD))
-        out = self
-        for _ in range(p - 1):
-            out = self.compose(out)
-        return out
+                        % (k + 1, l, size, LENGTH_GUARD))
+        out = None
+        square = self
+        while True:
+            if p & 1:
+                out = square if out is None else out.compose(square)
+            p >>= 1
+            if not p:
+                return out
+            square = square.compose(square)
 
     def first_letter_map(self):
         return {l: self.rules[l].first for l in self.alphabet}

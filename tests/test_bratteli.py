@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -438,6 +440,10 @@ class TestPathCountBudget:
             d.path_counts(1)
 
 
+IDENTITY = Substitution({"a": "a", "b": "b"})
+LINEAR = Substitution({"a": "ab", "b": "b"})
+
+
 class TestTelescopeBudget:
     def test_refused_before_any_composition(self, monkeypatch):
         def no_compose(self, other):
@@ -449,3 +455,31 @@ class TestTelescopeBudget:
                            match="power 30 image of 'a' has 2178309 letters, "
                                  "over the expansion budget of 2000000"):
             d.telescope(100_000)
+
+    @pytest.mark.parametrize("steps", [10 ** 6, 10 ** 9])
+    def test_slow_growth_answers_in_log_steps(self, steps):
+        start = time.perf_counter()
+        d = diagram_from_substitution(IDENTITY).telescope(steps)
+        assert d.substitution_read().rules == IDENTITY.rules
+        assert d.incidence == ExactMatrix.identity(2)
+        assert time.perf_counter() - start < 5
+
+    def test_linear_growth_answers_within_the_guard(self):
+        start = time.perf_counter()
+        d = diagram_from_substitution(LINEAR).telescope(10 ** 6)
+        assert d.substitution_read().rules["a"] == RunWord(
+            (("a", 1), ("b", 10 ** 6)))
+        assert time.perf_counter() - start < 5
+
+    def test_linear_growth_names_the_first_power_over(self, monkeypatch):
+        def no_compose(self, other):
+            raise AssertionError("composed an image")
+
+        monkeypatch.setattr(Substitution, "compose", no_compose)
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError,
+                           match="power 2000000 image of 'a' has 2000001 "
+                                 "letters, over the expansion budget of "
+                                 "2000000"):
+            diagram_from_substitution(LINEAR).telescope(10 ** 9)
+        assert time.perf_counter() - start < 5

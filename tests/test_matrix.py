@@ -12,6 +12,7 @@ from substoe.matrix import (
     ExactMatrix,
     charpoly,
     eventual_positivity_exponent,
+    first_power,
     gauss_jordan,
     hnf_basis,
     kernel_basis,
@@ -178,6 +179,33 @@ class TestPrimitivity:
         assert m is not None and m <= 49
         assert (c ** m).is_positive
         assert not (c ** (m - 1)).is_positive
+
+
+class TestFirstPower:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_square(st.integers(-2, 3)), st.integers(-20, 60),
+           st.integers(1, 8), st.sampled_from(["corner", "sum", "positive"]))
+    def test_least_accepted_power(self, rows, threshold, cap, kind):
+        tests = {
+            "corner": lambda r: r[0][0] >= threshold,
+            "sum": lambda r: sum(map(sum, r)) >= threshold,
+            "positive": lambda r: all(x > 0 for row in r for x in row),
+        }
+        accept = tests[kind]
+        m = ExactMatrix.from_rows(rows)
+        expected = None
+        for e in range(1, cap + 1):
+            if accept((m ** e).int_rows()):
+                expected = (e, (m ** e).int_rows())
+                break
+        assert first_power(m, accept, cap) == expected
+
+    def test_none_at_the_cap(self):
+        m = ExactMatrix.from_rows([[2]])
+        def accept(rows):
+            return rows[0][0] >= 8
+        assert first_power(m, accept, 3) == (3, [[8]])
+        assert first_power(m, accept, 2) is None
 
 
 class TestHNF:

@@ -1,12 +1,13 @@
 """No library module imports a name it never reads, and no private
-helper outlives its last caller.
+helper or private method outlives its last caller.
 
 Each module of src/substoe except the package's __init__ (whose imports
 are its exports) is parsed; every name bound by an import must be read
 somewhere in the same module, as a plain name or as the base of an
-attribute access.  Every private module-level function or class must be
-read somewhere in src/substoe outside its own body: as a plain name, as
-an attribute, or as a name imported from its module.
+attribute access.  Every private module-level function or class, and
+every private method of a module-level class, must be read somewhere in
+src/substoe outside its own body: as a plain name, as an attribute, or
+as a name imported from its module.
 """
 
 import ast
@@ -45,30 +46,43 @@ def _reads(nodes):
     return names
 
 
-def unread_private_defs(sources):
-    """(module, line, name) of private top-level defs nobody reads.
+def _is_private(node):
+    return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__"))
 
-    sources maps module names to their text.  Reads outside every private
-    def are the roots; a private def is read when a root or the body of
-    a def already read names it.  So a def read only by itself
-    (recursion) or only by other unread defs is reported too.
+
+def unread_private_defs(sources):
+    """(module, line, name) of private defs nobody reads.
+
+    A private def is a top-level function or class, or a method of a
+    top-level class, whose name starts with one underscore.  sources maps
+    module names to their text.  Reads outside every private def are the
+    roots; a private def is read when a root or the body of a def already
+    read names it.  So a def read only by itself (recursion) or only by
+    other unread defs is reported too.
     """
     bodies = {}
     defs = []
     roots = set()
     for mod, text in sources.items():
         tree = ast.parse(text)
-        inside = set()
+        found = []
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if not node.name.startswith("_") or node.name.startswith("__"):
-                continue
-            nodes = list(ast.walk(node))
-            inside.update(id(n) for n in nodes)
-            bodies.setdefault(node.name, set()).update(_reads(nodes))
+            if _is_private(node):
+                found.append(node)
+            if isinstance(node, ast.ClassDef):
+                found.extend(n for n in node.body if _is_private(n)
+                             and isinstance(n, ast.FunctionDef))
+        # a private method's nodes belong to it, not to its class
+        owner = {}
+        for node in found:
+            for n in ast.walk(node):
+                owner[id(n)] = node
+        for node in found:
+            bodies.setdefault(node.name, set()).update(_reads(
+                n for n in ast.walk(node) if owner[id(n)] is node))
             defs.append((mod, node.lineno, node.name))
-        roots |= _reads(n for n in ast.walk(tree) if id(n) not in inside)
+        roots |= _reads(n for n in ast.walk(tree) if id(n) not in owner)
     read = set()
     todo = list(roots)
     while todo:
@@ -108,6 +122,21 @@ def test_scanner_finds_unread_private_defs():
     assert unread_private_defs(sources) == [
         ("a", 1, "_dead"), ("a", 5, "_Gone"), ("a", 10, "_chain"),
         ("a", 12, "_gone")]
+
+
+def test_scanner_finds_unread_private_methods():
+    sources = {
+        "a": "class Field:\n"
+             "    def _used(self):\n        return self._helper()\n"
+             "    def _helper(self):\n        return self._helper()\n"
+             "    def _self_only(self):\n        return self._self_only()\n"
+             "    def __eq__(self, other):\n        pass\n"
+             "class _Cone:\n"
+             "    def _step(self):\n        pass\n"
+             "    def fix(self):\n        return self._step()\n",
+        "b": "from .a import Field, _Cone\nField()._used()\n_Cone().fix()\n",
+    }
+    assert unread_private_defs(sources) == [("a", 6, "_self_only")]
 
 
 def test_scanner_counts_attribute_reads():

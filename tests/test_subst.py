@@ -458,6 +458,17 @@ def test_power_budget_matches_the_composition_guard():
             s.power(2)
 
 
+@pytest.mark.parametrize("rules", [{"a": "a", "b": "b"}, {"a": "ab", "b": "b"},
+                                   {"a": "ab", "b": "ba"}])
+def test_power_by_squaring_equals_repeated_composition(rules):
+    s = Substitution(rules)
+    out = s
+    for p in range(1, 13):
+        if p > 1:
+            out = s.compose(out)
+        assert s.power(p).rules == out.rules
+
+
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("p", (1, 2, 3, 5))
 def test_power_equals_repeated_composition(seed, p):

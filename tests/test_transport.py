@@ -1,5 +1,7 @@
 """Perron data carried through the builders against fresh perron_data."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 from substoe import construct, perron
 from substoe.clopen import lattice_of
 from substoe.construct import (_enlarge, build_oe_alphabet_family,
-                               build_soe_substitution, enlarge_matrix)
+                               build_soe_substitution, enlarge_matrix,
+                               minimize_vertices, realize_group_matrix)
 from substoe.errors import CapabilityError, InternalError
 from substoe.intpoly import count_real_roots
 from substoe.matrix import ExactMatrix, primitivity_exponent
@@ -179,6 +182,31 @@ class TestBuilders:
         assert members[1]["groups"]["status"] == "equal"
 
 
+    @pytest.mark.parametrize("system", [
+        [[1, 1, 1], [2, 3, 1], [8, 13, 0]],
+        [[2, 0, 3, 0], [1, 1, 3, 1], [3, 1, 1, 0], [3, 1, 3, 2]],
+    ] + [NAMED[name] for name in sorted(NAMED)])
+    def test_minimize_one_perron_call(self, recorded, system):
+        seen, calls = recorded
+        if isinstance(system, dict):
+            system = Substitution(system)
+        report = minimize_vertices(system)
+        assert len(calls) == 1 and len(seen) == 1
+        assert seen[0].matrix == report["matrix"]
+        assert_same(seen[0], perron_data(seen[0].matrix))
+
+    @pytest.mark.parametrize("weights", [
+        [[Fraction(-1), Fraction(1, 2)], [Fraction(2), Fraction(-1, 2)]],
+        [[3, -1], [-2, 1]],
+    ])
+    def test_realize_one_perron_call(self, recorded, weights):
+        seen, calls = recorded
+        report = realize_group_matrix(A0, weights)
+        assert len(calls) == 1 and len(seen) == 1
+        assert seen[0].matrix == report["matrix"]
+        assert_same(seen[0], perron_data(seen[0].matrix))
+
+
 class TestGroupComparisonOutcomes:
     def _patched(self, monkeypatch, result):
         monkeypatch.setattr(construct, "groups_equal",
@@ -193,6 +221,9 @@ class TestGroupComparisonOutcomes:
             build_soe_substitution(Substitution(NAMED["golden"]), 1)
         with pytest.raises(CapabilityError, match="undecided"):
             build_oe_alphabet_family(Substitution(NAMED["golden"]))
+        with pytest.raises(CapabilityError,
+                           match="power 1 undecided within the scan cap of 64"):
+            minimize_vertices(A0)
 
     def test_unequal_is_internal(self, monkeypatch):
         self._patched(monkeypatch, {"status": "unequal", "reason": "rank"})
@@ -202,3 +233,6 @@ class TestGroupComparisonOutcomes:
             build_soe_substitution(Substitution(NAMED["golden"]), 1)
         with pytest.raises(InternalError, match="enlargement changed"):
             build_oe_alphabet_family(Substitution(NAMED["golden"]))
+        with pytest.raises(InternalError, match="output group is not "
+                           "identified with the input group"):
+            minimize_vertices(A0)
