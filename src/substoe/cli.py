@@ -493,11 +493,7 @@ def _cmd_groups_equal(doc, args):
     _check_keys(doc, "input", required=("first", "second", "m"))
     first = lattice_of(perron_data(_parse_matrix(doc["first"], "first")))
     second = lattice_of(perron_data(_parse_matrix(doc["second"], "second")))
-    m = _positive_int(doc, "m", "input")
-    kwargs = {}
-    if args.cap_power is not None:
-        kwargs["cap"] = args.cap_power
-    return groups_equal(first, second, m, **kwargs)
+    return groups_equal(first, second, _positive_int(doc, "m", "input"))
 
 
 def _cmd_enumerate_y(doc, args):
@@ -740,7 +736,6 @@ _FLAGS = {
     "family-soe": ("--cap-power",),
     "family-oe": ("--cap-power", "--probe"),
     "s-member": ("--cap-power",),
-    "groups-equal": ("--cap-power",),
 }
 
 

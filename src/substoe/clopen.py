@@ -3,10 +3,9 @@
 A group is presented by a finitely generated lattice of field elements
 that multiplication by the eigenvalue maps into itself; the group is the
 union of the lattice divided by all eigenvalue powers.  Membership and
-equality questions reduce to integer linear algebra on coordinates: a
-vector is kept as integer numerators over one denominator, tested by exact
-division down the triangular basis, and multiplied by the eigenvalue with
-integer companion steps.
+equality questions reduce to integer linear algebra on coordinates: exact
+division down the triangular basis, and one bounded kernel that decides
+when eigenvalue powers carry vectors into a lattice.
 """
 
 from fractions import Fraction
@@ -20,11 +19,7 @@ from .perron import companion_matrix, measure_weights
 
 
 def _triangular_coords(h, den, vec):
-    """Rational coordinates of vec in the column basis h/den.
-
-    Only the denominators of these are ever needed; a plain membership test
-    is _in_lattice.
-    """
+    """Rational coordinates of vec in the column basis h/den."""
     k = h.rows
     t = [Fraction(x) * den for x in vec]
     coeffs = []
@@ -42,25 +37,60 @@ def _int_columns(h):
     return [[int(x) for x in h.column(j)] for j in range(h.cols)]
 
 
-def _in_lattice(cols, den, nums, e):
-    """Whether nums/e lies in the lattice spanned by the columns / den.
-
-    cols is a lower-triangular integer basis (hnf_basis, as _int_columns);
-    den*nums = e*H*c is solved by exact division down the triangle,
-    stopping at the first coordinate that is not an integer.
-    """
+def _lattice_coords(cols, den, nums, e):
+    """Integer coordinates c of nums/e in the lattice spanned by the
+    columns / den, or None off the lattice.  cols is a lower-triangular
+    integer basis (hnf_basis, as _int_columns); den*nums = e*H*c is solved
+    by exact division down the triangle, stopping at a non-integer c_i."""
     t = [x * den for x in nums]
     k = len(t)
+    coords = []
     for i in range(k):
         col = cols[i]
         c, r = divmod(t[i], col[i] * e)
         if r:
-            return False
+            return None
+        coords.append(c)
         if c:
             c *= e
             for j in range(i + 1, k):
                 t[j] -= c * col[j]
-    return True
+    return coords
+
+
+def _step_matrix(cols, step):
+    """Columns of the integer matrix of step on the lattice coordinates of
+    the basis cols, or None when step leaves the lattice."""
+    m = [_lattice_coords(cols, 1, step(col), 1) for col in cols]
+    return None if None in m else m
+
+
+def _absorbed_at(m, xs, d):
+    """Least t with m**t x = 0 (mod d) for every x in xs, or None.
+
+    m is a k x k integer matrix given by its columns.  If no t <= T =
+    k * d.bit_length() works, none does: for each p**a dividing d the
+    kernels of m**t on (Z/p**a)**k grow with t in a module of length k*a,
+    and once two successive kernels agree they agree for good (Fitting's
+    lemma).  Absorption is monotone in t, so the least t comes by binary
+    lifting over the squares m**(2**i) mod d, not by a scan from 0.
+    """
+
+    def apply(cols, v):
+        return [sum(a * x for a, x in zip(row, v)) % d for row in zip(*cols)]
+
+    if not any(x % d for v in xs for x in v):
+        return 0
+    bound = len(m) * d.bit_length()
+    squares = [[[x % d for x in c] for c in m]]
+    while 1 << len(squares) <= bound:
+        squares.append([apply(squares[-1], c) for c in squares[-1]])
+    t = 0
+    for i in reversed(range(len(squares))):
+        moved = [apply(squares[i], x) for x in xs]
+        if any(map(any, moved)):
+            xs, t = moved, t + (1 << i)
+    return t + 1 if t < bound else None
 
 
 def _lam_step(field, m=1):
@@ -95,17 +125,14 @@ class LatticeGroup:
             raise DomainError("generator length does not match the field degree")
         basis, den = hnf_basis(vectors)
         cols = _int_columns(basis)
-        step = _lam_step(field)
-        for col in cols:
-            if not _in_lattice(cols, 1, step(col), 1):
-                raise DomainError(
-                    "not closed under multiplication by the eigenvalue")
+        if _step_matrix(cols, _lam_step(field)) is None:
+            raise DomainError(
+                "not closed under multiplication by the eigenvalue")
         self.field = field
         self.generators = vectors
         self.basis = basis
         self.den = den
         self._cols = cols
-        self._step = step
 
     def basis_vectors(self):
         """Lattice basis as field elements."""
@@ -118,18 +145,16 @@ class LatticeGroup:
         if elt.field != self.field:
             raise FieldMismatchError("element lives in a different field")
         nums, e = _cleared(elt.coords)
-        return _in_lattice(self._cols, self.den, nums, e)
+        return _lattice_coords(self._cols, self.den, nums, e) is not None
 
     def membership_exponent(self, elt, cap=64):
-        """Least n with lam**n * elt in the lattice, or None within the cap."""
+        """Least n with lam**n * elt in the lattice if it is at most cap
+        (which bounds the report, not the search), else None."""
         if elt.field != self.field:
             raise FieldMismatchError("element lives in a different field")
-        nums, e = _cleared(elt.coords)
-        for n in range(cap + 1):
-            if _in_lattice(self._cols, self.den, nums, e):
-                return n
-            nums = self._step(nums)
-        return None
+        n = _absorption(self.field, 1, self.basis, self.den,
+                        [elt.coords]).get("exponent")
+        return n if n is not None and n <= cap else None
 
     def __repr__(self):
         return "LatticeGroup(degree=%d, den=%d)" % (self.field.degree, self.den)
@@ -152,7 +177,7 @@ def lattice_from_elements(field, elements):
 
 
 def s_membership(group, value, cap=64):
-    """Capped scan deciding membership of a unit-interval value in the group."""
+    """Membership of a unit-interval value in the group, up to the cap."""
     if isinstance(value, FieldElement):
         elt = value
     else:
@@ -176,26 +201,27 @@ def _strip_shared_primes(d, modulus):
     return d
 
 
-def _absorption(step, h, den, norm, vectors, cap):
-    """Least t with step**t applied to every vector landing in h/den.
-
-    step acts on integer numerators (see _lam_step).
-
-    norm carries the primes that step can clear from denominators; any
-    other prime in a coordinate denominator blocks absorption forever.
-    """
-    for v in vectors:
-        d = _cleared(_triangular_coords(h, den, v))[1]
-        blocked = _strip_shared_primes(d, norm)
+def _absorption(field, m, h, den, vectors):
+    """Least t with lam**(m*t) v in the lattice h/den (closed under
+    lam**m) for every v, as {"exponent": t}; else the reason there is none:
+    a prime-denominator witness that lam cannot clear (a prime its norm
+    lacks), or not-absorbed with the bound of _absorbed_at."""
+    norm = abs(field.min_poly.coeffs[0])
+    coords = [_triangular_coords(h, den, v) for v in vectors]
+    for c in coords:
+        blocked = _strip_shared_primes(_cleared(c)[1], norm)
         if blocked > 1:
-            return {"status": "never", "denominator": blocked}
-    cols = _int_columns(h)
-    cur = [_cleared(v) for v in vectors]
-    for t in range(cap + 1):
-        if all(_in_lattice(cols, den, nums, e) for nums, e in cur):
-            return {"status": "at", "exponent": t}
-        cur = [(step(nums), e) for nums, e in cur]
-    return {"status": "unknown"}
+            return {"reason": "prime-denominator", "denominator": blocked}
+    flat, d = _cleared([x for c in coords for x in c])
+    if d == 1:
+        return {"exponent": 0}
+    k = h.rows
+    xs = [flat[i:i + k] for i in range(0, len(flat), k)]
+    t = _absorbed_at(_step_matrix(_int_columns(h), _lam_step(field, m)),
+                     xs, d)
+    if t is None:
+        return {"reason": "not-absorbed", "bound": k * d.bit_length()}
+    return {"exponent": t}
 
 
 def _same_embedded_root(mu, field2):
@@ -211,12 +237,13 @@ def _same_embedded_root(mu, field2):
         width = width / 8
 
 
-def groups_equal(first, second, m, cap=64):
+def groups_equal(first, second, m):
     """Compare two value groups, reading the second eigenvalue as the
     m-th power of the first.
 
-    Returns a status dict: equal with absorption exponents, unequal with
-    a reason, or undecided-up-to when the scan cap runs out.
+    Returns a status dict: equal with absorption exponents, or unequal
+    with a reason (rank, prime-denominator, not-absorbed) and, for the
+    last two, the direction that fails and its witness.
     """
     m = int(m)
     if m < 1:
@@ -240,21 +267,18 @@ def groups_equal(first, second, m, cap=64):
     h2, den2 = hnf_basis(gens2)
     gens1 = [[Fraction(x, first.den) for x in first.basis.column(j)]
              for j in range(k1)]
-    norm = abs(first.field.min_poly.coeffs[0])
-    into_first = _absorption(first._step, first.basis, first.den,
-                             norm, gens2, cap)
-    if into_first["status"] == "never":
-        return {"status": "unequal", "reason": "prime-denominator",
-                "direction": "second-into-first",
-                "denominator": into_first["denominator"]}
-    into_second = _absorption(_lam_step(first.field, m), h2, den2, norm,
-                              gens1, cap)
-    if into_second["status"] == "never":
-        return {"status": "unequal", "reason": "prime-denominator",
-                "direction": "first-into-second",
-                "denominator": into_second["denominator"]}
-    if into_first["status"] == "at" and into_second["status"] == "at":
-        return {"status": "equal",
-                "first_absorbs_at": into_first["exponent"],
-                "second_absorbs_at": into_second["exponent"]}
-    return {"status": "undecided-up-to", "cap": cap}
+    found = {}
+    for direction, power, h, den, vectors in (
+            ("second-into-first", 1, first.basis, first.den, gens2),
+            ("first-into-second", m, h2, den2, gens1)):
+        found[direction] = _absorption(first.field, power, h, den, vectors)
+        if "denominator" in found[direction]:
+            break
+    # a prime-denominator witness is reported before a not-absorbed one
+    for direction, result in sorted(found.items(),
+                                    key=lambda item: "bound" in item[1]):
+        if "reason" in result:
+            return {"status": "unequal", "direction": direction, **result}
+    return {"status": "equal",
+            "first_absorbs_at": found["second-into-first"]["exponent"],
+            "second_absorbs_at": found["first-into-second"]["exponent"]}

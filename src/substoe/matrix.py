@@ -321,7 +321,7 @@ def wielandt_bound(n):
     return (n - 1) * (n - 1) + 1 if n > 1 else 1
 
 
-def primitivity_exponent(m, cap=None):
+def primitivity_exponent(m):
     """Least e with m**e entrywise positive, or None if m is not primitive.
 
     Only the support pattern matters, so powers are taken on row bitmasks.
@@ -332,8 +332,6 @@ def primitivity_exponent(m, cap=None):
     if not m.is_integer or not m.is_nonnegative:
         raise DomainError("nonnegative integer matrix required")
     n = m.rows
-    if cap is None:
-        cap = wielandt_bound(n)
     full = (1 << n) - 1
     base = []
     for i in range(n):
@@ -343,11 +341,9 @@ def primitivity_exponent(m, cap=None):
                 mask |= 1 << j
         base.append(mask)
     cur = base
-    for e in range(1, cap + 1):
+    for e in range(1, wielandt_bound(n) + 1):
         if all(r == full for r in cur):
             return e
-        if e == cap:
-            break
         cur = [_bool_row_mul(cur[i], base, n) for i in range(n)]
     return None
 

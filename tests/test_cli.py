@@ -78,6 +78,7 @@ class TestExitCodes:
         ["s-member", "-", "--n-max", "3"],
         ["enumerate-y", "-", "--cap-power", "3"],
         ["verify-paper", "--cap-power", "3"],
+        ["groups-equal", "-", "--cap-power", "3"],
         ["complexity", "-", "--json"],
     ])
     def test_flag_of_another_subcommand_is_malformed(self, cli, argv):
@@ -499,14 +500,14 @@ class TestParserReuse:
 class TestFamilyRefusals:
     """family-oe with steps=2 ends on a stated cap, never as internal."""
 
-    def test_thue_morse_undecided_group(self, cli):
+    def test_thue_morse_output_integers(self, cli):
         doc = {"substitution": {"rules": {"a": "ab", "b": "ba"}}, "steps": 2}
         code, out, err = cli(["family-oe", "-"], document=doc)
         assert (code, out) == (2, "")
         assert err_json(err) == {
             "kind": "capability",
-            "message": "group comparison at power 512 undecided within the "
-                       "scan cap of 64"}
+            "message": "output integer has 16380 bits, over the budget of "
+                       "14000 bits"}
 
     def test_four_letter_output_integers(self, cli):
         doc = {"substitution": {"rules": {"a": "abc", "b": "acd", "c": "ad",

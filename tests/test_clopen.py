@@ -1,10 +1,13 @@
+import functools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from substoe.clopen import (LatticeGroup, _triangular_coords, groups_equal,
+from substoe.clopen import (LatticeGroup, _strip_shared_primes,
+                            _triangular_coords, groups_equal,
                             lattice_from_elements, lattice_of, s_membership)
 from substoe.construct import enlarge_matrix
 from substoe.errors import DomainError, FieldMismatchError, RankError
@@ -162,9 +165,7 @@ class TestGroupsEqual:
         f = number_field(IntPolynomial([-2, 1]))
         g1 = LatticeGroup(f, [(1,)])
         g2 = LatticeGroup(f, [(Fraction(1, 2 ** 100),)])
-        assert groups_equal(g1, g2, 1, cap=50) == {
-            "status": "undecided-up-to", "cap": 50}
-        res = groups_equal(g1, g2, 1, cap=128)
+        res = groups_equal(g1, g2, 1)
         assert res == {"status": "equal", "first_absorbs_at": 100,
                        "second_absorbs_at": 0}
 
@@ -296,11 +297,6 @@ class TestGroupsEqualIntegerScan:
                         "first_absorbs_at": max(0, m * s2 - s1),
                         "second_absorbs_at": max(0, -((m * s2 - s1) // m))}
                 assert groups_equal(first, second, m) == want
-                capped = groups_equal(first, second, m, cap=1)
-                if max(want["first_absorbs_at"], want["second_absorbs_at"]) <= 1:
-                    assert capped == want
-                else:
-                    assert capped == {"status": "undecided-up-to", "cap": 1}
 
     def test_unequal_pair(self):
         # two matrices with characteristic polynomial t^2 - 7t + 1
@@ -312,3 +308,127 @@ class TestGroupsEqualIntegerScan:
         assert groups_equal(b, a, 1) == {
             "status": "unequal", "reason": "prime-denominator",
             "direction": "second-into-first", "denominator": 9}
+
+
+# Non-unit lam of degree 1-3; 2 splits in t^2 - 3t - 2 = t(t + 1) and
+# t^3 - t - 2 = t(t + 1)^2 (mod 2), so lam clears 2 from one part only.
+KERNEL_FIELDS = [number_field(IntPolynomial(p))
+                 for p in ([-6, 1], [-5, -2, 1], [-2, -3, 1],
+                           [-2, -2, 0, 1], [-2, -1, 0, 1])]
+
+
+def deep_fractions(norm):
+    """Fractions whose denominators, up to 2**12, are made of the primes of
+    the norm, or are 7 or 21 (7 divides none of the norms)."""
+    dens = sorted({d for d in range(1, 2 ** 12 + 1)
+                   if _strip_shared_primes(d, norm) == 1} | {7, 21})
+    return st.builds(Fraction, st.integers(-6, 6), st.sampled_from(dens))
+
+
+@functools.lru_cache(maxsize=None)
+def _perron_power(rows, m):
+    return perron_data(ExactMatrix.from_rows([list(r) for r in rows]) ** m)
+
+
+def proven_bound(h, den, vectors):
+    """k * bits(d), d the denominator of the vectors' lattice coordinates."""
+    d = 1
+    for v in vectors:
+        for c in _triangular_coords(h, den, v):
+            d = lcm(d, c.denominator)
+    return h.rows * d.bit_length()
+
+
+def scan_absorption(target, vectors, cap):
+    """Least t <= cap with lam**t v in the target lattice for every v, by
+    rational coordinates; None if there is none."""
+    mult = companion_matrix(target.field)
+    cur = [list(v) for v in vectors]
+    for t in range(cap + 1):
+        if all(c.denominator == 1 for v in cur
+               for c in _triangular_coords(target.basis, target.den, v)):
+            return t
+        cur = [mult.apply(v) for v in cur]
+    return None
+
+
+def basis_coords(group):
+    return [[Fraction(x, group.den) for x in group.basis.column(j)]
+            for j in range(group.field.degree)]
+
+
+class TestBoundedAbsorption:
+    """The absorption kernel against rational scans run to, and past, the
+    bound k * bits(d) that the kernel relies on."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(KERNEL_FIELDS), st.data(), st.integers(0, 12),
+           st.integers(0, 2))
+    def test_matches_scan_to_the_bound(self, field, data, s, mix):
+        # mix 0: an unrelated second lattice; 1: the first one divided by
+        # lam**s; 2: that plus the unrelated generators
+        k = field.degree
+        vector = st.lists(deep_fractions(abs(field.min_poly.coeffs[0])),
+                          min_size=k, max_size=k)
+        gens1 = data.draw(st.lists(vector, min_size=1, max_size=2))
+        gens2 = data.draw(st.lists(vector, min_size=1, max_size=2))
+        coords = data.draw(vector)
+        assume(any(any(g) for g in gens1) and any(any(g) for g in gens2))
+        shifted = [(field.from_coords(g) * field.lam() ** -s).coords
+                   for g in gens1]
+        gens2 = [gens2, shifted, shifted + gens2][mix]
+        first, second = module_lattice(field, gens1), module_lattice(field, gens2)
+
+        elt = field.from_coords(coords) * field.lam() ** -s
+        bound = proven_bound(first.basis, first.den, [elt.coords])
+        want = fraction_membership_exponent(first, elt, bound)
+        assert first.membership_exponent(elt, cap=bound) == want
+        assert fraction_membership_exponent(first, elt, 2 * bound + 8) == want
+
+        scans = {}
+        for direction, target, vectors in (
+                ("second-into-first", first, basis_coords(second)),
+                ("first-into-second", second, basis_coords(first))):
+            t_bound = proven_bound(target.basis, target.den, vectors)
+            scans[direction] = (scan_absorption(target, vectors, t_bound),
+                                t_bound)
+            assert scan_absorption(target, vectors, 2 * t_bound + 8) == \
+                scans[direction][0]
+        res = groups_equal(first, second, 1)
+        into_first = scans["second-into-first"][0]
+        into_second = scans["first-into-second"][0]
+        if into_first is not None and into_second is not None:
+            assert res == {"status": "equal", "first_absorbs_at": into_first,
+                           "second_absorbs_at": into_second}
+        else:
+            assert res["status"] == "unequal"
+            found, t_bound = scans[res["direction"]]
+            assert found is None
+            if res["reason"] == "not-absorbed":
+                assert res["bound"] == t_bound
+            else:
+                assert res["reason"] == "prime-denominator"
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from([((1, 2), (3, 1)), ((2, 1, 0), (1, 1, 1), (1, 0, 1)),
+                            ((1, 1), (2, 0))]),
+           st.integers(1, 3), st.integers(0, 40), st.integers(0, 40))
+    def test_planted_exponents(self, rows, m, s1, s2):
+        first = _scaled(_perron_power(rows, 1), s1)
+        second = _scaled(_perron_power(rows, m), s2)
+        assert groups_equal(first, second, m) == {
+            "status": "equal",
+            "first_absorbs_at": max(0, m * s2 - s1),
+            "second_absorbs_at": max(0, -((m * s2 - s1) // m))}
+
+    def test_split_prime_is_not_absorbed(self):
+        field = perron_data(ExactMatrix.from_rows([[3, 2], [1, 0]])).field
+        assert field.min_poly == IntPolynomial([-2, -3, 1])
+        whole = LatticeGroup(field, [(1, 0), (0, 1)])
+        half = LatticeGroup(field, [(Fraction(1, 2), 0), (0, Fraction(1, 2))])
+        assert groups_equal(whole, half, 1) == {
+            "status": "unequal", "reason": "not-absorbed",
+            "direction": "second-into-first", "bound": 4}
+        # the cap bounds the report, not the work
+        assert s_membership(whole, Fraction(1, 2), cap=10 ** 5) == {
+            "status": "not-member-up-to", "cap": 10 ** 5}

@@ -406,6 +406,22 @@ class TestAlphabetFamily:
         with pytest.raises(DomainError):
             build_oe_alphabet_family(split, steps=1)
 
+    @pytest.mark.parametrize("rules, steps, want", [
+        # each first exponent is past 64, so a scan capped there misses it
+        ({"a": "ab", "b": "ba"}, 2, [(6, 32, 15), (14, 512, 255)]),
+        ({"a": "ca", "b": "a", "c": "dad", "d": "aaab"}, 1, [(9, 160, 76)]),
+        ({"a": "cd", "b": "aa", "c": "abcc", "d": "dbaa"}, 1,
+         [(11, 384, 190)]),
+    ])
+    def test_late_absorbing_members(self, rules, steps, want):
+        members = build_oe_alphabet_family(Substitution(rules), steps=steps)
+        assert [(m["alphabet_size"], m["matrix_power"]) for m in members] == \
+            [(size, power) for size, power, _ in want]
+        for member, (_, _, first) in zip(members, want):
+            assert member["groups"] == {"status": "equal",
+                                        "first_absorbs_at": first,
+                                        "second_absorbs_at": 0}
+
 
 class TestRationalWeights:
     def test_counts(self):

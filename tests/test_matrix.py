@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from substoe.clopen import _in_lattice, _int_columns
+from substoe.clopen import _int_columns, _lattice_coords
 from substoe.errors import DimensionError, DomainError, RankError
 from substoe.intpoly import IntPolynomial
 from substoe.matrix import (
@@ -257,13 +257,13 @@ class TestHNF:
         h, den = hnf_basis(vecs)
         cols = _int_columns(h)
         for v in vecs:
-            assert _in_lattice(cols, den, list(v), 1)
+            assert _lattice_coords(cols, den, list(v), 1) is not None
 
     def test_solve_outside(self):
         h, den = hnf_basis([(2, 0), (0, 2)])
         cols = _int_columns(h)
-        assert not _in_lattice(cols, den, [1, 0], 1)
-        assert not _in_lattice(cols, den, [1, 1], 1)
+        assert _lattice_coords(cols, den, [1, 0], 1) is None
+        assert _lattice_coords(cols, den, [1, 1], 1) is None
 
 
 class TestGaussJordan:

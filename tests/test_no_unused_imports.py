@@ -7,7 +7,8 @@ somewhere in the same module, as a plain name or as the base of an
 attribute access.  Every private module-level function or class, and
 every private method of a module-level class, must be read somewhere in
 src/substoe outside its own body: as a plain name, as an attribute, or
-as a name imported from its module.
+as a name imported from its module.  Every private attribute stored as
+self._x = ... must be read somewhere in src/substoe as an attribute.
 """
 
 import ast
@@ -93,6 +94,25 @@ def unread_private_defs(sources):
     return sorted(d for d in defs if d[2] not in read)
 
 
+def unread_private_attributes(sources):
+    """(module, line, name) of private attributes stored on self that no
+    module reads as an attribute; sources maps module names to text."""
+    stored, read = [], set()
+    for mod, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "self"
+                  and node.attr.startswith("_")
+                  and not node.attr.startswith("__")):
+                stored.append((mod, node.lineno, node.attr))
+    return sorted(s for s in stored if s[2] not in read)
+
+
 def test_scanner_finds_an_unused_import():
     source = "import os\nfrom re import compile, sub\nsub('a', 'b', 'c')\n"
     assert unused_imports(source) == [(1, "os"), (2, "compile")]
@@ -147,3 +167,22 @@ def test_scanner_counts_attribute_reads():
 def test_every_private_def_is_read():
     sources = {p.name: p.read_text() for p in PACKAGE}
     assert unread_private_defs(sources) == []
+
+
+def test_scanner_finds_unread_private_attributes():
+    sources = {
+        "a": "class G:\n"
+             "    def __init__(self):\n"
+             "        self._cols = 1\n        self._step = 2\n"
+             "        self._count = 0\n        self._count += 1\n"
+             "        self.public = 3\n        self.__slot = 4\n"
+             "        other._far = 5\n",
+        "b": "def f(g):\n    return g._cols\n",
+    }
+    assert unread_private_attributes(sources) == [
+        ("a", 4, "_step"), ("a", 5, "_count"), ("a", 6, "_count")]
+
+
+def test_every_private_attribute_is_read():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    assert unread_private_attributes(sources) == []

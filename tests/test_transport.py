@@ -212,19 +212,6 @@ class TestGroupComparisonOutcomes:
         monkeypatch.setattr(construct, "groups_equal",
                             lambda first, second, m: dict(result))
 
-    def test_undecided_is_a_cap(self, monkeypatch):
-        self._patched(monkeypatch, {"status": "undecided-up-to", "cap": 64})
-        with pytest.raises(CapabilityError,
-                           match="power 2 undecided within the scan cap of 64"):
-            enlarge_matrix(A0)
-        with pytest.raises(CapabilityError, match="undecided"):
-            build_soe_substitution(Substitution(NAMED["golden"]), 1)
-        with pytest.raises(CapabilityError, match="undecided"):
-            build_oe_alphabet_family(Substitution(NAMED["golden"]))
-        with pytest.raises(CapabilityError,
-                           match="power 1 undecided within the scan cap of 64"):
-            minimize_vertices(A0)
-
     def test_unequal_is_internal(self, monkeypatch):
         self._patched(monkeypatch, {"status": "unequal", "reason": "rank"})
         with pytest.raises(InternalError, match="enlargement changed"):
