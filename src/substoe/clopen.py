@@ -2,18 +2,23 @@
 
 A group is presented by a finitely generated lattice of field elements
 that multiplication by the eigenvalue maps into itself; the group is the
-union of the lattice divided by all eigenvalue powers.  Membership and
-equality questions reduce to integer linear algebra on coordinates: exact
-division down the triangular basis, and one bounded kernel that decides
-when eigenvalue powers carry vectors into a lattice.
+union of the lattice divided by all eigenvalue powers.  The eigenvalue is
+lam**K for the field's root lam and the lattice's power K: a system
+derived from another keeps the field of its source and records the power
+its Perron root is of the source's.  Membership and equality questions
+reduce to integer linear algebra on coordinates: exact division down the
+triangular basis, and one bounded kernel that decides when eigenvalue
+powers carry vectors into a lattice.  Two lattices on one field are
+compared directly; lattices on two fields are first identified through
+the minimal polynomial of the eigenvalue power.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, FieldMismatchError
-from .field import (FieldElement, _cleared, certified_sign, minimal_polynomial,
-                    value_interval)
+from .field import (FieldElement, _cleared, _interval_horner, certified_sign,
+                    minimal_polynomial)
 from .matrix import ExactMatrix, hnf_basis
 from .perron import companion_matrix, measure_weights
 
@@ -115,9 +120,10 @@ def _lam_step(field, m=1):
 
 
 class LatticeGroup:
-    """Lattice of field elements closed under multiplication by lam."""
+    """Lattice of field elements closed under multiplication by lam**power,
+    lam the field's root: the group of a system with Perron root lam**power."""
 
-    def __init__(self, field, vectors):
+    def __init__(self, field, vectors, power=1):
         vectors = [tuple(Fraction(x) for x in v) for v in vectors]
         if not vectors:
             raise DomainError("a lattice group needs generators")
@@ -125,10 +131,11 @@ class LatticeGroup:
             raise DomainError("generator length does not match the field degree")
         basis, den = hnf_basis(vectors)
         cols = _int_columns(basis)
-        if _step_matrix(cols, _lam_step(field)) is None:
+        if _step_matrix(cols, _lam_step(field, power)) is None:
             raise DomainError(
                 "not closed under multiplication by the eigenvalue")
         self.field = field
+        self.power = power
         self.generators = vectors
         self.basis = basis
         self.den = den
@@ -148,11 +155,11 @@ class LatticeGroup:
         return _lattice_coords(self._cols, self.den, nums, e) is not None
 
     def membership_exponent(self, elt, cap=64):
-        """Least n with lam**n * elt in the lattice if it is at most cap
-        (which bounds the report, not the search), else None."""
+        """Least n with lam**(power*n) * elt in the lattice if it is at most
+        cap (which bounds the report, not the search), else None."""
         if elt.field != self.field:
             raise FieldMismatchError("element lives in a different field")
-        n = _absorption(self.field, 1, self.basis, self.den,
+        n = _absorption(self.field, self.power, self.basis, self.den,
                         [elt.coords]).get("exponent")
         return n if n is not None and n <= cap else None
 
@@ -225,21 +232,37 @@ def _absorption(field, m, h, den, vectors):
 
 
 def _same_embedded_root(mu, field2):
-    """Whether mu (a root of field2's polynomial) is field2's chosen root."""
+    """Whether mu (a root of field2's polynomial) is field2's chosen root.
+
+    One walk of mu's bisection chain: the enclosure of mu's value shrinks
+    onto mu, which lies strictly inside field2's interval or strictly
+    outside it, since the interval ends are not roots.
+    """
     lo, hi = field2.interval
-    width = hi - lo
-    while True:
-        vlo, vhi = value_interval(mu, width)
-        if lo < vlo and vhi < hi:
+    nums, d = _cleared(mu.coords)
+
+    def place(a, b):
+        # mu lies in [vlo, vhi] / (s * d); scale field2's interval to match
+        vlo, vhi, s = _interval_horner(nums, a, b)
+        slo, shi = lo * (s * d), hi * (s * d)
+        if slo < vlo and vhi < shi:
             return True
-        if vhi < lo or vlo > hi:
+        if vhi < slo or vlo > shi:
             return False
-        width = width / 8
+        return None
+    return mu.field._first_accepted(place)
 
 
 def groups_equal(first, second, m):
     """Compare two value groups, reading the second eigenvalue as the
     m-th power of the first.
+
+    Lattices on one field object compare directly, and the second must
+    be closed under the m-th power of the first's eigenvalue:
+    second.power == m * first.power.  Otherwise the second field's root
+    is identified with first's lam**(m * first.power) through its minimal
+    polynomial and isolating interval, and its lattice (which must have
+    power 1) is carried into the first field.
 
     Returns a status dict: equal with absorption exponents, or unequal
     with a reason (rank, prime-denominator, not-absorbed) and, for the
@@ -248,30 +271,44 @@ def groups_equal(first, second, m):
     m = int(m)
     if m < 1:
         raise DomainError("power linking the eigenvalues must be positive")
-    mu = first.field.lam() ** m
-    poly = minimal_polynomial(mu)
-    if poly != second.field.min_poly:
-        raise FieldMismatchError(
-            "second field is not generated by the declared eigenvalue power")
-    if not _same_embedded_root(mu, second.field):
-        raise FieldMismatchError(
-            "declared eigenvalue power is a different root of the same polynomial")
+    power = m * first.power
     k1 = first.field.degree
-    k2 = second.field.degree
-    if k2 < k1:
-        return {"status": "unequal", "reason": "rank"}
-    transport = ExactMatrix.from_columns(
-        [list((mu ** j).coords) for j in range(k2)])
-    gens2 = [transport.apply([Fraction(x, second.den) for x in second.basis.column(j)])
-             for j in range(k2)]
-    h2, den2 = hnf_basis(gens2)
+    if second.field is first.field:
+        if second.power != power:
+            raise FieldMismatchError(
+                "second lattice is not closed under the declared "
+                "eigenvalue power")
+        h2, den2 = second.basis, second.den
+        gens2 = [[Fraction(x, den2) for x in h2.column(j)] for j in range(k1)]
+    else:
+        if second.power != 1:
+            raise FieldMismatchError(
+                "a lattice closed under a power of its root compares only "
+                "on its own field")
+        mu = first.field.lam() ** power
+        poly = minimal_polynomial(mu)
+        if poly != second.field.min_poly:
+            raise FieldMismatchError(
+                "second field is not generated by the declared eigenvalue power")
+        if not _same_embedded_root(mu, second.field):
+            raise FieldMismatchError(
+                "declared eigenvalue power is a different root of the same polynomial")
+        k2 = second.field.degree
+        if k2 < k1:
+            return {"status": "unequal", "reason": "rank"}
+        transport = ExactMatrix.from_columns(
+            [list((mu ** j).coords) for j in range(k2)])
+        gens2 = [transport.apply([Fraction(x, second.den)
+                                  for x in second.basis.column(j)])
+                 for j in range(k2)]
+        h2, den2 = hnf_basis(gens2)
     gens1 = [[Fraction(x, first.den) for x in first.basis.column(j)]
              for j in range(k1)]
     found = {}
-    for direction, power, h, den, vectors in (
-            ("second-into-first", 1, first.basis, first.den, gens2),
-            ("first-into-second", m, h2, den2, gens1)):
-        found[direction] = _absorption(first.field, power, h, den, vectors)
+    for direction, step, h, den, vectors in (
+            ("second-into-first", first.power, first.basis, first.den, gens2),
+            ("first-into-second", power, h2, den2, gens1)):
+        found[direction] = _absorption(first.field, step, h, den, vectors)
         if "denominator" in found[direction]:
             break
     # a prime-denominator witness is reported before a not-absorbed one

@@ -25,7 +25,7 @@ from .matrix import (
     hnf_basis,
     primitivity_exponent,
 )
-from .perron import _transported, multiplication_matrices, perron_data
+from .perron import _check_eigvec, multiplication_matrices, perron_data
 from .subst import Substitution, linear_bound_estimate
 from .words import RunWord
 
@@ -158,14 +158,13 @@ def _power_search(field, inv, start_vecs, accept, start, cap, what):
                           % (cap, what))
 
 
-def _minimize_core(base, lattice, xs, move_cap=200, n_cap=200, m_cap=200):
+def _minimize_core(lattice, xs, move_cap=200, n_cap=200, m_cap=200):
     """Shared pipeline: adjusted basis -> rows -> stationary system.
 
-    base is the input's PerronData.  lattice must be closed under
-    multiplication by the field generator and contain every entry of xs;
-    xs must be positive with sum one.
+    lattice must be closed under multiplication by its field's generator
+    and contain every entry of xs; xs must be positive with sum one.
     """
-    field = base.field
+    field = lattice.field
     k = field.degree
     f_vecs = [[Fraction(lattice.basis.at(i, j), lattice.den)
                for i in range(k)] for j in range(k)]
@@ -194,9 +193,6 @@ def _minimize_core(base, lattice, xs, move_cap=200, n_cap=200, m_cap=200):
 
     lam_shift = field.lam().inverse() ** n_power
     z = [pj * lam_shift for pj in cone.p]
-    one = field.one()
-    if sum((z[j] * level0[j] for j in range(k)), field.zero()) != one:
-        raise InternalError("path weights do not sum to one")
     for i, x in enumerate(xs):
         lhs = sum((z[j] * rows[i][j] for j in range(k)), field.zero())
         if lhs != x:
@@ -214,10 +210,7 @@ def _minimize_core(base, lattice, xs, move_cap=200, n_cap=200, m_cap=200):
     diagram = diagram_from_substitution(out, level0=level0)
 
     # the cone certified every p positive, so z is a positive eigenvector
-    alpha = sum(z[1:], z[0])
-    scale = alpha.inverse()
-    pd_out = _transported(a_tilde, base, m_power, [x * scale for x in z])
-    out_lattice = lattice_of(pd_out, level0=level0)
+    out_lattice = _carried_group(a_tilde, field, m_power, z, level0)
     comparison = groups_equal(lattice, out_lattice, m=m_power)
     _require_equal(comparison,
                    "output group is not identified with the input group")
@@ -229,7 +222,7 @@ def _minimize_core(base, lattice, xs, move_cap=200, n_cap=200, m_cap=200):
         "rows": rows,
         "level0": level0,
         "weights": tuple(z),
-        "alpha": alpha,
+        "alpha": sum(z[1:], z[0]),
         "basis_power": n_power,
         "matrix_power": m_power,
         "moves": moves,
@@ -253,7 +246,7 @@ def minimize_vertices(system, move_cap=200, n_cap=200, m_cap=200):
         a = _coerce_matrix(system)
     pd = perron_data(a)
     lattice = lattice_of(pd)
-    report = _minimize_core(pd, lattice, list(pd.eigvec),
+    report = _minimize_core(lattice, list(pd.eigvec),
                             move_cap=move_cap, n_cap=n_cap, m_cap=m_cap)
     report["input_size"] = a.rows
     report["output_size"] = pd.k
@@ -309,10 +302,52 @@ def realize_group_matrix(matrix, weights, closure_cap=24,
         gens.extend([list(v) for v in layer])
     saturated = LatticeGroup(field, gens)
 
-    report = _minimize_core(pd, saturated, xs,
+    report = _minimize_core(saturated, xs,
                             move_cap=move_cap, n_cap=n_cap, m_cap=m_cap)
     report["closure_power"] = closure_power
     return report
+
+
+# Coordinate size, in bits, of the largest eigenvalue power lam0**K whose
+# group _carried_group builds; each builder step multiplies K, and the
+# certificates then take seconds on such coordinates.
+POWER_BITS = 32_768
+
+
+def _carried_group(m, field, power, vec, level0=None):
+    """Group of m, carried in the field of the input it was derived from.
+
+    field's root is lam0; vec is a positive eigenvector of m in field for
+    lam0**power, whose entries sum to one (pair to one with the root
+    multiplicities level0, if given); m is primitive (callers certify
+    it).  The result is the lattice of vec's entries, closed under
+    lam0**power, which is the group of m.  The certificate:
+
+    - Positivity is carried, not re-signed.  The callers build vec from
+      the input's eigenvector entries, each certified positive by
+      perron_data, from values lam0**j - 1 with j >= 1, positive since
+      lam0 > lo0 > 1 for the lower end lo0 of field's interval, and
+      from lattice basis values that the vertex minimization's cone
+      certified positive, times lam0**-n; sums, products and quotients
+      keep it.  By Perron-Frobenius the
+      eigenvalue of a positive eigenvector of a primitive matrix is its
+      Perron root, so lam0**power is the Perron root of m, and a simple
+      one; Q(lam0**power) is field, so no other field is built.
+    - The coordinates of lam0**power are held to POWER_BITS bits.
+    - The normalization and m vec = lam0**power vec are checked exactly
+      in field.
+    """
+    lam = field.lam() ** power
+    bits = max(abs(c.numerator).bit_length() for c in lam.coords)
+    if bits > POWER_BITS:
+        raise CapabilityError(
+            "coordinates of eigenvalue power %d have %d bits, over the "
+            "budget of %d bits" % (power, bits, POWER_BITS))
+    weights = level0 or (1,) * len(vec)
+    if sum((x * c for x, c in zip(vec, weights)), field.zero()) != 1:
+        raise InternalError("carried eigenvector does not sum to one")
+    _check_eigvec(m, lam, vec, field)
+    return LatticeGroup(field, [x.coords for x in vec], power)
 
 
 def _require_equal(comparison, unequal):
@@ -329,18 +364,17 @@ def enlarge_matrix(a, k_cap=64):
     and the group comparison are certified exactly.
     """
     pd = perron_data(_coerce_matrix(a))
-    return _enlarge(pd, pd, 1, pd.eigvec, k_cap)[0]
+    return _enlarge(pd.matrix, lattice_of(pd), pd.eigvec, k_cap)[0]
 
 
-def _enlarge(pd, base, power, vec, k_cap):
-    """enlarge_matrix on pd.matrix, whose Perron data pd is at hand.
+def _enlarge(a, group, vec, k_cap):
+    """enlarge_matrix on a, whose group is at hand.
 
-    Its eigenvalue is lam0**power, lam0 the root of base, and vec is its
-    positive eigenvector in base's field, summing to one.  Returns
-    (report, out_pd, out_power, out_vec), the same three for the enlarged
-    matrix, whose data is transported from base.
+    a has Perron root lam0**group.power, lam0 the root of group.field,
+    and vec is its positive eigenvector in that field, summing to one.
+    Returns (report, out, out_group, out_vec): the report, the enlarged
+    matrix, and its group and eigenvector carried in the same field.
     """
-    a = pd.matrix
     a_cols = list(zip(*a.int_rows()))
     colsums = [sum(col) for col in a_cols]
     found = first_power(
@@ -360,14 +394,15 @@ def _enlarge(pd, base, power, vec, k_cap):
     exponent = primitivity_exponent(out)
     if exponent is None:
         raise InternalError("enlargement lost primitivity")
-    lam = base.field.lam() ** power
+    field = group.field
+    lam = field.lam() ** group.power
     y = list(vec) + [lam - 1]
-    # the entries of y sum to 1 + (lam - 1); _transported checks that y
+    # the entries of y sum to 1 + (lam - 1); _carried_group checks that y
     # is an eigenvector of out for lam**step
     inv = lam.inverse()
     out_vec = [x * inv for x in y]
-    out_pd = _transported(out, base, power * step, out_vec)
-    comparison = groups_equal(lattice_of(pd), lattice_of(out_pd), m=step)
+    out_group = _carried_group(out, field, group.power * step, out_vec)
+    comparison = groups_equal(group, out_group, m=step)
     _require_equal(comparison, "enlargement changed the path group")
     report = {
         "matrix": out,
@@ -375,7 +410,7 @@ def _enlarge(pd, base, power, vec, k_cap):
         "primitivity": exponent,
         "groups": comparison,
     }
-    return report, out_pd, power * step, out_vec
+    return report, out, out_group, out_vec
 
 
 def _needs(letters, extra_counts):
@@ -472,7 +507,7 @@ def build_soe_substitution(subst, block_length, n_cap=64,
     original = subst.complexity(l + 1)
     pd = perron_data(a)
     comparison = groups_equal(
-        lattice_of(pd), lattice_of(_transported(p, pd, power, pd.eigvec)),
+        lattice_of(pd), _carried_group(p, pd.field, power, pd.eigvec),
         m=power)
     _require_equal(comparison, "rewriting changed the path group")
     return {
@@ -504,23 +539,23 @@ def build_oe_alphabet_family(subst, steps=1, probe_n=40, scan_n=60,
         raise DomainError("substitution must be primitive")
     members = []
     current = subst
-    base = None
+    group = None
     for _ in range(int(steps)):
         bound = max(linear_bound_estimate(current, probe_n), current.size)
         target = bound + 2
-        if base is None:
-            # every member's Perron data is transported from the input's
-            base = perron_data(subst.incidence_matrix())
-            pd, power, vec = base, 1, base.eigvec
-        grown_pd, grown_power, grown_vec = pd, power, vec
+        if group is None:
+            # every member's group is carried in the input's field
+            pd = perron_data(subst.incidence_matrix())
+            matrix, group, vec = pd.matrix, lattice_of(pd), pd.eigvec
+        grown, grown_group, grown_vec = matrix, group, vec
         accumulated = 1
-        while grown_pd.matrix.rows < target:
-            grown, grown_pd, grown_power, grown_vec = _enlarge(
-                grown_pd, base, grown_power, grown_vec, k_cap)
-            accumulated *= grown["power"]
-        s = grown_pd.matrix.rows
+        while grown.rows < target:
+            report, grown, grown_group, grown_vec = _enlarge(
+                grown, grown_group, grown_vec, k_cap)
+            accumulated *= report["power"]
+        s = grown.rows
         found = first_power(
-            grown_pd.matrix,
+            grown,
             lambda rows: (all(x >= 1 for row in rows for x in row)
                           and all(x >= 2 for x in rows[0])
                           and rows[0][0] >= 3), power_cap)
@@ -540,9 +575,9 @@ def build_oe_alphabet_family(subst, steps=1, probe_n=40, scan_n=60,
             if count <= (bound + 1) * n:
                 raise InternalError("family member complexity fails the "
                                     "slope bound at length %d" % n)
-        member_pd = _transported(b, base, grown_power * exponent, grown_vec)
-        comparison = groups_equal(lattice_of(pd), lattice_of(member_pd),
-                                  m=accumulated)
+        member_group = _carried_group(b, group.field,
+                                      grown_group.power * exponent, grown_vec)
+        comparison = groups_equal(group, member_group, m=accumulated)
         _require_equal(comparison, "family member changed the path group")
         members.append({
             "substitution": zeta,
@@ -553,7 +588,7 @@ def build_oe_alphabet_family(subst, steps=1, probe_n=40, scan_n=60,
             "groups": comparison,
         })
         current = zeta
-        pd, power, vec = member_pd, grown_power * exponent, grown_vec
+        matrix, group, vec = b, member_group, grown_vec
     return members
 
 

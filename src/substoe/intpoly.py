@@ -163,7 +163,6 @@ class IntPolynomial:
         return " ".join(parts)
 
 
-X = IntPolynomial([0, 1])
 ONE = IntPolynomial([1])
 
 
@@ -368,12 +367,19 @@ def refine_root_interval(f, lo, hi):
 # ---------------------------------------------------------------------------
 # Factorization of monic integer polynomials.
 #
-# Squarefree reduction, Berlekamp over a small prime, quadratic Hensel
-# lifting past the coefficient bound, then subset recombination.  Degrees
-# are capped: the only consumers here are characteristic polynomials of
-# desk-scale matrices.
+# Squarefree reduction, Berlekamp over the least odd prime that keeps f
+# squarefree, quadratic Hensel lifting past the coefficient bound, then
+# subset recombination.  Degrees are capped: the only consumers here are
+# characteristic polynomials of desk-scale matrices.
 
-_SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+
+def _odd_primes():
+    """3, 5, 7, 11, ... by trial division."""
+    p = 3
+    while True:
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 2
 
 
 def _gf_strip(a):
@@ -670,27 +676,18 @@ def factor_monic_squarefree(f, degree_cap=FACTOR_DEGREE_CAP):
     if f.degree <= 1:
         return [f]
 
-    # A prime keeping the degree with gcd(f mod p, f' mod p) = 1 also
-    # certifies f squarefree: a square factor g^2 of monic f survives
-    # reduction as a square of the monic g mod p.  So the gcd over the
-    # integers runs only when no small prime is usable.
+    # A prime with gcd(f mod p, f' mod p) = 1 also certifies f squarefree:
+    # a square factor g^2 of monic f survives reduction as a square of the
+    # monic g mod p.  So the gcd over the integers runs only once 3 fails;
+    # past it, f is squarefree and fails only at the finitely many primes
+    # dividing its discriminant, so the search ends.
     df = f.derivative()
-    chosen = None
-    for p in _SMALL_PRIMES:
-        fp = [c % p for c in f.coeffs]
-        if len(_gf_strip(list(fp))) - 1 != f.degree:
-            continue
+    for p in _odd_primes():
         d = _gf_strip([c % p for c in df.coeffs])
-        if not d:
-            continue
-        if len(_gf_gcd(list(fp), d, p)) - 1 == 0:
-            chosen = p
+        if d and len(_gf_gcd([c % p for c in f.coeffs], d, p)) == 1:
             break
-    if chosen is None:
-        if poly_gcd(f, df).degree != 0:
+        if p == 3 and poly_gcd(f, df).degree != 0:
             raise DomainError("squarefree polynomial required")
-        raise CapabilityError("no usable small prime for factorization")
-    p = chosen
 
     modular = _berlekamp(_gf_strip([c % p for c in f.coeffs]), p)
     if len(modular) == 1:

@@ -9,11 +9,10 @@ coordinate lattice Z^k of the field.
 
 from dataclasses import dataclass
 
-from .errors import CapabilityError, DomainError, InternalError
+from .errors import DomainError, InternalError
 from .field import (FieldElement, NumberField, _rem_monic, certified_sign,
-                    dominant_root_field, minimal_polynomial)
-from .matrix import (ExactMatrix, charpoly, gauss_jordan, kernel_basis,
-                     primitivity_exponent)
+                    dominant_root_field)
+from .matrix import ExactMatrix, charpoly, kernel_basis, primitivity_exponent
 
 
 def field_kernel_basis(rows, field):
@@ -93,79 +92,6 @@ def perron_data(m):
     coords = ExactMatrix.from_columns([list(x.coords) for x in vec])
     return PerronData(matrix=m, field=field, k=k, lam=lam,
                       eigvec=tuple(vec), coords_matrix=coords)
-
-
-# Coefficient size, in bits, of the largest minimal polynomial that
-# _transported builds a field for; arithmetic in such a field takes
-# seconds per eigenvector check, and each builder step doubles the size.
-TRANSPORT_BITS = 32_768
-
-
-def _transported(m, base, power, vec):
-    """PerronData of m, carried over from base instead of recomputed.
-
-    vec is a positive eigenvector of m in base's field for lam0**power,
-    lam0 being base's root, with entries summing to one; m is primitive
-    (callers certify it).  The result equals perron_data(m) except for
-    the isolating interval, which holds the same root.  The certificate:
-
-    - Positivity is carried, not re-signed.  The callers build vec from
-      base's eigenvector entries, each certified positive by
-      perron_data, from values lam0**j - 1 with j >= 1, positive since
-      lam0 > lo0 > 1, and from lattice basis values that the vertex
-      minimization's cone certified positive, times lam0**-n; sums,
-      products and quotients keep it.  By Perron-Frobenius the
-      eigenvalue of a positive eigenvector of a primitive matrix is its
-      Perron root, so mu = lam0**power is the dominant root of m, and a
-      simple one.
-    - The minimal polynomial of mu comes from base's field.  Its degree
-      is base's: a conjugate of lam0 with the same power-th power would
-      have lam0's modulus, which the Perron root of a primitive matrix
-      does not share.  So Q(mu) is base's field and the change to the mu
-      power basis is one square solve.
-    - The interval (lo**power, hi**power) holds mu for every interval of
-      base's bisection chain; the first one that NumberField accepts as
-      isolating is kept.  lo > 1 there, since lo0 > 1.
-    - The eigenequation is checked exactly in the new field.
-
-    Everything runs on base's field, whose coefficients stay small;
-    transporting from a field that was itself transported would not.
-    """
-    f0 = base.field
-    k = f0.degree
-    mu0 = f0.lam() ** power
-    poly = minimal_polynomial(mu0)
-    if poly.degree != k:
-        raise InternalError("eigenvalue power lost the field degree")
-    bits = max(abs(c).bit_length() for c in poly.coeffs)
-    if bits > TRANSPORT_BITS:
-        raise CapabilityError(
-            "minimal polynomial of eigenvalue power %d has %d-bit "
-            "coefficients, over the budget of %d bits"
-            % (power, bits, TRANSPORT_BITS))
-
-    def accept(lo, hi):
-        try:
-            return NumberField(poly, (lo ** power, hi ** power))
-        except DomainError:
-            return None
-    field = f0._first_accepted(accept)
-    if sum(vec[1:], vec[0]) != 1:
-        raise InternalError("carried eigenvector does not sum to one")
-    # columns mu0**j of the basis, then one right-hand side per entry
-    cols = [f0.one().coords]
-    for _ in range(k - 1):
-        cols.append((mu0 * f0.from_coords(cols[-1])).coords)
-    cols.extend(x.coords for x in vec)
-    rows = [list(r) for r in zip(*cols)]
-    if len(gauss_jordan(rows, k)) != k:
-        raise InternalError("eigenvalue powers do not span the field")
-    eigvec = tuple(field.from_coords(c) for c in zip(*(r[k:] for r in rows)))
-    lam = field.lam()
-    _check_eigvec(m, lam, eigvec, field)
-    coords = ExactMatrix.from_columns([list(x.coords) for x in eigvec])
-    return PerronData(matrix=m, field=field, k=k, lam=lam,
-                      eigvec=eigvec, coords_matrix=coords)
 
 
 def measure_weights(pd, level0):

@@ -201,9 +201,6 @@ class RunWord:
         return "RunWord<%s | length %d>" % (inner, self.length)
 
 
-EMPTY = RunWord()
-
-
 def word_of(value):
     """Coerce a word description into a RunWord.
 

@@ -299,16 +299,15 @@ class TestFactorization:
                 prod = prod * g
             assert prod == f
 
-    def test_no_usable_prime(self):
-        # x^2 - D with D the product of every small prime: x^2 mod p for
-        # each of them, so no prime certifies; squarefree, so the refusal
-        # is the capability one, and its square is a domain error
+    def test_prime_search_runs_past_59(self):
+        # x^2 - D with D the product of the odd primes up to 59: x^2 mod p
+        # for each of them, so the first usable prime is 61; its square is
+        # a domain error
         d = 1
         for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
             d *= p
         f = P(1, 0, -d)
-        with pytest.raises(CapabilityError, match="no usable small prime"):
-            factor_monic_squarefree(f)
+        assert factor_monic_squarefree(f) == [f]
         with pytest.raises(DomainError, match="squarefree polynomial required"):
             factor_monic_squarefree(f * f)
 

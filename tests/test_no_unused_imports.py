@@ -8,7 +8,9 @@ attribute access.  Every private module-level function or class, and
 every private method of a module-level class, must be read somewhere in
 src/substoe outside its own body: as a plain name, as an attribute, or
 as a name imported from its module.  Every private attribute stored as
-self._x = ... must be read somewhere in src/substoe as an attribute.
+self._x = ... must be read somewhere in src/substoe as an attribute, and
+every name assigned at module level must be read somewhere in
+src/substoe in one of the ways a private def is.
 """
 
 import ast
@@ -113,6 +115,27 @@ def unread_private_attributes(sources):
     return sorted(s for s in stored if s[2] not in read)
 
 
+def unread_module_names(sources):
+    """(module, line, name) of names assigned at module level, other than
+    dunder names, that no module reads; sources maps module names to
+    text."""
+    assigned, read = [], set()
+    for mod, text in sources.items():
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            assigned.extend((mod, node.lineno, t.id) for t in targets
+                            if isinstance(t, ast.Name)
+                            and not t.id.startswith("__"))
+        read |= _reads(ast.walk(tree))
+    return sorted(a for a in assigned if a[2] not in read)
+
+
 def test_scanner_finds_an_unused_import():
     source = "import os\nfrom re import compile, sub\nsub('a', 'b', 'c')\n"
     assert unused_imports(source) == [(1, "os"), (2, "compile")]
@@ -186,3 +209,18 @@ def test_scanner_finds_unread_private_attributes():
 def test_every_private_attribute_is_read():
     sources = {p.name: p.read_text() for p in PACKAGE}
     assert unread_private_attributes(sources) == []
+
+
+def test_scanner_finds_unread_module_names():
+    sources = {
+        "a": "CAP = 3\nX = 1\n_POOL: str = 'ab'\n__all__ = ['f']\n"
+             "LOCAL = 2\ndef f():\n    return LOCAL\n"
+             "class C:\n    INNER = 4\n",
+        "b": "from .a import CAP\nimport a\na._POOL\n",
+    }
+    assert unread_module_names(sources) == [("a", 2, "X")]
+
+
+def test_every_module_name_is_read():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    assert unread_module_names(sources) == []

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from substoe.construct import enlarge_matrix
 from substoe.errors import DomainError
-from substoe.field import certified_sign, number_field
+from substoe.field import certified_sign, minimal_polynomial, number_field
 from substoe.intpoly import IntPolynomial
 from substoe.matrix import ExactMatrix, charpoly, primitivity_exponent
 from substoe.perron import (
@@ -50,6 +50,18 @@ class TestPerronData:
         pd = perron_data(A1)
         assert pd.field.min_poly == IntPolynomial([1, -7, 1])
         assert pd.k == 2
+
+    def test_ninth_vertex_enlargement(self):
+        # the 9x9 seventh step from A0: every odd prime up to 59 divides
+        # the discriminant of its squarefree charpoly part
+        m, power = A0, 1
+        for _ in range(7):
+            report = enlarge_matrix(m)
+            m, power = report["matrix"], power * report["power"]
+        assert m.rows == 9
+        pd = perron_data(m)
+        lam = perron_data(A0).field.lam()
+        assert pd.field.min_poly == minimal_polynomial(lam ** power)
 
     def test_not_primitive_rejected(self):
         with pytest.raises(DomainError):

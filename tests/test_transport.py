@@ -1,4 +1,10 @@
-"""Perron data carried through the builders against fresh perron_data."""
+"""Groups the builders carry in the input's field against fresh perron_data.
+
+The oracle is the public comparison across fields: groups_equal of a
+carried group and the group of perron_data on the same matrix identifies
+the fresh field's root with the carried power of the input's root, and
+both absorption exponents 0 say the two lattices are identical.
+"""
 
 from fractions import Fraction
 
@@ -6,15 +12,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from substoe import construct, perron
-from substoe.clopen import lattice_of
-from substoe.construct import (_enlarge, build_oe_alphabet_family,
+from substoe import clopen, construct
+from substoe.clopen import LatticeGroup, groups_equal, lattice_of
+from substoe.construct import (_carried_group, _enlarge,
+                               build_oe_alphabet_family,
                                build_soe_substitution, enlarge_matrix,
                                minimize_vertices, realize_group_matrix)
-from substoe.errors import CapabilityError, InternalError
-from substoe.intpoly import count_real_roots
+from substoe.errors import (CapabilityError, DomainError, FieldMismatchError,
+                            InternalError)
 from substoe.matrix import ExactMatrix, primitivity_exponent
-from substoe.perron import _transported, perron_data
+from substoe.perron import perron_data
 from substoe.subst import Substitution
 
 A0 = ExactMatrix.from_rows([[1, 1], [1, 2]])
@@ -30,22 +37,11 @@ NAMED = {
 }
 
 
-def assert_same(carried, fresh):
-    assert carried.matrix == fresh.matrix
-    assert carried.field.min_poly == fresh.field.min_poly
-    assert carried.k == fresh.k
-    assert carried.lam == fresh.lam
-    assert [x.coords for x in carried.eigvec] == [x.coords for x in fresh.eigvec]
-    assert carried.coords_matrix == fresh.coords_matrix
-    ours, theirs = lattice_of(carried), lattice_of(fresh)
-    assert ours.basis == theirs.basis and ours.den == theirs.den
-    # both intervals isolate a root, and they overlap on it: the same one
-    poly = fresh.field.min_poly
-    (lo1, hi1), (lo2, hi2) = carried.field.interval, fresh.field.interval
-    assert 1 < lo1
-    assert count_real_roots(poly, lo1, hi1) == 1
-    assert count_real_roots(poly, lo2, hi2) == 1
-    assert count_real_roots(poly, max(lo1, lo2), min(hi1, hi2)) == 1
+def assert_carried(group, m, level0=None):
+    """group is the group perron_data(m) gives, renormalized by level0."""
+    fresh = lattice_of(perron_data(m), level0)
+    assert groups_equal(group, fresh, 1) == {
+        "status": "equal", "first_absorbs_at": 0, "second_absorbs_at": 0}
 
 
 def primitive_rows(size):
@@ -58,24 +54,35 @@ def usable(rows):
     return rows != [[1]] and primitivity_exponent(m) is not None
 
 
+def carried_powers(a, powers):
+    """(a**e, group of a**e carried from perron_data(a)) for e in powers."""
+    base = perron_data(a)
+    for e in powers:
+        m = a ** e
+        yield m, _carried_group(m, base.field, e, base.eigvec)
+
+
 class TestEnlargeTransport:
     def test_golden_chain_three_to_eight(self):
-        base = pd = perron_data(A0)
-        power, vec = 1, base.eigvec
-        while pd.matrix.rows < 8:
-            report, pd, power, vec = _enlarge(pd, base, power, vec, 64)
-            assert pd.matrix == report["matrix"]
-            assert_same(pd, perron_data(pd.matrix))
-        assert power == 2 ** 6
+        base = perron_data(A0)
+        m, group, vec = A0, lattice_of(base), base.eigvec
+        while m.rows < 8:
+            report, m, group, vec = _enlarge(m, group, vec, 64)
+            assert m == report["matrix"]
+            assert group.field is base.field
+            assert_carried(group, m)
+        assert group.power == 2 ** 6
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.integers(2, 5).flatmap(primitive_rows))
     def test_random_primitive(self, rows):
         assume(usable(rows))
         base = perron_data(ExactMatrix.from_rows(rows))
-        report, pd, power, _ = _enlarge(base, base, 1, base.eigvec, 64)
-        assert power == report["power"]
-        assert_same(pd, perron_data(report["matrix"]))
+        report, m, group, _ = _enlarge(base.matrix, lattice_of(base),
+                                       base.eigvec, 64)
+        assert group.power == report["power"]
+        assert m == report["matrix"]
+        assert_carried(group, m)
 
     def test_public_enlarge_unchanged(self):
         assert enlarge_matrix(A0)["matrix"].int_rows() == [
@@ -92,61 +99,97 @@ class TestPowerTransport:
         [[1, 1, 1], [2, 3, 1], [8, 13, 0]],  # degree 2 on three vertices
     ])
     def test_powers_one_to_six(self, rows):
-        a = ExactMatrix.from_rows(rows)
-        base = perron_data(a)
-        for e in range(1, 7):
-            m = a ** e
-            assert_same(_transported(m, base, e, base.eigvec), perron_data(m))
+        for m, group in carried_powers(ExactMatrix.from_rows(rows),
+                                       range(1, 7)):
+            assert_carried(group, m)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(st.integers(2, 4).flatmap(primitive_rows), st.integers(1, 6))
     def test_random_powers(self, rows, e):
         assume(usable(rows))
-        a = ExactMatrix.from_rows(rows)
-        base = perron_data(a)
-        m = a ** e
-        assert_same(_transported(m, base, e, base.eigvec), perron_data(m))
+        (m, group), = carried_powers(ExactMatrix.from_rows(rows), [e])
+        assert_carried(group, m)
 
     def test_wrong_power_fails_the_eigen_check(self):
         base = perron_data(A0)
-        with pytest.raises(InternalError, match="eigenvector equation"):
-            _transported(A0 ** 3, base, 2, base.eigvec)
+        with pytest.raises(InternalError, match="eigenvector equation "
+                           "failed exact verification"):
+            _carried_group(A0 ** 3, base.field, 2, base.eigvec)
 
     def test_unnormalized_vector_is_refused(self):
         base = perron_data(A0)
         doubled = [x * 2 for x in base.eigvec]
         with pytest.raises(InternalError, match="sum to one"):
-            _transported(A0 ** 2, base, 2, doubled)
+            _carried_group(A0 ** 2, base.field, 2, doubled)
 
     def test_coefficient_budget(self, monkeypatch):
-        # lam**8 has minimal polynomial t^2 - 2207 t + 1: 12-bit coefficients
+        # lam**8 = -377 + 987 lam: 10-bit coordinates
         base = perron_data(A0)
-        monkeypatch.setattr(perron, "TRANSPORT_BITS", 12)
-        assert_same(_transported(A0 ** 8, base, 8, base.eigvec),
-                    perron_data(A0 ** 8))
-        monkeypatch.setattr(perron, "TRANSPORT_BITS", 11)
-        with pytest.raises(CapabilityError, match="eigenvalue power 8 has "
-                           "12-bit coefficients, over the budget of 11 bits"):
-            _transported(A0 ** 8, base, 8, base.eigvec)
+        monkeypatch.setattr(construct, "POWER_BITS", 10)
+        assert_carried(_carried_group(A0 ** 8, base.field, 8, base.eigvec),
+                       A0 ** 8)
+        monkeypatch.setattr(construct, "POWER_BITS", 9)
+        with pytest.raises(CapabilityError, match="eigenvalue power 8 have "
+                           "10 bits, over the budget of 9 bits"):
+            _carried_group(A0 ** 8, base.field, 8, base.eigvec)
+
+    def test_same_field_power_must_match(self):
+        base = perron_data(A0)
+        squared = _carried_group(A0 ** 2, base.field, 2, base.eigvec)
+        with pytest.raises(FieldMismatchError):
+            groups_equal(lattice_of(base), squared, 1)
+        with pytest.raises(FieldMismatchError):
+            groups_equal(squared, lattice_of(base), 2)
+        # a carried lattice meets another field only as the first one,
+        # even where that field's root is the carried one's lam
+        with pytest.raises(FieldMismatchError):
+            groups_equal(lattice_of(perron_data(A0)), squared, 1)
+        assert groups_equal(lattice_of(base), squared, 2)["status"] == "equal"
+
+    def test_membership_steps_by_the_power(self):
+        # lam = 2; the group of [[4]] is Z closed under 4, and 4**2 / 8
+        # is the first power of 4 that clears 1/8
+        base = perron_data(ExactMatrix.from_rows([[2]]))
+        group = _carried_group(ExactMatrix.from_rows([[4]]), base.field, 2,
+                               base.eigvec)
+        eighth = base.field.from_rational(Fraction(1, 8))
+        assert group.membership_exponent(eighth) == 2
+        assert lattice_of(base).membership_exponent(eighth) == 3
+        # 8Z closed under 4 absorbs Z at 4**2, the first's power squared
+        eights = LatticeGroup(base.field, [(8,)], 2)
+        assert groups_equal(group, eights, 1) == {
+            "status": "equal", "first_absorbs_at": 0, "second_absorbs_at": 2}
+
+    def test_closure_under_the_power(self):
+        # lam**2 = 3 lam - 1 and lam**3 = 8 lam - 3 keep Z + 3 lam Z, which
+        # lam itself leaves
+        field = perron_data(A0).field
+        assert LatticeGroup(field, [(1, 0), (0, 3)], 2).power == 2
+        with pytest.raises(DomainError, match="not closed"):
+            LatticeGroup(field, [(1, 0), (0, 3)])
 
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every transport the builders make, and their perron_data calls."""
+    """Every group the builders carry, and their perron_data calls."""
     seen, calls = [], []
 
-    def transport(m, base, power, vec):
-        pd = _transported(m, base, power, vec)
-        seen.append(pd)
-        return pd
+    def carry(m, field, power, vec, level0=None):
+        group = _carried_group(m, field, power, vec, level0)
+        seen.append((group, m, level0))
+        return group
 
     def fresh(m):
         calls.append(m)
         return perron_data(m)
 
-    monkeypatch.setattr(construct, "_transported", transport)
+    monkeypatch.setattr(construct, "_carried_group", carry)
     monkeypatch.setattr(construct, "perron_data", fresh)
     return seen, calls
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a builder identified a field")
 
 
 class TestBuilders:
@@ -155,17 +198,17 @@ class TestBuilders:
         seen, calls = recorded
         members = build_oe_alphabet_family(Substitution(NAMED[name]), steps=1)
         assert len(calls) == 1
-        assert seen[-1].matrix == members[0]["substitution"].incidence_matrix()
-        for pd in seen:
-            assert_same(pd, perron_data(pd.matrix))
+        assert seen[-1][1] == members[0]["substitution"].incidence_matrix()
+        for group, m, level0 in seen:
+            assert_carried(group, m, level0)
 
     @pytest.mark.parametrize("name", ["golden", "tribonacci", "thue-morse"])
     def test_family_soe(self, recorded, name):
         seen, calls = recorded
         report = build_soe_substitution(Substitution(NAMED[name]), 2)
         assert len(calls) == 1 and len(seen) == 1
-        assert seen[0].matrix == report["substitution"].incidence_matrix()
-        assert_same(seen[0], perron_data(seen[0].matrix))
+        assert seen[0][1] == report["substitution"].incidence_matrix()
+        assert_carried(*seen[0])
 
     def test_enlarge_one_perron_call(self, recorded):
         seen, calls = recorded
@@ -177,10 +220,9 @@ class TestBuilders:
         members = build_oe_alphabet_family(Substitution(NAMED["fibonacci"]),
                                            steps=2)
         assert len(calls) == 1 and len(members) == 2
-        # the second member is compared against the first member's data
-        assert seen[-1].matrix == members[1]["substitution"].incidence_matrix()
+        # the second member is compared against the first member's group
+        assert seen[-1][1] == members[1]["substitution"].incidence_matrix()
         assert members[1]["groups"]["status"] == "equal"
-
 
     @pytest.mark.parametrize("system", [
         [[1, 1, 1], [2, 3, 1], [8, 13, 0]],
@@ -192,8 +234,9 @@ class TestBuilders:
             system = Substitution(system)
         report = minimize_vertices(system)
         assert len(calls) == 1 and len(seen) == 1
-        assert seen[0].matrix == report["matrix"]
-        assert_same(seen[0], perron_data(seen[0].matrix))
+        assert seen[0][1] == report["matrix"]
+        assert seen[0][2] == report["level0"]
+        assert_carried(*seen[0])
 
     @pytest.mark.parametrize("weights", [
         [[Fraction(-1), Fraction(1, 2)], [Fraction(2), Fraction(-1, 2)]],
@@ -203,8 +246,23 @@ class TestBuilders:
         seen, calls = recorded
         report = realize_group_matrix(A0, weights)
         assert len(calls) == 1 and len(seen) == 1
-        assert seen[0].matrix == report["matrix"]
-        assert_same(seen[0], perron_data(seen[0].matrix))
+        assert seen[0][1] == report["matrix"]
+        assert_carried(*seen[0])
+
+    def test_no_field_is_identified(self, monkeypatch):
+        for module in (construct, clopen):
+            for name in ("NumberField", "minimal_polynomial",
+                         "_same_embedded_root"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        reports = [
+            enlarge_matrix(A0),
+            minimize_vertices([[1, 1, 1], [2, 3, 1], [8, 13, 0]]),
+            realize_group_matrix(A0, [[3, -1], [-2, 1]]),
+            build_soe_substitution(Substitution(NAMED["tribonacci"]), 2),
+        ] + build_oe_alphabet_family(Substitution(NAMED["fibonacci"]),
+                                     steps=2)
+        for report in reports:
+            assert report["groups"]["status"] == "equal"
 
 
 class TestGroupComparisonOutcomes:
