@@ -17,9 +17,9 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, FieldMismatchError
-from .field import (FieldElement, _cleared, _interval_horner, certified_sign,
+from .field import (FieldElement, _interval_horner, _times_lam, certified_sign,
                     minimal_polynomial)
-from .matrix import ExactMatrix, hnf_basis
+from .matrix import ExactMatrix, _cleared, hnf_basis
 from .perron import companion_matrix, measure_weights
 
 
@@ -105,16 +105,8 @@ def _lam_step(field, m=1):
     apply the integer matrix C**m.
     """
     if m == 1:
-        lower = field.min_poly.coeffs[:-1]
-
-        def step(v):
-            top = v[-1]
-            out = [0] + v[:-1]
-            if top:
-                for i, c in enumerate(lower):
-                    out[i] -= top * c
-            return out
-        return step
+        f = field.min_poly.coeffs
+        return lambda v: _times_lam(v, f)
     rows = (companion_matrix(field) ** m).int_rows()
     return lambda v: [sum(a * x for a, x in zip(row, v)) for row in rows]
 
@@ -151,8 +143,7 @@ class LatticeGroup:
         """Whether the element lies in the lattice itself (no rescaling)."""
         if elt.field != self.field:
             raise FieldMismatchError("element lives in a different field")
-        nums, e = _cleared(elt.coords)
-        return _lattice_coords(self._cols, self.den, nums, e) is not None
+        return _lattice_coords(self._cols, self.den, elt.nums, elt.den) is not None
 
     def membership_exponent(self, elt, cap=64):
         """Least n with lam**(power*n) * elt in the lattice if it is at most
@@ -239,7 +230,7 @@ def _same_embedded_root(mu, field2):
     outside it, since the interval ends are not roots.
     """
     lo, hi = field2.interval
-    nums, d = _cleared(mu.coords)
+    nums, d = mu.nums, mu.den
 
     def place(a, b):
         # mu lies in [vlo, vhi] / (s * d); scale field2's interval to match

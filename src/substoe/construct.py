@@ -15,10 +15,11 @@ from .bratteli import diagram_from_substitution
 from .clopen import (LatticeGroup, _int_columns, _lam_step, _lattice_coords,
                      groups_equal, lattice_of)
 from .errors import CapabilityError, DomainError, InternalError, RankError
-from .field import _cleared, certified_sign, perron_minimal_polynomial
+from .field import certified_sign, perron_minimal_polynomial
 from .intpoly import IntPolynomial
 from .matrix import (
     ExactMatrix,
+    _cleared,
     charpoly,
     eventual_positivity_exponent,
     first_power,
@@ -66,13 +67,8 @@ class _Cone:
         mp = multiplication_matrices(field)
         basis = ExactMatrix.from_columns(self.f)
         inv = basis.inverse()
-        k = field.degree
-        self.c = []
-        for i in range(k):
-            acc = field.zero()
-            for j in range(k):
-                acc = acc + mp.y1[j] * inv.at(i, j)
-            self.c.append(acc)
+        self.c = [sum((y * a for y, a in zip(mp.y1, inv.row(i))), field.zero())
+                  for i in range(field.degree)]
 
     def _top_two(self):
         """Indices of the largest and second-largest value p.
@@ -338,7 +334,9 @@ def _carried_group(m, field, power, vec, level0=None):
       in field.
     """
     lam = field.lam() ** power
-    bits = max(abs(c.numerator).bit_length() for c in lam.coords)
+    if lam.den != 1:
+        raise InternalError("eigenvalue power is not an algebraic integer")
+    bits = max(abs(x).bit_length() for x in lam.nums)
     if bits > POWER_BITS:
         raise CapabilityError(
             "coordinates of eigenvalue power %d have %d bits, over the "

@@ -1,17 +1,19 @@
 """Real algebraic number fields presented as Q[t] modulo a minimal polynomial.
 
-A field carries an isolating interval for its distinguished root, always the
-largest real root of the minimal polynomial, with rational endpoints where
-the polynomial changes sign.  Sign certification works by interval
-evaluation plus bisection of that interval; it terminates because a nonzero
-element of the field cannot vanish at the root.  The evaluation is interval
-Horner on integers (coordinates and endpoints over common denominators), and
-each field keeps its chain of bisected intervals, so every bisection step
+An element is integer numerators over one positive denominator in lowest
+terms: products are integer convolutions reduced by the monic minimal
+polynomial, and the inverse is one fraction-free (Bareiss) integer solve.
+A field carries an isolating interval for its distinguished root, always
+the largest real root of the minimal polynomial, with rational endpoints
+where the polynomial changes sign.  Signs are certified by interval Horner
+on the numerators over bisections of that interval, which ends because a
+nonzero element cannot vanish at the root.  Each field keeps its chain of
+bisected intervals, so every bisection step, one evaluation at a midpoint,
 runs once per field however many elements are certified.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DimensionError, DomainError, InternalError
 from .intpoly import (
@@ -22,13 +24,13 @@ from .intpoly import (
     refine_root_interval,
     squarefree_part,
 )
-from .matrix import ExactMatrix, charpoly, kernel_basis
+from .matrix import _bareiss, _cleared, charpoly, kernel_basis
 
 
 class NumberField:
     """Q(lam) for lam the largest real root of a monic irreducible polynomial."""
 
-    __slots__ = ("min_poly", "degree", "interval", "_chain")
+    __slots__ = ("min_poly", "degree", "interval", "_chain", "_lo_sign")
 
     def __init__(self, min_poly, interval):
         if not isinstance(min_poly, IntPolynomial) or not min_poly.is_monic:
@@ -47,6 +49,7 @@ class NumberField:
         object.__setattr__(self, "interval", (lo, hi))
         # _chain[i] is the interval bisected i times; see _first_accepted.
         object.__setattr__(self, "_chain", [(lo, hi)])
+        object.__setattr__(self, "_lo_sign", min_poly(lo))
 
     def __setattr__(self, name, value):
         raise AttributeError("NumberField is immutable")
@@ -61,22 +64,19 @@ class NumberField:
         return "NumberField(%s)" % (self.min_poly,)
 
     def zero(self):
-        return FieldElement(self, [0] * self.degree)
+        return _element(self, (0,) * self.degree, 1)
 
     def one(self):
         return self.from_rational(1)
 
     def lam(self):
-        if self.degree == 1:
-            return self.from_rational(-self.min_poly.coeffs[0])
-        coords = [Fraction(0)] * self.degree
-        coords[1] = Fraction(1)
-        return FieldElement(self, coords)
+        return _element(self, _times_lam(self.one().nums, self.min_poly.coeffs), 1)
 
     def from_rational(self, q):
-        coords = [Fraction(0)] * self.degree
-        coords[0] = Fraction(q)
-        return FieldElement(self, coords)
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return _element(self, (q.numerator,) + (0,) * (self.degree - 1),
+                        q.denominator)
 
     def from_coords(self, coords):
         return FieldElement(self, coords)
@@ -94,7 +94,8 @@ class NumberField:
         i = 0
         while True:
             if i == len(chain):
-                chain.append(refine_root_interval(self.min_poly, *chain[-1]))
+                chain.append(refine_root_interval(self.min_poly, *chain[-1],
+                                                  self._lo_sign))
             found = accept(*chain[i])
             if found is not None:
                 return found
@@ -107,30 +108,39 @@ class NumberField:
 
 
 class FieldElement:
-    __slots__ = ("field", "coords")
+    """sum(nums[i] * lam**i) / den with integers den > 0 and nums (a tuple),
+    gcd(den, *nums) == 1; coords, the Fraction form, is built when read."""
 
-    def __init__(self, field, coords):
-        coords = [Fraction(c) for c in coords]
+    __slots__ = ("field", "nums", "den", "_coords")
+
+    def __new__(cls, field, coords):
+        coords = [c if isinstance(c, int) else Fraction(c) for c in coords]
         if len(coords) != field.degree:
             raise DimensionError("coordinate vector has wrong length")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", tuple(coords))
+        return _element(field, *_cleared(coords))
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
 
     @property
+    def coords(self):
+        if not hasattr(self, "_coords"):
+            object.__setattr__(self, "_coords", tuple(
+                Fraction(x, self.den) for x in self.nums))
+        return self._coords
+
+    @property
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     @property
     def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self):
         if not self.is_rational:
             raise DomainError("element is irrational")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -145,7 +155,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, [a + b for a, b in zip(self.coords, o.coords)])
+        return _sum(self, o.nums, o.den)
 
     __radd__ = __add__
 
@@ -153,7 +163,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, [a - b for a, b in zip(self.coords, o.coords)])
+        return _sum(self, [-x for x in o.nums], o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -162,42 +172,42 @@ class FieldElement:
         return o - self
 
     def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coords])
+        return _element(self.field, tuple(-x for x in self.nums), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, [c * other for c in self.coords])
+            return _element(self.field, [x * other.numerator for x in self.nums],
+                            self.den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coords, o.coords
-        k = len(a)
-        prod = [Fraction(0)] * (2 * k - 1)
-        for i, x in enumerate(a):
+        b = o.nums
+        prod = [0] * (2 * len(b) - 1)
+        for i, x in enumerate(self.nums):
             if x:
                 for j, y in enumerate(b):
                     prod[i + j] += x * y
-        return FieldElement(self.field,
-                            _rem_monic(prod, self.field.min_poly.coeffs))
+        return _element(self.field,
+                        _rem_monic(prod, self.field.min_poly.coeffs),
+                        self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
+        """self * x = 1 as C x = den * e0, C the integer columns of the
+        numerators of self * lam**j, solved by _bareiss."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero field element")
         k = self.field.degree
-        # Columns are self * lam^j; solving against e0 inverts multiplication.
-        lam = self.field.lam()
-        cols = []
-        cur = self
-        for j in range(k):
-            cols.append(cur.coords)
-            if j + 1 < k:
-                cur = cur * lam
-        mat = ExactMatrix.from_columns(cols)
-        rhs = [Fraction(1)] + [Fraction(0)] * (k - 1)
-        sol = mat.solve(rhs)
-        return FieldElement(self.field, sol)
+        cols = [list(self.nums)]
+        while len(cols) < k:
+            cols.append(_times_lam(cols[-1], self.field.min_poly.coeffs))
+        rows = [[c[i] for c in cols] + [0 if i else self.den] for i in range(k)]
+        det = _bareiss(rows, k)
+        if det == 0:
+            raise DomainError("element is a zero divisor")
+        sign = 1 if det > 0 else -1
+        return _element(self.field, [sign * r[k] for r in rows], sign * det)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -229,10 +239,10 @@ class FieldElement:
             other = self.field.from_rational(other)
         return (isinstance(other, FieldElement)
                 and self.field == other.field
-                and self.coords == other.coords)
+                and self.nums == other.nums and self.den == other.den)
 
     def __hash__(self):
-        return hash(("FieldElement", self.field.min_poly.coeffs, self.coords))
+        return hash(("FieldElement", self.field.min_poly.coeffs, self.nums, self.den))
 
     def __repr__(self):
         return "FieldElement(%s)" % (", ".join(str(c) for c in self.coords),)
@@ -242,16 +252,41 @@ class FieldElement:
 
     def approx(self, digits=12):
         """Decimal string within 10**-digits of the true value."""
-        lo, hi = _value_interval(self, Fraction(1, 10 ** (digits + 1)))
+        lo, hi = value_interval(self, Fraction(1, 10 ** (digits + 1)))
         mid = (lo + hi) / 2
-        scaled = mid * 10 ** digits
-        q = scaled.numerator // scaled.denominator
-        if scaled - q >= Fraction(1, 2):
-            q += 1
+        q = (mid * 10 ** digits + Fraction(1, 2)) // 1  # half rounds up
         sign = "-" if q < 0 else ""
         q = abs(q)
         whole, frac = divmod(q, 10 ** digits)
         return "%s%d.%0*d" % (sign, whole, digits, frac)
+
+
+def _element(field, nums, den):
+    """The element nums / den for integers nums and den > 0."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [x // g for x in nums], den // g
+    elt = object.__new__(FieldElement)
+    object.__setattr__(elt, "field", field)
+    object.__setattr__(elt, "nums", tuple(nums))
+    object.__setattr__(elt, "den", den)
+    return elt
+
+
+def _sum(a, nums, den):
+    """a + nums / den, over the lcm of the two denominators."""
+    g = gcd(a.den, den)
+    s, t = a.den // g, den // g
+    return _element(a.field, [x * t + y * s for x, y in zip(a.nums, nums)],
+                    s * den)
+
+
+def _times_lam(nums, f):
+    """Numerators of lam times nums / d over d, f the coefficients of the
+    monic minimal polynomial: the companion shift."""
+    top = nums[-1]
+    return [(nums[i - 1] if i else 0) - top * f[i] for i in range(len(nums))]
 
 
 def _rem_monic(p, f):
@@ -264,14 +299,6 @@ def _rem_monic(p, f):
             for i in range(k):
                 r[top - k + i] -= q * f[i]
     return r[:k]
-
-
-def _cleared(coords):
-    """(nums, d): integer numerators over the lcm d of the denominators."""
-    d = 1
-    for c in coords:
-        d = lcm(d, c.denominator)
-    return [c.numerator * (d // c.denominator) for c in coords], d
 
 
 def _interval_horner(nums, lo, hi):
@@ -295,8 +322,9 @@ def _interval_horner(nums, lo, hi):
     return vlo, vhi, s
 
 
-def _value_interval(elt, width):
-    nums, d = _cleared(elt.coords)
+def value_interval(elt, width):
+    """Certified rational enclosure of the element's real value."""
+    nums, d, width = elt.nums, elt.den, Fraction(width)
 
     def enclosure(lo, hi):
         vlo, vhi, s = _interval_horner(nums, lo, hi)
@@ -307,19 +335,13 @@ def _value_interval(elt, width):
     return elt.field._first_accepted(enclosure)
 
 
-def value_interval(elt, width):
-    """Certified rational enclosure of the element's real value."""
-    return _value_interval(elt, Fraction(width))
-
-
 def certified_sign(elt):
     """Exact sign of a field element: -1, 0, or 1."""
     if elt.is_zero:
         return 0
-    nums, _ = _cleared(elt.coords)
 
     def sign(lo, hi):
-        vlo, vhi, _ = _interval_horner(nums, lo, hi)
+        vlo, vhi, _ = _interval_horner(elt.nums, lo, hi)
         if vlo > 0:
             return 1
         if vhi < 0:
@@ -370,8 +392,9 @@ def dominant_root_field(cp):
         raise InternalError("no factor owns the dominant root")
     if hi <= 1 or (lo < 1 < hi and owner(1) == 0):
         raise DomainError("dominant eigenvalue does not exceed 1")
+    lo_sign = owner(lo)
     while lo <= 1:
-        lo, hi = refine_root_interval(owner, lo, hi)
+        lo, hi = refine_root_interval(owner, lo, hi, lo_sign)
         if hi <= 1:
             raise DomainError("dominant eigenvalue does not exceed 1")
     field = NumberField(owner, (lo, hi))
@@ -382,19 +405,15 @@ def minimal_polynomial(elt):
     """Monic integer minimal polynomial of an algebraic integer element.
 
     The first power whose coordinate column depends on the lower powers
-    fixes the degree; the kernel vector of the power columns, which ends
-    in 1, holds the coefficients.
+    fixes the degree: the first kernel vector of the columns of the powers
+    up to the field degree, 1 at that power and 0 past it, holds the
+    coefficients.
     """
-    one = elt.field.one()
-    powers = [one.coords]
-    cur = one
+    powers = [elt.field.one()]
     for _ in range(elt.field.degree):
-        cur = cur * elt
-        powers.append(cur.coords)
-        kernel = kernel_basis([list(r) for r in zip(*powers)], Fraction(0), Fraction(1))
-        if kernel:
-            (coeffs,) = kernel
-            if any(c.denominator != 1 for c in coeffs):
-                raise DomainError("element is not an algebraic integer")
-            return IntPolynomial([int(c) for c in coeffs])
-    raise InternalError("no dependence found within the field degree")
+        powers.append(powers[-1] * elt)
+    coeffs = kernel_basis([list(r) for r in zip(*(x.coords for x in powers))],
+                          Fraction(0), Fraction(1))[0]
+    if any(c.denominator != 1 for c in coeffs):
+        raise DomainError("element is not an algebraic integer")
+    return IntPolynomial([int(c) for c in coeffs])

@@ -351,15 +351,17 @@ def isolate_largest_real_root(f):
     return lo, hi
 
 
-def refine_root_interval(f, lo, hi):
-    """One bisection step on a sign-change interval; returns the new (lo, hi)."""
+def refine_root_interval(f, lo, hi, lo_sign):
+    """One bisection step on a sign-change interval; returns the new (lo, hi).
+
+    lo_sign has the sign of f(lo), which bisection keeps at the lower end,
+    so a caller computes it once and each step evaluates f once."""
     mid = (Fraction(lo) + Fraction(hi)) / 2
     vmid = _eval_at(f.coeffs, mid)
     if vmid == 0:
         w = (hi - lo) / 8
         return mid - w, mid + w
-    vlo = _eval_at(f.coeffs, lo)
-    if (vlo > 0) != (vmid > 0):
+    if (lo_sign > 0) != (vmid > 0):
         return lo, mid
     return mid, hi
 

@@ -1,7 +1,7 @@
 """Exact rational matrices and the lattice utilities built on them."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import DimensionError, DomainError, InternalError, RankError
 from .intpoly import IntPolynomial
@@ -188,55 +188,64 @@ class ExactMatrix:
                                                for i in range(self.rows)],)
 
     def det(self):
-        """Bareiss fraction-free elimination on D*A, D the lcm of the entry
-        denominators, divided by D**n at the end."""
+        """Bareiss elimination on D*A, D the lcm of the entry denominators,
+        divided by D**n."""
         if not self.is_square:
             raise DimensionError("determinant of a non-square matrix")
         n = self.rows
-        if n == 0:
-            return Fraction(1)
-        d = lcm(*(e.denominator for e in self.entries))
-        m = [[x.numerator * (d // x.denominator) for x in self.row(i)] for i in range(n)]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-                if swap is None:
-                    return Fraction(0)
-                m[k], m[swap] = m[swap], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return Fraction(sign * m[n - 1][n - 1], d ** n)
+        flat, d = _cleared(self.entries)
+        return Fraction(_bareiss([flat[i * n:(i + 1) * n] for i in range(n)], n),
+                        d ** n)
 
     def inverse(self):
-        """Gauss-Jordan on [A | I]."""
+        """_bareiss on [A | I], each row cleared to integers on its own."""
         if not self.is_square:
             raise DimensionError("inverse of a non-square matrix")
         n = self.rows
-        rows = [list(self.row(i)) + [Fraction(int(i == j)) for j in range(n)]
+        rows = [_cleared(self.row(i) + (0,) * i + (1,) + (0,) * (n - 1 - i))[0]
                 for i in range(n)]
-        if len(gauss_jordan(rows, n)) < n:
+        det = _bareiss(rows, n)
+        if det == 0:
             raise DomainError("matrix is singular")
-        return ExactMatrix.from_rows([r[n:] for r in rows])
+        return ExactMatrix(n, n, [Fraction(x, det) for r in rows for x in r[n:]])
 
     def solve(self, rhs):
-        """Unique solution x of self @ x = rhs by Gauss-Jordan on [A | b];
-        DomainError if singular."""
+        """Unique solution x of self @ x = rhs; DomainError if singular."""
         if not self.is_square:
             raise DimensionError("solve needs a square matrix")
-        n = self.rows
-        rhs = [Fraction(x) for x in rhs]
-        if len(rhs) != n:
-            raise DimensionError("vector length mismatch")
-        rows = [list(self.row(i)) + [rhs[i]] for i in range(n)]
-        if len(gauss_jordan(rows, n)) < n:
-            raise DomainError("matrix is singular")
-        return tuple(r[n] for r in rows)
+        return self.inverse().apply(rhs)
+
+
+def _cleared(values):
+    """(nums, d): integer numerators over the lcm d of the denominators."""
+    d = lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _bareiss(rows, n):
+    """Fraction-free Gauss-Jordan in place on integer rows whose first n
+    columns are a square A; returns det A.  Bareiss's step (Math. Comp. 22,
+    1968) runs on every row but the pivot's, and each division by the last
+    pivot is exact; a zero pivot swaps in a later row, negated to keep the
+    determinant.  If det A != 0 the later columns B end as det A * A^-1 B
+    (the first n are not kept); else it stops at the first pivotless column.
+    """
+    prev = 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = [-x for x in rows[swap]], rows[k]
+        tail = rows[k][k:]
+        p = tail[0]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                row[k:] = [(p * x - f * y) // prev
+                           for x, y in zip(row[k:], tail)]
+        prev = p
+    return prev
 
 
 def gauss_jordan(rows, ncols):
@@ -397,13 +406,10 @@ def hnf_basis(vectors):
     k = len(vecs[0])
     if k == 0 or any(len(v) != k for v in vecs):
         raise DimensionError("inconsistent vector lengths")
-    den = 1
-    for v in vecs:
-        for x in v:
-            den = den * x.denominator // gcd(den, x.denominator)
+    flat, den = _cleared([x for v in vecs for x in v])
     ech = [None] * k
-    for v in vecs:
-        c = [int(x * den) for x in v]
+    for i in range(0, len(flat), k):
+        c = flat[i:i + k]
         for r in range(k):
             if c[r] == 0:
                 continue

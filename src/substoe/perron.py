@@ -10,8 +10,8 @@ coordinate lattice Z^k of the field.
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalError
-from .field import (FieldElement, NumberField, _rem_monic, certified_sign,
-                    dominant_root_field)
+from .field import (FieldElement, NumberField, _rem_monic, _times_lam,
+                    certified_sign, dominant_root_field)
 from .matrix import ExactMatrix, charpoly, kernel_basis, primitivity_exponent
 
 
@@ -100,19 +100,13 @@ def measure_weights(pd, level0):
     ms = [int(m) for m in level0]
     if len(ms) != len(pd.eigvec) or any(m < 1 for m in ms):
         raise DomainError("multiplicities must be positive, one per entry")
-    pairing = pd.field.zero()
-    for m, x in zip(ms, pd.eigvec):
-        pairing = pairing + x * m
-    inv = pairing.inverse()
+    inv = sum((x * m for m, x in zip(ms, pd.eigvec)), pd.field.zero()).inverse()
     return tuple(x * inv for x in pd.eigvec)
 
 
 def _check_eigvec(m, lam, vec, field):
-    s = m.rows
-    for i in range(s):
-        acc = field.zero()
-        for j in range(s):
-            acc = acc + vec[j] * m.at(i, j)
+    for i in range(m.rows):
+        acc = sum((x * a for x, a in zip(vec, m.row(i))), field.zero())
         if acc != lam * vec[i]:
             raise InternalError("eigenvector equation failed exact verification")
 
@@ -123,13 +117,9 @@ def companion_matrix(field):
     It is the companion matrix of the minimal polynomial.
     """
     k = field.degree
-    cols = []
-    for j in range(k - 1):
-        col = [0] * k
-        col[j + 1] = 1
-        cols.append(col)
-    cols.append([-c for c in field.min_poly.coeffs[:k]])
-    return ExactMatrix.from_columns(cols)
+    return ExactMatrix.from_columns(
+        [_times_lam([int(i == j) for i in range(k)], field.min_poly.coeffs)
+         for j in range(k)])
 
 
 def multiplication_matrices(field):
@@ -141,7 +131,6 @@ def multiplication_matrices(field):
     from column 0 of adj(lam I - C), which is nonzero because the left
     lam-eigenvector of C is (1, lam, ..., lam^(k-1)).
     """
-    k = field.degree
     c_mat = companion_matrix(field)
     d_mat = c_mat.inverse()
     lam = field.lam()
@@ -152,13 +141,8 @@ def multiplication_matrices(field):
         raise InternalError("companion eigenspace is not one-dimensional")
     inv = y1[lead].inverse()
     y1 = [x * inv for x in y1]
-    value = field.zero()
-    powers = field.one()
-    for i, x in enumerate(y1):
-        value = value + x * powers
-        if i + 1 < k:
-            powers = powers * lam
-    sgn = certified_sign(value)
+    sgn = certified_sign(sum((x * lam ** i for i, x in enumerate(y1)),
+                             field.zero()))
     if sgn == 0:
         raise InternalError("y1 pairs to zero against the root powers")
     if sgn < 0:

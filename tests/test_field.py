@@ -1,21 +1,27 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import substoe.intpoly as intpoly_module
 from substoe.errors import DomainError
 from substoe.field import (
+    NumberField,
     _cleared,
     _interval_horner,
     certified_sign,
+    dominant_root_field,
     minimal_polynomial,
     number_field,
     perron_minimal_polynomial,
     value_interval,
 )
-from substoe.intpoly import IntPolynomial, refine_root_interval
-from substoe.matrix import ExactMatrix
+from substoe.intpoly import (IntPolynomial, count_real_roots,
+                             isolate_largest_real_root, refine_root_interval,
+                             root_bound, squarefree_part)
+from substoe.matrix import ExactMatrix, gauss_jordan
 
 
 GOLDEN = number_field(IntPolynomial([1, -3, 1]))  # largest root of t^2 - 3t + 1
@@ -180,12 +186,25 @@ def fraction_interval_eval(coords, lo, hi):
     return vlo, vhi
 
 
+def reference_bisection(f, lo, hi):
+    """One bisection step that evaluates f at lo as well as at the midpoint:
+    the reference for refine_root_interval, which carries the sign at lo."""
+    mid = (lo + hi) / 2
+    vmid = f(mid)
+    if vmid == 0:
+        w = (hi - lo) / 8
+        return mid - w, mid + w
+    if (f(lo) > 0) != (vmid > 0):
+        return lo, mid
+    return mid, hi
+
+
 def coarse_walk(field):
     """Intervals bisected afresh from the field's coarse interval."""
     lo, hi = field.interval
     while True:
         yield lo, hi
-        lo, hi = refine_root_interval(field.min_poly, lo, hi)
+        lo, hi = reference_bisection(field.min_poly, lo, hi)
 
 
 def reference_refined_interval(field, width):
@@ -294,9 +313,9 @@ class TestBisectionChain:
         import substoe.field as field_module
         calls = []
 
-        def counting(f, lo, hi):
+        def counting(f, lo, hi, lo_sign):
             calls.append((lo, hi))
-            return refine_root_interval(f, lo, hi)
+            return refine_root_interval(f, lo, hi, lo_sign)
 
         monkeypatch.setattr(field_module, "refine_root_interval", counting)
         field = number_field(IntPolynomial([1, -3, 1]))
@@ -312,3 +331,207 @@ class TestBisectionChain:
             field.refined_interval(Fraction(1, 10 ** 6))
         assert len(calls) == first
         assert len(set(calls)) == len(calls)
+
+
+def counted_evaluations(monkeypatch):
+    """Count intpoly._eval_at calls, and record how many each
+    refine_root_interval call made."""
+    count = [0]
+    per_step = []
+    evaluate, refine = intpoly_module._eval_at, refine_root_interval
+
+    def counting_eval(coeffs, x):
+        count[0] += 1
+        return evaluate(coeffs, x)
+
+    def counting_refine(*args):
+        before = count[0]
+        out = refine(*args)
+        per_step.append(count[0] - before)
+        return out
+
+    import substoe.field as field_module
+    monkeypatch.setattr(intpoly_module, "_eval_at", counting_eval)
+    monkeypatch.setattr(field_module, "refine_root_interval", counting_refine)
+    return per_step
+
+
+squarefree_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(
+    lambda low: squarefree_part(IntPolynomial(low + [1])))
+
+
+class TestLowerEndSign:
+    """Bisection carries the sign at the lower end: the intervals are those
+    of a bisection that evaluates there afresh, at one evaluation a step."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(squarefree_polys, st.integers(1, 120))
+    def test_chain_matches_reference_bisection(self, f, steps):
+        bound = root_bound(f)
+        assume(count_real_roots(f, -bound, bound) > 0)
+        field = NumberField(f, isolate_largest_real_root(f))
+        lo, hi = field.interval
+        with pytest.MonkeyPatch.context() as patch:
+            per_step = counted_evaluations(patch)
+            field.refined_interval((hi - lo) / 2 ** steps)
+        want = [field.interval]
+        while len(want) < len(field._chain):
+            want.append(reference_bisection(f, *want[-1]))
+        assert field._chain == want
+        assert len(per_step) == len(field._chain) - 1 > 0
+        assert per_step == [1] * len(per_step)
+
+    @pytest.mark.parametrize("coeffs", [
+        [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1],  # Lehmer's, root near 1.176
+        [-1, -1, 0, 1],                           # plastic, root near 1.325
+        [1, -3, 1],
+        [1, 0, -2, 1],                            # (t - 1)(t^2 - t - 1)
+    ])
+    def test_dominant_root_refinement(self, coeffs):
+        cp = IntPolynomial(coeffs)
+        with pytest.MonkeyPatch.context() as patch:
+            per_step = counted_evaluations(patch)
+            field, _ = dominant_root_field(cp)
+        owner = field.min_poly
+        sf = squarefree_part(cp)
+        lo, hi = isolate_largest_real_root(sf)
+        steps = 0
+        while lo <= 1:
+            lo, hi = reference_bisection(owner, lo, hi)
+            steps += 1
+        assert field.interval == (lo, hi)
+        assert per_step == [1] * steps
+
+
+class ReferenceElement:
+    """The field element with Fraction coordinates that the integer
+    numerators replaced, kept as the oracle for their arithmetic."""
+
+    def __init__(self, field, coords):
+        self.field = field
+        self.coords = tuple(Fraction(c) for c in coords)
+
+    def _coerce(self, other):
+        if isinstance(other, ReferenceElement):
+            return other
+        return ReferenceElement(self.field, [Fraction(other)]
+                                + [0] * (self.field.degree - 1))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return ReferenceElement(self.field, [a + b for a, b in zip(self.coords, o.coords)])
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return ReferenceElement(self.field, [a - b for a, b in zip(self.coords, o.coords)])
+
+    def __neg__(self):
+        return ReferenceElement(self.field, [-a for a in self.coords])
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        f = self.field.min_poly.coeffs
+        k = len(f) - 1
+        prod = [Fraction(0)] * (2 * k - 1)
+        for i, x in enumerate(self.coords):
+            for j, y in enumerate(o.coords):
+                prod[i + j] += x * y
+        for top in range(len(prod) - 1, k - 1, -1):
+            q = prod[top]
+            for i in range(k + 1):
+                prod[top - k + i] -= q * f[i]
+        return ReferenceElement(self.field, prod[:k])
+
+    def inverse(self):
+        """Gauss-Jordan over Fraction on the columns of self * lam**j."""
+        k = self.field.degree
+        lam = ReferenceElement(self.field, [0, 1] + [0] * (k - 2)) if k > 1 \
+            else self._coerce(-self.field.min_poly.coeffs[0])
+        cols, cur = [], self
+        for _ in range(k):
+            cols.append(cur.coords)
+            cur = cur * lam
+        rows = [[c[i] for c in cols] + [Fraction(int(i == 0))] for i in range(k)]
+        if len(gauss_jordan(rows, k)) < k:
+            raise ZeroDivisionError("inverse of zero field element")
+        return ReferenceElement(self.field, [r[k] for r in rows])
+
+    def __pow__(self, n):
+        base = self.inverse() if n < 0 else self
+        result = self._coerce(1)
+        for _ in range(abs(n)):
+            result = result * base
+        return result
+
+
+# t - 3, t^2 - 3t - 2 (constant term not a unit), golden, the plastic cubic,
+# t^3 - 2t - 2, t^4 - 2 and t^5 - 3t - 3: degrees 1 to 5.
+ORACLE_FIELDS = [number_field(IntPolynomial(c)) for c in (
+    [-3, 1], [-2, -3, 1], [1, -3, 1], [-1, -1, 0, 1], [-2, -2, 0, 1],
+    [-2, 0, 0, 0, 1], [-3, -3, 0, 0, 0, 1])]
+small_fractions = st.builds(Fraction, st.integers(-12, 12),
+                            st.sampled_from([1, 1, 1, 2, 3, 4, 6, 9]))
+
+
+def assert_matches(elt, ref):
+    """Same value as the reference, in canonical form, coords as Fraction."""
+    assert type(elt.coords) is tuple
+    assert all(type(c) is Fraction for c in elt.coords)
+    assert elt.coords == ref.coords
+    assert type(elt.nums) is tuple and all(type(x) is int for x in elt.nums)
+    assert elt.den > 0 and gcd(elt.den, *elt.nums) == 1
+    assert elt == elt.field.from_coords(ref.coords)
+    assert hash(elt) == hash(elt.field.from_coords(ref.coords))
+
+
+class TestAgainstFractionCoordinates:
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(st.sampled_from(ORACLE_FIELDS),
+           st.lists(small_fractions, min_size=5, max_size=5),
+           st.lists(small_fractions, min_size=5, max_size=5),
+           small_fractions, st.integers(-3, 4))
+    def test_operations_match(self, field, a, b, q, n):
+        k = field.degree
+        # sparse coordinates make rational elements and zero common
+        a, b = a[:k], [c if i % 2 else 0 for i, c in enumerate(b[:k])]
+        x, y = field.from_coords(a), field.from_coords(b)
+        rx, ry = ReferenceElement(field, a), ReferenceElement(field, b)
+        assert_matches(x, rx)
+        assert_matches(y, ry)
+        for got, want in ((x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry),
+                          (-x, -rx), (x + q, rx + q), (q - x, -rx + q),
+                          (x * q, rx * q), (q * x, rx * q),
+                          (x * int(q * 2), rx * int(q * 2))):
+            assert_matches(got, want)
+        if not ry.coords == (0,) * k:
+            assert_matches(x / y, rx * ry.inverse())
+            assert_matches(q / y, ry.inverse() * q)
+            assert_matches(y.inverse(), ry.inverse())
+            assert y * y.inverse() == 1
+        if q:
+            assert_matches(x / q, rx * (1 / q))
+        if n >= 0 or not rx.coords == (0,) * k:
+            assert_matches(x ** n, rx ** n)
+        assert (x == y) == (rx.coords == ry.coords)
+        assert (x == q) == (rx.coords == (q,) + (0,) * (k - 1))
+        assert x.is_zero == (rx.coords == (0,) * k)
+        assert y.is_rational == all(c == 0 for c in ry.coords[1:])
+        if y.is_rational:
+            assert y.as_rational() == ry.coords[0]
+            assert type(y.as_rational()) is Fraction
+        else:
+            with pytest.raises(DomainError):
+                y.as_rational()
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: str(f.min_poly))
+    def test_units_and_zero(self, field):
+        lam = field.lam()
+        assert_matches(lam, ReferenceElement(field, lam.coords))
+        for x in (lam, lam - 1, lam * lam + Fraction(1, 3), field.one() * 7):
+            assert x * x.inverse() == field.one()
+            assert x.inverse() * x == 1
+        assert field.zero().den == 1 and field.zero().nums == (0,) * field.degree
+        with pytest.raises(ZeroDivisionError):
+            field.zero().inverse()
+        with pytest.raises(ZeroDivisionError):
+            field.zero() ** -1

@@ -137,7 +137,7 @@ class TestRoots:
         f = P(1, -3, 1)
         lo, hi = isolate_largest_real_root(f)
         for _ in range(30):
-            lo, hi = refine_root_interval(f, lo, hi)
+            lo, hi = refine_root_interval(f, lo, hi, f(lo))
             assert f(lo) * f(hi) < 0
         assert hi - lo < Fraction(1, 10 ** 6)
 

@@ -10,6 +10,7 @@ from substoe.errors import DimensionError, DomainError, RankError
 from substoe.intpoly import IntPolynomial
 from substoe.matrix import (
     ExactMatrix,
+    _bareiss,
     charpoly,
     eventual_positivity_exponent,
     first_power,
@@ -293,3 +294,62 @@ class TestGaussJordan:
             assert all(sum(a * x for a, x in zip(r, vec)) == 0 for r in original)
         if basis:
             assert len(gauss_jordan([list(v) for v in basis], 4)) == len(basis)
+
+
+def reference_solution(rows, n):
+    """(det != 0, solution rows) by Gauss-Jordan over Fraction."""
+    reduced = [[Fraction(x) for x in r] for r in rows]
+    if len(gauss_jordan(reduced, n)) < n:
+        return False, None
+    return True, [r[n:] for r in reduced]
+
+
+def check_bareiss(rows, n):
+    regular, want = reference_solution(rows, n)
+    square = [r[:n] for r in rows]
+    det = _bareiss(rows, n)
+    assert det == naive_det(square)
+    assert (det != 0) == regular
+    if regular:
+        assert [[Fraction(x, det) for x in r[n:]] for r in rows] == want
+
+
+class TestBareiss:
+    """The fraction-free kernel against Gauss-Jordan over Fraction."""
+
+    @given(st.integers(1, 6), st.integers(0, 3), st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_gauss_jordan(self, n, extra, data):
+        # sparse entries make zero pivots and singular systems common
+        entry = st.one_of(st.just(0), st.integers(-40, 40))
+        rows = data.draw(st.lists(st.lists(entry, min_size=n + extra,
+                                           max_size=n + extra),
+                                  min_size=n, max_size=n))
+        check_bareiss(rows, n)
+
+    def test_determinant_by_cofactors(self):
+        for rows in ([[0, 2, 1], [3, 0, 1], [1, 1, 0]], [[2, -1], [4, 3]]):
+            n = len(rows)
+            assert _bareiss([list(r) for r in rows], n) == naive_det(rows)
+
+    def test_zero_pivot_swaps_rows(self):
+        rows = [[0, 1, 5], [1, 0, 7]]
+        assert _bareiss(rows, 2) == -1
+        assert [r[2] for r in rows] == [-7, -5]  # det * (7, 5)
+        check_bareiss([[0, 0, 3, 1], [0, 2, 0, 1], [4, 0, 0, 1]], 3)
+
+    def test_singular(self):
+        for rows in ([[1, 2, 1], [2, 4, 1]], [[0, 0, 1], [0, 3, 1]],
+                     [[1, 1, 1, 0], [1, 1, 1, 1], [2, 2, 3, 1]]):
+            assert _bareiss([list(r) for r in rows], len(rows)) == 0
+            check_bareiss([list(r) for r in rows], len(rows))
+
+    def test_one_by_one(self):
+        rows = [[-6, 4, 9]]
+        assert _bareiss(rows, 1) == -6
+        assert rows == [[-6, 4, 9]]
+        assert _bareiss([[0, 5]], 1) == 0
+        assert _bareiss([[7]], 1) == 7
+        assert ExactMatrix.from_rows([[Fraction(-3, 2)]]).solve([3]) == (-2,)
+        with pytest.raises(DomainError):
+            ExactMatrix.from_rows([[0]]).solve([1])

@@ -10,7 +10,9 @@ src/substoe outside its own body: as a plain name, as an attribute, or
 as a name imported from its module.  Every private attribute stored as
 self._x = ... must be read somewhere in src/substoe as an attribute, and
 every name assigned at module level must be read somewhere in
-src/substoe in one of the ways a private def is.
+src/substoe in one of the ways a private def is.  Attributes of immutable
+objects, stored as object.__setattr__(self, "_x", ...), count as stored
+too.
 """
 
 import ast
@@ -96,22 +98,37 @@ def unread_private_defs(sources):
     return sorted(d for d in defs if d[2] not in read)
 
 
+def _self_store(node):
+    """The attribute name node stores on self, as self._x = ... or as
+    object.__setattr__(self, "_x", ...), or None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+        target, name = node.value, node.attr
+    elif (isinstance(node, ast.Call) and len(node.args) == 3
+          and isinstance(node.func, ast.Attribute)
+          and node.func.attr == "__setattr__"
+          and isinstance(node.func.value, ast.Name)
+          and node.func.value.id == "object"
+          and isinstance(node.args[1], ast.Constant)
+          and isinstance(node.args[1].value, str)):
+        target, name = node.args[0], node.args[1].value
+    else:
+        return None
+    if isinstance(target, ast.Name) and target.id == "self":
+        return name
+    return None
+
+
 def unread_private_attributes(sources):
     """(module, line, name) of private attributes stored on self that no
     module reads as an attribute; sources maps module names to text."""
     stored, read = [], set()
     for mod, text in sources.items():
         for node in ast.walk(ast.parse(text)):
-            if not isinstance(node, ast.Attribute):
-                continue
-            if isinstance(node.ctx, ast.Load):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-            elif (isinstance(node.ctx, ast.Store)
-                  and isinstance(node.value, ast.Name)
-                  and node.value.id == "self"
-                  and node.attr.startswith("_")
-                  and not node.attr.startswith("__")):
-                stored.append((mod, node.lineno, node.attr))
+            name = _self_store(node)
+            if name and name.startswith("_") and not name.startswith("__"):
+                stored.append((mod, node.lineno, name))
     return sorted(s for s in stored if s[2] not in read)
 
 
@@ -204,6 +221,22 @@ def test_scanner_finds_unread_private_attributes():
     }
     assert unread_private_attributes(sources) == [
         ("a", 4, "_step"), ("a", 5, "_count"), ("a", 6, "_count")]
+
+
+def test_scanner_counts_object_setattr_stores():
+    sources = {
+        "a": "class F:\n"
+             "    def __init__(self):\n"
+             "        object.__setattr__(self, '_chain', [])\n"
+             "        object.__setattr__(self, '_dead', 1)\n"
+             "        object.__setattr__(self, 'public', 2)\n"
+             "        object.__setattr__(other, '_far', 3)\n"
+             "        object.__setattr__(self, '__slot', 4)\n"
+             "        setattr(self, '_loose', 5)\n"
+             "    def walk(self):\n"
+             "        return self._chain\n",
+    }
+    assert unread_private_attributes(sources) == [("a", 4, "_dead")]
 
 
 def test_every_private_attribute_is_read():
