@@ -204,7 +204,8 @@ class OrderedDiagram:
         total = sum(self.level0)
         total += (depth - 1) * sum(order_lengths.values())
         if total > edge_cap:
-            raise CapabilityError("diagram slice exceeds the edge budget")
+            raise CapabilityError("diagram slice has %d edges, over the edge "
+                                  "budget of %d" % (total, edge_cap))
         lines = ["digraph bratteli {", "  rankdir=TB;", '  root [shape=point];']
         for level in range(depth):
             for v in self.vertices:

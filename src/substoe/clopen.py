@@ -227,7 +227,9 @@ def _same_embedded_root(mu, field2):
 
     One walk of mu's bisection chain: the enclosure of mu's value shrinks
     onto mu, which lies strictly inside field2's interval or strictly
-    outside it, since the interval ends are not roots.
+    outside it, since the interval ends are not roots.  An enclosure on a
+    finer interval lies inside the coarser one and gives the same answer,
+    so the walk starts at the finest interval.
     """
     lo, hi = field2.interval
     nums, d = mu.nums, mu.den
@@ -241,7 +243,7 @@ def _same_embedded_root(mu, field2):
         if vhi < slo or vlo > shi:
             return False
         return None
-    return mu.field._first_accepted(place)
+    return mu.field._first_accepted(place, finest=True)
 
 
 def groups_equal(first, second, m):

@@ -81,17 +81,19 @@ class NumberField:
     def from_coords(self, coords):
         return FieldElement(self, coords)
 
-    def _first_accepted(self, accept):
+    def _first_accepted(self, accept, finest=False):
         """accept(lo, hi) at the first interval of the bisection chain where
-        it is not None.
+        it is not None, walking from the coarse interval or, with finest,
+        from the finest one the chain holds.
 
         The chain holds the interval bisected 0, 1, 2, ... times.  It is
         deterministic, so it is extended on demand and each step runs once
         for the life of the field, and the walk sees the same intervals as
-        bisecting the coarse interval afresh would.
+        bisecting the coarse interval afresh would.  finest is for an
+        accept whose answer on an interval holds on every interval inside.
         """
         chain = self._chain
-        i = 0
+        i = len(chain) - 1 if finest else 0
         while True:
             if i == len(chain):
                 chain.append(refine_root_interval(self.min_poly, *chain[-1],
@@ -336,7 +338,12 @@ def value_interval(elt, width):
 
 
 def certified_sign(elt):
-    """Exact sign of a field element: -1, 0, or 1."""
+    """Exact sign of a field element: -1, 0, or 1.
+
+    The walk starts at the finest interval the chain holds: interval
+    Horner is inclusion-isotone, so a sign decided on an interval is
+    decided, and the same, on every interval inside it.
+    """
     if elt.is_zero:
         return 0
 
@@ -347,7 +354,7 @@ def certified_sign(elt):
         if vhi < 0:
             return -1
         return None
-    return elt.field._first_accepted(sign)
+    return elt.field._first_accepted(sign, finest=True)
 
 
 def number_field(min_poly):
@@ -378,18 +385,23 @@ def dominant_root_field(cp):
     real root is isolated, and the irreducible factor owning that root
     becomes the minimal polynomial.  The isolating interval is refined
     until its lower end exceeds 1.
+
+    The owner is the one factor g with g(lo) * g(hi) < 0: (lo, hi) holds
+    exactly one root of sf, a simple one, and sf vanishes at neither end.
+    Each factor divides sf, so it vanishes at neither end either and has
+    at most that root inside; the factors are coprime, so exactly one has
+    it, as a simple root, and changes sign across it, and every other
+    factor has no root inside and keeps its sign.
     """
     sf = squarefree_part(cp)
     lo, hi = isolate_largest_real_root(sf)
     factors = factor_monic_squarefree(sf)
-    owner = None
-    for g in factors:
-        if count_real_roots(g, lo, hi) == 1:
-            if owner is not None:
-                raise InternalError("two factors claim the dominant root")
-            owner = g
-    if owner is None:
+    owners = [g for g in factors if g(lo) * g(hi) < 0]
+    if len(owners) > 1:
+        raise InternalError("two factors claim the dominant root")
+    if not owners:
         raise InternalError("no factor owns the dominant root")
+    owner = owners[0]
     if hi <= 1 or (lo < 1 < hi and owner(1) == 0):
         raise DomainError("dominant eigenvalue does not exceed 1")
     lo_sign = owner(lo)

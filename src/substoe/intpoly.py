@@ -370,9 +370,11 @@ def refine_root_interval(f, lo, hi, lo_sign):
 # Factorization of monic integer polynomials.
 #
 # Squarefree reduction, Berlekamp over the least odd prime that keeps f
-# squarefree, quadratic Hensel lifting past the coefficient bound, then
-# subset recombination.  Degrees are capped: the only consumers here are
-# characteristic polynomials of desk-scale matrices.
+# squarefree, quadratic Hensel lifting of all r modular factors past the
+# coefficient bound in one balanced factor tree of ceil(log2 r) full-degree
+# levels (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15),
+# then subset recombination.  Degrees are capped: the only consumers here
+# are characteristic polynomials of desk-scale matrices.
 
 
 def _odd_primes():
@@ -390,29 +392,31 @@ def _gf_strip(a):
     return a
 
 
-def _gf_mul(a, b, p):
+def _zpoly_mul(a, b, m):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
+                out[i + j] = (out[i + j] + x * y) % m
     return _gf_strip(out)
 
 
-def _gf_divmod(a, b, p):
+def _zpoly_divmod(a, b, m):
+    """Division with remainder mod m, for b whose leading coefficient is a
+    unit mod m: any nonzero one for a prime m, 1 for a prime power."""
     a = list(a)
     if not b:
         raise ZeroDivisionError
-    inv = pow(b[-1], p - 2, p)
+    inv = pow(b[-1], -1, m)
     q = [0] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b):
-        c = (a[-1] * inv) % p
+        c = (a[-1] * inv) % m
         k = len(a) - len(b)
         q[k] = c
         for i, y in enumerate(b):
-            a[k + i] = (a[k + i] - c * y) % p
+            a[k + i] = (a[k + i] - c * y) % m
         _gf_strip(a)
         if not a:
             break
@@ -429,15 +433,15 @@ def _gf_monic(a, p):
 def _gf_gcd(a, b, p):
     a, b = list(a), list(b)
     while b:
-        _, r = _gf_divmod(a, b, p)
+        _, r = _zpoly_divmod(a, b, p)
         a, b = b, r
     return _gf_monic(a, p)
 
 
-def _gf_sub(a, b, p):
+def _zpoly_sub(a, b, m):
     n = max(len(a), len(b))
     return _gf_strip(
-        [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
+        [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)]
     )
 
 
@@ -446,13 +450,13 @@ def _gf_pow_x(e, mod, p):
     result = [1]
     base = [0, 1]
     if len(base) >= len(mod):
-        base = _gf_divmod(base, mod, p)[1]
+        base = _zpoly_divmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _gf_divmod(_gf_mul(result, base, p), mod, p)[1]
+            result = _zpoly_divmod(_zpoly_mul(result, base, p), mod, p)[1]
         e >>= 1
         if e:
-            base = _gf_divmod(_gf_mul(base, base, p), mod, p)[1]
+            base = _zpoly_divmod(_zpoly_mul(base, base, p), mod, p)[1]
     return result
 
 
@@ -499,7 +503,7 @@ def _berlekamp(f, p):
     cur = [1]
     cols = [cur]
     for _ in range(1, d):
-        cur = _gf_divmod(_gf_mul(cur, xp, p), f, p)[1]
+        cur = _zpoly_divmod(_zpoly_mul(cur, xp, p), f, p)[1]
         cols.append(cur)
     mat = [[0] * d for _ in range(d)]
     for j, col in enumerate(cols):
@@ -529,7 +533,7 @@ def _berlekamp(f, p):
                 h = _gf_gcd(rest, _gf_strip(shifted), p)
                 if 0 < len(h) - 1 < len(rest) - 1:
                     pieces.append(h)
-                    rest = _gf_divmod(rest, h, p)[0]
+                    rest = _zpoly_divmod(rest, h, p)[0]
                 if len(rest) - 1 == 0:
                     break
             if len(rest) - 1 > 0:
@@ -548,63 +552,22 @@ def _centered(c, m):
     return c
 
 
-def _zpoly_mul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zpoly_divmod_monic(a, b, m):
-    """Division by monic b with coefficients in Z/m."""
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1] % m
-        k = len(a) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            a[k + i] = (a[k + i] - c * y) % m
-        while a and a[-1] % m == 0:
-            a.pop()
-        if not a:
-            break
-    while q and q[-1] % m == 0:
-        q.pop()
-    return q, a
-
-
-def _zpoly_sub(a, b, m):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _zpoly_add(a, b, m):
     n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m for i in range(n)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return _gf_strip(
+        [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m for i in range(n)]
+    )
 
 
 def _hensel_step(f, g, h, s, t, m):
     """Lift f = g*h with s*g + t*h = 1 from mod m to mod m*m (all monic g, h)."""
     mm = m * m
     e = _zpoly_sub(f, _zpoly_mul(g, h, mm), mm)
-    q, r = _zpoly_divmod_monic(_zpoly_mul(s, e, mm), h, mm)
+    q, r = _zpoly_divmod(_zpoly_mul(s, e, mm), h, mm)
     g2 = _zpoly_add(g, _zpoly_add(_zpoly_mul(t, e, mm), _zpoly_mul(q, g, mm), mm), mm)
     h2 = _zpoly_add(h, r, mm)
     b = _zpoly_sub(_zpoly_add(_zpoly_mul(s, g2, mm), _zpoly_mul(t, h2, mm), mm), [1], mm)
-    c, d = _zpoly_divmod_monic(_zpoly_mul(s, b, mm), h2, mm)
+    c, d = _zpoly_divmod(_zpoly_mul(s, b, mm), h2, mm)
     s2 = _zpoly_sub(s, d, mm)
     t2 = _zpoly_sub(t, _zpoly_add(_zpoly_mul(t, b, mm), _zpoly_mul(c, g2, mm), mm), mm)
     return g2, h2, s2, t2
@@ -616,10 +579,10 @@ def _gf_xgcd(a, b, p):
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        q, r = _gf_divmod(r0, r1, p)
+        q, r = _zpoly_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, p), p)
-        t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
+        s0, s1 = s1, _zpoly_sub(s0, _zpoly_mul(q, s1, p), p)
+        t0, t1 = t1, _zpoly_sub(t0, _zpoly_mul(q, t1, p), p)
     inv = pow(r0[-1], p - 2, p)
     return (_gf_monic(r0, p),
             [(c * inv) % p for c in s0],
@@ -629,9 +592,13 @@ def _gf_xgcd(a, b, p):
 def _lift_factor(f_coeffs, g0, h0, p, final):
     """Lift the coprime pair f = g0*h0 mod p until the modulus reaches final.
 
-    f_coeffs are the exact integer coefficients, so reduction at any modulus
-    is available; the ladder squares p until it hits final exactly.
+    f_coeffs are integer coefficients of monic f, exact or reduced mod
+    final, so reduction at every modulus of the ladder is available; the
+    ladder squares p until it hits final exactly.  Returns the monic lifts
+    (g, h), which are unique.
     """
+    if _gf_strip([c % p for c in f_coeffs]) != _zpoly_mul(g0, h0, p):
+        raise InternalError("modular factors do not multiply to f mod p")
     gcd_poly, s, t = _gf_xgcd(g0, h0, p)
     if len(gcd_poly) - 1 != 0:
         raise InternalError("modular factors were not coprime")
@@ -644,19 +611,30 @@ def _lift_factor(f_coeffs, g0, h0, p, final):
         m = mm
     if m != final:
         raise InternalError("lift ladder missed its target modulus")
-    return g
+    return g, h
 
 
-def _lift_all(f, modular, p, final):
-    """Mod-final lifts of every modular factor of monic f, same order."""
-    fp = _gf_strip([c % p for c in f.coeffs])
-    out = []
-    for g0 in modular:
-        h0, rem = _gf_divmod(fp, g0, p)
-        if rem:
-            raise InternalError("modular factor does not divide f mod p")
-        out.append(_lift_factor(list(f.coeffs), g0, h0, p, final))
-    return out
+def _lift_all(f_coeffs, modular, p, final):
+    """Mod-final lifts of the monic modular factors of monic f, same order.
+
+    A balanced factor tree: the factors split into two halves, the pair of
+    their products mod p is lifted once on f, and each half splits again on
+    its lifted product.  Monic lifts of a coprime factorization are unique,
+    so every leaf is the lift of its own factor, as if lifted against f
+    alone.  Each level lifts polynomials whose degrees sum to deg f, and
+    there are ceil(log2 r) levels for r factors.
+    """
+    if len(modular) == 1:
+        return [[c % final for c in f_coeffs]]
+    half = len(modular) // 2
+    left = right = [1]
+    for g0 in modular[:half]:
+        left = _zpoly_mul(left, g0, p)
+    for g0 in modular[half:]:
+        right = _zpoly_mul(right, g0, p)
+    g, h = _lift_factor(f_coeffs, left, right, p, final)
+    return (_lift_all(g, modular[:half], p, final)
+            + _lift_all(h, modular[half:], p, final))
 
 
 def _mignotte_bound(f):
@@ -699,7 +677,7 @@ def factor_monic_squarefree(f, degree_cap=FACTOR_DEGREE_CAP):
     final = p
     while final < bound:
         final *= final
-    lifted = _lift_all(f, modular, p, final)
+    lifted = _lift_all(list(f.coeffs), modular, p, final)
 
     remaining = list(range(len(lifted)))
     current = f

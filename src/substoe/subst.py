@@ -441,7 +441,10 @@ class Substitution:
             v = nxt
             m += 1
             if m > POWER_ITER_CAP:
-                raise CapabilityError("growth power search exceeded its cap")
+                raise CapabilityError(
+                    "growth power search passed its cap of %d steps with the "
+                    "shortest image at %d of %d letters"
+                    % (POWER_ITER_CAP, min(v), target))
         return m
 
     def _two_blocks_encoded(self, rules):

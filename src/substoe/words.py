@@ -87,7 +87,9 @@ class RunWord:
             letter, c = self.runs[0]
             return RunWord(((letter, c * count),))
         if count * len(self.runs) > EXPAND_CAP:
-            raise CapabilityError("run expansion exceeds budget; clamp first")
+            raise CapabilityError(
+                "run expansion to %d runs exceeds the budget of %d; clamp first"
+                % (count * len(self.runs), EXPAND_CAP))
         return RunWord(self.runs * count)
 
     def repeat_clamped(self, count, window):
@@ -166,7 +168,8 @@ class RunWord:
     def expand(self):
         """Tuple of letters; guarded so huge words fail loudly."""
         if self.length > EXPAND_CAP:
-            raise CapabilityError("word too long to expand")
+            raise CapabilityError("word of %d letters is over the expansion "
+                                  "budget of %d" % (self.length, EXPAND_CAP))
         out = []
         for letter, count in self.runs:
             out.extend([letter] * count)

@@ -302,7 +302,8 @@ class TestHugeOrders:
         f = ExactMatrix.from_rows([[big, 1], [1, 1]])
         orders = {"a": RunWord((("a", big), ("b", 1))), "b": "ab"}
         d = OrderedDiagram(("a", "b"), f, (1, 1), orders)
-        with pytest.raises(CapabilityError):
+        with pytest.raises(CapabilityError, match=r"^diagram slice has "
+                           r"1000000005 edges, over the edge budget of 500$"):
             d.export_dot(2)
 
 

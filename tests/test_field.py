@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import substoe.intpoly as intpoly_module
+from substoe.clopen import _same_embedded_root
 from substoe.errors import DomainError
 from substoe.field import (
     NumberField,
@@ -535,3 +536,79 @@ class TestAgainstFractionCoordinates:
             field.zero().inverse()
         with pytest.raises(ZeroDivisionError):
             field.zero() ** -1
+
+
+def real_root_intervals(f):
+    """Isolating intervals of every real root of squarefree f, in order:
+    bisection on Sturm counts, with ends where f does not vanish."""
+    bound = root_bound(f)
+    todo, out = [(-bound, bound)], []
+    while todo:
+        lo, hi = todo.pop()
+        n = count_real_roots(f, lo, hi)
+        if n == 1:
+            out.append((lo, hi))
+        elif n > 1:
+            mid = (lo + hi) / 2
+            while f(mid) == 0:
+                mid = (mid + hi) / 2
+            todo += [(lo, mid), (mid, hi)]
+    return sorted(out)
+
+
+class TestSignsIndependentOfChainDepth:
+    """certified_sign and _same_embedded_root start at the finest interval
+    the chain holds; they answer as on a fresh field, whose walk starts at
+    the coarse interval."""
+
+    @staticmethod
+    def fields(field):
+        fresh = number_field(field.min_poly)
+        deep = number_field(field.min_poly)
+        deep.refined_interval(Fraction(1, 2 ** 200))
+        return fresh, deep
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from(ORACLE_FIELDS),
+           st.lists(st.lists(small_fractions, min_size=5, max_size=5),
+                    min_size=4, max_size=4))
+    def test_random_elements(self, field, coord_lists):
+        fresh, deep = self.fields(field)
+        for coords in coord_lists:
+            coords = coords[:field.degree]
+            a, b = fresh.from_coords(coords), deep.from_coords(coords)
+            assert certified_sign(a) == certified_sign(b) == reference_sign(a)
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: str(f.min_poly))
+    def test_near_zero_past_the_chain(self, field):
+        fresh, deep = self.fields(field)
+        depth = len(deep._chain)
+        lo, hi = reference_refined_interval(fresh, Fraction(1, 2 ** 300))
+        for x in (lo, hi, Fraction(int(lo * 10 ** 60), 10 ** 60)):
+            a, b = fresh.lam() - x, deep.lam() - x
+            assert certified_sign(a) == certified_sign(b) == reference_sign(a)
+        if field.degree > 1:
+            assert certified_sign(fresh.lam() - lo) == 1
+            assert certified_sign(deep.lam() - hi) == -1
+            assert len(deep._chain) > depth
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: str(f.min_poly))
+    def test_same_embedded_root(self, field):
+        f = field.min_poly
+        others = [NumberField(f, iv) for iv in real_root_intervals(f)]
+        # the largest root again, its lower end closer than the deep chain
+        near, _ = reference_refined_interval(others[-1], Fraction(1, 2 ** 250))
+        others.append(NumberField(f, (near, others[-1].interval[1])))
+        fresh, deep = self.fields(field)
+        checked = 0
+        for make in (lambda k: k.lam(), lambda k: -k.lam(),
+                     lambda k: -f.coeffs[-2] - k.lam()):
+            a, b = make(fresh), make(deep)
+            if sum((c * a ** i for i, c in enumerate(f.coeffs)), fresh.zero()) != 0:
+                continue  # not a root of f
+            answers = [_same_embedded_root(a, k) for k in others]
+            assert answers == [_same_embedded_root(b, k) for k in others]
+            assert answers[:-1].count(True) == 1
+            assert answers[-1] == answers[-2]
+            checked += 1
+        assert checked >= 1

@@ -1,13 +1,21 @@
+import random
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd, log2
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from substoe.errors import CapabilityError, DomainError
+import substoe.intpoly as intpoly_module
+from substoe.construct import enlarge_matrix
+from substoe.errors import CapabilityError, DomainError, InternalError
 from substoe.intpoly import (
     IntPolynomial,
+    _gf_strip,
+    _lift_all,
+    _lift_factor,
+    _zpoly_divmod,
+    _zpoly_mul,
     count_real_roots,
     factor_monic_squarefree,
     isolate_largest_real_root,
@@ -17,6 +25,7 @@ from substoe.intpoly import (
     squarefree_part,
     sturm_chain,
 )
+from substoe.matrix import ExactMatrix, charpoly
 
 
 def P(*coeffs):
@@ -335,3 +344,116 @@ class TestFactorization:
         assert prod == f
         for g in factors:
             assert factor_monic_squarefree(g) == [g]
+
+
+def golden_chain_charpolys(top):
+    """Squarefree charpolys of the golden chain [[1, 1], [1, 2]] enlarged to
+    3x3 .. top x top: one quadratic and ever more linear factors, with
+    coefficients of hundreds to thousands of bits."""
+    m = ExactMatrix.from_rows([[1, 1], [1, 2]])
+    out = []
+    while m.rows < top:
+        m = enlarge_matrix(m)["matrix"]
+        out.append(squarefree_part(charpoly(m)))
+    return out
+
+
+def linear_products(seed):
+    """t - a over r distinct random a, for r = 2..12."""
+    rng = random.Random(seed)
+    out = []
+    for r in range(2, 13):
+        f = IntPolynomial([1])
+        for a in rng.sample(range(-40, 41), r):
+            f = f * IntPolynomial([-a, 1])
+        out.append(f)
+    return out
+
+
+def random_monic_products(seed, count):
+    """Squarefree products of random monic factors of degree 1..4, degree
+    at most 12."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        f = IntPolynomial([1])
+        for _ in range(rng.randint(2, 5)):
+            g = IntPolynomial([rng.randint(-20, 20)
+                               for _ in range(rng.randint(1, 4))] + [1])
+            if f.degree + g.degree <= 12:
+                f = f * g
+        if f.degree > 1 and poly_gcd(f, f.derivative()).degree == 0:
+            out.append(f)
+    return out
+
+
+def top_lift(f):
+    """(f coefficients, modular factors, p, final, lifted) of the outermost
+    _lift_all call made while factoring f, or None if f does not lift."""
+    calls = []
+    lift_all = intpoly_module._lift_all
+
+    def spy(f_coeffs, modular, p, final):
+        out = lift_all(f_coeffs, modular, p, final)
+        calls.append((f_coeffs, modular, p, final, out))
+        return out
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(intpoly_module, "_lift_all", spy)
+        factor_monic_squarefree(f)
+    return calls[-1] if calls else None
+
+
+class TestLiftTree:
+    """The balanced Hensel tree gives each modular factor its own lift."""
+
+    def check(self, f_coeffs, modular, p, final, lifted):
+        assert len(lifted) == len(modular)
+        fp = _gf_strip([c % p for c in f_coeffs])
+        prod = [1]
+        for g0, g in zip(modular, lifted):
+            assert g[-1] == 1 and len(g) == len(g0)
+            assert all(0 <= c < final for c in g)
+            assert _gf_strip([c % p for c in g]) == g0
+            # the lift against f alone, which is unique
+            h0 = _zpoly_divmod(fp, g0, p)[0]
+            assert g == _lift_factor(f_coeffs, g0, h0, p, final)[0]
+            prod = _zpoly_mul(prod, g, final)
+        assert prod == [c % final for c in f_coeffs]
+
+    def test_one_factor_is_f_mod_final(self):
+        assert _lift_all([-5, 1], [[1, 1]], 3, 81) == [[76, 1]]
+
+    def test_factors_that_do_not_multiply_to_f_are_refused(self):
+        # (t + 1)(t + 2) is t^2 + 2 mod 3, not t^2 + 1
+        with pytest.raises(InternalError, match="do not multiply to f mod p"):
+            _lift_all([1, 0, 1], [[1, 1], [2, 1]], 3, 81)
+
+    @pytest.mark.parametrize("name, polys", [
+        ("linear", lambda: linear_products(23)),
+        ("monic", lambda: random_monic_products(29, 30)),
+        ("golden", lambda: golden_chain_charpolys(11)),
+    ], ids=["linear", "monic", "golden"])
+    def test_leaves_are_the_single_factor_lifts(self, name, polys):
+        counts = set()
+        for f in polys():
+            found = top_lift(f)
+            if found is not None:
+                self.check(*found)
+                counts.add(len(found[1]))
+        if name == "linear":
+            assert counts == set(range(2, 13))
+        if name == "golden":
+            assert max(counts) >= 7
+
+    def test_eight_vertex_golden_member_lifts_in_log_levels(self, monkeypatch):
+        f = golden_chain_charpolys(8)[-1]
+        degrees = []
+        lift_factor = intpoly_module._lift_factor
+
+        def counting(f_coeffs, *args):
+            degrees.append(len(f_coeffs) - 1)
+            return lift_factor(f_coeffs, *args)
+        monkeypatch.setattr(intpoly_module, "_lift_factor", counting)
+        r = len(top_lift(f)[1])
+        assert r >= 5 and f.degree == 8
+        assert sum(degrees) <= f.degree * ceil(log2(r))

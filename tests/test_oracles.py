@@ -23,6 +23,8 @@ from substoe.intpoly import (
 )
 from substoe.matrix import ExactMatrix, charpoly, primitivity_exponent
 from substoe.perron import perron_data
+from test_intpoly import (golden_chain_charpolys, linear_products,
+                          random_monic_products)
 
 sympy = pytest.importorskip("sympy")
 T = sympy.Symbol("t")
@@ -55,6 +57,18 @@ def _random_squarefree(rng, max_digits, count):
         if sympy.gcd(_sympy_poly(f), _sympy_poly(f.derivative())).degree() == 0:
             out.append(f)
     return out
+
+
+def _factors(polys):
+    return [(g.degree, list(g.coeffs)) for g in polys]
+
+
+def _sympy_factors(f):
+    """sympy's irreducible factors of squarefree monic f, sorted by
+    (degree, coefficients) like factor_monic_squarefree."""
+    content, pairs = sympy.factor_list(_sympy_poly(f))
+    assert content == 1 and all(mult == 1 for _, mult in pairs)
+    return sorted((q.degree(), _ints(q)) for q, _ in pairs)
 
 
 def _rational(q):
@@ -149,15 +163,20 @@ class TestFactorization:
             f = factors[0]
             for g in factors[1:]:
                 f = f * g
-            p = _sympy_poly(f)
-            if f.degree > FACTOR_DEGREE_CAP or not p.is_sqf:
+            if f.degree > FACTOR_DEGREE_CAP or not _sympy_poly(f).is_sqf:
                 continue
-            content, pairs = sympy.factor_list(p)
-            assert content == 1 and all(mult == 1 for _, mult in pairs)
-            expected = sorted((q.degree(), _ints(q)) for q, _ in pairs)
-            got = [(g.degree, list(g.coeffs)) for g in factor_monic_squarefree(f)]
-            assert got == expected
+            assert _factors(factor_monic_squarefree(f)) == _sympy_factors(f)
             checked += 1
+
+    @pytest.mark.parametrize("polys", [
+        lambda: linear_products(23),
+        lambda: random_monic_products(29, 30),
+        lambda: golden_chain_charpolys(11),
+    ], ids=["linear", "monic", "golden"])
+    def test_lift_tree_inputs(self, polys):
+        # up to 12 modular factors; golden-chain coefficients reach 6540 bits
+        for f in polys():
+            assert _factors(factor_monic_squarefree(f)) == _sympy_factors(f)
 
 
 class TestPerronMinimalPolynomial:

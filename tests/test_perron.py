@@ -171,6 +171,24 @@ def _golden_chain(top):
     return out
 
 
+def test_signs_cost_one_evaluation_per_entry_and_step(monkeypatch):
+    """Each sign starts at the finest interval of the chain, so perron_data
+    evaluates once per eigenvector entry plus once per bisection step."""
+    import substoe.field as field_module
+    horner = field_module._interval_horner
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return horner(*args)
+    m = _golden_chain(8)[-1]
+    monkeypatch.setattr(field_module, "_interval_horner", counting)
+    pd = perron_data(m)
+    steps = len(pd.field._chain) - 1
+    assert m.rows == 8 and steps > 0
+    assert calls[0] <= m.rows + steps
+
+
 square_matrices = st.integers(1, 7).flatmap(
     lambda s: st.lists(st.lists(st.integers(0, 3), min_size=s, max_size=s),
                        min_size=s, max_size=s))

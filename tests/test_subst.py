@@ -416,6 +416,15 @@ def test_fibonacci_refusal_is_quick_and_small():
     assert peak < 64 * 2 ** 20
 
 
+def test_growth_power_refusal_names_cap_and_size():
+    # b -> b never grows, so no power makes every image 5 letters long
+    s = Substitution({"a": "ab", "b": "b"})
+    with pytest.raises(CapabilityError, match=r"^growth power search passed its "
+                       r"cap of 10000 steps with the shortest image at 1 of 5 "
+                       r"letters$"):
+        s._growth_power(5)
+
+
 def test_many_run_image_over_expansion_cap():
     s = Substitution({"a": {"runs": [["a", 1], ["b", 1]] * 750}, "b": "ab"})
     with pytest.raises(CapabilityError,

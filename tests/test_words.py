@@ -89,7 +89,8 @@ class TestEditing:
         assert v.runs == (("a", 1), ("b", 1), ("a", 1), ("b", 2))
 
     def test_repeat_budget(self):
-        with pytest.raises(CapabilityError):
+        with pytest.raises(CapabilityError, match=r"^run expansion to 2000000 "
+                           r"runs exceeds the budget of 1000000; clamp first$"):
             RunWord.from_string("ab").repeat(EXPAND_CAP)
 
     def test_prefix_suffix(self):
@@ -106,7 +107,8 @@ class TestEditing:
         assert "".join(w.suffix(n).expand()) == text[len(text) - min(n, len(text)):]
 
     def test_expand_guard(self):
-        with pytest.raises(CapabilityError):
+        with pytest.raises(CapabilityError, match=r"^word of 1000001 letters is "
+                           r"over the expansion budget of 1000000$"):
             RunWord([("a", EXPAND_CAP + 1)]).expand()
 
 
