@@ -5,36 +5,24 @@ that multiplication by the eigenvalue maps into itself; the group is the
 union of the lattice divided by all eigenvalue powers.  The eigenvalue is
 lam**K for the field's root lam and the lattice's power K: a system
 derived from another keeps the field of its source and records the power
-its Perron root is of the source's.  Membership and equality questions
-reduce to integer linear algebra on coordinates: exact division down the
-triangular basis, and one bounded kernel that decides when eigenvalue
-powers carry vectors into a lattice.  Two lattices on one field are
-compared directly; lattices on two fields are first identified through
-the minimal polynomial of the eigenvalue power.
+its Perron root is of the source's.  A LatticeGroup owns the integer
+arithmetic of its lattice: the triangular basis, exact division down it,
+and the integer matrix of lam**K on basis coordinates, kept from its
+closure check.  Membership and equality questions reduce to one bounded
+kernel that decides when eigenvalue powers carry vectors into a lattice.
+A lattice on a second field is carried into the first field once,
+through the minimal polynomial of the eigenvalue power, and one
+comparison then runs on the first field.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 from .errors import DomainError, FieldMismatchError
-from .field import (FieldElement, _interval_horner, _times_lam, certified_sign,
+from .field import (FieldElement, _element, _interval_horner, certified_sign,
                     minimal_polynomial)
-from .matrix import ExactMatrix, _cleared, hnf_basis
-from .perron import companion_matrix, measure_weights
-
-
-def _triangular_coords(h, den, vec):
-    """Rational coordinates of vec in the column basis h/den."""
-    k = h.rows
-    t = [Fraction(x) * den for x in vec]
-    coeffs = []
-    for i in range(k):
-        c = t[i] / h.at(i, i)
-        coeffs.append(c)
-        if c:
-            for r in range(i + 1, k):
-                t[r] -= c * h.at(r, i)
-    return coeffs
+from .matrix import _cleared, hnf_basis
+from .perron import measure_weights
 
 
 def _int_columns(h):
@@ -61,13 +49,6 @@ def _lattice_coords(cols, den, nums, e):
             for j in range(i + 1, k):
                 t[j] -= c * col[j]
     return coords
-
-
-def _step_matrix(cols, step):
-    """Columns of the integer matrix of step on the lattice coordinates of
-    the basis cols, or None when step leaves the lattice."""
-    m = [_lattice_coords(cols, 1, step(col), 1) for col in cols]
-    return None if None in m else m
 
 
 def _absorbed_at(m, xs, d):
@@ -99,16 +80,10 @@ def _absorbed_at(m, xs, d):
 
 
 def _lam_step(field, m=1):
-    """Multiplication by lam**m on integer coordinate numerators.
-
-    For m = 1 this is the companion shift-and-subtract; higher powers
-    apply the integer matrix C**m.
-    """
-    if m == 1:
-        f = field.min_poly.coeffs
-        return lambda v: _times_lam(v, f)
-    rows = (companion_matrix(field) ** m).int_rows()
-    return lambda v: [sum(a * x for a, x in zip(row, v)) for row in rows]
+    """Multiplication by the integral element lam**m on integer coordinate
+    numerators, as a field product."""
+    lam = field.lam() ** m
+    return lambda v: (lam * _element(field, v, 1)).nums
 
 
 class LatticeGroup:
@@ -123,7 +98,10 @@ class LatticeGroup:
             raise DomainError("generator length does not match the field degree")
         basis, den = hnf_basis(vectors)
         cols = _int_columns(basis)
-        if _step_matrix(cols, _lam_step(field, power)) is None:
+        # the integer matrix of lam**power on basis coordinates, by columns
+        lam = _lam_step(field, power)
+        step = [_lattice_coords(cols, 1, lam(col), 1) for col in cols]
+        if None in step:
             raise DomainError(
                 "not closed under multiplication by the eigenvalue")
         self.field = field
@@ -132,6 +110,7 @@ class LatticeGroup:
         self.basis = basis
         self.den = den
         self._cols = cols
+        self._step = step
 
     def basis_vectors(self):
         """Lattice basis as field elements."""
@@ -150,8 +129,7 @@ class LatticeGroup:
         cap (which bounds the report, not the search), else None."""
         if elt.field != self.field:
             raise FieldMismatchError("element lives in a different field")
-        n = _absorption(self.field, self.power, self.basis, self.den,
-                        [elt.coords]).get("exponent")
+        n = _absorption(self, [(elt.nums, elt.den)]).get("exponent")
         return n if n is not None and n <= cap else None
 
     def __repr__(self):
@@ -199,26 +177,34 @@ def _strip_shared_primes(d, modulus):
     return d
 
 
-def _absorption(field, m, h, den, vectors):
-    """Least t with lam**(m*t) v in the lattice h/den (closed under
-    lam**m) for every v, as {"exponent": t}; else the reason there is none:
-    a prime-denominator witness that lam cannot clear (a prime its norm
-    lacks), or not-absorbed with the bound of _absorbed_at."""
-    norm = abs(field.min_poly.coeffs[0])
-    coords = [_triangular_coords(h, den, v) for v in vectors]
-    for c in coords:
-        blocked = _strip_shared_primes(_cleared(c)[1], norm)
+def _absorption(group, vectors):
+    """Least t with lam**(power*t) v in group's lattice for every v =
+    nums / e in vectors, as {"exponent": t}; else the reason there is
+    none: a prime-denominator witness that lam cannot clear (a prime its
+    norm lacks), or not-absorbed with the bound of _absorbed_at.
+
+    With D the determinant of the triangular basis, adj(H) = D * H**-1
+    is integral, so D * e times the coordinates of v solve in integers.
+    """
+    norm = abs(group.field.min_poly.coeffs[0])
+    cols = group._cols
+    det = prod(col[i] for i, col in enumerate(cols))
+    scaled = []
+    for nums, e in vectors:
+        c = _lattice_coords(cols, group.den * det, nums, 1)
+        g = gcd(det * e, *c)
+        q = det * e // g
+        blocked = _strip_shared_primes(q, norm)
         if blocked > 1:
             return {"reason": "prime-denominator", "denominator": blocked}
-    flat, d = _cleared([x for c in coords for x in c])
+        scaled.append(([x // g for x in c], q))
+    d = lcm(*(q for _, q in scaled))
     if d == 1:
         return {"exponent": 0}
-    k = h.rows
-    xs = [flat[i:i + k] for i in range(0, len(flat), k)]
-    t = _absorbed_at(_step_matrix(_int_columns(h), _lam_step(field, m)),
-                     xs, d)
+    xs = [[x * (d // q) for x in c] for c, q in scaled]
+    t = _absorbed_at(group._step, xs, d)
     if t is None:
-        return {"reason": "not-absorbed", "bound": k * d.bit_length()}
+        return {"reason": "not-absorbed", "bound": len(cols) * d.bit_length()}
     return {"exponent": t}
 
 
@@ -246,16 +232,42 @@ def _same_embedded_root(mu, field2):
     return mu.field._first_accepted(place, finest=True)
 
 
+def _carried_into(field, power, group):
+    """group, a lattice on a second field, carried into field: the root of
+    group's field is identified with field's lam**power through its
+    minimal polynomial and isolating interval, and the lattice basis is
+    mapped along, giving the generators of the result in order.  None
+    when group's field has the lower degree."""
+    if group.power != 1:
+        raise FieldMismatchError(
+            "a lattice closed under a power of its root compares only "
+            "on its own field")
+    mu = field.lam() ** power
+    if minimal_polynomial(mu) != group.field.min_poly:
+        raise FieldMismatchError(
+            "second field is not generated by the declared eigenvalue power")
+    if not _same_embedded_root(mu, group.field):
+        raise FieldMismatchError(
+            "declared eigenvalue power is a different root of the same polynomial")
+    if group.field.degree < field.degree:
+        return None
+    mus = [mu ** j for j in range(field.degree)]
+    scale = Fraction(1, group.den)
+    return LatticeGroup(field, [
+        (sum((p * x for p, x in zip(mus, col)), field.zero()) * scale).coords
+        for col in group._cols], power)
+
+
 def groups_equal(first, second, m):
     """Compare two value groups, reading the second eigenvalue as the
     m-th power of the first.
 
-    Lattices on one field object compare directly, and the second must
-    be closed under the m-th power of the first's eigenvalue:
-    second.power == m * first.power.  Otherwise the second field's root
-    is identified with first's lam**(m * first.power) through its minimal
-    polynomial and isolating interval, and its lattice (which must have
-    power 1) is carried into the first field.
+    A lattice on first's field object must be closed under the m-th power
+    of first's eigenvalue: second.power == m * first.power.  A lattice on
+    another field must have power 1; it is carried into first's field
+    once (_carried_into), and one comparison then runs there.  The
+    witness of a failing direction is the first failing vector of the
+    source lattice's own basis, carried along with it.
 
     Returns a status dict: equal with absorption exponents, or unequal
     with a reason (rank, prime-denominator, not-absorbed) and, for the
@@ -265,43 +277,24 @@ def groups_equal(first, second, m):
     if m < 1:
         raise DomainError("power linking the eigenvalues must be positive")
     power = m * first.power
-    k1 = first.field.degree
     if second.field is first.field:
         if second.power != power:
             raise FieldMismatchError(
                 "second lattice is not closed under the declared "
                 "eigenvalue power")
-        h2, den2 = second.basis, second.den
-        gens2 = [[Fraction(x, den2) for x in h2.column(j)] for j in range(k1)]
+        second_basis = [(col, second.den) for col in second._cols]
     else:
-        if second.power != 1:
-            raise FieldMismatchError(
-                "a lattice closed under a power of its root compares only "
-                "on its own field")
-        mu = first.field.lam() ** power
-        poly = minimal_polynomial(mu)
-        if poly != second.field.min_poly:
-            raise FieldMismatchError(
-                "second field is not generated by the declared eigenvalue power")
-        if not _same_embedded_root(mu, second.field):
-            raise FieldMismatchError(
-                "declared eigenvalue power is a different root of the same polynomial")
-        k2 = second.field.degree
-        if k2 < k1:
+        second = _carried_into(first.field, power, second)
+        if second is None:
             return {"status": "unequal", "reason": "rank"}
-        transport = ExactMatrix.from_columns(
-            [list((mu ** j).coords) for j in range(k2)])
-        gens2 = [transport.apply([Fraction(x, second.den)
-                                  for x in second.basis.column(j)])
-                 for j in range(k2)]
-        h2, den2 = hnf_basis(gens2)
-    gens1 = [[Fraction(x, first.den) for x in first.basis.column(j)]
-             for j in range(k1)]
+        # the images of the second field's basis, in its order
+        second_basis = [_cleared(v) for v in second.generators]
     found = {}
-    for direction, step, h, den, vectors in (
-            ("second-into-first", first.power, first.basis, first.den, gens2),
-            ("first-into-second", power, h2, den2, gens1)):
-        found[direction] = _absorption(first.field, step, h, den, vectors)
+    for direction, target, vectors in (
+            ("second-into-first", first, second_basis),
+            ("first-into-second", second,
+             [(col, first.den) for col in first._cols])):
+        found[direction] = _absorption(target, vectors)
         if "denominator" in found[direction]:
             break
     # a prime-denominator witness is reported before a not-absorbed one

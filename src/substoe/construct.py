@@ -124,7 +124,7 @@ def _power_search(field, inv, start_vecs, accept, start, cap, what):
 
     The scan runs on integers: F^-1 is cleared once to integer rows over
     one denominator, each start vector to numerators over its own, and
-    C steps those numerators by the companion shift.
+    C, multiplication by lam, steps those numerators as a field product.
     """
     flat, den = _cleared(inv.entries)
     k = inv.cols
@@ -162,9 +162,7 @@ def _minimize_core(lattice, xs, move_cap=200, n_cap=200, m_cap=200):
     """
     field = lattice.field
     k = field.degree
-    f_vecs = [[Fraction(lattice.basis.at(i, j), lattice.den)
-               for i in range(k)] for j in range(k)]
-    cone = _Cone(field, f_vecs)
+    cone = _Cone(field, [x.coords for x in lattice.basis_vectors()])
     moves = cone.fix(move_cap)
     basis = ExactMatrix.from_columns(cone.f)
     inv = basis.inverse()
@@ -276,26 +274,24 @@ def realize_group_matrix(matrix, weights, closure_cap=24,
     except RankError:
         raise DomainError("weights must span the field over the rationals")
 
-    mp = multiplication_matrices(field)
     h_cols = _int_columns(h0)
     step = _lam_step(field)
     cols = h_cols
-    closure_power = None
-    for t in range(1, closure_cap + 1):
+    for closure_power in range(1, closure_cap + 1):
         cols = [step(v) for v in cols]
         if all(_lattice_coords(h_cols, den0, v, den0) is not None
                for v in cols):
-            closure_power = t
             break
-    if closure_power is None:
+    else:
         raise DomainError("the weight lattice is not preserved by any "
                           "eigenvalue power up to %d" % closure_cap)
 
-    gens = [list(v) for v in vectors]
-    layer = [list(v) for v in vectors]
+    gens = list(vectors)
+    layer = xs
+    inv = field.lam().inverse()
     for _ in range(closure_power - 1):
-        layer = [list(mp.d.apply(v)) for v in layer]
-        gens.extend([list(v) for v in layer])
+        layer = [x * inv for x in layer]
+        gens.extend(x.coords for x in layer)
     saturated = LatticeGroup(field, gens)
 
     report = _minimize_core(saturated, xs,

@@ -210,14 +210,22 @@ def poly_gcd(f, g):
     return IntPolynomial(a).primitive_part()
 
 
+# The last (f, squarefree_part(f)): factorization asks again for the part
+# of f, or of the part itself, which is its own squarefree part.
+_last_squarefree = (None, None)
+
+
 def squarefree_part(f):
     """f with repeated roots collapsed; monic input gives monic output."""
+    global _last_squarefree
     if f.degree < 1:
         raise DomainError("squarefree part needs degree at least 1")
+    if f in _last_squarefree:
+        return _last_squarefree[1]
     g = poly_gcd(f, f.derivative())
-    if g.degree == 0:
-        return f.primitive_part()
-    return f.div_exact(g).primitive_part()
+    part = (f if g.degree == 0 else f.div_exact(g)).primitive_part()
+    _last_squarefree = (f, part)
+    return part
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +674,7 @@ def factor_monic_squarefree(f, degree_cap=FACTOR_DEGREE_CAP):
         d = _gf_strip([c % p for c in df.coeffs])
         if d and len(_gf_gcd([c % p for c in f.coeffs], d, p)) == 1:
             break
-        if p == 3 and poly_gcd(f, df).degree != 0:
+        if p == 3 and squarefree_part(f) != f:
             raise DomainError("squarefree polynomial required")
 
     modular = _berlekamp(_gf_strip([c % p for c in f.coeffs]), p)

@@ -1,20 +1,21 @@
 import functools
+import json
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from substoe.clopen import (LatticeGroup, _strip_shared_primes,
-                            _triangular_coords, groups_equal,
+from substoe.clopen import (LatticeGroup, _strip_shared_primes, groups_equal,
                             lattice_from_elements, lattice_of, s_membership)
-from substoe.construct import enlarge_matrix
+from substoe.construct import _carried_group, enlarge_matrix
 from substoe.errors import DomainError, FieldMismatchError, RankError
-from substoe.field import NumberField, number_field
+from substoe.field import NumberField, minimal_polynomial, number_field
 from substoe.intpoly import IntPolynomial
 from substoe.matrix import ExactMatrix
-from substoe.perron import companion_matrix, perron_data
+from substoe.perron import companion_matrix, field_kernel_basis, perron_data
 
 A0 = ExactMatrix.from_rows([[1, 1], [1, 2]])
 A1 = ExactMatrix.from_rows([[1, 1, 1], [2, 3, 1], [8, 13, 0]])
@@ -140,7 +141,8 @@ class TestGroupsEqual:
         g1 = LatticeGroup(f1, [(1, 0), (0, 1)])
         f2 = number_field(IntPolynomial([-3, 1]))
         g2 = LatticeGroup(f2, [(1,)])
-        with pytest.raises(FieldMismatchError):
+        with pytest.raises(FieldMismatchError, match="not generated by the "
+                           "declared eigenvalue power"):
             groups_equal(g1, g2, 2)
 
     def test_conjugate_root_rejected(self):
@@ -148,7 +150,8 @@ class TestGroupsEqual:
         poly = g.field.min_poly
         small_root = NumberField(poly, (Fraction(1, 4), Fraction(1, 2)))
         other = LatticeGroup(small_root, [(1, 0), (0, 1)])
-        with pytest.raises(FieldMismatchError):
+        with pytest.raises(FieldMismatchError, match="different root of the "
+                           "same polynomial"):
             groups_equal(g, other, 1)
 
     def test_prime_denominator_witness(self):
@@ -173,6 +176,21 @@ class TestGroupsEqual:
         g = golden_group()
         with pytest.raises(DomainError):
             groups_equal(g, g, 0)
+
+
+def _triangular_coords(h, den, vec):
+    """Rational coordinates of vec in the column basis h/den: the reference
+    for the integer solves in clopen."""
+    k = h.rows
+    t = [Fraction(x) * den for x in vec]
+    coeffs = []
+    for i in range(k):
+        c = t[i] / h.at(i, i)
+        coeffs.append(c)
+        if c:
+            for r in range(i + 1, k):
+                t[r] -= c * h.at(r, i)
+    return coeffs
 
 
 def fraction_membership_exponent(group, elt, cap):
@@ -432,3 +450,66 @@ class TestBoundedAbsorption:
         # the cap bounds the report, not the work
         assert s_membership(whole, Fraction(1, 2), cap=10 ** 5) == {
             "status": "not-member-up-to", "cap": 10 ** 5}
+
+
+GOLDEN_CHAIN = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "data.json").read_text())[
+        "golden_chain"]
+
+
+def built_in_field(field, b, m):
+    """The group of b built directly in field at power m: b's eigenvector
+    for lam**m over field, summing to one, as _carried_group carries it."""
+    lam = field.lam() ** m
+    rows = [[field.from_rational(x) - (lam if i == j else 0)
+             for j, x in enumerate(row)] for i, row in enumerate(b.int_rows())]
+    vec = field_kernel_basis(rows, field)[0]
+    total = sum(vec[1:], vec[0])
+    return _carried_group(b, field, m, [x / total for x in vec])
+
+
+class TestCarriedComparison:
+    """A lattice on a second field compares as the same lattice built in
+    the first field at the linking power."""
+
+    @pytest.mark.parametrize("i", range(len(GOLDEN_CHAIN) - 1))
+    def test_golden_chain_pairs(self, i):
+        first = lattice_of(perron_data(ExactMatrix.from_rows(GOLDEN_CHAIN[i])))
+        b = ExactMatrix.from_rows(GOLDEN_CHAIN[i + 1])
+        carried = groups_equal(first, lattice_of(perron_data(b)), 2)
+        assert carried == groups_equal(first, built_in_field(first.field, b, 2),
+                                       2)
+        assert carried["status"] == "equal"
+
+    @pytest.mark.parametrize("rows_a, rows_b, outcome", [
+        ([[1, 2], [3, 1]], [[1, 2], [3, 1]], "equal"),
+        ([[1, 2], [3, 1]], [[1, 1], [6, 1]], "equal"),
+        ([[3, 2], [1, 0]], [[3, 2], [1, 0]], "equal"),
+        ([[3, 1], [2, 0]], [[3, 2], [1, 0]], "not-absorbed"),
+        ([[1, 1], [5, 6]], [[1, 5], [1, 6]], "prime-denominator"),
+    ])
+    def test_kernel_fields(self, rows_a, rows_b, outcome):
+        # t^2 - 2t - 5 and t^2 - 3t - 2 of KERNEL_FIELDS, and t^2 - 7t + 1;
+        # the first lattice is divided by lam**s
+        pd = perron_data(ExactMatrix.from_rows(rows_a))
+        for m in (1, 2, 3):
+            b = ExactMatrix.from_rows(rows_b) ** m
+            foreign = lattice_of(perron_data(b))
+            direct = built_in_field(pd.field, b, m)
+            for s in (0, 1, 3):
+                first = _scaled(pd, s)
+                res = groups_equal(first, foreign, m)
+                assert res == groups_equal(first, direct, m)
+                assert res.get("reason", res["status"]) == outcome
+
+    def test_witness_is_a_carried_basis_vector(self):
+        # lam**2 - 3 lam - 1 = 0 and mu = lam**2; the second lattice's first
+        # basis vector, carried over, is the witness (denominator 2), not
+        # the first vector of the carried lattice's own basis (6)
+        field = number_field(IntPolynomial([-1, -3, 1]))
+        first = module_lattice(field, [(1, 1)])
+        squares = number_field(minimal_polynomial(field.lam() ** 2))
+        second = module_lattice(squares, [(-1, Fraction(1, 2))])
+        assert groups_equal(first, second, 2) == {
+            "status": "unequal", "direction": "second-into-first",
+            "reason": "prime-denominator", "denominator": 2}

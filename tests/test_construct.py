@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from substoe.clopen import groups_equal, lattice_of
+from substoe.clopen import groups_equal, lattice_from_elements, lattice_of
 from substoe.construct import (
     Y_SYSTEM_CAP,
     _Cone,
@@ -298,6 +298,24 @@ class TestRealize:
         assert r["closure_power"] == 1
         assert r["rows"] == [[1, 0], [0, 1]]
         assert r["matrix"].int_rows() == A0
+
+    def test_saturation_divides_by_lam(self):
+        # lam**2 - 2 lam - 5 = 0 is no unit: L + lam**-1 L, the lattice the
+        # weights saturate to, differs from L + lam L, which has the same group
+        r = realize_group_matrix(
+            [[1, 2], [3, 1]], [[Fraction(-1), Fraction(1, 2)],
+                               [Fraction(2), Fraction(-1, 2)]])
+        assert r["closure_power"] == 2
+        field = r["field"]
+        xs = [field.from_coords(w) for w in ([-1, Fraction(1, 2)],
+                                             [2, Fraction(-1, 2)])]
+        lam = field.lam()
+        shift = lam ** r["basis_power"]
+        built = lattice_from_elements(field, [z * shift for z in r["weights"]])
+        for side, layer in ((1, lam.inverse()), (-1, lam)):
+            want = lattice_from_elements(field, xs + [x * layer for x in xs])
+            same = (built.basis, built.den) == (want.basis, want.den)
+            assert same == (side == 1)
 
     def test_closure_cap(self):
         with pytest.raises(DomainError):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import substoe.intpoly as intpoly_module
 from substoe.construct import enlarge_matrix
 from substoe.errors import CapabilityError, DomainError, InternalError
+from substoe.field import dominant_root_field
 from substoe.intpoly import (
     IntPolynomial,
     _gf_strip,
@@ -109,6 +110,31 @@ class TestGcdSquarefree:
     def test_monic_in_monic_out(self):
         f = P(1, 0, -2) * P(1, 0, -2) * P(1, 1)
         assert squarefree_part(f).is_monic
+
+    def test_factorization_reuses_the_squarefree_gcd(self, monkeypatch):
+        # x^2 - 3 fails the gcd test mod 3 (3 divides its discriminant);
+        # the integer gcd behind the p = 3 guard is the one the field
+        # builder has just computed
+        calls = []
+        gcd = intpoly_module.poly_gcd
+        monkeypatch.setattr(intpoly_module, "_last_squarefree", (None, None))
+        monkeypatch.setattr(intpoly_module, "poly_gcd",
+                            lambda f, g: calls.append(f) or gcd(f, g))
+        field, _ = dominant_root_field(P(1, 0, -3))
+        assert field.min_poly == P(1, 0, -3) and len(calls) == 1
+        cp = P(1, 0, -3) * P(1, 0, -3) * P(1, -1)
+        field, _ = dominant_root_field(cp)
+        assert field.min_poly == P(1, 0, -3) and len(calls) == 2
+
+    @pytest.mark.parametrize("f", [P(1, 0, -3) * P(1, 0, -3),
+                                   P(1, -2, 1) * P(1, 3)])
+    def test_refusal_survives_the_memo(self, f):
+        part = squarefree_part(f)
+        with pytest.raises(DomainError, match="squarefree polynomial required"):
+            factor_monic_squarefree(f)
+        assert factor_monic_squarefree(part)
+        with pytest.raises(DomainError, match="squarefree polynomial required"):
+            factor_monic_squarefree(f)
 
 
 class TestRoots:

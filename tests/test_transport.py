@@ -136,13 +136,15 @@ class TestPowerTransport:
     def test_same_field_power_must_match(self):
         base = perron_data(A0)
         squared = _carried_group(A0 ** 2, base.field, 2, base.eigvec)
-        with pytest.raises(FieldMismatchError):
+        unclosed = "not closed under the declared eigenvalue power"
+        with pytest.raises(FieldMismatchError, match=unclosed):
             groups_equal(lattice_of(base), squared, 1)
-        with pytest.raises(FieldMismatchError):
+        with pytest.raises(FieldMismatchError, match=unclosed):
             groups_equal(squared, lattice_of(base), 2)
         # a carried lattice meets another field only as the first one,
         # even where that field's root is the carried one's lam
-        with pytest.raises(FieldMismatchError):
+        with pytest.raises(FieldMismatchError,
+                           match="compares only on its own field"):
             groups_equal(lattice_of(perron_data(A0)), squared, 1)
         assert groups_equal(lattice_of(base), squared, 2)["status"] == "equal"
 
