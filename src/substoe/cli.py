@@ -395,11 +395,7 @@ def _cmd_diagram(doc, args):
 
 def _cmd_enlarge(doc, args):
     _check_keys(doc, "input", required=("matrix",))
-    m = _parse_matrix(doc["matrix"])
-    kwargs = {}
-    if args.cap_power is not None:
-        kwargs["k_cap"] = args.cap_power
-    r = enlarge_matrix(m, **kwargs)
+    r = enlarge_matrix(_parse_matrix(doc["matrix"]))
     return {
         "matrix": r["matrix"].int_rows(),
         "power": r["power"],
@@ -428,10 +424,7 @@ def _cmd_family_soe(doc, args):
     _check_keys(doc, "input", required=("substitution", "block_length"))
     sub = _parse_substitution(doc["substitution"])
     block = _positive_int(doc, "block_length", "input")
-    kwargs = {}
-    if args.cap_power is not None:
-        kwargs["n_cap"] = args.cap_power
-    r = build_soe_substitution(sub, block, **kwargs)
+    r = build_soe_substitution(sub, block)
     return {
         "substitution": _substitution_json(r["substitution"]),
         "power": r["power"],
@@ -453,8 +446,6 @@ def _cmd_family_oe(doc, args):
     kwargs = {}
     if args.probe is not None:
         kwargs["probe_n"] = args.probe
-    if args.cap_power is not None:
-        kwargs["power_cap"] = args.cap_power
     members = build_oe_alphabet_family(sub, steps=steps, **kwargs)
     return {"members": [{
         "substitution": _substitution_json(m["substitution"]),
@@ -482,9 +473,10 @@ def _cmd_s_member(doc, args):
     else:
         value = _parse_entry(node, "value")
         echo = _rational_str(value)
-    cap = args.cap_power if args.cap_power is not None else 64
-    result = s_membership(lattice, value, cap=cap)
-    out = dict(result)
+    kwargs = {}
+    if args.cap_power is not None:
+        kwargs["cap"] = args.cap_power
+    out = dict(s_membership(lattice, value, **kwargs))
     out["value"] = echo
     return out
 
@@ -731,10 +723,8 @@ _FLAGS = {
     "complexity": ("--n-max",),
     "language": ("--n-max", "--seed-letter"),
     "diagram": ("--n-max", "--dot"),
-    "enlarge": ("--cap-power",),
     "minimize": ("--cap-power",),
-    "family-soe": ("--cap-power",),
-    "family-oe": ("--cap-power", "--probe"),
+    "family-oe": ("--probe",),
     "s-member": ("--cap-power",),
 }
 

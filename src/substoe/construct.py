@@ -150,7 +150,7 @@ def _power_search(field, inv, start_vecs, accept, start, cap, what):
         if accept(cols):
             return t, cols
         vecs = [(step(nums), d) for nums, d in vecs]
-    raise CapabilityError("no usable power of the eigenvalue below %d for %s"
+    raise CapabilityError("no usable power of the eigenvalue up to %d for %s"
                           % (cap, what))
 
 
@@ -350,7 +350,29 @@ def _require_equal(comparison, unequal):
         raise InternalError(unequal)
 
 
-def enlarge_matrix(a, k_cap=64):
+def _least_power_over(a, targets):
+    """(p, rows) for the least p with a**p >= targets entrywise, rows the
+    integer rows of a**p; a is primitive with Perron root above 1.
+
+    The scan provably ends by e * (1 + bits(T - 1)), e the primitivity
+    exponent and T the largest target (Wielandt 1950; Seneta, Non-negative
+    Matrices and Markov Chains, 2.4): a**e >= J, the all-ones matrix, with
+    row sums at least 2 (n >= 2, or a = (lam) with lam >= 2), so by
+    induction a**(e*m) >= a**e 2**(m-2) J >= 2**(m-1) J.  Column-sum
+    targets end by e + 1, as a**(e+1) >= J a.
+    """
+    e = primitivity_exponent(a)
+    bound = e * (1 + (max(chain.from_iterable(targets)) - 1).bit_length())
+    found = first_power(a, lambda rows: all(
+        x >= t for row, target in zip(rows, targets)
+        for x, t in zip(row, target)), bound)
+    if found is None:
+        raise InternalError("no power up to the proven bound %d is over "
+                            "the targets" % bound)
+    return found
+
+
+def enlarge_matrix(a):
     """Grow a primitive matrix by one vertex, preserving its group.
 
     Returns the enlarged matrix together with the power k of the input
@@ -358,10 +380,10 @@ def enlarge_matrix(a, k_cap=64):
     and the group comparison are certified exactly.
     """
     pd = perron_data(_coerce_matrix(a))
-    return _enlarge(pd.matrix, lattice_of(pd), pd.eigvec, k_cap)[0]
+    return _enlarge(pd.matrix, lattice_of(pd), pd.eigvec)[0]
 
 
-def _enlarge(a, group, vec, k_cap):
+def _enlarge(a, group, vec):
     """enlarge_matrix on a, whose group is at hand.
 
     a has Perron root lam0**group.power, lam0 the root of group.field,
@@ -371,13 +393,7 @@ def _enlarge(a, group, vec, k_cap):
     """
     a_cols = list(zip(*a.int_rows()))
     colsums = [sum(col) for col in a_cols]
-    found = first_power(
-        a, lambda rows: all(x >= c for row in rows
-                            for x, c in zip(row, colsums)), k_cap)
-    if found is None:
-        raise CapabilityError("no power below %d dominates the column sums"
-                              % k_cap)
-    step, p = found
+    step, p = _least_power_over(a, [colsums] * a.rows)
     rows = [[x - (c - 1) for x, c in zip(row, colsums)] + [1] for row in p]
     # column sums of A^(step+1) - A^step, from those of A^step
     psums = [sum(col) for col in zip(*p)]
@@ -447,8 +463,7 @@ def _frame_rules(letters, rows, needs, middles, what):
     return zeta, incidence, proper
 
 
-def build_soe_substitution(subst, block_length, n_cap=64,
-                           piece_check_limit=10 ** 6):
+def build_soe_substitution(subst, block_length, piece_check_limit=10 ** 6):
     """Rewrite a primitive substitution so every length-(l+1) word occurs.
 
     The output is proper, keeps the path group (via an exact power
@@ -466,6 +481,7 @@ def build_soe_substitution(subst, block_length, n_cap=64,
     letters = subst.alphabet
     s = len(letters)
     a = subst.incidence_matrix()
+    pd = perron_data(a)
 
     pieces = list(product(letters, repeat=l + 1))
     block = RunWord.from_letters(chain.from_iterable(pieces))
@@ -475,13 +491,7 @@ def build_soe_substitution(subst, block_length, n_cap=64,
         extra[0][t] = block_counts.get(letter, 0)
     needs = _needs(letters, extra)
 
-    found = first_power(
-        a, lambda rows: all(rows[t][j] >= needs[j][t]
-                            for j in range(s) for t in range(s)), n_cap)
-    if found is None:
-        raise CapabilityError("no power below %d fits the word blocks"
-                              % n_cap)
-    power, rows = found
+    power, rows = _least_power_over(a, list(zip(*needs)))
 
     middles = [block] + [RunWord(()) for _ in range(s - 1)]
     zeta, p, proper = _frame_rules(letters, rows, needs, middles,
@@ -499,7 +509,6 @@ def build_soe_substitution(subst, block_length, n_cap=64,
         raise InternalError("rewritten language misses a word of length "
                             "%d" % (l + 1))
     original = subst.complexity(l + 1)
-    pd = perron_data(a)
     comparison = groups_equal(
         lattice_of(pd), _carried_group(p, pd.field, power, pd.eigvec),
         m=power)
@@ -517,8 +526,7 @@ def build_soe_substitution(subst, block_length, n_cap=64,
     }
 
 
-def build_oe_alphabet_family(subst, steps=1, probe_n=40, scan_n=60,
-                             power_cap=16, k_cap=64):
+def build_oe_alphabet_family(subst, steps=1, probe_n=40, scan_n=60):
     """Iterate: bound the complexity slope, then rebuild on a strictly
     larger alphabet with complexity above that bound.
 
@@ -545,18 +553,12 @@ def build_oe_alphabet_family(subst, steps=1, probe_n=40, scan_n=60,
         accumulated = 1
         while grown.rows < target:
             report, grown, grown_group, grown_vec = _enlarge(
-                grown, grown_group, grown_vec, k_cap)
+                grown, grown_group, grown_vec)
             accumulated *= report["power"]
         s = grown.rows
-        found = first_power(
-            grown,
-            lambda rows: (all(x >= 1 for row in rows for x in row)
-                          and all(x >= 2 for x in rows[0])
-                          and rows[0][0] >= 3), power_cap)
-        if found is None:
-            raise CapabilityError("no power below %d seats the frame"
-                                  % power_cap)
-        exponent, rows = found
+        # a1 opens and closes every image; every entry >= 1 keeps b positive
+        frame = [[3] + [2] * (s - 1)] + [[1] * s for _ in range(s - 1)]
+        exponent, rows = _least_power_over(grown, frame)
         accumulated *= exponent
 
         letters = _default_letters(s)

@@ -87,11 +87,12 @@ class ExactMatrix:
 
     @property
     def is_nonnegative(self):
-        return all(e >= 0 for e in self.entries)
+        # a Fraction's denominator is positive, so its numerator has its sign
+        return all(e.numerator >= 0 for e in self.entries)
 
     @property
     def is_positive(self):
-        return all(e > 0 for e in self.entries)
+        return all(e.numerator > 0 for e in self.entries)
 
     def int_rows(self):
         if not self.is_integer:
@@ -345,8 +346,8 @@ def primitivity_exponent(m):
     base = []
     for i in range(n):
         mask = 0
-        for j in range(n):
-            if m.at(i, j) > 0:
+        for j, x in enumerate(m.row(i)):
+            if x.numerator:
                 mask |= 1 << j
         base.append(mask)
     cur = base

@@ -79,6 +79,9 @@ class TestExitCodes:
         ["enumerate-y", "-", "--cap-power", "3"],
         ["verify-paper", "--cap-power", "3"],
         ["groups-equal", "-", "--cap-power", "3"],
+        ["enlarge", "-", "--cap-power", "3"],
+        ["family-soe", "-", "--cap-power", "3"],
+        ["family-oe", "-", "--cap-power", "3"],
         ["complexity", "-", "--json"],
     ])
     def test_flag_of_another_subcommand_is_malformed(self, cli, argv):
@@ -94,8 +97,7 @@ class TestExitCodes:
         assert err_json(err)["kind"] == "domain"
 
     def test_capability_error_exits_two(self, cli):
-        code, _, err = cli(["enlarge", "-", "--cap-power", "1"],
-                           document={"matrix": A0})
+        code, _, err = cli(["enumerate-y", "-"], document={"q": 33})
         assert code == 2
         assert err_json(err)["kind"] == "capability"
 
@@ -252,6 +254,14 @@ class TestBuilders:
         assert report["separated"] is True
         assert report["full_count"] == 4
         assert report["groups"]["status"] == "equal"
+
+    def test_soe_eigenvalue_one_is_a_domain_error(self, cli):
+        doc = {"substitution": {"rules": {"a": "a"}}, "block_length": 1}
+        code, out, err = cli(["family-soe", "-"], document=doc)
+        assert (code, out) == (1, "")
+        assert err_json(err) == {
+            "kind": "domain",
+            "message": "dominant eigenvalue does not exceed 1"}
 
     def test_family_single_step(self, cli):
         code, out, _ = cli(["family-oe", "-"],

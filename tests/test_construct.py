@@ -17,6 +17,7 @@ from substoe.clopen import groups_equal, lattice_from_elements, lattice_of
 from substoe.construct import (
     Y_SYSTEM_CAP,
     _Cone,
+    _least_power_over,
     _power_search,
     build_oe_alphabet_family,
     coprime_partition_count,
@@ -30,7 +31,7 @@ from substoe.construct import (
 from substoe.errors import CapabilityError, DomainError, InternalError
 from substoe.field import certified_sign, minimal_polynomial
 from substoe.intpoly import IntPolynomial
-from substoe.matrix import ExactMatrix, primitivity_exponent
+from substoe.matrix import ExactMatrix, first_power, primitivity_exponent
 from substoe.perron import companion_matrix, perron_data
 from substoe.subst import Substitution, linear_bound_estimate
 
@@ -40,6 +41,23 @@ A1 = [[1, 1, 1], [2, 3, 1], [8, 13, 0]]
 
 def golden():
     return Substitution({"a": "ab", "b": "abb"})
+
+
+def wielandt(n):
+    """The n x n matrix with the largest primitivity exponent, (n-1)^2+1."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        rows[i][i + 1] = 1
+    rows[n - 1][0] = rows[n - 1][1] = 1
+    return rows
+
+
+def wielandt_substitution(n):
+    """a1 -> a2 -> ... -> an -> a1 a2, whose incidence is wielandt(n)^T."""
+    letters = "abcdefghijkl"[:n]
+    rules = dict(zip(letters, letters[1:]))
+    rules[letters[-1]] = letters[:2]
+    return Substitution(rules)
 
 
 class TestEnlarge:
@@ -75,6 +93,15 @@ class TestEnlarge:
     def test_rejects_eigenvalue_one(self):
         with pytest.raises(DomainError):
             enlarge_matrix([[1]])
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_wielandt_enlarges_one_past_its_exponent(self, n):
+        rows = wielandt(n)
+        r = enlarge_matrix(rows)
+        assert r["power"] == primitivity_exponent(
+            ExactMatrix.from_rows(rows)) + 1
+        assert r["matrix"].rows == n + 1
+        assert r["groups"]["status"] == "equal"
 
 
 class TestMinimize:
@@ -268,7 +295,7 @@ class TestPowerSearch:
 
     def test_cap_and_lattice_exit(self):
         pd, cone, inv = self.cone(A1)
-        with pytest.raises(CapabilityError, match="below 0 for x"):
+        with pytest.raises(CapabilityError, match="up to 0 for x"):
             _power_search(pd.field, inv, cone.f, lambda cols: False, 0, 0,
                           "x")
         outside = [[x / 7 for x in cone.f[0]]]
@@ -278,6 +305,37 @@ class TestPowerSearch:
         with pytest.raises(InternalError, match="left the lattice"):
             fraction_power_search(pd.field, inv, outside, lambda cols: True,
                                   0, 5)
+
+
+@st.composite
+def powering_matrices(draw):
+    """Primitive 1..6 matrices with Perron root above 1, and targets."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    assume(primitivity_exponent(ExactMatrix.from_rows(rows)) is not None)
+    assume(n > 1 or rows[0][0] > 1)
+    targets = draw(st.lists(
+        st.lists(st.integers(0, 1000), min_size=n, max_size=n),
+        min_size=n, max_size=n))
+    return rows, targets
+
+
+class TestLeastPowerOver:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(powering_matrices())
+    def test_matches_brute_force_within_bound(self, case):
+        rows, targets = case
+        a = ExactMatrix.from_rows(rows)
+        e = primitivity_exponent(a)
+        got = _least_power_over(a, targets)
+        assert got == first_power(
+            a, lambda p: all(x >= t for row, target in zip(p, targets)
+                             for x, t in zip(row, target)), 10 ** 4)
+        top = max(max(target) for target in targets)
+        assert got[0] <= e * (1 + (top - 1).bit_length())
+        colsums = [sum(col) for col in zip(*rows)]
+        assert _least_power_over(a, [colsums] * len(rows))[0] <= e + 1
 
 
 class TestRealize:
@@ -386,6 +444,17 @@ class TestBlockCovering:
         split = Substitution({"a": "a", "b": "b"})
         with pytest.raises(DomainError):
             build_soe_substitution(split, 1)
+
+    def test_rejects_eigenvalue_one_before_scanning(self):
+        with pytest.raises(DomainError, match="does not exceed 1"):
+            build_soe_substitution(Substitution({"a": "a"}), 1)
+
+    @pytest.mark.parametrize("n, power", [(8, 73), (10, 111)])
+    def test_wielandt_substitution(self, n, power):
+        r = build_soe_substitution(wielandt_substitution(n), 1)
+        assert r["power"] == power
+        assert r["full_count"] == n ** 2
+        assert r["groups"]["status"] == "equal"
 
 
 class TestAlphabetFamily:

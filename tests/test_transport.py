@@ -67,7 +67,7 @@ class TestEnlargeTransport:
         base = perron_data(A0)
         m, group, vec = A0, lattice_of(base), base.eigvec
         while m.rows < 8:
-            report, m, group, vec = _enlarge(m, group, vec, 64)
+            report, m, group, vec = _enlarge(m, group, vec)
             assert m == report["matrix"]
             assert group.field is base.field
             assert_carried(group, m)
@@ -79,7 +79,7 @@ class TestEnlargeTransport:
         assume(usable(rows))
         base = perron_data(ExactMatrix.from_rows(rows))
         report, m, group, _ = _enlarge(base.matrix, lattice_of(base),
-                                       base.eigvec, 64)
+                                       base.eigvec)
         assert group.power == report["power"]
         assert m == report["matrix"]
         assert_carried(group, m)
