@@ -102,8 +102,9 @@ class _Cone:
         while min(signs) <= 0:
             if len(moves) == cap:
                 raise CapabilityError(
-                    "basis adjustment did not stabilize within %d moves"
-                    % cap)
+                    "basis adjustment did not stabilize within %d moves: "
+                    "%d of %d eigendirection coefficients still not positive"
+                    % (cap, sum(sign <= 0 for sign in signs), len(signs)))
             i, j = self._top_two()
             self.f[i] = [x - y for x, y in zip(self.f[i], self.f[j])]
             self.p[i] = self.p[i] - self.p[j]
@@ -136,6 +137,7 @@ def _power_search(field, inv, start_vecs, accept, start, cap, what):
         for _ in range(start):
             nums = step(nums)
         vecs.append((nums, den * e))
+    cols = []
     for t in range(start, cap + 1):
         cols = []
         for nums, d in vecs:
@@ -150,8 +152,12 @@ def _power_search(field, inv, start_vecs, accept, start, cap, what):
         if accept(cols):
             return t, cols
         vecs = [(step(nums), d) for nums, d in vecs]
-    raise CapabilityError("no usable power of the eigenvalue up to %d for %s"
-                          % (cap, what))
+    message = "no usable power of the eigenvalue up to %d for %s" % (cap, what)
+    if cols:
+        bits = max(abs(x).bit_length() for col in cols for x in col)
+        message += ("; the largest lattice coordinate at power %d has %d bits"
+                    % (cap, bits))
+    raise CapabilityError(message)
 
 
 def _minimize_core(lattice, xs, move_cap=200, n_cap=200, m_cap=200):

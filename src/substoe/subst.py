@@ -53,52 +53,59 @@ def _apply_rules(rules, word):
     return RunWord((l, min(c, cap)) for l, c in runs)
 
 
-def _run_cutter(letter, width):
-    """Pattern and replacement that cut each run of letter to width."""
-    pattern = re.compile("%s{%d,}" % (re.escape(letter), width + 1))
-    return pattern, lambda run: run.group()[:width]
+def _run_cutter(copies):
+    """Replacement that keeps the first copies letters of a matched run."""
+    return lambda run: run.group()[:copies]
 
 
-def _image_step(rules, n):
-    """One clamped substitution step on encoded strings, as a function.
+def _image_step(rules, n, lengths):
+    """Clamped substitution steps on encoded strings, as a function.
 
-    The function maps an image s, whose runs have at most n letters, to
-    an image with the n-windows, the (n-1)-letter prefix and suffix and
-    the length of at least n of clamp(rule(s)), which is rule(s) with
-    every run cut to n.  It translates s by the rules with their runs cut
-    to n, then cuts the runs of the result to n.  Before translating,
-    each run x^r of s keeps only c = ceil((n-1)/|rule(x)|) + 1 copies of
-    x, as in RunWord.repeat_clamped: c consecutive copies of rule(x) hold
-    every n-window of rule(x)^r and its (n-1)-letter prefix and suffix.
+    lengths[t] maps each letter x that can form a run, that is with xx in
+    the two-block language, to |rule^t(x)|.  step(s, t), with t the steps
+    still to go after this one, maps an image s to an image with the
+    n-view of rule(s): its n-windows, its (n-1)-letter prefix and suffix
+    and whether it has at least n letters.  It translates s by the rules
+    with their runs cut to n, then cuts every run x^r of the result to
+    c = ceil((n-1)/|rule^t(x)|) + 1 copies of x.  The remaining t steps
+    turn x^r into rule^t(x)^r, and c consecutive copies of rule^t(x) hold
+    every n-window of rule^t(x)^r and its (n-1)-letter prefix and suffix,
+    as in RunWord.repeat_clamped.  Every rule is nonempty, so the n-view
+    of a word fixes the n-view of its image, and the cut keeps the
+    n-view of the final image.  At t = 0, c = n: the last step cuts
+    every run to n letters.
 
-    The image is built from slices of at most about SLICE letters and
-    refused as soon as its length passes LENGTH_GUARD.  Runs are cut to
-    at most LENGTH_GUARD + 1 letters: a longer run is refused either way.
+    Each letter gets one pattern, for runs longer than its least count;
+    the count of the level goes to the replacement.  The image is built
+    from slices of at most about SLICE letters and refused as soon as its
+    length passes LENGTH_GUARD.  Runs are cut to at most LENGTH_GUARD + 1
+    letters: a longer run is refused either way.
     """
     width = min(n, LENGTH_GUARD + 1)
     table = {}
-    cuts = []
     for letter, rule in rules.items():
         size = sum(min(c, n) for _, c in rule.runs)
         if size > LENGTH_GUARD:
             raise _over_guard(size)
         table[ord(letter)] = "".join(l * min(c, n) for l, c in rule.runs)
-        copies = -(-(n - 1) // size) + 1
-        if copies < width:
-            cuts.append(_run_cutter(letter, copies))
-    clamps = [_run_cutter(letter, width) for letter in rules]
+    keep = [{x: min(width, -(-(n - 1) // size) + 1)
+             for x, size in level.items()} for level in lengths]
+    subs = {x: re.compile("%s{%d,}" % (
+        re.escape(x), min(copies[x] for copies in keep) + 1)).sub
+        for x in lengths[0]}
+    cuts = [[(subs[x], _run_cutter(c)) for x, c in copies.items()]
+            for copies in keep]
     piece = max(1, SLICE // max(map(len, table.values())))
 
-    def step(word):
-        for pattern, cut in cuts:
-            word = pattern.sub(cut, word)
+    def step(word, t):
+        level = cuts[t]
         parts = []
         built = 0
         carry = ""
         for start in range(0, len(word), piece):
             out = carry + word[start:start + piece].translate(table)
-            for pattern, cut in clamps:
-                out = pattern.sub(cut, out)
+            for sub, cut in level:
+                out = sub(cut, out)
             # the last run may go on in the next slice
             end = len(out.rstrip(out[-1]))
             parts.append(out[:end])
@@ -126,58 +133,78 @@ def _substring_profile(images, blocks, letters, n):
     of the junction image(b)[-(n-1):] + image(c)[:n-1].  Each state s
     stands for exactly one distinct substring of every length in
     (len(link(s)), len(s)], so one difference array over those ranges
-    cut at n gives every count.
+    gives every count; it is as long as the longest text, which has at
+    least n letters.
     """
     k = len(letters)
     blank = array("i", [0]) * k
     size = array("i", [0])
     link = array("i", [-1])
     go = array("i", blank)
-
-    def split(p, q, c):
-        # clone q at length len(p)+1 and move p's suffix chain onto it
-        clone = len(size)
-        size.append(size[p] + 1)
-        link.append(link[q])
-        go.extend(go[q * k:q * k + k])
-        while p != -1 and go[p * k + c] == q:
-            go[p * k + c] = clone
-            p = link[p]
-        link[q] = clone
-        return clone
-
+    new_size = size.append
+    new_link = link.append
+    new_go = go.extend
+    code = letters.__getitem__
+    states = 1
     ends = {}
     texts = [(ch, None, image) for ch, image in images.items()]
     if n > 1:
         texts += [(None, b, images[c][:n - 1]) for b, c in blocks]
     for name, after, text in texts:
         last = 0 if after is None else ends[after]
-        for ch in text:
-            c = letters[ch]
-            q = go[last * k + c]
+        # the state reached after each letter is one longer than the last
+        length = size[last]
+        for c in map(code, text):
+            length += 1
+            i = last * k + c
+            q = go[i]
             if q:
-                last = q if size[q] == size[last] + 1 else split(last, q, c)
-                continue
-            cur = len(size)
-            size.append(size[last] + 1)
-            link.append(0)
-            go.extend(blank)
-            p = last
-            while p != -1 and not go[p * k + c]:
-                go[p * k + c] = cur
+                if size[q] == length:
+                    last = q
+                    continue
+                p = last
+                cur = 0
+            else:
+                cur = states
+                states += 1
+                new_size(length)
+                new_link(0)
+                new_go(blank)
+                go[i] = cur
+                p = link[last]
+                last = cur
+                while p != -1:
+                    i = p * k + c
+                    q = go[i]
+                    if q:
+                        break
+                    go[i] = cur
+                    p = link[p]
+                else:
+                    continue
+                if size[q] == size[p] + 1:
+                    link[cur] = q
+                    continue
+            # clone q at length len(p) + 1 and move p's suffix chain onto it
+            clone = states
+            states += 1
+            new_size(size[p] + 1)
+            new_link(link[q])
+            new_go(go[q * k:q * k + k])
+            while p != -1 and go[p * k + c] == q:
+                go[p * k + c] = clone
                 p = link[p]
-            if p != -1:
-                q = go[p * k + c]
-                link[cur] = q if size[q] == size[p] + 1 else split(p, q, c)
-            last = cur
+            link[q] = clone
+            if cur:
+                link[cur] = clone
+            else:
+                last = clone
         if name is not None:
             ends[name] = last
-    diff = [0] * (n + 2)
+    diff = [0] * (max(size) + 2)
     for parent, top in zip(link[1:], size[1:]):
-        low = size[parent] + 1
-        if low <= n:
-            diff[low] += 1
-            diff[min(top, n) + 1] -= 1
+        diff[size[parent] + 1] += 1
+        diff[top + 1] -= 1
     return tuple(accumulate(diff[1:n + 1]))
 
 
@@ -425,27 +452,34 @@ class Substitution:
                 (enc[l], c) for l, c in self.rules[letter].runs)
         return out
 
-    def _growth_power(self, target):
-        """Least m with every m-step image at least target letters long."""
-        if target <= 1:
-            return 0
-        a = self.incidence_matrix()
-        s = self.size
-        rows = [[int(a.at(i, j)) for j in range(s)] for i in range(s)]
-        v = [self.rules[l].length for l in self.alphabet]
-        m = 1
+    def _length_ladder(self, target):
+        """Image lengths [|rule^t(l)| for l in the alphabet], t = 0..m, with
+        m the least power whose images all have at least target letters.
+
+        Each rung follows from the last through the letter counts of the
+        rules: |rule^(t+1)(l)| = sum of count(x, rule(l)) * |rule^t(x)|.
+        """
+        letters = self.alphabet
+        counts = [self.rules[l].letter_counts() for l in letters]
+        rows = [[cnt.get(x, 0) for x in letters] for cnt in counts]
+        v = [1] * len(letters)
+        ladder = [v]
         while min(v) < target:
-            nxt = [sum(rows[i][j] * v[i] for i in range(s)) for j in range(s)]
+            nxt = [sum(a * b for a, b in zip(row, v)) for row in rows]
             if nxt == v:
                 raise DomainError("substitution images do not grow")
             v = nxt
-            m += 1
-            if m > POWER_ITER_CAP:
+            ladder.append(v)
+            if len(ladder) > POWER_ITER_CAP + 1:
                 raise CapabilityError(
                     "growth power search passed its cap of %d steps with the "
                     "shortest image at %d of %d letters"
                     % (POWER_ITER_CAP, min(v), target))
-        return m
+        return ladder
+
+    def _growth_power(self, target):
+        """Least m with every m-step image at least target letters long."""
+        return len(self._length_ladder(target)) - 1
 
     def _two_blocks_encoded(self, rules):
         """Exact two-block language over the encoded alphabet.
@@ -501,26 +535,33 @@ class Substitution:
 
         Returns (images, blocks, enc): images maps each encoded letter of
         the two-block language, in alphabet order, to a string with the
-        n-windows and the (n-1)-letter prefix and suffix of its clamped
-        m-step image, m the growth power for n.  Images are at least n
-        letters long, so every n-window of image(b) + image(c) for an
-        admissible two-block bc lies inside one image or inside the
-        junction image(b)[-(n-1):] + image(c)[:n-1].
+        n-windows and the (n-1)-letter prefix and suffix of its m-step
+        image, m the growth power for n.  Images are at least n letters
+        long, so every n-window of image(b) + image(c) for an admissible
+        two-block bc lies inside one image or inside the junction
+        image(b)[-(n-1):] + image(c)[:n-1].  Each image is built by m
+        steps of _image_step, which cut a run x^r with t steps still to
+        go to ceil((n-1)/|rule^t(x)|) + 1 copies of x; the lengths come
+        from the ladder of the growth power, and only letters x with xx
+        in the two-block language form runs.
         """
         if n < 1:
             raise DomainError("factor length must be positive")
         if not self.is_primitive():
             raise DomainError("factor language needs a primitive substitution")
         enc, rules, blocks = self._encoded_language()
-        m = self._growth_power(n)
+        ladder = self._length_ladder(n)
         used = {ch for block in blocks for ch in block}
         images = {ch: ch for ch in enc.values() if ch in used}
-        if m:
-            step = _image_step(rules, n)
+        if len(ladder) > 1:
+            runs = {b for b, c in blocks if b == c}
+            lengths = [{ch: size for ch, size in zip(enc.values(), rung)
+                        if ch in runs} for rung in ladder[:-1]]
+            step = _image_step(rules, n, lengths)
             for ch in images:
                 img = ch
-                for _ in range(m):
-                    img = step(img)
+                for t in range(len(lengths) - 1, -1, -1):
+                    img = step(img, t)
                 if len(img) > EXPAND_CAP:
                     raise CapabilityError(
                         "clamped image has %d letters, over the expansion cap "

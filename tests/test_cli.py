@@ -232,6 +232,21 @@ class TestBuilders:
         assert doc["alpha"]["coords"] == ["7", "-1"]
         assert doc["groups"]["status"] == "equal"
 
+    def test_minimize_refusals_name_the_size_reached(self, cli):
+        code, _, err = cli(["minimize", "-", "--cap-power", "17"],
+                           document={"matrix": [[0, 2, 3], [0, 3, 2],
+                                                [3, 0, 3]]})
+        assert code == 2
+        assert err_json(err)["message"] == (
+            "basis adjustment did not stabilize within 17 moves: 1 of 3 "
+            "eigendirection coefficients still not positive")
+        code, _, err = cli(["minimize", "-", "--cap-power", "1"],
+                           document={"matrix": A1})
+        assert code == 2
+        assert err_json(err)["message"] == (
+            "no usable power of the eigenvalue up to 1 for path rows; the "
+            "largest lattice coordinate at power 1 has 2 bits")
+
     def test_minimize_accepts_substitution(self, cli):
         doc = {"substitution": GOLDEN["substitution"]}
         code, out, _ = cli(["minimize", "-"], document=doc)

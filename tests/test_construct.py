@@ -231,7 +231,9 @@ class TestBrunRepair:
 
     def test_move_cap_is_the_budget(self):
         with pytest.raises(CapabilityError,
-                           match="did not stabilize within 17 moves"):
+                           match="^basis adjustment did not stabilize within "
+                                 "17 moves: 1 of 3 eigendirection "
+                                 "coefficients still not positive$"):
             minimize_vertices(BRUN_18, move_cap=17)
         assert len(minimize_vertices(BRUN_18, move_cap=18)["moves"]) == 18
 
@@ -297,6 +299,18 @@ class TestPowerSearch:
         pd, cone, inv = self.cone(A1)
         with pytest.raises(CapabilityError, match="up to 0 for x"):
             _power_search(pd.field, inv, cone.f, lambda cols: False, 0, 0,
+                          "x")
+        with pytest.raises(CapabilityError,
+                           match="^no usable power of the eigenvalue up to 20 "
+                                 "for x; the largest lattice coordinate at "
+                                 "power 20 has 56 bits$"):
+            _power_search(pd.field, inv, cone.f, lambda cols: False, 0, 20,
+                          "x")
+        # no power is tried when the scan would start past its cap
+        with pytest.raises(CapabilityError,
+                           match="^no usable power of the eigenvalue up to 2 "
+                                 "for x$"):
+            _power_search(pd.field, inv, cone.f, lambda cols: False, 3, 2,
                           "x")
         outside = [[x / 7 for x in cone.f[0]]]
         with pytest.raises(InternalError, match="left the lattice"):

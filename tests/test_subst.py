@@ -1,5 +1,7 @@
 import random
 import tracemalloc
+from array import array
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -10,7 +12,9 @@ from substoe.subst import FactorLanguage, Substitution, linear_bound_estimate
 from substoe.words import RunWord
 
 GOLDEN = {"a": "ab", "b": "abb"}
+# also the benchmark's rewrite rules
 ZETA = {"a": "abbcccccccc", "b": "abbbccccccccccccc", "c": "ab"}
+HUGE_RUN = {"x": {"runs": [["x", 2], ["y", 10 ** 22], ["x", 1]]}, "y": "xy"}
 
 
 def golden():
@@ -204,8 +208,7 @@ class TestLanguage:
 
     def test_huge_runs_match_clamped_rules(self):
         # replacing run count 10**22 by 22 cannot change factors up to 22
-        big = Substitution({"x": {"runs": [["x", 2], ["y", 10 ** 22], ["x", 1]]},
-                            "y": "xy"})
+        big = Substitution(HUGE_RUN)
         small = Substitution({"x": {"runs": [["x", 2], ["y", 22], ["x", 1]]},
                               "y": "xy"})
         for n in (2, 5, 8):
@@ -233,7 +236,7 @@ class TestComplexity:
 
     @pytest.mark.parametrize("rules, n", [
         ({"x0": ["x0", "y1", "y1"], "y1": ["x0", "zz"], "zz": ["x0"]}, 30),
-        ({"x": {"runs": [["x", 2], ["y", 10 ** 22], ["x", 1]]}, "y": "xy"}, 30),
+        (HUGE_RUN, 30),
         ({"a": {"runs": [["a", 40], ["b", 3], ["a", 1]]}, "b": "ab"}, 50),
         (ZETA, 1),
     ])
@@ -313,6 +316,67 @@ def test_random_profile_matches_direct_counts(s, n):
 
 # -- clamped image steps --------------------------------------------------
 
+def reference_profile(images, blocks, letters, n):
+    """The generalized suffix automaton of the window texts, written
+    plainly: one split helper for both clone paths, one letter lookup a
+    step and a cut at n in the difference loop."""
+    k = len(letters)
+    blank = array("i", [0]) * k
+    size = array("i", [0])
+    link = array("i", [-1])
+    go = array("i", blank)
+
+    def split(p, q, c):
+        # clone q at length len(p)+1 and move p's suffix chain onto it
+        clone = len(size)
+        size.append(size[p] + 1)
+        link.append(link[q])
+        go.extend(go[q * k:q * k + k])
+        while p != -1 and go[p * k + c] == q:
+            go[p * k + c] = clone
+            p = link[p]
+        link[q] = clone
+        return clone
+
+    ends = {}
+    texts = [(ch, None, image) for ch, image in images.items()]
+    if n > 1:
+        texts += [(None, b, images[c][:n - 1]) for b, c in blocks]
+    for name, after, text in texts:
+        last = 0 if after is None else ends[after]
+        for ch in text:
+            c = letters[ch]
+            q = go[last * k + c]
+            if q:
+                last = q if size[q] == size[last] + 1 else split(last, q, c)
+                continue
+            cur = len(size)
+            size.append(size[last] + 1)
+            link.append(0)
+            go.extend(blank)
+            p = last
+            while p != -1 and not go[p * k + c]:
+                go[p * k + c] = cur
+                p = link[p]
+            if p != -1:
+                q = go[p * k + c]
+                link[cur] = q if size[q] == size[p] + 1 else split(p, q, c)
+            last = cur
+        if name is not None:
+            ends[name] = last
+    diff = [0] * (n + 2)
+    for parent, top in zip(link[1:], size[1:]):
+        low = size[parent] + 1
+        if low <= n:
+            diff[low] += 1
+            diff[min(top, n) + 1] -= 1
+    return tuple(accumulate(diff[1:n + 1]))
+
+
+def letter_codes(enc):
+    return {ch: i for i, ch in enumerate(enc.values())}
+
+
 # long runs in both rules, in the style of the benchmark's long rule: runs
 # of a in the images are far longer than the copies the cut keeps
 LONG_RUNS = {
@@ -365,6 +429,8 @@ def run_rule_substitutions(draw):
 @example(Substitution({"a": "ab", "b": {"runs": [["a", 10 ** 22]]}}), 30)
 @example(Substitution({"a": "ab", "b": {"runs": [["a", 7]]}}), 25)
 @example(Substitution(LONG_RUNS), 150)
+@example(Substitution(ZETA), 300)
+@example(Substitution(HUGE_RUN), 40)
 @example(Substitution({"x0": ["x0", "y1"], "y1": {"runs": [["x0", 5]]}}), 17)
 def test_image_step_keeps_the_runword_n_view(s, n):
     """String images have the n-windows, (n-1)-prefix and suffix and the
@@ -388,6 +454,30 @@ def test_copy_cut_fires_and_keeps_the_profile():
     assert any(len(images[ch]) < len(old[ch]) for ch in images)
     assert s.complexity_profile(n) == tuple(
         s.complexity(j) for j in range(1, n + 1))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(primitive_substitutions(), run_rule_substitutions()),
+       st.integers(1, 60))
+def test_kernel_matches_the_reference(s, n):
+    """The automaton kernel counts what the plain reference counts."""
+    images, blocks, enc = s._window_texts(n)
+    letters = letter_codes(enc)
+    assert subst_module._substring_profile(images, blocks, letters, n) == \
+        reference_profile(images, blocks, letters, n)
+
+
+def test_final_length_cut_shortens_the_rewrite_images():
+    s = Substitution(ZETA)
+    n = 1523
+    images, blocks, enc = s._window_texts(n)
+    assert max(map(len, images.values())) < 16_000
+    # RunWord images, every run clamped to n a step and no copy cut: the
+    # runs of these rules are too short for a cut by the one-step length
+    uncut = runword_images(s, n)
+    assert max(map(len, uncut.values())) == 31_376
+    assert s.complexity_profile(n, validate=False) == reference_profile(
+        uncut, blocks, letter_codes(enc), n)
 
 
 def test_language_is_built_once(monkeypatch):
