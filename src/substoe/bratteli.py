@@ -8,12 +8,13 @@ words as rules, with F the transpose of the substitution incidence.
 """
 
 from .errors import CapabilityError, DomainError, PathError
-from .matrix import primitivity_exponent
 from .perron import measure_weights, perron_data
 from .subst import Substitution
 from .words import word_of
 
 PATH_COUNT_BITS = 4096
+# Edges export_dot draws at most.
+DOT_EDGE_CAP = 500
 
 
 class OrderedDiagram:
@@ -68,10 +69,10 @@ class OrderedDiagram:
         if n_steps < 1:
             raise DomainError("telescope needs at least one step")
         subst = self.substitution_read().power(n_steps)
-        f = self.incidence ** n_steps
-        m = (self.incidence ** (n_steps - 1)).apply(self.level0)
-        return OrderedDiagram(self.vertices, f, [int(x) for x in m],
-                              dict(subst.rules))
+        step = self.incidence ** (n_steps - 1)
+        m = step.apply(self.level0)
+        return OrderedDiagram(self.vertices, step * self.incidence,
+                              [int(x) for x in m], dict(subst.rules))
 
     def path_counts(self, depth):
         """Numbers of root paths into each vertex, level by level.
@@ -105,10 +106,7 @@ class OrderedDiagram:
         """
         if self._measure is not None:
             return self._measure
-        a = self.incidence.transpose()
-        if primitivity_exponent(a) is None:
-            raise DomainError("measure needs a primitive incidence matrix")
-        pd = perron_data(a)
+        pd = perron_data(self.incidence.transpose())
         self._measure = (pd.field, measure_weights(pd, self.level0), pd.lam)
         return self._measure
 
@@ -196,16 +194,17 @@ class OrderedDiagram:
             yield path
             path = self.vershik_successor(path)
 
-    def export_dot(self, depth, edge_cap=500):
-        """Deterministic DOT drawing of the first levels."""
+    def export_dot(self, depth):
+        """Deterministic DOT drawing of the first levels, refused past
+        DOT_EDGE_CAP edges."""
         if depth < 1:
             raise DomainError("depth must be positive")
         order_lengths = {v: self.orders[v].length for v in self.vertices}
         total = sum(self.level0)
         total += (depth - 1) * sum(order_lengths.values())
-        if total > edge_cap:
+        if total > DOT_EDGE_CAP:
             raise CapabilityError("diagram slice has %d edges, over the edge "
-                                  "budget of %d" % (total, edge_cap))
+                                  "budget of %d" % (total, DOT_EDGE_CAP))
         lines = ["digraph bratteli {", "  rankdir=TB;", '  root [shape=point];']
         for level in range(depth):
             for v in self.vertices:

@@ -36,7 +36,7 @@ from .errors import (
     MalformedInputError,
     SubstoeError,
 )
-from .matrix import ExactMatrix, primitivity_exponent
+from .matrix import ExactMatrix
 from .perron import perron_data
 from .subst import Substitution
 from .words import RunWord
@@ -306,7 +306,7 @@ def _cmd_perron(doc, args):
             "digits": APPROX_DIGITS,
         },
         "eigenvector": [_element_json(x) for x in pd.eigvec],
-        "primitivity_exponent": primitivity_exponent(m),
+        "primitivity_exponent": pd.exponent,
     }
 
 

@@ -28,7 +28,7 @@ from .matrix import (
 )
 from .perron import _check_eigvec, multiplication_matrices, perron_data
 from .subst import Substitution, linear_bound_estimate
-from .words import RunWord
+from .words import EXPAND_CAP, RunWord
 
 _LETTER_POOL = "abcdefghijklmnopqrstuvwxyz"
 
@@ -356,9 +356,10 @@ def _require_equal(comparison, unequal):
         raise InternalError(unequal)
 
 
-def _least_power_over(a, targets):
+def _least_power_over(a, e, targets):
     """(p, rows) for the least p with a**p >= targets entrywise, rows the
-    integer rows of a**p; a is primitive with Perron root above 1.
+    integer rows of a**p; a is primitive with Perron root above 1 and
+    primitivity exponent e.
 
     The scan provably ends by e * (1 + bits(T - 1)), e the primitivity
     exponent and T the largest target (Wielandt 1950; Seneta, Non-negative
@@ -367,7 +368,6 @@ def _least_power_over(a, targets):
     induction a**(e*m) >= a**e 2**(m-2) J >= 2**(m-1) J.  Column-sum
     targets end by e + 1, as a**(e+1) >= J a.
     """
-    e = primitivity_exponent(a)
     bound = e * (1 + (max(chain.from_iterable(targets)) - 1).bit_length())
     found = first_power(a, lambda rows: all(
         x >= t for row, target in zip(rows, targets)
@@ -386,20 +386,21 @@ def enlarge_matrix(a):
     and the group comparison are certified exactly.
     """
     pd = perron_data(_coerce_matrix(a))
-    return _enlarge(pd.matrix, lattice_of(pd), pd.eigvec)[0]
+    return _enlarge(pd.matrix, pd.exponent, lattice_of(pd), pd.eigvec)[0]
 
 
-def _enlarge(a, group, vec):
-    """enlarge_matrix on a, whose group is at hand.
+def _enlarge(a, e, group, vec):
+    """enlarge_matrix on a, given its primitivity exponent e and group.
 
     a has Perron root lam0**group.power, lam0 the root of group.field,
     and vec is its positive eigenvector in that field, summing to one.
     Returns (report, out, out_group, out_vec): the report, the enlarged
     matrix, and its group and eigenvector carried in the same field.
+    The report's "primitivity" is the exponent of out.
     """
     a_cols = list(zip(*a.int_rows()))
     colsums = [sum(col) for col in a_cols]
-    step, p = _least_power_over(a, [colsums] * a.rows)
+    step, p = _least_power_over(a, e, [colsums] * a.rows)
     rows = [[x - (c - 1) for x, c in zip(row, colsums)] + [1] for row in p]
     # column sums of A^(step+1) - A^step, from those of A^step
     psums = [sum(col) for col in zip(*p)]
@@ -469,13 +470,14 @@ def _frame_rules(letters, rows, needs, middles, what):
     return zeta, incidence, proper
 
 
-def build_soe_substitution(subst, block_length, piece_check_limit=10 ** 6):
+def build_soe_substitution(subst, block_length):
     """Rewrite a primitive substitution so every length-(l+1) word occurs.
 
     The output is proper, keeps the path group (via an exact power
     comparison), and its language contains all s^(l+1) words of length
     block_length + 1, which strictly separates its complexity from any
-    aperiodic input.
+    aperiodic input.  The word blocks are also read off the expanded
+    first rule while it is within EXPAND_CAP letters.
     """
     if not isinstance(subst, Substitution):
         raise DomainError("expected a substitution")
@@ -497,13 +499,13 @@ def build_soe_substitution(subst, block_length, piece_check_limit=10 ** 6):
         extra[0][t] = block_counts.get(letter, 0)
     needs = _needs(letters, extra)
 
-    power, rows = _least_power_over(a, list(zip(*needs)))
+    power, rows = _least_power_over(a, pd.exponent, list(zip(*needs)))
 
     middles = [block] + [RunWord(()) for _ in range(s - 1)]
     zeta, p, proper = _frame_rules(letters, rows, needs, middles,
                                    "rewritten substitution")
     first_rule = zeta.rules[letters[0]]
-    pieces_checked = first_rule.length <= piece_check_limit
+    pieces_checked = first_rule.length <= EXPAND_CAP
     if pieces_checked:
         text = first_rule.expand()
         windows = {text[i:i + l + 1] for i in range(len(text) - l)}
@@ -532,14 +534,18 @@ def build_soe_substitution(subst, block_length, piece_check_limit=10 ** 6):
     }
 
 
-def build_oe_alphabet_family(subst, steps=1, probe_n=40, scan_n=60):
+# Each family member's complexity is checked above its slope up to here.
+MEMBER_SCAN_N = 60
+
+
+def build_oe_alphabet_family(subst, steps=1, probe_n=40):
     """Iterate: bound the complexity slope, then rebuild on a strictly
     larger alphabet with complexity above that bound.
 
     Each member is proper, primitive, carries the same path group as the
     previous member (exact comparison at the accumulated matrix power),
-    and its complexity is checked to exceed (bound+1) n on an initial
-    window.
+    and its complexity is checked to exceed (bound+1) n for n up to
+    MEMBER_SCAN_N.
     """
     if not isinstance(subst, Substitution):
         raise DomainError("expected a substitution")
@@ -555,16 +561,18 @@ def build_oe_alphabet_family(subst, steps=1, probe_n=40, scan_n=60):
             # every member's group is carried in the input's field
             pd = perron_data(subst.incidence_matrix())
             matrix, group, vec = pd.matrix, lattice_of(pd), pd.eigvec
+            e = pd.exponent
         grown, grown_group, grown_vec = matrix, group, vec
         accumulated = 1
         while grown.rows < target:
             report, grown, grown_group, grown_vec = _enlarge(
-                grown, grown_group, grown_vec)
+                grown, e, grown_group, grown_vec)
+            e = report["primitivity"]
             accumulated *= report["power"]
         s = grown.rows
         # a1 opens and closes every image; every entry >= 1 keeps b positive
         frame = [[3] + [2] * (s - 1)] + [[1] * s for _ in range(s - 1)]
-        exponent, rows = _least_power_over(grown, frame)
+        exponent, rows = _least_power_over(grown, e, frame)
         accumulated *= exponent
 
         letters = _default_letters(s)
@@ -572,7 +580,7 @@ def build_oe_alphabet_family(subst, steps=1, probe_n=40, scan_n=60):
         middles = [RunWord(()) for _ in range(s)]
         zeta, b, proper = _frame_rules(letters, rows, needs, middles,
                                        "family member")
-        profile = zeta.complexity_profile(scan_n)
+        profile = zeta.complexity_profile(MEMBER_SCAN_N)
         for n, count in enumerate(profile, start=1):
             if count <= (bound + 1) * n:
                 raise InternalError("family member complexity fails the "
@@ -590,7 +598,8 @@ def build_oe_alphabet_family(subst, steps=1, probe_n=40, scan_n=60):
             "groups": comparison,
         })
         current = zeta
-        matrix, group, vec = b, member_group, grown_vec
+        # complexity_profile has cached the exponent of b
+        matrix, group, vec, e = b, member_group, grown_vec, zeta.primitivity()
     return members
 
 

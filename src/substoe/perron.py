@@ -32,6 +32,7 @@ class PerronData:
     lam: FieldElement
     eigvec: tuple
     coords_matrix: ExactMatrix
+    exponent: int
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,11 @@ def perron_data(m):
     """Exact dominant eigendata of a primitive integer matrix.
 
     The right eigenvector x is scaled so sum(x) = 1; every entry is
-    certified positive and the eigenequation is checked exactly.
+    certified positive and the eigenequation is checked exactly.  The
+    primitivity exponent of m is kept as exponent.
     """
-    if primitivity_exponent(m) is None:
+    exponent = primitivity_exponent(m)
+    if exponent is None:
         raise DomainError("matrix is not primitive")
     cp = charpoly(m)
     field, k = dominant_root_field(cp)
@@ -91,7 +94,8 @@ def perron_data(m):
     _check_eigvec(m, lam, vec, field)
     coords = ExactMatrix.from_columns([list(x.coords) for x in vec])
     return PerronData(matrix=m, field=field, k=k, lam=lam,
-                      eigvec=tuple(vec), coords_matrix=coords)
+                      eigvec=tuple(vec), coords_matrix=coords,
+                      exponent=exponent)
 
 
 def measure_weights(pd, level0):

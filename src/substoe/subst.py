@@ -235,19 +235,24 @@ class Substitution:
                 raise DomainError("duplicate letter %r" % letter)
             seen.add(letter)
         fixed = {}
+        rows = []
         for letter in alphabet:
             if letter not in rules:
                 raise DomainError("missing rule for %r" % letter)
             image = word_of(rules[letter])
             if image.is_empty:
                 raise DomainError("rule for %r is empty" % letter)
-            if not image.letters_used() <= seen:
+            counts = image.letter_counts()
+            if not counts.keys() <= seen:
                 raise DomainError("rule for %r uses unknown letters" % letter)
             fixed[letter] = image
+            rows.append([counts.get(l, 0) for l in alphabet])
         if set(rules) != seen:
             raise DomainError("rules mention letters outside the alphabet")
         self.alphabet = alphabet
         self.rules = fixed
+        # _counts[i][j]: count of letter j in the rule of letter i
+        self._counts = rows
         self._index = {l: i for i, l in enumerate(alphabet)}
         self._primitivity = None
         self._primitivity_known = False
@@ -259,11 +264,7 @@ class Substitution:
 
     def incidence_matrix(self):
         """Column j counts the letters inside the rule of letter j."""
-        cols = []
-        for letter in self.alphabet:
-            counts = self.rules[letter].letter_counts()
-            cols.append([counts.get(l, 0) for l in self.alphabet])
-        return ExactMatrix.from_columns(cols)
+        return ExactMatrix.from_columns(self._counts)
 
     def primitivity(self):
         if not self._primitivity_known:
@@ -301,9 +302,8 @@ class Substitution:
             raise DomainError("power must be positive")
         cap = LENGTH_GUARD + 1
         letters = self.alphabet
-        counts = [self.rules[l].letter_counts() for l in letters]
         # steps[i][l][x]: count of letter x in the 2^i-th image of l
-        steps = [[[cnt.get(x, 0) for x in letters] for cnt in counts]]
+        steps = [self._counts]
         while 1 << len(steps) < p:
             q = steps[-1]
             steps.append([[min(cap, sum(a * b for a, b in zip(row, col)))
@@ -459,13 +459,10 @@ class Substitution:
         Each rung follows from the last through the letter counts of the
         rules: |rule^(t+1)(l)| = sum of count(x, rule(l)) * |rule^t(x)|.
         """
-        letters = self.alphabet
-        counts = [self.rules[l].letter_counts() for l in letters]
-        rows = [[cnt.get(x, 0) for x in letters] for cnt in counts]
-        v = [1] * len(letters)
+        v = [1] * self.size
         ladder = [v]
         while min(v) < target:
-            nxt = [sum(a * b for a, b in zip(row, v)) for row in rows]
+            nxt = [sum(a * b for a, b in zip(row, v)) for row in self._counts]
             if nxt == v:
                 raise DomainError("substitution images do not grow")
             v = nxt
@@ -477,50 +474,32 @@ class Substitution:
                     % (POWER_ITER_CAP, min(v), target))
         return ladder
 
-    def _growth_power(self, target):
-        """Least m with every m-step image at least target letters long."""
-        return len(self._length_ladder(target)) - 1
-
     def _two_blocks_encoded(self, rules):
         """Exact two-block language over the encoded alphabet.
 
-        Seeds with all adjacent pairs inside images deep enough that every
-        letter image has length two, then closes under the pair map
-        (b, c) -> pairs of rule(b), rule(c) plus their junction.  Every
-        added pair stays admissible and the closure reaches all of them.
+        Every two-block of rule^(N+1)(a) lies inside rule(x) for a letter
+        x of rule^N(a), or it is the junction (last of rule(x), first of
+        rule(y)) of a two-block xy of rule^N(a).  By induction on N, the
+        pairs inside the rules, closed under the junction map
+        (b, c) -> (last of rule(b), first of rule(c)), hold every
+        two-block.  Each pair found is admissible: every letter occurs in
+        the language of a primitive substitution, so every rule does, and
+        the images of an admissible bc hold its junction.  Rules of one
+        letter each give no pair, and their images never grow.
         """
-        letters = list(rules)
-        m0 = max(self._growth_power(2), 1)
-        fmap = {ch: rules[ch].first for ch in letters}
-        gmap = {ch: rules[ch].last for ch in letters}
-        fpow = dict(fmap)
-        gpow = dict(gmap)
-        tsets = {ch: rules[ch].two_factors() for ch in letters}
-        for _ in range(m0 - 1):
-            nxt = {}
-            for ch in letters:
-                rule = rules[ch]
-                pairs = set()
-                for d in rule.letters_used():
-                    pairs |= tsets[d]
-                for b, c in rule.two_factors():
-                    pairs.add((gpow[b], fpow[c]))
-                nxt[ch] = pairs
-            tsets = nxt
-            fpow = {ch: fmap[fpow[ch]] for ch in letters}
-            gpow = {ch: gmap[gpow[ch]] for ch in letters}
-        work = set()
-        for ch in letters:
-            work |= tsets[ch]
-        while True:
-            grown = set(work)
-            for b, c in work:
-                grown |= rules[b].two_factors()
-                grown |= rules[c].two_factors()
-                grown.add((rules[b].last, rules[c].first))
-            if grown == work:
-                return work
-            work = grown
+        found = set()
+        for rule in rules.values():
+            found |= rule.two_factors()
+        if not found:
+            raise DomainError("substitution images do not grow")
+        work = list(found)
+        while work:
+            b, c = work.pop()
+            pair = (rules[b].last, rules[c].first)
+            if pair not in found:
+                found.add(pair)
+                work.append(pair)
+        return found
 
     def _encoded_language(self):
         """Encoding, encoded rules and two-block language, built once."""
@@ -592,29 +571,28 @@ class Substitution:
     def complexity(self, n):
         return len(self._window_words(n)[0])
 
-    def complexity_profile(self, n_max, validate=True):
+    def complexity_profile(self, n_max):
         """Tuple of factor counts p(1), ..., p(n_max).
 
         For j <= n_max the j-factors are exactly the j-letter substrings
         of the window texts: each such substring lies in an n_max-window,
         and every factor extends to an n_max-factor.  One suffix automaton
         over the images and junctions counts them all in linear time and
-        memory.
+        memory.  p(1) and p(3) are checked against the direct counts.
         """
         if n_max < 1:
             raise DomainError("profile needs n_max >= 1")
         images, blocks, enc = self._window_texts(n_max)
         letters = {ch: i for i, ch in enumerate(enc.values())}
         profile = _substring_profile(images, blocks, letters, n_max)
-        if validate:
-            for k in sorted({1, min(3, n_max)}):
-                if profile[k - 1] != self.complexity(k):
-                    raise InternalError("profile disagrees with direct count")
+        for k in sorted({1, min(3, n_max)}):
+            if profile[k - 1] != self.complexity(k):
+                raise InternalError("profile disagrees with direct count")
         return tuple(profile)
 
     def aperiodicity_scan(self, n_cap):
         """Check p(n) > n on the range; a failure certifies periodicity."""
-        profile = self.complexity_profile(n_cap, validate=False)
+        profile = self.complexity_profile(n_cap)
         for n, p in enumerate(profile, start=1):
             if p <= n:
                 return {"aperiodic": False, "violation_at": n, "count": p}
@@ -631,7 +609,7 @@ class Substitution:
 
 def linear_bound_estimate(subst, n_probe):
     """Smallest observed C with p(n) <= C*n across the probed range."""
-    profile = subst.complexity_profile(n_probe, validate=False)
+    profile = subst.complexity_profile(n_probe)
     best = 1
     for n, p in enumerate(profile, start=1):
         best = max(best, -(-p // n))

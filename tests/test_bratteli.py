@@ -218,7 +218,7 @@ class TestMeasure:
     def test_needs_primitive(self):
         f = ExactMatrix.from_rows([[1, 1], [0, 1]])
         d = OrderedDiagram(("a", "b"), f, (1, 1), {"a": "ab", "b": "b"})
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^matrix is not primitive$"):
             d.measure_eigenvector()
 
     def test_foreign_path_rejected(self):

@@ -342,14 +342,14 @@ class TestLeastPowerOver:
         rows, targets = case
         a = ExactMatrix.from_rows(rows)
         e = primitivity_exponent(a)
-        got = _least_power_over(a, targets)
+        got = _least_power_over(a, e, targets)
         assert got == first_power(
             a, lambda p: all(x >= t for row, target in zip(p, targets)
                              for x, t in zip(row, target)), 10 ** 4)
         top = max(max(target) for target in targets)
         assert got[0] <= e * (1 + (top - 1).bit_length())
         colsums = [sum(col) for col in zip(*rows)]
-        assert _least_power_over(a, [colsums] * len(rows))[0] <= e + 1
+        assert _least_power_over(a, e, [colsums] * len(rows))[0] <= e + 1
 
 
 class TestRealize:

@@ -46,6 +46,10 @@ class TestPerronData:
         for x in pd.eigvec:
             assert certified_sign(x) == 1
 
+    def test_keeps_primitivity_exponent(self):
+        assert perron_data(A0).exponent == 1
+        assert perron_data(A1).exponent == primitivity_exponent(A1) == 2
+
     def test_reducible_charpoly_field(self):
         pd = perron_data(A1)
         assert pd.field.min_poly == IntPolynomial([1, -7, 1])

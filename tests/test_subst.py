@@ -180,8 +180,13 @@ class TestLanguage:
             Substitution({"a": "ab", "b": "b"}).factor_language(2)
 
     def test_non_growing(self):
+        s = Substitution({"a": "a"})
         with pytest.raises(DomainError):
-            Substitution({"a": "a"}).factor_language(2)
+            s.factor_language(2)
+        for call in (s.complexity, s.complexity_profile, s.factor_language):
+            with pytest.raises(DomainError,
+                               match="^substitution images do not grow$"):
+                call(1)
 
     @pytest.mark.parametrize("rules", [GOLDEN, ZETA])
     def test_brute_force_oracle(self, rules):
@@ -389,7 +394,7 @@ LONG_RUNS = {
 def runword_images(s, n):
     """Clamped images built as RunWords, one clamp(rule(w)) per step."""
     enc, rules, blocks = s._encoded_language()
-    m = s._growth_power(n)
+    m = len(s._length_ladder(n)) - 1
     used = {ch for block in blocks for ch in block}
     images = {}
     for ch in used:
@@ -476,7 +481,7 @@ def test_final_length_cut_shortens_the_rewrite_images():
     # runs of these rules are too short for a cut by the one-step length
     uncut = runword_images(s, n)
     assert max(map(len, uncut.values())) == 31_376
-    assert s.complexity_profile(n, validate=False) == reference_profile(
+    assert s.complexity_profile(n) == reference_profile(
         uncut, blocks, letter_codes(enc), n)
 
 
@@ -512,7 +517,7 @@ def test_growth_power_refusal_names_cap_and_size():
     with pytest.raises(CapabilityError, match=r"^growth power search passed its "
                        r"cap of 10000 steps with the shortest image at 1 of 5 "
                        r"letters$"):
-        s._growth_power(5)
+        s._length_ladder(5)
 
 
 def test_many_run_image_over_expansion_cap():
@@ -576,3 +581,83 @@ def test_power_equals_repeated_composition(seed, p):
     for _ in range(p - 1):
         out = s.compose(out)
     assert s.power(p).rules == out.rules
+
+
+# -- two-block closure ----------------------------------------------------
+
+def reference_two_blocks(s, rules):
+    """The engine's former two-block closure over the encoded rules.
+
+    Seeds with all adjacent pairs inside images deep enough that every
+    letter image has length two, then closes under the pair map
+    (b, c) -> pairs of rule(b), rule(c) plus their junction.
+    """
+    letters = list(rules)
+    m0 = max(len(s._length_ladder(2)) - 1, 1)
+    fmap = {ch: rules[ch].first for ch in letters}
+    gmap = {ch: rules[ch].last for ch in letters}
+    fpow = dict(fmap)
+    gpow = dict(gmap)
+    tsets = {ch: rules[ch].two_factors() for ch in letters}
+    for _ in range(m0 - 1):
+        nxt = {}
+        for ch in letters:
+            rule = rules[ch]
+            pairs = set()
+            for d in rule.letters_used():
+                pairs |= tsets[d]
+            for b, c in rule.two_factors():
+                pairs.add((gpow[b], fpow[c]))
+            nxt[ch] = pairs
+        tsets = nxt
+        fpow = {ch: fmap[fpow[ch]] for ch in letters}
+        gpow = {ch: gmap[gpow[ch]] for ch in letters}
+    work = set()
+    for ch in letters:
+        work |= tsets[ch]
+    while True:
+        grown = set(work)
+        for b, c in work:
+            grown |= rules[b].two_factors()
+            grown |= rules[c].two_factors()
+            grown.add((rules[b].last, rules[c].first))
+        if grown == work:
+            return work
+        work = grown
+
+
+def image_two_windows(s, cap=10 ** 4):
+    """Adjacent letter pairs of s^N(a) for every letter a and
+    N = 1..|A|^2 + 1, expanded letter by letter, and whether every such
+    image stayed under cap letters; a letter's images stop at the first
+    one that would not."""
+    pairs = set()
+    complete = True
+    for a in s.alphabet:
+        word = [a]
+        for _ in range(s.size ** 2 + 1):
+            if sum(s.rules[l].length for l in word) >= cap:
+                complete = False
+                break
+            word = [x for l in word for x in s.rules[l].expand()]
+            pairs.update(zip(word, word[1:]))
+    return pairs, complete
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(primitive_substitutions(), run_rule_substitutions()))
+@example(Substitution(HUGE_RUN))
+@example(Substitution(ZETA))
+@example(Substitution(LONG_RUNS))
+@example(Substitution({"x0": ["x0", "y1"], "y1": {"runs": [["x0", 5]]}}))
+def test_two_block_closure_matches_reference_and_images(s):
+    enc = s._encoding()
+    rules = s._encoded_rules(enc)
+    blocks = s._two_blocks_encoded(rules)
+    assert blocks == reference_two_blocks(s, rules)
+    dec = {v: k for k, v in enc.items()}
+    decoded = {(dec[b], dec[c]) for b, c in blocks}
+    pairs, complete = image_two_windows(s)
+    assert pairs <= decoded
+    if complete:
+        assert pairs == decoded

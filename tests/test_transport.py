@@ -66,8 +66,11 @@ class TestEnlargeTransport:
     def test_golden_chain_three_to_eight(self):
         base = perron_data(A0)
         m, group, vec = A0, lattice_of(base), base.eigvec
+        e = base.exponent
         while m.rows < 8:
-            report, m, group, vec = _enlarge(m, group, vec)
+            report, m, group, vec = _enlarge(m, e, group, vec)
+            e = report["primitivity"]
+            assert e == primitivity_exponent(m)
             assert m == report["matrix"]
             assert group.field is base.field
             assert_carried(group, m)
@@ -78,8 +81,8 @@ class TestEnlargeTransport:
     def test_random_primitive(self, rows):
         assume(usable(rows))
         base = perron_data(ExactMatrix.from_rows(rows))
-        report, m, group, _ = _enlarge(base.matrix, lattice_of(base),
-                                       base.eigvec)
+        report, m, group, _ = _enlarge(base.matrix, base.exponent,
+                                       lattice_of(base), base.eigvec)
         assert group.power == report["power"]
         assert m == report["matrix"]
         assert_carried(group, m)
