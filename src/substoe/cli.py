@@ -23,6 +23,7 @@ from json.encoder import encode_basestring_ascii
 from .bratteli import OrderedDiagram, diagram_from_substitution
 from .clopen import groups_equal, lattice_of, s_membership
 from .construct import (
+    MINIMIZE_CAP,
     build_oe_alphabet_family,
     build_soe_substitution,
     enlarge_matrix,
@@ -413,11 +414,9 @@ def _cmd_minimize(doc, args):
             "input needs exactly one of 'matrix' or 'substitution'")
     system = (_parse_matrix(doc["matrix"]) if has_matrix
               else _parse_substitution(doc["substitution"]))
-    kwargs = {}
-    if args.cap_power is not None:
-        kwargs = {"move_cap": args.cap_power, "n_cap": args.cap_power,
-                  "m_cap": args.cap_power}
-    return _minimize_json(minimize_vertices(system, **kwargs))
+    # _validate_flags has refused a cap below 1
+    return _minimize_json(
+        minimize_vertices(system, args.cap_power or MINIMIZE_CAP))
 
 
 def _cmd_family_soe(doc, args):
@@ -710,7 +709,8 @@ _FLAG_SPECS = {
     "--n-max": dict(type=int, default=None,
                     help="length / depth bound"),
     "--cap-power": dict(type=int, default=None,
-                        help="search cap override"),
+                        help="budget: minimize's Brun moves and powers per "
+                             "scan (200), s-member's largest exponent (64)"),
     "--probe": dict(type=int, default=None,
                     help="probe window for complexity slope estimates"),
     "--seed-letter": dict(default=None,
@@ -783,11 +783,12 @@ def _load_document(source):
         try:
             with open(source, "r") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise MalformedInputError("cannot read %s: %s" % (source, exc))
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad syntax, an integer over Python's digit limit, deep nesting
         raise MalformedInputError("invalid JSON: %s" % exc)
 
 

@@ -19,14 +19,14 @@ from .field import certified_sign, perron_minimal_polynomial
 from .intpoly import IntPolynomial
 from .matrix import (
     ExactMatrix,
-    _cleared,
     charpoly,
     eventual_positivity_exponent,
     first_power,
     hnf_basis,
     primitivity_exponent,
 )
-from .perron import _check_eigvec, multiplication_matrices, perron_data
+from .perron import (_check_eigvec, companion_matrix, multiplication_matrices,
+                     perron_data)
 from .subst import Substitution, linear_bound_estimate
 from .words import EXPAND_CAP, RunWord
 
@@ -120,47 +120,44 @@ class _Cone:
                 raise InternalError("adjusted basis lost positivity")
 
 
-def _power_search(field, inv, start_vecs, accept, start, cap, what):
-    """Scan F^-1 C^t applied to start_vecs for the first accepted t.
-
-    The scan runs on integers: F^-1 is cleared once to integer rows over
-    one denominator, each start vector to numerators over its own, and
-    C, multiplication by lam, steps those numerators as a field product.
-    """
-    flat, den = _cleared(inv.entries)
-    k = inv.cols
-    rows = [flat[i:i + k] for i in range(0, len(flat), k)]
-    step = _lam_step(field)
-    vecs = []
-    for v in start_vecs:
-        nums, e = _cleared(v)
-        for _ in range(start):
-            nums = step(nums)
-        vecs.append((nums, den * e))
-    cols = []
-    for t in range(start, cap + 1):
-        cols = []
-        for nums, d in vecs:
-            col = []
-            for row in rows:
-                q, r = divmod(sum(a * x for a, x in zip(row, nums)), d)
-                if r:
-                    raise InternalError(
-                        "lattice coordinates left the lattice")
-                col.append(q)
-            cols.append(col)
-        if accept(cols):
-            return t, cols
-        vecs = [(step(nums), d) for nums, d in vecs]
-    message = "no usable power of the eigenvalue up to %d for %s" % (cap, what)
-    if cols:
-        bits = max(abs(x).bit_length() for col in cols for x in col)
-        message += ("; the largest lattice coordinate at power %d has %d bits"
-                    % (cap, bits))
-    raise CapabilityError(message)
+def _lam_action(field, basis, vecs):
+    """(A, starts) with A = M^T, M = F^-1 C F the matrix of lam on the
+    basis columns F, and starts the rows F^-1 v, v in vecs: row j of A**t
+    and row i of starts A**t are the coordinates of lam**t f_j and
+    lam**t v_i.  F spans a lattice closed under lam that holds vecs, so
+    both are integral; InternalError otherwise."""
+    f = ExactMatrix.from_columns(basis)
+    inv = f.inverse()
+    action = (inv * companion_matrix(field) * f).transpose()
+    starts = [inv.apply(v) for v in vecs]
+    if not action.is_integer or any(x.denominator != 1
+                                    for row in starts for x in row):
+        raise InternalError("lattice coordinates left the lattice")
+    return action, [[int(x) for x in row] for row in starts]
 
 
-def _minimize_core(lattice, xs, move_cap=200, n_cap=200, m_cap=200):
+def _lam_scan(action, starts, accept, cap, what):
+    """first_power of action on starts (from power 0) or on itself (from
+    power 1 when starts is None), refused at cap with the size reached."""
+    t, rows = first_power(action, accept, cap, starts)
+    if t is None:
+        message = ("no usable power of the eigenvalue up to %d for %s"
+                   % (cap, what))
+        if rows is not None:
+            bits = max(abs(x).bit_length() for row in rows for x in row)
+            message += ("; the largest lattice coordinate at power %d has "
+                        "%d bits" % (cap, bits))
+        raise CapabilityError(message)
+    return t, rows
+
+
+# Vertex minimization's budget of Brun moves and of powers per scan, and
+# the eigenvalue powers realize_group_matrix tries to close its lattice.
+MINIMIZE_CAP = 200
+CLOSURE_CAP = 24
+
+
+def _minimize_core(lattice, xs, cap):
     """Shared pipeline: adjusted basis -> rows -> stationary system.
 
     lattice must be closed under multiplication by its field's generator
@@ -169,24 +166,21 @@ def _minimize_core(lattice, xs, move_cap=200, n_cap=200, m_cap=200):
     field = lattice.field
     k = field.degree
     cone = _Cone(field, [x.coords for x in lattice.basis_vectors()])
-    moves = cone.fix(move_cap)
-    basis = ExactMatrix.from_columns(cone.f)
-    inv = basis.inverse()
+    moves = cone.fix(cap)
+    action, starts = _lam_action(field, cone.f, [x.coords for x in xs])
 
-    def rows_ok(cols):
-        if any(x < 0 for row in cols for x in row):
+    def rows_ok(rows):
+        if any(x < 0 for row in rows for x in row):
             return False
-        return all(any(row[j] > 0 for row in cols) for j in range(k))
+        return all(any(row[j] > 0 for row in rows) for j in range(k))
 
-    n_power, rows = _power_search(
-        field, inv, [x.coords for x in xs], rows_ok, 0, n_cap, "path rows")
+    n_power, rows = _lam_scan(action, starts, rows_ok, cap, "path rows")
     level0 = tuple(sum(row[j] for row in rows) for j in range(k))
 
-    def all_positive(cols):
-        return all(x >= 1 for col in cols for x in col)
+    def all_positive(rows):
+        return all(x >= 1 for row in rows for x in row)
 
-    m_power, x_cols = _power_search(
-        field, inv, cone.f, all_positive, 1, m_cap, "incidence")
+    m_power, x_cols = _lam_scan(action, None, all_positive, cap, "incidence")
     # row j of the output is the basis expansion of lam^M f_j, so the
     # weights z are a right eigenvector for lam^M
     a_tilde = ExactMatrix.from_rows(x_cols)
@@ -233,12 +227,13 @@ def _minimize_core(lattice, xs, move_cap=200, n_cap=200, m_cap=200):
     }
 
 
-def minimize_vertices(system, move_cap=200, n_cap=200, m_cap=200):
+def minimize_vertices(system, cap=MINIMIZE_CAP):
     """Rebuild a primitive system on as few vertices as its field degree.
 
     Accepts a Substitution or an incidence matrix.  The output is a
     proper substitution on degree-many letters whose diagram carries the
-    same ordered group, certified exactly.
+    same ordered group, certified exactly.  cap is the stated budget of
+    the dual Brun moves and of the eigenvalue powers each scan tries.
     """
     if isinstance(system, Substitution):
         a = system.incidence_matrix()
@@ -246,21 +241,20 @@ def minimize_vertices(system, move_cap=200, n_cap=200, m_cap=200):
         a = _coerce_matrix(system)
     pd = perron_data(a)
     lattice = lattice_of(pd)
-    report = _minimize_core(lattice, list(pd.eigvec),
-                            move_cap=move_cap, n_cap=n_cap, m_cap=m_cap)
+    report = _minimize_core(lattice, list(pd.eigvec), cap)
     report["input_size"] = a.rows
     report["output_size"] = pd.k
     return report
 
 
-def realize_group_matrix(matrix, weights, closure_cap=24,
-                         move_cap=200, n_cap=200, m_cap=200):
+def realize_group_matrix(matrix, weights):
     """Build a stationary system whose path group is generated by weights.
 
     matrix supplies the field and eigenvalue; weights are coordinate
     vectors of positive field elements summing to one.  The lattice they
-    generate is first saturated until some eigenvalue power maps it into
-    itself, then the shared pipeline runs on the saturated lattice.
+    generate is first saturated until an eigenvalue power up to
+    CLOSURE_CAP maps it into itself, then the shared pipeline runs on the
+    saturated lattice.
     """
     a = _coerce_matrix(matrix)
     pd = perron_data(a)
@@ -283,14 +277,17 @@ def realize_group_matrix(matrix, weights, closure_cap=24,
     h_cols = _int_columns(h0)
     step = _lam_step(field)
     cols = h_cols
-    for closure_power in range(1, closure_cap + 1):
+    for closure_power in range(1, CLOSURE_CAP + 1):
         cols = [step(v) for v in cols]
-        if all(_lattice_coords(h_cols, den0, v, den0) is not None
-               for v in cols):
+        outside = sum(_lattice_coords(h_cols, den0, v, den0) is None
+                      for v in cols)
+        if not outside:
             break
     else:
-        raise DomainError("the weight lattice is not preserved by any "
-                          "eigenvalue power up to %d" % closure_cap)
+        raise CapabilityError(
+            "no eigenvalue power up to %d maps the weight lattice L into "
+            "itself: %d of %d basis images of lam**%d L lie outside L"
+            % (CLOSURE_CAP, outside, len(cols), CLOSURE_CAP))
 
     gens = list(vectors)
     layer = xs
@@ -300,8 +297,7 @@ def realize_group_matrix(matrix, weights, closure_cap=24,
         gens.extend(x.coords for x in layer)
     saturated = LatticeGroup(field, gens)
 
-    report = _minimize_core(saturated, xs,
-                            move_cap=move_cap, n_cap=n_cap, m_cap=m_cap)
+    report = _minimize_core(saturated, xs, MINIMIZE_CAP)
     report["closure_power"] = closure_power
     return report
 
@@ -369,13 +365,13 @@ def _least_power_over(a, e, targets):
     targets end by e + 1, as a**(e+1) >= J a.
     """
     bound = e * (1 + (max(chain.from_iterable(targets)) - 1).bit_length())
-    found = first_power(a, lambda rows: all(
+    p, rows = first_power(a, lambda rows: all(
         x >= t for row, target in zip(rows, targets)
         for x, t in zip(row, target)), bound)
-    if found is None:
+    if p is None:
         raise InternalError("no power up to the proven bound %d is over "
                             "the targets" % bound)
-    return found
+    return p, rows
 
 
 def enlarge_matrix(a):

@@ -210,22 +210,12 @@ def poly_gcd(f, g):
     return IntPolynomial(a).primitive_part()
 
 
-# The last (f, squarefree_part(f)): factorization asks again for the part
-# of f, or of the part itself, which is its own squarefree part.
-_last_squarefree = (None, None)
-
-
 def squarefree_part(f):
     """f with repeated roots collapsed; monic input gives monic output."""
-    global _last_squarefree
     if f.degree < 1:
         raise DomainError("squarefree part needs degree at least 1")
-    if f in _last_squarefree:
-        return _last_squarefree[1]
     g = poly_gcd(f, f.derivative())
-    part = (f if g.degree == 0 else f.div_exact(g)).primitive_part()
-    _last_squarefree = (f, part)
-    return part
+    return (f if g.degree == 0 else f.div_exact(g)).primitive_part()
 
 
 # ---------------------------------------------------------------------------
@@ -651,30 +641,40 @@ def _mignotte_bound(f):
     return 2 * (2 ** f.degree) * norm + 1
 
 
-def factor_monic_squarefree(f, degree_cap=FACTOR_DEGREE_CAP):
+def factor_monic_squarefree(f):
     """Monic squarefree integer polynomial into monic irreducible factors.
 
-    Raises CapabilityError above degree_cap.  The factor list is sorted by
-    (degree, coefficients) so the output is deterministic.
+    Raises CapabilityError above FACTOR_DEGREE_CAP.  The factor list is
+    sorted by (degree, coefficients) so the output is deterministic.
+
+    The search for a prime p with gcd(f mod p, f' mod p) = 1 decides if f
+    is squarefree, with no gcd over the integers.  Such a p certifies it:
+    a square g**2 dividing monic f stays the square of monic g mod p.  If
+    f is squarefree of degree n, disc f = +-Res(f, f') is a nonzero integer
+    (the product of f' over the roots of f), and f fails at p exactly when
+    p divides it, as f stays monic mod p.  So the failing primes multiply
+    to at most |disc f| <= |f|**(n-1) |f'|**n (2-norms; Hadamard on the
+    Sylvester rows); past that bound f is not squarefree.
     """
     if not f.is_monic:
         raise DomainError("monic polynomial required")
-    if f.degree > degree_cap:
-        raise CapabilityError("degree %d above factorization cap %d" % (f.degree, degree_cap))
+    if f.degree > FACTOR_DEGREE_CAP:
+        raise CapabilityError("degree %d above factorization cap %d"
+                              % (f.degree, FACTOR_DEGREE_CAP))
     if f.degree <= 1:
         return [f]
 
-    # A prime with gcd(f mod p, f' mod p) = 1 also certifies f squarefree:
-    # a square factor g^2 of monic f survives reduction as a square of the
-    # monic g mod p.  So the gcd over the integers runs only once 3 fails;
-    # past it, f is squarefree and fails only at the finitely many primes
-    # dividing its discriminant, so the search ends.
     df = f.derivative()
+    # squares of the product of failing primes and of Hadamard's bound
+    failed = 1
+    bound = (sum(c * c for c in f.coeffs) ** (f.degree - 1)
+             * sum(c * c for c in df.coeffs) ** f.degree)
     for p in _odd_primes():
         d = _gf_strip([c % p for c in df.coeffs])
         if d and len(_gf_gcd([c % p for c in f.coeffs], d, p)) == 1:
             break
-        if p == 3 and squarefree_part(f) != f:
+        failed *= p * p
+        if failed > bound:
             raise DomainError("squarefree polynomial required")
 
     modular = _berlekamp(_gf_strip([c % p for c in f.coeffs]), p)

@@ -369,17 +369,19 @@ def _bool_row_mul(row_mask, rows, n):
     return out
 
 
-def first_power(m, accept, cap):
+def first_power(m, accept, cap, start=None):
     """(e, rows) for the least e <= cap with accept(rows), rows the integer
-    rows of m**e; None if accept holds at no such power."""
+    rows of m**e from e = 1, or of start m**e from e = 0 when start rows
+    are given.  On a miss e is None and rows are those at the cap, or None
+    if no power was tried."""
     base = m.int_rows()
-    rows = base
-    for e in range(1, cap + 1):
+    first, rows = (1, base) if start is None else (0, start)
+    for e in range(first, cap + 1):
+        if e > first:
+            rows = _int_matmul(rows, base)
         if accept(rows):
             return e, rows
-        if e < cap:
-            rows = _int_matmul(rows, base)
-    return None
+    return None, rows if cap >= first else None
 
 
 def eventual_positivity_exponent(m, cap=64):
@@ -388,9 +390,8 @@ def eventual_positivity_exponent(m, cap=64):
         raise DimensionError("positivity needs a square matrix")
     if not m.is_integer:
         raise DomainError("integer matrix required")
-    found = first_power(
-        m, lambda rows: all(x > 0 for row in rows for x in row), cap)
-    return None if found is None else found[0]
+    return first_power(
+        m, lambda rows: all(x > 0 for row in rows for x in row), cap)[0]
 
 
 def hnf_basis(vectors):

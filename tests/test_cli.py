@@ -44,6 +44,31 @@ class TestExitCodes:
         assert out == ""
         assert err_json(err)["kind"] == "malformed"
 
+    @pytest.mark.parametrize("kind", ["digits", "nesting"])
+    def test_oversized_json_exits_three(self, cli, kind):
+        # an integer literal over Python's digit limit, and nesting deeper
+        # than the recursion limit, are bad documents, not internal errors
+        limit = sys.get_int_max_str_digits()
+        document, words = {
+            "digits": ("[%s]" % ("1" * (limit + 700)),
+                       "Exceeds the limit (%d digits)" % limit),
+            "nesting": ("[" * 100000, "maximum recursion depth exceeded"),
+        }[kind]
+        code, out, err = cli(["perron", "-"], document=document)
+        assert (code, out) == (3, "")
+        error = err_json(err)
+        assert error["kind"] == "malformed"
+        assert error["message"].startswith("invalid JSON: " + words)
+
+    def test_undecodable_file_exits_three(self, cli, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b'{"matrix": [[1, \xff]]}')
+        code, out, err = cli(["perron", str(path)])
+        assert (code, out) == (3, "")
+        error = err_json(err)
+        assert error["kind"] == "malformed"
+        assert error["message"].startswith("cannot read %s: " % path)
+
     def test_unknown_field_rejected(self, cli):
         code, _, err = cli(
             ["perron", "-"], document={"matrix": A0, "bogus": 1})

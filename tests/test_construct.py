@@ -13,12 +13,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from substoe import construct as construct_module
 from substoe.clopen import groups_equal, lattice_from_elements, lattice_of
 from substoe.construct import (
     Y_SYSTEM_CAP,
     _Cone,
+    _lam_action,
+    _lam_scan,
     _least_power_over,
-    _power_search,
     build_oe_alphabet_family,
     coprime_partition_count,
     build_soe_substitution,
@@ -234,8 +236,8 @@ class TestBrunRepair:
                            match="^basis adjustment did not stabilize within "
                                  "17 moves: 1 of 3 eigendirection "
                                  "coefficients still not positive$"):
-            minimize_vertices(BRUN_18, move_cap=17)
-        assert len(minimize_vertices(BRUN_18, move_cap=18)["moves"]) == 18
+            minimize_vertices(BRUN_18, cap=17)
+        assert len(minimize_vertices(BRUN_18, cap=18)["moves"]) == 18
 
     @pytest.mark.parametrize("matrix", [A1, BRUN_18, [[2, 2, 2], [3, 2, 1],
                                                       [3, 2, 2]]])
@@ -275,6 +277,21 @@ def fraction_power_search(field, inv, start_vecs, accept, start, cap):
     raise CapabilityError("no usable power below %d" % cap)
 
 
+def identity_rows(k):
+    return [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+def rows_ok(rows):
+    """The path-row test of the minimizer: nonnegative, no zero column."""
+    return (all(x >= 0 for row in rows for x in row)
+            and all(any(row[j] > 0 for row in rows)
+                    for j in range(len(rows[0]))))
+
+
+def all_positive(rows):
+    return all(x >= 1 for row in rows for x in row)
+
+
 class TestPowerSearch:
     def cone(self, matrix):
         pd = perron_data(ExactMatrix.from_rows(matrix))
@@ -287,38 +304,55 @@ class TestPowerSearch:
     @pytest.mark.parametrize("start", [0, 1])
     def test_integer_scan_matches_fraction_scan(self, matrix, start):
         pd, cone, inv = self.cone(matrix)
-        starts = [cone.f, [x.coords for x in pd.eigvec]]
-        for vecs, accept in product(starts, [
-                lambda cols: all(x >= 1 for col in cols for x in col),
-                lambda cols: all(x >= 0 for col in cols for x in col)]):
-            got = _power_search(pd.field, inv, vecs, accept, start, 200, "x")
+        eig = [x.coords for x in pd.eigvec]
+        action, starts = _lam_action(pd.field, cone.f, eig)
+        # from power 1 the scan runs on the basis itself, from power 0 on
+        # start rows: the basis's own (identity) or the eigenvector's
+        cases = ([(cone.f, None)] if start else
+                 [(cone.f, identity_rows(pd.k)), (eig, starts)])
+        for (vecs, rows), accept in product(cases, [
+                all_positive, rows_ok,
+                lambda rows: all(x >= 0 for row in rows for x in row)]):
+            got = _lam_scan(action, rows, accept, 200, "x")
             assert got == fraction_power_search(pd.field, inv, vecs, accept,
                                                 start, 200)
 
     def test_cap_and_lattice_exit(self):
         pd, cone, inv = self.cone(A1)
+        action, _ = _lam_action(pd.field, cone.f, [])
         with pytest.raises(CapabilityError, match="up to 0 for x"):
-            _power_search(pd.field, inv, cone.f, lambda cols: False, 0, 0,
-                          "x")
+            _lam_scan(action, identity_rows(3), lambda rows: False, 0, "x")
         with pytest.raises(CapabilityError,
                            match="^no usable power of the eigenvalue up to 20 "
                                  "for x; the largest lattice coordinate at "
                                  "power 20 has 56 bits$"):
-            _power_search(pd.field, inv, cone.f, lambda cols: False, 0, 20,
-                          "x")
+            _lam_scan(action, identity_rows(3), lambda rows: False, 20, "x")
         # no power is tried when the scan would start past its cap
         with pytest.raises(CapabilityError,
-                           match="^no usable power of the eigenvalue up to 2 "
+                           match="^no usable power of the eigenvalue up to 0 "
                                  "for x$"):
-            _power_search(pd.field, inv, cone.f, lambda cols: False, 3, 2,
-                          "x")
+            _lam_scan(action, None, lambda rows: False, 0, "x")
         outside = [[x / 7 for x in cone.f[0]]]
         with pytest.raises(InternalError, match="left the lattice"):
-            _power_search(pd.field, inv, outside, lambda cols: True, 0, 5,
-                          "x")
+            _lam_action(pd.field, cone.f, outside)
+        # a basis whose lattice lam does not map into itself
+        with pytest.raises(InternalError, match="left the lattice"):
+            _lam_action(pd.field, outside + cone.f[1:], [])
         with pytest.raises(InternalError, match="left the lattice"):
             fraction_power_search(pd.field, inv, outside, lambda cols: True,
                                   0, 5)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(primitive_matrices())
+    def test_minimizer_matches_fraction_scans(self, matrix):
+        r = minimize_vertices(matrix)
+        pd, cone, inv = self.cone(matrix)
+        eig = [x.coords for x in pd.eigvec]
+        assert fraction_power_search(pd.field, inv, eig, rows_ok, 0, 200) \
+            == (r["basis_power"], r["rows"])
+        assert fraction_power_search(pd.field, inv, cone.f, all_positive, 1,
+                                     200) \
+            == (r["matrix_power"], r["matrix"].int_rows())
 
 
 @st.composite
@@ -389,11 +423,16 @@ class TestRealize:
             same = (built.basis, built.den) == (want.basis, want.den)
             assert same == (side == 1)
 
-    def test_closure_cap(self):
-        with pytest.raises(DomainError):
+    def test_closure_cap(self, monkeypatch):
+        # these weights close at power 3 (test_golden_half_integer_weights)
+        monkeypatch.setattr(construct_module, "CLOSURE_CAP", 2)
+        with pytest.raises(CapabilityError,
+                           match=r"^no eigenvalue power up to 2 maps the "
+                                 r"weight lattice L into itself: 1 of 2 basis "
+                                 r"images of lam\*\*2 L lie outside L$"):
             realize_group_matrix(
                 A0, [[Fraction(-1), Fraction(1, 2)],
-                     [Fraction(2), Fraction(-1, 2)]], closure_cap=2)
+                     [Fraction(2), Fraction(-1, 2)]])
 
     def test_rejects_nonpositive_weight(self):
         # second entry is 2 - lam < 0 for lam = (3 + sqrt 5)/2

@@ -113,11 +113,10 @@ class TestGcdSquarefree:
 
     def test_factorization_reuses_the_squarefree_gcd(self, monkeypatch):
         # x^2 - 3 fails the gcd test mod 3 (3 divides its discriminant);
-        # the integer gcd behind the p = 3 guard is the one the field
-        # builder has just computed
+        # the prime search then goes on to 5 with no gcd over the
+        # integers, so the only one is the field builder's squarefree part
         calls = []
         gcd = intpoly_module.poly_gcd
-        monkeypatch.setattr(intpoly_module, "_last_squarefree", (None, None))
         monkeypatch.setattr(intpoly_module, "poly_gcd",
                             lambda f, g: calls.append(f) or gcd(f, g))
         field, _ = dominant_root_field(P(1, 0, -3))

@@ -194,19 +194,33 @@ class TestFirstPower:
         }
         accept = tests[kind]
         m = ExactMatrix.from_rows(rows)
-        expected = None
+        expected = (None, (m ** cap).int_rows())
         for e in range(1, cap + 1):
             if accept((m ** e).int_rows()):
                 expected = (e, (m ** e).int_rows())
                 break
         assert first_power(m, accept, cap) == expected
+        # start rows: the scan of start m**e runs from e = 0
+        start = [row[::-1] for row in rows]
+        s = ExactMatrix.from_rows(start)
+        expected = (None, (s * m ** cap).int_rows())
+        for e in range(cap + 1):
+            if accept((s * m ** e).int_rows()):
+                expected = (e, (s * m ** e).int_rows())
+                break
+        assert first_power(m, accept, cap, start) == expected
 
     def test_none_at_the_cap(self):
         m = ExactMatrix.from_rows([[2]])
         def accept(rows):
             return rows[0][0] >= 8
         assert first_power(m, accept, 3) == (3, [[8]])
-        assert first_power(m, accept, 2) is None
+        assert first_power(m, accept, 2) == (None, [[4]])
+        assert first_power(m, accept, 2, [[3]]) == (2, [[12]])
+        assert first_power(m, accept, 0, [[8]]) == (0, [[8]])
+        assert first_power(m, accept, 0, [[1]]) == (None, [[1]])
+        # no power is tried when the scan would start past its cap
+        assert first_power(m, accept, 0) == (None, None)
 
 
 class TestHNF:

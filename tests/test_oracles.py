@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from substoe import intpoly as intpoly_module
 from substoe.construct import enlarge_matrix
 from substoe.errors import DomainError
 from substoe.field import minimal_polynomial
@@ -177,6 +178,31 @@ class TestFactorization:
         # up to 12 modular factors; golden-chain coefficients reach 6540 bits
         for f in polys():
             assert _factors(factor_monic_squarefree(f)) == _sympy_factors(f)
+
+
+    def test_failing_primes_divide_the_bounded_discriminant(self):
+        # the squarefree refusal's proof: monic squarefree f fails the
+        # modular gcd test at p exactly when p divides disc f, and
+        # disc(f)**2 <= |f|**(2n-2) |f'|**(2n) (Hadamard)
+        rng = random.Random(23)
+        primes = [p for p in range(3, 200, 2)
+                  if all(p % q for q in range(3, p, 2))]
+        checked = 0
+        while checked < 40:
+            n = rng.randint(2, 8)
+            f = IntPolynomial([rng.randint(-30, 30) for _ in range(n)] + [1])
+            if not _sympy_poly(f).is_sqf:
+                continue
+            disc = int(sympy.discriminant(_sympy_poly(f)))
+            df = f.derivative()
+            assert disc * disc <= (sum(c * c for c in f.coeffs) ** (n - 1)
+                                   * sum(c * c for c in df.coeffs) ** n)
+            for p in primes:
+                d = intpoly_module._gf_strip([c % p for c in df.coeffs])
+                fails = not d or len(intpoly_module._gf_gcd(
+                    [c % p for c in f.coeffs], d, p)) > 1
+                assert fails == (disc % p == 0)
+            checked += 1
 
 
 class TestPerronMinimalPolynomial:
