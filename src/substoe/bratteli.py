@@ -10,7 +10,7 @@ words as rules, with F the transpose of the substitution incidence.
 from .errors import CapabilityError, DomainError, PathError
 from .perron import measure_weights, perron_data
 from .subst import Substitution
-from .words import word_of
+from .words import EXPAND_CAP, word_of
 
 PATH_COUNT_BITS = 4096
 # Edges export_dot draws at most.
@@ -77,11 +77,17 @@ class OrderedDiagram:
     def path_counts(self, depth):
         """Numbers of root paths into each vertex, level by level.
 
-        Refuses once a count needs more than PATH_COUNT_BITS bits, which
-        keeps every count printable in decimal.
+        Refuses before any level past EXPAND_CAP entries (depth times
+        vertices), and once a count needs more than PATH_COUNT_BITS
+        bits, which keeps every count printable in decimal.
         """
         if depth < 1:
             raise DomainError("depth must be positive")
+        entries = depth * self.size
+        if entries > EXPAND_CAP:
+            raise CapabilityError(
+                "path counts to depth %d have %d entries, over the budget "
+                "of %d entries" % (depth, entries, EXPAND_CAP))
         rows = self.incidence.int_rows()
         h = self.level0
         out = []

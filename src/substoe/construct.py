@@ -25,9 +25,8 @@ from .matrix import (
     hnf_basis,
     primitivity_exponent,
 )
-from .perron import (_check_eigvec, companion_matrix, multiplication_matrices,
-                     perron_data)
-from .subst import Substitution, linear_bound_estimate
+from .perron import _check_eigvec, adjugate_column, perron_data
+from .subst import LENGTH_GUARD, Substitution, linear_bound_estimate
 from .words import EXPAND_CAP, RunWord
 
 _LETTER_POOL = "abcdefghijklmnopqrstuvwxyz"
@@ -46,29 +45,34 @@ def _coerce_matrix(m):
 
 
 class _Cone:
-    """Mutable bookkeeping for a lattice basis under column moves.
+    """Mutable bookkeeping for a lattice basis f under column moves.
 
-    Tracks the basis vectors f (coordinate lists), their field values p
-    and the coefficients c of the positive eigendirection in that
-    basis.  Every move is unimodular, so the spanned lattice never
-    changes; the goal is reaching a basis where all p and all c are
-    certified positive.
+    f starts as the triangular basis of a lattice of power 1 (closed
+    under lam, the field's root), signs flipped to make every value p
+    positive, and is held by integer coordinates on it: m, the matrix of
+    lam by columns (column j holds lam f_j), and the starts of xs.  c is
+    column 0 of adj(lam I - m), an eigenvector for lam; the left
+    eigenvector p pairs with it to p_0 q'(lam) > 0, q the minimal
+    polynomial, so c is the positive eigendirection.  Every move is
+    unimodular, so the lattice never changes; the goal is a basis where
+    all p and all c are certified positive.
     """
 
-    def __init__(self, field, f_vecs):
-        self.f = [list(v) for v in f_vecs]
-        self.p = []
-        for j, vec in enumerate(self.f):
-            elt = field.from_coords(vec)
-            if certified_sign(elt) < 0:
-                self.f[j] = [-x for x in vec]
-                elt = -elt
-            self.p.append(elt)
-        mp = multiplication_matrices(field)
-        basis = ExactMatrix.from_columns(self.f)
-        inv = basis.inverse()
-        self.c = [sum((y * a for y, a in zip(mp.y1, inv.row(i))), field.zero())
-                  for i in range(field.degree)]
+    def __init__(self, lattice, xs):
+        values = lattice.basis_vectors()
+        signs = [certified_sign(elt) for elt in values]
+        self.p = [elt * sign for elt, sign in zip(values, signs)]
+        # the flips D turn the lattice's step matrix s into D s D
+        self.m = [[si * sj * x for si, x in zip(signs, col)]
+                  for sj, col in zip(signs, lattice._step)]
+        coords = [_lattice_coords(lattice._cols, lattice.den, x.nums, x.den)
+                  for x in xs]
+        if None in coords:
+            raise InternalError("start vector lies outside the lattice")
+        self.starts = [[s * y for s, y in zip(signs, row)] for row in coords]
+        q = lattice.field.min_poly
+        self.c = [lattice.field.from_coords(x)
+                  for x in adjugate_column(list(zip(*self.m)), q, q)]
 
     def _top_two(self):
         """Indices of the largest and second-largest value p.
@@ -91,9 +95,10 @@ class _Cone:
 
         With p_i the largest value and p_j the second largest, the move
         ("shear", j, i, -1) sets f_i <- f_i - f_j: p_i drops by p_j and
-        stays positive, c_j grows by c_i.  As Brun's algorithm shrinks
-        its cone onto p, the basis cone grows until it holds y1, whose
-        value multiplication_matrices certifies positive (Brentjes 1981;
+        stays positive, c_j grows by c_i, and so does start coordinate j.
+        m becomes E^-1 m E: column i minus column j, then row j plus row
+        i.  As Brun's algorithm shrinks its cone onto p, the basis cone
+        grows until it holds the positive eigendirection (Brentjes 1981;
         Schweiger 2000).  Completeness is not claimed: cap is the stated
         budget of moves.
         """
@@ -106,34 +111,16 @@ class _Cone:
                     "%d of %d eigendirection coefficients still not positive"
                     % (cap, sum(sign <= 0 for sign in signs), len(signs)))
             i, j = self._top_two()
-            self.f[i] = [x - y for x, y in zip(self.f[i], self.f[j])]
             self.p[i] = self.p[i] - self.p[j]
             self.c[j] = self.c[j] + self.c[i]
             signs[j] = certified_sign(self.c[j])
+            self.m[i] = [x - y for x, y in zip(self.m[i], self.m[j])]
+            for col in chain(self.m, self.starts):
+                col[j] += col[i]
             moves.append(("shear", j, i, -1))
-        self.certify()
+        if any(certified_sign(elt) <= 0 for elt in self.p + self.c):
+            raise InternalError("adjusted basis lost positivity")
         return moves
-
-    def certify(self):
-        for elt in self.p + self.c:
-            if certified_sign(elt) <= 0:
-                raise InternalError("adjusted basis lost positivity")
-
-
-def _lam_action(field, basis, vecs):
-    """(A, starts) with A = M^T, M = F^-1 C F the matrix of lam on the
-    basis columns F, and starts the rows F^-1 v, v in vecs: row j of A**t
-    and row i of starts A**t are the coordinates of lam**t f_j and
-    lam**t v_i.  F spans a lattice closed under lam that holds vecs, so
-    both are integral; InternalError otherwise."""
-    f = ExactMatrix.from_columns(basis)
-    inv = f.inverse()
-    action = (inv * companion_matrix(field) * f).transpose()
-    starts = [inv.apply(v) for v in vecs]
-    if not action.is_integer or any(x.denominator != 1
-                                    for row in starts for x in row):
-        raise InternalError("lattice coordinates left the lattice")
-    return action, [[int(x) for x in row] for row in starts]
 
 
 def _lam_scan(action, starts, accept, cap, what):
@@ -165,16 +152,17 @@ def _minimize_core(lattice, xs, cap):
     """
     field = lattice.field
     k = field.degree
-    cone = _Cone(field, [x.coords for x in lattice.basis_vectors()])
+    cone = _Cone(lattice, xs)
     moves = cone.fix(cap)
-    action, starts = _lam_action(field, cone.f, [x.coords for x in xs])
+    action = ExactMatrix.from_rows(cone.m)
 
+    # The xs span Q^k (lattice_of and realize_group_matrix's hnf_basis
+    # refuse otherwise) and lam**t is invertible, so the path rows have
+    # rank k, and nonnegative rows of rank k have no zero column.
     def rows_ok(rows):
-        if any(x < 0 for row in rows for x in row):
-            return False
-        return all(any(row[j] > 0 for row in rows) for j in range(k))
+        return all(x >= 0 for row in rows for x in row)
 
-    n_power, rows = _lam_scan(action, starts, rows_ok, cap, "path rows")
+    n_power, rows = _lam_scan(action, cone.starts, rows_ok, cap, "path rows")
     level0 = tuple(sum(row[j] for row in rows) for j in range(k))
 
     def all_positive(rows):
@@ -473,7 +461,8 @@ def build_soe_substitution(subst, block_length):
     comparison), and its language contains all s^(l+1) words of length
     block_length + 1, which strictly separates its complexity from any
     aperiodic input.  The word blocks are also read off the expanded
-    first rule while it is within EXPAND_CAP letters.
+    first rule while it is within EXPAND_CAP letters.  A block of more
+    than LENGTH_GUARD letters is refused before it is built.
     """
     if not isinstance(subst, Substitution):
         raise DomainError("expected a substitution")
@@ -487,6 +476,12 @@ def build_soe_substitution(subst, block_length):
     a = subst.incidence_matrix()
     pd = perron_data(a)
 
+    # the block has (l + 1) s**(l + 1) letters; for s >= 2 the power
+    # passes the guard from its bit length on, so it is capped there
+    if (l + 1) * s ** min(l + 1, LENGTH_GUARD.bit_length()) > LENGTH_GUARD:
+        raise CapabilityError(
+            "block length %d needs a word block of over %d letters, the "
+            "expansion budget" % (l, LENGTH_GUARD))
     pieces = list(product(letters, repeat=l + 1))
     block = RunWord.from_letters(chain.from_iterable(pieces))
     block_counts = block.letter_counts()

@@ -2,9 +2,9 @@
 
 The eigenvector is a column of adj(lam I - A), computed with integer
 arithmetic and reduced modulo the minimal polynomial of lam, then
-normalized once so its entries sum to one.  The companion-style
-multiplication matrices express multiplication by lam and by 1/lam on the
-coordinate lattice Z^k of the field.
+normalized once so its entries sum to one.  The companion matrix
+expresses multiplication by lam on the coordinate lattice Z^k of the
+field.
 """
 
 from dataclasses import dataclass
@@ -31,14 +31,12 @@ class PerronData:
     k: int
     lam: FieldElement
     eigvec: tuple
-    coords_matrix: ExactMatrix
     exponent: int
 
 
 @dataclass(frozen=True)
 class MultiplicationPair:
     c: ExactMatrix
-    d: ExactMatrix
     y1: tuple
 
 
@@ -92,10 +90,8 @@ def perron_data(m):
         if certified_sign(x) <= 0:
             raise InternalError("normalized eigenvector has a nonpositive entry")
     _check_eigvec(m, lam, vec, field)
-    coords = ExactMatrix.from_columns([list(x.coords) for x in vec])
     return PerronData(matrix=m, field=field, k=k, lam=lam,
-                      eigvec=tuple(vec), coords_matrix=coords,
-                      exponent=exponent)
+                      eigvec=tuple(vec), exponent=exponent)
 
 
 def measure_weights(pd, level0):
@@ -127,16 +123,16 @@ def companion_matrix(field):
 
 
 def multiplication_matrices(field):
-    """Pair (C, D): multiplication by lam and by 1/lam on coordinates.
+    """Pair (C, y1): multiplication by lam on coordinates and its
+    eigenvector.
 
-    C is the companion matrix of the minimal polynomial, D its inverse,
-    and y1 the C-eigenvector for lam, with first nonzero coordinate set
-    to 1 and the sign flipped if its field value is negative.  y1 comes
-    from column 0 of adj(lam I - C), which is nonzero because the left
-    lam-eigenvector of C is (1, lam, ..., lam^(k-1)).
+    C is the companion matrix of the minimal polynomial and y1 the
+    C-eigenvector for lam, with first nonzero coordinate set to 1 and the
+    sign flipped if its field value is negative.  y1 comes from column 0
+    of adj(lam I - C), which is nonzero because the left lam-eigenvector
+    of C is (1, lam, ..., lam^(k-1)).
     """
     c_mat = companion_matrix(field)
-    d_mat = c_mat.inverse()
     lam = field.lam()
     f = field.min_poly
     y1 = [field.from_coords(x) for x in adjugate_column(c_mat.int_rows(), f, f)]
@@ -151,4 +147,4 @@ def multiplication_matrices(field):
         raise InternalError("y1 pairs to zero against the root powers")
     if sgn < 0:
         y1 = [-x for x in y1]
-    return MultiplicationPair(c=c_mat, d=d_mat, y1=tuple(y1))
+    return MultiplicationPair(c=c_mat, y1=tuple(y1))

@@ -433,6 +433,20 @@ class TestPathCountBudget:
         with pytest.raises(CapabilityError, match="depth 5901 has 4097 bits"):
             d.path_counts(200_000)
 
+    def test_levels_times_vertices_over_the_entry_budget(self):
+        from substoe.words import EXPAND_CAP
+        d = diagram_from_substitution(Substitution({"a": "ab", "b": "b"}))
+        assert d.path_counts(100_000)[-1] == (100_000, 1)
+        depth = EXPAND_CAP // 2 + 1
+        with pytest.raises(CapabilityError,
+                           match="^path counts to depth %d have %d entries, "
+                                 "over the budget of %d entries$"
+                                 % (depth, 2 * depth, EXPAND_CAP)):
+            d.path_counts(depth)
+        # refused before any level is built
+        with pytest.raises(CapabilityError, match="depth 10000000000 "):
+            d.path_counts(10 ** 10)
+
     def test_huge_root_multiplicity_refused_at_depth_one(self):
         f = ExactMatrix.from_rows([[1, 1], [1, 2]])
         d = OrderedDiagram(("a", "b"), f, (2 ** 5000, 1),

@@ -404,6 +404,24 @@ class TestBudgets:
             "path count at depth 5901 has 4097 bits, over the budget of "
             "4096 bits")
 
+    def test_diagram_depth_over_the_entry_budget(self, cli):
+        doc = {"substitution": {"rules": {"a": "ab", "b": "b"}}}
+        code, out, err = cli(["diagram", "-", "--n-max", "1000000"],
+                             document=doc)
+        assert (code, out) == (2, "")
+        assert err_json(err)["message"] == (
+            "path counts to depth 1000000 have 2000000 entries, over the "
+            "budget of 1000000 entries")
+
+    def test_soe_block_over_the_length_budget(self, cli):
+        doc = {"substitution": {"rules": {"a": "ab", "b": "a"}},
+               "block_length": 16}
+        code, out, err = cli(["family-soe", "-"], document=doc)
+        assert (code, out) == (2, "")
+        assert err_json(err)["message"] == (
+            "block length 16 needs a word block of over 2000000 letters, "
+            "the expansion budget")
+
     def test_telescope_over_the_length_budget(self, cli):
         doc = {"substitution": {"rules": {"a": "ab", "b": "a"}},
                "telescope": 100000}

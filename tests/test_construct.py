@@ -18,7 +18,6 @@ from substoe.clopen import groups_equal, lattice_from_elements, lattice_of
 from substoe.construct import (
     Y_SYSTEM_CAP,
     _Cone,
-    _lam_action,
     _lam_scan,
     _least_power_over,
     build_oe_alphabet_family,
@@ -245,17 +244,24 @@ class TestBrunRepair:
         r = minimize_vertices(matrix)
         pd = perron_data(ExactMatrix.from_rows(matrix))
         field = pd.field
-        basis = hnf_start(pd)
-        for j, vec in enumerate(basis):
-            if certified_sign(field.from_coords(vec)) < 0:
-                basis[j] = [-x for x in vec]
-        for kind, src, dst, m in r["moves"]:
-            assert kind == "shear"
-            basis[dst] = [x + m * y for x, y in zip(basis[dst], basis[src])]
+        assert all(m[0] == "shear" for m in r["moves"])
+        basis = replayed_basis(pd, r["moves"])
         # the output weights are the final basis values over lam**n
         scale = field.lam() ** r["basis_power"]
         assert [field.from_coords(vec) for vec in basis] == \
             [z * scale for z in r["weights"]]
+
+
+def replayed_basis(pd, moves):
+    """The repaired basis F as Fraction columns: the lattice's triangular
+    basis with each value made positive, then the shears replayed."""
+    basis = hnf_start(pd)
+    for j, vec in enumerate(basis):
+        if certified_sign(pd.field.from_coords(vec)) < 0:
+            basis[j] = [-x for x in vec]
+    for _, src, dst, m in moves:
+        basis[dst] = [x + m * y for x, y in zip(basis[dst], basis[src])]
+    return basis
 
 
 def fraction_power_search(field, inv, start_vecs, accept, start, cap):
@@ -282,7 +288,8 @@ def identity_rows(k):
 
 
 def rows_ok(rows):
-    """The path-row test of the minimizer: nonnegative, no zero column."""
+    """Nonnegative with no zero column: the minimizer's path-row test
+    checks only the first, as the rows' rank k implies the second."""
     return (all(x >= 0 for row in rows for x in row)
             and all(any(row[j] > 0 for row in rows)
                     for j in range(len(rows[0]))))
@@ -294,22 +301,24 @@ def all_positive(rows):
 
 class TestPowerSearch:
     def cone(self, matrix):
+        """The repaired cone on the eigenvector, with F replayed from its
+        moves and F^-1 over Fractions."""
         pd = perron_data(ExactMatrix.from_rows(matrix))
-        cone = _Cone(pd.field, hnf_start(pd))
-        cone.fix(200)
-        return pd, cone, ExactMatrix.from_columns(cone.f).inverse()
+        cone = _Cone(lattice_of(pd), pd.eigvec)
+        basis = replayed_basis(pd, cone.fix(200))
+        return pd, cone, basis, ExactMatrix.from_columns(basis).inverse()
 
     @pytest.mark.parametrize("matrix", [A0, A1, BRUN_18,
                                         [[1, 1, 0], [0, 1, 1], [1, 0, 1]]])
     @pytest.mark.parametrize("start", [0, 1])
     def test_integer_scan_matches_fraction_scan(self, matrix, start):
-        pd, cone, inv = self.cone(matrix)
+        pd, cone, basis, inv = self.cone(matrix)
         eig = [x.coords for x in pd.eigvec]
-        action, starts = _lam_action(pd.field, cone.f, eig)
+        action = ExactMatrix.from_rows(cone.m)
         # from power 1 the scan runs on the basis itself, from power 0 on
         # start rows: the basis's own (identity) or the eigenvector's
-        cases = ([(cone.f, None)] if start else
-                 [(cone.f, identity_rows(pd.k)), (eig, starts)])
+        cases = ([(basis, None)] if start else
+                 [(basis, identity_rows(pd.k)), (eig, cone.starts)])
         for (vecs, rows), accept in product(cases, [
                 all_positive, rows_ok,
                 lambda rows: all(x >= 0 for row in rows for x in row)]):
@@ -318,8 +327,8 @@ class TestPowerSearch:
                                                 start, 200)
 
     def test_cap_and_lattice_exit(self):
-        pd, cone, inv = self.cone(A1)
-        action, _ = _lam_action(pd.field, cone.f, [])
+        pd, cone, basis, inv = self.cone(A1)
+        action = ExactMatrix.from_rows(cone.m)
         with pytest.raises(CapabilityError, match="up to 0 for x"):
             _lam_scan(action, identity_rows(3), lambda rows: False, 0, "x")
         with pytest.raises(CapabilityError,
@@ -332,25 +341,32 @@ class TestPowerSearch:
                            match="^no usable power of the eigenvalue up to 0 "
                                  "for x$"):
             _lam_scan(action, None, lambda rows: False, 0, "x")
-        outside = [[x / 7 for x in cone.f[0]]]
-        with pytest.raises(InternalError, match="left the lattice"):
-            _lam_action(pd.field, cone.f, outside)
-        # a basis whose lattice lam does not map into itself
-        with pytest.raises(InternalError, match="left the lattice"):
-            _lam_action(pd.field, outside + cone.f[1:], [])
+        outside = [[x / 7 for x in basis[0]]]
+        with pytest.raises(InternalError,
+                           match="^start vector lies outside the lattice$"):
+            _Cone(lattice_of(pd), [pd.field.from_coords(outside[0])])
         with pytest.raises(InternalError, match="left the lattice"):
             fraction_power_search(pd.field, inv, outside, lambda cols: True,
                                   0, 5)
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(primitive_matrices())
+    def test_carried_action_is_the_conjugated_companion(self, matrix):
+        pd, cone, basis, inv = self.cone(matrix)
+        f = ExactMatrix.from_columns(basis)
+        assert ExactMatrix.from_columns(cone.m) == \
+            inv * companion_matrix(pd.field) * f
+        assert [list(inv.apply(x.coords)) for x in pd.eigvec] == cone.starts
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(primitive_matrices())
     def test_minimizer_matches_fraction_scans(self, matrix):
         r = minimize_vertices(matrix)
-        pd, cone, inv = self.cone(matrix)
+        pd, cone, basis, inv = self.cone(matrix)
         eig = [x.coords for x in pd.eigvec]
         assert fraction_power_search(pd.field, inv, eig, rows_ok, 0, 200) \
             == (r["basis_power"], r["rows"])
-        assert fraction_power_search(pd.field, inv, cone.f, all_positive, 1,
+        assert fraction_power_search(pd.field, inv, basis, all_positive, 1,
                                      200) \
             == (r["matrix_power"], r["matrix"].int_rows())
 
@@ -501,6 +517,20 @@ class TestBlockCovering:
     def test_rejects_eigenvalue_one_before_scanning(self):
         with pytest.raises(DomainError, match="does not exceed 1"):
             build_soe_substitution(Substitution({"a": "a"}), 1)
+
+    # Fibonacci's block has 17 * 2**17 letters at l = 16, and no 2**(l + 1)
+    # is formed at 10**9; a -> aa has one word per length, l + 1 letters
+    @pytest.mark.parametrize("rules, l", [
+        ({"a": "ab", "b": "a"}, 16),
+        ({"a": "ab", "b": "a"}, 10 ** 9),
+        ({"a": "aa"}, 2_000_000),
+    ])
+    def test_block_over_the_guard_refused_before_it_is_built(self, rules, l):
+        with pytest.raises(CapabilityError,
+                           match="^block length %d needs a word block of "
+                                 "over 2000000 letters, the expansion "
+                                 "budget$" % l):
+            build_soe_substitution(Substitution(rules), l)
 
     @pytest.mark.parametrize("n, power", [(8, 73), (10, 111)])
     def test_wielandt_substitution(self, n, power):

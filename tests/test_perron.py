@@ -32,7 +32,8 @@ class TestPerronData:
 
     def test_golden_coords_matrix(self):
         pd = perron_data(A0)
-        assert pd.coords_matrix == ExactMatrix.from_rows([[3, -2], [-1, 1]])
+        coords = ExactMatrix.from_columns([list(x.coords) for x in pd.eigvec])
+        assert coords == ExactMatrix.from_rows([[3, -2], [-1, 1]])
 
     def test_eigvec_equation(self):
         for m in (A0, A1):
@@ -94,8 +95,6 @@ class TestMultiplicationMatrices:
         f = number_field(IntPolynomial([1, -3, 1]))
         pair = multiplication_matrices(f)
         assert pair.c == ExactMatrix.from_rows([[0, -1], [1, 3]])
-        assert pair.d == ExactMatrix.from_rows([[3, 1], [-1, 0]])
-        assert pair.c * pair.d == ExactMatrix.identity(2)
 
     def test_golden_y1(self):
         f = number_field(IntPolynomial([1, -3, 1]))
@@ -113,13 +112,11 @@ class TestMultiplicationMatrices:
         for coords in [(1, 0), (0, 1), (2, -5)]:
             x = f.from_coords(coords)
             assert f.from_coords(pair.c.apply(coords)) == lam * x
-            assert f.from_coords(pair.d.apply(coords)) == x / lam
 
     def test_seven_field_pair(self):
         f = number_field(IntPolynomial([1, -7, 1]))
         pair = multiplication_matrices(f)
         assert pair.c == ExactMatrix.from_rows([[0, -1], [1, 7]])
-        assert pair.d == ExactMatrix.from_rows([[7, 1], [-1, 0]])
 
     def test_lind_companion(self):
         f = number_field(IntPolynomial([-46, -15, 3, 1]))
