@@ -2,11 +2,12 @@
 
 Every subcommand reads one JSON document (from a file argument or
 stdin), validates it strictly, calls the library, and prints a
-deterministic JSON report (sort_keys, fixed indentation).  Errors are
-emitted as structured JSON on stderr with stable exit codes: 1 for
-domain and internal errors, 2 for exhausted search caps, 3 for malformed
-input; any other exception is reported as internal, never as a raw
-traceback.
+deterministic JSON report (sort_keys, indent 2); a handler that returns
+text (enumerate-y) is held to that layout by the tests.  Exit codes are
+stable: 1 for domain and internal errors and for a stdout closed early
+(the one failure with no error document), 2 for exhausted search caps,
+3 for malformed input.  Errors go to stderr as JSON; any other exception
+is reported as internal, never as a raw traceback.
 Field elements are printed with exact rational coordinates plus a
 decimal approximation whose precision is stated alongside.
 """
@@ -18,6 +19,7 @@ import os
 import sys
 import traceback
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .bratteli import OrderedDiagram, diagram_from_substitution
@@ -48,22 +50,9 @@ APPROX_DIGITS = 12
 OUTPUT_INT_BITS = 14_000
 
 
-def _int_text(values):
-    """Decimal texts of the ints in values, within OUTPUT_INT_BITS."""
-    bits = max(map(int.bit_length, values))
-    if bits > OUTPUT_INT_BITS:
-        raise CapabilityError(
-            "output integer has %d bits, over the budget of %d bits"
-            % (bits, OUTPUT_INT_BITS))
-    return map(int.__repr__, values)
-
-
 def _write(node, pad, out):
     """Append the text json.dumps(node, sort_keys=True, indent=2) gives,
-    for a node whose line starts with pad (a newline and its indent).
-
-    A list of only ints or only strs is one join over C formatters.
-    """
+    for a node whose line starts with pad (a newline and its indent)."""
     kind = type(node)
     if kind is dict:
         if not node:
@@ -84,24 +73,21 @@ def _write(node, pad, out):
             out.append("[]")
             return
         inner = pad + "  "
-        kinds = set(map(type, node))
-        if kinds == {int}:
-            items = _int_text(node)
-        elif kinds == {str}:
-            items = map(encode_basestring_ascii, node)
-        else:
-            sep = "[" + inner
-            for item in node:
-                out.append(sep)
-                _write(item, inner, out)
-                sep = "," + inner
-            out.append(pad + "]")
-            return
-        out.append("[" + inner + ("," + inner).join(items) + pad + "]")
+        sep = "[" + inner
+        for item in node:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
     elif kind is str:
         out.append(encode_basestring_ascii(node))
     elif kind is int:
-        out.extend(_int_text((node,)))
+        bits = node.bit_length()
+        if bits > OUTPUT_INT_BITS:
+            raise CapabilityError(
+                "output integer has %d bits, over the budget of %d bits"
+                % (bits, OUTPUT_INT_BITS))
+        out.append(repr(node))
     elif kind is bool:
         out.append("true" if node else "false")
     elif node is None:
@@ -491,23 +477,23 @@ def _cmd_enumerate_y(doc, args):
     _check_keys(doc, "input", required=("q",))
     q = _positive_int(doc, "q", "input")
     systems = enumerate_rational_y(q)
-    # q distinct weights, one per row value: format each once, keyed on
-    # the int row (hashing a Fraction is far slower than hashing an int)
-    weights = {row: weight for s in systems
-               for row, weight in zip(s["rows"], s["weights"])}
-    texts = {row: _rational_str(weight) for row, weight in weights.items()}
-    return {
-        "q": q,
-        "count": len(systems),
-        "systems": [{
-            "partition": list(s["partition"]),
-            "weights": [texts[row] for row in s["rows"]],
-            "rows": list(s["rows"]),
-            "level0": s["level0"],
-            "matrix": [list(row) for row in s["matrix"]],
-            "base": _rational_str(s["base"]),
-        } for s in systems],
-    }
+    # Up to 8,118 systems share level0, matrix and base: each fills one
+    # template, _dumps's layout with null in place of the three lists,
+    # from texts formatted once per int row (hashing a Fraction is slow).
+    weights = dict(zip(chain.from_iterable(s["rows"] for s in systems),
+                       chain.from_iterable(s["weights"] for s in systems)))
+    ints = {row: "%d" % row for row in weights}
+    texts = {row: '"%s"' % _rational_str(w) for row, w in weights.items()}
+    head = dict(systems[0], base=_rational_str(systems[0]["base"]),
+                partition=None, rows=None, weights=None)
+    template = "    " + _dumps(head).replace("\n", "\n    ").replace(
+        "null", "[\n        %s\n      ]")
+    sep = ",\n        "
+    return '{\n  "count": %d,\n  "q": %d,\n  "systems": [\n%s\n  ]\n}' % (
+        len(systems), q, ",\n".join([template % (
+            sep.join(map(ints.__getitem__, s["partition"])),
+            sep.join(map(ints.__getitem__, s["rows"])),
+            sep.join(map(texts.__getitem__, s["rows"]))) for s in systems]))
 
 
 def _paper_checks():
@@ -814,16 +800,20 @@ def main(argv=None):
             raise MalformedInputError("a subcommand is required")
         _validate_flags(args)
         if args.command == "verify-paper":
-            report = verify_paper_report()
-            print(_dumps(report))
-            return 0 if report["all_passed"] else 1
-        doc = _load_document(args.input)
-        out = _HANDLERS[args.command](doc, args)
-        if isinstance(out, str):
-            print(out)
+            out = verify_paper_report()
+            code = 0 if out["all_passed"] else 1
         else:
-            print(_dumps(out))
-        return 0
+            out = _HANDLERS[args.command](_load_document(args.input), args)
+            code = 0
+        try:
+            print(out if isinstance(out, str) else _dumps(out))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # a reader that stops early (`| head`) is no fault; as in the
+            # Python docs' SIGPIPE recipe, devnull keeps the exit flush quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
+        return code
     except Exception as exc:
         kind, code, message = _failure(exc)
         payload = {"error": {"kind": kind, "message": message}}

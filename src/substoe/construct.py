@@ -599,13 +599,29 @@ Y_SYSTEM_CAP = 10_000
 _Y_COUNT_LIMIT = 1_000
 
 
-def _partitions(total, max_part):
-    if total == 0:
-        yield ()
-        return
-    for part in range(min(total, max_part), 0, -1):
-        for rest in _partitions(total - part, part):
-            yield (part,) + rest
+def _partitions(total):
+    """The partitions of total >= 1 as descending tuples, in
+    anti-lexicographic order, by Zoghbi and Stojmenovic's ZS1 (constant
+    amortized time each).  x holds m parts, then ones; each step lowers
+    x[h], the last part over 1, and packs the freed units after it into
+    parts of the new size and a remainder t (a 1 is already in place)."""
+    x = [total] + [1] * (total - 1)
+    m, h = 1, 0
+    yield (total,)
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            m, h = m + 1, h - 1
+        else:
+            r = x[h] = x[h] - 1
+            k, t = divmod(m - h, r)
+            x[h + 1:h + k + 1] = [r] * k
+            h += k
+            m = h + 1 + (t > 0)
+            if t > 1:
+                h += 1
+                x[h] = t
+        yield tuple(x[:m])
 
 
 def _partition_numbers(n):
@@ -680,7 +696,7 @@ def enumerate_rational_y(q):
         raise InternalError("path weights do not sum to one")
     matrix = ((q,),)
     systems = []
-    for parts in _partitions(q, q):
+    for parts in _partitions(q):
         # the gcd of the parts divides their sum q, so coprimality with
         # q is the same as the parts having no common factor
         if gcd(*parts) != 1:

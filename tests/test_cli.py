@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -125,6 +127,22 @@ class TestExitCodes:
         code, _, err = cli(["enumerate-y", "-"], document={"q": 33})
         assert code == 2
         assert err_json(err)["kind"] == "capability"
+
+    def test_reader_closing_stdout_early_exits_one_silently(self):
+        # the 4.7 MB document overfills the pipe, so the write meets the
+        # closed read end
+        src = os.path.dirname(os.path.dirname(cli_module.__file__))
+        with subprocess.Popen(
+                [sys.executable, "-m", "substoe.cli", "enumerate-y", "-"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=src)) as proc:
+            proc.stdin.write(b'{"q": 32}')
+            proc.stdin.close()
+            assert proc.stdout.read(10) == b'{\n  "count'
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 1
+            assert proc.stderr.read() == b""
 
     def test_unreadable_file_exits_three(self, cli):
         code, _, err = cli(["perron", "/no/such/file.json"])
@@ -364,26 +382,10 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("q", range(1, 13))
     def test_document_matches_per_system_formatting(self, cli, q):
-        from substoe.construct import enumerate_rational_y
-
-        def text(value):
-            fr = Fraction(value)
-            if fr.denominator == 1:
-                return str(fr.numerator)
-            return "%d/%d" % (fr.numerator, fr.denominator)
-
-        systems = enumerate_rational_y(q)
-        want = {"q": q, "count": len(systems), "systems": [{
-            "partition": list(s["partition"]),
-            "weights": [text(w) for w in s["weights"]],
-            "rows": list(s["rows"]),
-            "level0": s["level0"],
-            "matrix": [list(row) for row in s["matrix"]],
-            "base": text(s["base"]),
-        } for s in systems]}
         code, out, _ = cli(["enumerate-y", "-"], document={"q": q})
         assert code == 0
-        assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+        assert out == json.dumps(enumerate_y_reference(q), sort_keys=True,
+                                 indent=2) + "\n"
 
 
 class TestBudgets:
@@ -436,6 +438,28 @@ def eval_fraction(text):
     from fractions import Fraction
 
     return Fraction(text)
+
+
+def enumerate_y_reference(q):
+    """The enumerate-y document built as a dict, system by system, from
+    enumerate_rational_y(q)."""
+    from substoe.construct import enumerate_rational_y
+
+    def text(value):
+        fr = Fraction(value)
+        if fr.denominator == 1:
+            return str(fr.numerator)
+        return "%d/%d" % (fr.numerator, fr.denominator)
+
+    systems = enumerate_rational_y(q)
+    return {"q": q, "count": len(systems), "systems": [{
+        "partition": list(s["partition"]),
+        "weights": [text(w) for w in s["weights"]],
+        "rows": list(s["rows"]),
+        "level0": s["level0"],
+        "matrix": [list(row) for row in s["matrix"]],
+        "base": text(s["base"]),
+    } for s in systems]}
 
 
 class TestDeterminism:
@@ -522,11 +546,12 @@ class TestWriter:
         assert cli_module._dumps(doc) == json.dumps(doc, sort_keys=True,
                                                     indent=2)
 
-    @pytest.mark.parametrize("q", range(1, 32))
+    @pytest.mark.parametrize("q", range(1, 33))
     def test_enumerate_y_documents(self, q):
-        doc = cli_module._cmd_enumerate_y({"q": q}, None)
-        assert cli_module._dumps(doc) == json.dumps(doc, sort_keys=True,
-                                                    indent=2)
+        # the handler writes its own text; q = 32 is the last under the cap
+        text = cli_module._cmd_enumerate_y({"q": q}, None)
+        assert text == json.dumps(enumerate_y_reference(q), sort_keys=True,
+                                  indent=2)
 
     def test_integer_budget(self):
         bits = cli_module.OUTPUT_INT_BITS

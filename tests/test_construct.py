@@ -20,6 +20,8 @@ from substoe.construct import (
     _Cone,
     _lam_scan,
     _least_power_over,
+    _partition_numbers,
+    _partitions,
     build_oe_alphabet_family,
     coprime_partition_count,
     build_soe_substitution,
@@ -624,9 +626,16 @@ class TestRationalWeights:
         with pytest.raises(DomainError):
             enumerate_rational_y(0)
 
-    @pytest.mark.parametrize("q", range(1, 21))
+    @pytest.mark.parametrize("q", range(1, 33))
     def test_matches_the_per_part_construction(self, q):
         assert enumerate_rational_y(q) == per_part_systems(q)
+
+    def test_partitions_in_the_recursive_order(self):
+        numbers = _partition_numbers(40)
+        for q in range(1, 41):
+            got = list(_partitions(q))
+            assert got == list(descending_partitions(q, q)), q
+            assert len(got) == numbers[q], q
 
     def test_count_formula(self):
         for q in range(1, 41):
