@@ -288,11 +288,6 @@ class FinitePath:
     def is_minimal(self):
         return self.root_index == 0 and all(p == 0 for p in self.choices)
 
-    def to_json(self):
-        return {"vertices": list(self.vertices),
-                "root_index": self.root_index,
-                "positions": list(self.choices)}
-
     def __eq__(self, other):
         if not isinstance(other, FinitePath):
             return NotImplemented

@@ -1,9 +1,12 @@
 """Command line front end: JSON documents in, JSON or DOT out.
 
 Every subcommand reads one JSON document (from a file argument or
-stdin), validates it strictly, calls the library, and prints a
-deterministic JSON report (sort_keys, indent 2); a handler that returns
-text (enumerate-y) is held to that layout by the tests.  Exit codes are
+stdin), validates it strictly, calls the library, and prints the result
+as a deterministic JSON report (sort_keys, indent 2).  Builder reports
+print as the library returns them: one encoder table gives each exact
+type (matrix, field element, word, substitution, diagram) its JSON
+form.  A handler that returns text (enumerate-y) is held to that layout
+by the tests.  Exit codes are
 stable: 1 for domain and internal errors and for a stdout closed early
 (the one failure with no error document), 2 for exhausted search caps,
 3 for malformed input.  Errors go to stderr as JSON; any other exception
@@ -39,6 +42,7 @@ from .errors import (
     MalformedInputError,
     SubstoeError,
 )
+from .field import FieldElement
 from .matrix import ExactMatrix
 from .perron import perron_data
 from .subst import Substitution
@@ -92,6 +96,8 @@ def _write(node, pad, out):
         out.append("true" if node else "false")
     elif node is None:
         out.append("null")
+    elif kind in _ENCODERS:
+        _write(_ENCODERS[kind](node), pad, out)
     else:
         raise TypeError("Object of type %s is not JSON serializable"
                         % kind.__name__)
@@ -99,8 +105,8 @@ def _write(node, pad, out):
 
 def _dumps(doc):
     """json.dumps(doc, sort_keys=True, indent=2), byte for byte, for
-    documents with str keys and no floats; ints over OUTPUT_INT_BITS are
-    refused."""
+    documents with str keys and no floats, the types of _ENCODERS printed
+    as their JSON forms; ints over OUTPUT_INT_BITS are refused."""
     out = []
     _write(doc, "\n", out)
     return "".join(out)
@@ -232,38 +238,29 @@ def _word_json(word):
 
 def _substitution_json(sub):
     return {
-        "alphabet": list(sub.alphabet),
-        "rules": {letter: _word_json(sub.rules[letter])
-                  for letter in sub.alphabet},
+        "alphabet": sub.alphabet,
+        "rules": sub.rules,
     }
 
 
 def _diagram_json(diagram):
     return {
-        "vertices": list(diagram.vertices),
-        "incidence": diagram.incidence.int_rows(),
-        "level0": list(diagram.level0),
-        "orders": {v: _word_json(diagram.orders[v])
-                   for v in diagram.vertices},
+        "vertices": diagram.vertices,
+        "incidence": diagram.incidence,
+        "level0": diagram.level0,
+        "orders": diagram.orders,
     }
 
 
-def _minimize_json(report):
-    return {
-        "input_size": report["input_size"],
-        "output_size": report["output_size"],
-        "matrix": report["matrix"].int_rows(),
-        "rows": report["rows"],
-        "level0": list(report["level0"]),
-        "basis_power": report["basis_power"],
-        "matrix_power": report["matrix_power"],
-        "moves": [list(move) for move in report["moves"]],
-        "alpha": _element_json(report["alpha"]),
-        "weights": [_element_json(z) for z in report["weights"]],
-        "substitution": _substitution_json(report["substitution"]),
-        "properness": list(report["properness"]),
-        "groups": report["groups"],
-    }
+# How each exact type prints: _write gives a node of one of these types
+# the JSON form its encoder returns, so handlers return library objects.
+_ENCODERS = {
+    ExactMatrix: ExactMatrix.int_rows,
+    FieldElement: _element_json,
+    RunWord: _word_json,
+    Substitution: _substitution_json,
+    OrderedDiagram: _diagram_json,
+}
 
 
 def _positive_int(doc, key, where, default=None, minimum=1):
@@ -286,13 +283,13 @@ def _cmd_perron(doc, args):
     return {
         "size": m.rows,
         "degree": pd.k,
-        "min_poly": list(pd.field.min_poly.coeffs),
+        "min_poly": pd.field.min_poly.coeffs,
         "eigenvalue": {
             "interval": [_rational_str(lo), _rational_str(hi)],
             "approx": pd.lam.approx(APPROX_DIGITS),
             "digits": APPROX_DIGITS,
         },
-        "eigenvector": [_element_json(x) for x in pd.eigvec],
+        "eigenvector": pd.eigvec,
         "primitivity_exponent": pd.exponent,
     }
 
@@ -312,13 +309,14 @@ def _cmd_language(doc, args):
     out = {
         "length": n,
         "count": len(words),
-        "words": [list(w) for w in words],
+        "words": words,
     }
     if args.seed_letter is not None:
         seed = args.seed_letter
         out["prefix"] = {
             "seed": seed,
-            "letters": list(sub.fixed_point_prefix(seed, n)),
+            # a two-sided seed "r.l" gives {"left": ..., "right": ...}
+            "letters": sub.fixed_point_prefix(seed, n),
         }
     return out
 
@@ -374,21 +372,15 @@ def _cmd_diagram(doc, args):
     if args.dot:
         return diagram.export_dot(depth)
     return {
-        "diagram": _diagram_json(diagram),
-        "substitution_read": _substitution_json(diagram.substitution_read()),
-        "path_counts": [list(h) for h in diagram.path_counts(depth)],
+        "diagram": diagram,
+        "substitution_read": diagram.substitution_read(),
+        "path_counts": diagram.path_counts(depth),
     }
 
 
 def _cmd_enlarge(doc, args):
     _check_keys(doc, "input", required=("matrix",))
-    r = enlarge_matrix(_parse_matrix(doc["matrix"]))
-    return {
-        "matrix": r["matrix"].int_rows(),
-        "power": r["power"],
-        "primitivity": r["primitivity"],
-        "groups": r["groups"],
-    }
+    return enlarge_matrix(_parse_matrix(doc["matrix"]))
 
 
 def _cmd_minimize(doc, args):
@@ -401,26 +393,19 @@ def _cmd_minimize(doc, args):
     system = (_parse_matrix(doc["matrix"]) if has_matrix
               else _parse_substitution(doc["substitution"]))
     # _validate_flags has refused a cap below 1
-    return _minimize_json(
-        minimize_vertices(system, args.cap_power or MINIMIZE_CAP))
+    report = minimize_vertices(system, args.cap_power or MINIMIZE_CAP)
+    # the field, letters and diagram repeat what the weights, the
+    # substitution and level0 print
+    for key in ("field", "letters", "diagram"):
+        del report[key]
+    return report
 
 
 def _cmd_family_soe(doc, args):
     _check_keys(doc, "input", required=("substitution", "block_length"))
     sub = _parse_substitution(doc["substitution"])
     block = _positive_int(doc, "block_length", "input")
-    r = build_soe_substitution(sub, block)
-    return {
-        "substitution": _substitution_json(r["substitution"]),
-        "power": r["power"],
-        "block_length": r["block_length"],
-        "full_count": r["full_count"],
-        "input_count": r["input_count"],
-        "separated": r["separated"],
-        "pieces_checked": r["pieces_checked"],
-        "properness": list(r["properness"]),
-        "groups": r["groups"],
-    }
+    return build_soe_substitution(sub, block)
 
 
 def _cmd_family_oe(doc, args):
@@ -428,18 +413,7 @@ def _cmd_family_oe(doc, args):
                 optional=("steps",))
     sub = _parse_substitution(doc["substitution"])
     steps = _positive_int(doc, "steps", "input", default=1)
-    kwargs = {}
-    if args.probe is not None:
-        kwargs["probe_n"] = args.probe
-    members = build_oe_alphabet_family(sub, steps=steps, **kwargs)
-    return {"members": [{
-        "substitution": _substitution_json(m["substitution"]),
-        "alphabet_size": m["alphabet_size"],
-        "slope_bound": m["slope_bound"],
-        "matrix_power": m["matrix_power"],
-        "properness": list(m["properness"]),
-        "groups": m["groups"],
-    } for m in members]}
+    return {"members": build_oe_alphabet_family(sub, steps=steps)}
 
 
 def _cmd_s_member(doc, args):
@@ -526,7 +500,7 @@ def _paper_checks():
         r = enlarge_matrix(a0)
         if r["matrix"].int_rows() != a1 or r["power"] != 2:
             raise InternalError("enlargement of the golden matrix changed")
-        return {"matrix": r["matrix"].int_rows(), "power": r["power"]}
+        return {"matrix": r["matrix"], "power": r["power"]}
 
     def check_eigen_identity():
         pd = perron_data(ExactMatrix.from_rows(a0))
@@ -552,7 +526,7 @@ def _paper_checks():
         m = three_letter().incidence_matrix()
         if m.int_rows() != a1:
             raise InternalError("three-letter rewrite incidence changed")
-        return {"incidence": m.int_rows()}
+        return {"incidence": m}
 
     def check_rewrite_complexity():
         sub = three_letter()
@@ -593,7 +567,7 @@ def _paper_checks():
             "exponent": r["exponent"],
             "bound_holds": r["bound_holds"],
             "witness_power": r["witness_power"],
-            "witness": list(r["witness"]),
+            "witness": r["witness"],
         }
 
     def check_rational_weights():
@@ -619,8 +593,8 @@ def _paper_checks():
             raise InternalError("minimization output changed")
         if r["groups"]["status"] != "equal":
             raise InternalError("minimization group certificate failed")
-        return {"matrix": r["matrix"].int_rows(),
-                "level0": list(r["level0"]),
+        return {"matrix": r["matrix"],
+                "level0": r["level0"],
                 "matrix_power": r["matrix_power"]}
 
     return [
@@ -689,29 +663,46 @@ def verify_paper_report():
     return {"checks": checks, "all_passed": all_passed}
 
 
-# Each subcommand gets only the flags its handler reads; any other flag
-# is malformed input.
 _FLAG_SPECS = {
     "--n-max": dict(type=int, default=None,
                     help="length / depth bound"),
     "--cap-power": dict(type=int, default=None,
                         help="budget: minimize's Brun moves and powers per "
                              "scan (200), s-member's largest exponent (64)"),
-    "--probe": dict(type=int, default=None,
-                    help="probe window for complexity slope estimates"),
     "--seed-letter": dict(default=None,
                           help="fixed point seed letter"),
     "--dot": dict(action="store_true",
                   help="emit DOT instead of JSON"),
 }
 
-_FLAGS = {
-    "complexity": ("--n-max",),
-    "language": ("--n-max", "--seed-letter"),
-    "diagram": ("--n-max", "--dot"),
-    "minimize": ("--cap-power",),
-    "family-oe": ("--probe",),
-    "s-member": ("--cap-power",),
+# Each subcommand once: its handler, its help line and the only flags it
+# takes (any other flag is malformed input).  verify-paper has no
+# handler: it reads no document.
+_COMMANDS = {
+    "perron": (_cmd_perron,
+               "eigenvalue data of a primitive integer matrix", ()),
+    "complexity": (_cmd_complexity,
+                   "complexity profile of a substitution", ("--n-max",)),
+    "language": (_cmd_language,
+                 "all length-n factors of a substitution language",
+                 ("--n-max", "--seed-letter")),
+    "diagram": (_cmd_diagram,
+                "ordered diagram for a substitution, or read one back",
+                ("--n-max", "--dot")),
+    "enlarge": (_cmd_enlarge, "grow a primitive matrix by one vertex", ()),
+    "minimize": (_cmd_minimize, "rebuild a system on degree-many vertices",
+                 ("--cap-power",)),
+    "family-soe": (_cmd_family_soe, "rewrite so all short words occur", ()),
+    "family-oe": (_cmd_family_oe,
+                  "alphabet-growing family with the same group", ()),
+    "s-member": (_cmd_s_member,
+                 "membership of a value in the clopen value set",
+                 ("--cap-power",)),
+    "groups-equal": (_cmd_groups_equal, "compare two clopen value groups",
+                     ()),
+    "enumerate-y": (_cmd_enumerate_y,
+                    "rational weight systems for a denominator", ()),
+    "verify-paper": (None, "run the whole verification harness", ()),
 }
 
 
@@ -723,43 +714,14 @@ class _Parser(argparse.ArgumentParser):
 def build_parser():
     parser = _Parser(prog="substoe", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    specs = {
-        "perron": "eigenvalue data of a primitive integer matrix",
-        "complexity": "complexity profile of a substitution",
-        "language": "all length-n factors of a substitution language",
-        "diagram": "ordered diagram for a substitution, or read one back",
-        "enlarge": "grow a primitive matrix by one vertex",
-        "minimize": "rebuild a system on degree-many vertices",
-        "family-soe": "rewrite so all short words occur",
-        "family-oe": "alphabet-growing family with the same group",
-        "s-member": "membership of a value in the clopen value set",
-        "groups-equal": "compare two clopen value groups",
-        "enumerate-y": "rational weight systems for a denominator",
-        "verify-paper": "run the whole verification harness",
-    }
-    for name, help_text in specs.items():
+    for name, (handler, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name != "verify-paper":
+        if handler is not None:
             p.add_argument("input", nargs="?", default="-",
                            help="JSON document path, or - for stdin")
-        for flag in _FLAGS.get(name, ()):
+        for flag in flags:
             p.add_argument(flag, **_FLAG_SPECS[flag])
     return parser
-
-
-_HANDLERS = {
-    "perron": _cmd_perron,
-    "complexity": _cmd_complexity,
-    "language": _cmd_language,
-    "diagram": _cmd_diagram,
-    "enlarge": _cmd_enlarge,
-    "minimize": _cmd_minimize,
-    "family-soe": _cmd_family_soe,
-    "family-oe": _cmd_family_oe,
-    "s-member": _cmd_s_member,
-    "groups-equal": _cmd_groups_equal,
-    "enumerate-y": _cmd_enumerate_y,
-}
 
 
 def _load_document(source):
@@ -779,7 +741,7 @@ def _load_document(source):
 
 
 def _validate_flags(args):
-    for name in ("n_max", "cap_power", "probe"):
+    for name in ("n_max", "cap_power"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise MalformedInputError("--%s must be positive"
@@ -799,11 +761,12 @@ def main(argv=None):
         if args.command is None:
             raise MalformedInputError("a subcommand is required")
         _validate_flags(args)
-        if args.command == "verify-paper":
+        handler = _COMMANDS[args.command][0]
+        if handler is None:
             out = verify_paper_report()
             code = 0 if out["all_passed"] else 1
         else:
-            out = _HANDLERS[args.command](_load_document(args.input), args)
+            out = handler(_load_document(args.input), args)
             code = 0
         try:
             print(out if isinstance(out, str) else _dumps(out))

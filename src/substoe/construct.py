@@ -525,11 +525,14 @@ def build_soe_substitution(subst, block_length):
     }
 
 
-# Each family member's complexity is checked above its slope up to here.
+# Each family step reads its input's complexity slope off p(n) for n up to
+# SLOPE_PROBE_N, and checks the new member's complexity above that slope up
+# to MEMBER_SCAN_N.
+SLOPE_PROBE_N = 40
 MEMBER_SCAN_N = 60
 
 
-def build_oe_alphabet_family(subst, steps=1, probe_n=40):
+def build_oe_alphabet_family(subst, steps=1):
     """Iterate: bound the complexity slope, then rebuild on a strictly
     larger alphabet with complexity above that bound.
 
@@ -546,7 +549,8 @@ def build_oe_alphabet_family(subst, steps=1, probe_n=40):
     current = subst
     group = None
     for _ in range(int(steps)):
-        bound = max(linear_bound_estimate(current, probe_n), current.size)
+        bound = max(linear_bound_estimate(current, SLOPE_PROBE_N),
+                    current.size)
         target = bound + 2
         if group is None:
             # every member's group is carried in the input's field

@@ -139,11 +139,6 @@ class FieldElement:
     def is_rational(self):
         return not any(self.nums[1:])
 
-    def as_rational(self):
-        if not self.is_rational:
-            raise DomainError("element is irrational")
-        return Fraction(self.nums[0], self.den)
-
     def _coerce(self, other):
         if isinstance(other, FieldElement):
             if other.field != self.field:

@@ -99,19 +99,11 @@ class ExactMatrix:
             raise DomainError("matrix has non-integer entries")
         return [[int(x) for x in self.row(i)] for i in range(self.rows)]
 
-    def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def transpose(self):
         return ExactMatrix(
             self.cols, self.rows,
             [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
         )
-
-    def trace(self):
-        if not self.is_square:
-            raise DimensionError("trace of a non-square matrix")
-        return sum(self.entries[i * self.cols + i] for i in range(self.rows))
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:

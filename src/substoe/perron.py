@@ -4,7 +4,7 @@ The eigenvector is a column of adj(lam I - A), computed with integer
 arithmetic and reduced modulo the minimal polynomial of lam, then
 normalized once so its entries sum to one.  The companion matrix
 expresses multiplication by lam on the coordinate lattice Z^k of the
-field.
+field; only multiplication_matrices, which no builder calls, reads it.
 """
 
 from dataclasses import dataclass

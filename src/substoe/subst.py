@@ -590,14 +590,6 @@ class Substitution:
                 raise InternalError("profile disagrees with direct count")
         return tuple(profile)
 
-    def aperiodicity_scan(self, n_cap):
-        """Check p(n) > n on the range; a failure certifies periodicity."""
-        profile = self.complexity_profile(n_cap)
-        for n, p in enumerate(profile, start=1):
-            if p <= n:
-                return {"aperiodic": False, "violation_at": n, "count": p}
-        return {"aperiodic": True, "n_cap": n_cap}
-
     def __repr__(self):
         inner = ", ".join(
             "%s->%s" % (l, self.rules[l].as_compact() or "<long>")

@@ -84,8 +84,7 @@ class TestPaths:
         d = golden_diagram()
         p = FinitePath(d, ("b", "a"), 0, (1,))
         assert p.depth == 2
-        assert p.to_json() == {"vertices": ["b", "a"],
-                               "root_index": 0, "positions": [1]}
+        assert (p.vertices, p.root_index, p.choices) == (("b", "a"), 0, (1,))
 
     def test_source_mismatch(self):
         d = golden_diagram()

@@ -207,6 +207,16 @@ class TestLanguage:
         assert code == 0
         assert out_json(out)["prefix"]["letters"] == list("ababb")
 
+    def test_two_sided_seed_prints_both_sides(self, cli):
+        doc = {"substitution": {"rules": {"a": "aab", "b": "ab"}}}
+        code, out, _ = cli(
+            ["language", "-", "--n-max", "3", "--seed-letter", "b.a"],
+            document=doc)
+        assert code == 0
+        assert out_json(out)["prefix"] == {
+            "seed": "b.a",
+            "letters": {"left": ["b", "a", "b"], "right": ["a", "a", "b"]}}
+
     def test_bad_seed_is_domain_error(self, cli):
         code, _, err = cli(
             ["language", "-", "--seed-letter", "z"], document=GOLDEN)
@@ -462,6 +472,58 @@ def enumerate_y_reference(q):
     } for s in systems]}
 
 
+# One run of every subcommand: (argv, input document, its top-level keys).
+DOCUMENT_KEYS = [
+    (["perron"], {"matrix": A0},
+     {"size", "degree", "min_poly", "eigenvalue", "eigenvector",
+      "primitivity_exponent"}),
+    (["complexity"], GOLDEN, {"n_max", "profile"}),
+    (["language"], GOLDEN, {"length", "count", "words"}),
+    (["language", "--seed-letter", "a"], GOLDEN,
+     {"length", "count", "words", "prefix"}),
+    (["diagram"], GOLDEN, {"diagram", "substitution_read", "path_counts"}),
+    (["enlarge"], {"matrix": A0}, {"matrix", "power", "primitivity", "groups"}),
+    (["minimize"], {"matrix": A1},
+     {"input_size", "output_size", "matrix", "rows", "level0", "basis_power",
+      "matrix_power", "moves", "alpha", "weights", "substitution",
+      "properness", "groups"}),
+    (["family-soe"], dict(GOLDEN, block_length=1),
+     {"substitution", "power", "block_length", "full_count", "input_count",
+      "separated", "pieces_checked", "properness", "groups"}),
+    (["family-oe"], GOLDEN, {"members"}),
+    (["s-member"], {"matrix": A0, "value": "1/2"}, {"status", "cap", "value"}),
+    (["groups-equal"], {"first": A0, "second": A1, "m": 2},
+     {"status", "first_absorbs_at", "second_absorbs_at"}),
+    (["enumerate-y"], {"q": 4}, {"q", "count", "systems"}),
+    (["verify-paper"], None, {"checks", "all_passed"}),
+]
+
+
+class TestDocumentKeys:
+    """Handlers print library reports as they are, so a key added to a
+    report reaches the CLI document; each document's keys are pinned."""
+
+    @pytest.mark.parametrize("argv,document,keys", DOCUMENT_KEYS,
+                             ids=[" ".join(c[0]) for c in DOCUMENT_KEYS])
+    def test_top_level_keys(self, cli, argv, document, keys):
+        if document is not None:
+            argv = argv[:1] + ["-"] + argv[1:]
+        code, out, _ = cli(argv, document=document)
+        assert code == 0
+        assert set(out_json(out)) == keys
+
+    def test_family_member_keys(self, cli):
+        code, out, _ = cli(["family-oe", "-"], document=GOLDEN)
+        assert code == 0
+        for member in out_json(out)["members"]:
+            assert set(member) == {"substitution", "alphabet_size",
+                                   "slope_bound", "matrix_power",
+                                   "properness", "groups"}
+
+    def test_every_subcommand_is_pinned(self):
+        assert {c[0][0] for c in DOCUMENT_KEYS} == set(cli_module._COMMANDS)
+
+
 class TestDeterminism:
     def test_identical_reruns(self, cli):
         doc = {"matrix": A1}
@@ -507,7 +569,9 @@ class TestInternalErrors:
         def broken(doc, args):
             raise exc
 
-        monkeypatch.setitem(cli_module._HANDLERS, "complexity", broken)
+        _, help_text, flags = cli_module._COMMANDS["complexity"]
+        monkeypatch.setitem(cli_module._COMMANDS, "complexity",
+                            (broken, help_text, flags))
         code, out, err = cli(["complexity", "-"], document=GOLDEN)
         assert code == 1 and out == ""
         error = json.loads(err)["error"]

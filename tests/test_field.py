@@ -87,7 +87,6 @@ class TestArithmetic:
 
     def test_is_rational(self):
         assert g(5, 0).is_rational
-        assert g(5, 0).as_rational() == 5
         assert not GOLDEN.lam().is_rational
 
     def test_cross_field_mix_rejected(self):
@@ -517,12 +516,6 @@ class TestAgainstFractionCoordinates:
         assert (x == q) == (rx.coords == (q,) + (0,) * (k - 1))
         assert x.is_zero == (rx.coords == (0,) * k)
         assert y.is_rational == all(c == 0 for c in ry.coords[1:])
-        if y.is_rational:
-            assert y.as_rational() == ry.coords[0]
-            assert type(y.as_rational()) is Fraction
-        else:
-            with pytest.raises(DomainError):
-                y.as_rational()
 
     @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: str(f.min_poly))
     def test_units_and_zero(self, field):

@@ -276,12 +276,6 @@ class TestComplexity:
         with pytest.raises(CapabilityError, match="8 letters"):
             Substitution({"a": "abab", "b": "ba"}).apply("aaz")
 
-    def test_aperiodicity_scan(self):
-        assert golden().aperiodicity_scan(40)["aperiodic"] is True
-        report = Substitution({"a": "ab", "b": "ab"}).aperiodicity_scan(10)
-        assert report["aperiodic"] is False
-        assert report["violation_at"] == 2
-
     def test_linear_bound_estimate(self):
         assert linear_bound_estimate(golden(), 12) == 2
         assert linear_bound_estimate(zeta(), 12) >= 3
