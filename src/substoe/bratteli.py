@@ -162,12 +162,13 @@ class OrderedDiagram:
     def vershik_successor(self, path):
         """Next path in the chain order, or None past the maximal path.
 
-        Scans outward from the root for the first edge with a later
-        position in its order word, advances it, and resets everything
-        closer to the root to the minimal path into the new source.  A
-        path that is maximal into its terminal vertex continues at the
-        minimal path into the next vertex in label order, so one walk
-        from minimal_path(depth) covers every depth-level path.
+        The one-step Vershik map for an arbitrary path: scans outward
+        from the root for the first edge with a later position in its
+        order word, advances it, and resets everything closer to the root
+        to the minimal path into the new source.  A path that is maximal
+        into its terminal vertex continues at the minimal path into the
+        next vertex in label order.  A step copies the path and reads
+        letters by position; chain_paths walks the whole order faster.
         """
         if path.diagram is not self:
             raise DomainError("path belongs to a different diagram")
@@ -194,11 +195,57 @@ class OrderedDiagram:
 
     def chain_paths(self, depth):
         """All depth-level paths: adic order inside each terminal vertex,
-        terminal vertices visited in label order."""
-        path = self.minimal_path(depth)
-        while path is not None:
-            yield path
-            path = self.vershik_successor(path)
+        terminal vertices visited in label order, as vershik_successor
+        steps from minimal_path(depth).
+
+        An odometer on mutable lists: level i >= 1 keeps a run index into
+        the order word of vertices[i + 1] and the end of that run, the
+        root index and level 0 turn in inner loops over the runs above
+        level 0, and a carry resets the lower levels to first letters.
+        O(1) amortized steps per path; each path gets fresh tuples.
+        """
+        if depth < 1:
+            raise DomainError("depth must be positive")
+        runs = {v: w.runs for v, w in self.orders.items()}
+        lengths = {v: w.length for v, w in self.orders.items()}
+        caps = dict(zip(self.vertices, self.level0))
+        derived = FinitePath._derived
+        top = depth - 1
+        for end in self.vertices:
+            if depth == 1:
+                for r in range(caps[end]):
+                    yield derived(self, (end,), r, ())
+                continue
+            vertices = [end] * depth
+            choices, run, ends = [0] * top, [0] * top, [0] * top
+            i = top
+            while True:
+                for j in range(i - 1, 0, -1):
+                    vertices[j], ends[j] = runs[vertices[j + 1]][0]
+                    choices[j] = run[j] = 0
+                pos = 0
+                for letter, count in runs[vertices[1]]:
+                    vertices[0] = letter
+                    cap = caps[letter]
+                    for choices[0] in range(pos, pos + count):
+                        for r in range(cap):
+                            yield derived(self, vertices, r, choices)
+                    pos += count
+                i = 1
+                while i < top:
+                    above = vertices[i + 1]
+                    pos = choices[i] + 1
+                    if pos == lengths[above]:
+                        i += 1
+                        continue
+                    choices[i] = pos
+                    if pos == ends[i]:
+                        run[i] += 1
+                        vertices[i], count = runs[above][run[i]]
+                        ends[i] += count
+                    break
+                else:
+                    break
 
     def export_dot(self, depth):
         """Deterministic DOT drawing of the first levels, refused past
@@ -234,6 +281,8 @@ class OrderedDiagram:
 class FinitePath:
     """A root edge plus a chain of ordered edges through the levels."""
 
+    __slots__ = ("diagram", "vertices", "root_index", "choices")
+
     def __init__(self, diagram, vertices, root_index, choices):
         vertices = tuple(vertices)
         choices = tuple(int(c) for c in choices)
@@ -263,9 +312,10 @@ class FinitePath:
     def _derived(cls, diagram, vertices, root_index, choices):
         """A path built by the diagram itself, stored without the checks.
 
-        Extremal paths and Vershik successors are valid by construction:
-        every choice is a position inside the order word of the next
-        vertex, and every vertex is the letter read at that position.
+        Extremal paths, Vershik successors and chain_paths walks are
+        valid by construction: every choice is a position inside the
+        order word of the next vertex, and every vertex is the letter
+        read at that position.  Lists are copied into fresh tuples.
         """
         path = cls.__new__(cls)
         path.diagram = diagram

@@ -454,6 +454,7 @@ def _cmd_enumerate_y(doc, args):
     # Up to 8,118 systems share level0, matrix and base: each fills one
     # template, _dumps's layout with null in place of the three lists,
     # from texts formatted once per int row (hashing a Fraction is slow).
+    # partition and rows are the same tuple, so their text is joined once.
     weights = dict(zip(chain.from_iterable(s["rows"] for s in systems),
                        chain.from_iterable(s["weights"] for s in systems)))
     ints = {row: "%d" % row for row in weights}
@@ -465,8 +466,7 @@ def _cmd_enumerate_y(doc, args):
     sep = ",\n        "
     return '{\n  "count": %d,\n  "q": %d,\n  "systems": [\n%s\n  ]\n}' % (
         len(systems), q, ",\n".join([template % (
-            sep.join(map(ints.__getitem__, s["partition"])),
-            sep.join(map(ints.__getitem__, s["rows"])),
+            parts := sep.join(map(ints.__getitem__, s["rows"])), parts,
             sep.join(map(texts.__getitem__, s["rows"]))) for s in systems]))
 
 

@@ -135,10 +135,6 @@ class FieldElement:
     def is_zero(self):
         return not any(self.nums)
 
-    @property
-    def is_rational(self):
-        return not any(self.nums[1:])
-
     def _coerce(self, other):
         if isinstance(other, FieldElement):
             if other.field != self.field:

@@ -1,4 +1,5 @@
 import time
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -413,6 +414,62 @@ class TestDerivedPaths:
         for v in d.vertices:
             for path in (d.minimal_path(depth, v), d.maximal_path(depth, v)):
                 assert validated(path) == path
+
+
+def many_run_diagram(run_count):
+    """a -> a b^2 a^3 b a^2 b^3 ... with run_count runs, b -> a."""
+    word = RunWord([("ab"[i % 2], 1 + i % 3) for i in range(run_count)])
+    counts = word.letter_counts()
+    incidence = ExactMatrix.from_rows([[counts["a"], counts["b"]], [1, 0]])
+    return OrderedDiagram(("a", "b"), incidence, (1, 1),
+                          {"a": word, "b": "a"})
+
+
+class TestOdometerWalk:
+    def test_walk_reads_no_letter_by_position(self, monkeypatch):
+        calls = []
+        original = RunWord.letter_at
+
+        def counting(word, index):
+            calls.append(index)
+            return original(word, index)
+
+        monkeypatch.setattr(RunWord, "letter_at", counting)
+        monkeypatch.setattr(OrderedDiagram, "vershik_successor", None)
+        for d in (golden_diagram(level0=(2, 1)), many_run_diagram(30)):
+            assert len(list(d.chain_paths(4))) == sum(d.path_counts(4)[-1])
+        assert calls == []
+
+    def test_many_runs_walk(self):
+        d = many_run_diagram(3000)
+        assert len(d.orders["a"].runs) == 3000
+        paths = list(islice(d.chain_paths(3), 200000))
+        assert len(paths) == 200000
+        # all inside the tower over a, in strictly increasing adic order
+        keys = [path_key(p) for p in paths]
+        assert all(p.vertices[-1] == "a" for p in paths)
+        assert all(x < y for x, y in zip(keys, keys[1:]))
+        assert paths[0] == d.minimal_path(3)
+        for k in (0, 5999, 6000, 6001, 123456, 199998):
+            assert d.vershik_successor(paths[k]) == paths[k + 1]
+        for path in paths[::20000]:
+            assert validated(path) == path
+
+    def test_depth_zero_refused_on_first_step(self):
+        walk = golden_diagram().chain_paths(0)
+        with pytest.raises(DomainError):
+            next(walk)
+
+    def test_depth_one_cycles_root_edges(self):
+        d = golden_diagram(level0=(2, 3))
+        got = [(p.vertices, p.root_index, p.choices) for p in d.chain_paths(1)]
+        assert got == [(("a",), 0, ()), (("a",), 1, ()), (("b",), 0, ()),
+                       (("b",), 1, ()), (("b",), 2, ())]
+        path, stepped = d.minimal_path(1), []
+        while path is not None:
+            stepped.append(path)
+            path = d.vershik_successor(path)
+        assert list(d.chain_paths(1)) == stepped
 
 
 class TestPathCountBudget:

@@ -85,10 +85,6 @@ class TestArithmetic:
         assert lam ** 0 == GOLDEN.one()
         assert lam ** -1 == lam.inverse()
 
-    def test_is_rational(self):
-        assert g(5, 0).is_rational
-        assert not GOLDEN.lam().is_rational
-
     def test_cross_field_mix_rejected(self):
         other = number_field(IntPolynomial([1, -7, 1]))
         with pytest.raises(DomainError):
@@ -515,7 +511,6 @@ class TestAgainstFractionCoordinates:
         assert (x == y) == (rx.coords == ry.coords)
         assert (x == q) == (rx.coords == (q,) + (0,) * (k - 1))
         assert x.is_zero == (rx.coords == (0,) * k)
-        assert y.is_rational == all(c == 0 for c in ry.coords[1:])
 
     @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: str(f.min_poly))
     def test_units_and_zero(self, field):
