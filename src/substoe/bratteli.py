@@ -27,7 +27,7 @@ class OrderedDiagram:
         k = len(vertices)
         if not incidence.is_square or incidence.rows != k:
             raise DomainError("incidence shape does not match the vertices")
-        if not incidence.is_integer or not incidence.is_nonnegative:
+        if not incidence.is_nonnegative:
             raise DomainError("incidence entries must be nonnegative integers")
         level0 = tuple(int(x) for x in level0)
         if len(level0) != k or any(m < 1 for m in level0):
@@ -38,8 +38,8 @@ class OrderedDiagram:
                 raise DomainError("missing order word for vertex %r" % v)
             word = word_of(orders[v])
             counts = word.letter_counts()
-            expected = {vertices[j]: int(incidence.at(i, j))
-                        for j in range(k) if int(incidence.at(i, j))}
+            expected = {vertices[j]: x
+                        for j, x in enumerate(incidence.row(i)) if x}
             if counts != expected:
                 raise DomainError(
                     "order word of %r does not match its edge counts" % v)
@@ -47,7 +47,7 @@ class OrderedDiagram:
         if set(orders) != set(vertices):
             raise DomainError("order words mention unknown vertices")
         for j, v in enumerate(vertices):
-            if all(int(incidence.at(i, j)) == 0 for i in range(k)):
+            if not any(incidence.column(j)):
                 raise DomainError("vertex %r has no outgoing edges" % v)
         self.vertices = vertices
         self.incidence = incidence
@@ -70,9 +70,8 @@ class OrderedDiagram:
             raise DomainError("telescope needs at least one step")
         subst = self.substitution_read().power(n_steps)
         step = self.incidence ** (n_steps - 1)
-        m = step.apply(self.level0)
         return OrderedDiagram(self.vertices, step * self.incidence,
-                              [int(x) for x in m], dict(subst.rules))
+                              step.apply(self.level0), dict(subst.rules))
 
     def path_counts(self, depth):
         """Numbers of root paths into each vertex, level by level.

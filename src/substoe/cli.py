@@ -148,11 +148,32 @@ def _check_keys(doc, where, required, optional=()):
             raise MalformedInputError("%s is missing field %r" % (where, key))
 
 
+def _rational_digits(text):
+    """Bounds on the digits of the numerator and of the denominator that
+    Fraction(text) builds: the digits written, plus a decimal exponent's
+    size on the side it scales."""
+    head, _, exp = text.upper().partition("E")
+    shift = int(exp or 0)
+    num, _, den = head.partition("/")
+    whole, _, frac = num.partition(".")
+
+    def count(part):
+        return sum(c.isdigit() for c in part)
+    return (count(whole) + count(frac) + max(shift, 0),
+            count(den) if den else count(frac) + max(-shift, 0) + 1)
+
+
 def _parse_entry(node, where):
     if isinstance(node, bool) or not isinstance(node, (int, str)):
         raise MalformedInputError(
             "%s entries must be integers or rational strings" % where)
     try:
+        limit = sys.get_int_max_str_digits()
+        if (isinstance(node, str) and limit
+                and max(_rational_digits(node)) > limit):
+            raise MalformedInputError(
+                "rational string in %s has a numerator or denominator over "
+                "%d digits" % (where, limit))
         return Fraction(node)
     except (ValueError, ZeroDivisionError):
         raise MalformedInputError("bad rational %r in %s" % (node, where))
@@ -508,7 +529,7 @@ def _paper_checks():
         y = list(pd.eigvec) + [lam - pd.field.one()]
         big = ExactMatrix.from_rows(a1)
         for i in range(3):
-            lhs = sum((y[j] * int(big.at(i, j)) for j in range(3)),
+            lhs = sum((y[j] * big.at(i, j) for j in range(3)),
                       pd.field.zero())
             if lhs != (lam ** 2) * y[i]:
                 raise InternalError("eigen identity fails in row %d" % i)

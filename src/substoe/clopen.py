@@ -25,15 +25,10 @@ from .matrix import _cleared, hnf_basis
 from .perron import measure_weights
 
 
-def _int_columns(h):
-    """Columns of an integer matrix as lists of ints."""
-    return [[int(x) for x in h.column(j)] for j in range(h.cols)]
-
-
 def _lattice_coords(cols, den, nums, e):
     """Integer coordinates c of nums/e in the lattice spanned by the
     columns / den, or None off the lattice.  cols is a lower-triangular
-    integer basis (hnf_basis, as _int_columns); den*nums = e*H*c is solved
+    integer basis (hnf_basis's, by columns); den*nums = e*H*c is solved
     by exact division down the triangle, stopping at a non-integer c_i."""
     t = [x * den for x in nums]
     k = len(t)
@@ -97,7 +92,7 @@ class LatticeGroup:
         if any(len(v) != field.degree for v in vectors):
             raise DomainError("generator length does not match the field degree")
         basis, den = hnf_basis(vectors)
-        cols = _int_columns(basis)
+        cols = [basis.column(j) for j in range(basis.cols)]
         # the integer matrix of lam**power on basis coordinates, by columns
         lam = _lam_step(field, power)
         step = [_lattice_coords(cols, 1, lam(col), 1) for col in cols]
@@ -115,8 +110,8 @@ class LatticeGroup:
     def basis_vectors(self):
         """Lattice basis as field elements."""
         return tuple(
-            self.field.from_coords([x / self.den for x in self.basis.column(j)])
-            for j in range(self.field.degree))
+            self.field.from_coords([Fraction(x, self.den) for x in col])
+            for col in self._cols)
 
     def lattice_contains(self, elt):
         """Whether the element lies in the lattice itself (no rescaling)."""

@@ -12,8 +12,8 @@ from itertools import chain, product
 from math import gcd
 
 from .bratteli import diagram_from_substitution
-from .clopen import (LatticeGroup, _int_columns, _lam_step, _lattice_coords,
-                     groups_equal, lattice_of)
+from .clopen import (LatticeGroup, _lam_step, _lattice_coords, groups_equal,
+                     lattice_of)
 from .errors import CapabilityError, DomainError, InternalError, RankError
 from .field import certified_sign, perron_minimal_polynomial
 from .intpoly import IntPolynomial
@@ -262,7 +262,7 @@ def realize_group_matrix(matrix, weights):
     except RankError:
         raise DomainError("weights must span the field over the rationals")
 
-    h_cols = _int_columns(h0)
+    h_cols = [h0.column(j) for j in range(h0.cols)]
     step = _lam_step(field)
     cols = h_cols
     for closure_power in range(1, CLOSURE_CAP + 1):
@@ -748,7 +748,7 @@ def verify_lind_example():
     for i in range(3):
         for j in range(3):
             if prev.at(i, j) <= 0:
-                witness = (i, j, int(prev.at(i, j)))
+                witness = (i, j, prev.at(i, j))
                 break
         if witness:
             break

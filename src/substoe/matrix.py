@@ -1,7 +1,8 @@
-"""Exact rational matrices and the lattice utilities built on them."""
+"""Exact integer matrices and the lattice utilities built on them."""
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import DimensionError, DomainError, InternalError, RankError
 from .intpoly import IntPolynomial
@@ -22,8 +23,17 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
+def _integer(x):
+    """x as an int: an int, or a Fraction with denominator 1."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise DomainError("matrix has non-integer entries")
+
+
 class ExactMatrix:
-    """Immutable matrix over Fraction, row-major."""
+    """Immutable integer matrix, row-major."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -32,7 +42,7 @@ class ExactMatrix:
             raise DimensionError("entry count does not match shape")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in entries))
+        object.__setattr__(self, "entries", tuple(map(_integer, entries)))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -60,7 +70,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+        return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
     def at(self, i, j):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -75,35 +85,26 @@ class ExactMatrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def column(self, j):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j::self.cols]
 
     @property
     def is_square(self):
         return self.rows == self.cols
 
     @property
-    def is_integer(self):
-        return all(e.denominator == 1 for e in self.entries)
-
-    @property
     def is_nonnegative(self):
-        # a Fraction's denominator is positive, so its numerator has its sign
-        return all(e.numerator >= 0 for e in self.entries)
+        return all(e >= 0 for e in self.entries)
 
     @property
     def is_positive(self):
-        return all(e.numerator > 0 for e in self.entries)
+        return all(e > 0 for e in self.entries)
 
     def int_rows(self):
-        if not self.is_integer:
-            raise DomainError("matrix has non-integer entries")
-        return [[int(x) for x in self.row(i)] for i in range(self.rows)]
+        return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self):
-        return ExactMatrix(
-            self.cols, self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        return ExactMatrix(self.cols, self.rows,
+                           [x for j in range(self.cols) for x in self.column(j)])
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -121,25 +122,17 @@ class ExactMatrix:
         return ExactMatrix(self.rows, self.cols, [-a for a in self.entries])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return ExactMatrix(self.rows, self.cols, [a * other for a in self.entries])
         if self.cols != other.rows:
             raise DimensionError("shape mismatch in product")
-        n, m, k = self.rows, other.cols, self.cols
-        a, b = self.entries, other.entries
-        out = [Fraction(0)] * (n * m)
-        for i in range(n):
-            base = i * k
-            for t in range(k):
-                c = a[base + t]
-                if c:
-                    rowb = t * m
-                    for j in range(m):
-                        out[i * m + j] += c * b[rowb + j]
-        return ExactMatrix(n, m, out)
+        cols = [other.column(j) for j in range(other.cols)]
+        return ExactMatrix(self.rows, other.cols,
+                           [sum(map(mul, self.row(i), col))
+                            for i in range(self.rows) for col in cols])
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self * other
         return NotImplemented
 
@@ -147,7 +140,7 @@ class ExactMatrix:
         if not self.is_square:
             raise DimensionError("power of a non-square matrix")
         if n < 0:
-            return self.inverse() ** (-n)
+            raise DomainError("matrix powers must be nonnegative")
         result = ExactMatrix.identity(self.rows)
         base = self
         while n:
@@ -159,13 +152,10 @@ class ExactMatrix:
         return result
 
     def apply(self, vec):
-        vec = [Fraction(v) for v in vec]
+        vec = tuple(vec)
         if len(vec) != self.cols:
             raise DimensionError("vector length mismatch")
-        return tuple(
-            sum(self.entries[i * self.cols + j] * vec[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        return tuple(sum(map(mul, self.row(i), vec)) for i in range(self.rows))
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix)
@@ -177,36 +167,33 @@ class ExactMatrix:
         return hash(("ExactMatrix", self.rows, self.cols, self.entries))
 
     def __repr__(self):
-        return "ExactMatrix.from_rows(%r)" % ([[str(x) for x in self.row(i)]
-                                               for i in range(self.rows)],)
+        return "ExactMatrix.from_rows(%r)" % (self.int_rows(),)
 
     def det(self):
-        """Bareiss elimination on D*A, D the lcm of the entry denominators,
-        divided by D**n."""
+        """Bareiss elimination on the integer rows."""
         if not self.is_square:
             raise DimensionError("determinant of a non-square matrix")
-        n = self.rows
-        flat, d = _cleared(self.entries)
-        return Fraction(_bareiss([flat[i * n:(i + 1) * n] for i in range(n)], n),
-                        d ** n)
+        return _bareiss(self.int_rows(), self.rows)
 
     def inverse(self):
-        """_bareiss on [A | I], each row cleared to integers on its own."""
+        """(adj, d) with self * adj = d * I and d > 0: _bareiss on [A | I]
+        leaves det A * A^-1 in the right half, signed so d = |det A|."""
         if not self.is_square:
             raise DimensionError("inverse of a non-square matrix")
         n = self.rows
-        rows = [_cleared(self.row(i) + (0,) * i + (1,) + (0,) * (n - 1 - i))[0]
+        rows = [list(self.row(i)) + [int(i == j) for j in range(n)]
                 for i in range(n)]
         det = _bareiss(rows, n)
         if det == 0:
             raise DomainError("matrix is singular")
-        return ExactMatrix(n, n, [Fraction(x, det) for r in rows for x in r[n:]])
+        sign = 1 if det > 0 else -1
+        return ExactMatrix(n, n, [sign * x for r in rows for x in r[n:]]), abs(det)
 
     def solve(self, rhs):
-        """Unique solution x of self @ x = rhs; DomainError if singular."""
-        if not self.is_square:
-            raise DimensionError("solve needs a square matrix")
-        return self.inverse().apply(rhs)
+        """Unique solution x of self @ x = rhs, as Fractions; DomainError
+        if singular."""
+        adj, d = self.inverse()
+        return tuple(Fraction(x, d) for x in adj.apply(rhs))
 
 
 def _cleared(values):
@@ -293,8 +280,6 @@ def charpoly(m):
     """
     if not m.is_square:
         raise DimensionError("characteristic polynomial of a non-square matrix")
-    if not m.is_integer:
-        raise DomainError("integer matrix required")
     n = m.rows
     a = m.int_rows()
     b = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -331,7 +316,7 @@ def primitivity_exponent(m):
     """
     if not m.is_square:
         raise DimensionError("primitivity needs a square matrix")
-    if not m.is_integer or not m.is_nonnegative:
+    if not m.is_nonnegative:
         raise DomainError("nonnegative integer matrix required")
     n = m.rows
     full = (1 << n) - 1
@@ -339,7 +324,7 @@ def primitivity_exponent(m):
     for i in range(n):
         mask = 0
         for j, x in enumerate(m.row(i)):
-            if x.numerator:
+            if x:
                 mask |= 1 << j
         base.append(mask)
     cur = base
@@ -380,8 +365,6 @@ def eventual_positivity_exponent(m, cap=64):
     """Least e <= cap with m**e entrywise positive, using exact powers."""
     if not m.is_square:
         raise DimensionError("positivity needs a square matrix")
-    if not m.is_integer:
-        raise DomainError("integer matrix required")
     return first_power(
         m, lambda rows: all(x > 0 for row in rows for x in row), cap)[0]
 

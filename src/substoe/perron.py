@@ -8,11 +8,13 @@ field; only multiplication_matrices, which no builder calls, reads it.
 """
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import DomainError, InternalError
-from .field import (FieldElement, NumberField, _rem_monic, _times_lam,
-                    certified_sign, dominant_root_field)
-from .matrix import ExactMatrix, charpoly, kernel_basis, primitivity_exponent
+from .field import (FieldElement, NumberField, _element, _rem_monic,
+                    _times_lam, certified_sign, dominant_root_field)
+from .matrix import (ExactMatrix, _int_matmul, charpoly, kernel_basis,
+                     primitivity_exponent)
 
 
 def field_kernel_basis(rows, field):
@@ -105,9 +107,12 @@ def measure_weights(pd, level0):
 
 
 def _check_eigvec(m, lam, vec, field):
-    for i in range(m.rows):
-        acc = sum((x * a for x, a in zip(vec, m.row(i))), field.zero())
-        if acc != lam * vec[i]:
+    """m vec = lam vec, checked as one integer product m V, V the rows of
+    vec's numerators over one denominator d, against n field products."""
+    d = lcm(*(x.den for x in vec))
+    v = [[y * (d // x.den) for y in x.nums] for x in vec]
+    for nums, x in zip(_int_matmul(m.int_rows(), v), vec):
+        if _element(field, nums, d) != lam * x:
             raise InternalError("eigenvector equation failed exact verification")
 
 

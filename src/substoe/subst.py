@@ -361,21 +361,6 @@ class Substitution:
                 return (m, firsts.pop(), lasts.pop())
         return None
 
-    def find_fixed_point_seed(self):
-        """Pair (letter, p) so that the p-th power fixes letter in front.
-
-        Smallest power first, alphabet order inside; follows the
-        first-letter map, whose orbits always cycle.
-        """
-        fmap = self.first_letter_map()
-        cur = {l: l for l in self.alphabet}
-        for p in range(1, self.size + 1):
-            cur = {l: fmap[cur[l]] for l in self.alphabet}
-            for letter in self.alphabet:
-                if cur[letter] == letter:
-                    return (letter, p)
-        raise InternalError("first-letter map has no periodic letter")
-
     def _image_edge(self, word, n, side):
         # one substitution step, keeping only n letters at the chosen edge
         parts = []

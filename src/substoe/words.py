@@ -62,9 +62,6 @@ class RunWord:
             raise DomainError("empty word has no last letter")
         return self.runs[-1][0]
 
-    def letters_used(self):
-        return frozenset(l for l, _ in self.runs)
-
     def letter_counts(self):
         counts = {}
         for letter, count in self.runs:

@@ -60,9 +60,12 @@ class TestConstruction:
             OrderedDiagram(("a", "b"), f, (1, 1), {"a": "a", "b": "a"})
 
     def test_non_integer_rejected(self):
+        # the incidence cannot even be built: matrices hold integers
         from fractions import Fraction
-        f = ExactMatrix.from_rows([[Fraction(1, 2), 1], [1, 2]])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="non-integer"):
+            ExactMatrix.from_rows([[Fraction(1, 2), 1], [1, 2]])
+        f = ExactMatrix.from_rows([[-1, 1], [1, 2]])
+        with pytest.raises(DomainError, match="nonnegative integers"):
             OrderedDiagram(("a", "b"), f, (1, 1), {"a": "ab", "b": "abb"})
 
 
@@ -370,7 +373,7 @@ def ordered_diagrams(draw):
         orders[v] = RunWord(runs)
     # every vertex needs an outgoing edge: put it into some order word
     for i, v in enumerate(vertices):
-        if all(v not in orders[w].letters_used() for w in vertices):
+        if all(v not in orders[w].letter_counts() for w in vertices):
             host = vertices[(i + 1) % len(vertices)]
             orders[host] = orders[host] + RunWord([(v, 1)])
     counts = [orders[v].letter_counts() for v in vertices]

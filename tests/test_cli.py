@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from substoe import cli as cli_module
 from substoe.cli import main
-from substoe.errors import CapabilityError
+from substoe.errors import CapabilityError, MalformedInputError
 
 GOLDEN = {"substitution": {"rules": {"a": "ab", "b": "abb"}}}
 A0 = [[1, 1], [1, 2]]
@@ -152,6 +153,44 @@ class TestExitCodes:
         code, _, err = cli(
             ["perron", "-"], document={"matrix": [[1.5, 1], [1, 2]]})
         assert code == 3
+
+    def test_non_integral_matrix_entry_is_a_domain_error(self, cli):
+        code, out, err = cli(
+            ["perron", "-"], document={"matrix": [["1.5", 1], [1, 2]]})
+        assert (code, out) == (1, "")
+        assert err_json(err) == {"kind": "domain",
+                                 "message": "matrix has non-integer entries"}
+
+    @pytest.mark.parametrize("argv,document", [
+        (["perron", "-"], {"matrix": [["1e100000", 1], [1, 2]]}),
+        (["s-member", "-"], {"matrix": A0, "value": "1e-10000000"}),
+    ], ids=["numerator", "denominator"])
+    def test_rational_string_over_the_digit_limit_exits_three(
+            self, cli, argv, document):
+        # decided from the string, before Fraction builds the number
+        start = time.perf_counter()
+        code, out, err = cli(argv, document=document)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err_json(err)["kind"] == "malformed"
+        assert ("over %d digits" % sys.get_int_max_str_digits()
+                in err_json(err)["message"])
+
+    def test_rational_strings_within_the_digit_limit(self):
+        parse = cli_module._parse_entry
+        assert parse("3", "x") == 3
+        assert parse("-7/4", "x") == Fraction(-7, 4)
+        assert parse("1.5", "x") == Fraction(3, 2)
+        limit = sys.get_int_max_str_digits()
+        # numerator and denominator of exactly `limit` digits still parse
+        assert parse("1e%d" % (limit - 1), "x") == 10 ** (limit - 1)
+        assert parse("1e-%d" % (limit - 1), "x") == Fraction(1, 10 ** (limit - 1))
+        assert parse("1/%s" % ("9" * limit), "x").denominator == 10 ** limit - 1
+        for text in ("1e%d" % limit, "1e-%d" % limit, "1/1%s" % ("0" * limit),
+                     "0.%s1" % ("0" * limit)):
+            with pytest.raises(MalformedInputError, match="over %d digits"
+                               % limit):
+                parse(text, "x")
 
 
 class TestComplexity:

@@ -25,8 +25,22 @@ def zeta():
     return Substitution(ZETA)
 
 
+def fixed_point_seed(s):
+    """(letter, p) with the p-th power of s fixing letter in front: the
+    least p, then the first letter in alphabet order, on the orbits of
+    the first-letter map."""
+    fmap = s.first_letter_map()
+    cur = dict(fmap)
+    for p in range(1, s.size + 1):
+        for letter in s.alphabet:
+            if cur[letter] == letter:
+                return letter, p
+        cur = {letter: fmap[cur[letter]] for letter in s.alphabet}
+    raise AssertionError("first-letter map has no periodic letter")
+
+
 def prefix_text(s, n):
-    letter, p = s.find_fixed_point_seed()
+    letter, p = fixed_point_seed(s)
     return "".join(s.power(p).fixed_point_prefix(letter, n))
 
 
@@ -153,10 +167,10 @@ class TestFixedPoints:
             Substitution({"a": "a"}).fixed_point_prefix("a", 5)
 
     def test_find_seed(self):
-        assert golden().find_fixed_point_seed() == ("a", 1)
-        assert zeta().find_fixed_point_seed() == ("a", 1)
+        assert fixed_point_seed(golden()) == ("a", 1)
+        assert fixed_point_seed(zeta()) == ("a", 1)
         swap = Substitution({"a": "ba", "b": "ab"})
-        assert swap.find_fixed_point_seed() == ("a", 2)
+        assert fixed_point_seed(swap) == ("a", 2)
         assert "".join(swap.power(2).fixed_point_prefix("a", 4)) == "abba"
 
 
@@ -598,7 +612,7 @@ def reference_two_blocks(s, rules):
         for ch in letters:
             rule = rules[ch]
             pairs = set()
-            for d in rule.letters_used():
+            for d in rule.letter_counts():
                 pairs |= tsets[d]
             for b, c in rule.two_factors():
                 pairs.add((gpow[b], fpow[c]))
