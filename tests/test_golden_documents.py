@@ -73,16 +73,13 @@ def _cases():
 CASES = _cases()
 
 
-def run_case(name, monkeypatch=None):
-    """(exit code, stdout bytes) of one case."""
+def run_case(name):
+    """(exit code, stdout bytes) of one case; its document replaces
+    sys.stdin."""
     argv, document = CASES[name]
     if document is not None:
         argv = argv[:1] + ["-"] + argv[1:]
-        stdin = io.StringIO(json.dumps(document))
-        if monkeypatch is None:
-            sys.stdin = stdin
-        else:
-            monkeypatch.setattr(sys, "stdin", stdin)
+        sys.stdin = io.StringIO(json.dumps(document))
     out = io.StringIO()
     with redirect_stdout(out):
         code = main(argv)
@@ -91,7 +88,8 @@ def run_case(name, monkeypatch=None):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_document_is_byte_identical(name, monkeypatch):
-    code, out = run_case(name, monkeypatch)
+    monkeypatch.setattr(sys, "stdin", sys.stdin)  # restored afterwards
+    code, out = run_case(name)
     assert code == 0
     assert out == (DATA / ("%s.out" % name)).read_bytes()
 
