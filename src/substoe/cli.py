@@ -176,7 +176,9 @@ def _parse_entry(node, where):
                 "%d digits" % (where, limit))
         return Fraction(node)
     except (ValueError, ZeroDivisionError):
-        raise MalformedInputError("bad rational %r in %s" % (node, where))
+        shown = repr(node) if len(node) <= 40 else "%r... (%d characters)" % (
+            node[:40], len(node))
+        raise MalformedInputError("bad rational %s in %s" % (shown, where))
 
 
 def _parse_matrix(node, where="matrix"):

@@ -18,6 +18,7 @@ from math import gcd, lcm
 from .errors import DimensionError, DomainError, InternalError
 from .intpoly import (
     IntPolynomial,
+    _eval_at,
     count_real_roots,
     factor_monic_squarefree,
     isolate_largest_real_root,
@@ -372,10 +373,10 @@ def perron_minimal_polynomial(m):
 def dominant_root_field(cp):
     """Field of the largest real root of a characteristic polynomial.
 
-    Returns (field, k).  The polynomial is made squarefree, its largest
-    real root is isolated, and the irreducible factor owning that root
-    becomes the minimal polynomial.  The isolating interval is refined
-    until its lower end exceeds 1.
+    Returns (field, k).  The polynomial is made squarefree and factored,
+    its largest real root is isolated on the factors' Sturm chains, and
+    the factor owning that root becomes the minimal polynomial.  The
+    isolating interval is refined until its lower end exceeds 1.
 
     The owner is the one factor g with g(lo) * g(hi) < 0: (lo, hi) holds
     exactly one root of sf, a simple one, and sf vanishes at neither end.
@@ -385,9 +386,10 @@ def dominant_root_field(cp):
     factor has no root inside and keeps its sign.
     """
     sf = squarefree_part(cp)
-    lo, hi = isolate_largest_real_root(sf)
     factors = factor_monic_squarefree(sf)
-    owners = [g for g in factors if g(lo) * g(hi) < 0]
+    lo, hi = isolate_largest_real_root(sf, factors)
+    owners = [g for g in factors
+              if _eval_at(g.coeffs, lo) * _eval_at(g.coeffs, hi) < 0]
     if len(owners) > 1:
         raise InternalError("two factors claim the dominant root")
     if not owners:

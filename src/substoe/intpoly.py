@@ -294,32 +294,38 @@ def _root_radius_bound(f):
     return 2 ** (1 + max(-(-abs(c[n - i]).bit_length() // i) for i in range(1, n + 1)))
 
 
-def isolate_largest_real_root(f):
+def isolate_largest_real_root(f, factors=None):
     """Open interval (lo, hi) holding exactly the largest real root of f.
 
     The endpoints are rationals where f does not vanish and changes sign.
-    Requires f squarefree with at least one real root.
+    Requires f squarefree with at least one real root.  Given pairwise
+    coprime factors with product f, roots are counted as the sum of their
+    Sturm counts: every count, and so the interval, is the same as on f.
     """
     if f.degree < 1:
         raise DomainError("need degree at least 1")
-    chain = sturm_chain(f)
+    chains = [sturm_chain(g) for g in factors or [f]]
+
+    def variations(x):
+        return sum(_variations(chain, x) for chain in chains)
+
     bound = root_bound(f)
     lo, hi = -bound, bound
-    vlo, vhi = _variations(chain, lo), _variations(chain, hi)
+    vlo, vhi = variations(lo), variations(hi)
     if vlo - vhi < 1:
         raise DomainError("polynomial has no real root")
     # Shrink (lo, hi] keeping at least one root above lo and none above hi;
     # vlo - vhi counts the roots in (lo, hi], so each step evaluates once.
     # A midpoint at or above top has no root in (mid, hi], so it becomes hi
-    # without an evaluation: the halvings from the crude root_bound down to
-    # the true root radius cost nothing and the intervals stay the same.
+    # without an evaluation; a run of such halvings ends at lo + w / 2**j,
+    # w = hi - lo, for the largest j with w / 2**j >= top - lo, set at once.
     top = _root_radius_bound(f)
     while vlo - vhi > 1:
+        if hi - lo >= 2 * (top - lo):
+            j = ((hi - lo) // (top - lo)).bit_length() - 1
+            hi = lo + (hi - lo) / (1 << j)
         mid = (lo + hi) / 2
-        if mid >= top:
-            hi = mid
-            continue
-        vmid = _variations(chain, mid)
+        vmid = variations(mid)
         if vmid - vhi >= 1:
             lo, vlo = mid, vmid
         else:
@@ -340,7 +346,7 @@ def isolate_largest_real_root(f):
         while True:
             cand = lo + step
             v = _eval_at(coeffs, cand)
-            if v != 0 and count_real_roots(f, cand, hi, chain) == 1:
+            if v != 0 and variations(cand) - variations(hi) == 1:
                 lo, flo = cand, v
                 break
             step /= 2
@@ -367,12 +373,15 @@ def refine_root_interval(f, lo, hi, lo_sign):
 # ---------------------------------------------------------------------------
 # Factorization of monic integer polynomials.
 #
-# Squarefree reduction, Berlekamp over the least odd prime that keeps f
-# squarefree, quadratic Hensel lifting of all r modular factors past the
-# coefficient bound in one balanced factor tree of ceil(log2 r) full-degree
-# levels (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15),
-# then subset recombination.  Degrees are capped: the only consumers here
-# are characteristic polynomials of desk-scale matrices.
+# The least odd prime p keeping f squarefree serves twice.  Each root of f
+# mod p is lifted by scalar p-adic Newton and kept if it is an integer root
+# (Loos, SIAM J. Comput. 1983); for charpolys of enlarged matrices that
+# leaves only the Perron root's minimal polynomial.  A remainder of degree
+# 4 or more goes through Berlekamp mod p, quadratic Hensel lifting of all r
+# modular factors in one balanced tree of ceil(log2 r) full-degree levels
+# (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15) and subset
+# recombination.  Degrees are capped: the consumers are characteristic
+# polynomials of desk-scale matrices.
 
 
 def _odd_primes():
@@ -641,42 +650,37 @@ def _mignotte_bound(f):
     return 2 * (2 ** f.degree) * norm + 1
 
 
-def factor_monic_squarefree(f):
-    """Monic squarefree integer polynomial into monic irreducible factors.
+def _integer_roots(f, p):
+    """Every integer root of monic f, squarefree mod the prime p, once each.
 
-    Raises CapabilityError above FACTOR_DEGREE_CAP.  The factor list is
-    sorted by (degree, coefficients) so the output is deterministic.
-
-    The search for a prime p with gcd(f mod p, f' mod p) = 1 decides if f
-    is squarefree, with no gcd over the integers.  Such a p certifies it:
-    a square g**2 dividing monic f stays the square of monic g mod p.  If
-    f is squarefree of degree n, disc f = +-Res(f, f') is a nonzero integer
-    (the product of f' over the roots of f), and f fails at p exactly when
-    p divides it, as f stays monic mod p.  So the failing primes multiply
-    to at most |disc f| <= |f|**(n-1) |f'|**n (2-norms; Hadamard on the
-    Sylvester rows); past that bound f is not squarefree.
+    An integer root r of f reduces to a root of f mod p, and a simple one,
+    since f is squarefree mod p; so f'(r) is a unit mod p, and by Hensel's
+    lemma r mod p has one lift to a root mod p**k for each k, which is
+    r mod p**k.  Scalar Newton steps r - f(r) / f'(r) mod m, with m
+    squared each step, find that lift until m > 2 * B for B = 1 + max |a_i|;
+    as |r| < B (Cauchy), the centred residue is r itself.  So the centred
+    lifts of the roots mod p that are roots of f are all the integer roots,
+    and no two of them share a residue, which would be a double root mod p.
     """
-    if not f.is_monic:
-        raise DomainError("monic polynomial required")
-    if f.degree > FACTOR_DEGREE_CAP:
-        raise CapabilityError("degree %d above factorization cap %d"
-                              % (f.degree, FACTOR_DEGREE_CAP))
-    if f.degree <= 1:
-        return [f]
-
     df = f.derivative()
-    # squares of the product of failing primes and of Hadamard's bound
-    failed = 1
-    bound = (sum(c * c for c in f.coeffs) ** (f.degree - 1)
-             * sum(c * c for c in df.coeffs) ** f.degree)
-    for p in _odd_primes():
-        d = _gf_strip([c % p for c in df.coeffs])
-        if d and len(_gf_gcd([c % p for c in f.coeffs], d, p)) == 1:
-            break
-        failed *= p * p
-        if failed > bound:
-            raise DomainError("squarefree polynomial required")
+    bound = 2 * (1 + max(abs(c) for c in f.coeffs))
+    roots = []
+    for r in range(p):
+        if f(r) % p:
+            continue
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - f(r) * pow(df(r), -1, m)) % m
+        r = _centered(r, m)
+        if f(r) == 0:
+            roots.append(r)
+    return roots
 
+
+def _lifted_factors(f, p):
+    """Irreducible factors of monic f, squarefree mod the prime p, by
+    Berlekamp mod p, the Hensel tree and subset recombination."""
     modular = _berlekamp(_gf_strip([c % p for c in f.coeffs]), p)
     if len(modular) == 1:
         return [f]
@@ -713,6 +717,55 @@ def factor_monic_squarefree(f):
         else:
             size += 1
     if current.degree > 0:
+        found.append(current)
+    return found
+
+
+def factor_monic_squarefree(f):
+    """Monic squarefree integer polynomial into monic irreducible factors.
+
+    Raises CapabilityError above FACTOR_DEGREE_CAP.  The factor list is
+    sorted by (degree, coefficients) so the output is deterministic.
+
+    The search for a prime p with gcd(f mod p, f' mod p) = 1 decides if f
+    is squarefree, with no gcd over the integers.  Such a p certifies it:
+    a square g**2 dividing monic f stays the square of monic g mod p.  If
+    f is squarefree of degree n, disc f = +-Res(f, f') is a nonzero integer
+    (the product of f' over the roots of f), and f fails at p exactly when
+    p divides it, as f stays monic mod p.  So the failing primes multiply
+    to at most |disc f| <= |f|**(n-1) |f'|**n (2-norms; Hadamard on the
+    Sylvester rows); past that bound f is not squarefree.
+    """
+    if not f.is_monic:
+        raise DomainError("monic polynomial required")
+    if f.degree > FACTOR_DEGREE_CAP:
+        raise CapabilityError("degree %d above factorization cap %d"
+                              % (f.degree, FACTOR_DEGREE_CAP))
+    if f.degree <= 1:
+        return [f]
+
+    df = f.derivative()
+    # squares of the product of failing primes and of Hadamard's bound
+    failed = 1
+    bound = (sum(c * c for c in f.coeffs) ** (f.degree - 1)
+             * sum(c * c for c in df.coeffs) ** f.degree)
+    for p in _odd_primes():
+        d = _gf_strip([c % p for c in df.coeffs])
+        if d and len(_gf_gcd([c % p for c in f.coeffs], d, p)) == 1:
+            break
+        failed *= p * p
+        if failed > bound:
+            raise DomainError("squarefree polynomial required")
+
+    found = []
+    current = f
+    for r in _integer_roots(f, p):
+        found.append(IntPolynomial([-r, 1]))
+        current = current.div_exact(found[-1])
+    # a monic reducible cubic or quadratic has a linear factor, a root
+    if current.degree >= 4:
+        found += _lifted_factors(current, p)
+    elif current.degree > 0:
         found.append(current)
     prod = ONE
     for g in found:

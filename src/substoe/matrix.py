@@ -233,7 +233,8 @@ def gauss_jordan(rows, ncols):
     ncols columns; returns the pivot columns, in row order.
 
     Entries need only -, *, / and a comparison with 0, so rows of Fraction
-    and rows of field elements share this one elimination.
+    and rows of field elements share this one elimination; an int pivot is
+    inverted as a Fraction, so int rows reduce exactly too.
     """
     pivots = []
     n = len(rows)
@@ -244,7 +245,7 @@ def gauss_jordan(rows, ncols):
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
         row = rows[r]
-        inv = 1 / row[c]
+        inv = Fraction(1, row[c]) if isinstance(row[c], int) else 1 / row[c]
         row[c:] = tail = [x * inv for x in row[c:]]
         for i, other in enumerate(rows):
             f = other[c]

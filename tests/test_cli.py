@@ -176,6 +176,17 @@ class TestExitCodes:
         assert ("over %d digits" % sys.get_int_max_str_digits()
                 in err_json(err)["message"])
 
+    def test_long_bad_rational_is_echoed_as_a_prefix(self, cli):
+        code, out, err = cli(["perron", "-"],
+                             document={"matrix": [["x" * 100000, 1], [1, 2]]})
+        assert (code, out) == (3, "")
+        assert len(err.encode()) < 1024
+        assert err_json(err)["message"] == (
+            "bad rational %r... (100000 characters) in matrix" % ("x" * 40))
+        code, _, err = cli(["perron", "-"], document={"matrix": [["1/0", 1], [1, 2]]})
+        assert code == 3
+        assert err_json(err)["message"] == "bad rational '1/0' in matrix"
+
     def test_rational_strings_within_the_digit_limit(self):
         parse = cli_module._parse_entry
         assert parse("3", "x") == 3

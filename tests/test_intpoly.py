@@ -13,6 +13,7 @@ from substoe.field import dominant_root_field
 from substoe.intpoly import (
     IntPolynomial,
     _gf_strip,
+    _integer_roots,
     _lift_all,
     _lift_factor,
     _zpoly_divmod,
@@ -258,6 +259,54 @@ class TestIsolationShortcuts:
         assert lo < Fraction(2618, 1000) < hi
         assert count_real_roots(f, lo, hi) == 1
 
+    @pytest.mark.parametrize("roots", [(-94, 20, 187), (-294, 41, 698),
+                                       (-5863, 42, 10449)])
+    def test_largest_root_above_half_the_radius_bound(self, roots):
+        # the skipped halvings end at the last midpoint at or above the
+        # radius bound; one halving more would put hi below the root
+        f = IntPolynomial([1])
+        for r in roots:
+            f = f * P(1, -r)
+        assert 2 * max(roots) > intpoly_module._root_radius_bound(f)
+        assert isolate_largest_real_root(f) == _plain_isolation_bisection(f)
+
+    @pytest.mark.parametrize("polys", [
+        lambda: random_monic_products(31, 40),
+        lambda: golden_chain_charpolys(11),
+    ], ids=["monic", "golden"])
+    def test_factor_chains_give_the_same_interval(self, polys):
+        checked = 0
+        for f in polys():
+            bound = root_bound(f)
+            if count_real_roots(f, -bound, bound) == 0:
+                continue
+            factors = factor_monic_squarefree(f)
+            want = isolate_largest_real_root(f)
+            assert isolate_largest_real_root(f, factors) == want
+            # any coprime split will do, not only the irreducible one
+            half = IntPolynomial([1])
+            for g in factors[::2]:
+                half = half * g
+            assert isolate_largest_real_root(f, [half, f.div_exact(half)]) == want
+            checked += 1
+        assert checked >= 9
+
+    def test_eight_vertex_member_builds_no_chain_above_degree_two(self, monkeypatch):
+        m = ExactMatrix.from_rows([[1, 1], [1, 2]])
+        while m.rows < 8:
+            m = enlarge_matrix(m)["matrix"]
+        cp = charpoly(m)
+        sf = squarefree_part(cp)
+        assert sf.degree == 8 and max(c.bit_length() for c in sf.coeffs) > 500
+        assert [g.degree for g in factor_monic_squarefree(sf)] == [1] * 6 + [2]
+        degrees = []
+        chain = intpoly_module.sturm_chain
+        monkeypatch.setattr(intpoly_module, "sturm_chain",
+                            lambda f: degrees.append(f.degree) or chain(f))
+        _, k = dominant_root_field(cp)
+        assert k == 2
+        assert degrees and max(degrees) <= 2
+
 
 class TestFactorization:
     def test_known_product(self):
@@ -345,6 +394,41 @@ class TestFactorization:
         with pytest.raises(DomainError, match="squarefree polynomial required"):
             factor_monic_squarefree(f * f)
 
+    @pytest.mark.parametrize("seed", [23, 37])
+    def test_integer_roots_are_all_found(self, seed):
+        rng = random.Random(seed)
+        for f in linear_products(seed):
+            roots = sorted(r for r in range(-40, 41) if f(r) == 0)
+            assert sorted(_integer_roots(f, good_prime(f))) == roots
+            # times an irreducible quadratic and a huge integer root
+            big = rng.randint(2 ** 200, 2 ** 201)
+            g = f * P(1, 0, -7) * P(1, -big)
+            assert sorted(_integer_roots(g, good_prime(g))) == sorted(roots + [big])
+
+    def test_residue_roots_without_integer_lifts(self):
+        # t^2 - 7 is (t - 1)(t + 1) mod 3, but neither root lifts
+        f = P(1, 0, -7)
+        assert good_prime(f) == 3 and [r for r in range(3) if f(r) % 3 == 0] == [1, 2]
+        assert _integer_roots(f, 3) == []
+        assert factor_monic_squarefree(f) == [f]
+
+    def test_quartic_remainder_goes_through_the_hensel_tree(self, monkeypatch):
+        # t^4 - 10t^2 + 1 (the minimal polynomial of sqrt 2 + sqrt 3) splits
+        # modulo every prime, so recombination proves it irreducible
+        quartic = P(1, 0, -10, 0, 1)
+        calls = []
+        for name in ("_berlekamp", "_lift_all"):
+            spied = getattr(intpoly_module, name)
+            monkeypatch.setattr(intpoly_module, name, lambda f, *args, spied=spied:
+                                calls.append(len(f) - 1) or spied(f, *args))
+        assert factor_monic_squarefree(P(1, -5) * quartic) == [P(1, -5), quartic]
+        assert calls[:2] == [4, 4]  # Berlekamp, then the top of the tree
+        calls.clear()
+        # a remainder of degree 3 or less with no integer root is irreducible
+        assert factor_monic_squarefree(P(1, -5) * P(1, 2) * P(1, 1, 0, -7)) == [
+            P(1, -5), P(1, 2), P(1, 1, 0, -7)]
+        assert calls == []
+
     def test_degree_cap(self):
         f = IntPolynomial([1] + [0] * 12 + [1])
         with pytest.raises(CapabilityError):
@@ -412,20 +496,31 @@ def random_monic_products(seed, count):
     return out
 
 
-def top_lift(f):
-    """(f coefficients, modular factors, p, final, lifted) of the outermost
-    _lift_all call made while factoring f, or None if f does not lift."""
-    calls = []
-    lift_all = intpoly_module._lift_all
+def good_prime(f):
+    """The least odd prime keeping monic f squarefree, as the factorization
+    picks it."""
+    for p in intpoly_module._odd_primes():
+        d = _gf_strip([c % p for c in f.derivative().coeffs])
+        if d and len(intpoly_module._gf_gcd([c % p for c in f.coeffs], d, p)) == 1:
+            return p
 
-    def spy(f_coeffs, modular, p, final):
-        out = lift_all(f_coeffs, modular, p, final)
-        calls.append((f_coeffs, modular, p, final, out))
-        return out
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(intpoly_module, "_lift_all", spy)
-        factor_monic_squarefree(f)
-    return calls[-1] if calls else None
+
+def top_lift(f):
+    """(f coefficients, modular factors, p, final, lifted) of the Hensel
+    tree on all of f at the first prime keeping f squarefree, as the
+    factorization would run it without splitting off integer roots first;
+    None if f has one modular factor there."""
+    p = good_prime(f)
+    modular = intpoly_module._berlekamp([c % p for c in f.coeffs], p)
+    if len(modular) == 1:
+        return None
+    modular.sort(key=lambda g: (len(g), tuple(g)))
+    final = p
+    while final < intpoly_module._mignotte_bound(f):
+        final *= final
+    f_coeffs = list(f.coeffs)
+    return f_coeffs, modular, p, final, intpoly_module._lift_all(
+        f_coeffs, modular, p, final)
 
 
 class TestLiftTree:

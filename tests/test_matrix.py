@@ -317,6 +317,11 @@ class TestGaussJordan:
         assert gauss_jordan(rows, 2) == [0]
         assert rows[1] == [0, 0, -3]
 
+    def test_int_rows_reduce_to_fractions(self):
+        basis = kernel_basis(ExactMatrix.from_rows([[2, 1]]).int_rows(), 0, 1)
+        assert basis == [[Fraction(-1, 2), 1]]
+        assert type(basis[0][0]) is Fraction
+
     @given(st.lists(st.lists(st.fractions(min_value=-3, max_value=3,
                                           max_denominator=4),
                              min_size=4, max_size=4),

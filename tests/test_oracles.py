@@ -175,10 +175,19 @@ class TestFactorization:
         lambda: golden_chain_charpolys(11),
     ], ids=["linear", "monic", "golden"])
     def test_lift_tree_inputs(self, polys):
-        # up to 12 modular factors; golden-chain coefficients reach 6540 bits
+        # up to 12 integer roots, split off p-adically; the golden chain
+        # from 3 to 11 vertices, whose coefficients reach 6540 bits
         for f in polys():
             assert _factors(factor_monic_squarefree(f)) == _sympy_factors(f)
 
+    @pytest.mark.parametrize("f", [
+        # an integer root, then a quartic remainder through the Hensel tree
+        IntPolynomial([-5, 1]) * IntPolynomial([1, 0, -10, 0, 1]),
+        # roots +-1 mod 3 with no integer lift
+        IntPolynomial([-7, 0, 1]),
+    ], ids=["root-and-quartic", "t2-minus-7"])
+    def test_integer_root_split(self, f):
+        assert _factors(factor_monic_squarefree(f)) == _sympy_factors(f)
 
     def test_failing_primes_divide_the_bounded_discriminant(self):
         # the squarefree refusal's proof: monic squarefree f fails the
