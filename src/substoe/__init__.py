@@ -41,7 +41,6 @@ from .bratteli import FinitePath, OrderedDiagram, diagram_from_substitution
 from .clopen import (
     LatticeGroup,
     groups_equal,
-    lattice_from_elements,
     lattice_of,
     s_membership,
 )

@@ -5,14 +5,15 @@ that multiplication by the eigenvalue maps into itself; the group is the
 union of the lattice divided by all eigenvalue powers.  The eigenvalue is
 lam**K for the field's root lam and the lattice's power K: a system
 derived from another keeps the field of its source and records the power
-its Perron root is of the source's.  A LatticeGroup owns the integer
-arithmetic of its lattice: the triangular basis, exact division down it,
-and the integer matrix of lam**K on basis coordinates, kept from its
-closure check.  Membership and equality questions reduce to one bounded
-kernel that decides when eigenvalue powers carry vectors into a lattice.
-A lattice on a second field is carried into the first field once,
-through the minimal polynomial of the eigenvalue power, and one
-comparison then runs on the first field.
+its Perron root is of the source's.  A LatticeGroup is built from its
+generating field elements, as integer rows over one denominator, and
+owns the integer arithmetic of its lattice: the triangular basis, exact
+division down it, and the integer matrix of lam**K on basis coordinates,
+kept from its closure check.  Membership and equality questions reduce
+to one bounded kernel that decides when eigenvalue powers carry vectors
+into a lattice.  A lattice on a second field is carried into the first
+field once, through the minimal polynomial of the eigenvalue power, and
+one comparison then runs on the first field.
 """
 
 from fractions import Fraction
@@ -21,7 +22,7 @@ from math import gcd, lcm, prod
 from .errors import DomainError, FieldMismatchError
 from .field import (FieldElement, _element, _interval_horner, certified_sign,
                     minimal_polynomial)
-from .matrix import _cleared, hnf_basis
+from .matrix import hnf_basis
 from .perron import measure_weights
 
 
@@ -74,6 +75,24 @@ def _absorbed_at(m, xs, d):
     return t + 1 if t < bound else None
 
 
+def _integer_lattice(field, elements):
+    """(H, den) for the lattice the field elements generate: den is the
+    lcm of the x.den and H is hnf_basis of the rows x.nums * (den // x.den).
+
+    Clearing the elements' Fraction coordinates to one denominator gives
+    the same rows and den: gcd(x.den, *x.nums) = 1, so the lcm of the
+    reduced denominators of x's coordinates is x.den itself.
+    """
+    if not elements:
+        raise DomainError("a lattice group needs generators")
+    if not all(isinstance(x, FieldElement) and x.field == field
+               for x in elements):
+        raise FieldMismatchError("generators must be elements of the given field")
+    den = lcm(*(x.den for x in elements))
+    return hnf_basis([[n * (den // x.den) for n in x.nums]
+                      for x in elements]), den
+
+
 def _lam_step(field, m=1):
     """Multiplication by the integral element lam**m on integer coordinate
     numerators, as a field product."""
@@ -85,13 +104,9 @@ class LatticeGroup:
     """Lattice of field elements closed under multiplication by lam**power,
     lam the field's root: the group of a system with Perron root lam**power."""
 
-    def __init__(self, field, vectors, power=1):
-        vectors = [tuple(Fraction(x) for x in v) for v in vectors]
-        if not vectors:
-            raise DomainError("a lattice group needs generators")
-        if any(len(v) != field.degree for v in vectors):
-            raise DomainError("generator length does not match the field degree")
-        basis, den = hnf_basis(vectors)
+    def __init__(self, field, elements, power=1):
+        elements = list(elements)
+        basis, den = _integer_lattice(field, elements)
         cols = [basis.column(j) for j in range(basis.cols)]
         # the integer matrix of lam**power on basis coordinates, by columns
         lam = _lam_step(field, power)
@@ -101,7 +116,7 @@ class LatticeGroup:
                 "not closed under multiplication by the eigenvalue")
         self.field = field
         self.power = power
-        self.generators = vectors
+        self.generators = elements
         self.basis = basis
         self.den = den
         self._cols = cols
@@ -109,9 +124,7 @@ class LatticeGroup:
 
     def basis_vectors(self):
         """Lattice basis as field elements."""
-        return tuple(
-            self.field.from_coords([Fraction(x, self.den) for x in col])
-            for col in self._cols)
+        return tuple(_element(self.field, col, self.den) for col in self._cols)
 
     def lattice_contains(self, elt):
         """Whether the element lies in the lattice itself (no rescaling)."""
@@ -135,16 +148,7 @@ def lattice_of(pd, level0=None):
     """Group of the eigenvector entries, optionally renormalized so the
     pairing with root multiplicities is one."""
     xs = pd.eigvec if level0 is None else measure_weights(pd, level0)
-    return LatticeGroup(pd.field, [x.coords for x in xs])
-
-
-def lattice_from_elements(field, elements):
-    vecs = []
-    for e in elements:
-        if not isinstance(e, FieldElement) or e.field != field:
-            raise FieldMismatchError("elements must belong to the given field")
-        vecs.append(e.coords)
-    return LatticeGroup(field, vecs)
+    return LatticeGroup(pd.field, xs)
 
 
 def s_membership(group, value, cap=64):
@@ -249,7 +253,7 @@ def _carried_into(field, power, group):
     mus = [mu ** j for j in range(field.degree)]
     scale = Fraction(1, group.den)
     return LatticeGroup(field, [
-        (sum((p * x for p, x in zip(mus, col)), field.zero()) * scale).coords
+        sum((p * x for p, x in zip(mus, col)), field.zero()) * scale
         for col in group._cols], power)
 
 
@@ -283,7 +287,7 @@ def groups_equal(first, second, m):
         if second is None:
             return {"status": "unequal", "reason": "rank"}
         # the images of the second field's basis, in its order
-        second_basis = [_cleared(v) for v in second.generators]
+        second_basis = [(x.nums, x.den) for x in second.generators]
     found = {}
     for direction, target, vectors in (
             ("second-into-first", first, second_basis),

@@ -12,8 +12,8 @@ from itertools import chain, product
 from math import gcd
 
 from .bratteli import diagram_from_substitution
-from .clopen import (LatticeGroup, _lam_step, _lattice_coords, groups_equal,
-                     lattice_of)
+from .clopen import (LatticeGroup, _integer_lattice, _lam_step,
+                     _lattice_coords, groups_equal, lattice_of)
 from .errors import CapabilityError, DomainError, InternalError, RankError
 from .field import certified_sign, perron_minimal_polynomial
 from .intpoly import IntPolynomial
@@ -22,7 +22,6 @@ from .matrix import (
     charpoly,
     eventual_positivity_exponent,
     first_power,
-    hnf_basis,
     primitivity_exponent,
 )
 from .perron import _check_eigvec, adjugate_column, perron_data
@@ -156,9 +155,9 @@ def _minimize_core(lattice, xs, cap):
     moves = cone.fix(cap)
     action = ExactMatrix.from_rows(cone.m)
 
-    # The xs span Q^k (lattice_of and realize_group_matrix's hnf_basis
-    # refuse otherwise) and lam**t is invertible, so the path rows have
-    # rank k, and nonnegative rows of rank k have no zero column.
+    # The xs span Q^k (lattice_of and realize_group_matrix refuse
+    # otherwise) and lam**t is invertible, so the path rows have rank k,
+    # and nonnegative rows of rank k have no zero column.
     def rows_ok(rows):
         return all(x >= 0 for row in rows for x in row)
 
@@ -256,9 +255,8 @@ def realize_group_matrix(matrix, weights):
         xs.append(elt)
     if sum(xs[1:], xs[0]) != field.one():
         raise DomainError("weights must sum to one")
-    vectors = [list(x.coords) for x in xs]
     try:
-        h0, den0 = hnf_basis(vectors)
+        h0, den0 = _integer_lattice(field, xs)
     except RankError:
         raise DomainError("weights must span the field over the rationals")
 
@@ -277,12 +275,12 @@ def realize_group_matrix(matrix, weights):
             "itself: %d of %d basis images of lam**%d L lie outside L"
             % (CLOSURE_CAP, outside, len(cols), CLOSURE_CAP))
 
-    gens = list(vectors)
+    gens = list(xs)
     layer = xs
     inv = field.lam().inverse()
     for _ in range(closure_power - 1):
         layer = [x * inv for x in layer]
-        gens.extend(x.coords for x in layer)
+        gens.extend(layer)
     saturated = LatticeGroup(field, gens)
 
     report = _minimize_core(saturated, xs, MINIMIZE_CAP)
@@ -331,7 +329,7 @@ def _carried_group(m, field, power, vec, level0=None):
     if sum((x * c for x, c in zip(vec, weights)), field.zero()) != 1:
         raise InternalError("carried eigenvector does not sum to one")
     _check_eigvec(m, lam, vec, field)
-    return LatticeGroup(field, [x.coords for x in vec], power)
+    return LatticeGroup(field, vec, power)
 
 
 def _require_equal(comparison, unequal):

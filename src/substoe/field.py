@@ -25,7 +25,7 @@ from .intpoly import (
     refine_root_interval,
     squarefree_part,
 )
-from .matrix import _bareiss, _cleared, charpoly, kernel_basis
+from .matrix import _bareiss, charpoly, kernel_basis
 
 
 class NumberField:
@@ -41,7 +41,8 @@ class NumberField:
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
         if not (lo < hi):
             raise DomainError("empty isolating interval")
-        if min_poly(lo) * min_poly(hi) >= 0:
+        lo_sign = _eval_at(min_poly.coeffs, lo)
+        if lo_sign * _eval_at(min_poly.coeffs, hi) >= 0:
             raise DomainError("isolating interval must change sign")
         if count_real_roots(min_poly, lo, hi) != 1:
             raise DomainError("interval does not isolate a single root")
@@ -50,7 +51,7 @@ class NumberField:
         object.__setattr__(self, "interval", (lo, hi))
         # _chain[i] is the interval bisected i times; see _first_accepted.
         object.__setattr__(self, "_chain", [(lo, hi)])
-        object.__setattr__(self, "_lo_sign", min_poly(lo))
+        object.__setattr__(self, "_lo_sign", lo_sign)
 
     def __setattr__(self, name, value):
         raise AttributeError("NumberField is immutable")
@@ -112,9 +113,9 @@ class NumberField:
 
 class FieldElement:
     """sum(nums[i] * lam**i) / den with integers den > 0 and nums (a tuple),
-    gcd(den, *nums) == 1; coords, the Fraction form, is built when read."""
+    gcd(den, *nums) == 1; coords, the Fraction form, is built on each read."""
 
-    __slots__ = ("field", "nums", "den", "_coords")
+    __slots__ = ("field", "nums", "den")
 
     def __new__(cls, field, coords):
         coords = [c if isinstance(c, int) else Fraction(c) for c in coords]
@@ -127,10 +128,7 @@ class FieldElement:
 
     @property
     def coords(self):
-        if not hasattr(self, "_coords"):
-            object.__setattr__(self, "_coords", tuple(
-                Fraction(x, self.den) for x in self.nums))
-        return self._coords
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     @property
     def is_zero(self):
@@ -253,6 +251,12 @@ class FieldElement:
         q = abs(q)
         whole, frac = divmod(q, 10 ** digits)
         return "%s%d.%0*d" % (sign, whole, digits, frac)
+
+
+def _cleared(values):
+    """(nums, d): integer numerators over the lcm d of the denominators."""
+    d = lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
 
 
 def _element(field, nums, den):

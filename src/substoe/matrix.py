@@ -1,7 +1,6 @@
-"""Exact integer matrices and the lattice utilities built on them."""
+"""Exact integer matrices and the integer lattice utilities built on them."""
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .errors import DimensionError, DomainError, InternalError, RankError
@@ -196,12 +195,6 @@ class ExactMatrix:
         return tuple(Fraction(x, d) for x in adj.apply(rhs))
 
 
-def _cleared(values):
-    """(nums, d): integer numerators over the lcm d of the denominators."""
-    d = lcm(*(x.denominator for x in values))
-    return [x.numerator * (d // x.denominator) for x in values], d
-
-
 def _bareiss(rows, n):
     """Fraction-free Gauss-Jordan in place on integer rows whose first n
     columns are a square A; returns det A.  Bareiss's step (Math. Comp. 22,
@@ -371,23 +364,20 @@ def eventual_positivity_exponent(m, cap=64):
 
 
 def hnf_basis(vectors):
-    """Canonical basis of the lattice generated by rational vectors.
+    """Canonical basis of the lattice generated by integer vectors.
 
-    Returns (H, den) with H a k x k lower-triangular integer matrix whose
-    columns, divided by den, form a basis: positive diagonal, and each
-    below-diagonal entry reduced modulo the diagonal entry of its row.
-    Raises RankError when the vectors do not span.
+    Returns H, a k x k lower-triangular integer matrix whose columns form
+    a basis: positive diagonal, and each below-diagonal entry reduced
+    modulo the diagonal entry of its row.  Raises RankError when the
+    vectors do not span.
     """
-    vecs = [tuple(Fraction(x) for x in v) for v in vectors]
-    if not vecs:
+    if not vectors:
         raise DimensionError("no generating vectors")
-    k = len(vecs[0])
-    if k == 0 or any(len(v) != k for v in vecs):
+    k = len(vectors[0])
+    if k == 0 or any(len(v) != k for v in vectors):
         raise DimensionError("inconsistent vector lengths")
-    flat, den = _cleared([x for v in vecs for x in v])
     ech = [None] * k
-    for i in range(0, len(flat), k):
-        c = flat[i:i + k]
+    for c in vectors:
         for r in range(k):
             if c[r] == 0:
                 continue
@@ -410,4 +400,4 @@ def hnf_basis(vectors):
             q = ech[j][i] // piv
             if q:
                 ech[j] = [u - q * w for u, w in zip(ech[j], ech[i])]
-    return ExactMatrix.from_columns(ech), den
+    return ExactMatrix.from_columns(ech)

@@ -70,10 +70,10 @@ def _image_step(rules, n, lengths):
     c = ceil((n-1)/|rule^t(x)|) + 1 copies of x.  The remaining t steps
     turn x^r into rule^t(x)^r, and c consecutive copies of rule^t(x) hold
     every n-window of rule^t(x)^r and its (n-1)-letter prefix and suffix,
-    as in RunWord.repeat_clamped.  Every rule is nonempty, so the n-view
-    of a word fixes the n-view of its image, and the cut keeps the
-    n-view of the final image.  At t = 0, c = n: the last step cuts
-    every run to n letters.
+    since each of them spans at most c copies.  Every rule is nonempty,
+    so the n-view of a word fixes the n-view of its image, and the cut
+    keeps the n-view of the final image.  At t = 0, c = n: the last step
+    cuts every run to n letters.
 
     Each letter gets one pattern, for runs longer than its least count;
     the count of the level goes to the replacement.  The image is built

@@ -1,10 +1,10 @@
 """Run-length encoded words over string alphabets.
 
 A RunWord stores maximal runs (letter, count) so that words with runs of
-astronomical length stay cheap to handle.  Window-limited operations
-(clamp, repeat_clamped) shorten runs while preserving every factor of a
-chosen window size together with the prefix and suffix of that size,
-which is exactly what the factor-language machinery relies on.
+astronomical length stay cheap to handle.  The window-limited clamp
+shortens runs while preserving every factor of a chosen window size
+together with the prefix and suffix of that size, which is exactly what
+the factor-language machinery relies on.
 """
 
 from .errors import CapabilityError, DomainError
@@ -88,22 +88,6 @@ class RunWord:
                 "run expansion to %d runs exceeds the budget of %d; clamp first"
                 % (count * len(self.runs), EXPAND_CAP))
         return RunWord(self.runs * count)
-
-    def repeat_clamped(self, count, window):
-        """Repeat truncated so all factors up to the window size survive.
-
-        Keeping ceil(window/length) + 1 copies preserves every factor of
-        at most window letters, along with the prefix and the suffix of
-        window letters, because any such factor sits inside that many
-        consecutive copies.
-        """
-        count = int(count)
-        if window < 1:
-            raise DomainError("window must be at least 1")
-        if count == 0 or not self.runs:
-            return RunWord()
-        copies = min(count, -(-window // self.length) + 1)
-        return self.repeat(copies).clamp(window)
 
     def clamp(self, window):
         """Cut every run to at most window letters.

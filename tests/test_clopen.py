@@ -9,12 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from substoe.clopen import (LatticeGroup, _strip_shared_primes, groups_equal,
-                            lattice_from_elements, lattice_of, s_membership)
+                            lattice_of, s_membership)
 from substoe.construct import _carried_group, enlarge_matrix
 from substoe.errors import DomainError, FieldMismatchError, RankError
 from substoe.field import NumberField, minimal_polynomial, number_field
 from substoe.intpoly import IntPolynomial
-from substoe.matrix import ExactMatrix
+from substoe.matrix import ExactMatrix, hnf_basis
 from substoe.perron import companion_matrix, field_kernel_basis, perron_data
 
 A0 = ExactMatrix.from_rows([[1, 1], [1, 2]])
@@ -36,23 +36,23 @@ class TestLatticeGroup:
 
     def test_generators_are_members(self):
         g = golden_group()
-        for v in g.generators:
-            assert g.lattice_contains(g.field.from_coords(v))
+        for x in g.generators:
+            assert g.lattice_contains(x)
 
     def test_closure_required(self):
         field = golden_group().field
         with pytest.raises(DomainError):
-            LatticeGroup(field, [(1, 0), (0, 2)])
+            LatticeGroup(field, [field.one(), field.lam() * 2])
 
     def test_span_required(self):
         field = golden_group().field
         with pytest.raises(RankError):
-            LatticeGroup(field, [(1, 0)])
+            LatticeGroup(field, [field.one()])
 
     def test_level0_renormalizes(self):
         pd = perron_data(A0)
         g = lattice_of(pd, level0=(2, 1))
-        vecs = [pd.field.from_coords(v) for v in g.generators]
+        vecs = g.generators
         assert vecs[0] * 2 + vecs[1] == pd.field.one()
 
     def test_level0_validation(self):
@@ -66,7 +66,26 @@ class TestLatticeGroup:
         g = golden_group()
         other = number_field(IntPolynomial([-2, 0, 1]))
         with pytest.raises(FieldMismatchError):
-            lattice_from_elements(g.field, [other.one()])
+            LatticeGroup(g.field, [other.one()])
+        # coordinate tuples are not elements
+        with pytest.raises(FieldMismatchError,
+                           match="generators must be elements"):
+            LatticeGroup(g.field, [(1, 0), (0, 1)])
+
+    def test_half_integer_lattice(self):
+        # elements with denominators 2, 3 and 6 generating P / 6, P the
+        # prime ideal {a + b lam : a = b mod 5} over 5 = disc(t^2 - 3t + 1)
+        field = golden_group().field
+        lam = field.lam()
+        xs = [field.from_rational(Fraction(5, 2)),
+              field.from_rational(Fraction(5, 3)), (1 + lam) / 6]
+        assert [x.den for x in xs] == [2, 3, 6]
+        g = LatticeGroup(field, xs)
+        assert g.den == 6
+        assert g.basis == ExactMatrix.from_rows([[1, 0], [1, 5]])
+        assert g.generators == xs
+        assert g.lattice_contains(field.from_rational(Fraction(5, 6)))
+        assert not g.lattice_contains(field.from_rational(Fraction(1, 6)))
 
 
 class TestMembership:
@@ -130,17 +149,17 @@ class TestGroupsEqual:
 
     def test_rank_mismatch(self):
         f1 = number_field(IntPolynomial([-2, 0, 1]))
-        g1 = LatticeGroup(f1, [(1, 0), (0, 1)])
+        g1 = LatticeGroup(f1, [f1.one(), f1.lam()])
         f2 = number_field(IntPolynomial([-2, 1]))
-        g2 = LatticeGroup(f2, [(1,)])
+        g2 = LatticeGroup(f2, [f2.one()])
         res = groups_equal(g1, g2, 2)
         assert res == {"status": "unequal", "reason": "rank"}
 
     def test_field_mismatch(self):
         f1 = number_field(IntPolynomial([-2, 0, 1]))
-        g1 = LatticeGroup(f1, [(1, 0), (0, 1)])
+        g1 = LatticeGroup(f1, [f1.one(), f1.lam()])
         f2 = number_field(IntPolynomial([-3, 1]))
-        g2 = LatticeGroup(f2, [(1,)])
+        g2 = LatticeGroup(f2, [f2.one()])
         with pytest.raises(FieldMismatchError, match="not generated by the "
                            "declared eigenvalue power"):
             groups_equal(g1, g2, 2)
@@ -149,15 +168,15 @@ class TestGroupsEqual:
         g = golden_group()
         poly = g.field.min_poly
         small_root = NumberField(poly, (Fraction(1, 4), Fraction(1, 2)))
-        other = LatticeGroup(small_root, [(1, 0), (0, 1)])
+        other = LatticeGroup(small_root, [small_root.one(), small_root.lam()])
         with pytest.raises(FieldMismatchError, match="different root of the "
                            "same polynomial"):
             groups_equal(g, other, 1)
 
     def test_prime_denominator_witness(self):
         f = number_field(IntPolynomial([-2, 1]))
-        g1 = LatticeGroup(f, [(1,)])
-        g2 = LatticeGroup(f, [(Fraction(1, 3),)])
+        g1 = LatticeGroup(f, [f.one()])
+        g2 = LatticeGroup(f, [f.from_rational(Fraction(1, 3))])
         res = groups_equal(g1, g2, 1)
         assert res["status"] == "unequal"
         assert res["reason"] == "prime-denominator"
@@ -166,8 +185,8 @@ class TestGroupsEqual:
 
     def test_cap_bound_decides(self):
         f = number_field(IntPolynomial([-2, 1]))
-        g1 = LatticeGroup(f, [(1,)])
-        g2 = LatticeGroup(f, [(Fraction(1, 2 ** 100),)])
+        g1 = LatticeGroup(f, [f.one()])
+        g2 = LatticeGroup(f, [f.from_rational(Fraction(1, 2 ** 100))])
         res = groups_equal(g1, g2, 1)
         assert res == {"status": "equal", "first_absorbs_at": 100,
                        "second_absorbs_at": 0}
@@ -220,7 +239,28 @@ def module_lattice(field, gens):
         for _ in range(field.degree):
             elements.append(x)
             x = x * lam
-    return lattice_from_elements(field, elements)
+    return LatticeGroup(field, elements)
+
+
+class TestLatticeFromElements:
+    """The integer rows of the elements against their Fraction coordinates
+    cleared to one denominator, the form lattices were built from."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.sampled_from(range(len(LATTICE_FIELDS))),
+           st.lists(st.lists(small_fractions, min_size=3, max_size=3),
+                    min_size=1, max_size=3))
+    def test_matches_cleared_coordinates(self, idx, gens):
+        field = LATTICE_FIELDS[idx]
+        gens = [g[:field.degree] for g in gens]
+        assume(any(any(g) for g in gens))
+        group = module_lattice(field, gens)
+        coords = [x.coords for x in group.generators]
+        den = lcm(*(c.denominator for v in coords for c in v))
+        rows = [[c.numerator * (den // c.denominator) for c in v]
+                for v in coords]
+        assert group.den == den == lcm(*(x.den for x in group.generators))
+        assert group.basis == hnf_basis(rows)
 
 
 class TestIntegerMembership:
@@ -280,7 +320,7 @@ def _golden_chain(top):
 def _scaled(pd, s):
     """The Perron lattice divided by lam**s."""
     mu = pd.lam ** -s
-    return lattice_from_elements(
+    return LatticeGroup(
         pd.field, [x * mu for x in lattice_of(pd).basis_vectors()])
 
 
@@ -442,8 +482,8 @@ class TestBoundedAbsorption:
     def test_split_prime_is_not_absorbed(self):
         field = perron_data(ExactMatrix.from_rows([[3, 2], [1, 0]])).field
         assert field.min_poly == IntPolynomial([-2, -3, 1])
-        whole = LatticeGroup(field, [(1, 0), (0, 1)])
-        half = LatticeGroup(field, [(Fraction(1, 2), 0), (0, Fraction(1, 2))])
+        whole = LatticeGroup(field, [field.one(), field.lam()])
+        half = LatticeGroup(field, [x / 2 for x in whole.generators])
         assert groups_equal(whole, half, 1) == {
             "status": "unequal", "reason": "not-absorbed",
             "direction": "second-into-first", "bound": 4}

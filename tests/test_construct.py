@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from substoe import construct as construct_module
-from substoe.clopen import groups_equal, lattice_from_elements, lattice_of
+from substoe.clopen import LatticeGroup, groups_equal, lattice_of
 from substoe.construct import (
     Y_SYSTEM_CAP,
     _Cone,
@@ -450,9 +450,9 @@ class TestRealize:
                                              [2, Fraction(-1, 2)])]
         lam = field.lam()
         shift = lam ** r["basis_power"]
-        built = lattice_from_elements(field, [z * shift for z in r["weights"]])
+        built = LatticeGroup(field, [z * shift for z in r["weights"]])
         for side, layer in ((1, lam.inverse()), (-1, lam)):
-            want = lattice_from_elements(field, xs + [x * layer for x in xs])
+            want = LatticeGroup(field, xs + [x * layer for x in xs])
             same = (built.basis, built.den) == (want.basis, want.den)
             assert same == (side == 1)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import substoe.matrix as matrix_module
 from substoe.clopen import _lattice_coords
 from substoe.errors import DimensionError, DomainError, RankError
 from substoe.intpoly import IntPolynomial
@@ -248,17 +249,10 @@ class TestFirstPower:
 
 class TestHNF:
     def test_standard_lattice(self):
-        h, den = hnf_basis([(3, -1), (-2, 1)])
-        assert den == 1
-        assert h == ExactMatrix.identity(2)
-
-    def test_half_integer_lattice(self):
-        h, den = hnf_basis([(Fraction(1, 2), 0), (0, 1)])
-        assert den == 2
-        assert h == ExactMatrix.from_rows([[1, 0], [0, 2]])
+        assert hnf_basis([(3, -1), (-2, 1)]) == ExactMatrix.identity(2)
 
     def test_lower_triangular_positive_pivots(self):
-        h, den = hnf_basis([(6, 2), (2, 8)])
+        h = hnf_basis([(6, 2), (2, 8)])
         n = h.rows
         for i in range(n):
             assert h.at(i, i) > 0
@@ -269,6 +263,13 @@ class TestHNF:
         with pytest.raises(RankError):
             hnf_basis([(1, 2), (2, 4)])
 
+    def test_integer_vectors_build_no_fraction(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("hnf_basis built a Fraction")
+        monkeypatch.setattr(matrix_module, "Fraction", refuse)
+        assert hnf_basis([(6, 2), (2, 8)]) == \
+            ExactMatrix.from_rows([[2, 0], [8, 22]])
+
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=2, max_size=2),
                     min_size=2, max_size=4),
            st.integers(-3, 3), st.data())
@@ -277,7 +278,7 @@ class TestHNF:
         # the basis depends on the generated lattice, not the generator list
         vecs = [tuple(v) for v in vecs]
         try:
-            h1, d1 = hnf_basis(vecs)
+            h1 = hnf_basis(vecs)
         except RankError:
             return
         i = data.draw(st.integers(0, len(vecs) - 1))
@@ -287,21 +288,20 @@ class TestHNF:
             mixed[i] = tuple(a + mult * b for a, b in zip(vecs[i], vecs[j]))
         mixed.reverse()
         mixed.append(tuple(-x for x in mixed[0]))
-        h2, d2 = hnf_basis(mixed)
-        assert (h1, d1) == (h2, d2)
+        assert hnf_basis(mixed) == h1
 
     def test_solve_inside(self):
         vecs = [(6, 2), (2, 8)]
-        h, den = hnf_basis(vecs)
+        h = hnf_basis(vecs)
         cols = [h.column(j) for j in range(h.cols)]
         for v in vecs:
-            assert _lattice_coords(cols, den, list(v), 1) is not None
+            assert _lattice_coords(cols, 1, list(v), 1) is not None
 
     def test_solve_outside(self):
-        h, den = hnf_basis([(2, 0), (0, 2)])
+        h = hnf_basis([(2, 0), (0, 2)])
         cols = [h.column(j) for j in range(h.cols)]
-        assert _lattice_coords(cols, den, [1, 0], 1) is None
-        assert _lattice_coords(cols, den, [1, 1], 1) is None
+        assert _lattice_coords(cols, 1, [1, 0], 1) is None
+        assert _lattice_coords(cols, 1, [1, 1], 1) is None
 
 
 class TestGaussJordan:

@@ -161,7 +161,7 @@ class TestPowerTransport:
         assert group.membership_exponent(eighth) == 2
         assert lattice_of(base).membership_exponent(eighth) == 3
         # 8Z closed under 4 absorbs Z at 4**2, the first's power squared
-        eights = LatticeGroup(base.field, [(8,)], 2)
+        eights = LatticeGroup(base.field, [base.field.from_rational(8)], 2)
         assert groups_equal(group, eights, 1) == {
             "status": "equal", "first_absorbs_at": 0, "second_absorbs_at": 2}
 
@@ -169,9 +169,10 @@ class TestPowerTransport:
         # lam**2 = 3 lam - 1 and lam**3 = 8 lam - 3 keep Z + 3 lam Z, which
         # lam itself leaves
         field = perron_data(A0).field
-        assert LatticeGroup(field, [(1, 0), (0, 3)], 2).power == 2
+        gens = [field.one(), field.lam() * 3]
+        assert LatticeGroup(field, gens, 2).power == 2
         with pytest.raises(DomainError, match="not closed"):
-            LatticeGroup(field, [(1, 0), (0, 3)])
+            LatticeGroup(field, gens)
 
 
 @pytest.fixture

@@ -122,19 +122,6 @@ class TestWindowOperations:
         assert text[:k] == cut[:k]
         assert text[len(text) - k:] == cut[len(cut) - k:]
 
-    @given(short_words, st.integers(0, 6), st.integers(1, 5))
-    def test_repeat_clamped_preserves_window_view(self, w, c, k):
-        full = "".join(w.expand()) * c
-        cut = "".join(w.repeat_clamped(c, k).expand())
-        assert factors(full, k) == factors(cut, k)
-        assert full[:k] == cut[:k]
-        assert full[len(full) - k:] == cut[len(cut) - k:]
-
-    def test_repeat_clamped_huge(self):
-        w = RunWord.from_string("ab").repeat_clamped(HUGE, 3)
-        assert w.length <= 3 * len(w.runs)
-        assert factors("".join(w.expand()), 3) == {"aba", "bab"}
-
 
 class TestSerialization:
     def test_as_compact(self):
