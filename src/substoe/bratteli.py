@@ -257,19 +257,22 @@ class OrderedDiagram:
         if total > DOT_EDGE_CAP:
             raise CapabilityError("diagram slice has %d edges, over the edge "
                                   "budget of %d" % (total, DOT_EDGE_CAP))
+        # vertex names may hold quotes and backslashes: escape them once
+        esc = {v: v.replace("\\", "\\\\").replace('"', '\\"')
+               for v in self.vertices}
         lines = ["digraph bratteli {", "  rankdir=TB;", '  root [shape=point];']
         for level in range(depth):
             for v in self.vertices:
-                lines.append('  "L%d_%s" [label="%s"];' % (level, v, v))
+                lines.append('  "L%d_%s" [label="%s"];' % (level, esc[v], esc[v]))
         for i, v in enumerate(self.vertices):
             for e in range(self.level0[i]):
-                lines.append('  root -> "L0_%s" [label="%d"];' % (v, e))
+                lines.append('  root -> "L0_%s" [label="%d"];' % (esc[v], e))
         for level in range(1, depth):
             for v in self.vertices:
                 word = self.orders[v].expand()
                 for pos, w in enumerate(word):
                     lines.append('  "L%d_%s" -> "L%d_%s" [label="%d"];'
-                                 % (level - 1, w, level, v, pos))
+                                 % (level - 1, esc[w], level, esc[v], pos))
         lines.append("}")
         return "\n".join(lines) + "\n"
 

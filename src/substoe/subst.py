@@ -9,6 +9,7 @@ window, so the enumeration is exact while huge rule words stay cheap.
 
 import re
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -58,6 +59,23 @@ def _run_cutter(copies):
     return lambda run: run.group()[:copies]
 
 
+def _clamped_table(rules, n, head=False):
+    """Translate table of the rules with runs cut to n letters, refused past
+    LENGTH_GUARD, and the slice length whose image has about SLICE letters.
+    With head, an image ends with the run that brings it to n letters."""
+    table = {}
+    for letter, rule in rules.items():
+        runs = rule.runs
+        if head:
+            sizes = list(accumulate(min(c, n) for _, c in runs))
+            runs = runs[:bisect_left(sizes, n) + 1]
+        size = sum(min(c, n) for _, c in runs)
+        if size > LENGTH_GUARD:
+            raise _over_guard(size)
+        table[ord(letter)] = "".join(l * min(c, n) for l, c in runs)
+    return table, max(1, SLICE // max(map(len, table.values())))
+
+
 def _image_step(rules, n, lengths):
     """Clamped substitution steps on encoded strings, as a function.
 
@@ -82,12 +100,7 @@ def _image_step(rules, n, lengths):
     letters: a longer run is refused either way.
     """
     width = min(n, LENGTH_GUARD + 1)
-    table = {}
-    for letter, rule in rules.items():
-        size = sum(min(c, n) for _, c in rule.runs)
-        if size > LENGTH_GUARD:
-            raise _over_guard(size)
-        table[ord(letter)] = "".join(l * min(c, n) for l, c in rule.runs)
+    table, piece = _clamped_table(rules, n)
     keep = [{x: min(width, -(-(n - 1) // size) + 1)
              for x, size in level.items()} for level in lengths]
     subs = {x: re.compile("%s{%d,}" % (
@@ -95,7 +108,6 @@ def _image_step(rules, n, lengths):
         for x in lengths[0]}
     cuts = [[(subs[x], _run_cutter(c)) for x, c in copies.items()]
             for copies in keep]
-    piece = max(1, SLICE // max(map(len, table.values())))
 
     def step(word, t):
         level = cuts[t]
@@ -361,36 +373,6 @@ class Substitution:
                 return (m, firsts.pop(), lasts.pop())
         return None
 
-    def _image_edge(self, word, n, side):
-        # one substitution step, keeping only n letters at the chosen edge
-        parts = []
-        size = 0
-        runs = word.runs if side == "right" else reversed(word.runs)
-        for letter, count in runs:
-            image = self.rules[letter]
-            while count > 0 and size < n:
-                parts.append(image.runs)
-                size += image.length
-                count -= 1
-            if size >= n:
-                break
-        if side == "right":
-            flat = [r for chunk in parts for r in chunk]
-            return RunWord(flat).prefix(n)
-        flat = [r for chunk in reversed(parts) for r in chunk]
-        return RunWord(flat).suffix(n)
-
-    def _edge_iterate(self, letter, n, side):
-        word = RunWord(((letter, 1),))
-        for _ in range(n + 5):
-            grown = self._image_edge(word, n, side)
-            if grown == word:
-                raise SeedError("seed letter %r does not grow" % letter)
-            word = grown
-            if word.length >= n:
-                return word
-        raise InternalError("edge iteration failed to settle")
-
     def fixed_point_prefix(self, seed, n):
         """Initial n letters of the fixed point selected by the seed.
 
@@ -398,6 +380,16 @@ class Substitution:
         Two-sided seeds are written "r.l" and also need rule(r) to end at
         r and the pair rl to be admissible; the result is then a dict with
         the n letters on each side of the origin.
+
+        n over EXPAND_CAP is refused first.  Each edge iterates on encoded
+        strings translated by the rules with runs cut to n letters, each
+        image ending at the run that brings it to n letters (under 2n <=
+        LENGTH_GUARD).  Every rule is nonempty, so the n letters at an edge
+        of w fix those at that edge of rule(w), and neither cut changes
+        them.  With rule(l) = l v, rule^(k+1)(l) is rule^k(l) followed by
+        the image of the letters rule^k(l) adds to rule^(k-1)(l), so each
+        letter is translated once; l grows exactly when v is nonempty.  The
+        left edge is the right edge of the reversed rules, reversed.
         """
         if n < 1:
             raise DomainError("prefix length must be positive")
@@ -413,29 +405,44 @@ class Substitution:
                 raise SeedError("rule of %r does not start with it" % right)
             if (left, right) not in self.factor_language(2).two_blocks:
                 raise SeedError("seed pair %s%s is not admissible" % (left, right))
-            return {
-                "left": self._edge_iterate(left, n, "left").expand(),
-                "right": self._edge_iterate(right, n, "right").expand(),
-            }
-        if seed not in self._index:
+        elif seed not in self._index:
             raise SeedError("unknown seed letter %r" % seed)
-        if self.rules[seed].first != seed:
+        elif self.rules[seed].first != seed:
             raise SeedError("rule of %r does not start with it" % seed)
-        return self._edge_iterate(seed, n, "right").expand()
+        if n > EXPAND_CAP:
+            raise CapabilityError("word of %d letters is over the expansion "
+                                  "budget of %d" % (n, EXPAND_CAP))
+        enc, rules = self._encoded_rules()
+        dec = {ch: l for l, ch in enc.items()}
+
+        def edge(letter, rules):
+            table, piece = _clamped_table(rules, n, head=True)
+            parts = [table[ord(enc[letter])]]
+            if n > 1 and len(parts[0]) == 1:
+                raise SeedError("seed letter %r does not grow" % letter)
+            # parts: the cut images of the letters before parts[i][done]
+            size, i, done = len(parts[0]), 0, 1
+            while size < n:
+                if done >= len(parts[i]):
+                    i, done = i + 1, 0
+                parts.append(parts[i][done:done + piece].translate(table))
+                size += len(parts[-1])
+                done += piece
+            return tuple(map(dec.get, "".join(parts)[:n]))
+
+        if "." not in seed:
+            return edge(seed, rules)
+        flipped = {ch: RunWord(rule.runs[::-1]) for ch, rule in rules.items()}
+        return {"left": edge(left, flipped)[::-1], "right": edge(right, rules)}
 
     # -- factor language engine ------------------------------------------
 
-    def _encoding(self):
-        if all(len(l) == 1 for l in self.alphabet):
-            return {l: l for l in self.alphabet}
-        return {l: chr(i) for i, l in enumerate(self.alphabet)}
-
-    def _encoded_rules(self, enc):
-        out = {}
-        for letter in self.alphabet:
-            out[enc[letter]] = RunWord(
-                (enc[l], c) for l, c in self.rules[letter].runs)
-        return out
+    def _encoded_rules(self):
+        """One character per letter, and the rules over those characters."""
+        same = all(len(l) == 1 for l in self.alphabet)
+        enc = {l: l if same else chr(i) for i, l in enumerate(self.alphabet)}
+        return enc, {enc[letter]: RunWord((enc[l], c) for l, c in rule.runs)
+                     for letter, rule in self.rules.items()}
 
     def _length_ladder(self, target):
         """Image lengths [|rule^t(l)| for l in the alphabet], t = 0..m, with
@@ -489,8 +496,7 @@ class Substitution:
     def _encoded_language(self):
         """Encoding, encoded rules and two-block language, built once."""
         if self._language is None:
-            enc = self._encoding()
-            rules = self._encoded_rules(enc)
+            enc, rules = self._encoded_rules()
             self._language = (enc, rules, self._two_blocks_encoded(rules))
         return self._language
 
@@ -577,7 +583,7 @@ class Substitution:
 
     def __repr__(self):
         inner = ", ".join(
-            "%s->%s" % (l, self.rules[l].as_compact() or "<long>")
+            "%s->%s" % (l, self.rules[l].as_compact() or repr(self.rules[l]))
             for l in self.alphabet[:4])
         if self.size > 4:
             inner += ", ..."

@@ -1,10 +1,8 @@
 """Run-length encoded words over string alphabets.
 
 A RunWord stores maximal runs (letter, count) so that words with runs of
-astronomical length stay cheap to handle.  The window-limited clamp
-shortens runs while preserving every factor of a chosen window size
-together with the prefix and suffix of that size, which is exactly what
-the factor-language machinery relies on.
+astronomical length stay cheap to handle.  clamp has no caller in the
+library and stays only as a benchmark tracer target.
 """
 
 from .errors import CapabilityError, DomainError
@@ -99,32 +97,6 @@ class RunWord:
         if window < 1:
             raise DomainError("window must be at least 1")
         return RunWord((l, min(c, window)) for l, c in self.runs)
-
-    def prefix(self, n):
-        if n < 0:
-            raise DomainError("negative prefix length")
-        out = []
-        left = n
-        for letter, count in self.runs:
-            if left <= 0:
-                break
-            take = min(count, left)
-            out.append((letter, take))
-            left -= take
-        return RunWord(out)
-
-    def suffix(self, n):
-        if n < 0:
-            raise DomainError("negative suffix length")
-        out = []
-        left = n
-        for letter, count in reversed(self.runs):
-            if left <= 0:
-                break
-            take = min(count, left)
-            out.append((letter, take))
-            left -= take
-        return RunWord(reversed(out))
 
     def letter_at(self, index):
         if index < 0 or index >= self.length:

@@ -1,3 +1,4 @@
+import re
 import time
 from itertools import islice
 
@@ -323,6 +324,23 @@ class TestDot:
     def test_depth_validation(self):
         with pytest.raises(DomainError):
             golden_diagram().export_dot(0)
+
+    def test_quotes_and_backslashes_are_escaped(self):
+        letters = ('a"', "b\\", '\\"c')
+        s = Substitution({letters[0]: [letters[0], letters[1]],
+                          letters[1]: [letters[2], letters[0]],
+                          letters[2]: [letters[0]]})
+        text = diagram_from_substitution(s).export_dot(2)
+        names = {"L%d_%s" % (level, v) for level in (0, 1) for v in letters}
+        quoted = re.findall(r'"((?:[^"\\]|\\.)*)"', text)
+        seen = {re.sub(r"\\(.)", r"\1", q) for q in quoted}
+        assert seen == names | set(letters) | {"0", "1"}
+        # every line but the braces is an id, an edge or a labelled node
+        for line in text.splitlines()[1:-1]:
+            rest = re.sub(r'"(?:[^"\\]|\\.)*"', "ID", line)
+            assert rest in ("  rankdir=TB;", "  root [shape=point];",
+                            "  ID [label=ID];", "  root -> ID [label=ID];",
+                            "  ID -> ID [label=ID];"), line
 
 
 @st.composite

@@ -267,6 +267,17 @@ class TestLanguage:
             "seed": "b.a",
             "letters": {"left": ["b", "a", "b"], "right": ["a", "a", "b"]}}
 
+    @pytest.mark.parametrize("rules, seed, letters", [
+        ({"a": "ab", "b": "a"}, "a", ["a"]),
+        ({"a": "aab", "b": "ab"}, "b.a", {"left": ["b"], "right": ["a"]}),
+    ])
+    def test_one_letter_seed_prefix(self, cli, rules, seed, letters):
+        code, out, _ = cli(
+            ["language", "-", "--n-max", "1", "--seed-letter", seed],
+            document={"substitution": {"rules": rules}})
+        assert code == 0
+        assert out_json(out)["prefix"]["letters"] == letters
+
     def test_bad_seed_is_domain_error(self, cli):
         code, _, err = cli(
             ["language", "-", "--seed-letter", "z"], document=GOLDEN)

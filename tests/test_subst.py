@@ -1,7 +1,9 @@
 import random
+import time
 import tracemalloc
 from array import array
 from itertools import accumulate
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -90,6 +92,12 @@ class TestValidation:
         assert s.alphabet == ("b", "a")
         assert s.incidence_matrix().int_rows() == [[1, 1], [1, 1]]
 
+    def test_repr_shows_runs_of_multi_character_letters(self):
+        s = Substitution({"aa": ["aa", "aa", "b"], "b": ["b"]})
+        assert repr(s) == ("Substitution(aa->RunWord<aa^2, b^1 | length 3>, "
+                           "b->b)")
+        assert repr(golden()) == "Substitution(a->ab, b->abb)"
+
 
 class TestIncidenceAndMaps:
     def test_golden_incidence(self):
@@ -172,6 +180,115 @@ class TestFixedPoints:
         swap = Substitution({"a": "ba", "b": "ab"})
         assert fixed_point_seed(swap) == ("a", 2)
         assert "".join(swap.power(2).fixed_point_prefix("a", 4)) == "abba"
+
+    def test_one_letter_prefix(self):
+        fib = Substitution({"a": "ab", "b": "a"})
+        assert fib.fixed_point_prefix("a", 1) == ("a",)
+        assert Substitution({"a": "aab", "b": "ab"}).fixed_point_prefix(
+            "b.a", 1) == {"left": ("b",), "right": ("a",)}
+
+    def test_linear_growth_prefix(self):
+        # every step adds one b, so the edge takes a million steps
+        start = time.perf_counter()
+        out = Substitution({"a": "ab", "b": "b"}).fixed_point_prefix("a", 10 ** 6)
+        assert time.perf_counter() - start < 10
+        assert out[:3] == ("a", "b", "b") and set(out[1:]) == {"b"}
+
+    def test_fibonacci_million_is_quick(self):
+        start = time.perf_counter()
+        out = Substitution({"a": "ab", "b": "a"}).fixed_point_prefix("a", 10 ** 6)
+        assert time.perf_counter() - start < 2
+        assert len(out) == 10 ** 6 and out[:8] == tuple("abaababa")
+
+    def test_over_the_expansion_budget_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match=r"^word of 3000000 letters "
+                           r"is over the expansion budget of 1000000$"):
+            Substitution({"a": "ab", "b": "a"}).fixed_point_prefix("a", 3 * 10 ** 6)
+        assert time.perf_counter() - start < 1
+
+    def test_rule_past_the_length_guard_answers(self):
+        # runs cut to n letters still come to 3,000,000 > LENGTH_GUARD, but
+        # the edge keeps only the first n letters of each image
+        big = {"runs": [["a", 10 ** 6], ["b", 10 ** 6], ["c", 10 ** 6]]}
+        s = Substitution({"a": big, "b": "b", "c": "c"})
+        assert s.fixed_point_prefix("a", 10) == ("a",) * 10
+        assert s.fixed_point_prefix("a", 10 ** 6) == ("a",) * 10 ** 6
+        # c never occurs in the Fibonacci fixed point
+        fib = Substitution({"a": "ab", "b": "a"}).fixed_point_prefix("a", 10 ** 6)
+        s = Substitution({"a": "ab", "b": "a", "c": big})
+        assert s.fixed_point_prefix("a", 10 ** 6) == fib
+
+    def test_one_letter_power_reaches_its_budget(self):
+        # 7^7 = 823,543 letters come one step short of 900,000
+        out = Substitution({"a": "a" * 7}).fixed_point_prefix("a", 900_000)
+        assert out == ("a",) * 900_000
+
+
+def full_edge(rules, letter, n, last):
+    """n letters at an edge of rule^k(letter), iterating the full rules;
+    None when a step adds no letter."""
+    word = [letter]
+    while len(word) < n:
+        grown = [x for l in word for x, c in rules[l] for _ in range(c)]
+        if len(grown) == len(word):
+            return None
+        word = grown
+    return tuple(word[-n:] if last else word[:n])
+
+
+@st.composite
+def seeded_substitutions(draw):
+    """(rules as lists of runs, seed, n) on one to three letters, some of
+    several characters, with runs up to 12 letters long.
+
+    A one-sided seed only gets its letter in front of its rule, so the
+    substitution may be non-primitive or fail to grow.  A two-sided seed
+    r.l puts every letter into every rule, which makes it primitive, ends
+    rule(r) with r l r, so the pair rl is admissible, and puts l in front
+    of rule(l).
+    """
+    letters = draw(st.lists(st.sampled_from(("a", "b", "xy", "q7")),
+                            min_size=1, max_size=3, unique=True))
+    runs = st.tuples(st.sampled_from(letters), st.integers(1, 12))
+    rules = {l: draw(st.lists(runs, min_size=1, max_size=4)) for l in letters}
+    left, right = draw(st.sampled_from(letters)), draw(st.sampled_from(letters))
+    if draw(st.booleans()):
+        for l in letters:
+            rules[l] += [(x, 1) for x in letters]
+        rules[left] += [(left, 1), (right, 1), (left, 1)]
+        seed = "%s.%s" % (left, right)
+    else:
+        seed = right
+    rules[right] = [(right, draw(st.integers(1, 12)))] + rules[right]
+    return rules, seed, draw(st.integers(1, 40))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seeded_substitutions())
+@example(({"a": [("a", 1), ("b", 1)], "b": [("a", 1)]}, "a", 1))
+@example(({"a": [("a", 2), ("b", 1)], "b": [("a", 1), ("b", 1)]}, "b.a", 1))
+@example(({"a": [("a", 1), ("b", 1)], "b": [("b", 1)]}, "a", 30))
+@example(({"xy": [("xy", 1), ("q7", 25)], "q7": [("xy", 3)]}, "xy", 20))
+def test_fixed_point_prefix_matches_full_iteration(case):
+    rules, seed, n = case
+    s = Substitution({l: {"runs": [list(r) for r in rs]}
+                      for l, rs in rules.items()})
+    if "." in seed:
+        left, right = seed.split(".")
+        expected = {"left": full_edge(rules, left, n, True),
+                    "right": full_edge(rules, right, n, False)}
+        assert None not in expected.values()
+    else:
+        expected = full_edge(rules, seed, n, False)
+    # SLICE = 1 translates one letter per slice
+    for size in (subst_module.SLICE, 1):
+        with mock.patch.object(subst_module, "SLICE", size):
+            if expected is None:
+                with pytest.raises(SeedError, match="does not grow"):
+                    s.fixed_point_prefix(seed, n)
+            else:
+                assert s.fixed_point_prefix(seed, n) == expected
 
 
 class TestLanguage:
@@ -659,8 +776,7 @@ def image_two_windows(s, cap=10 ** 4):
 @example(Substitution(LONG_RUNS))
 @example(Substitution({"x0": ["x0", "y1"], "y1": {"runs": [["x0", 5]]}}))
 def test_two_block_closure_matches_reference_and_images(s):
-    enc = s._encoding()
-    rules = s._encoded_rules(enc)
+    enc, rules = s._encoded_rules()
     blocks = s._two_blocks_encoded(rules)
     assert blocks == reference_two_blocks(s, rules)
     dec = {v: k for k, v in enc.items()}

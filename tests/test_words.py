@@ -93,19 +93,6 @@ class TestEditing:
                            r"runs exceeds the budget of 1000000; clamp first$"):
             RunWord.from_string("ab").repeat(EXPAND_CAP)
 
-    def test_prefix_suffix(self):
-        w = RunWord([("a", 2), ("b", HUGE), ("c", 4)])
-        assert w.prefix(3).runs == (("a", 2), ("b", 1))
-        assert w.suffix(5).runs == (("b", 1), ("c", 4))
-        assert w.prefix(0).is_empty
-        assert w.prefix(HUGE + 10) == w
-
-    @given(short_words, st.integers(0, 12))
-    def test_prefix_suffix_match_expansion(self, w, n):
-        text = "".join(w.expand())
-        assert "".join(w.prefix(n).expand()) == text[:n]
-        assert "".join(w.suffix(n).expand()) == text[len(text) - min(n, len(text)):]
-
     def test_expand_guard(self):
         with pytest.raises(CapabilityError, match=r"^word of 1000001 letters is "
                            r"over the expansion budget of 1000000$"):
