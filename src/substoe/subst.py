@@ -8,6 +8,7 @@ window, so the enumeration is exact while huge rule words stay cheap.
 """
 
 import re
+import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -20,6 +21,8 @@ from .words import EXPAND_CAP, RunWord, word_of
 LENGTH_GUARD = 2_000_000
 POWER_ITER_CAP = 10_000
 SLICE = 1 << 20
+# letter codes as native 4-byte unsigned ints, for array("I")
+CODEC = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
 
 
 def _over_guard(size):
@@ -131,91 +134,146 @@ def _image_step(rules, n, lengths):
     return step
 
 
+def _window_feeds(images, blocks, n):
+    """The texts the automaton reads, as (after, text, name) triples: text
+    goes in from the state of name after (from the root when after is
+    None), and the state it ends at is kept under name unless that is None.
+
+    Images go in longest first.  An image that str.find locates inside a
+    longer or equal image already kept is not read: its state is taken off
+    the host's feed at the offset where it ends, so the host goes in cut
+    there.  A junction image(c)[:n-1], read on from image(b), is left out
+    when image(b)[-(n-1):] + image(c)[:n-1] lies inside a kept image.
+    """
+    stops = {}
+    for ch in sorted(images, key=lambda ch: -len(images[ch])):
+        image = images[ch]
+        for host in stops:
+            at = images[host].find(image)
+            if at >= 0:
+                stops[host].append((at + len(image), ch))
+                break
+        else:
+            stops[ch] = [(len(image), ch)]
+    feeds = []
+    for host, ends in stops.items():
+        begin, after = 0, None
+        for end, name in sorted(ends):
+            feeds.append((after, images[host][begin:end], name))
+            begin, after = end, name
+    edge = n - 1
+    if edge:
+        # one search per junction: every image letter lies in a two-block,
+        # so it keys images, and a separator past every key is in no junction
+        hay = chr(max(map(ord, images)) + 1).join(map(images.get, stops))
+        for b, c in blocks:
+            if images[b][-edge:] + images[c][:edge] not in hay:
+                feeds.append((b, images[c][:edge], None))
+    return feeds
+
+
 def _substring_profile(images, blocks, letters, n):
     """Counts of distinct j-letter factors of the window texts, j = 1..n.
 
     Builds the generalized suffix automaton (Blumer et al., "The smallest
     automaton recognizing the subwords of a text", TCS 1985) of every
-    image and of image(b) + image(c)[:n-1] for every two-block bc, in
-    flat tables: state length, suffix link, and transitions at
-    state*k + letter, where 0 means none since no transition enters the
-    root.  Each image goes in once; a two-block text goes on from the
-    state reached at the end of image(b), which stands for image(b)
-    itself.  Its factors of at most n letters are those of image(b) and
-    of the junction image(b)[-(n-1):] + image(c)[:n-1].  Each state s
-    stands for exactly one distinct substring of every length in
-    (len(link(s)), len(s)], so one difference array over those ranges
-    gives every count; it is as long as the longest text, which has at
-    least n letters.
+    image and of image(b) + image(c)[:n-1] for every two-block bc, cut
+    back to n-letter windows as in the truncated suffix trees of Na,
+    Apostolico, Iliopoulos and Park (TCS 2003).  The factors of at most n
+    letters of a two-block text are those of image(b) and of the junction
+    image(b)[-(n-1):] + image(c)[:n-1].  An image or junction that lies
+    inside an image already read adds no substring, so _window_feeds
+    leaves it out.
+
+    Reading letters on from a state goes on from its longest string X,
+    which is in the automaton already: reading X from the root would end
+    at that state without a clone, so the automaton is the one of a text
+    that starts with X.  The state reached stands for a string that ends
+    with the text read so far.  When X has n or more letters and no
+    transition on the next letter c leads to a state one letter longer,
+    c goes in from the state of the (n-1)-letter suffix P of X instead,
+    up the suffix links.  Every new string of at most n letters is then
+    a suffix of P + c, a window of the text, and every window still goes
+    in: only strings of more than n letters differ, and the counts stop
+    at n.
+
+    The states live in one flat table with the state id as the offset:
+    [length, suffix link, transition on each letter].  Offset 0 is a
+    bottom state of length -1 with every transition to the root, so no
+    suffix walk tests for the end of its chain, and 0 means no transition
+    since none enters the bottom.  A letter is read as its code plus 2,
+    the offset of its transition, through 4-byte codes that fit any
+    alphabet.  Each state s stands for exactly one distinct string of
+    every length in (len(link(s)), len(s)], so one difference array over
+    those ranges gives every count.
     """
-    k = len(letters)
-    blank = array("i", [0]) * k
-    size = array("i", [0])
-    link = array("i", [-1])
-    go = array("i", blank)
-    new_size = size.append
-    new_link = link.append
-    new_go = go.extend
-    code = letters.__getitem__
-    states = 1
+    w = len(letters) + 2
+    edge = n - 1
+    table = {ord(ch): i + 2 for ch, i in letters.items()}
+    t = array("i", [-1, 0]) + array("i", [w]) * (w - 2)
+    blank = array("i", [0]) * w
+    t += blank
     ends = {}
-    texts = [(ch, None, image) for ch, image in images.items()]
-    if n > 1:
-        texts += [(None, b, images[c][:n - 1]) for b, c in blocks]
-    for name, after, text in texts:
-        last = 0 if after is None else ends[after]
-        # the state reached after each letter is one longer than the last
-        length = size[last]
-        for c in map(code, text):
-            length += 1
-            i = last * k + c
-            q = go[i]
-            if q:
-                if size[q] == length:
+    for after, text, name in _window_feeds(images, blocks, n):
+        last = w if after is None else ends[after]
+        size = t[last]
+        for c in array("I", text.translate(table).encode(CODEC)):
+            q = t[last + c]
+            size += 1
+            # q = 0, no transition, reads the bottom's length -1
+            if t[q] == size:
+                last = q
+                continue
+            if size > n:
+                # go on from the state of the context's last n-1 letters
+                p = t[last + 1]
+                while t[p] >= edge:
+                    last = p
+                    p = t[p + 1]
+                size = t[last] + 1
+                q = t[last + c]
+                if t[q] == size:
                     last = q
                     continue
+            i = last + c
+            if q:
                 p = last
                 cur = 0
             else:
-                cur = states
-                states += 1
-                new_size(length)
-                new_link(0)
-                new_go(blank)
-                go[i] = cur
-                p = link[last]
+                cur = len(t)
+                t += blank
+                t[cur] = size
+                t[i] = cur
+                p = t[last + 1]
                 last = cur
-                while p != -1:
-                    i = p * k + c
-                    q = go[i]
-                    if q:
-                        break
-                    go[i] = cur
-                    p = link[p]
-                else:
-                    continue
-                if size[q] == size[p] + 1:
-                    link[cur] = q
+                i = p + c
+                while not t[i]:
+                    t[i] = cur
+                    p = t[p + 1]
+                    i = p + c
+                q = t[i]
+                if t[q] == t[p] + 1:
+                    t[cur + 1] = q
                     continue
             # clone q at length len(p) + 1 and move p's suffix chain onto it
-            clone = states
-            states += 1
-            new_size(size[p] + 1)
-            new_link(link[q])
-            new_go(go[q * k:q * k + k])
-            while p != -1 and go[p * k + c] == q:
-                go[p * k + c] = clone
-                p = link[p]
-            link[q] = clone
+            clone = len(t)
+            t += t[q:q + w]
+            t[clone] = t[p] + 1
+            while t[i] == q:
+                t[i] = clone
+                p = t[p + 1]
+                i = p + c
+            t[q + 1] = clone
             if cur:
-                link[cur] = clone
+                t[cur + 1] = clone
             else:
                 last = clone
         if name is not None:
             ends[name] = last
-    diff = [0] * (max(size) + 2)
-    for parent, top in zip(link[1:], size[1:]):
-        diff[size[parent] + 1] += 1
+    sizes = t[2 * w::w]
+    diff = [0] * (max(sizes) + 2)
+    for low, top in zip(map(t.__getitem__, t[2 * w + 1::w]), sizes):
+        diff[low + 1] += 1
         diff[top + 1] -= 1
     return tuple(accumulate(diff[1:n + 1]))
 
@@ -568,8 +626,11 @@ class Substitution:
         For j <= n_max the j-factors are exactly the j-letter substrings
         of the window texts: each such substring lies in an n_max-window,
         and every factor extends to an n_max-factor.  One suffix automaton
-        over the images and junctions counts them all in linear time and
-        memory.  p(1) and p(3) are checked against the direct counts.
+        over the images and junctions counts them all.  It is cut back to
+        n_max-letter windows, and images and junctions inside an image
+        already read are skipped: only strings longer than n_max change,
+        so no count does (see _substring_profile).  p(1) and p(3) are
+        checked against the direct counts.
         """
         if n_max < 1:
             raise DomainError("profile needs n_max >= 1")
@@ -582,9 +643,13 @@ class Substitution:
         return tuple(profile)
 
     def __repr__(self):
-        inner = ", ".join(
-            "%s->%s" % (l, self.rules[l].as_compact() or repr(self.rules[l]))
-            for l in self.alphabet[:4])
+        def shown(rule):
+            # spelled out only up to 40 letters, as RunWord.__repr__ does
+            compact = rule.as_compact() if rule.length <= 40 else None
+            return compact or repr(rule)
+
+        inner = ", ".join("%s->%s" % (l, shown(self.rules[l]))
+                          for l in self.alphabet[:4])
         if self.size > 4:
             inner += ", ..."
         return "Substitution(%s)" % inner

@@ -98,6 +98,12 @@ class TestValidation:
                            "b->b)")
         assert repr(golden()) == "Substitution(a->ab, b->abb)"
 
+    def test_repr_of_a_long_rule_stays_short(self):
+        s = Substitution({"a": "a" * 900000 + "b", "b": "a"})
+        assert len(repr(s)) < 200
+        assert repr(s) == ("Substitution(a->RunWord<a^900000, b^1 | "
+                           "length 900001>, b->a)")
+
 
 class TestIncidenceAndMaps:
     def test_golden_incidence(self):
@@ -589,12 +595,90 @@ def test_copy_cut_fires_and_keeps_the_profile():
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.one_of(primitive_substitutions(), run_rule_substitutions()),
        st.integers(1, 60))
+@example(Substitution(ZETA), 2)
 def test_kernel_matches_the_reference(s, n):
     """The automaton kernel counts what the plain reference counts."""
     images, blocks, enc = s._window_texts(n)
     letters = letter_codes(enc)
     assert subst_module._substring_profile(images, blocks, letters, n) == \
         reference_profile(images, blocks, letters, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(run_rule_substitutions(), st.integers(1, 700))
+def test_kernel_matches_the_reference_at_large_n(s, n):
+    """At large n most letters go in from a context cut back to n-1."""
+    images, blocks, enc = s._window_texts(n)
+    letters = letter_codes(enc)
+    assert subst_module._substring_profile(images, blocks, letters, n) == \
+        reference_profile(images, blocks, letters, n)
+
+
+def kernel_and_reference(s, n):
+    images, blocks, enc = s._window_texts(n)
+    letters = letter_codes(enc)
+    return (subst_module._substring_profile(images, blocks, letters, n),
+            reference_profile(images, blocks, letters, n))
+
+
+def window_feeds(s, n):
+    images, blocks, _ = s._window_texts(n)
+    return images, subst_module._window_feeds(images, blocks, n)
+
+
+def test_equal_and_contained_images_are_read_once():
+    s = Substitution(ZETA)
+    n = 1523
+    images, feeds = window_feeds(s, n)
+    short, long_a, long_b = sorted(images.values(), key=len)
+    assert long_a == long_b and short in long_a
+    # one image goes in from the root, cut where the short one ends
+    assert [after for after, _, _ in feeds].count(None) == 1
+    assert sum(len(text) for _, text, name in feeds if name) == len(long_a)
+    kernel, reference = kernel_and_reference(s, n)
+    assert kernel == reference
+
+
+def test_prefix_image_is_read_off_its_host():
+    s = Substitution({"a": "ab", "b": "a"})
+    n = 600
+    images, feeds = window_feeds(s, n)
+    assert images["a"].startswith(images["b"])
+    assert feeds[:2] == [(None, images["b"], "b"),
+                         ("b", images["a"][len(images["b"]):], "a")]
+    kernel, reference = kernel_and_reference(s, n)
+    assert kernel == reference
+
+
+def test_junctions_inside_an_image_are_not_read():
+    s = Substitution(LONG_RUNS)
+    n = 150
+    images, feeds = window_feeds(s, n)
+    blocks = s._window_texts(n)[1]
+    longest = max(images.values(), key=len)
+    assert all(images[b][1 - n:] + images[c][:n - 1] in longest
+               for b, c in blocks)
+    assert all(name for _, _, name in feeds)
+    kernel, reference = kernel_and_reference(s, n)
+    assert kernel == reference
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cut_back_to_the_root_at_small_n(n):
+    """At n = 1 contexts are cut back to the root, whose suffix link is
+    the bottom state."""
+    images = {"a": "aabbaba" * 3, "b": "bbab", "c": "cabc"}
+    blocks = {("a", "b"), ("b", "c"), ("c", "a"), ("b", "b")}
+    letters = {"a": 0, "b": 1, "c": 2}
+    edge = n - 1
+    texts = list(images.values()) + [
+        images[b][len(images[b]) - edge:] + images[c][:edge]
+        for b, c in blocks]
+    expected = tuple(len(set().union(*(brute_factors(text, j)
+                                       for text in texts)))
+                     for j in range(1, n + 1))
+    assert subst_module._substring_profile(images, blocks, letters, n) == \
+        reference_profile(images, blocks, letters, n) == expected
 
 
 def test_final_length_cut_shortens_the_rewrite_images():
