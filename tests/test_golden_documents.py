@@ -58,6 +58,10 @@ def _cases():
             cases["family-soe-%s-%d" % (name, block)] = (
                 ["family-soe"], dict(sub, block_length=block))
         cases["family-oe-%s" % name] = (["family-oe"], dict(sub, steps=1))
+        if name != "thue-morse":
+            # Thue-Morse at two steps passes the output integer budget
+            cases["family-oe-%s-2" % name] = (
+                ["family-oe"], dict(sub, steps=2))
         cases["diagram-%s" % name] = (["diagram"], sub)
         cases["diagram-%s-telescoped" % name] = (
             ["diagram"], dict(sub, telescope=2))
