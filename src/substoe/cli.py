@@ -344,6 +344,14 @@ def _cmd_language(doc, args):
     return out
 
 
+def _parse_level0(node, where):
+    if (not isinstance(node, list)
+            or not all(isinstance(x, int) and not isinstance(x, bool)
+                       for x in node)):
+        raise MalformedInputError("%s must be integers" % where)
+    return tuple(node)
+
+
 def _parse_diagram(node, where="diagram"):
     _check_keys(node, where,
                 required=("vertices", "incidence", "level0", "orders"))
@@ -351,18 +359,14 @@ def _parse_diagram(node, where="diagram"):
     if (not isinstance(vertices, list)
             or not all(isinstance(v, str) for v in vertices)):
         raise MalformedInputError("%s vertices must be strings" % where)
-    level0 = node["level0"]
-    if (not isinstance(level0, list)
-            or not all(isinstance(x, int) and not isinstance(x, bool)
-                       for x in level0)):
-        raise MalformedInputError("%s level0 must be integers" % where)
+    level0 = _parse_level0(node["level0"], "%s level0" % where)
     orders_node = node["orders"]
     if not isinstance(orders_node, dict):
         raise MalformedInputError("%s orders must be an object" % where)
     orders = {v: _parse_word(w, "%s order %r" % (where, v))
               for v, w in orders_node.items()}
     incidence = _parse_matrix(node["incidence"], "%s incidence" % where)
-    return OrderedDiagram(tuple(vertices), incidence, tuple(level0), orders)
+    return OrderedDiagram(tuple(vertices), incidence, level0, orders)
 
 
 def _cmd_diagram(doc, args):
@@ -377,11 +381,7 @@ def _cmd_diagram(doc, args):
         sub = _parse_substitution(doc["substitution"])
         level0 = doc.get("level0")
         if level0 is not None:
-            if (not isinstance(level0, list)
-                    or not all(isinstance(x, int) and not isinstance(x, bool)
-                               for x in level0)):
-                raise MalformedInputError("level0 must be integers")
-            level0 = tuple(level0)
+            level0 = _parse_level0(level0, "level0")
         diagram = diagram_from_substitution(sub, level0=level0)
     else:
         if "level0" in doc:

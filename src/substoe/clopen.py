@@ -19,7 +19,7 @@ one comparison then runs on the first field.
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import DomainError, FieldMismatchError
+from .errors import CapabilityError, DomainError, FieldMismatchError
 from .field import (FieldElement, _element, _interval_horner, certified_sign,
                     minimal_polynomial)
 from .matrix import hnf_basis
@@ -93,10 +93,34 @@ def _integer_lattice(field, elements):
                       for x in elements]), den
 
 
+# Coordinate size, in bits, of the largest eigenvalue power lam**K that is
+# built; a builder step or a user's m multiplies K, and the certificates
+# then take seconds on such coordinates.
+POWER_BITS = 32_768
+
+
+def _lam_power(field, k):
+    """lam**k for field's root lam, squared up from lam by the binary
+    digits of k and refused as soon as a power lam**j on the way, j <= k,
+    has coordinates over POWER_BITS bits."""
+    lam = field.lam()
+    power, j = (lam, 1) if k else (field.one(), 0)
+    for bit in bin(k)[3:]:
+        power, j = power * power, 2 * j
+        if bit == "1":
+            power, j = power * lam, j + 1
+        bits = max(map(abs, power.nums)).bit_length()
+        if bits > POWER_BITS:
+            raise CapabilityError(
+                "coordinates of eigenvalue power %d have %d bits, over the "
+                "budget of %d bits" % (j, bits, POWER_BITS))
+    return power
+
+
 def _lam_step(field, m=1):
     """Multiplication by the integral element lam**m on integer coordinate
     numerators, as a field product."""
-    lam = field.lam() ** m
+    lam = _lam_power(field, m)
     return lambda v: (lam * _element(field, v, 1)).nums
 
 
@@ -241,7 +265,7 @@ def _carried_into(field, power, group):
         raise FieldMismatchError(
             "a lattice closed under a power of its root compares only "
             "on its own field")
-    mu = field.lam() ** power
+    mu = _lam_power(field, power)
     if minimal_polynomial(mu) != group.field.min_poly:
         raise FieldMismatchError(
             "second field is not generated by the declared eigenvalue power")

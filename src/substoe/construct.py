@@ -12,10 +12,10 @@ from itertools import chain, product
 from math import gcd
 
 from .bratteli import diagram_from_substitution
-from .clopen import (LatticeGroup, _integer_lattice, _lam_step,
+from .clopen import (LatticeGroup, _integer_lattice, _lam_power, _lam_step,
                      _lattice_coords, groups_equal, lattice_of)
 from .errors import CapabilityError, DomainError, InternalError, RankError
-from .field import certified_sign, perron_minimal_polynomial
+from .field import certified_sign, dominant_root_field
 from .intpoly import IntPolynomial
 from .matrix import (
     ExactMatrix,
@@ -191,10 +191,9 @@ def _minimize_core(lattice, xs, cap):
     diagram = diagram_from_substitution(out, level0=level0)
 
     # the cone certified every p positive, so z is a positive eigenvector
-    out_lattice = _carried_group(a_tilde, field, m_power, z, level0)
-    comparison = groups_equal(lattice, out_lattice, m=m_power)
-    _require_equal(comparison,
-                   "output group is not identified with the input group")
+    _, comparison = _certified_group(
+        lattice, a_tilde, m_power, z,
+        "output group is not identified with the input group", level0)
 
     return {
         "field": field,
@@ -288,12 +287,6 @@ def realize_group_matrix(matrix, weights):
     return report
 
 
-# Coordinate size, in bits, of the largest eigenvalue power lam0**K whose
-# group _carried_group builds; each builder step multiplies K, and the
-# certificates then take seconds on such coordinates.
-POWER_BITS = 32_768
-
-
 def _carried_group(m, field, power, vec, level0=None):
     """Group of m, carried in the field of the input it was derived from.
 
@@ -313,18 +306,13 @@ def _carried_group(m, field, power, vec, level0=None):
       eigenvalue of a positive eigenvector of a primitive matrix is its
       Perron root, so lam0**power is the Perron root of m, and a simple
       one; Q(lam0**power) is field, so no other field is built.
-    - The coordinates of lam0**power are held to POWER_BITS bits.
+    - The coordinates of lam0**power are held to clopen.POWER_BITS bits.
     - The normalization and m vec = lam0**power vec are checked exactly
       in field.
     """
-    lam = field.lam() ** power
+    lam = _lam_power(field, power)
     if lam.den != 1:
         raise InternalError("eigenvalue power is not an algebraic integer")
-    bits = max(abs(x).bit_length() for x in lam.nums)
-    if bits > POWER_BITS:
-        raise CapabilityError(
-            "coordinates of eigenvalue power %d have %d bits, over the "
-            "budget of %d bits" % (power, bits, POWER_BITS))
     weights = level0 or (1,) * len(vec)
     if sum((x * c for x, c in zip(vec, weights)), field.zero()) != 1:
         raise InternalError("carried eigenvector does not sum to one")
@@ -332,10 +320,16 @@ def _carried_group(m, field, power, vec, level0=None):
     return LatticeGroup(field, vec, power)
 
 
-def _require_equal(comparison, unequal):
-    """Pass an equal group comparison; fail the certificate otherwise."""
+def _certified_group(group, m, step, vec, unequal, level0=None):
+    """Carry the group of m, derived from a system with group group, at
+    lam0**(group.power * step) (_carried_group), and certify it equal to
+    group at power step.  Returns (out, comparison); raises
+    InternalError(unequal) unless the comparison is equal."""
+    out = _carried_group(m, group.field, group.power * step, vec, level0)
+    comparison = groups_equal(group, out, m=step)
     if comparison["status"] != "equal":
         raise InternalError(unequal)
+    return out, comparison
 
 
 def _least_power_over(a, e, targets):
@@ -393,16 +387,14 @@ def _enlarge(a, e, group, vec):
     exponent = primitivity_exponent(out)
     if exponent is None:
         raise InternalError("enlargement lost primitivity")
-    field = group.field
-    lam = field.lam() ** group.power
+    lam = _lam_power(group.field, group.power)
     y = list(vec) + [lam - 1]
     # the entries of y sum to 1 + (lam - 1); _carried_group checks that y
     # is an eigenvector of out for lam**step
     inv = lam.inverse()
     out_vec = [x * inv for x in y]
-    out_group = _carried_group(out, field, group.power * step, out_vec)
-    comparison = groups_equal(group, out_group, m=step)
-    _require_equal(comparison, "enlargement changed the path group")
+    out_group, comparison = _certified_group(
+        group, out, step, out_vec, "enlargement changed the path group")
     report = {
         "matrix": out,
         "power": step,
@@ -438,10 +430,9 @@ def _frame_rules(letters, rows, needs, middles, what):
         surplus = [row[j] - need for row, need in zip(rows, needs[j])]
         if any(x < 0 for x in surplus):
             raise InternalError("column cannot host the frame letters")
-        word = RunWord.from_letters((letters[0], letter))
-        word = word + middles[j]
-        word = word + RunWord(zip(letters, surplus))
-        rules[letter] = word + RunWord.from_letters((letters[0],))
+        rules[letter] = RunWord(chain(
+            ((letters[0], 1), (letter, 1)), middles[j].runs,
+            zip(letters, surplus), ((letters[0], 1),)))
     zeta = Substitution(rules, alphabet=letters)
     incidence = zeta.incidence_matrix()
     if incidence.int_rows() != rows:
@@ -471,8 +462,7 @@ def build_soe_substitution(subst, block_length):
         raise DomainError("block length must be at least 1")
     letters = subst.alphabet
     s = len(letters)
-    a = subst.incidence_matrix()
-    pd = perron_data(a)
+    pd = perron_data(subst.incidence_matrix())
 
     # the block has (l + 1) s**(l + 1) letters; for s >= 2 the power
     # passes the guard from its bit length on, so it is capped there
@@ -488,7 +478,8 @@ def build_soe_substitution(subst, block_length):
         extra[0][t] = block_counts.get(letter, 0)
     needs = _needs(letters, extra)
 
-    power, rows = _least_power_over(a, pd.exponent, list(zip(*needs)))
+    power, rows = _least_power_over(pd.matrix, pd.exponent,
+                                    list(zip(*needs)))
 
     middles = [block] + [RunWord(()) for _ in range(s - 1)]
     zeta, p, proper = _frame_rules(letters, rows, needs, middles,
@@ -506,10 +497,8 @@ def build_soe_substitution(subst, block_length):
         raise InternalError("rewritten language misses a word of length "
                             "%d" % (l + 1))
     original = subst.complexity(l + 1)
-    comparison = groups_equal(
-        lattice_of(pd), _carried_group(p, pd.field, power, pd.eigvec),
-        m=power)
-    _require_equal(comparison, "rewriting changed the path group")
+    _, comparison = _certified_group(lattice_of(pd), p, power, pd.eigvec,
+                                     "rewriting changed the path group")
     return {
         "substitution": zeta,
         "power": power,
@@ -545,16 +534,13 @@ def build_oe_alphabet_family(subst, steps=1):
         raise DomainError("substitution must be primitive")
     members = []
     current = subst
-    group = None
+    # every member's group is carried in the input's field
+    pd = perron_data(subst.incidence_matrix())
+    matrix, group, vec, e = pd.matrix, lattice_of(pd), pd.eigvec, pd.exponent
     for _ in range(int(steps)):
         bound = max(linear_bound_estimate(current, SLOPE_PROBE_N),
                     current.size)
         target = bound + 2
-        if group is None:
-            # every member's group is carried in the input's field
-            pd = perron_data(subst.incidence_matrix())
-            matrix, group, vec = pd.matrix, lattice_of(pd), pd.eigvec
-            e = pd.exponent
         grown, grown_group, grown_vec = matrix, group, vec
         accumulated = 1
         while grown.rows < target:
@@ -578,10 +564,9 @@ def build_oe_alphabet_family(subst, steps=1):
             if count <= (bound + 1) * n:
                 raise InternalError("family member complexity fails the "
                                     "slope bound at length %d" % n)
-        member_group = _carried_group(b, group.field,
-                                      grown_group.power * exponent, grown_vec)
-        comparison = groups_equal(group, member_group, m=accumulated)
-        _require_equal(comparison, "family member changed the path group")
+        member_group, comparison = _certified_group(
+            group, b, accumulated, grown_vec,
+            "family member changed the path group")
         members.append({
             "substitution": zeta,
             "alphabet_size": s,
@@ -727,7 +712,7 @@ def verify_lind_example():
     poly = charpoly(c)
     if poly != IntPolynomial((-46, -15, 3, 1)):
         raise InternalError("companion matrix has the wrong polynomial")
-    field, degree = perron_minimal_polynomial(c)
+    field, degree = dominant_root_field(poly)
     if degree != 3:
         raise InternalError("dominant root generates the wrong degree")
     lo, hi = field.refined_interval(Fraction(1, 1000))

@@ -239,9 +239,6 @@ class FieldElement:
     def __repr__(self):
         return "FieldElement(%s)" % (", ".join(str(c) for c in self.coords),)
 
-    def sign(self):
-        return certified_sign(self)
-
     def approx(self, digits=12):
         """Decimal string within 10**-digits of the true value."""
         lo, hi = value_interval(self, Fraction(1, 10 ** (digits + 1)))

@@ -81,9 +81,6 @@ class IntPolynomial:
             [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
         )
 
-    def __neg__(self):
-        return IntPolynomial([-c for c in self.coeffs])
-
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPolynomial([c * other for c in self.coeffs])

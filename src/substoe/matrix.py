@@ -76,10 +76,6 @@ class ExactMatrix:
             raise DimensionError("index out of range")
         return self.entries[i * self.cols + j]
 
-    def __getitem__(self, key):
-        i, j = key
-        return self.at(i, j)
-
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
@@ -105,21 +101,6 @@ class ExactMatrix:
         return ExactMatrix(self.cols, self.rows,
                            [x for j in range(self.cols) for x in self.column(j)])
 
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("shape mismatch in addition")
-        return ExactMatrix(self.rows, self.cols,
-                           [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("shape mismatch in subtraction")
-        return ExactMatrix(self.rows, self.cols,
-                           [a - b for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return ExactMatrix(self.rows, self.cols, [-a for a in self.entries])
-
     def __mul__(self, other):
         if isinstance(other, int):
             return ExactMatrix(self.rows, self.cols, [a * other for a in self.entries])
@@ -129,11 +110,6 @@ class ExactMatrix:
         return ExactMatrix(self.rows, other.cols,
                            [sum(map(mul, self.row(i), col))
                             for i in range(self.rows) for col in cols])
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
 
     def __pow__(self, n):
         if not self.is_square:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from substoe import cli as cli_module
 from substoe.cli import main
-from substoe.errors import CapabilityError, MalformedInputError
+from substoe.errors import CapabilityError, InternalError, MalformedInputError
 
 GOLDEN = {"substitution": {"rules": {"a": "ab", "b": "abb"}}}
 A0 = [[1, 1], [1, 2]]
@@ -495,6 +495,21 @@ class TestBudgets:
             "block length 16 needs a word block of over 2000000 letters, "
             "the expansion budget")
 
+    @pytest.mark.parametrize("m", [10 ** 6, 10 ** 100])
+    def test_groups_equal_power_over_the_bit_budget(self, cli, m):
+        # lam**m is refused while it is squared up, before any minimal
+        # polynomial is taken
+        doc = {"first": A0, "second": A0, "m": m}
+        start = time.perf_counter()
+        code, out, err = cli(["groups-equal", "-"], document=doc)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        error = err_json(err)
+        assert error["kind"] == "capability"
+        assert error["message"].startswith("coordinates of eigenvalue power ")
+        assert error["message"].endswith(
+            " bits, over the budget of 32768 bits")
+
     def test_telescope_over_the_length_budget(self, cli):
         doc = {"substitution": {"rules": {"a": "ab", "b": "a"}},
                "telescope": 100000}
@@ -624,7 +639,111 @@ class TestVerifyPaper:
         assert entry["witness"]["properness_witness"] is None
 
 
+FIB_DIAGRAM = {"vertices": ["a", "b"], "incidence": [[1, 1], [1, 0]],
+               "level0": [1, 1], "orders": {"a": "ab", "b": "a"}}
+FIB = {"rules": {"a": "ab", "b": "a"}}
+
+
+def with_rule(word):
+    return {"substitution": {"rules": {"a": word, "b": "a"}}}
+
+
+class TestMalformedDocuments:
+    """Each input branch exits 3 with its own message."""
+
+    @pytest.mark.parametrize("argv, document, message", [
+        (["perron"], [1], "input must be a JSON object"),
+        (["perron"], {"matrix": 5}, "matrix must be a list of rows"),
+        (["perron"], {"matrix": [1, 2]}, "matrix must be a list of rows"),
+        (["complexity"], with_rule(""),
+         "empty word in substitution rule 'a'"),
+        (["complexity"], with_rule(["a", 1]),
+         "substitution rule 'a' letters must be strings"),
+        (["complexity"], with_rule({"runs": [["a", 0], ["b", 1]]}),
+         "substitution rule 'a' runs must be [letter, positive count] pairs"),
+        (["complexity"], with_rule({"runs": [["a", 1], ["b", 1]],
+                                    "text": "ba"}),
+         "substitution rule 'a' text does not match its runs"),
+        (["complexity"], with_rule(5),
+         "substitution rule 'a' must be a string, letter list, or runs "
+         "object"),
+        (["complexity"], {"substitution": {"rules": [["a", "ab"]]}},
+         "substitution rules must be an object"),
+        (["complexity"], {"substitution": dict(FIB, alphabet="ab")},
+         "substitution alphabet must be a list of strings"),
+        (["family-soe"], {"substitution": FIB, "block_length": "1"},
+         "input block_length must be an integer"),
+        (["family-oe"], {"substitution": FIB, "steps": 0},
+         "input steps must be at least 1"),
+        (["diagram"], {"diagram": dict(FIB_DIAGRAM, vertices="ab")},
+         "diagram vertices must be strings"),
+        (["diagram"], {"diagram": dict(FIB_DIAGRAM, level0=[1, "1"])},
+         "diagram level0 must be integers"),
+        (["diagram"], {"diagram": dict(FIB_DIAGRAM, level0=[1, True])},
+         "diagram level0 must be integers"),
+        (["diagram"], {"diagram": dict(FIB_DIAGRAM, orders=["ab", "a"])},
+         "diagram orders must be an object"),
+        (["diagram"], {"substitution": FIB, "level0": [1.5, 1]},
+         "level0 must be integers"),
+        (["diagram"], {"substitution": FIB, "level0": 2},
+         "level0 must be integers"),
+        (["diagram"], {"diagram": FIB_DIAGRAM, "level0": [1, 1]},
+         "level0 belongs inside the diagram object"),
+        (["s-member"], {"matrix": A0, "value": {"coords": "1/2"}},
+         "value coords must be a list"),
+    ])
+    def test_exits_three_with_its_message(self, cli, argv, document,
+                                          message):
+        code, out, err = cli(argv + ["-"], document=document)
+        assert (code, out) == (3, "")
+        assert err_json(err) == {"kind": "malformed", "message": message}
+
+    def test_letter_list_and_runs_forms_read_as_strings(self, cli):
+        _, plain, _ = cli(["complexity", "-"], document=with_rule("ab"))
+        for word in (["a", "b"], {"runs": [["a", 1], ["b", 1]],
+                                  "text": "ab"}):
+            code, out, _ = cli(["complexity", "-"], document=with_rule(word))
+            assert (code, out) == (0, plain)
+
+    def test_alphabet_orders_the_vertices(self, cli):
+        doc = {"substitution": dict(FIB, alphabet=["b", "a"])}
+        code, out, _ = cli(["diagram", "-"], document=doc)
+        assert code == 0
+        assert out_json(out)["diagram"]["vertices"] == ["b", "a"]
+
+    def test_substitution_level0_is_kept(self, cli):
+        doc = {"substitution": FIB, "level0": [2, 1]}
+        code, out, _ = cli(["diagram", "-"], document=doc)
+        assert code == 0
+        assert out_json(out)["diagram"]["level0"] == [2, 1]
+
+
 class TestInternalErrors:
+    def test_failing_paper_check_exits_one(self, cli, monkeypatch):
+        def broken():
+            raise InternalError("positivity threshold moved")
+
+        monkeypatch.setattr(cli_module, "verify_lind_example", broken)
+        code, out, err = cli(["verify-paper"])
+        assert (code, err) == (1, "")
+        report = out_json(out)
+        assert report["all_passed"] is False
+        failed = [(c["id"], c["status"], c["witness"])
+                  for c in report["checks"] if c["status"] != "pass"]
+        assert failed == [("cubic-positivity-threshold", "fail",
+                           {"error": "positivity threshold moved"})]
+
+    def test_certificate_failure_is_internal(self, cli, monkeypatch):
+        def broken(matrix):
+            raise InternalError("enlargement changed the path group")
+
+        monkeypatch.setattr(cli_module, "enlarge_matrix", broken)
+        code, out, err = cli(["enlarge", "-"], document={"matrix": A0})
+        assert (code, out) == (1, "")
+        assert err_json(err) == {
+            "kind": "internal",
+            "message": "enlargement changed the path group"}
+
     @pytest.mark.parametrize("exc", [TypeError("boom"), MemoryError()])
     def test_unexpected_exception_is_structured(self, cli, monkeypatch, exc):
         def broken(doc, args):

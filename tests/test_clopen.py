@@ -1,5 +1,6 @@
 import functools
 import json
+import time
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from substoe.clopen import (LatticeGroup, _strip_shared_primes, groups_equal,
-                            lattice_of, s_membership)
+from substoe import clopen
+from substoe.clopen import (LatticeGroup, _lam_power, _strip_shared_primes,
+                            groups_equal, lattice_of, s_membership)
 from substoe.construct import _carried_group, enlarge_matrix
-from substoe.errors import DomainError, FieldMismatchError, RankError
+from substoe.errors import (CapabilityError, DomainError, FieldMismatchError,
+                            RankError)
 from substoe.field import NumberField, minimal_polynomial, number_field
 from substoe.intpoly import IntPolynomial
 from substoe.matrix import ExactMatrix, hnf_basis
@@ -195,6 +198,30 @@ class TestGroupsEqual:
         g = golden_group()
         with pytest.raises(DomainError):
             groups_equal(g, g, 0)
+
+    @pytest.mark.parametrize("m", [10 ** 6, 10 ** 100])
+    def test_large_power_is_refused_on_the_way(self, m):
+        # lam**m of the golden field has about 0.69 m bits per coordinate;
+        # squaring up stops at the first power over POWER_BITS
+        first, second = golden_group(), golden_group()
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError,
+                           match=r"^coordinates of eigenvalue power \d+ have "
+                                 r"\d+ bits, over the budget of 32768 bits$"):
+            groups_equal(first, second, m)
+        assert time.perf_counter() - start < 1
+
+    def test_power_budget_names_the_first_power_over_it(self, monkeypatch):
+        # golden lam**4 = -8 + 21 lam, lam**8 = -377 + 987 lam: lam**16
+        # is refused at lam**8
+        monkeypatch.setattr(clopen, "POWER_BITS", 9)
+        field = golden_group().field
+        assert _lam_power(field, 4) == field.lam() ** 4
+        assert _lam_power(field, 0) == field.one()
+        with pytest.raises(CapabilityError,
+                           match="power 8 have 10 bits, over the budget of "
+                                 "9 bits"):
+            _lam_power(field, 16)
 
 
 def _triangular_coords(h, den, vec):

@@ -128,10 +128,10 @@ class TestPowerTransport:
     def test_coefficient_budget(self, monkeypatch):
         # lam**8 = -377 + 987 lam: 10-bit coordinates
         base = perron_data(A0)
-        monkeypatch.setattr(construct, "POWER_BITS", 10)
+        monkeypatch.setattr(clopen, "POWER_BITS", 10)
         assert_carried(_carried_group(A0 ** 8, base.field, 8, base.eigvec),
                        A0 ** 8)
-        monkeypatch.setattr(construct, "POWER_BITS", 9)
+        monkeypatch.setattr(clopen, "POWER_BITS", 9)
         with pytest.raises(CapabilityError, match="eigenvalue power 8 have "
                            "10 bits, over the budget of 9 bits"):
             _carried_group(A0 ** 8, base.field, 8, base.eigvec)
