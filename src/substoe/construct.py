@@ -452,6 +452,17 @@ def build_soe_substitution(subst, block_length):
     aperiodic input.  The word blocks are also read off the expanded
     first rule while it is within EXPAND_CAP letters.  A block of more
     than LENGTH_GUARD letters is refused before it is built.
+
+    So is a block whose runs, cut to l + 1 letters, leave more than
+    EXPAND_CAP, when every rule of the rewrite has at least l + 1
+    letters.  Then the language check behind the output's complexity
+    clamps the first rule in one step, cutting its runs to l + 1
+    letters; that image holds the cut block, since every run of a
+    factor lies in its own run of the word, so the check would refuse
+    on EXPAND_CAP after the block was built.  The cut length follows
+    from s and l: in product order a run longer than l + 1 letters
+    occurs only where x^(l+1) meets x^l y, once for each letter x but
+    the last, and each such run of 2l + 1 letters loses l.
     """
     if not isinstance(subst, Substitution):
         raise DomainError("expected a substitution")
@@ -470,17 +481,20 @@ def build_soe_substitution(subst, block_length):
         raise CapabilityError(
             "block length %d needs a word block of over %d letters, the "
             "expansion budget" % (l, LENGTH_GUARD))
-    pieces = list(product(letters, repeat=l + 1))
-    block = RunWord.from_letters(chain.from_iterable(pieces))
-    block_counts = block.letter_counts()
-    extra = [[0] * s for _ in range(s)]
-    for t, letter in enumerate(letters):
-        extra[0][t] = block_counts.get(letter, 0)
+    # each letter stands at each of the l + 1 places in s**l of the words
+    extra = [[(l + 1) * s ** l] * s] + [[0] * s for _ in range(s - 1)]
     needs = _needs(letters, extra)
-
     power, rows = _least_power_over(pd.matrix, pd.exponent,
                                     list(zip(*needs)))
+    cut = (l + 1) * s ** (l + 1) - (s - 1) * l
+    if cut > EXPAND_CAP and min(map(sum, zip(*rows))) > l:
+        raise CapabilityError(
+            "block length %d needs a word block of %d letters with runs cut "
+            "to %d, over the expansion cap of %d"
+            % (l, cut, l + 1, EXPAND_CAP))
 
+    pieces = list(product(letters, repeat=l + 1))
+    block = RunWord.from_letters(chain.from_iterable(pieces))
     middles = [block] + [RunWord(()) for _ in range(s - 1)]
     zeta, p, proper = _frame_rules(letters, rows, needs, middles,
                                    "rewritten substitution")

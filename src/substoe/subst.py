@@ -197,22 +197,24 @@ def _substring_profile(images, blocks, letters, n):
     in: only strings of more than n letters differ, and the counts stop
     at n.
 
-    The states live in one flat table with the state id as the offset:
+    The states live in one flat list with the state id as the offset:
     [length, suffix link, transition on each letter].  Offset 0 is a
     bottom state of length -1 with every transition to the root, so no
     suffix walk tests for the end of its chain, and 0 means no transition
-    since none enters the bottom.  A letter is read as its code plus 2,
-    the offset of its transition, through 4-byte codes that fit any
-    alphabet.  Each state s stands for exactly one distinct string of
-    every length in (len(link(s)), len(s)], so one difference array over
-    those ranges gives every count.
+    since none enters the bottom.  A list read returns the stored int
+    object, so the loop boxes no int per letter; the price is a pointer
+    per slot and an object per state id and length, about 2.5-3.5 times
+    the memory of a 4-byte array, still linear in the states.  A letter
+    is read as its code plus 2, the offset of its transition, through
+    4-byte codes that fit any alphabet.  Each state s stands for exactly
+    one distinct string of every length in (len(link(s)), len(s)], so
+    one difference array over those ranges gives every count.
     """
     w = len(letters) + 2
     edge = n - 1
     table = {ord(ch): i + 2 for ch, i in letters.items()}
-    t = array("i", [-1, 0]) + array("i", [w]) * (w - 2)
-    blank = array("i", [0]) * w
-    t += blank
+    blank = [0] * w
+    t = [-1, 0] + [w] * (w - 2) + blank
     ends = {}
     for after, text, name in _window_feeds(images, blocks, n):
         last = w if after is None else ends[after]

@@ -495,6 +495,15 @@ class TestBudgets:
             "block length 16 needs a word block of over 2000000 letters, "
             "the expansion budget")
 
+    def test_soe_cut_block_over_the_expansion_cap(self, cli):
+        doc = {"substitution": {"rules": {"a": "ab", "b": "a"}},
+               "block_length": 15}
+        code, out, err = cli(["family-soe", "-"], document=doc)
+        assert (code, out) == (2, "")
+        assert err_json(err)["message"] == (
+            "block length 15 needs a word block of 1048561 letters with "
+            "runs cut to 16, over the expansion cap of 1000000")
+
     @pytest.mark.parametrize("m", [10 ** 6, 10 ** 100])
     def test_groups_equal_power_over_the_bit_budget(self, cli, m):
         # lam**m is refused while it is squared up, before any minimal

@@ -5,6 +5,7 @@ worked out by hand with exact arithmetic and are frozen here as
 regression oracles.
 """
 
+import time
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -14,6 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from substoe import construct as construct_module
+from substoe import subst as subst_module
+from substoe import words as words_module
 from substoe.clopen import LatticeGroup, groups_equal, lattice_of
 from substoe.construct import (
     Y_SYSTEM_CAP,
@@ -38,6 +41,7 @@ from substoe.matrix import (ExactMatrix, first_power, gauss_jordan,
                             primitivity_exponent)
 from substoe.perron import companion_matrix, perron_data
 from substoe.subst import Substitution, linear_bound_estimate
+from substoe.words import RunWord
 
 A0 = [[1, 1], [1, 2]]
 A1 = [[1, 1, 1], [2, 3, 1], [8, 13, 0]]
@@ -548,6 +552,58 @@ class TestBlockCovering:
                                  "over 2000000 letters, the expansion "
                                  "budget$" % l):
             build_soe_substitution(Substitution(rules), l)
+
+    def test_cut_block_over_the_cap_refused_before_it_is_built(self):
+        # 16 * 2**16 letters; 15 runs of 31 letters are cut to 16
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError,
+                           match="^block length 15 needs a word block of "
+                                 "1048561 letters with runs cut to 16, over "
+                                 "the expansion cap of 1000000$"):
+            build_soe_substitution(Substitution({"a": "ab", "b": "a"}), 15)
+        assert time.perf_counter() - start < 0.1
+
+    # the last input's rewrite has a 3-letter rule, under l + 1 = 4
+    @pytest.mark.parametrize("rules, l", [
+        ({"a": "ab", "b": "a"}, 3),
+        ({"a": "ab", "b": "abb"}, 2),
+        ({"a": "aa"}, 5),
+        ({"a": "abc", "b": "acd", "c": "ad", "d": "a"}, 1),
+        ({"a": "b" * 50 + "a" * 100, "b": "aab"}, 3),
+    ])
+    def test_cut_block_refusal_agrees_with_the_language_check(
+            self, monkeypatch, rules, l):
+        """Refused on either side of the cap exactly when the output's
+        clamped first image passes it, as before the up-front check."""
+        subst = Substitution(rules)
+        report = build_soe_substitution(subst, l)
+        zeta = report["substitution"]
+        images, _, enc = zeta._window_texts(l + 1)
+        image = len(images[enc[zeta.alphabet[0]]])
+        block = RunWord.from_letters(
+            "".join(map("".join, product(subst.alphabet, repeat=l + 1))))
+        cut = sum(min(c, l + 1) for _, c in block.runs)
+        one_step = min(rule.length for rule in zeta.rules.values()) > l
+        assert image >= cut or not one_step
+        late = "clamped image has %d letters" % image
+        refusals = [(cut - 1, "word block of %d letters" % cut
+                     if one_step else late)]
+        if image > cut:
+            refusals.append((image - 1, late))
+
+        def cap_at(cap):
+            for module in (construct_module, subst_module, words_module):
+                monkeypatch.setattr(module, "EXPAND_CAP", cap)
+
+        for cap, text in refusals:
+            cap_at(cap)
+            with pytest.raises(CapabilityError, match=text):
+                build_soe_substitution(subst, l)
+        cap_at(image)
+        again = build_soe_substitution(subst, l)
+        assert again["substitution"].rules == zeta.rules
+        for key in ("power", "full_count", "input_count", "properness"):
+            assert again[key] == report[key]
 
     @pytest.mark.parametrize("n, power", [(8, 73), (10, 111)])
     def test_wielandt_substitution(self, n, power):

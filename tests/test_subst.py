@@ -17,6 +17,8 @@ GOLDEN = {"a": "ab", "b": "abb"}
 # also the benchmark's rewrite rules
 ZETA = {"a": "abbcccccccc", "b": "abbbccccccccccccc", "c": "ab"}
 HUGE_RUN = {"x": {"runs": [["x", 2], ["y", 10 ** 22], ["x", 1]]}, "y": "xy"}
+# x_i -> x_0 x_(i+1 mod 300): letter codes past one byte, up to 301
+WIDE = {"x%d" % i: ["x0", "x%d" % ((i + 1) % 300)] for i in range(300)}
 
 
 def golden():
@@ -381,6 +383,7 @@ class TestComplexity:
         (HUGE_RUN, 30),
         ({"a": {"runs": [["a", 40], ["b", 3], ["a", 1]]}, "b": "ab"}, 50),
         (ZETA, 1),
+        (WIDE, 20),
     ])
     def test_profile_matches_every_direct_count(self, rules, n):
         s = Substitution(rules)
@@ -395,6 +398,17 @@ class TestComplexity:
     def test_large_sturmian_profile(self):
         prof = Substitution({"a": "ab", "b": "a"}).complexity_profile(20_000)
         assert prof == tuple(range(2, 20_002))
+
+    def test_large_sturmian_profile_memory(self):
+        s = Substitution({"a": "ab", "b": "a"})
+        tracemalloc.start()
+        try:
+            prof = s.complexity_profile(100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prof == tuple(range(2, 100_002))
+        assert peak < 40 * 2 ** 20
 
     def test_image_over_expansion_cap(self, monkeypatch):
         monkeypatch.setattr(subst_module, "EXPAND_CAP", 500)
