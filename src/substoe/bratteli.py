@@ -8,6 +8,7 @@ words as rules, with F the transpose of the substitution incidence.
 """
 
 from .errors import CapabilityError, DomainError, PathError
+from .matrix import _int_apply
 from .perron import measure_weights, perron_data
 from .subst import Substitution
 from .words import EXPAND_CAP, word_of
@@ -92,7 +93,7 @@ class OrderedDiagram:
         out = []
         for level in range(1, depth + 1):
             if level > 1:
-                h = tuple(sum(a * x for a, x in zip(row, h)) for row in rows)
+                h = tuple(_int_apply(rows, h))
             bits = max(h).bit_length()
             if bits > PATH_COUNT_BITS:
                 raise CapabilityError(

@@ -44,7 +44,7 @@ from .errors import (
 )
 from .field import FieldElement
 from .matrix import ExactMatrix
-from .perron import perron_data
+from .perron import _check_eigvec, perron_data
 from .subst import Substitution
 from .words import RunWord
 
@@ -529,12 +529,7 @@ def _paper_checks():
         pd = perron_data(ExactMatrix.from_rows(a0))
         lam = pd.field.lam()
         y = list(pd.eigvec) + [lam - pd.field.one()]
-        big = ExactMatrix.from_rows(a1)
-        for i in range(3):
-            lhs = sum((y[j] * big.at(i, j) for j in range(3)),
-                      pd.field.zero())
-            if lhs != (lam ** 2) * y[i]:
-                raise InternalError("eigen identity fails in row %d" % i)
+        _check_eigvec(ExactMatrix.from_rows(a1), lam ** 2, y, pd.field)
         return {"rows_checked": 3, "power": 2}
 
     def check_groups_equal():

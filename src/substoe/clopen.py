@@ -22,7 +22,7 @@ from math import gcd, lcm, prod
 from .errors import CapabilityError, DomainError, FieldMismatchError
 from .field import (FieldElement, _element, _interval_horner, certified_sign,
                     minimal_polynomial)
-from .matrix import hnf_basis
+from .matrix import _int_apply, _int_matmul, hnf_basis
 from .perron import measure_weights
 
 
@@ -58,18 +58,18 @@ def _absorbed_at(m, xs, d):
     lifting over the squares m**(2**i) mod d, not by a scan from 0.
     """
 
-    def apply(cols, v):
-        return [sum(a * x for a, x in zip(row, v)) % d for row in zip(*cols)]
+    def reduced(rows):
+        return [[x % d for x in row] for row in rows]
 
     if not any(x % d for v in xs for x in v):
         return 0
     bound = len(m) * d.bit_length()
-    squares = [[[x % d for x in c] for c in m]]
+    squares = [reduced(zip(*m))]  # rows of m**(2**i) mod d
     while 1 << len(squares) <= bound:
-        squares.append([apply(squares[-1], c) for c in squares[-1]])
+        squares.append(reduced(_int_matmul(squares[-1], squares[-1])))
     t = 0
     for i in reversed(range(len(squares))):
-        moved = [apply(squares[i], x) for x in xs]
+        moved = reduced(_int_apply(squares[i], x) for x in xs)
         if any(map(any, moved)):
             xs, t = moved, t + (1 << i)
     return t + 1 if t < bound else None

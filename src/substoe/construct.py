@@ -19,6 +19,7 @@ from .field import certified_sign, dominant_root_field
 from .intpoly import IntPolynomial
 from .matrix import (
     ExactMatrix,
+    _int_apply,
     charpoly,
     eventual_positivity_exponent,
     first_power,
@@ -380,8 +381,8 @@ def _enlarge(a, e, group, vec):
     rows = [[x - (c - 1) for x, c in zip(row, colsums)] + [1] for row in p]
     # column sums of A^(step+1) - A^step, from those of A^step
     psums = [sum(col) for col in zip(*p)]
-    rows.append([sum(x * y for x, y in zip(psums, col)) - q
-                 for col, q in zip(a_cols, psums)] + [0])
+    rows.append([x - q for x, q in zip(_int_apply(a_cols, psums), psums)]
+                + [0])
     out = ExactMatrix.from_rows(rows)
 
     exponent = primitivity_exponent(out)

@@ -33,7 +33,7 @@ class NumberField:
 
     __slots__ = ("min_poly", "degree", "interval", "_chain", "_lo_sign")
 
-    def __init__(self, min_poly, interval):
+    def __new__(cls, min_poly, interval):
         if not isinstance(min_poly, IntPolynomial) or not min_poly.is_monic:
             raise DomainError("monic integer minimal polynomial required")
         if min_poly.degree < 1:
@@ -46,12 +46,22 @@ class NumberField:
             raise DomainError("isolating interval must change sign")
         if count_real_roots(min_poly, lo, hi) != 1:
             raise DomainError("interval does not isolate a single root")
-        object.__setattr__(self, "min_poly", min_poly)
-        object.__setattr__(self, "degree", min_poly.degree)
-        object.__setattr__(self, "interval", (lo, hi))
+        return cls._isolated(min_poly, lo, hi, lo_sign)
+
+    @classmethod
+    def _isolated(cls, min_poly, lo, hi, lo_sign):
+        """The field without the checks, for dominant_root_field: its
+        interval holds exactly one root of the squarefree part sf, and the
+        owner min_poly has it, so the root count is already 1 and needs no
+        second Sturm chain.  lo_sign has the sign of min_poly(lo)."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "min_poly", min_poly)
+        object.__setattr__(field, "degree", min_poly.degree)
+        object.__setattr__(field, "interval", (lo, hi))
         # _chain[i] is the interval bisected i times; see _first_accepted.
-        object.__setattr__(self, "_chain", [(lo, hi)])
-        object.__setattr__(self, "_lo_sign", lo_sign)
+        object.__setattr__(field, "_chain", [(lo, hi)])
+        object.__setattr__(field, "_lo_sign", lo_sign)
+        return field
 
     def __setattr__(self, name, value):
         raise AttributeError("NumberField is immutable")
@@ -403,8 +413,7 @@ def dominant_root_field(cp):
         lo, hi = refine_root_interval(owner, lo, hi, lo_sign)
         if hi <= 1:
             raise DomainError("dominant eigenvalue does not exceed 1")
-    field = NumberField(owner, (lo, hi))
-    return field, owner.degree
+    return NumberField._isolated(owner, lo, hi, lo_sign), owner.degree
 
 
 def minimal_polynomial(elt):

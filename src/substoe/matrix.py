@@ -108,8 +108,8 @@ class ExactMatrix:
             raise DimensionError("shape mismatch in product")
         cols = [other.column(j) for j in range(other.cols)]
         return ExactMatrix(self.rows, other.cols,
-                           [sum(map(mul, self.row(i), col))
-                            for i in range(self.rows) for col in cols])
+                           [x for i in range(self.rows)
+                            for x in _int_apply(cols, self.row(i))])
 
     def __pow__(self, n):
         if not self.is_square:
@@ -130,7 +130,7 @@ class ExactMatrix:
         vec = tuple(vec)
         if len(vec) != self.cols:
             raise DimensionError("vector length mismatch")
-        return tuple(sum(map(mul, self.row(i), vec)) for i in range(self.rows))
+        return tuple(_int_apply(map(self.row, range(self.rows)), vec))
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix)
@@ -268,10 +268,16 @@ def charpoly(m):
     return IntPolynomial(cs[::-1] + [1])
 
 
+def _int_apply(rows, v):
+    """The integer matrix given by its rows applied to the vector v: the
+    one product kernel that every integer matrix product runs on."""
+    return [sum(map(mul, row, v)) for row in rows]
+
+
 def _int_matmul(a, b):
     """Product of two integer matrices given as lists of rows."""
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    return [_int_apply(cols, row) for row in a]
 
 
 def wielandt_bound(n):
@@ -282,7 +288,9 @@ def primitivity_exponent(m):
     """Least e with m**e entrywise positive, or None if m is not primitive.
 
     Only the support pattern matters, so powers are taken on row bitmasks.
-    The search stops at the Wielandt bound, which is decisive.
+    Row i of m m**e is the OR of rows j of m**e over the successors j of
+    i, so the sparse rows of m drive each step.  The search stops at the
+    Wielandt bound, which is decisive.
     """
     if not m.is_square:
         raise DimensionError("primitivity needs a square matrix")
@@ -290,30 +298,19 @@ def primitivity_exponent(m):
         raise DomainError("nonnegative integer matrix required")
     n = m.rows
     full = (1 << n) - 1
-    base = []
-    for i in range(n):
-        mask = 0
-        for j, x in enumerate(m.row(i)):
-            if x:
-                mask |= 1 << j
-        base.append(mask)
-    cur = base
+    succ = [[j for j, x in enumerate(m.row(i)) if x] for i in range(n)]
+    cur = [sum(1 << j for j in s) for s in succ]
     for e in range(1, wielandt_bound(n) + 1):
         if all(r == full for r in cur):
             return e
-        cur = [_bool_row_mul(cur[i], base, n) for i in range(n)]
+        nxt = []
+        for s in succ:
+            mask = 0
+            for j in s:
+                mask |= cur[j]
+            nxt.append(mask)
+        cur = nxt
     return None
-
-
-def _bool_row_mul(row_mask, rows, n):
-    out = 0
-    j = 0
-    while row_mask:
-        if row_mask & 1:
-            out |= rows[j]
-        row_mask >>= 1
-        j += 1
-    return out
 
 
 def first_power(m, accept, cap, start=None):

@@ -13,8 +13,8 @@ from math import lcm
 from .errors import DomainError, InternalError
 from .field import (FieldElement, NumberField, _element, _rem_monic,
                     _times_lam, certified_sign, dominant_root_field)
-from .matrix import (ExactMatrix, _int_matmul, charpoly, kernel_basis,
-                     primitivity_exponent)
+from .matrix import (ExactMatrix, _int_apply, _int_matmul, charpoly,
+                     kernel_basis, primitivity_exponent)
 
 
 def field_kernel_basis(rows, field):
@@ -56,23 +56,22 @@ def adjugate_column(rows, cp, min_poly):
     """
     s = len(rows)
     c = cp.coeffs
-    b = [int(i == 0) for i in range(s)]
-    polys = [[0] * s for _ in range(s)]
-    for j in range(s - 1, -1, -1):
-        for i in range(s):
-            polys[i][j] = b[i]
-        if j:
-            b = [sum(x * y for x, y in zip(row, b)) for row in rows]
-            b[0] += c[j]
-    return [_rem_monic(p, min_poly.coeffs) for p in polys]
+    bs = [[int(i == 0) for i in range(s)]]  # b_(s-1), ..., b_0
+    for j in range(s - 1, 0, -1):
+        bs.append(_int_apply(rows, bs[-1]))
+        bs[-1][0] += c[j]
+    return [_rem_monic(p[::-1], min_poly.coeffs) for p in zip(*bs)]
 
 
 def perron_data(m):
     """Exact dominant eigendata of a primitive integer matrix.
 
-    The right eigenvector x is scaled so sum(x) = 1; every entry is
-    certified positive and the eigenequation is checked exactly.  The
-    primitivity exponent of m is kept as exponent.
+    The right eigenvector x is scaled so sum(x) = 1 and the primitivity
+    exponent of m is kept as exponent.  The certificate runs on the
+    integer adjugate column c, whose signs take few bisection steps:
+    x_i = c_i / total, so x > 0 when every c_i has the sign of total, and
+    m c = lam c gives m x = lam x.  The inverse of total is then
+    certified, with the signs, by sum(x) == 1.
     """
     exponent = primitivity_exponent(m)
     if exponent is None:
@@ -81,17 +80,18 @@ def perron_data(m):
     field, k = dominant_root_field(cp)
     lam = field.lam()
     col = adjugate_column(m.int_rows(), cp, field.min_poly)
-    if not any(any(x) for x in col):
-        raise InternalError("dominant eigenspace is not one-dimensional")
-    total = field.from_coords([sum(x) for x in zip(*col)])
+    total = _element(field, [sum(x) for x in zip(*col)], 1)
     if total.is_zero:
-        raise InternalError("eigenvector entries sum to zero")
+        raise InternalError("adjugate column is zero or sums to zero")
+    sign = certified_sign(total)
+    cs = [_element(field, x, 1) for x in col]
+    if any(certified_sign(c) != sign for c in cs):
+        raise InternalError("eigenvector has an entry of the wrong sign")
+    _check_eigvec(m, lam, cs, field)
     inv_total = total.inverse()
-    vec = [field.from_coords(x) * inv_total for x in col]
-    for x in vec:
-        if certified_sign(x) <= 0:
-            raise InternalError("normalized eigenvector has a nonpositive entry")
-    _check_eigvec(m, lam, vec, field)
+    vec = [c * inv_total for c in cs]
+    if sum(vec, field.zero()) != field.one():
+        raise InternalError("normalized eigenvector does not sum to one")
     return PerronData(matrix=m, field=field, k=k, lam=lam,
                       eigvec=tuple(vec), exponent=exponent)
 

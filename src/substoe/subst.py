@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import CapabilityError, DomainError, InternalError, SeedError
-from .matrix import ExactMatrix, primitivity_exponent
+from .matrix import ExactMatrix, _int_apply, _int_matmul, primitivity_exponent
 from .words import EXPAND_CAP, RunWord, word_of
 
 LENGTH_GUARD = 2_000_000
@@ -377,21 +377,18 @@ class Substitution:
         # steps[i][l][x]: count of letter x in the 2^i-th image of l
         steps = [self._counts]
         while 1 << len(steps) < p:
-            q = steps[-1]
-            steps.append([[min(cap, sum(a * b for a, b in zip(row, col)))
-                           for col in zip(*q)] for row in q])
+            steps.append([[min(cap, x) for x in row]
+                          for row in _int_matmul(steps[-1], steps[-1])])
         k = 1
         lengths = [self.rules[l].length for l in letters]
         for i in range(len(steps) - 1, -1, -1):
             if k + (1 << i) <= p:
-                nxt = [min(cap, sum(a * b for a, b in zip(row, lengths)))
-                       for row in steps[i]]
+                nxt = [min(cap, x) for x in _int_apply(steps[i], lengths)]
                 if max(nxt) <= LENGTH_GUARD:
                     k += 1 << i
                     lengths = nxt
         if k < p:
-            for l, row in zip(letters, steps[0]):
-                size = sum(a * b for a, b in zip(row, lengths))
+            for l, size in zip(letters, _int_apply(steps[0], lengths)):
                 if size > LENGTH_GUARD:
                     raise CapabilityError(
                         "power %d image of %r has %d letters, over the "
@@ -514,7 +511,7 @@ class Substitution:
         v = [1] * self.size
         ladder = [v]
         while min(v) < target:
-            nxt = [sum(a * b for a, b in zip(row, v)) for row in self._counts]
+            nxt = _int_apply(self._counts, v)
             if nxt == v:
                 raise DomainError("substitution images do not grow")
             v = nxt

@@ -1,5 +1,7 @@
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,38 @@ class TestCharpoly:
         assert p.coeffs[0] == (-1) ** n * m.det()
 
 
+@st.composite
+def _supports(draw):
+    """Square 0-2 matrices up to 9 x 9 of any density, half of them
+    threaded by a cycle through every index so that long exponents come
+    up."""
+    n = draw(st.integers(1, 9))
+    zeros = draw(st.integers(1, 3 * n))
+    rows = draw(st.lists(st.lists(st.sampled_from([0] * zeros + [1, 2]),
+                                  min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        for a, b in zip(order, order[1:] + order[:1]):
+            rows[a][b] = 1
+    return rows
+
+
+def _dense_side_exponent(rows):
+    """The exponent by powers m**e m on row bitmasks: row i of the product
+    is the OR of the base rows j over every set bit j of row i of m**e."""
+    n = len(rows)
+    full = (1 << n) - 1
+    base = [sum(1 << j for j, x in enumerate(r) if x) for r in rows]
+    cur = base
+    for e in range(1, wielandt_bound(n) + 1):
+        if all(r == full for r in cur):
+            return e
+        cur = [reduce(or_, (base[j] for j in range(n) if r >> j & 1), 0)
+               for r in cur]
+    return None
+
+
 class TestPrimitivity:
     def test_fibonacci_exponent(self):
         a = ExactMatrix.from_rows([[0, 1], [1, 1]])
@@ -197,6 +231,33 @@ class TestPrimitivity:
         rows[n - 1][1] = 1
         a = ExactMatrix.from_rows(rows)
         assert primitivity_exponent(a) == wielandt_bound(n)
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_ring_exponent_is_its_size(self, n):
+        # incidence of x_i -> x_0 x_(i+1 mod n): the sparse rows drive the
+        # scan, so n steps over n rows of two successors each stay fast
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][0] += 1
+            rows[i][(i + 1) % n] += 1
+        assert primitivity_exponent(ExactMatrix.from_rows(rows)) == n
+
+    def test_wielandt_extremal_at_one_hundred(self):
+        n = 100
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n - 1):
+            rows[i][i + 1] = 1
+        rows[n - 1][0] = rows[n - 1][1] = 1
+        a = ExactMatrix.from_rows(rows)
+        assert primitivity_exponent(a) == wielandt_bound(n) == 9802
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_supports())
+    def test_matches_the_dense_scan_and_exact_powers(self, rows):
+        a = ExactMatrix.from_rows(rows)
+        e = primitivity_exponent(a)
+        assert e == _dense_side_exponent(rows)
+        assert e == eventual_positivity_exponent(a, cap=wielandt_bound(a.rows))
 
     def test_eventual_positivity(self):
         c = ExactMatrix.from_rows([[0, 0, 46], [1, 0, 15], [0, 1, -3]])

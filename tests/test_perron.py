@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from substoe.construct import enlarge_matrix
-from substoe.errors import DomainError
+from substoe.errors import DomainError, InternalError
 from substoe.field import certified_sign, minimal_polynomial, number_field
 from substoe.intpoly import IntPolynomial
 from substoe.matrix import ExactMatrix, charpoly, primitivity_exponent
@@ -172,9 +172,16 @@ def _golden_chain(top):
     return out
 
 
-def test_signs_cost_one_evaluation_per_entry_and_step(monkeypatch):
-    """Each sign starts at the finest interval of the chain, so perron_data
-    evaluates once per eigenvector entry plus once per bisection step."""
+# An 8 x 8 matrix of degree-8 Perron field whose adjugate column needs
+# nine bisection steps to sign.
+BISECTING = ExactMatrix.from_rows([
+    [0, 0, 0, 0, 0, 0, 0, 1], [1, 0, 1, 0, 1, 0, 2, 0],
+    [0, 2, 0, 1, 0, 0, 2, 1], [0, 1, 2, 1, 1, 0, 1, 2],
+    [1, 2, 2, 0, 2, 2, 2, 1], [0, 0, 0, 2, 0, 0, 2, 0],
+    [0, 1, 1, 2, 1, 1, 1, 0], [1, 1, 1, 0, 0, 0, 0, 1]])
+
+
+def _count_horner_calls(monkeypatch):
     import substoe.field as field_module
     horner = field_module._interval_horner
     calls = [0]
@@ -182,12 +189,70 @@ def test_signs_cost_one_evaluation_per_entry_and_step(monkeypatch):
     def counting(*args):
         calls[0] += 1
         return horner(*args)
-    m = _golden_chain(8)[-1]
     monkeypatch.setattr(field_module, "_interval_horner", counting)
+    return calls
+
+
+def test_signs_cost_one_evaluation_per_entry_and_step(monkeypatch):
+    """Each sign starts at the finest interval of the chain, so perron_data
+    evaluates once per adjugate column entry and once for their sum, plus
+    once per bisection step."""
+    calls = _count_horner_calls(monkeypatch)
+    m = BISECTING
     pd = perron_data(m)
     steps = len(pd.field._chain) - 1
     assert m.rows == 8 and steps > 0
-    assert calls[0] <= m.rows + steps
+    assert calls[0] <= m.rows + 1 + steps
+
+
+def test_golden_chain_column_signs_need_no_bisection(monkeypatch):
+    """The integer adjugate column of a golden-chain member is signed on
+    the coarse isolating interval itself: one evaluation per entry and
+    one for their sum."""
+    m = _golden_chain(8)[-1]
+    calls = _count_horner_calls(monkeypatch)
+    pd = perron_data(m)
+    assert m.rows == 8 and len(pd.field._chain) == 1
+    assert calls[0] == m.rows + 1
+
+
+class TestCertificateFailures:
+    """perron_data refuses a column or an inverse that is not right."""
+
+    def _tamper_column(self, monkeypatch, change):
+        import substoe.perron as perron_module
+        real = perron_module.adjugate_column
+        monkeypatch.setattr(perron_module, "adjugate_column",
+                            lambda *args: change(real(*args)))
+
+    @pytest.mark.parametrize("m", [A1, BISECTING], ids=["A1", "bisecting"])
+    def test_flipped_entry_sign(self, monkeypatch, m):
+        self._tamper_column(monkeypatch, lambda col: [
+            [-x for x in c] if i == 1 else c for i, c in enumerate(col)])
+        with pytest.raises(InternalError, match="wrong sign"):
+            perron_data(m)
+
+    def test_entry_off_the_eigenline(self, monkeypatch):
+        # all signs still right, but the column is no eigenvector
+        self._tamper_column(monkeypatch, lambda col: [
+            [c[0] + 1] + c[1:] if i == 0 else c for i, c in enumerate(col)])
+        with pytest.raises(InternalError, match="eigenvector equation"):
+            perron_data(A1)
+
+    def test_scaled_column_gives_the_same_data(self, monkeypatch):
+        expected = perron_data(BISECTING)
+        self._tamper_column(monkeypatch, lambda col: [
+            [-3 * x for x in c] for c in col])
+        assert perron_data(BISECTING) == expected
+
+    @pytest.mark.parametrize("factor", [2, -1, Fraction(1, 3)])
+    def test_wrong_inverse(self, monkeypatch, factor):
+        import substoe.field as field_module
+        real = field_module.FieldElement.inverse
+        monkeypatch.setattr(field_module.FieldElement, "inverse",
+                            lambda self: real(self) * factor)
+        with pytest.raises(InternalError, match="does not sum to one"):
+            perron_data(A1)
 
 
 square_matrices = st.integers(1, 7).flatmap(
