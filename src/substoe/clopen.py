@@ -5,15 +5,16 @@ that multiplication by the eigenvalue maps into itself; the group is the
 union of the lattice divided by all eigenvalue powers.  The eigenvalue is
 lam**K for the field's root lam and the lattice's power K: a system
 derived from another keeps the field of its source and records the power
-its Perron root is of the source's.  A LatticeGroup is built from its
-generating field elements, as integer rows over one denominator, and
-owns the integer arithmetic of its lattice: the triangular basis, exact
-division down it, and the integer matrix of lam**K on basis coordinates,
-kept from its closure check.  Membership and equality questions reduce
-to one bounded kernel that decides when eigenvalue powers carry vectors
-into a lattice.  A lattice on a second field is carried into the first
-field once, through the minimal polynomial of the eigenvalue power, and
-one comparison then runs on the first field.
+its Perron root is of the source's.  A LatticeGroup holds lam**K as its
+eigenvalue, built once before any basis work, and is built from its
+generating field elements, as integer rows over one denominator.  It owns
+the integer arithmetic of its lattice: the triangular basis, exact
+division down it, and the integer matrix of its eigenvalue on basis
+coordinates, kept from its closure check.  Membership and equality
+questions reduce to one bounded kernel that decides when eigenvalue
+powers carry vectors into a lattice.  A lattice on a second field is
+carried into the first field once, through the minimal polynomial of the
+eigenvalue power, and one comparison then runs on the first field.
 """
 
 from fractions import Fraction
@@ -117,29 +118,32 @@ def _lam_power(field, k):
     return power
 
 
-def _lam_step(field, m=1):
-    """Multiplication by the integral element lam**m on integer coordinate
-    numerators, as a field product."""
-    lam = _lam_power(field, m)
-    return lambda v: (lam * _element(field, v, 1)).nums
+def _require_power(k, what):
+    """Refuse k unless it is an int >= 1 (bool excluded)."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise DomainError("%s must be a positive integer" % what)
 
 
 class LatticeGroup:
-    """Lattice of field elements closed under multiplication by lam**power,
-    lam the field's root: the group of a system with Perron root lam**power."""
+    """Lattice of field elements closed under its eigenvalue lam**power,
+    lam the field's root: the group of a system with that Perron root."""
 
     def __init__(self, field, elements, power=1):
+        _require_power(power, "eigenvalue power")
+        # before the basis: a power over POWER_BITS costs no basis work
+        lam = _lam_power(field, power)
         elements = list(elements)
         basis, den = _integer_lattice(field, elements)
         cols = [basis.column(j) for j in range(basis.cols)]
-        # the integer matrix of lam**power on basis coordinates, by columns
-        lam = _lam_step(field, power)
-        step = [_lattice_coords(cols, 1, lam(col), 1) for col in cols]
+        # the integer matrix of lam (integral) on basis coordinates, by columns
+        step = [_lattice_coords(cols, 1, (lam * _element(field, c, 1)).nums, 1)
+                for c in cols]
         if None in step:
             raise DomainError(
                 "not closed under multiplication by the eigenvalue")
         self.field = field
         self.power = power
+        self.eigenvalue = lam
         self.generators = elements
         self.basis = basis
         self.den = den
@@ -296,9 +300,7 @@ def groups_equal(first, second, m):
     with a reason (rank, prime-denominator, not-absorbed) and, for the
     last two, the direction that fails and its witness.
     """
-    m = int(m)
-    if m < 1:
-        raise DomainError("power linking the eigenvalues must be positive")
+    _require_power(m, "power linking the eigenvalues")
     power = m * first.power
     if second.field is first.field:
         if second.power != power:

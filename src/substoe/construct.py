@@ -12,8 +12,8 @@ from itertools import chain, product
 from math import gcd
 
 from .bratteli import diagram_from_substitution
-from .clopen import (LatticeGroup, _integer_lattice, _lam_power, _lam_step,
-                     _lattice_coords, groups_equal, lattice_of)
+from .clopen import (LatticeGroup, _integer_lattice, _lattice_coords,
+                     groups_equal, lattice_of)
 from .errors import CapabilityError, DomainError, InternalError, RankError
 from .field import certified_sign, dominant_root_field
 from .intpoly import IntPolynomial
@@ -261,12 +261,12 @@ def realize_group_matrix(matrix, weights):
         raise DomainError("weights must span the field over the rationals")
 
     h_cols = [h0.column(j) for j in range(h0.cols)]
-    step = _lam_step(field)
-    cols = h_cols
+    lam = field.lam()
+    cols = [field.from_coords(v) for v in h_cols]
     for closure_power in range(1, CLOSURE_CAP + 1):
-        cols = [step(v) for v in cols]
-        outside = sum(_lattice_coords(h_cols, den0, v, den0) is None
-                      for v in cols)
+        cols = [lam * x for x in cols]
+        outside = sum(_lattice_coords(h_cols, den0, x.nums, den0 * x.den)
+                      is None for x in cols)
         if not outside:
             break
     else:
@@ -277,7 +277,7 @@ def realize_group_matrix(matrix, weights):
 
     gens = list(xs)
     layer = xs
-    inv = field.lam().inverse()
+    inv = lam.inverse()
     for _ in range(closure_power - 1):
         layer = [x * inv for x in layer]
         gens.extend(layer)
@@ -295,7 +295,7 @@ def _carried_group(m, field, power, vec, level0=None):
     lam0**power, whose entries sum to one (pair to one with the root
     multiplicities level0, if given); m is primitive (callers certify
     it).  The result is the lattice of vec's entries, closed under
-    lam0**power, which is the group of m.  The certificate:
+    lam0**power, which is the group of m, built first.  The certificate:
 
     - Positivity is carried, not re-signed.  The callers build vec from
       the input's eigenvector entries, each certified positive by
@@ -307,18 +307,18 @@ def _carried_group(m, field, power, vec, level0=None):
       eigenvalue of a positive eigenvector of a primitive matrix is its
       Perron root, so lam0**power is the Perron root of m, and a simple
       one; Q(lam0**power) is field, so no other field is built.
-    - The coordinates of lam0**power are held to clopen.POWER_BITS bits.
+    - The group refuses lam0**power past clopen.POWER_BITS bits, first.
     - The normalization and m vec = lam0**power vec are checked exactly
-      in field.
+      in field, with the group's eigenvalue.
     """
-    lam = _lam_power(field, power)
-    if lam.den != 1:
+    group = LatticeGroup(field, vec, power)
+    if group.eigenvalue.den != 1:
         raise InternalError("eigenvalue power is not an algebraic integer")
     weights = level0 or (1,) * len(vec)
     if sum((x * c for x, c in zip(vec, weights)), field.zero()) != 1:
         raise InternalError("carried eigenvector does not sum to one")
-    _check_eigvec(m, lam, vec, field)
-    return LatticeGroup(field, vec, power)
+    _check_eigvec(m, group.eigenvalue, vec, field)
+    return group
 
 
 def _certified_group(group, m, step, vec, unequal, level0=None):
@@ -369,8 +369,8 @@ def enlarge_matrix(a):
 def _enlarge(a, e, group, vec):
     """enlarge_matrix on a, given its primitivity exponent e and group.
 
-    a has Perron root lam0**group.power, lam0 the root of group.field,
-    and vec is its positive eigenvector in that field, summing to one.
+    a has Perron root group.eigenvalue = lam0**group.power, lam0 the
+    root of group.field; vec, its positive eigenvector there, sums to 1.
     Returns (report, out, out_group, out_vec): the report, the enlarged
     matrix, and its group and eigenvector carried in the same field.
     The report's "primitivity" is the exponent of out.
@@ -388,7 +388,7 @@ def _enlarge(a, e, group, vec):
     exponent = primitivity_exponent(out)
     if exponent is None:
         raise InternalError("enlargement lost primitivity")
-    lam = _lam_power(group.field, group.power)
+    lam = group.eigenvalue
     y = list(vec) + [lam - 1]
     # the entries of y sum to 1 + (lam - 1); _carried_group checks that y
     # is an eigenvector of out for lam**step

@@ -52,6 +52,27 @@ class TestLatticeGroup:
         with pytest.raises(RankError):
             LatticeGroup(field, [field.one()])
 
+    @pytest.mark.parametrize("power", [-1, 0, 2.0, True, "2", None])
+    def test_power_must_be_a_positive_int(self, power):
+        # -1 would close under lam**3 (bin(-1)[3:] is "1"), 0 under 1
+        field = golden_group().field
+        with pytest.raises(DomainError,
+                           match="eigenvalue power must be a positive integer"):
+            LatticeGroup(field, [field.one(), field.lam()], power)
+
+    def test_power_over_budget_is_refused_before_the_basis(self,
+                                                           monkeypatch):
+        # golden lam**8 = -377 + 987 lam has 10-bit coordinates
+        def no_basis(*args):
+            raise AssertionError("the basis was built")
+
+        field = golden_group().field
+        monkeypatch.setattr(clopen, "POWER_BITS", 9)
+        monkeypatch.setattr(clopen, "_integer_lattice", no_basis)
+        with pytest.raises(CapabilityError, match="eigenvalue power 8 have "
+                           "10 bits, over the budget of 9 bits"):
+            LatticeGroup(field, [field.one(), field.lam()], 8)
+
     def test_level0_renormalizes(self):
         pd = perron_data(A0)
         g = lattice_of(pd, level0=(2, 1))
@@ -198,6 +219,16 @@ class TestGroupsEqual:
         g = golden_group()
         with pytest.raises(DomainError):
             groups_equal(g, g, 0)
+
+    @pytest.mark.parametrize("m", [2.9, "2", 2.0, True, -2])
+    def test_power_must_be_an_int(self, m):
+        # the golden-chain pair is equal at m = 2, which int(m) would read
+        first, second = (lattice_of(perron_data(ExactMatrix.from_rows(rows)))
+                         for rows in GOLDEN_CHAIN[:2])
+        assert groups_equal(first, second, 2)["status"] == "equal"
+        with pytest.raises(DomainError, match="power linking the eigenvalues "
+                           "must be a positive integer"):
+            groups_equal(first, second, m)
 
     @pytest.mark.parametrize("m", [10 ** 6, 10 ** 100])
     def test_large_power_is_refused_on_the_way(self, m):

@@ -73,6 +73,7 @@ class TestEnlargeTransport:
             assert e == primitivity_exponent(m)
             assert m == report["matrix"]
             assert group.field is base.field
+            assert group.eigenvalue == group.field.lam() ** group.power
             assert_carried(group, m)
         assert group.power == 2 ** 6
 
@@ -229,6 +230,21 @@ class TestBuilders:
         # the second member is compared against the first member's group
         assert seen[-1][1] == members[1]["substitution"].incidence_matrix()
         assert members[1]["groups"]["status"] == "equal"
+
+    def test_each_power_is_built_once(self, monkeypatch):
+        # each group builds its lam**K, and the certificates read it off
+        # the group: one call for each of the powers 1, 4, 8, ..., 4096
+        powers = []
+
+        def counted(field, k):
+            powers.append(k)
+            return lam_power(field, k)
+
+        lam_power = clopen._lam_power
+        for module in (construct, clopen):
+            monkeypatch.setattr(module, "_lam_power", counted, raising=False)
+        build_oe_alphabet_family(Substitution(NAMED["tribonacci"]), steps=2)
+        assert sorted(powers) == [1] + [2 ** j for j in range(2, 13)]
 
     @pytest.mark.parametrize("system", [
         [[1, 1, 1], [2, 3, 1], [8, 13, 0]],
