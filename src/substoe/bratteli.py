@@ -16,6 +16,9 @@ from .words import EXPAND_CAP, word_of
 PATH_COUNT_BITS = 4096
 # Edges export_dot draws at most.
 DOT_EDGE_CAP = 500
+# Edges the chain_paths table builds at most: rows times levels, summed
+# over every level it builds.
+TABLE_EDGE_CAP = 32768
 
 
 class OrderedDiagram:
@@ -198,40 +201,60 @@ class OrderedDiagram:
         terminal vertices visited in label order, as vershik_successor
         steps from minimal_path(depth).
 
-        An odometer on mutable lists: level i >= 1 keeps a run index into
-        the order word of vertices[i + 1] and the end of that run, the
-        root index and level 0 turn in inner loops over the runs above
-        level 0, and a carry resets the lower levels to first letters.
-        O(1) amortized steps per path; each path gets fresh tuples.
+        The lowest `low` levels come from a table (_low_table): for each
+        vertex, every path of those levels that ends there, in adic
+        order.  When low == depth the walk yields the rows.  Otherwise an
+        odometer on mutable lists turns the levels above: level i >= low
+        keeps a run index into the order word of vertices[i + 1] and the
+        end of that run, level low - 1 turns in an inner loop over the
+        runs of vertices[low], each of its positions yields one path per
+        row of the table at its letter, and a carry resets the levels
+        below it to first letters.  The upper tuples are built once per
+        carry, so a path costs two tuple joins, and the carries stay
+        O(1) amortized steps per path.
+
+        The table builds at most TABLE_EDGE_CAP edges, which bounds its
+        memory and the work before the first path.  A level that would
+        pass the cap, as one over an order word of many or huge runs
+        does, is left to the odometer, so the walk stays lazy.
         """
         if depth < 1:
             raise DomainError("depth must be positive")
+        low, table = self._low_table(depth)
+        new = FinitePath.__new__
+        if low == depth:
+            for end in self.vertices:
+                for vs, cs, r in table[end]:
+                    path = new(FinitePath)
+                    path.diagram, path.vertices = self, vs
+                    path.root_index, path.choices = r, cs
+                    yield path
+            return
         runs = {v: w.runs for v, w in self.orders.items()}
         lengths = {v: w.length for v, w in self.orders.items()}
-        caps = dict(zip(self.vertices, self.level0))
-        derived = FinitePath._derived
         top = depth - 1
         for end in self.vertices:
-            if depth == 1:
-                for r in range(caps[end]):
-                    yield derived(self, (end,), r, ())
-                continue
             vertices = [end] * depth
             choices, run, ends = [0] * top, [0] * top, [0] * top
             i = top
             while True:
-                for j in range(i - 1, 0, -1):
+                for j in range(i - 1, low - 1, -1):
                     vertices[j], ends[j] = runs[vertices[j + 1]][0]
                     choices[j] = run[j] = 0
+                up_vs = tuple(vertices[low:])
+                up_cs = tuple(choices[low:])
                 pos = 0
-                for letter, count in runs[vertices[1]]:
-                    vertices[0] = letter
-                    cap = caps[letter]
-                    for choices[0] in range(pos, pos + count):
-                        for r in range(cap):
-                            yield derived(self, vertices, r, choices)
+                for letter, count in runs[vertices[low]]:
+                    rows = table[letter]
+                    for p in range(pos, pos + count):
+                        mid = (p,) + up_cs
+                        for vs, cs, r in rows:
+                            path = new(FinitePath)
+                            path.diagram, path.vertices = self, vs + up_vs
+                            path.root_index, path.choices = r, cs + mid
+                            yield path
                     pos += count
-                i = 1
+                i = low
                 while i < top:
                     above = vertices[i + 1]
                     pos = choices[i] + 1
@@ -246,6 +269,50 @@ class OrderedDiagram:
                     break
                 else:
                     break
+
+    def _low_table(self, depth):
+        """(low, table): table[v] lists (vertices, choices, root index) of
+        every path of the lowest `low` levels that ends at v, in adic
+        order.
+
+        Level 1 holds the root edges; each further level is read off the
+        runs of the order words.  The table grows while low < depth and
+        the edges of every level built so far (rows times levels, summed)
+        stay within TABLE_EDGE_CAP.  Counting edges, not rows, keeps a
+        diagram whose path counts grow slowly or not at all from building
+        thousands of ever longer levels before its first path.  When the
+        root edges alone pass the cap, level 1 is made on each pass
+        (_RootEdges).
+        """
+        if sum(self.level0) > TABLE_EDGE_CAP:
+            return 1, {v: _RootEdges(v, m)
+                       for v, m in zip(self.vertices, self.level0)}
+        table = {v: [((v,), (), r) for r in range(m)]
+                 for v, m in zip(self.vertices, self.level0)}
+        runs = [(v, w.runs) for v, w in self.orders.items()]
+        low, spent = 1, sum(self.level0)
+        while low < depth:
+            room, rows = (TABLE_EDGE_CAP - spent) // (low + 1), 0
+            for _, word in runs:
+                for letter, count in word:
+                    rows += count * len(table[letter])
+                    if rows > room:
+                        return low, table
+            spent += rows * (low + 1)
+            level = {}
+            for v, word in runs:
+                out, pos, tail = [], 0, (v,)
+                for letter, count in word:
+                    below = table[letter]
+                    for p in range(pos, pos + count):
+                        mid = (p,)
+                        out.extend([(vs + tail, cs + mid, r)
+                                    for vs, cs, r in below])
+                    pos += count
+                level[v] = out
+            table = level
+            low += 1
+        return low, table
 
     def export_dot(self, depth):
         """Deterministic DOT drawing of the first levels, refused past
@@ -279,6 +346,21 @@ class OrderedDiagram:
 
     def __repr__(self):
         return "OrderedDiagram(vertices=%r)" % (self.vertices,)
+
+
+class _RootEdges:
+    """The level-1 rows into one vertex, one per root edge, made on each
+    pass: a root multiplicity past the table cap costs nothing unwalked."""
+
+    __slots__ = ("vertex", "count")
+
+    def __init__(self, vertex, count):
+        self.vertex, self.count = vertex, count
+
+    def __iter__(self):
+        vertices = (self.vertex,)
+        for r in range(self.count):
+            yield vertices, (), r
 
 
 class FinitePath:
@@ -315,10 +397,11 @@ class FinitePath:
     def _derived(cls, diagram, vertices, root_index, choices):
         """A path built by the diagram itself, stored without the checks.
 
-        Extremal paths, Vershik successors and chain_paths walks are
-        valid by construction: every choice is a position inside the
-        order word of the next vertex, and every vertex is the letter
-        read at that position.  Lists are copied into fresh tuples.
+        Extremal paths and Vershik successors are valid by construction:
+        every choice is a position inside the order word of the next
+        vertex, and every vertex is the letter read at that position.
+        Lists are copied into fresh tuples.  chain_paths builds its paths
+        the same way, inline, from tuples it has already joined.
         """
         path = cls.__new__(cls)
         path.diagram = diagram

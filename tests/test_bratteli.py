@@ -1,10 +1,12 @@
 import re
 import time
 from itertools import islice
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from substoe import bratteli
 from substoe.bratteli import FinitePath, OrderedDiagram, diagram_from_substitution
 from substoe.errors import CapabilityError, DomainError, PathError
 from substoe.matrix import ExactMatrix
@@ -18,6 +20,31 @@ def golden():
 
 def golden_diagram(level0=None):
     return diagram_from_substitution(golden(), level0)
+
+
+# Table caps that reach every regime of chain_paths: 1 walks with the
+# odometer alone over root edges made on demand, 5 joins a one-level
+# table to the odometer, 60 joins tables of two or three levels, and the
+# default covers every example below with the table alone.
+TABLE_CAPS = (1, 5, 60, bratteli.TABLE_EDGE_CAP)
+
+
+def walks(d, depth):
+    """chain_paths(depth) walked once under each of TABLE_CAPS."""
+    out = []
+    for cap in TABLE_CAPS:
+        with patch.object(bratteli, "TABLE_EDGE_CAP", cap):
+            out.append(list(d.chain_paths(depth)))
+    return out
+
+
+def stepped(d, depth, count):
+    """minimal_path(depth) and its first vershik_successor steps."""
+    path, out = d.minimal_path(depth), []
+    while path is not None and len(out) < count:
+        out.append(path)
+        path = d.vershik_successor(path)
+    return out
 
 
 def path_key(path):
@@ -367,9 +394,9 @@ class TestProperties:
         assert d.substitution_read().rules == s.rules
         total = sum(d.path_counts(depth)[-1])
         if total <= 400:
-            paths = list(d.chain_paths(depth))
-            assert len(paths) == total
-            assert len(set(paths)) == total
+            for paths in walks(d, depth):
+                assert len(paths) == total
+                assert len(set(paths)) == total
 
     @settings(max_examples=40, deadline=None)
     @given(primitive_substitutions())
@@ -418,20 +445,21 @@ class TestDerivedPaths:
         total = sum(d.path_counts(depth)[-1])
         if total > 3000:
             return
-        paths = list(d.chain_paths(depth))
-        assert len(paths) == total
-        assert len(set(paths)) == total
-        for path in paths:
-            again = validated(path)
-            assert again == path
-            assert type(path.vertices) is tuple and type(path.choices) is tuple
-            assert all(type(c) is int for c in path.choices)
-            assert type(path.root_index) is int
-        for path, following in zip(paths, paths[1:] + [None]):
-            step = d.vershik_successor(path)
-            assert step == following
-            if step is not None:
-                assert validated(step) == step
+        for paths in walks(d, depth):
+            assert len(paths) == total
+            assert len(set(paths)) == total
+            for path in paths:
+                again = validated(path)
+                assert again == path
+                assert type(path.vertices) is tuple
+                assert type(path.choices) is tuple
+                assert all(type(c) is int for c in path.choices)
+                assert type(path.root_index) is int
+            for path, following in zip(paths, paths[1:] + [None]):
+                step = d.vershik_successor(path)
+                assert step == following
+                if step is not None:
+                    assert validated(step) == step
         for v in d.vertices:
             for path in (d.minimal_path(depth, v), d.maximal_path(depth, v)):
                 assert validated(path) == path
@@ -475,6 +503,50 @@ class TestOdometerWalk:
             assert d.vershik_successor(paths[k]) == paths[k + 1]
         for path in paths[::20000]:
             assert validated(path) == path
+
+    @pytest.mark.parametrize("d", [
+        OrderedDiagram(("a", "b"), ExactMatrix.from_rows([[10 ** 6, 1], [1, 0]]),
+                       (1, 1), {"a": RunWord((("a", 10 ** 6), ("b", 1))),
+                                "b": "a"}),
+        many_run_diagram(3000),
+    ], ids=["huge-run", "many-runs"])
+    def test_table_stops_at_its_cap(self, d):
+        # a table grown past the cap would take about a second here
+        start = time.perf_counter()
+        first = list(islice(d.chain_paths(3), 10))
+        assert time.perf_counter() - start < 0.1
+        assert first == stepped(d, 3, 10)
+
+    @pytest.mark.parametrize("rules, depth", [
+        ({"a": "a", "b": "b"}, 20000),
+        ({"a": "ab", "b": "b"}, 1000),
+    ], ids=["identity", "linear"])
+    def test_slow_growth_keeps_the_table_short(self, rules, depth):
+        # counted in rows alone, these tables would grow to every level
+        # (or thousands of them) and take seconds before the first path
+        d = diagram_from_substitution(Substitution(rules))
+        start = time.perf_counter()
+        first = list(islice(d.chain_paths(depth), 3))
+        assert time.perf_counter() - start < 0.1
+        assert first == stepped(d, depth, 3)
+
+    def test_default_table_joins_the_odometer(self):
+        # golden depth 10: an 8-level table under two odometer levels
+        d = golden_diagram()
+        paths = list(d.chain_paths(10))
+        assert len(paths) == sum(d.path_counts(10)[-1]) == 10946
+        with patch.object(bratteli, "TABLE_EDGE_CAP", 1):
+            assert list(d.chain_paths(10)) == paths
+        for k in range(0, len(paths) - 1, 97):
+            assert d.vershik_successor(paths[k]) == paths[k + 1]
+        assert d.vershik_successor(paths[-1]) is None
+
+    def test_huge_root_multiplicity_walks_lazily(self):
+        d = golden_diagram(level0=(2 ** 5000, 1))
+        for depth in (1, 2):
+            first = list(islice(d.chain_paths(depth), 5))
+            assert [p.root_index for p in first] == [0, 1, 2, 3, 4]
+            assert first == stepped(d, depth, 5)
 
     def test_depth_zero_refused_on_first_step(self):
         walk = golden_diagram().chain_paths(0)
