@@ -22,7 +22,6 @@ import os
 import sys
 import traceback
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .bratteli import OrderedDiagram, diagram_from_substitution
@@ -473,24 +472,24 @@ def _cmd_groups_equal(doc, args):
 def _cmd_enumerate_y(doc, args):
     _check_keys(doc, "input", required=("q",))
     q = _positive_int(doc, "q", "input")
-    systems = enumerate_rational_y(q)
+    report = enumerate_rational_y(q)
+    partitions = report["partitions"]
     # Up to 8,118 systems share level0, matrix and base: each fills one
     # template, _dumps's layout with null in place of the three lists,
-    # from texts formatted once per int row (hashing a Fraction is slow).
-    # partition and rows are the same tuple, so their text is joined once.
-    weights = dict(zip(chain.from_iterable(s["rows"] for s in systems),
-                       chain.from_iterable(s["weights"] for s in systems)))
-    ints = {row: "%d" % row for row in weights}
-    texts = {row: '"%s"' % _rational_str(w) for row, w in weights.items()}
-    head = dict(systems[0], base=_rational_str(systems[0]["base"]),
-                partition=None, rows=None, weights=None)
+    # from the texts of each part c and of its weight, formatted once and
+    # indexed by c.  partition and rows are the same list, joined once.
+    ints = ["%d" % c for c in range(q + 1)]
+    texts = [None] + ['"%s"' % _rational_str(w) for w in report["weights"]]
+    head = dict(base=_rational_str(report["base"]), level0=report["level0"],
+                matrix=report["matrix"], partition=None, rows=None,
+                weights=None)
     template = "    " + _dumps(head).replace("\n", "\n    ").replace(
         "null", "[\n        %s\n      ]")
     sep = ",\n        "
     return '{\n  "count": %d,\n  "q": %d,\n  "systems": [\n%s\n  ]\n}' % (
-        len(systems), q, ",\n".join([template % (
-            parts := sep.join(map(ints.__getitem__, s["rows"])), parts,
-            sep.join(map(texts.__getitem__, s["rows"]))) for s in systems]))
+        len(partitions), q, ",\n".join([template % (
+            parts := sep.join(map(ints.__getitem__, p)), parts,
+            sep.join(map(texts.__getitem__, p))) for p in partitions]))
 
 
 def _paper_checks():
@@ -589,7 +588,8 @@ def _paper_checks():
         }
 
     def check_rational_weights():
-        counts = {q: len(enumerate_rational_y(q)) for q in (1, 2, 4)}
+        counts = {q: len(enumerate_rational_y(q)["partitions"])
+                  for q in (1, 2, 4)}
         if counts != {1: 1, 2: 1, 4: 3}:
             raise InternalError("partition counts changed: %r" % counts)
         return {"counts": {str(q): c for q, c in counts.items()}}

@@ -118,7 +118,7 @@ def _lam_power(field, k):
     return power
 
 
-def _require_power(k, what):
+def _require_positive_int(k, what):
     """Refuse k unless it is an int >= 1 (bool excluded)."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise DomainError("%s must be a positive integer" % what)
@@ -129,7 +129,7 @@ class LatticeGroup:
     lam the field's root: the group of a system with that Perron root."""
 
     def __init__(self, field, elements, power=1):
-        _require_power(power, "eigenvalue power")
+        _require_positive_int(power, "eigenvalue power")
         # before the basis: a power over POWER_BITS costs no basis work
         lam = _lam_power(field, power)
         elements = list(elements)
@@ -300,7 +300,7 @@ def groups_equal(first, second, m):
     with a reason (rank, prime-denominator, not-absorbed) and, for the
     last two, the direction that fails and its witness.
     """
-    _require_power(m, "power linking the eigenvalues")
+    _require_positive_int(m, "power linking the eigenvalues")
     power = m * first.power
     if second.field is first.field:
         if second.power != power:

@@ -13,7 +13,7 @@ from math import gcd
 
 from .bratteli import diagram_from_substitution
 from .clopen import (LatticeGroup, _integer_lattice, _lattice_coords,
-                     groups_equal, lattice_of)
+                     _require_positive_int, groups_equal, lattice_of)
 from .errors import CapabilityError, DomainError, InternalError, RankError
 from .field import certified_sign, dominant_root_field
 from .intpoly import IntPolynomial
@@ -469,9 +469,8 @@ def build_soe_substitution(subst, block_length):
         raise DomainError("expected a substitution")
     if subst.primitivity() is None:
         raise DomainError("substitution must be primitive")
-    l = int(block_length)
-    if l < 1:
-        raise DomainError("block length must be at least 1")
+    _require_positive_int(block_length, "block length")
+    l = block_length
     letters = subst.alphabet
     s = len(letters)
     pd = perron_data(subst.incidence_matrix())
@@ -547,12 +546,13 @@ def build_oe_alphabet_family(subst, steps=1):
         raise DomainError("expected a substitution")
     if subst.primitivity() is None:
         raise DomainError("substitution must be primitive")
+    _require_positive_int(steps, "steps")
     members = []
     current = subst
     # every member's group is carried in the input's field
     pd = perron_data(subst.incidence_matrix())
     matrix, group, vec, e = pd.matrix, lattice_of(pd), pd.eigvec, pd.exponent
-    for _ in range(int(steps)):
+    for _ in range(steps):
         bound = max(linear_bound_estimate(current, SLOPE_PROBE_N),
                     current.size)
         target = bound + 2
@@ -660,25 +660,26 @@ def _mobius(n):
 
 def coprime_partition_count(q):
     """c(q) = sum over d | q of mu(d) p(q/d): the partitions of q whose
-    parts have no common factor, one per enumerate_rational_y system."""
+    parts have no common factor, which enumerate_rational_y lists."""
     p = _partition_numbers(q)
     return sum(_mobius(d) * p[q // d] for d in range(1, q + 1) if q % d == 0)
 
 
 def enumerate_rational_y(q):
     """All stationary odometer presentations of the rational weights Y
-    with denominator exactly q.
+    with denominator exactly q, as one report.
 
-    Each admissible descending partition of q gives one system; the
-    report carries the exact regeneration identity rows * base = weights.
-    Every row is a part c of q and every weight is c/q, so the identity
-    is checked once per entry of the table of the q possible weights.
-    Denominators with more than Y_SYSTEM_CAP systems are refused before
-    any system is built.
+    Each descending partition of q whose parts have no common factor
+    gives one system: one vertex with level0 q, matrix (q) and base 1/q,
+    and one row per part c, of weight c/q.  Only the partition differs
+    from system to system, so the report states the rest once: level0,
+    matrix, base, weights (the q possible weights, c/q at index c - 1)
+    and partitions (the coprime partitions in ZS1 order, one per
+    system).  The regeneration identity row * base = weight is checked
+    once per entry of weights.  Denominators with more than
+    Y_SYSTEM_CAP systems are refused before any partition is built.
     """
-    q = int(q)
-    if q < 1:
-        raise DomainError("denominator must be at least 1")
+    _require_positive_int(q, "denominator")
     if q > _Y_COUNT_LIMIT:
         raise CapabilityError(
             "denominator %d has at least p(%d) coprime partitions, over "
@@ -689,31 +690,19 @@ def enumerate_rational_y(q):
             "denominator %d has %d coprime partitions, over the cap of "
             "%d systems" % (q, count, Y_SYSTEM_CAP))
     base = Fraction(1, q)
-    level0 = q
-    weight = [None] + [Fraction(c, q) for c in range(1, q + 1)]
-    for c in range(1, q + 1):
-        if c * base != weight[c]:
+    weights = tuple([Fraction(c, q) for c in range(1, q + 1)])
+    for c, weight in enumerate(weights, start=1):
+        if c * base != weight:
             raise InternalError("rows do not regenerate the weights")
-    if level0 * base != 1:
+    if q * base != 1:
         raise InternalError("path weights do not sum to one")
-    matrix = ((q,),)
-    systems = []
-    for parts in _partitions(q):
-        # the gcd of the parts divides their sum q, so coprimality with
-        # q is the same as the parts having no common factor
-        if gcd(*parts) != 1:
-            continue
-        systems.append({
-            "partition": parts,
-            "weights": tuple([weight[c] for c in parts]),
-            "rows": parts,
-            "level0": level0,
-            "matrix": matrix,
-            "base": base,
-        })
-    if len(systems) != count:
+    # the gcd of the parts divides their sum q, so coprimality with q is
+    # the same as the parts having no common factor
+    partitions = [parts for parts in _partitions(q) if gcd(*parts) == 1]
+    if len(partitions) != count:
         raise InternalError("system count differs from c(q)")
-    return systems
+    return {"level0": q, "matrix": ((q,),), "base": base,
+            "weights": weights, "partitions": partitions}
 
 
 def verify_lind_example():

@@ -236,16 +236,16 @@ def test_criterion_12_s_membership():
 def test_criterion_13_rational_weight_enumeration():
     with criterion(13, "denominators 1, 2, 4 give 1, 1, 3 weight systems"):
         for q, expected in ((1, 1), (2, 1), (4, 3)):
-            systems = enumerate_rational_y(q)
-            assert len(systems) == expected
-            for system in systems:
-                weights = system["weights"]
+            report = enumerate_rational_y(q)
+            assert len(report["partitions"]) == expected
+            assert report["base"] == Fraction(1, q)
+            for parts in report["partitions"]:
+                weights = [report["weights"][c - 1] for c in parts]
                 assert sum(weights) == 1
-                assert system["base"] == Fraction(1, q)
                 # spanning 1/q needs the parts to be jointly coprime
-                assert reduce(gcd, system["partition"]) == 1
-                assert all(w == part * system["base"] for w, part
-                           in zip(weights, system["partition"]))
+                assert reduce(gcd, parts) == 1
+                assert all(w == part * report["base"] for w, part
+                           in zip(weights, parts))
 
 
 @st.composite

@@ -536,8 +536,8 @@ def eval_fraction(text):
 
 
 def enumerate_y_reference(q):
-    """The enumerate-y document built as a dict, system by system, from
-    enumerate_rational_y(q)."""
+    """The enumerate-y document built as a dict, one system per partition
+    of the enumerate_rational_y(q) report."""
     from substoe.construct import enumerate_rational_y
 
     def text(value):
@@ -546,15 +546,16 @@ def enumerate_y_reference(q):
             return str(fr.numerator)
         return "%d/%d" % (fr.numerator, fr.denominator)
 
-    systems = enumerate_rational_y(q)
-    return {"q": q, "count": len(systems), "systems": [{
-        "partition": list(s["partition"]),
-        "weights": [text(w) for w in s["weights"]],
-        "rows": list(s["rows"]),
-        "level0": s["level0"],
-        "matrix": [list(row) for row in s["matrix"]],
-        "base": text(s["base"]),
-    } for s in systems]}
+    report = enumerate_rational_y(q)
+    partitions = report["partitions"]
+    return {"q": q, "count": len(partitions), "systems": [{
+        "partition": list(parts),
+        "weights": [text(report["weights"][c - 1]) for c in parts],
+        "rows": list(parts),
+        "level0": report["level0"],
+        "matrix": [list(row) for row in report["matrix"]],
+        "base": text(report["base"]),
+    } for parts in partitions]}
 
 
 # One run of every subcommand: (argv, input document, its top-level keys).

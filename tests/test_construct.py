@@ -530,6 +530,12 @@ class TestBlockCovering:
         with pytest.raises(DomainError):
             build_soe_substitution(golden(), 0)
 
+    @pytest.mark.parametrize("l", [1.9, "2", True, -1])
+    def test_rejects_a_block_length_that_is_not_a_positive_int(self, l):
+        with pytest.raises(DomainError,
+                           match="block length must be a positive integer"):
+            build_soe_substitution(golden(), l)
+
     def test_rejects_reducible(self):
         split = Substitution({"a": "a", "b": "b"})
         with pytest.raises(DomainError):
@@ -649,6 +655,12 @@ class TestAlphabetFamily:
         with pytest.raises(DomainError):
             build_oe_alphabet_family(split, steps=1)
 
+    @pytest.mark.parametrize("steps", [1.5, "1", True, 0, -3])
+    def test_rejects_steps_that_are_not_a_positive_int(self, steps):
+        with pytest.raises(DomainError,
+                           match="steps must be a positive integer"):
+            build_oe_alphabet_family(golden(), steps=steps)
+
     @pytest.mark.parametrize("rules, steps, want", [
         # each first exponent is past 64, so a scan capped there misses it
         ({"a": "ab", "b": "ba"}, 2, [(6, 32, 15), (14, 512, 255)]),
@@ -668,27 +680,30 @@ class TestAlphabetFamily:
 
 class TestRationalWeights:
     def test_counts(self):
-        assert len(enumerate_rational_y(1)) == 1
-        assert len(enumerate_rational_y(2)) == 1
-        assert len(enumerate_rational_y(4)) == 3
-        assert len(enumerate_rational_y(6)) == 7
+        for q, count in ((1, 1), (2, 1), (4, 3), (6, 7)):
+            assert len(enumerate_rational_y(q)["partitions"]) == count
 
     def test_denominator_four(self):
-        parts = [s["partition"] for s in enumerate_rational_y(4)]
-        assert parts == [(3, 1), (2, 1, 1), (1, 1, 1, 1)]
+        assert enumerate_rational_y(4) == {
+            "level0": 4, "matrix": ((4,),), "base": Fraction(1, 4),
+            "weights": (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4),
+                        Fraction(1)),
+            "partitions": [(3, 1), (2, 1, 1), (1, 1, 1, 1)]}
 
     def test_exact_regeneration(self):
         for q in (1, 2, 3, 4, 5, 6):
-            for system in enumerate_rational_y(q):
-                assert sum(system["weights"]) == 1
-                assert system["level0"] == q
-                assert system["matrix"] == ((q,),)
-                for row, weight in zip(system["rows"], system["weights"]):
-                    assert row * system["base"] == weight
+            report = enumerate_rational_y(q)
+            assert report["level0"] == q
+            assert report["matrix"] == ((q,),)
+            assert report["level0"] * report["base"] == 1
+            for parts in report["partitions"]:
+                weights = [report["weights"][c - 1] for c in parts]
+                assert sum(weights) == 1
+                for row, weight in zip(parts, weights):
+                    assert row * report["base"] == weight
 
     def test_partitions_are_coprime_and_sorted(self):
-        for system in enumerate_rational_y(6):
-            parts = system["partition"]
+        for parts in enumerate_rational_y(6)["partitions"]:
             assert sum(parts) == 6
             assert sorted(parts, reverse=True) == list(parts)
             assert gcd(*parts) == 1
@@ -697,9 +712,23 @@ class TestRationalWeights:
         with pytest.raises(DomainError):
             enumerate_rational_y(0)
 
+    @pytest.mark.parametrize("q", [2.7, True, "4", -3])
+    def test_rejects_a_denominator_that_is_not_a_positive_int(self, q):
+        with pytest.raises(DomainError,
+                           match="denominator must be a positive integer"):
+            enumerate_rational_y(q)
+
     @pytest.mark.parametrize("q", range(1, 33))
     def test_matches_the_per_part_construction(self, q):
-        assert enumerate_rational_y(q) == per_part_systems(q)
+        # the partitions from the recursion, the weights one Fraction each
+        report = enumerate_rational_y(q)
+        assert report["partitions"] == [
+            parts for parts in descending_partitions(q, q)
+            if gcd(*parts) == 1]
+        assert report["weights"] == tuple(
+            Fraction(c, q) for c in range(1, q + 1))
+        assert (report["level0"], report["matrix"], report["base"]) == (
+            q, ((q,),), Fraction(1, q))
 
     def test_partitions_in_the_recursive_order(self):
         numbers = _partition_numbers(40)
@@ -716,7 +745,7 @@ class TestRationalWeights:
 
     def test_cap_admits_q_up_to_32(self):
         assert coprime_partition_count(32) == 8118 <= Y_SYSTEM_CAP
-        assert len(enumerate_rational_y(32)) == 8118
+        assert len(enumerate_rational_y(32)["partitions"]) == 8118
 
     @pytest.mark.parametrize("q, count", [(33, 10085), (60, 960215)])
     def test_over_the_cap_refused_with_the_count(self, q, count):
@@ -738,22 +767,6 @@ def descending_partitions(total, max_part):
     for part in range(min(total, max_part), 0, -1):
         for rest in descending_partitions(total - part, part):
             yield (part,) + rest
-
-
-def per_part_systems(q):
-    """The enumeration built part by part, one Fraction per part."""
-    systems = []
-    for parts in descending_partitions(q, q):
-        if gcd(*parts) != 1:
-            continue
-        base = Fraction(1, q)
-        weights = [Fraction(c, q) for c in parts]
-        for row, weight in zip(parts, weights):
-            assert row * base == weight
-        systems.append({"partition": parts, "weights": tuple(weights),
-                        "rows": tuple(parts), "level0": q,
-                        "matrix": ((q,),), "base": base})
-    return systems
 
 
 class TestCubicPositivity:
