@@ -7,7 +7,7 @@ Diagrams and substitutions translate into each other by reading order
 words as rules, with F the transpose of the substitution incidence.
 """
 
-from .errors import CapabilityError, DomainError, PathError
+from .errors import CapabilityError, DomainError, PathError, _require_positive_int
 from .matrix import _int_apply
 from .perron import measure_weights, perron_data
 from .subst import Substitution
@@ -70,8 +70,6 @@ class OrderedDiagram:
 
     def telescope(self, n_steps):
         """Contract n_steps consecutive levels into one."""
-        if n_steps < 1:
-            raise DomainError("telescope needs at least one step")
         subst = self.substitution_read().power(n_steps)
         step = self.incidence ** (n_steps - 1)
         return OrderedDiagram(self.vertices, step * self.incidence,
@@ -84,8 +82,7 @@ class OrderedDiagram:
         vertices), and once a count needs more than PATH_COUNT_BITS
         bits, which keeps every count printable in decimal.
         """
-        if depth < 1:
-            raise DomainError("depth must be positive")
+        _require_positive_int(depth, "depth")
         entries = depth * self.size
         if entries > EXPAND_CAP:
             raise CapabilityError(
@@ -142,8 +139,7 @@ class OrderedDiagram:
         return self._extremal_path(depth, end_vertex, "max")
 
     def _extremal_path(self, depth, end_vertex, side):
-        if depth < 1:
-            raise DomainError("depth must be positive")
+        _require_positive_int(depth, "depth")
         if end_vertex is None:
             # global chain endpoints: towers are visited in label order
             end_vertex = self.vertices[0 if side == "min" else -1]
@@ -218,8 +214,7 @@ class OrderedDiagram:
         pass the cap, as one over an order word of many or huge runs
         does, is left to the odometer, so the walk stays lazy.
         """
-        if depth < 1:
-            raise DomainError("depth must be positive")
+        _require_positive_int(depth, "depth")
         low, table = self._low_table(depth)
         new = FinitePath.__new__
         if low == depth:
@@ -317,8 +312,7 @@ class OrderedDiagram:
     def export_dot(self, depth):
         """Deterministic DOT drawing of the first levels, refused past
         DOT_EDGE_CAP edges."""
-        if depth < 1:
-            raise DomainError("depth must be positive")
+        _require_positive_int(depth, "depth")
         order_lengths = {v: self.orders[v].length for v in self.vertices}
         total = sum(self.level0)
         total += (depth - 1) * sum(order_lengths.values())

@@ -285,15 +285,14 @@ _ENCODERS = {
 }
 
 
-def _positive_int(doc, key, where, default=None, minimum=1):
+def _positive_int(doc, key, where, default=None):
     if key not in doc:
         return default
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise MalformedInputError("%s %s must be an integer" % (where, key))
-    if value < minimum:
-        raise MalformedInputError("%s %s must be at least %d"
-                                  % (where, key, minimum))
+    if value < 1:
+        raise MalformedInputError("%s %s must be at least 1" % (where, key))
     return value
 
 

@@ -20,7 +20,8 @@ eigenvalue power, and one comparison then runs on the first field.
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import CapabilityError, DomainError, FieldMismatchError
+from .errors import (CapabilityError, DomainError, FieldMismatchError,
+                     _require_positive_int)
 from .field import (FieldElement, _element, _interval_horner, certified_sign,
                     minimal_polynomial)
 from .matrix import _int_apply, _int_matmul, hnf_basis
@@ -118,12 +119,6 @@ def _lam_power(field, k):
     return power
 
 
-def _require_positive_int(k, what):
-    """Refuse k unless it is an int >= 1 (bool excluded)."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise DomainError("%s must be a positive integer" % what)
-
-
 class LatticeGroup:
     """Lattice of field elements closed under its eigenvalue lam**power,
     lam the field's root: the group of a system with that Perron root."""
@@ -131,7 +126,10 @@ class LatticeGroup:
     def __init__(self, field, elements, power=1):
         _require_positive_int(power, "eigenvalue power")
         # before the basis: a power over POWER_BITS costs no basis work
-        lam = _lam_power(field, power)
+        self._close(field, elements, power, _lam_power(field, power))
+
+    def _close(self, field, elements, power, lam):
+        """Build the group on lam = lam0**power, which the caller made."""
         elements = list(elements)
         basis, den = _integer_lattice(field, elements)
         cols = [basis.column(j) for j in range(basis.cols)]
@@ -149,6 +147,7 @@ class LatticeGroup:
         self.den = den
         self._cols = cols
         self._step = step
+        return self
 
     def basis_vectors(self):
         """Lattice basis as field elements."""
@@ -162,7 +161,9 @@ class LatticeGroup:
 
     def membership_exponent(self, elt, cap=64):
         """Least n with lam**(power*n) * elt in the lattice if it is at most
-        cap (which bounds the report, not the search), else None."""
+        cap, an int >= 0 that bounds the report, not the search; else None."""
+        if type(cap) is not int or cap:
+            _require_positive_int(cap, "cap")
         if elt.field != self.field:
             raise FieldMismatchError("element lives in a different field")
         n = _absorption(self, [(elt.nums, elt.den)]).get("exponent")
@@ -280,9 +281,9 @@ def _carried_into(field, power, group):
         return None
     mus = [mu ** j for j in range(field.degree)]
     scale = Fraction(1, group.den)
-    return LatticeGroup(field, [
+    return LatticeGroup.__new__(LatticeGroup)._close(field, [
         sum((p * x for p, x in zip(mus, col)), field.zero()) * scale
-        for col in group._cols], power)
+        for col in group._cols], power, mu)
 
 
 def groups_equal(first, second, m):

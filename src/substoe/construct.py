@@ -13,8 +13,9 @@ from math import gcd
 
 from .bratteli import diagram_from_substitution
 from .clopen import (LatticeGroup, _integer_lattice, _lattice_coords,
-                     _require_positive_int, groups_equal, lattice_of)
-from .errors import CapabilityError, DomainError, InternalError, RankError
+                     groups_equal, lattice_of)
+from .errors import (CapabilityError, DomainError, InternalError, RankError,
+                     _require_positive_int)
 from .field import certified_sign, dominant_root_field
 from .intpoly import IntPolynomial
 from .matrix import (
@@ -222,6 +223,7 @@ def minimize_vertices(system, cap=MINIMIZE_CAP):
     same ordered group, certified exactly.  cap is the stated budget of
     the dual Brun moves and of the eigenvalue powers each scan tries.
     """
+    _require_positive_int(cap, "cap")
     if isinstance(system, Substitution):
         a = system.incidence_matrix()
     else:
@@ -444,6 +446,16 @@ def _frame_rules(letters, rows, needs, middles, what):
     return zeta, incidence, proper
 
 
+def _input_perron(subst):
+    """perron_data of a builder's input, whose refusal of a non-primitive
+    matrix is the builder's; subst keeps the exponent it finds."""
+    if not isinstance(subst, Substitution):
+        raise DomainError("expected a substitution")
+    pd = perron_data(subst.incidence_matrix())
+    subst._primitivity = pd.exponent
+    return pd
+
+
 def build_soe_substitution(subst, block_length):
     """Rewrite a primitive substitution so every length-(l+1) word occurs.
 
@@ -465,15 +477,11 @@ def build_soe_substitution(subst, block_length):
     occurs only where x^(l+1) meets x^l y, once for each letter x but
     the last, and each such run of 2l + 1 letters loses l.
     """
-    if not isinstance(subst, Substitution):
-        raise DomainError("expected a substitution")
-    if subst.primitivity() is None:
-        raise DomainError("substitution must be primitive")
     _require_positive_int(block_length, "block length")
+    pd = _input_perron(subst)
     l = block_length
     letters = subst.alphabet
     s = len(letters)
-    pd = perron_data(subst.incidence_matrix())
 
     # the block has (l + 1) s**(l + 1) letters; for s >= 2 the power
     # passes the guard from its bit length on, so it is capped there
@@ -542,15 +550,11 @@ def build_oe_alphabet_family(subst, steps=1):
     and its complexity is checked to exceed (bound+1) n for n up to
     MEMBER_SCAN_N.
     """
-    if not isinstance(subst, Substitution):
-        raise DomainError("expected a substitution")
-    if subst.primitivity() is None:
-        raise DomainError("substitution must be primitive")
     _require_positive_int(steps, "steps")
+    # every member's group is carried in the input's field
+    pd = _input_perron(subst)
     members = []
     current = subst
-    # every member's group is carried in the input's field
-    pd = perron_data(subst.incidence_matrix())
     matrix, group, vec, e = pd.matrix, lattice_of(pd), pd.eigvec, pd.exponent
     for _ in range(steps):
         bound = max(linear_bound_estimate(current, SLOPE_PROBE_N),

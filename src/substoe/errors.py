@@ -44,3 +44,9 @@ class InternalError(SubstoeError):
 
 class MalformedInputError(SubstoeError):
     """An input document could not be parsed against its schema."""
+
+
+def _require_positive_int(k, what):
+    """Refuse k unless it is an int >= 1 (bool excluded)."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise DomainError("%s must be a positive integer" % what)

@@ -3,7 +3,8 @@
 from fractions import Fraction
 from operator import mul
 
-from .errors import DimensionError, DomainError, InternalError, RankError
+from .errors import (DimensionError, DomainError, InternalError, RankError,
+                     _require_positive_int)
 from .intpoly import IntPolynomial
 
 
@@ -332,6 +333,7 @@ def eventual_positivity_exponent(m, cap=64):
     """Least e <= cap with m**e entrywise positive, using exact powers."""
     if not m.is_square:
         raise DimensionError("positivity needs a square matrix")
+    _require_positive_int(cap, "cap")
     return first_power(
         m, lambda rows: all(x > 0 for row in rows for x in row), cap)[0]
 

@@ -14,7 +14,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import CapabilityError, DomainError, InternalError, SeedError
+from .errors import (CapabilityError, DomainError, InternalError, SeedError,
+                     _require_positive_int)
 from .matrix import ExactMatrix, _int_apply, _int_matmul, primitivity_exponent
 from .words import EXPAND_CAP, RunWord, word_of
 
@@ -326,8 +327,7 @@ class Substitution:
         # _counts[i][j]: count of letter j in the rule of letter i
         self._counts = rows
         self._index = {l: i for i, l in enumerate(alphabet)}
-        self._primitivity = None
-        self._primitivity_known = False
+        self._primitivity = False  # not searched yet; None: not primitive
         self._language = None
 
     @property
@@ -339,9 +339,8 @@ class Substitution:
         return ExactMatrix.from_columns(self._counts)
 
     def primitivity(self):
-        if not self._primitivity_known:
+        if self._primitivity is False:
             self._primitivity = primitivity_exponent(self.incidence_matrix())
-            self._primitivity_known = True
         return self._primitivity
 
     def is_primitive(self):
@@ -370,8 +369,7 @@ class Substitution:
         saturated at LENGTH_GUARD + 1.  The refusal names the first k
         over the guard, with its letter and exact length.
         """
-        if p < 1:
-            raise DomainError("power must be positive")
+        _require_positive_int(p, "power")
         cap = LENGTH_GUARD + 1
         letters = self.alphabet
         # steps[i][l][x]: count of letter x in the 2^i-th image of l
@@ -448,8 +446,7 @@ class Substitution:
         letter is translated once; l grows exactly when v is nonempty.  The
         left edge is the right edge of the reversed rules, reversed.
         """
-        if n < 1:
-            raise DomainError("prefix length must be positive")
+        _require_positive_int(n, "prefix length")
         if not isinstance(seed, str) or not seed:
             raise SeedError("seed must be a nonempty string")
         if "." in seed:
@@ -572,8 +569,7 @@ class Substitution:
         from the ladder of the growth power, and only letters x with xx
         in the two-block language form runs.
         """
-        if n < 1:
-            raise DomainError("factor length must be positive")
+        _require_positive_int(n, "factor length")
         if not self.is_primitive():
             raise DomainError("factor language needs a primitive substitution")
         enc, rules, blocks = self._encoded_language()
@@ -631,8 +627,6 @@ class Substitution:
         so no count does (see _substring_profile).  p(1) and p(3) are
         checked against the direct counts.
         """
-        if n_max < 1:
-            raise DomainError("profile needs n_max >= 1")
         images, blocks, enc = self._window_texts(n_max)
         letters = {ch: i for i, ch in enumerate(enc.values())}
         profile = _substring_profile(images, blocks, letters, n_max)

@@ -5,7 +5,7 @@ astronomical length stay cheap to handle.  clamp has no caller in the
 library and stays only as a benchmark tracer target.
 """
 
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, _require_positive_int
 
 EXPAND_CAP = 1_000_000
 
@@ -94,8 +94,7 @@ class RunWord:
         cannot span both ends of a run longer than the window, so the
         factor set, prefix and suffix at that size are unchanged.
         """
-        if window < 1:
-            raise DomainError("window must be at least 1")
+        _require_positive_int(window, "window")
         return RunWord((l, min(c, window)) for l, c in self.runs)
 
     def letter_at(self, index):

@@ -392,6 +392,16 @@ class TestBuilders:
             "kind": "domain",
             "message": "dominant eigenvalue does not exceed 1"}
 
+    @pytest.mark.parametrize("command, extra", [
+        ("family-soe", {"block_length": 1}), ("family-oe", {})])
+    def test_non_primitive_builder_input_is_a_domain_error(
+            self, cli, command, extra):
+        doc = {"substitution": {"rules": {"a": "a", "b": "ab"}}, **extra}
+        code, out, err = cli([command, "-"], document=doc)
+        assert (code, out) == (1, "")
+        assert err_json(err) == {"kind": "domain",
+                                 "message": "matrix is not primitive"}
+
     def test_family_single_step(self, cli):
         code, out, _ = cli(["family-oe", "-"],
                            document={"substitution": GOLDEN["substitution"]})

@@ -171,6 +171,22 @@ class TestGroupsEqual:
         assert res["first_absorbs_at"] <= 3
         assert res["second_absorbs_at"] <= 3
 
+    def test_carried_lattice_builds_the_eigenvalue_power_once(
+            self, monkeypatch):
+        # the README example: lam**2 identifies the second field, and the
+        # carried group takes it as its eigenvalue
+        g0 = lattice_of(perron_data(A0))
+        g1 = lattice_of(perron_data(A1))
+        powers = []
+
+        def counted(field, k):
+            powers.append(k)
+            return _lam_power(field, k)
+
+        monkeypatch.setattr(clopen, "_lam_power", counted)
+        assert groups_equal(g0, g1, 2)["status"] == "equal"
+        assert powers == [2]
+
     def test_rank_mismatch(self):
         f1 = number_field(IntPolynomial([-2, 0, 1]))
         g1 = LatticeGroup(f1, [f1.one(), f1.lam()])

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from substoe import construct as construct_module
+from substoe import perron as perron_module
 from substoe import subst as subst_module
 from substoe import words as words_module
 from substoe.clopen import LatticeGroup, groups_equal, lattice_of
@@ -780,3 +781,31 @@ class TestCubicPositivity:
         assert (i, j) == (0, 0) and value < 0
         lo, hi = r["root_interval"]
         assert Fraction(389, 100) < lo < hi < Fraction(390, 100)
+
+
+BUILDERS = [(build_soe_substitution, 1), (build_oe_alphabet_family, 1)]
+
+
+class TestBuilderPrimitivity:
+    @pytest.mark.parametrize("builder, count", BUILDERS)
+    def test_non_primitive_input_is_refused(self, builder, count):
+        # b -> ab reaches a, a -> a never reaches b: reducible
+        with pytest.raises(DomainError, match="^matrix is not primitive$"):
+            builder(Substitution({"a": "a", "b": "ab"}), count)
+
+    @pytest.mark.parametrize("builder, count", BUILDERS)
+    def test_one_primitivity_search_on_the_input(self, monkeypatch, builder,
+                                                 count):
+        # perron_data's search is the refusal; the language checks on the
+        # input reuse the exponent it found
+        searched = []
+
+        def counted(m):
+            searched.append(m.int_rows())
+            return primitivity_exponent(m)
+
+        for module in (construct_module, perron_module, subst_module):
+            monkeypatch.setattr(module, "primitivity_exponent", counted)
+        sub = golden()
+        builder(sub, count)
+        assert searched.count(sub.incidence_matrix().int_rows()) == 1
