@@ -9,7 +9,7 @@ words as rules, with F the transpose of the substitution incidence.
 
 from .errors import CapabilityError, DomainError, PathError, _require_positive_int
 from .matrix import _int_apply
-from .perron import measure_weights, perron_data
+from .perron import perron_data
 from .subst import Substitution
 from .words import EXPAND_CAP, word_of
 
@@ -33,7 +33,9 @@ class OrderedDiagram:
             raise DomainError("incidence shape does not match the vertices")
         if not incidence.is_nonnegative:
             raise DomainError("incidence entries must be nonnegative integers")
-        level0 = tuple(int(x) for x in level0)
+        level0 = tuple(level0)
+        if any(type(m) is not int for m in level0):
+            raise DomainError("root multiplicities must be integers")
         if len(level0) != k or any(m < 1 for m in level0):
             raise DomainError("every vertex needs at least one root edge")
         fixed = {}
@@ -113,16 +115,16 @@ class OrderedDiagram:
         if self._measure is not None:
             return self._measure
         pd = perron_data(self.incidence.transpose())
-        self._measure = (pd.field, measure_weights(pd, self.level0), pd.lam)
+        inv = sum((x * m for m, x in zip(self.level0, pd.eigvec)),
+                  pd.field.zero()).inverse()
+        self._measure = (pd.field, tuple(x * inv for x in pd.eigvec), pd.lam)
         return self._measure
 
     def cylinder_measure(self, path):
         if path.diagram is not self:
             raise DomainError("path belongs to a different diagram")
-        field, weights, lam = self.measure_eigenvector()
-        v = self._vindex[path.vertices[-1]]
-        scale = lam.inverse() ** (path.depth - 1)
-        return weights[v] * scale
+        _, weights, lam = self.measure_eigenvector()
+        return weights[self._vindex[path.vertices[-1]]] * lam ** (1 - path.depth)
 
     def is_properly_ordered(self):
         """Whether far enough down all minimal edges share a source and all
@@ -364,7 +366,7 @@ class FinitePath:
 
     def __init__(self, diagram, vertices, root_index, choices):
         vertices = tuple(vertices)
-        choices = tuple(int(c) for c in choices)
+        choices = tuple(choices)
         if not vertices:
             raise PathError("path needs at least one vertex")
         if len(choices) != len(vertices) - 1:
@@ -373,12 +375,11 @@ class FinitePath:
             if v not in diagram._vindex:
                 raise PathError("unknown vertex %r" % v)
         cap = diagram.level0[diagram._vindex[vertices[0]]]
-        root_index = int(root_index)
-        if not 0 <= root_index < cap:
+        if type(root_index) is not int or not 0 <= root_index < cap:
             raise PathError("root edge index out of range")
         for i, pos in enumerate(choices):
             order = diagram.orders[vertices[i + 1]]
-            if not 0 <= pos < order.length:
+            if type(pos) is not int or not 0 <= pos < order.length:
                 raise PathError("edge position out of range at level %d" % (i + 1))
             if order.letter_at(pos) != vertices[i]:
                 raise PathError("edge source mismatch at level %d" % (i + 1))

@@ -25,7 +25,6 @@ from .errors import (CapabilityError, DomainError, FieldMismatchError,
 from .field import (FieldElement, _element, _interval_horner, certified_sign,
                     minimal_polynomial)
 from .matrix import _int_apply, _int_matmul, hnf_basis
-from .perron import measure_weights
 
 
 def _lattice_coords(cols, den, nums, e):
@@ -173,11 +172,10 @@ class LatticeGroup:
         return "LatticeGroup(degree=%d, den=%d)" % (self.field.degree, self.den)
 
 
-def lattice_of(pd, level0=None):
-    """Group of the eigenvector entries, optionally renormalized so the
-    pairing with root multiplicities is one."""
-    xs = pd.eigvec if level0 is None else measure_weights(pd, level0)
-    return LatticeGroup(pd.field, xs)
+def lattice_of(pd):
+    """Group of the Perron eigenvector entries.  A diagram's group is
+    LatticeGroup(field, weights) on its measure_eigenvector()."""
+    return LatticeGroup(pd.field, pd.eigvec)
 
 
 def s_membership(group, value, cap=64):

@@ -50,3 +50,14 @@ def _require_positive_int(k, what):
     """Refuse k unless it is an int >= 1 (bool excluded)."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise DomainError("%s must be a positive integer" % what)
+
+
+def _number_text(x):
+    """str(x) for an int or Fraction x, with an int past Python's
+    int-to-str digit limit shown by its bit length."""
+    try:
+        return str(x)
+    except ValueError:
+        if x.denominator != 1:
+            return "%s/%s" % tuple(map(_number_text, (x.numerator, x.denominator)))
+        return "%s<int of %d bits>" % ("-" * (x < 0), x.numerator.bit_length())

@@ -15,7 +15,7 @@ runs once per field however many elements are certified.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DimensionError, DomainError, InternalError
+from .errors import DimensionError, DomainError, InternalError, _number_text
 from .intpoly import (
     IntPolynomial,
     _eval_at,
@@ -25,7 +25,7 @@ from .intpoly import (
     refine_root_interval,
     squarefree_part,
 )
-from .matrix import _bareiss, charpoly, kernel_basis
+from .matrix import _bareiss, _power, charpoly, kernel_basis
 
 
 class NumberField:
@@ -117,6 +117,7 @@ class NumberField:
 
     def refined_interval(self, width):
         """A sign-change isolating interval no wider than width."""
+        _require_width(width)
         return self._first_accepted(
             lambda lo, hi: (lo, hi) if hi - lo <= width else None)
 
@@ -224,17 +225,11 @@ class FieldElement:
         return o * self.inverse()
 
     def __pow__(self, n):
+        if type(n) is not int:
+            raise DomainError("field element power must be an integer")
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, self.field.one())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -247,10 +242,12 @@ class FieldElement:
         return hash(("FieldElement", self.field.min_poly.coeffs, self.nums, self.den))
 
     def __repr__(self):
-        return "FieldElement(%s)" % (", ".join(str(c) for c in self.coords),)
+        return "FieldElement(%s)" % ", ".join(map(_number_text, self.coords))
 
     def approx(self, digits=12):
         """Decimal string within 10**-digits of the true value."""
+        if type(digits) is not int or digits < 0:
+            raise DomainError("digits must be a non-negative integer")
         lo, hi = value_interval(self, Fraction(1, 10 ** (digits + 1)))
         mid = (lo + hi) / 2
         q = (mid * 10 ** digits + Fraction(1, 2)) // 1  # half rounds up
@@ -327,9 +324,16 @@ def _interval_horner(nums, lo, hi):
     return vlo, vhi, s
 
 
+def _require_width(width):
+    """Refuse a width no bisection interval meets: not an int or Fraction > 0."""
+    if type(width) not in (int, Fraction) or width <= 0:
+        raise DomainError("width must be a positive rational")
+
+
 def value_interval(elt, width):
     """Certified rational enclosure of the element's real value."""
-    nums, d, width = elt.nums, elt.den, Fraction(width)
+    _require_width(width)
+    nums, d = elt.nums, elt.den
 
     def enclosure(lo, hi):
         vlo, vhi, s = _interval_horner(nums, lo, hi)

@@ -30,7 +30,7 @@ class IntPolynomial:
     def __init__(self, coeffs):
         c = _strip(coeffs)
         for x in c:
-            if not isinstance(x, int):
+            if type(x) is not int:
                 raise DomainError("integer coefficients required, got %r" % (x,))
         object.__setattr__(self, "coeffs", tuple(c))
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import (DimensionError, DomainError, InternalError, RankError,
-                     _require_positive_int)
+                     _number_text, _require_positive_int)
 from .intpoly import IntPolynomial
 
 
@@ -21,6 +21,17 @@ def _xgcd(a, b):
     if old_r < 0:
         return -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def _power(base, n, result):
+    """result * base**n by repeated squaring, for an int n >= 0."""
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def _integer(x):
@@ -115,17 +126,9 @@ class ExactMatrix:
     def __pow__(self, n):
         if not self.is_square:
             raise DimensionError("power of a non-square matrix")
-        if n < 0:
-            raise DomainError("matrix powers must be nonnegative")
-        result = ExactMatrix.identity(self.rows)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if type(n) is not int or n < 0:
+            raise DomainError("matrix power must be a non-negative integer")
+        return _power(self, n, ExactMatrix.identity(self.rows))
 
     def apply(self, vec):
         vec = tuple(vec)
@@ -143,7 +146,8 @@ class ExactMatrix:
         return hash(("ExactMatrix", self.rows, self.cols, self.entries))
 
     def __repr__(self):
-        return "ExactMatrix.from_rows(%r)" % (self.int_rows(),)
+        return "ExactMatrix.from_rows([%s])" % ", ".join(
+            "[%s]" % ", ".join(map(_number_text, r)) for r in self.int_rows())
 
     def det(self):
         """Bareiss elimination on the integer rows."""

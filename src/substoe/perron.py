@@ -96,16 +96,6 @@ def perron_data(m):
                       eigvec=tuple(vec), exponent=exponent)
 
 
-def measure_weights(pd, level0):
-    """Eigenvector entries scaled so that their pairing with the root
-    multiplicities level0 is one."""
-    ms = [int(m) for m in level0]
-    if len(ms) != len(pd.eigvec) or any(m < 1 for m in ms):
-        raise DomainError("multiplicities must be positive, one per entry")
-    inv = sum((x * m for m, x in zip(ms, pd.eigvec)), pd.field.zero()).inverse()
-    return tuple(x * inv for x in pd.eigvec)
-
-
 def _check_eigvec(m, lam, vec, field):
     """m vec = lam vec, checked as one integer product m V, V the rows of
     vec's numerators over one denominator d, against n field products."""

@@ -5,7 +5,7 @@ astronomical length stay cheap to handle.  clamp has no caller in the
 library and stays only as a benchmark tracer target.
 """
 
-from .errors import CapabilityError, DomainError, _require_positive_int
+from .errors import CapabilityError, DomainError, _number_text, _require_positive_int
 
 EXPAND_CAP = 1_000_000
 
@@ -13,9 +13,8 @@ EXPAND_CAP = 1_000_000
 def _merged(pairs):
     out = []
     for letter, count in pairs:
-        count = int(count)
-        if count < 0:
-            raise DomainError("negative run count")
+        if type(count) is not int or count < 0:
+            raise DomainError("run count must be a non-negative integer")
         if count == 0:
             continue
         if out and out[-1][0] == letter:
@@ -39,10 +38,8 @@ class RunWord:
     def from_letters(cls, letters):
         return cls((l, 1) for l in letters)
 
-    @classmethod
-    def from_string(cls, text):
-        """Word whose letters are the individual characters of text."""
-        return cls((ch, 1) for ch in text)
+    # a string's letters are its characters
+    from_string = from_letters
 
     @property
     def is_empty(self):
@@ -73,9 +70,8 @@ class RunWord:
 
     def repeat(self, count):
         """The word concatenated with itself count times, materialized."""
-        count = int(count)
-        if count < 0:
-            raise DomainError("negative repeat count")
+        if type(count) is not int or count < 0:
+            raise DomainError("repeat count must be a non-negative integer")
         if count == 0 or not self.runs:
             return RunWord()
         if len(self.runs) == 1:
@@ -150,10 +146,10 @@ class RunWord:
         compact = self.as_compact()
         if compact is not None and len(compact) <= 40:
             return "RunWord(%r)" % compact
-        inner = ", ".join("%s^%d" % (l, c) for l, c in self.runs[:6])
+        inner = ", ".join("%s^%s" % (l, _number_text(c)) for l, c in self.runs[:6])
         if len(self.runs) > 6:
             inner += ", ..."
-        return "RunWord<%s | length %d>" % (inner, self.length)
+        return "RunWord<%s | length %s>" % (inner, _number_text(self.length))
 
 
 def word_of(value):
@@ -170,15 +166,10 @@ def word_of(value):
         runs = value.get("runs")
         if not isinstance(runs, list) or set(value) != {"runs"}:
             raise DomainError("run mapping must have exactly the key 'runs'")
-        pairs = []
-        for item in runs:
-            if (not isinstance(item, (list, tuple)) or len(item) != 2
-                    or not isinstance(item[0], str)
-                    or isinstance(item[1], bool)
-                    or not isinstance(item[1], int)):
-                raise DomainError("each run must be [letter, count]")
-            pairs.append((item[0], item[1]))
-        return RunWord(pairs)
+        if not all(isinstance(item, (list, tuple)) and len(item) == 2
+                   and isinstance(item[0], str) for item in runs):
+            raise DomainError("each run must be [letter, count]")
+        return RunWord(runs)
     try:
         letters = list(value)
     except TypeError:

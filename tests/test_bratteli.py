@@ -79,8 +79,10 @@ class TestConstruction:
 
     def test_level0_positive(self):
         f = ExactMatrix.from_rows([[1, 1], [1, 2]])
-        with pytest.raises(DomainError):
-            OrderedDiagram(("a", "b"), f, (0, 1), {"a": "ab", "b": "abb"})
+        for level0 in ((0, 1), (1, 1, 1)):
+            with pytest.raises(DomainError,
+                               match="^every vertex needs at least one root edge$"):
+                OrderedDiagram(("a", "b"), f, level0, {"a": "ab", "b": "abb"})
 
     def test_dead_vertex_rejected(self):
         f = ExactMatrix.from_rows([[1, 0], [1, 0]])

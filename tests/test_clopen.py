@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from substoe import clopen
+from substoe.bratteli import diagram_from_substitution
 from substoe.clopen import (LatticeGroup, _lam_power, _strip_shared_primes,
                             groups_equal, lattice_of, s_membership)
 from substoe.construct import _carried_group, enlarge_matrix
@@ -19,6 +20,7 @@ from substoe.field import NumberField, minimal_polynomial, number_field
 from substoe.intpoly import IntPolynomial
 from substoe.matrix import ExactMatrix, hnf_basis
 from substoe.perron import companion_matrix, field_kernel_basis, perron_data
+from substoe.subst import Substitution
 
 A0 = ExactMatrix.from_rows([[1, 1], [1, 2]])
 A1 = ExactMatrix.from_rows([[1, 1, 1], [2, 3, 1], [8, 13, 0]])
@@ -74,17 +76,11 @@ class TestLatticeGroup:
             LatticeGroup(field, [field.one(), field.lam()], 8)
 
     def test_level0_renormalizes(self):
-        pd = perron_data(A0)
-        g = lattice_of(pd, level0=(2, 1))
-        vecs = g.generators
-        assert vecs[0] * 2 + vecs[1] == pd.field.one()
-
-    def test_level0_validation(self):
-        pd = perron_data(A0)
-        with pytest.raises(DomainError):
-            lattice_of(pd, level0=(0, 1))
-        with pytest.raises(DomainError):
-            lattice_of(pd, level0=(1, 1, 1))
+        diagram = diagram_from_substitution(
+            Substitution({"a": "ab", "b": "abb"}), level0=(2, 1))
+        field, weights, _ = diagram.measure_eigenvector()
+        vecs = LatticeGroup(field, weights).generators
+        assert vecs[0] * 2 + vecs[1] == field.one()
 
     def test_from_elements_field_check(self):
         g = golden_group()

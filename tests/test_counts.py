@@ -2,20 +2,28 @@
 number of steps, an eigenvalue power or a cap is an int >= 1, and
 anything else ends in DomainError, not a TypeError or an answer.  The
 builders' own counts are pinned in test_construct, and the eigenvalue
-powers in test_clopen."""
+powers in test_clopen.
 
+The integers a word, diagram or path stores, the exponents of matrices
+and field elements, interval widths and decimal digits are checked once,
+where they are taken, and never truncated with int(); reprs print an int
+past Python's int-to-str digit limit by its bit length."""
+
+import signal
 from fractions import Fraction
 
 import pytest
 
-from substoe.bratteli import diagram_from_substitution
+from substoe.bratteli import FinitePath, diagram_from_substitution
 from substoe.clopen import lattice_of, s_membership
 from substoe.construct import minimize_vertices
-from substoe.errors import DomainError
+from substoe.errors import DomainError, PathError
+from substoe.field import value_interval
+from substoe.intpoly import IntPolynomial
 from substoe.matrix import ExactMatrix, eventual_positivity_exponent
 from substoe.perron import perron_data
 from substoe.subst import Substitution, linear_bound_estimate
-from substoe.words import RunWord
+from substoe.words import RunWord, word_of
 
 A0 = ExactMatrix.from_rows([[1, 1], [1, 2]])
 
@@ -107,3 +115,109 @@ def test_complexity_no_longer_reads_true_as_one():
 def test_s_membership_refuses_a_fractional_cap_instead_of_echoing_it():
     with pytest.raises(DomainError, match="^cap must be a positive integer$"):
         s_membership(group(), Fraction(1, 2), cap=2.5)
+
+
+def lam():
+    return perron_data(A0).lam
+
+
+# entry: (call, error, message, whether a negative int is refused too).
+# A negative root multiplicity, root index or position keeps the text it
+# had, and a field element's negative power is its inverse's power.
+STORED = {
+    "RunWord run count": (lambda k: RunWord([("a", k)]), DomainError,
+                          "run count must be a non-negative integer", True),
+    "word_of run count": (lambda k: word_of({"runs": [["a", k]]}), DomainError,
+                          "run count must be a non-negative integer", True),
+    "RunWord.repeat": (lambda k: RunWord([("a", 5), ("b", 1)]).repeat(k),
+                       DomainError,
+                       "repeat count must be a non-negative integer", True),
+    "OrderedDiagram level0": (
+        lambda k: diagram_from_substitution(golden(), level0=(k, 1)),
+        DomainError, "root multiplicities must be integers", False),
+    # root edges 0, 1 and 2 exist, so a truncated 2.5, True or "2" would fit
+    "FinitePath root index": (
+        lambda k: FinitePath(diagram_from_substitution(golden(), (3, 3)),
+                             ("a",), k, ()),
+        PathError, "root edge index out of range", False),
+    # b's order word is abb: positions 1 and 2 read b
+    "FinitePath position": (
+        lambda k: FinitePath(diagram_from_substitution(golden()),
+                             ("b", "b"), 0, (k,)),
+        PathError, "edge position out of range at level 1", False),
+    "ExactMatrix.__pow__": (lambda k: A0 ** k, DomainError,
+                            "matrix power must be a non-negative integer",
+                            True),
+    "FieldElement.__pow__": (lambda k: lam() ** k, DomainError,
+                             "field element power must be an integer", False),
+    "NumberField.refined_interval": (
+        lambda k: perron_data(A0).field.refined_interval(k), DomainError,
+        "width must be a positive rational", False),
+    "value_interval": (lambda k: value_interval(lam(), k), DomainError,
+                       "width must be a positive rational", False),
+    "FieldElement.approx": (lambda k: lam().approx(k), DomainError,
+                            "digits must be a non-negative integer", True),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    (entry, value) for entry in sorted(STORED)
+    for value in (2.5, True, "2", -1)
+    if value != -1 or STORED[entry][3]])
+def test_a_stored_integer_is_checked_not_truncated(entry, value):
+    call, error, message, _ = STORED[entry]
+    with pytest.raises(error, match="^%s$" % message):
+        call(value)
+
+
+def test_a_polynomial_coefficient_is_not_a_bool():
+    with pytest.raises(DomainError,
+                       match="^integer coefficients required, got True$"):
+        IntPolynomial([True, 1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: x.field.refined_interval(0),
+    lambda x: x.field.refined_interval(-1),
+    lambda x: value_interval(x, 0),
+    lambda x: value_interval(x, Fraction(-1, 2)),
+    lambda x: x.approx(-1),
+], ids=["refined_interval(0)", "refined_interval(-1)", "value_interval(0)",
+        "value_interval(-1/2)", "approx(-1)"])
+def test_a_width_no_interval_meets_is_refused_at_once(call):
+    x = lam()  # built first: the timer covers the refusal alone
+
+    def timed_out(signum, frame):
+        raise TimeoutError("no answer within 0.1 s")
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.setitimer(signal.ITIMER_REAL, 0.1)
+    try:
+        with pytest.raises(DomainError):
+            call(x)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+BIG = 1 << 24557  # the size of a run count of a Thue-Morse family-oe member
+
+
+def test_reprs_print_a_huge_int_by_its_bit_length():
+    word = RunWord([("a", BIG), ("b", 1)])
+    assert repr(word) == ("RunWord<a^<int of 24558 bits>, b^1 | length "
+                          "<int of 24558 bits>>")
+    assert repr(Substitution({"a": word, "b": "a"})) == (
+        "Substitution(a->%r, b->a)" % word)
+    assert repr(ExactMatrix.from_rows([[BIG, -BIG], [1, 2]])) == (
+        "ExactMatrix.from_rows([[<int of 24558 bits>, "
+        "-<int of 24558 bits>], [1, 2]])")
+    field = perron_data(A0).field
+    assert repr(field.from_coords([BIG, Fraction(1, BIG)])) == (
+        "FieldElement(<int of 24558 bits>, 1/<int of 24558 bits>)")
+
+
+def test_reprs_of_small_ints_are_unchanged():
+    assert repr(RunWord([("a", 50), ("b", 2)])) == "RunWord<a^50, b^2 | length 52>"
+    assert repr(A0) == "ExactMatrix.from_rows([[1, 1], [1, 2]])"
+    assert repr(lam()) == "FieldElement(0, 1)"
+    assert repr((lam() - 1) / 2) == "FieldElement(-1/2, 1/2)"

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from substoe import clopen, construct
+from substoe.bratteli import OrderedDiagram
 from substoe.clopen import LatticeGroup, groups_equal, lattice_of
 from substoe.construct import (_carried_group, _enlarge,
                                build_oe_alphabet_family,
@@ -23,6 +24,7 @@ from substoe.errors import (CapabilityError, DomainError, FieldMismatchError,
 from substoe.matrix import ExactMatrix, primitivity_exponent
 from substoe.perron import perron_data
 from substoe.subst import Substitution
+from substoe.words import RunWord
 
 A0 = ExactMatrix.from_rows([[1, 1], [1, 2]])
 
@@ -38,8 +40,14 @@ NAMED = {
 
 
 def assert_carried(group, m, level0=None):
-    """group is the group perron_data(m) gives, renormalized by level0."""
-    fresh = lattice_of(perron_data(m), level0)
+    """group is the group of the invariant measure of the diagram on m
+    with root multiplicities level0 (all 1 if None)."""
+    vertices = tuple("v%d" % i for i in range(m.rows))
+    diagram = OrderedDiagram(
+        vertices, m.transpose(), level0 or (1,) * m.rows,
+        {v: RunWord(zip(vertices, m.column(i))) for i, v in enumerate(vertices)})
+    field, weights, _ = diagram.measure_eigenvector()
+    fresh = LatticeGroup(field, weights)
     assert groups_equal(group, fresh, 1) == {
         "status": "equal", "first_absorbs_at": 0, "second_absorbs_at": 0}
 
