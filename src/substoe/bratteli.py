@@ -7,7 +7,8 @@ Diagrams and substitutions translate into each other by reading order
 words as rules, with F the transpose of the substitution incidence.
 """
 
-from .errors import CapabilityError, DomainError, PathError, _require_positive_int
+from .errors import (CapabilityError, DomainError, PathError, _number_text,
+                     _require_positive_int)
 from .matrix import _int_apply
 from .perron import perron_data
 from .subst import Substitution
@@ -432,8 +433,9 @@ class FinitePath:
                      self.root_index, self.choices))
 
     def __repr__(self):
-        return "FinitePath(%s, root=%d, positions=%r)" % (
-            "->".join(self.vertices), self.root_index, list(self.choices))
+        return "FinitePath(%s, root=%s, positions=%r)" % (
+            "->".join(self.vertices), _number_text(self.root_index),
+            list(self.choices))
 
 
 def diagram_from_substitution(subst, level0=None):

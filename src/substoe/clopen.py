@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import (CapabilityError, DomainError, FieldMismatchError,
-                     _require_positive_int)
+                     _number_text, _require_positive_int)
 from .field import (FieldElement, _element, _interval_horner, certified_sign,
                     minimal_polynomial)
 from .matrix import _int_apply, _int_matmul, hnf_basis
@@ -169,7 +169,8 @@ class LatticeGroup:
         return n if n is not None and n <= cap else None
 
     def __repr__(self):
-        return "LatticeGroup(degree=%d, den=%d)" % (self.field.degree, self.den)
+        return "LatticeGroup(degree=%d, den=%s)" % (self.field.degree,
+                                                    _number_text(self.den))
 
 
 def lattice_of(pd):
@@ -183,7 +184,7 @@ def s_membership(group, value, cap=64):
     if isinstance(value, FieldElement):
         elt = value
     else:
-        elt = group.field.from_rational(Fraction(value))
+        elt = group.field.from_rational(value)
     if elt.field != group.field:
         raise FieldMismatchError("value lives in a different field")
     if certified_sign(elt) < 0 or certified_sign(group.field.one() - elt) < 0:

@@ -5,6 +5,8 @@ covers honest give-ups when a configured search bound is exhausted, and
 InternalError flags broken invariants that indicate a bug upstream.
 """
 
+from fractions import Fraction
+
 
 class SubstoeError(Exception):
     pass
@@ -50,6 +52,13 @@ def _require_positive_int(k, what):
     """Refuse k unless it is an int >= 1 (bool excluded)."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise DomainError("%s must be a positive integer" % what)
+
+
+def _require_rational(q):
+    """Refuse q unless it is an int (bool excluded) or a Fraction."""
+    if type(q) not in (int, Fraction):
+        raise DomainError("number must be an int or Fraction, got %s"
+                          % type(q).__name__)
 
 
 def _number_text(x):

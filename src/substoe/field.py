@@ -2,7 +2,8 @@
 
 An element is integer numerators over one positive denominator in lowest
 terms: products are integer convolutions reduced by the monic minimal
-polynomial, and the inverse is one fraction-free (Bareiss) integer solve.
+polynomial, both done by intpoly's coefficient-list kernel, and the
+inverse is one fraction-free (Bareiss) integer solve.
 A field carries an isolating interval for its distinguished root, always
 the largest real root of the minimal polynomial, with rational endpoints
 where the polynomial changes sign.  Signs are certified by interval Horner
@@ -15,10 +16,13 @@ runs once per field however many elements are certified.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DimensionError, DomainError, InternalError, _number_text
+from .errors import (DimensionError, DomainError, InternalError, _number_text,
+                     _require_rational)
 from .intpoly import (
     IntPolynomial,
+    _conv,
     _eval_at,
+    _rem_monic,
     count_real_roots,
     factor_monic_squarefree,
     isolate_largest_real_root,
@@ -82,11 +86,10 @@ class NumberField:
         return self.from_rational(1)
 
     def lam(self):
-        return _element(self, _times_lam(self.one().nums, self.min_poly.coeffs), 1)
+        return _element(self, _rem_monic([0, 1], self.min_poly.coeffs), 1)
 
     def from_rational(self, q):
-        if not isinstance(q, (int, Fraction)):
-            q = Fraction(q)
+        _require_rational(q)
         return _element(self, (q.numerator,) + (0,) * (self.degree - 1),
                         q.denominator)
 
@@ -129,7 +132,9 @@ class FieldElement:
     __slots__ = ("field", "nums", "den")
 
     def __new__(cls, field, coords):
-        coords = [c if isinstance(c, int) else Fraction(c) for c in coords]
+        coords = list(coords)
+        for c in coords:
+            _require_rational(c)
         if len(coords) != field.degree:
             raise DimensionError("coordinate vector has wrong length")
         return _element(field, *_cleared(coords))
@@ -178,20 +183,15 @@ class FieldElement:
         return _element(self.field, tuple(-x for x in self.nums), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in (int, Fraction):
             return _element(self.field, [x * other.numerator for x in self.nums],
                             self.den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        b = o.nums
-        prod = [0] * (2 * len(b) - 1)
-        for i, x in enumerate(self.nums):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
         return _element(self.field,
-                        _rem_monic(prod, self.field.min_poly.coeffs),
+                        _rem_monic(_conv(self.nums, o.nums),
+                                   self.field.min_poly.coeffs),
                         self.den * o.den)
 
     __rmul__ = __mul__
@@ -204,7 +204,7 @@ class FieldElement:
         k = self.field.degree
         cols = [list(self.nums)]
         while len(cols) < k:
-            cols.append(_times_lam(cols[-1], self.field.min_poly.coeffs))
+            cols.append(_rem_monic([0] + cols[-1], self.field.min_poly.coeffs))
         rows = [[c[i] for c in cols] + [0 if i else self.den] for i in range(k)]
         det = _bareiss(rows, k)
         if det == 0:
@@ -232,7 +232,7 @@ class FieldElement:
         return _power(self, n, self.field.one())
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in (int, Fraction):
             other = self.field.from_rational(other)
         return (isinstance(other, FieldElement)
                 and self.field == other.field
@@ -282,25 +282,6 @@ def _sum(a, nums, den):
     s, t = a.den // g, den // g
     return _element(a.field, [x * t + y * s for x, y in zip(a.nums, nums)],
                     s * den)
-
-
-def _times_lam(nums, f):
-    """Numerators of lam times nums / d over d, f the coefficients of the
-    monic minimal polynomial: the companion shift."""
-    top = nums[-1]
-    return [(nums[i - 1] if i else 0) - top * f[i] for i in range(len(nums))]
-
-
-def _rem_monic(p, f):
-    """Remainder of the polynomial p modulo monic f, length deg f."""
-    k = len(f) - 1
-    r = list(p) + [0] * max(0, k - len(p))
-    for top in range(len(r) - 1, k - 1, -1):
-        q = r[top]
-        if q:
-            for i in range(k):
-                r[top - k + i] -= q * f[i]
-    return r[:k]
 
 
 def _interval_horner(nums, lo, hi):

@@ -1,25 +1,63 @@
 """Integer polynomials with exact real-root tools and monic factorization.
 
 Coefficients are stored lowest degree first.  Everything here is plain
-integer / Fraction arithmetic; no floating point is used anywhere.
+integer / Fraction arithmetic; no floating point is used anywhere.  This
+module owns coefficient-list arithmetic: one private kernel (_strip, _conv,
+_add, _mod, _rem_monic) multiplies, adds, strips and reduces integer lists
+for IntPolynomial, the mod-p factorizer, field and perron.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import gcd, isqrt
 
-from .errors import CapabilityError, DomainError, InternalError
+from .errors import CapabilityError, DomainError, InternalError, _number_text
 
 # Factorization refuses inputs above this degree rather than risk a subset
 # recombination blowup.
 FACTOR_DEGREE_CAP = 12
 
 
-def _strip(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _strip(a):
+    """a without its trailing zeros, in place."""
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _conv(a, b):
+    """Coefficients of the product a * b."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _add(a, b):
+    """Coefficients of a + b, the shorter list padded with zeros; a
+    difference passes b negated."""
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _mod(a, m):
+    """a reduced mod m, stripped."""
+    return _strip([c % m for c in a])
+
+
+def _rem_monic(a, f):
+    """Remainder of a modulo monic f, length deg f."""
+    k = len(f) - 1
+    r = list(a) + [0] * max(0, k - len(a))
+    for top in range(len(r) - 1, k - 1, -1):
+        q = r[top]
+        if q:
+            for i in range(k):
+                r[top - k + i] -= q * f[i]
+    return r[:k]
 
 
 class IntPolynomial:
@@ -28,7 +66,7 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = _strip(coeffs)
+        c = _strip(list(coeffs))
         for x in c:
             if type(x) is not int:
                 raise DomainError("integer coefficients required, got %r" % (x,))
@@ -68,30 +106,15 @@ class IntPolynomial:
         return hash(("IntPolynomial", self.coeffs))
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return IntPolynomial(
-            [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-        )
+        return IntPolynomial(_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return IntPolynomial(
-            [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-        )
+        return IntPolynomial(_add(self.coeffs, [-c for c in other.coeffs]))
 
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPolynomial([c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return IntPolynomial([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial(_conv(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -99,10 +122,7 @@ class IntPolynomial:
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def content(self):
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs)
 
     def primitive_part(self):
         if self.is_zero:
@@ -138,7 +158,7 @@ class IntPolynomial:
         return IntPolynomial(quot)
 
     def __repr__(self):
-        return "IntPolynomial(%r)" % (list(self.coeffs),)
+        return "IntPolynomial([%s])" % ", ".join(map(_number_text, self.coeffs))
 
     def __str__(self):
         if self.is_zero:
@@ -149,10 +169,10 @@ class IntPolynomial:
             if c == 0:
                 continue
             if i == 0:
-                term = str(abs(c))
+                term = _number_text(abs(c))
             else:
                 mono = "t" if i == 1 else "t^%d" % i
-                term = mono if abs(c) == 1 else "%d*%s" % (abs(c), mono)
+                term = mono if abs(c) == 1 else "%s*%s" % (_number_text(abs(c)), mono)
             if not parts:
                 parts.append(term if c > 0 else "-" + term)
             else:
@@ -165,9 +185,7 @@ ONE = IntPolynomial([1])
 
 def _primitive(coeffs):
     """coeffs divided by their positive content, so every sign is kept."""
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
+    g = gcd(*coeffs)
     return [c // g for c in coeffs] if g > 1 else coeffs
 
 
@@ -190,8 +208,7 @@ def _prem(a, b):
         for i, c in enumerate(b):
             r[shift + i] -= top * c
         r.pop()
-        while r and r[-1] == 0:
-            r.pop()
+        _strip(r)
     return r
 
 
@@ -390,21 +407,8 @@ def _odd_primes():
         p += 2
 
 
-def _gf_strip(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _zpoly_mul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    return _gf_strip(out)
+    return _mod(_conv(a, b), m)
 
 
 def _zpoly_divmod(a, b, m):
@@ -421,10 +425,10 @@ def _zpoly_divmod(a, b, m):
         q[k] = c
         for i, y in enumerate(b):
             a[k + i] = (a[k + i] - c * y) % m
-        _gf_strip(a)
+        _strip(a)
         if not a:
             break
-    return _gf_strip(q), a
+    return _strip(q), a
 
 
 def _gf_monic(a, p):
@@ -443,25 +447,7 @@ def _gf_gcd(a, b, p):
 
 
 def _zpoly_sub(a, b, m):
-    n = max(len(a), len(b))
-    return _gf_strip(
-        [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)]
-    )
-
-
-def _gf_pow_x(e, mod, p):
-    """x^e mod (mod) over GF(p) by square and multiply."""
-    result = [1]
-    base = [0, 1]
-    if len(base) >= len(mod):
-        base = _zpoly_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _zpoly_divmod(_zpoly_mul(result, base, p), mod, p)[1]
-        e >>= 1
-        if e:
-            base = _zpoly_divmod(_zpoly_mul(base, base, p), mod, p)[1]
-    return result
+    return _mod(_add(a, [-c for c in b]), m)
 
 
 def _gf_kernel(mat, d, p):
@@ -503,7 +489,9 @@ def _berlekamp(f, p):
     d = len(f) - 1
     if d <= 1:
         return [f]
-    xp = _gf_pow_x(p, f, p)
+    # x**p mod f by one division: O(p d), below the O(p) gcds of the
+    # splitting loop
+    xp = _zpoly_divmod([0] * p + [1], f, p)[1]
     cur = [1]
     cols = [cur]
     for _ in range(1, d):
@@ -521,7 +509,7 @@ def _berlekamp(f, p):
     if r == 1:
         return factors
     for vec in basis:
-        v = _gf_strip(list(vec))
+        v = _strip(list(vec))
         if len(v) <= 1:
             continue
         next_factors = []
@@ -534,7 +522,7 @@ def _berlekamp(f, p):
             for c in range(p):
                 shifted = list(v)
                 shifted[0] = (shifted[0] - c) % p
-                h = _gf_gcd(rest, _gf_strip(shifted), p)
+                h = _gf_gcd(rest, _strip(shifted), p)
                 if 0 < len(h) - 1 < len(rest) - 1:
                     pieces.append(h)
                     rest = _zpoly_divmod(rest, h, p)[0]
@@ -557,10 +545,7 @@ def _centered(c, m):
 
 
 def _zpoly_add(a, b, m):
-    n = max(len(a), len(b))
-    return _gf_strip(
-        [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m for i in range(n)]
-    )
+    return _mod(_add(a, b), m)
 
 
 def _hensel_step(f, g, h, s, t, m):
@@ -588,9 +573,7 @@ def _gf_xgcd(a, b, p):
         s0, s1 = s1, _zpoly_sub(s0, _zpoly_mul(q, s1, p), p)
         t0, t1 = t1, _zpoly_sub(t0, _zpoly_mul(q, t1, p), p)
     inv = pow(r0[-1], p - 2, p)
-    return (_gf_monic(r0, p),
-            [(c * inv) % p for c in s0],
-            [(c * inv) % p for c in t0])
+    return tuple([(c * inv) % p for c in x] for x in (r0, s0, t0))
 
 
 def _lift_factor(f_coeffs, g0, h0, p, final):
@@ -601,7 +584,7 @@ def _lift_factor(f_coeffs, g0, h0, p, final):
     ladder squares p until it hits final exactly.  Returns the monic lifts
     (g, h), which are unique.
     """
-    if _gf_strip([c % p for c in f_coeffs]) != _zpoly_mul(g0, h0, p):
+    if _mod(f_coeffs, p) != _zpoly_mul(g0, h0, p):
         raise InternalError("modular factors do not multiply to f mod p")
     gcd_poly, s, t = _gf_xgcd(g0, h0, p)
     if len(gcd_poly) - 1 != 0:
@@ -610,8 +593,7 @@ def _lift_factor(f_coeffs, g0, h0, p, final):
     m = p
     while m < final:
         mm = m * m
-        f_cur = [c % mm for c in f_coeffs]
-        g, h, s, t = _hensel_step(f_cur, g, h, s, t, m)
+        g, h, s, t = _hensel_step(_mod(f_coeffs, mm), g, h, s, t, m)
         m = mm
     if m != final:
         raise InternalError("lift ladder missed its target modulus")
@@ -629,7 +611,7 @@ def _lift_all(f_coeffs, modular, p, final):
     there are ceil(log2 r) levels for r factors.
     """
     if len(modular) == 1:
-        return [[c % final for c in f_coeffs]]
+        return [_mod(f_coeffs, final)]
     half = len(modular) // 2
     left = right = [1]
     for g0 in modular[:half]:
@@ -678,7 +660,7 @@ def _integer_roots(f, p):
 def _lifted_factors(f, p):
     """Irreducible factors of monic f, squarefree mod the prime p, by
     Berlekamp mod p, the Hensel tree and subset recombination."""
-    modular = _berlekamp(_gf_strip([c % p for c in f.coeffs]), p)
+    modular = _berlekamp(_mod(f.coeffs, p), p)
     if len(modular) == 1:
         return [f]
     modular.sort(key=lambda g: (len(g), tuple(g)))
@@ -747,8 +729,8 @@ def factor_monic_squarefree(f):
     bound = (sum(c * c for c in f.coeffs) ** (f.degree - 1)
              * sum(c * c for c in df.coeffs) ** f.degree)
     for p in _odd_primes():
-        d = _gf_strip([c % p for c in df.coeffs])
-        if d and len(_gf_gcd([c % p for c in f.coeffs], d, p)) == 1:
+        d = _mod(df.coeffs, p)
+        if d and len(_gf_gcd(_mod(f.coeffs, p), d, p)) == 1:
             break
         failed *= p * p
         if failed > bound:

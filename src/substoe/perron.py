@@ -1,8 +1,8 @@
 """Dominant eigendata of primitive integer matrices, kept exact.
 
 The eigenvector is a column of adj(lam I - A), computed with integer
-arithmetic and reduced modulo the minimal polynomial of lam, then
-normalized once so its entries sum to one.  The companion matrix
+arithmetic and reduced modulo the minimal polynomial of lam by intpoly's
+coefficient-list kernel, then normalized once so its entries sum to one.  The companion matrix
 expresses multiplication by lam on the coordinate lattice Z^k of the
 field; only multiplication_matrices, which no builder calls, reads it.
 """
@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import DomainError, InternalError
-from .field import (FieldElement, NumberField, _element, _rem_monic,
-                    _times_lam, certified_sign, dominant_root_field)
+from .field import (FieldElement, NumberField, _element, certified_sign,
+                    dominant_root_field)
+from .intpoly import _rem_monic
 from .matrix import (ExactMatrix, _int_apply, _int_matmul, charpoly,
                      kernel_basis, primitivity_exponent)
 
@@ -111,10 +112,9 @@ def companion_matrix(field):
 
     It is the companion matrix of the minimal polynomial.
     """
-    k = field.degree
     return ExactMatrix.from_columns(
-        [_times_lam([int(i == j) for i in range(k)], field.min_poly.coeffs)
-         for j in range(k)])
+        [_rem_monic([0] * j + [0, 1], field.min_poly.coeffs)
+         for j in range(field.degree)])
 
 
 def multiplication_matrices(field):

@@ -6,8 +6,9 @@ powers in test_clopen.
 
 The integers a word, diagram or path stores, the exponents of matrices
 and field elements, interval widths and decimal digits are checked once,
-where they are taken, and never truncated with int(); reprs print an int
-past Python's int-to-str digit limit by its bit length."""
+where they are taken, and never truncated with int(); a number the field
+takes is an int or a Fraction, never coerced with Fraction(); reprs print
+an int past Python's int-to-str digit limit by its bit length."""
 
 import signal
 from fractions import Fraction
@@ -15,10 +16,10 @@ from fractions import Fraction
 import pytest
 
 from substoe.bratteli import FinitePath, diagram_from_substitution
-from substoe.clopen import lattice_of, s_membership
+from substoe.clopen import LatticeGroup, lattice_of, s_membership
 from substoe.construct import minimize_vertices
 from substoe.errors import DomainError, PathError
-from substoe.field import value_interval
+from substoe.field import FieldElement, NumberField, value_interval
 from substoe.intpoly import IntPolynomial
 from substoe.matrix import ExactMatrix, eventual_positivity_exponent
 from substoe.perron import perron_data
@@ -199,6 +200,40 @@ def test_a_width_no_interval_meets_is_refused_at_once(call):
         signal.signal(signal.SIGALRM, previous)
 
 
+NOT_RATIONAL = pytest.mark.parametrize("value", [0.1, True, "1/2"],
+                                       ids=["float", "bool", "str"])
+
+
+@NOT_RATIONAL
+def test_from_rational_refuses_a_number_that_is_not_an_int_or_fraction(value):
+    with pytest.raises(DomainError, match="int or Fraction"):
+        group().field.from_rational(value)
+
+
+def test_field_arithmetic_takes_no_bool():
+    one = group().field.one()
+    with pytest.raises(DomainError, match="int or Fraction"):
+        one * True
+    with pytest.raises(DomainError, match="int or Fraction"):
+        one + True
+    assert (one == True) is False  # noqa: E712
+
+
+@NOT_RATIONAL
+def test_from_coords_refuses_a_coordinate_that_is_not_an_int_or_fraction(value):
+    field = group().field
+    with pytest.raises(DomainError, match="int or Fraction"):
+        field.from_coords([Fraction(1, 2), value])
+    with pytest.raises(DomainError, match="int or Fraction"):
+        FieldElement(field, (value, 0))
+
+
+@NOT_RATIONAL
+def test_s_membership_refuses_a_value_that_is_not_an_int_or_fraction(value):
+    with pytest.raises(DomainError, match="int or Fraction"):
+        s_membership(group(), value)
+
+
 BIG = 1 << 24557  # the size of a run count of a Thue-Morse family-oe member
 
 
@@ -221,3 +256,26 @@ def test_reprs_of_small_ints_are_unchanged():
     assert repr(A0) == "ExactMatrix.from_rows([[1, 1], [1, 2]])"
     assert repr(lam()) == "FieldElement(0, 1)"
     assert repr((lam() - 1) / 2) == "FieldElement(-1/2, 1/2)"
+
+
+def test_polynomial_reprs_print_a_huge_coefficient_by_its_bit_length():
+    f = IntPolynomial([-(1 << 20000), 1])
+    assert repr(f) == "IntPolynomial([-<int of 20001 bits>, 1])"
+    assert str(f) == "t - <int of 20001 bits>"
+    assert repr(NumberField(f, (0, 1 << 20001))) == (
+        "NumberField(t - <int of 20001 bits>)")
+    assert str(IntPolynomial([3, -2, 1])) == "t^2 - 2*t + 3"
+
+
+def test_lattice_group_repr_prints_a_huge_denominator_by_its_bit_length():
+    field = group().field
+    g = LatticeGroup(field, [field.one() / 3 ** 10000,
+                             field.lam() / 3 ** 10000])
+    assert repr(g) == "LatticeGroup(degree=2, den=<int of 15850 bits>)"
+
+
+def test_path_repr_prints_a_huge_root_index_by_its_bit_length():
+    d = diagram_from_substitution(golden(), level0=(10 ** 5000, 1))
+    path = FinitePath(d, ["a", "b"], 10 ** 5000 - 1, [0])
+    assert repr(path) == (
+        "FinitePath(a->b, root=<int of 16610 bits>, positions=[0])")

@@ -12,10 +12,10 @@ from substoe.errors import CapabilityError, DomainError, InternalError
 from substoe.field import dominant_root_field
 from substoe.intpoly import (
     IntPolynomial,
-    _gf_strip,
     _integer_roots,
     _lift_all,
     _lift_factor,
+    _mod,
     _zpoly_divmod,
     _zpoly_mul,
     count_real_roots,
@@ -500,7 +500,7 @@ def good_prime(f):
     """The least odd prime keeping monic f squarefree, as the factorization
     picks it."""
     for p in intpoly_module._odd_primes():
-        d = _gf_strip([c % p for c in f.derivative().coeffs])
+        d = _mod(f.derivative().coeffs, p)
         if d and len(intpoly_module._gf_gcd([c % p for c in f.coeffs], d, p)) == 1:
             return p
 
@@ -528,12 +528,12 @@ class TestLiftTree:
 
     def check(self, f_coeffs, modular, p, final, lifted):
         assert len(lifted) == len(modular)
-        fp = _gf_strip([c % p for c in f_coeffs])
+        fp = _mod(f_coeffs, p)
         prod = [1]
         for g0, g in zip(modular, lifted):
             assert g[-1] == 1 and len(g) == len(g0)
             assert all(0 <= c < final for c in g)
-            assert _gf_strip([c % p for c in g]) == g0
+            assert _mod(g, p) == g0
             # the lift against f alone, which is unique
             h0 = _zpoly_divmod(fp, g0, p)[0]
             assert g == _lift_factor(f_coeffs, g0, h0, p, final)[0]

@@ -24,7 +24,7 @@ from substoe.intpoly import (
 )
 from substoe.matrix import ExactMatrix, charpoly, primitivity_exponent
 from substoe.perron import perron_data
-from test_intpoly import (golden_chain_charpolys, linear_products,
+from test_intpoly import (golden_chain_charpolys, good_prime, linear_products,
                           random_monic_products)
 
 sympy = pytest.importorskip("sympy")
@@ -189,6 +189,33 @@ class TestFactorization:
     def test_integer_root_split(self, f):
         assert _factors(factor_monic_squarefree(f)) == _sympy_factors(f)
 
+    def test_modular_factors_match_sympy(self):
+        # Berlekamp's monic factors of f mod p, as a set, against sympy over
+        # GF(p), at the prime the factorization picks and at every other
+        # prime up to 17 keeping f squarefree: some below deg f, where x**p
+        # is already reduced, and some above it
+        rng = random.Random(31)
+        sides = set()
+        for _ in range(60):
+            n = rng.randint(4, 12)
+            f = IntPolynomial([rng.randint(-20, 20) for _ in range(n)] + [1])
+            if not _sympy_poly(f).is_sqf:
+                continue
+            df = f.derivative()
+            for p in sorted({good_prime(f), 3, 5, 7, 11, 13, 17}):
+                fp = intpoly_module._mod(f.coeffs, p)
+                d = intpoly_module._mod(df.coeffs, p)
+                if not d or len(intpoly_module._gf_gcd(fp, d, p)) > 1:
+                    continue
+                got = intpoly_module._berlekamp(fp, p)
+                _, want = sympy.Poly(list(reversed(f.coeffs)), T,
+                                     modulus=p).factor_list()
+                assert {tuple(g) for g in got} == {
+                    tuple(c % p for c in _ints(g)) for g, _ in want}
+                assert len(got) == len(want)
+                sides.add(p < n)
+        assert sides == {True, False}
+
     def test_failing_primes_divide_the_bounded_discriminant(self):
         # the squarefree refusal's proof: monic squarefree f fails the
         # modular gcd test at p exactly when p divides disc f, and
@@ -207,7 +234,7 @@ class TestFactorization:
             assert disc * disc <= (sum(c * c for c in f.coeffs) ** (n - 1)
                                    * sum(c * c for c in df.coeffs) ** n)
             for p in primes:
-                d = intpoly_module._gf_strip([c % p for c in df.coeffs])
+                d = intpoly_module._mod(df.coeffs, p)
                 fails = not d or len(intpoly_module._gf_gcd(
                     [c % p for c in f.coeffs], d, p)) > 1
                 assert fails == (disc % p == 0)
