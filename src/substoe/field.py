@@ -42,7 +42,10 @@ class NumberField:
             raise DomainError("monic integer minimal polynomial required")
         if min_poly.degree < 1:
             raise DomainError("minimal polynomial must have positive degree")
-        lo, hi = Fraction(interval[0]), Fraction(interval[1])
+        lo, hi = interval[0], interval[1]
+        _require_rational(lo)
+        _require_rational(hi)
+        lo, hi = Fraction(lo), Fraction(hi)
         if not (lo < hi):
             raise DomainError("empty isolating interval")
         lo_sign = _eval_at(min_poly.coeffs, lo)

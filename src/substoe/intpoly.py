@@ -11,7 +11,8 @@ from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import gcd, isqrt
 
-from .errors import CapabilityError, DomainError, InternalError, _number_text
+from .errors import (CapabilityError, DomainError, InternalError, _number_text,
+                     _require_rational)
 
 # Factorization refuses inputs above this degree rather than risk a subset
 # recombination blowup.
@@ -277,12 +278,13 @@ def _variations(chain, x):
 
 def count_real_roots(f, lo, hi, chain=None):
     """Number of distinct real roots of f in the half-open interval (lo, hi]."""
+    _require_rational(lo)
+    _require_rational(hi)
     if f.degree < 1:
         return 0
     if chain is None:
         chain = sturm_chain(f)
-    lo = Fraction(lo)
-    hi = Fraction(hi)
+    lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         return 0
     return _variations(chain, lo) - _variations(chain, hi)

@@ -2,9 +2,12 @@
 
 The language machinery never expands full images of letters.  It first
 computes the exact two-block language by a closure argument, then reads
-every longer factor out of images of two-block words whose runs have been
-clamped to the window size.  Clamping preserves all factors up to the
-window, so the enumeration is exact while huge rule words stay cheap.
+every longer factor out of letter images and the junctions of two-blocks.
+The images are built level by level, each rule^t(y) joined once from the
+level below with every run of copies cut to what the window needs, and
+every size is counted in integers before its join.  The cuts preserve all
+factors up to the window, so the enumeration is exact while huge rule
+words stay cheap.
 """
 
 import re
@@ -58,81 +61,19 @@ def _apply_rules(rules, word):
     return RunWord((l, min(c, cap)) for l, c in runs)
 
 
-def _run_cutter(copies):
-    """Replacement that keeps the first copies letters of a matched run."""
-    return lambda run: run.group()[:copies]
-
-
-def _clamped_table(rules, n, head=False):
-    """Translate table of the rules with runs cut to n letters, refused past
-    LENGTH_GUARD, and the slice length whose image has about SLICE letters.
-    With head, an image ends with the run that brings it to n letters."""
+def _clamped_table(rules, n):
+    """Translate table of the rules with runs cut to n letters, each image
+    ending with the run that brings it to n letters, refused past
+    LENGTH_GUARD, and the slice length whose image has about SLICE letters."""
     table = {}
     for letter, rule in rules.items():
-        runs = rule.runs
-        if head:
-            sizes = list(accumulate(min(c, n) for _, c in runs))
-            runs = runs[:bisect_left(sizes, n) + 1]
+        sizes = list(accumulate(min(c, n) for _, c in rule.runs))
+        runs = rule.runs[:bisect_left(sizes, n) + 1]
         size = sum(min(c, n) for _, c in runs)
         if size > LENGTH_GUARD:
             raise _over_guard(size)
         table[ord(letter)] = "".join(l * min(c, n) for l, c in runs)
     return table, max(1, SLICE // max(map(len, table.values())))
-
-
-def _image_step(rules, n, lengths):
-    """Clamped substitution steps on encoded strings, as a function.
-
-    lengths[t] maps each letter x that can form a run, that is with xx in
-    the two-block language, to |rule^t(x)|.  step(s, t), with t the steps
-    still to go after this one, maps an image s to an image with the
-    n-view of rule(s): its n-windows, its (n-1)-letter prefix and suffix
-    and whether it has at least n letters.  It translates s by the rules
-    with their runs cut to n, then cuts every run x^r of the result to
-    c = ceil((n-1)/|rule^t(x)|) + 1 copies of x.  The remaining t steps
-    turn x^r into rule^t(x)^r, and c consecutive copies of rule^t(x) hold
-    every n-window of rule^t(x)^r and its (n-1)-letter prefix and suffix,
-    since each of them spans at most c copies.  Every rule is nonempty,
-    so the n-view of a word fixes the n-view of its image, and the cut
-    keeps the n-view of the final image.  At t = 0, c = n: the last step
-    cuts every run to n letters.
-
-    Each letter gets one pattern, for runs longer than its least count;
-    the count of the level goes to the replacement.  The image is built
-    from slices of at most about SLICE letters and refused as soon as its
-    length passes LENGTH_GUARD.  Runs are cut to at most LENGTH_GUARD + 1
-    letters: a longer run is refused either way.
-    """
-    width = min(n, LENGTH_GUARD + 1)
-    table, piece = _clamped_table(rules, n)
-    keep = [{x: min(width, -(-(n - 1) // size) + 1)
-             for x, size in level.items()} for level in lengths]
-    subs = {x: re.compile("%s{%d,}" % (
-        re.escape(x), min(copies[x] for copies in keep) + 1)).sub
-        for x in lengths[0]}
-    cuts = [[(subs[x], _run_cutter(c)) for x, c in copies.items()]
-            for copies in keep]
-
-    def step(word, t):
-        level = cuts[t]
-        parts = []
-        built = 0
-        carry = ""
-        for start in range(0, len(word), piece):
-            out = carry + word[start:start + piece].translate(table)
-            for sub, cut in level:
-                out = sub(cut, out)
-            # the last run may go on in the next slice
-            end = len(out.rstrip(out[-1]))
-            parts.append(out[:end])
-            carry = out[end:]
-            built += end
-            if built + len(carry) > LENGTH_GUARD:
-                raise _over_guard(built + len(carry))
-        parts.append(carry)
-        return "".join(parts)
-
-    return step
 
 
 def _window_feeds(images, blocks, n):
@@ -470,7 +411,7 @@ class Substitution:
         dec = {ch: l for l, ch in enc.items()}
 
         def edge(letter, rules):
-            table, piece = _clamped_table(rules, n, head=True)
+            table, piece = _clamped_table(rules, n)
             parts = [table[ord(enc[letter])]]
             if n > 1 and len(parts[0]) == 1:
                 raise SeedError("seed letter %r does not grow" % letter)
@@ -557,39 +498,58 @@ class Substitution:
     def _window_texts(self, n):
         """Encoded letter images whose n-windows give the n-factors.
 
-        Returns (images, blocks, enc): images maps each encoded letter of
-        the two-block language, in alphabet order, to a string with the
-        n-windows and the (n-1)-letter prefix and suffix of its m-step
-        image, m the growth power for n.  Images are at least n letters
-        long, so every n-window of image(b) + image(c) for an admissible
-        two-block bc lies inside one image or inside the junction
-        image(b)[-(n-1):] + image(c)[:n-1].  Each image is built by m
-        steps of _image_step, which cut a run x^r with t steps still to
-        go to ceil((n-1)/|rule^t(x)|) + 1 copies of x; the lengths come
-        from the ladder of the growth power, and only letters x with xx
-        in the two-block language form runs.
+        Returns (images, blocks, enc): images maps each encoded letter, in
+        alphabet order, to a string with the n-windows and the (n-1)-letter
+        prefix and suffix of its m-step image, m the growth power for n.
+        Every letter of a primitive substitution is in the two-block
+        language.  Images are at least n letters long, so every n-window
+        of image(b) + image(c) for an admissible two-block bc lies inside
+        one image or inside the junction image(b)[-(n-1):] + image(c)[:n-1].
+
+        The images are built level by level from cur[y] = y.  Level t
+        joins, over the runs z^r of rule(y), cur[z] repeated min(r, c)
+        times, c = ceil((n-1)/|rule^(t-1)(z)|) + 1 with the lengths from
+        the ladder of the growth power.  So each rule^t(y) is built once
+        and shared by every letter above it.  The n-view of a word is its
+        n-windows, its (n-1)-letter prefix and suffix and whether it has at
+        least n letters.  c consecutive copies of rule^(t-1)(z) hold the
+        n-view of rule^(t-1)(z)^r, since each window spans at most c
+        copies, and the n-views of the parts fix that of their join; so
+        every level keeps the n-view of the full image.  Copies that meet
+        across two runs are not cut, so an image can be longer than one
+        cut after every substitution step.  Each joined size is counted in
+        integers and refused past LENGTH_GUARD before the join.  On the
+        last level every letter run longer than n, which only a letter x
+        with xx in the two-block language forms, is cut to n letters.
         """
         _require_positive_int(n, "factor length")
         if not self.is_primitive():
             raise DomainError("factor language needs a primitive substitution")
         enc, rules, blocks = self._encoded_language()
-        ladder = self._length_ladder(n)
-        used = {ch for block in blocks for ch in block}
-        images = {ch: ch for ch in enc.values() if ch in used}
-        if len(ladder) > 1:
-            runs = {b for b, c in blocks if b == c}
-            lengths = [{ch: size for ch, size in zip(enc.values(), rung)
-                        if ch in runs} for rung in ladder[:-1]]
-            step = _image_step(rules, n, lengths)
-            for ch in images:
-                img = ch
-                for t in range(len(lengths) - 1, -1, -1):
-                    img = step(img, t)
-                if len(img) > EXPAND_CAP:
-                    raise CapabilityError(
-                        "clamped image has %d letters, over the expansion cap "
-                        "of %d" % (len(img), EXPAND_CAP))
-                images[ch] = img
+        cur = {ch: ch for ch in rules}
+        for rung in self._length_ladder(n)[:-1]:
+            keep = {ch: -(-(n - 1) // size) + 1
+                    for ch, size in zip(rules, rung)}
+            below, cur = cur, {}
+            for y, rule in rules.items():
+                parts = [(below[z], min(r, keep[z])) for z, r in rule.runs]
+                size = sum(len(part) * r for part, r in parts)
+                if size > LENGTH_GUARD:
+                    raise _over_guard(size)
+                cur[y] = "".join([part * r for part, r in parts])
+        cuts = [(x * (n + 1),
+                 re.compile("%s{%d,}" % (re.escape(x), n + 1)).sub)
+                for x in rules if (x, x) in blocks]
+        images = {}
+        for ch, img in cur.items():
+            for run, cut in cuts:
+                if run in img:
+                    img = cut(lambda _: run[:n], img)
+            if len(img) > EXPAND_CAP:
+                raise CapabilityError(
+                    "clamped image has %d letters, over the expansion cap "
+                    "of %d" % (len(img), EXPAND_CAP))
+            images[ch] = img
         return images, blocks, enc
 
     def _window_words(self, n):

@@ -20,7 +20,7 @@ from substoe.clopen import LatticeGroup, lattice_of, s_membership
 from substoe.construct import minimize_vertices
 from substoe.errors import DomainError, PathError
 from substoe.field import FieldElement, NumberField, value_interval
-from substoe.intpoly import IntPolynomial
+from substoe.intpoly import IntPolynomial, count_real_roots
 from substoe.matrix import ExactMatrix, eventual_positivity_exponent
 from substoe.perron import perron_data
 from substoe.subst import Substitution, linear_bound_estimate
@@ -232,6 +232,22 @@ def test_from_coords_refuses_a_coordinate_that_is_not_an_int_or_fraction(value):
 def test_s_membership_refuses_a_value_that_is_not_an_int_or_fraction(value):
     with pytest.raises(DomainError, match="int or Fraction"):
         s_membership(group(), value)
+
+
+@NOT_RATIONAL
+def test_number_field_refuses_an_interval_end_that_is_not_an_int_or_fraction(value):
+    f = IntPolynomial([-2, 0, 1])
+    for interval in ((value, 2), (1, value)):
+        with pytest.raises(DomainError, match="int or Fraction"):
+            NumberField(f, interval)
+
+
+@NOT_RATIONAL
+def test_count_real_roots_refuses_an_end_that_is_not_an_int_or_fraction(value):
+    for f in (IntPolynomial([-2, 0, 1]), IntPolynomial([3])):
+        for lo, hi in ((value, 2), (-2, value)):
+            with pytest.raises(DomainError, match="int or Fraction"):
+                count_real_roots(f, lo, hi)
 
 
 BIG = 1 << 24557  # the size of a run count of a Thue-Morse family-oe member

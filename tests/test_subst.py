@@ -1,4 +1,5 @@
 import random
+import re
 import time
 import tracemalloc
 from array import array
@@ -551,6 +552,36 @@ def runword_images(s, n):
     return images
 
 
+def top_down_images(s, n):
+    """Clamped images built one substitution step at a time, per letter.
+
+    Each step translates the word by the rules with runs cut to n, then
+    cuts every run x^r of the result, t steps still to go, to
+    ceil((n-1)/|rule^t(x)|) + 1 copies of x; the last step cuts every run
+    to n letters.  This cuts runs across rule boundaries too, which the
+    level-by-level build leaves whole.
+    """
+    enc, rules, blocks = s._encoded_language()
+    ladder = s._length_ladder(n)
+    table = {ord(x): "".join(l * min(c, n) for l, c in rule.runs)
+             for x, rule in rules.items()}
+    used = {ch for block in blocks for ch in block}
+    images = {}
+    for ch in rules:
+        if ch not in used:
+            continue
+        image = ch
+        for rung in reversed(ladder[:-1]):
+            image = image.translate(table)
+            for x, size in zip(rules, rung):
+                if (x, x) in blocks:
+                    keep = -(-(n - 1) // size) + 1
+                    image = re.sub("%s{%d,}" % (re.escape(x), keep + 1),
+                                   lambda run: run.group()[:keep], image)
+        images[ch] = image
+    return images
+
+
 def n_view(text, n):
     edge = n - 1
     return (brute_factors(text, n), text[:edge], text[len(text) - edge:],
@@ -574,7 +605,7 @@ def run_rule_substitutions(draw):
     return s
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(run_rule_substitutions(), st.integers(1, 40))
 @example(Substitution({"a": "ab", "b": {"runs": [["a", 10 ** 22]]}}), 30)
 @example(Substitution({"a": "ab", "b": {"runs": [["a", 7]]}}), 25)
@@ -582,18 +613,48 @@ def run_rule_substitutions(draw):
 @example(Substitution(ZETA), 300)
 @example(Substitution(HUGE_RUN), 40)
 @example(Substitution({"x0": ["x0", "y1"], "y1": {"runs": [["x0", 5]]}}), 17)
-def test_image_step_keeps_the_runword_n_view(s, n):
-    """String images have the n-windows, (n-1)-prefix and suffix and the
-    length >= n of the RunWord clamp(rule(w)) images, sliced or not."""
-    old = runword_images(s, n)
+# runs of copies that meet across rules: longer than the RunWord images
+@example(Substitution({"a": "ab", "b": {"runs": [["c", 22]]},
+                       "c": {"runs": [["a", 10 ** 22]]}}), 184)
+# and four times the step-by-step image of a
+@example(Substitution({"a": "bb", "b": "c" * 6, "c": "d" * 9,
+                       "d": {"runs": [["d", 131], ["a", 9]]}}), 245)
+def test_window_images_keep_the_reference_n_view(s, n):
+    """Images built level by level have the n-windows, (n-1)-prefix and
+    suffix and the length >= n of the step-by-step images.  Runs of
+    copies that meet across rules are left whole, so an image may be
+    longer than the step-by-step one, but never longer than the image of
+    the rules with their runs cut to n letters."""
+    reference = top_down_images(s, n)
     images = s._window_texts(n)[0]
-    assert set(images) == set(old)
+    assert list(images) == list(reference)
+    _, rules, _ = s._encoded_language()
+    bound = dict.fromkeys(rules, 1)
+    for _ in s._length_ladder(n)[1:]:
+        bound = {y: sum(min(r, n) * bound[z] for z, r in rule.runs)
+                 for y, rule in rules.items()}
     for ch, image in images.items():
-        assert n_view(image, n) == n_view(old[ch], n)
-        assert len(image) <= len(old[ch])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(subst_module, "SLICE", 3)
-        assert s._window_texts(n)[0] == images
+        assert n_view(image, n) == n_view(reference[ch], n)
+        assert len(image) <= bound[ch]
+
+
+@pytest.mark.parametrize("rules", [
+    {"a": "ab", "b": "a"}, GOLDEN, {"a": "ab", "b": "ac", "c": "a"},
+    {"a": "ab", "b": "ba"}, ZETA, LONG_RUNS, HUGE_RUN],
+    ids=["fibonacci", "golden", "tribonacci", "thue-morse", "zeta",
+         "long-runs", "huge-run"])
+def test_named_window_images_equal_the_reference(rules):
+    s = Substitution(rules)
+    for n in (1, 2, 3, 5, 40, 300, 1523):
+        assert s._window_texts(n)[0] == top_down_images(s, n)
+
+
+def test_last_level_cuts_letter_runs_to_n():
+    # the two copies of b's image a^5 meet in a run of 10 letters
+    s = Substitution({"a": "abb", "b": "aaaaa"})
+    images = s._window_texts(8)[0]
+    assert images == {"a": "abb" + "a" * 8, "b": "abb" * 4}
+    assert images == top_down_images(s, 8)
 
 
 def test_copy_cut_fires_and_keeps_the_profile():
@@ -734,6 +795,22 @@ def test_fibonacci_refusal_is_quick_and_small():
     assert peak < 64 * 2 ** 20
 
 
+def test_ring_images_are_built_in_little_more_than_their_size():
+    """The build holds two levels at once: on the 20-letter ring
+    x_i -> x_0 x_(i+1) the peak stays under twice the images it returns."""
+    ring = {"x%d" % i: ["x0", "x%d" % ((i + 1) % 20)] for i in range(20)}
+    s = Substitution(ring)
+    tracemalloc.start()
+    try:
+        images = s._window_texts(5000)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(map(len, images.values()))
+    assert size == 163_840
+    assert peak < 2 * size
+
+
 def test_growth_power_refusal_names_cap_and_size():
     # b -> b never grows, so no power makes every image 5 letters long
     s = Substitution({"a": "ab", "b": "b"})
@@ -750,8 +827,7 @@ def test_many_run_image_over_expansion_cap():
         s.complexity(3)
 
 
-def test_guard_refuses_between_slices(monkeypatch):
-    monkeypatch.setattr(subst_module, "SLICE", 64)
+def test_guard_refuses_before_the_join(monkeypatch):
     monkeypatch.setattr(subst_module, "LENGTH_GUARD", 1000)
     fibonacci = Substitution({"a": "ab", "b": "a"})
     with pytest.raises(CapabilityError, match="budget of 1000"):
