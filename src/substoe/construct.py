@@ -27,7 +27,7 @@ from .matrix import (
     primitivity_exponent,
 )
 from .perron import _check_eigvec, adjugate_column, perron_data
-from .subst import LENGTH_GUARD, Substitution, linear_bound_estimate
+from .subst import LENGTH_GUARD, Substitution, _slope_bound
 from .words import EXPAND_CAP, RunWord
 
 _LETTER_POOL = "abcdefghijklmnopqrstuvwxyz"
@@ -556,9 +556,11 @@ def build_oe_alphabet_family(subst, steps=1):
     members = []
     current = subst
     matrix, group, vec, e = pd.matrix, lattice_of(pd), pd.eigvec, pd.exponent
+    # the slope bound reads p(1..SLOPE_PROBE_N) off the input's profile,
+    # then off each member's, which its scan has already computed
+    profile = subst.complexity_profile(SLOPE_PROBE_N)
     for _ in range(steps):
-        bound = max(linear_bound_estimate(current, SLOPE_PROBE_N),
-                    current.size)
+        bound = max(_slope_bound(profile[:SLOPE_PROBE_N]), current.size)
         target = bound + 2
         grown, grown_group, grown_vec = matrix, group, vec
         accumulated = 1

@@ -257,7 +257,8 @@ class FieldElement:
         sign = "-" if q < 0 else ""
         q = abs(q)
         whole, frac = divmod(q, 10 ** digits)
-        return "%s%d.%0*d" % (sign, whole, digits, frac)
+        text = "%s%d" % (sign, whole)
+        return "%s.%0*d" % (text, digits, frac) if digits else text
 
 
 def _cleared(values):

@@ -7,6 +7,7 @@ _add, _mod, _rem_monic) multiplies, adds, strips and reduces integer lists
 for IntPolynomial, the mod-p factorizer, field and perron.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import gcd, isqrt
@@ -276,17 +277,16 @@ def _variations(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_real_roots(f, lo, hi, chain=None):
+def count_real_roots(f, lo, hi):
     """Number of distinct real roots of f in the half-open interval (lo, hi]."""
     _require_rational(lo)
     _require_rational(hi)
     if f.degree < 1:
         return 0
-    if chain is None:
-        chain = sturm_chain(f)
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         return 0
+    chain = sturm_chain(f)
     return _variations(chain, lo) - _variations(chain, hi)
 
 
@@ -393,11 +393,12 @@ def refine_root_interval(f, lo, hi, lo_sign):
 # mod p is lifted by scalar p-adic Newton and kept if it is an integer root
 # (Loos, SIAM J. Comput. 1983); for charpolys of enlarged matrices that
 # leaves only the Perron root's minimal polynomial.  A remainder of degree
-# 4 or more goes through Berlekamp mod p, quadratic Hensel lifting of all r
-# modular factors in one balanced tree of ceil(log2 r) full-degree levels
-# (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15) and subset
-# recombination.  Degrees are capped: the consumers are characteristic
-# polynomials of desk-scale matrices.
+# 4 or more is factored mod p by degree, distinct-degree and then
+# equal-degree splitting (ch. 14 of von zur Gathen and Gerhard, Modern
+# Computer Algebra), lifted by quadratic Hensel steps for all r modular
+# factors in one balanced tree of ceil(log2 r) full-degree levels (ch. 15)
+# and recombined by subsets.  Degrees are capped: the consumers are
+# characteristic polynomials of desk-scale matrices.
 
 
 def _odd_primes():
@@ -452,91 +453,54 @@ def _zpoly_sub(a, b, m):
     return _mod(_add(a, [-c for c in b]), m)
 
 
-def _gf_kernel(mat, d, p):
-    """Basis of the kernel of a d x d matrix over GF(p) (row-major)."""
-    m = [row[:] for row in mat]
-    pivots = {}
-    row = 0
-    for col in range(d):
-        sel = None
-        for r in range(row, d):
-            if m[r][col] % p:
-                sel = r
-                break
-        if sel is None:
-            continue
-        m[row], m[sel] = m[sel], m[row]
-        inv = pow(m[row][col], p - 2, p)
-        m[row] = [(v * inv) % p for v in m[row]]
-        for r in range(d):
-            if r != row and m[r][col]:
-                c = m[r][col]
-                m[r] = [(a - c * b) % p for a, b in zip(m[r], m[row])]
-        pivots[col] = row
-        row += 1
-    basis = []
-    for col in range(d):
-        if col in pivots:
-            continue
-        vec = [0] * d
-        vec[col] = 1
-        for pc, pr in pivots.items():
-            vec[pc] = (-m[pr][col]) % p
-        basis.append(vec)
-    return basis
+def _gf_powmod(a, e, f, p):
+    """a**e mod f over GF(p) for a reduced mod f and e >= 1, by
+    square-and-multiply from the top bit of e down."""
+    out = a
+    for bit in bin(e)[3:]:
+        out = _zpoly_divmod(_zpoly_mul(out, out, p), f, p)[1]
+        if bit == "1":
+            out = _zpoly_divmod(_zpoly_mul(out, a, p), f, p)[1]
+    return out
 
 
-def _berlekamp(f, p):
-    """Monic squarefree f over GF(p) into monic irreducible factors."""
-    d = len(f) - 1
-    if d <= 1:
-        return [f]
-    # x**p mod f by one division: O(p d), below the O(p) gcds of the
-    # splitting loop
-    xp = _zpoly_divmod([0] * p + [1], f, p)[1]
-    cur = [1]
-    cols = [cur]
-    for _ in range(1, d):
-        cur = _zpoly_divmod(_zpoly_mul(cur, xp, p), f, p)[1]
-        cols.append(cur)
-    mat = [[0] * d for _ in range(d)]
-    for j, col in enumerate(cols):
-        for i, v in enumerate(col):
-            mat[i][j] = v
-    for i in range(d):
-        mat[i][i] = (mat[i][i] - 1) % p
-    basis = _gf_kernel(mat, d, p)
-    r = len(basis)
-    factors = [f]
-    if r == 1:
-        return factors
-    for vec in basis:
-        v = _strip(list(vec))
-        if len(v) <= 1:
+def _gf_factor(f, p):
+    """Monic squarefree f over GF(p), p an odd prime, into monic irreducible
+    factors (Cantor and Zassenhaus, Math. Comp. 1981).
+
+    Distinct degrees: x**(p**d) - x is the product of the monic
+    irreducibles of degree dividing d, so once the smaller degrees are
+    divided out of f, gcd(f, x**(p**d) - x) is the product of its factors
+    of degree d; a remainder with none of degree <= deg / 2 is irreducible.
+    Equal degrees: for a random a, gcd(g, a**((p**d - 1) / 2) - 1) splits
+    g, r >= 2 factors of degree d, with probability at least 4/9 (it is
+    1/2 - 1/(2 p**(2d)), p >= 3).  A constant seed makes every call alike.
+    """
+    rng = random.Random(0)
+    found = []
+    h, d = [0, 1], 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        h = _gf_powmod(h, p, f, p)
+        g = _gf_gcd(f, _zpoly_sub(h, [0, 1], p), p)
+        if len(g) == 1:
             continue
-        next_factors = []
-        for g in factors:
-            if len(g) - 1 <= 1:
-                next_factors.append(g)
+        f = _zpoly_divmod(f, g, p)[0]
+        h = _zpoly_divmod(h, f, p)[1]
+        pending = [g]
+        while pending:
+            g = pending.pop()
+            if len(g) - 1 == d:
+                found.append(g)
                 continue
-            pieces = []
-            rest = g
-            for c in range(p):
-                shifted = list(v)
-                shifted[0] = (shifted[0] - c) % p
-                h = _gf_gcd(rest, _strip(shifted), p)
-                if 0 < len(h) - 1 < len(rest) - 1:
-                    pieces.append(h)
-                    rest = _zpoly_divmod(rest, h, p)[0]
-                if len(rest) - 1 == 0:
-                    break
-            if len(rest) - 1 > 0:
-                pieces.append(rest)
-            next_factors.extend(pieces)
-        factors = next_factors
-        if len(factors) == r:
-            break
-    return [_gf_monic(g, p) for g in factors]
+            a = [rng.randrange(p) for _ in g[1:]]
+            b = _gf_gcd(g, _zpoly_sub(
+                _gf_powmod(a, (p ** d - 1) // 2, g, p), [1], p), p)
+            split = 1 < len(b) < len(g)
+            pending += [b, _zpoly_divmod(g, b, p)[0]] if split else [g]
+    if len(f) > 1:
+        found.append(f)
+    return found
 
 
 def _centered(c, m):
@@ -661,8 +625,9 @@ def _integer_roots(f, p):
 
 def _lifted_factors(f, p):
     """Irreducible factors of monic f, squarefree mod the prime p, by
-    Berlekamp mod p, the Hensel tree and subset recombination."""
-    modular = _berlekamp(_mod(f.coeffs, p), p)
+    distinct- and equal-degree splitting mod p, the Hensel tree and subset
+    recombination."""
+    modular = _gf_factor(_mod(f.coeffs, p), p)
     if len(modular) == 1:
         return [f]
     modular.sort(key=lambda g: (len(g), tuple(g)))
@@ -706,7 +671,9 @@ def factor_monic_squarefree(f):
     """Monic squarefree integer polynomial into monic irreducible factors.
 
     Raises CapabilityError above FACTOR_DEGREE_CAP.  The factor list is
-    sorted by (degree, coefficients) so the output is deterministic.
+    sorted by (degree, coefficients) so the output is deterministic.  At
+    the prime p found below, integer roots come off by p-adic Newton, and
+    a remainder of degree 4 or more is split mod p by degree and lifted.
 
     The search for a prime p with gcd(f mod p, f' mod p) = 1 decides if f
     is squarefree, with no gcd over the integers.  Such a p certifies it:

@@ -610,8 +610,10 @@ class Substitution:
 
 def linear_bound_estimate(subst, n_probe):
     """Smallest observed C with p(n) <= C*n across the probed range."""
-    profile = subst.complexity_profile(n_probe)
-    best = 1
-    for n, p in enumerate(profile, start=1):
-        best = max(best, -(-p // n))
-    return best
+    return _slope_bound(subst.complexity_profile(n_probe))
+
+
+def _slope_bound(profile):
+    """Smallest integer C >= 1 with p(n) <= C*n for the counts p(1), ...
+    of profile."""
+    return max([1] + [-(-p // n) for n, p in enumerate(profile, start=1)])

@@ -537,6 +537,17 @@ class TestBlockCovering:
                            match="block length must be a positive integer"):
             build_soe_substitution(golden(), l)
 
+    def test_each_member_profile_serves_the_next_slope_bound(self,
+                                                            monkeypatch):
+        calls = []
+        profile = Substitution.complexity_profile
+        monkeypatch.setattr(
+            Substitution, "complexity_profile",
+            lambda s, n: calls.append((s.size, n)) or profile(s, n))
+        members = build_oe_alphabet_family(golden(), steps=2)
+        assert calls == [(2, 40), (4, 60), (10, 60)]
+        assert [m["slope_bound"] for m in members] == [2, 8]
+
     def test_rejects_reducible(self):
         split = Substitution({"a": "a", "b": "b"})
         with pytest.raises(DomainError):

@@ -130,6 +130,11 @@ class TestCertifiedSign:
         assert lam.approx(6) == "2.618034"
         assert lam.approx(4) == "2.6180"
 
+    def test_approx_to_whole_numbers_has_no_point(self):
+        lam = GOLDEN.lam()
+        assert (lam.approx(0), (-lam).approx(0)) == ("3", "-3")
+        assert (lam.approx(1), (-lam).approx(1)) == ("2.6", "-2.6")
+
 
 class TestPerronPolynomial:
     def test_fibonacci_like(self):

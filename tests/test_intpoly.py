@@ -16,6 +16,7 @@ from substoe.intpoly import (
     _lift_all,
     _lift_factor,
     _mod,
+    _variations,
     _zpoly_divmod,
     _zpoly_mul,
     count_real_roots,
@@ -229,9 +230,9 @@ def _plain_isolation_bisection(f):
     chain = sturm_chain(f)
     bound = root_bound(f)
     lo, hi = -bound, bound
-    while count_real_roots(f, lo, hi, chain) > 1:
+    while _variations(chain, lo) - _variations(chain, hi) > 1:
         mid = (lo + hi) / 2
-        if count_real_roots(f, mid, hi, chain) >= 1:
+        if _variations(chain, mid) - _variations(chain, hi) >= 1:
             lo = mid
         else:
             hi = mid
@@ -417,12 +418,12 @@ class TestFactorization:
         # modulo every prime, so recombination proves it irreducible
         quartic = P(1, 0, -10, 0, 1)
         calls = []
-        for name in ("_berlekamp", "_lift_all"):
+        for name in ("_gf_factor", "_lift_all"):
             spied = getattr(intpoly_module, name)
             monkeypatch.setattr(intpoly_module, name, lambda f, *args, spied=spied:
                                 calls.append(len(f) - 1) or spied(f, *args))
         assert factor_monic_squarefree(P(1, -5) * quartic) == [P(1, -5), quartic]
-        assert calls[:2] == [4, 4]  # Berlekamp, then the top of the tree
+        assert calls[:2] == [4, 4]  # split mod p, then the top of the tree
         calls.clear()
         # a remainder of degree 3 or less with no integer root is irreducible
         assert factor_monic_squarefree(P(1, -5) * P(1, 2) * P(1, 1, 0, -7)) == [
@@ -511,7 +512,7 @@ def top_lift(f):
     factorization would run it without splitting off integer roots first;
     None if f has one modular factor there."""
     p = good_prime(f)
-    modular = intpoly_module._berlekamp([c % p for c in f.coeffs], p)
+    modular = intpoly_module._gf_factor([c % p for c in f.coeffs], p)
     if len(modular) == 1:
         return None
     modular.sort(key=lambda g: (len(g), tuple(g)))

@@ -190,7 +190,8 @@ class TestFactorization:
         assert _factors(factor_monic_squarefree(f)) == _sympy_factors(f)
 
     def test_modular_factors_match_sympy(self):
-        # Berlekamp's monic factors of f mod p, as a set, against sympy over
+        # the monic factors of f mod p, split by degree, as a set, against
+        # sympy over
         # GF(p), at the prime the factorization picks and at every other
         # prime up to 17 keeping f squarefree: some below deg f, where x**p
         # is already reduced, and some above it
@@ -207,7 +208,7 @@ class TestFactorization:
                 d = intpoly_module._mod(df.coeffs, p)
                 if not d or len(intpoly_module._gf_gcd(fp, d, p)) > 1:
                     continue
-                got = intpoly_module._berlekamp(fp, p)
+                got = intpoly_module._gf_factor(fp, p)
                 _, want = sympy.Poly(list(reversed(f.coeffs)), T,
                                      modulus=p).factor_list()
                 assert {tuple(g) for g in got} == {
@@ -215,6 +216,26 @@ class TestFactorization:
                 assert len(got) == len(want)
                 sides.add(p < n)
         assert sides == {True, False}
+
+    @pytest.mark.parametrize("p, d", [(3, 3), (3, 4), (5, 3), (7, 2), (11, 2)])
+    def test_field_polynomial_splits_into_every_irreducible(self, p, d):
+        # x**(p**d) - x over GF(p) is the product of the monic irreducibles
+        # of every degree k dividing d, (1/k) sum_(j | k) mu(k/j) p**j of
+        # each: many factors of one degree for the equal-degree step
+        f = [0, p - 1] + [0] * (p ** d - 2) + [1]
+        got = intpoly_module._gf_factor(f, p)
+        _, want = sympy.Poly(T ** (p ** d) - T, T, modulus=p).factor_list()
+        assert sorted(map(tuple, got)) == sorted(
+            tuple(c % p for c in _ints(g)) for g, _ in want)
+        degrees = [len(g) - 1 for g in got]
+        for k in range(1, d + 1):
+            if d % k == 0:
+                count = sum(sympy.mobius(k // j) * p ** j
+                            for j in range(1, k + 1) if k % j == 0) // k
+                assert degrees.count(k) == count
+        assert len(got) == {(3, 3): 11, (3, 4): 24, (5, 3): 45, (7, 2): 28,
+                            (11, 2): 66}[p, d]
+        assert intpoly_module._gf_factor(f, p) == got
 
     def test_failing_primes_divide_the_bounded_discriminant(self):
         # the squarefree refusal's proof: monic squarefree f fails the
