@@ -20,7 +20,6 @@ import functools
 import json
 import os
 import sys
-import traceback
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -129,10 +128,12 @@ def _failure(exc):
     message = type(exc).__name__
     if str(exc):
         message += ": %s" % exc
-    frames = traceback.extract_tb(exc.__traceback__)
-    if frames:
-        message += " (at %s:%d)" % (os.path.basename(frames[-1].filename),
-                                     frames[-1].lineno)
+    tb = exc.__traceback__
+    if tb is not None:
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        message += " (at %s:%d)" % (
+            os.path.basename(tb.tb_frame.f_code.co_filename), tb.tb_lineno)
     return "internal", 1, message
 
 

@@ -1,6 +1,7 @@
 """Exact integer matrices and the integer lattice utilities built on them."""
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .errors import (DimensionError, DomainError, InternalError, RankError,
@@ -289,13 +290,53 @@ def wielandt_bound(n):
     return (n - 1) * (n - 1) + 1 if n > 1 else 1
 
 
+def _reached(adj):
+    """Count of the vertices reached from vertex 0 along adj, and each
+    one's breadth-first level (-1 where unreached)."""
+    level = [-1] * len(adj)
+    level[0] = 0
+    queue = [0]
+    for u in queue:
+        for v in adj[u]:
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return len(queue), level
+
+
+def _irreducible_aperiodic(succ):
+    """Whether the graph u -> v for v in succ[u] is strongly connected
+    with period 1.  Every vertex must be reached from vertex 0 both along
+    successors and along predecessors; the period is then the gcd of
+    level(u) + 1 - level(v) over the edges u -> v, levels from vertex 0.
+    """
+    n = len(succ)
+    reached, level = _reached(succ)
+    if reached < n:
+        return False
+    pred = [[] for _ in range(n)]
+    for u, s in enumerate(succ):
+        for v in s:
+            pred[v].append(u)
+    if _reached(pred)[0] < n:
+        return False
+    period = 0
+    for u, s in enumerate(succ):
+        for v in s:
+            period = gcd(period, level[u] + 1 - level[v])
+    return period == 1
+
+
 def primitivity_exponent(m):
     """Least e with m**e entrywise positive, or None if m is not primitive.
 
     Only the support pattern matters, so powers are taken on row bitmasks.
     Row i of m m**e is the OR of rows j of m**e over the successors j of
     i, so the sparse rows of m drive each step.  The search stops at the
-    Wielandt bound, which is decisive.
+    Wielandt bound, which is decisive.  Past n powers without a positive
+    one, the graph of m is checked once for strong connectivity and
+    period 1, which together are primitivity, so a non-primitive m is
+    refused without the rest of the scan.
     """
     if not m.is_square:
         raise DimensionError("primitivity needs a square matrix")
@@ -308,6 +349,8 @@ def primitivity_exponent(m):
     for e in range(1, wielandt_bound(n) + 1):
         if all(r == full for r in cur):
             return e
+        if e == n and not _irreducible_aperiodic(succ):
+            return None
         nxt = []
         for s in succ:
             mask = 0

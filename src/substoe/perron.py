@@ -7,12 +7,11 @@ expresses multiplication by lam on the coordinate lattice Z^k of the
 field; only multiplication_matrices, which no builder calls, reads it.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 
 from .errors import DomainError, InternalError
-from .field import (FieldElement, NumberField, _element, certified_sign,
-                    dominant_root_field)
+from .field import _element, certified_sign, dominant_root_field
 from .intpoly import _rem_monic
 from .matrix import (ExactMatrix, _int_apply, _int_matmul, charpoly,
                      kernel_basis, primitivity_exponent)
@@ -27,20 +26,8 @@ def field_kernel_basis(rows, field):
     return kernel_basis([list(r) for r in rows], field.zero(), field.one())
 
 
-@dataclass(frozen=True)
-class PerronData:
-    matrix: ExactMatrix
-    field: NumberField
-    k: int
-    lam: FieldElement
-    eigvec: tuple
-    exponent: int
-
-
-@dataclass(frozen=True)
-class MultiplicationPair:
-    c: ExactMatrix
-    y1: tuple
+PerronData = namedtuple("PerronData", "matrix field k lam eigvec exponent")
+MultiplicationPair = namedtuple("MultiplicationPair", "c y1")
 
 
 def adjugate_column(rows, cp, min_poly):

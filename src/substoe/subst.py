@@ -14,7 +14,7 @@ import re
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 from .errors import (CapabilityError, DomainError, InternalError, SeedError,
@@ -222,12 +222,8 @@ def _substring_profile(images, blocks, letters, n):
     return tuple(accumulate(diff[1:n + 1]))
 
 
-@dataclass(frozen=True)
-class FactorLanguage:
-    """All factors of one length, plus the exact two-block language."""
-    n: int
-    words: frozenset
-    two_blocks: frozenset
+# All factors of length n, plus the exact two-block language.
+FactorLanguage = namedtuple("FactorLanguage", "n words two_blocks")
 
 
 class Substitution:

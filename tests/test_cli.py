@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -778,6 +779,59 @@ class TestInternalErrors:
         assert error["kind"] == "internal"
         assert error["message"].startswith(type(exc).__name__)
         assert "test_cli.py" in error["message"]
+
+    def test_failure_names_the_innermost_frame(self):
+        def inner():
+            raise KeyError("deep")
+
+        def outer():
+            inner()
+
+        try:
+            outer()
+        except KeyError as exc:
+            caught = exc
+        last = traceback.extract_tb(caught.__traceback__)[-1]
+        assert cli_module._failure(caught) == (
+            "internal", 1, "KeyError: 'deep' (at %s:%d)"
+            % (os.path.basename(last.filename), last.lineno))
+        assert last.name == "inner"
+
+
+COLD_PATH = """
+import contextlib, io, sys
+import substoe, substoe.cli
+from substoe import cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert cli.main(["verify-paper"]) == 0
+assert '"all_passed": true' in out.getvalue()
+
+def broken(doc, args):
+    raise MemoryError()
+
+_, help_text, flags = cli._COMMANDS["complexity"]
+cli._COMMANDS["complexity"] = (broken, help_text, flags)
+sys.stdin = io.StringIO('{"substitution": {"rules": {"a": "ab"}}}')
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    assert cli.main(["complexity", "-"]) == 1
+assert '"message": "MemoryError (at <string>:' in err.getvalue()
+print(sorted({"dataclasses", "inspect", "ast", "dis", "tokenize",
+              "traceback"} & set(sys.modules)))
+"""
+
+
+def test_cold_path_loads_no_introspection_modules():
+    """A fresh interpreter without site packages imports the package,
+    runs verify-paper and reports an internal error without loading
+    dataclasses, inspect, ast, dis, tokenize or traceback."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; sys.path.insert(0, %r)\n%s" % (src, COLD_PATH)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 json_leaves = (st.none() | st.booleans()

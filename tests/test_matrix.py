@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
@@ -204,6 +205,47 @@ def _dense_side_exponent(rows):
     return None
 
 
+@st.composite
+def _periodic_or_reducible(draw):
+    """0/1 matrices up to 8 x 8 whose graph is periodic or reducible
+    unless the random edges happen to undo it: edges either run from
+    class c to class c + 1 mod p among p vertex classes (p = 1 allows
+    every edge), or never run from the second of two blocks back into
+    the first.  Edges are sparse, and half the time a cycle through
+    every vertex keeps its allowed edges, so that exponents past n come
+    up."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        p = draw(st.integers(1, n))
+        cls = {v: i % p for i, v in enumerate(order)}
+        allowed = [[cls[v] == (cls[u] + 1) % p for v in range(n)]
+                   for u in range(n)]
+    else:
+        cut = draw(st.integers(0, n))
+        first = set(order[:cut])
+        allowed = [[u in first or v not in first for v in range(n)]
+                   for u in range(n)]
+    sparse = draw(st.integers(1, 5))
+    rows = [[int(ok and draw(st.integers(1, sparse)) == 1) for ok in row]
+            for row in allowed]
+    if draw(st.booleans()):
+        for u, v in zip(order, order[1:] + order[:1]):
+            rows[u][v] = int(allowed[u][v])
+    return rows
+
+
+def _refusal_seconds(rows):
+    """Best of three times for primitivity_exponent to answer None."""
+    a = ExactMatrix.from_rows(rows)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert primitivity_exponent(a) is None
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
 class TestPrimitivity:
     def test_fibonacci_exponent(self):
         a = ExactMatrix.from_rows([[0, 1], [1, 1]])
@@ -250,6 +292,27 @@ class TestPrimitivity:
         rows[n - 1][0] = rows[n - 1][1] = 1
         a = ExactMatrix.from_rows(rows)
         assert primitivity_exponent(a) == wielandt_bound(n) == 9802
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_periodic_or_reducible())
+    def test_refusal_matches_the_plain_scan(self, rows):
+        # most of these are refused by the graph check past n powers
+        assert (primitivity_exponent(ExactMatrix.from_rows(rows))
+                == _dense_side_exponent(rows))
+
+    def test_cyclic_permutation_is_refused_at_once(self):
+        # the scan alone would run to the Wielandt bound, 89,402 powers
+        n = 300
+        rows = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+        assert _refusal_seconds(rows) < 0.05
+
+    def test_period_two_graph_is_refused_at_once(self):
+        # a 300-cycle with chords i -> i + 3 from the even vertices: every
+        # cycle has even length
+        n = 300
+        rows = [[int(j == (i + 1) % n or (i % 2 == 0 and j == (i + 3) % n))
+                 for j in range(n)] for i in range(n)]
+        assert _refusal_seconds(rows) < 0.05
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_supports())

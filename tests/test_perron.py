@@ -10,6 +10,8 @@ from substoe.field import certified_sign, minimal_polynomial, number_field
 from substoe.intpoly import IntPolynomial
 from substoe.matrix import ExactMatrix, charpoly, primitivity_exponent
 from substoe.perron import (
+    MultiplicationPair,
+    PerronData,
     adjugate_column,
     companion_matrix,
     field_kernel_basis,
@@ -76,6 +78,47 @@ class TestPerronData:
         c = ExactMatrix.from_rows([[0, 0, 46], [1, 0, 15], [0, 1, -3]])
         with pytest.raises(DomainError):
             perron_data(c)
+
+
+class TestRecords:
+    """The records are named tuples: fields by name and position, no
+    assignment, equality and hashing by value."""
+
+    def test_fields_in_order(self):
+        assert PerronData._fields == (
+            "matrix", "field", "k", "lam", "eigvec", "exponent")
+        assert MultiplicationPair._fields == ("c", "y1")
+        pd = perron_data(A0)
+        assert tuple(pd) == (pd.matrix, pd.field, pd.k, pd.lam, pd.eigvec,
+                             pd.exponent)
+        assert pd[2] == pd.k == 2
+        pair = multiplication_matrices(pd.field)
+        c, y1 = pair
+        assert (c, y1) == (pair.c, pair.y1)
+
+    @pytest.mark.parametrize("name", ["matrix", "lam", "exponent"])
+    def test_assignment_raises(self, name):
+        pd = perron_data(A0)
+        with pytest.raises(AttributeError):
+            setattr(pd, name, None)
+
+    def test_equal_records_hash_equal(self):
+        first, second = perron_data(A0), perron_data(A0)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert first != perron_data(A1)
+        pair = multiplication_matrices(first.field)
+        again = multiplication_matrices(second.field)
+        assert pair == again and hash(pair) == hash(again)
+
+    def test_golden_repr(self):
+        assert repr(perron_data(A0)) == (
+            "PerronData(matrix=ExactMatrix.from_rows([[1, 1], [1, 2]]), "
+            "field=NumberField(t^2 - 3*t + 1), k=2, lam=FieldElement(0, 1), "
+            "eigvec=(FieldElement(3, -1), FieldElement(-2, 1)), exponent=1)")
+        assert repr(multiplication_matrices(perron_data(A0).field)) == (
+            "MultiplicationPair(c=ExactMatrix.from_rows([[0, -1], [1, 3]]), "
+            "y1=(FieldElement(-1, 0), FieldElement(0, 1)))")
 
 
 class TestCoordinates:

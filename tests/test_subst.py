@@ -306,6 +306,16 @@ class TestLanguage:
         assert lang.words == {("a", "b"), ("b", "a"), ("b", "b")}
         assert lang.two_blocks == lang.words
 
+    def test_record_is_a_named_tuple(self):
+        lang = golden().factor_language(2)
+        assert FactorLanguage._fields == ("n", "words", "two_blocks")
+        assert lang == (2, lang.words, lang.two_blocks)
+        again = golden().factor_language(2)
+        assert lang is not again
+        assert lang == again and hash(lang) == hash(again)
+        with pytest.raises(AttributeError):
+            lang.n = 3
+
     def test_zeta_two_blocks_content(self):
         blocks = zeta().factor_language(2).two_blocks
         assert ("c", "c") in blocks and ("a", "b") in blocks
