@@ -163,14 +163,16 @@ def _rational_digits(text):
             count(den) if den else count(frac) + max(-shift, 0) + 1)
 
 
-def _parse_entry(node, where):
-    if isinstance(node, bool) or not isinstance(node, (int, str)):
+def _parse_entry(node, where, limit):
+    """A JSON integer as it is, a rational string as a Fraction; limit is
+    sys.get_int_max_str_digits(), read once by the caller."""
+    if type(node) is int:
+        return node
+    if type(node) is not str:
         raise MalformedInputError(
             "%s entries must be integers or rational strings" % where)
     try:
-        limit = sys.get_int_max_str_digits()
-        if (isinstance(node, str) and limit
-                and max(_rational_digits(node)) > limit):
+        if limit and max(_rational_digits(node)) > limit:
             raise MalformedInputError(
                 "rational string in %s has a numerator or denominator over "
                 "%d digits" % (where, limit))
@@ -185,7 +187,9 @@ def _parse_matrix(node, where="matrix"):
     if (not isinstance(node, list) or not node
             or not all(isinstance(row, list) for row in node)):
         raise MalformedInputError("%s must be a list of rows" % where)
-    rows = [[_parse_entry(x, where) for x in row] for row in node]
+    limit = sys.get_int_max_str_digits()
+    rows = [[x if type(x) is int else _parse_entry(x, where, limit)
+             for x in row] for row in node]
     return ExactMatrix.from_rows(rows)
 
 
@@ -443,16 +447,17 @@ def _cmd_s_member(doc, args):
     m = _parse_matrix(doc["matrix"])
     lattice = lattice_of(perron_data(m))
     node = doc["value"]
+    limit = sys.get_int_max_str_digits()
     if isinstance(node, dict):
         _check_keys(node, "value", required=("coords",))
         coords = node["coords"]
         if not isinstance(coords, list):
             raise MalformedInputError("value coords must be a list")
         value = lattice.field.from_coords(
-            [_parse_entry(x, "value coords") for x in coords])
+            [_parse_entry(x, "value coords", limit) for x in coords])
         echo = {"coords": [_rational_str(Fraction(x)) for x in coords]}
     else:
-        value = _parse_entry(node, "value")
+        value = _parse_entry(node, "value", limit)
         echo = _rational_str(value)
     kwargs = {}
     if args.cap_power is not None:
@@ -470,26 +475,29 @@ def _cmd_groups_equal(doc, args):
 
 
 def _cmd_enumerate_y(doc, args):
+    """The report's shared fields once, and each system as its partition:
+    the system's rows are its parts c, of weights weights[c - 1]."""
     _check_keys(doc, "input", required=("q",))
     q = _positive_int(doc, "q", "input")
     report = enumerate_rational_y(q)
     partitions = report["partitions"]
-    # Up to 8,118 systems share level0, matrix and base: each fills one
-    # template, _dumps's layout with null in place of the three lists,
-    # from the texts of each part c and of its weight, formatted once and
-    # indexed by c.  partition and rows are the same list, joined once.
+    head = _dumps({
+        "q": q,
+        "count": len(partitions),
+        "level0": report["level0"],
+        "matrix": report["matrix"],
+        "base": _rational_str(report["base"]),
+        "weights": [_rational_str(w) for w in report["weights"]],
+        "systems": None,
+    })
+    # Up to 8,118 partitions replace the null in one join of the texts of
+    # their parts, formatted once and indexed by c; _dumps would check
+    # the type of every part.
     ints = ["%d" % c for c in range(q + 1)]
-    texts = [None] + ['"%s"' % _rational_str(w) for w in report["weights"]]
-    head = dict(base=_rational_str(report["base"]), level0=report["level0"],
-                matrix=report["matrix"], partition=None, rows=None,
-                weights=None)
-    template = "    " + _dumps(head).replace("\n", "\n    ").replace(
-        "null", "[\n        %s\n      ]")
-    sep = ",\n        "
-    return '{\n  "count": %d,\n  "q": %d,\n  "systems": [\n%s\n  ]\n}' % (
-        len(partitions), q, ",\n".join([template % (
-            parts := sep.join(map(ints.__getitem__, p)), parts,
-            sep.join(map(texts.__getitem__, p))) for p in partitions]))
+    sep = ",\n      "
+    systems = "[\n    [\n      %s\n    ]\n  ]" % "\n    ],\n    [\n      ".join(
+        [sep.join(map(ints.__getitem__, p)) for p in partitions])
+    return head.replace('"systems": null', '"systems": ' + systems)
 
 
 def _paper_checks():

@@ -6,6 +6,7 @@ import sys
 import time
 import traceback
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -131,8 +132,8 @@ class TestExitCodes:
         assert err_json(err)["kind"] == "capability"
 
     def test_reader_closing_stdout_early_exits_one_silently(self):
-        # the 4.7 MB document overfills the pipe, so the write meets the
-        # closed read end
+        # the 853 KB document still overfills the pipe, so the write meets
+        # the closed read end
         src = os.path.dirname(os.path.dirname(cli_module.__file__))
         with subprocess.Popen(
                 [sys.executable, "-m", "substoe.cli", "enumerate-y", "-"],
@@ -141,7 +142,7 @@ class TestExitCodes:
                 env=dict(os.environ, PYTHONPATH=src)) as proc:
             proc.stdin.write(b'{"q": 32}')
             proc.stdin.close()
-            assert proc.stdout.read(10) == b'{\n  "count'
+            assert proc.stdout.read(10) == b'{\n  "base"'
             proc.stdout.close()
             assert proc.wait(timeout=60) == 1
             assert proc.stderr.read() == b""
@@ -154,6 +155,25 @@ class TestExitCodes:
         code, _, err = cli(
             ["perron", "-"], document={"matrix": [[1.5, 1], [1, 2]]})
         assert code == 3
+
+    @pytest.mark.parametrize("entry", [1.5, True, None])
+    def test_non_number_matrix_entry_message(self, cli, entry):
+        code, out, err = cli(
+            ["perron", "-"], document={"matrix": [[1, 1], [entry, 2]]})
+        assert (code, out) == (3, "")
+        assert err_json(err)["message"] == (
+            "matrix entries must be integers or rational strings")
+
+    def test_integer_entries_pass_through(self, monkeypatch):
+        # no Fraction per JSON integer, one digit-limit read per matrix
+        reads = []
+        limit = sys.get_int_max_str_digits()
+        monkeypatch.setattr(cli_module, "Fraction", None)
+        monkeypatch.setattr(sys, "get_int_max_str_digits",
+                            lambda: reads.append(1) or limit)
+        rows = [[(i * j) % 7 for j in range(30)] for i in range(30)]
+        assert cli_module._parse_matrix(rows).int_rows() == rows
+        assert reads == [1]
 
     def test_non_integral_matrix_entry_is_a_domain_error(self, cli):
         code, out, err = cli(
@@ -189,11 +209,13 @@ class TestExitCodes:
         assert err_json(err)["message"] == "bad rational '1/0' in matrix"
 
     def test_rational_strings_within_the_digit_limit(self):
-        parse = cli_module._parse_entry
+        limit = sys.get_int_max_str_digits()
+
+        def parse(node, where):
+            return cli_module._parse_entry(node, where, limit)
         assert parse("3", "x") == 3
         assert parse("-7/4", "x") == Fraction(-7, 4)
         assert parse("1.5", "x") == Fraction(3, 2)
-        limit = sys.get_int_max_str_digits()
         # numerator and denominator of exactly `limit` digits still parse
         assert parse("1e%d" % (limit - 1), "x") == 10 ** (limit - 1)
         assert parse("1e-%d" % (limit - 1), "x") == Fraction(1, 10 ** (limit - 1))
@@ -450,11 +472,12 @@ class TestEnumerate:
         assert code == 0
         doc = out_json(out)
         assert doc["count"] == 3
-        partitions = [s["partition"] for s in doc["systems"]]
-        assert sorted(map(tuple, partitions)) == [
+        assert doc["weights"] == ["1/4", "1/2", "3/4", "1"]
+        assert sorted(map(tuple, doc["systems"])) == [
             (1, 1, 1, 1), (2, 1, 1), (3, 1)]
-        for system in doc["systems"]:
-            assert sum(eval_fraction(w) for w in system["weights"]) == 1
+        for parts in doc["systems"]:
+            weights = [doc["weights"][c - 1] for c in parts]
+            assert sum(eval_fraction(w) for w in weights) == 1
 
     def test_trivial_denominators(self, cli):
         for q, count in ((1, 1), (2, 1)):
@@ -464,10 +487,49 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("q", range(1, 13))
     def test_document_matches_per_system_formatting(self, cli, q):
+        """The earlier layout printed each system with the shared fields;
+        every such system is read back from the shared fields and the
+        system's parts."""
+        from substoe.construct import enumerate_rational_y
+
+        def text(value):
+            fr = Fraction(value)
+            if fr.denominator == 1:
+                return str(fr.numerator)
+            return "%d/%d" % (fr.numerator, fr.denominator)
+
+        report = enumerate_rational_y(q)
+        old = [{
+            "partition": list(parts),
+            "weights": [text(report["weights"][c - 1]) for c in parts],
+            "rows": list(parts),
+            "level0": report["level0"],
+            "matrix": [list(row) for row in report["matrix"]],
+            "base": text(report["base"]),
+        } for parts in report["partitions"]]
         code, out, _ = cli(["enumerate-y", "-"], document={"q": q})
         assert code == 0
-        assert out == json.dumps(enumerate_y_reference(q), sort_keys=True,
-                                 indent=2) + "\n"
+        doc = out_json(out)
+        assert (doc["q"], doc["count"]) == (q, len(old))
+        assert [{
+            "partition": parts,
+            "weights": [doc["weights"][c - 1] for c in parts],
+            "rows": parts,
+            "level0": doc["level0"],
+            "matrix": doc["matrix"],
+            "base": doc["base"],
+        } for parts in doc["systems"]] == old
+
+    def test_systems_are_coprime_partitions(self):
+        for q in range(1, 33):
+            doc = json.loads(cli_module._cmd_enumerate_y({"q": q}, None))
+            assert len(doc["systems"]) == doc["count"]
+            assert doc["weights"] == [str(Fraction(c, q))
+                                      for c in range(1, q + 1)]
+            for parts in doc["systems"]:
+                assert parts == sorted(parts, reverse=True)
+                assert sum(parts) == q
+                assert gcd(*parts) == 1
 
 
 class TestBudgets:
@@ -547,26 +609,18 @@ def eval_fraction(text):
 
 
 def enumerate_y_reference(q):
-    """The enumerate-y document built as a dict, one system per partition
-    of the enumerate_rational_y(q) report."""
+    """The enumerate-y document built as a dict: the shared fields of the
+    enumerate_rational_y(q) report once and one partition per system."""
     from substoe.construct import enumerate_rational_y
-
-    def text(value):
-        fr = Fraction(value)
-        if fr.denominator == 1:
-            return str(fr.numerator)
-        return "%d/%d" % (fr.numerator, fr.denominator)
 
     report = enumerate_rational_y(q)
     partitions = report["partitions"]
-    return {"q": q, "count": len(partitions), "systems": [{
-        "partition": list(parts),
-        "weights": [text(report["weights"][c - 1]) for c in parts],
-        "rows": list(parts),
-        "level0": report["level0"],
-        "matrix": [list(row) for row in report["matrix"]],
-        "base": text(report["base"]),
-    } for parts in partitions]}
+    return {"q": q, "count": len(partitions),
+            "level0": report["level0"],
+            "matrix": [list(row) for row in report["matrix"]],
+            "base": str(report["base"]),
+            "weights": [str(w) for w in report["weights"]],
+            "systems": [list(parts) for parts in partitions]}
 
 
 # One run of every subcommand: (argv, input document, its top-level keys).
@@ -591,7 +645,8 @@ DOCUMENT_KEYS = [
     (["s-member"], {"matrix": A0, "value": "1/2"}, {"status", "cap", "value"}),
     (["groups-equal"], {"first": A0, "second": A1, "m": 2},
      {"status", "first_absorbs_at", "second_absorbs_at"}),
-    (["enumerate-y"], {"q": 4}, {"q", "count", "systems"}),
+    (["enumerate-y"], {"q": 4},
+     {"q", "count", "level0", "matrix", "base", "weights", "systems"}),
     (["verify-paper"], None, {"checks", "all_passed"}),
 ]
 
