@@ -22,8 +22,7 @@ from math import gcd, lcm, prod
 
 from .errors import (CapabilityError, DomainError, FieldMismatchError,
                      _number_text, _require_positive_int)
-from .field import (FieldElement, _element, _interval_horner, certified_sign,
-                    minimal_polynomial)
+from .field import FieldElement, _element, _interval_horner, certified_sign
 from .matrix import _int_apply, _int_matmul, hnf_basis
 
 
@@ -270,7 +269,11 @@ def _carried_into(field, power, group):
             "a lattice closed under a power of its root compares only "
             "on its own field")
     mu = _lam_power(field, power)
-    if minimal_polynomial(mu) != group.field.min_poly:
+    # an irreducible monic f2 is mu's minimal polynomial iff f2(mu) = 0
+    value = field.one()
+    for c in reversed(group.field.min_poly.coeffs[:-1]):
+        value = value * mu + c
+    if not value.is_zero:
         raise FieldMismatchError(
             "second field is not generated by the declared eigenvalue power")
     if not _same_embedded_root(mu, group.field):

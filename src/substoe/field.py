@@ -3,7 +3,7 @@
 An element is integer numerators over one positive denominator in lowest
 terms: products are integer convolutions reduced by the monic minimal
 polynomial, both done by intpoly's coefficient-list kernel, and the
-inverse is one fraction-free (Bareiss) integer solve.
+inverse is intpoly's extended Euclid on primitive pseudo-remainders.
 A field carries an isolating interval for its distinguished root, always
 the largest real root of the minimal polynomial, with rational endpoints
 where the polynomial changes sign.  Signs are certified by interval Horner
@@ -22,6 +22,7 @@ from .intpoly import (
     IntPolynomial,
     _conv,
     _eval_at,
+    _inverse_mod,
     _rem_monic,
     count_real_roots,
     factor_monic_squarefree,
@@ -29,7 +30,7 @@ from .intpoly import (
     refine_root_interval,
     squarefree_part,
 )
-from .matrix import _bareiss, _power, charpoly, kernel_basis
+from .matrix import ExactMatrix, _power, charpoly
 
 
 class NumberField:
@@ -42,6 +43,12 @@ class NumberField:
             raise DomainError("monic integer minimal polynomial required")
         if min_poly.degree < 1:
             raise DomainError("minimal polynomial must have positive degree")
+        if squarefree_part(min_poly) != min_poly:
+            raise DomainError("minimal polynomial must be squarefree")
+        # a zero divisor would have no certified sign; past
+        # FACTOR_DEGREE_CAP this refuses with a CapabilityError
+        if len(factor_monic_squarefree(min_poly)) != 1:
+            raise DomainError("polynomial is reducible")
         lo, hi = interval[0], interval[1]
         _require_rational(lo)
         _require_rational(hi)
@@ -59,8 +66,9 @@ class NumberField:
     def _isolated(cls, min_poly, lo, hi, lo_sign):
         """The field without the checks, for dominant_root_field: its
         interval holds exactly one root of the squarefree part sf, and the
-        owner min_poly has it, so the root count is already 1 and needs no
-        second Sturm chain.  lo_sign has the sign of min_poly(lo)."""
+        owner min_poly, an irreducible factor, has it, so the root count is
+        already 1 and needs no second Sturm chain.  lo_sign has the sign of
+        min_poly(lo)."""
         field = object.__new__(cls)
         object.__setattr__(field, "min_poly", min_poly)
         object.__setattr__(field, "degree", min_poly.degree)
@@ -200,20 +208,16 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self):
-        """self * x = 1 as C x = den * e0, C the integer columns of the
-        numerators of self * lam**j, solved by _bareiss."""
+        """den * s / d, for s * nums = d modulo the minimal polynomial
+        (intpoly._inverse_mod)."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero field element")
-        k = self.field.degree
-        cols = [list(self.nums)]
-        while len(cols) < k:
-            cols.append(_rem_monic([0] + cols[-1], self.field.min_poly.coeffs))
-        rows = [[c[i] for c in cols] + [0 if i else self.den] for i in range(k)]
-        det = _bareiss(rows, k)
-        if det == 0:
+        found = _inverse_mod(self.nums, self.field.min_poly.coeffs)
+        if found is None:
             raise DomainError("element is a zero divisor")
-        sign = 1 if det > 0 else -1
-        return _element(self.field, [sign * r[k] for r in rows], sign * det)
+        s, d = found
+        pad = [0] * (self.field.degree - len(s))
+        return _element(self.field, [self.den * c for c in s] + pad, d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -353,13 +357,9 @@ def number_field(min_poly):
     """Build the field of the largest real root of a monic irreducible poly."""
     if not min_poly.is_monic or min_poly.degree < 1:
         raise DomainError("monic polynomial of positive degree required")
-    if squarefree_part(min_poly) != min_poly:
+    if squarefree_part(min_poly) != min_poly:  # as isolation requires
         raise DomainError("minimal polynomial must be squarefree")
-    factors = factor_monic_squarefree(min_poly)
-    if len(factors) != 1:
-        raise DomainError("polynomial is reducible")
-    interval = isolate_largest_real_root(min_poly)
-    return NumberField(min_poly, interval)
+    return NumberField(min_poly, isolate_largest_real_root(min_poly))
 
 
 def perron_minimal_polynomial(m):
@@ -408,16 +408,19 @@ def dominant_root_field(cp):
 def minimal_polynomial(elt):
     """Monic integer minimal polynomial of an algebraic integer element.
 
-    The first power whose coordinate column depends on the lower powers
-    fixes the degree: the first kernel vector of the columns of the powers
-    up to the field degree, 1 at that power and 0 past it, holds the
-    coefficients.
+    The integer matrix of multiplication by b = den * elt has for its
+    charpoly a power of the minimal polynomial p of b, so p is the
+    charpoly's squarefree part; elt = b / den has den**-m * p(den * t), m
+    = deg p, which has integer coefficients exactly when elt is an
+    algebraic integer.
     """
-    powers = [elt.field.one()]
-    for _ in range(elt.field.degree):
-        powers.append(powers[-1] * elt)
-    coeffs = kernel_basis([list(r) for r in zip(*(x.coords for x in powers))],
-                          Fraction(0), Fraction(1))[0]
-    if any(c.denominator != 1 for c in coeffs):
+    f = elt.field.min_poly.coeffs
+    cols = [list(elt.nums)]
+    while len(cols) < elt.field.degree:
+        cols.append(_rem_monic([0] + cols[-1], f))
+    p = squarefree_part(charpoly(ExactMatrix.from_columns(cols))).coeffs
+    scaled = [divmod(c * elt.den ** i, elt.den ** (len(p) - 1))
+              for i, c in enumerate(p)]
+    if any(r for _, r in scaled):
         raise DomainError("element is not an algebraic integer")
-    return IntPolynomial([int(c) for c in coeffs])
+    return IntPolynomial([q for q, _ in scaled])

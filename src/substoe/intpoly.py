@@ -135,29 +135,16 @@ class IntPolynomial:
         return IntPolynomial([c // g for c in self.coeffs])
 
     def div_exact(self, g):
-        """Exact quotient self / g over the integers; DomainError if inexact."""
+        """Exact quotient self / g over the integers; DomainError if inexact.
+
+        k * self = q * g + r by pseudo-division, so the quotient is q / k
+        exactly when r = 0 and k divides q."""
         if g.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        gc = g.coeffs
-        dq = len(rem) - len(gc)
-        if dq < 0:
-            if self.is_zero:
-                return IntPolynomial([])
+        q, r, k = _pdivmod(self.coeffs, g.coeffs)
+        if r or any(c % k for c in q):
             raise DomainError("inexact polynomial division")
-        quot = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            top = rem[k + len(gc) - 1]
-            if top % gc[-1] != 0:
-                raise DomainError("inexact polynomial division")
-            q = top // gc[-1]
-            quot[k] = q
-            if q:
-                for j, c in enumerate(gc):
-                    rem[k + j] -= q * c
-        if any(rem):
-            raise DomainError("inexact polynomial division")
-        return IntPolynomial(quot)
+        return IntPolynomial([c // k for c in q])
 
     def __repr__(self):
         return "IntPolynomial([%s])" % ", ".join(map(_number_text, self.coeffs))
@@ -191,27 +178,32 @@ def _primitive(coeffs):
     return [c // g for c in coeffs] if g > 1 else coeffs
 
 
-def _prem(a, b):
-    """Pseudo-remainder: the remainder of a by b times a positive integer.
-
-    Each elimination step scales the running remainder by |lc(b)|, so the
-    result is |lc(b)|**e * rem(a, b) for some e <= deg a - deg b + 1 and
-    keeps the sign pattern of the rational remainder.
+def _pdivmod(a, b):
+    """Pseudo-division: (q, r, k) with k*a = q*b + r, deg r < deg b and
+    k = |lc(b)|**steps > 0, one step per leading term of a eliminated, so
+    r keeps the sign pattern of the rational remainder.  A remainder can
+    drop several degrees in one step: k is not |lc(b)|**(deg a - deg b + 1).
     """
     r = list(a)
     lead = b[-1]
     scale = abs(lead)
     sgn = 1 if lead > 0 else -1
     nb = len(b)
+    q = [0] * max(0, len(r) - nb + 1)
+    k = 1
     while len(r) >= nb:
         top = sgn * r[-1]
         shift = len(r) - nb
-        r = [scale * c for c in r]
+        if scale != 1:
+            r = [scale * c for c in r]
+            q = [scale * c for c in q]
+            k *= scale
+        q[shift] += top
         for i, c in enumerate(b):
             r[shift + i] -= top * c
         r.pop()
         _strip(r)
-    return r
+    return q, r, k
 
 
 def poly_gcd(f, g):
@@ -222,8 +214,31 @@ def poly_gcd(f, g):
     """
     a, b = _primitive(list(f.coeffs)), _primitive(list(g.coeffs))
     while b:
-        a, b = b, _primitive(_prem(a, b))
+        a, b = b, _primitive(_pdivmod(a, b)[1])
     return IntPolynomial(a).primitive_part()
+
+
+def _inverse_mod(a, f):
+    """(s, d) with s*a = d mod f, an integer d > 0 and deg s < deg f, for a
+    nonzero list a with deg a < deg f; None when a and f share a factor.
+
+    Extended Euclid on primitive pseudo-remainders (Collins, JACM 1967):
+    each remainder r keeps a cofactor s with r = s*a mod f, k*r0 = q*r1 + r
+    gives r the cofactor k*s0 - q*s1, and both lose their common content.
+    """
+    r0, s0 = list(f), []
+    r1, s1 = _strip(list(a)), [1]
+    while len(r1) > 1:
+        q, r, k = _pdivmod(r0, r1)
+        if not r:
+            return None
+        s = _add([k * c for c in s0], [-c for c in _conv(q, s1)])
+        g = gcd(*r, *s)
+        r0, s0 = r1, s1
+        r1, s1 = [c // g for c in r], [c // g for c in s]
+    if r1[0] < 0:
+        return [-c for c in s1], -r1[0]
+    return s1, r1[0]
 
 
 def squarefree_part(f):
@@ -250,7 +265,7 @@ def sturm_chain(f):
     if d:
         chain.append(d)
     while len(chain[-1]) > 1:
-        r = _prem(chain[-2], chain[-1])
+        r = _pdivmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append(_primitive([-c for c in r]))

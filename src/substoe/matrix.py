@@ -150,57 +150,25 @@ class ExactMatrix:
         return "ExactMatrix.from_rows([%s])" % ", ".join(
             "[%s]" % ", ".join(map(_number_text, r)) for r in self.int_rows())
 
-    def det(self):
-        """Bareiss elimination on the integer rows."""
-        if not self.is_square:
-            raise DimensionError("determinant of a non-square matrix")
-        return _bareiss(self.int_rows(), self.rows)
-
     def inverse(self):
-        """(adj, d) with self * adj = d * I and d > 0: _bareiss on [A | I]
-        leaves det A * A^-1 in the right half, signed so d = |det A|."""
+        """(adj, d) with self * adj = d * I and d = |det| > 0, read off the
+        Faddeev-LeVerrier recursion: self * B_(n-1) = -c_0 * I, and
+        det = (-1)**n * c_0 for the constant term c_0 of the charpoly."""
         if not self.is_square:
             raise DimensionError("inverse of a non-square matrix")
         n = self.rows
-        rows = [list(self.row(i)) + [int(i == j) for j in range(n)]
-                for i in range(n)]
-        det = _bareiss(rows, n)
+        cs, b = _faddeev(self)
+        det = (-1) ** n * cs[-1]
         if det == 0:
             raise DomainError("matrix is singular")
-        sign = 1 if det > 0 else -1
-        return ExactMatrix(n, n, [sign * x for r in rows for x in r[n:]]), abs(det)
+        sign = (1 if det > 0 else -1) * (-1) ** (n - 1)
+        return ExactMatrix(n, n, [sign * x for r in b for x in r]), abs(det)
 
     def solve(self, rhs):
         """Unique solution x of self @ x = rhs, as Fractions; DomainError
         if singular."""
         adj, d = self.inverse()
         return tuple(Fraction(x, d) for x in adj.apply(rhs))
-
-
-def _bareiss(rows, n):
-    """Fraction-free Gauss-Jordan in place on integer rows whose first n
-    columns are a square A; returns det A.  Bareiss's step (Math. Comp. 22,
-    1968) runs on every row but the pivot's, and each division by the last
-    pivot is exact; a zero pivot swaps in a later row, negated to keep the
-    determinant.  If det A != 0 the later columns B end as det A * A^-1 B
-    (the first n are not kept); else it stops at the first pivotless column.
-    """
-    prev = 1
-    for k in range(n):
-        if rows[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if rows[r][k]), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = [-x for x in rows[swap]], rows[k]
-        tail = rows[k][k:]
-        p = tail[0]
-        for i, row in enumerate(rows):
-            if i != k:
-                f = row[k]
-                row[k:] = [(p * x - f * y) // prev
-                           for x, y in zip(row[k:], tail)]
-        prev = p
-    return prev
 
 
 def gauss_jordan(rows, ncols):
@@ -249,16 +217,22 @@ def kernel_basis(rows, zero, one):
 
 
 def charpoly(m):
-    """Characteristic polynomial det(tI - m) of an integer square matrix.
-
-    Faddeev-LeVerrier on integer lists: B_0 = I, then B_i = m B_(i-1) + c I
-    with c = -tr(m B_(i-1)) / i, a division that must be exact.
-    """
+    """Characteristic polynomial det(tI - m) of an integer square matrix."""
     if not m.is_square:
         raise DimensionError("characteristic polynomial of a non-square matrix")
+    cs, _ = _faddeev(m)
+    return IntPolynomial(cs[::-1] + [1])
+
+
+def _faddeev(m):
+    """Faddeev-LeVerrier on integer lists for a square m: B_0 = I, then
+    B_i = m B_(i-1) + c I with c = -tr(m B_(i-1)) / i, a division that must
+    be exact.  Returns the c, from c_(n-1) down to the constant term c_0
+    of det(tI - m), and B_(n-1); as B_n = 0, m B_(n-1) = -c_0 I.
+    """
     n = m.rows
     a = m.int_rows()
-    b = [[int(i == j) for j in range(n)] for i in range(n)]
+    b = prev = [[int(i == j) for j in range(n)] for i in range(n)]
     cs = []
     for i in range(1, n + 1):
         prod = _int_matmul(a, b)
@@ -268,10 +242,10 @@ def charpoly(m):
         cs.append(c)
         for j in range(n):
             prod[j][j] += c
-        b = prod
+        prev, b = b, prod
     if any(x for row in b for x in row):
         raise InternalError("characteristic polynomial recursion did not close")
-    return IntPolynomial(cs[::-1] + [1])
+    return cs, prev
 
 
 def _int_apply(rows, v):

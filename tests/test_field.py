@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import substoe.intpoly as intpoly_module
 from substoe.clopen import _same_embedded_root
-from substoe.errors import DomainError
+from substoe.errors import CapabilityError, DomainError
 from substoe.field import (
     NumberField,
     _cleared,
@@ -19,10 +20,11 @@ from substoe.field import (
     perron_minimal_polynomial,
     value_interval,
 )
-from substoe.intpoly import (IntPolynomial, count_real_roots,
-                             isolate_largest_real_root, refine_root_interval,
-                             root_bound, squarefree_part)
+from substoe.intpoly import (IntPolynomial, _eval_at, _rem_monic,
+                             count_real_roots, isolate_largest_real_root,
+                             refine_root_interval, root_bound, squarefree_part)
 from substoe.matrix import ExactMatrix, gauss_jordan
+from test_matrix import bareiss
 
 
 GOLDEN = number_field(IntPolynomial([1, -3, 1]))  # largest root of t^2 - 3t + 1
@@ -46,6 +48,19 @@ class TestConstruction:
     def test_no_real_root_rejected(self):
         with pytest.raises(DomainError):
             number_field(IntPolynomial([1, 0, 1]))
+
+    def test_constructor_refuses_a_reducible_polynomial_at_once(self):
+        # Each interval isolates the root 2 with a sign change.  On
+        # (t - 1)(t - 2) the nonzero element lam - 2 would have no
+        # certified sign, and bisection for one would not end.
+        for coeffs, reason in (([2, -3, 1], "reducible"),
+                               ([-8, 12, -6, 1], "squarefree")):  # (t - 2)^3
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match=reason):
+                NumberField(IntPolynomial(coeffs), (Fraction(3, 2), 3))
+            assert time.perf_counter() - start < 0.1
+        with pytest.raises(CapabilityError, match="factorization cap"):
+            NumberField(IntPolynomial([-2] + [0] * 12 + [1]), (1, 2))
 
     def test_interval_brackets_root(self):
         lo, hi = GOLDEN.interval
@@ -370,8 +385,9 @@ class TestLowerEndSign:
     def test_chain_matches_reference_bisection(self, f, steps):
         bound = root_bound(f)
         assume(count_real_roots(f, -bound, bound) > 0)
-        field = NumberField(f, isolate_largest_real_root(f))
-        lo, hi = field.interval
+        # f may be reducible, which the checked constructor refuses
+        lo, hi = isolate_largest_real_root(f)
+        field = NumberField._isolated(f, lo, hi, _eval_at(f.coeffs, lo))
         with pytest.MonkeyPatch.context() as patch:
             per_step = counted_evaluations(patch)
             field.refined_interval((hi - lo) / 2 ** steps)
@@ -529,6 +545,54 @@ class TestAgainstFractionCoordinates:
             field.zero().inverse()
         with pytest.raises(ZeroDivisionError):
             field.zero() ** -1
+
+
+def bareiss_inverse(elt):
+    """Reference inverse: elt * x = 1 as C x = den * e0, C the integer
+    columns of the numerators of elt * lam**j, solved fraction-free."""
+    k = elt.field.degree
+    cols = [list(elt.nums)]
+    while len(cols) < k:
+        cols.append(_rem_monic([0] + cols[-1], elt.field.min_poly.coeffs))
+    rows = [[c[i] for c in cols] + [0 if i else elt.den] for i in range(k)]
+    det = bareiss(rows, k)
+    assert det != 0
+    return elt.field.from_coords([Fraction(r[k], det) for r in rows])
+
+
+@st.composite
+def random_fields(draw):
+    """Fields of degree 1 to 10 on random monic irreducible polynomials
+    with a real root."""
+    k = draw(st.integers(1, 10))
+    low = draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))
+    try:
+        return number_field(IntPolynomial(low + [1]))
+    except DomainError:  # reducible, or no real root
+        assume(False)
+
+
+class TestInverseAgainstElimination:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(random_fields(), st.lists(small_fractions, min_size=10, max_size=10))
+    def test_random_fields(self, field, coords):
+        lam = field.lam()
+        for x in (lam, lam - 1, field.from_coords(coords[:field.degree])):
+            if x.is_zero:
+                continue
+            assert x.inverse() == bareiss_inverse(x)
+            assert x * x.inverse() == 1
+
+    def test_degree_sixty(self):
+        # Past FACTOR_DEGREE_CAP, so the field is built unchecked; t^60 - 2
+        # is irreducible by Eisenstein at 2.
+        f = IntPolynomial([-2] + [0] * 59 + [1])
+        field = NumberField._isolated(f, Fraction(1), Fraction(2), -1)
+        lam = field.lam()
+        dense = field.from_coords([(-1) ** i * (i % 7) for i in range(60)])
+        for x in (lam - 1, 1 + lam ** 5 - 3 * lam ** 17 + lam ** 59 / 7, dense):
+            assert x * x.inverse() == 1
+            assert x.inverse() == bareiss_inverse(x)
 
 
 def real_root_intervals(f):

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from substoe import intpoly as intpoly_module
 from substoe.construct import enlarge_matrix
@@ -24,6 +26,7 @@ from substoe.intpoly import (
 )
 from substoe.matrix import ExactMatrix, charpoly, primitivity_exponent
 from substoe.perron import perron_data
+from test_field import random_fields, small_fractions
 from test_intpoly import (golden_chain_charpolys, good_prime, linear_products,
                           random_monic_products)
 
@@ -295,14 +298,16 @@ class TestElimination:
             m = ExactMatrix.from_rows(rows)
             expected = sympy.Matrix(rows)
             det = expected.det()
-            assert m.det() == _fraction(det)
+            assert (-1) ** s * charpoly(m).coeffs[0] == det
             if det == 0:
                 singular += 1
                 with pytest.raises(DomainError):
                     m.inverse()
                 continue
             inv, (adj, d) = expected.inv(), m.inverse()
-            assert d == abs(m.det())
+            assert d == abs(det)
+            sign = 1 if det > 0 else -1
+            assert adj.int_rows() == (sign * expected.adjugate()).tolist()
             assert [[Fraction(x, d) for x in adj.row(i)] for i in range(s)] == [
                 [_fraction(inv[i, j]) for j in range(s)] for i in range(s)]
         assert 0 < singular < 80
@@ -331,4 +336,32 @@ class TestElementMinimalPolynomial:
             expected = sympy.Poly(sympy.minimal_polynomial(element, T), T)
             got = minimal_polynomial(field.from_coords(coords))
             assert list(got.coeffs) == _ints(expected)
+            # halved, an element with an odd coefficient is not integral
+            half = sympy.AlgebraicNumber(root, [c / sympy.Integer(2)
+                                                for c in reversed(coords)])
+            expected = sympy.Poly(sympy.minimal_polynomial(half, T), T).monic()
+            halved = field.from_coords(coords) / 2
+            if all(c.is_integer for c in expected.all_coeffs()):
+                assert list(minimal_polynomial(halved).coeffs) == _ints(expected)
+            else:
+                with pytest.raises(DomainError, match="not an algebraic integer"):
+                    minimal_polynomial(halved)
             checked += 1
+
+
+class TestFieldInverse:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(random_fields(), st.lists(small_fractions, min_size=10, max_size=10))
+    def test_matches_sympy_invert(self, field, coords):
+        f = _sympy_poly(field.min_poly)
+        lam = field.lam()
+        for x in (lam, lam - 1, field.from_coords(coords[:field.degree])):
+            if x.is_zero:
+                continue
+            want = sympy.invert(
+                sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                            for c in reversed(x.coords)], T, domain="QQ"),
+                f.set_domain("QQ"))
+            got = [_fraction(c) for c in reversed(want.all_coeffs())]
+            assert x.inverse().coords == tuple(
+                got + [Fraction(0)] * (field.degree - len(got)))
