@@ -26,7 +26,6 @@ from .field import (
     certified_sign,
     minimal_polynomial,
     number_field,
-    perron_minimal_polynomial,
 )
 from .perron import (
     MultiplicationPair,

@@ -64,11 +64,10 @@ class NumberField:
 
     @classmethod
     def _isolated(cls, min_poly, lo, hi, lo_sign):
-        """The field without the checks, for dominant_root_field: its
-        interval holds exactly one root of the squarefree part sf, and the
-        owner min_poly, an irreducible factor, has it, so the root count is
-        already 1 and needs no second Sturm chain.  lo_sign has the sign of
-        min_poly(lo)."""
+        """The field without the checks, for dominant_root_field, whose
+        interval holds one root of the squarefree part, owned by the
+        irreducible min_poly: the root count is already 1.  lo_sign has
+        the sign of min_poly(lo)."""
         field = object.__new__(cls)
         object.__setattr__(field, "min_poly", min_poly)
         object.__setattr__(field, "degree", min_poly.degree)
@@ -362,14 +361,6 @@ def number_field(min_poly):
     return NumberField(min_poly, isolate_largest_real_root(min_poly))
 
 
-def perron_minimal_polynomial(m):
-    """Field generated by the dominant eigenvalue of a primitive matrix.
-
-    Returns (field, k); see dominant_root_field.
-    """
-    return dominant_root_field(charpoly(m))
-
-
 def dominant_root_field(cp):
     """Field of the largest real root of a characteristic polynomial.
 
@@ -378,12 +369,12 @@ def dominant_root_field(cp):
     the factor owning that root becomes the minimal polynomial.  The
     isolating interval is refined until its lower end exceeds 1.
 
-    The owner is the one factor g with g(lo) * g(hi) < 0: (lo, hi) holds
-    exactly one root of sf, a simple one, and sf vanishes at neither end.
-    Each factor divides sf, so it vanishes at neither end either and has
-    at most that root inside; the factors are coprime, so exactly one has
-    it, as a simple root, and changes sign across it, and every other
-    factor has no root inside and keeps its sign.
+    The owner is the one factor g with g(lo) * g(hi) < 0: (lo, hi] holds
+    exactly one root of sf, a simple one.  The factors are coprime, so
+    exactly one has it; it vanishes at neither end (see
+    isolate_largest_real_root) and changes sign across the simple root.
+    Every other factor has no root in (lo, hi], so it vanishes at lo or
+    keeps its sign, and either way g(lo) * g(hi) >= 0.
     """
     sf = squarefree_part(cp)
     factors = factor_monic_squarefree(sf)

@@ -328,10 +328,16 @@ def _root_radius_bound(f):
 def isolate_largest_real_root(f, factors=None):
     """Open interval (lo, hi) holding exactly the largest real root of f.
 
-    The endpoints are rationals where f does not vanish and changes sign.
-    Requires f squarefree with at least one real root.  Given pairwise
-    coprime factors with product f, roots are counted as the sum of their
-    Sturm counts: every count, and so the interval, is the same as on f.
+    Requires f squarefree with at least one real root.  The interval is
+    the plain bisection's, re-centred when that ends on the root, which
+    is then rational: (lo, hi] holds no other root, and f(hi) != 0.  lo
+    may be a smaller rational root of a reducible f; but no irreducible
+    factor of degree 2 or more has a rational root, and a linear owner
+    has just its own, so the factor owning the root (f itself when f is
+    irreducible) is nonzero at both ends and changes sign across them.
+    Given pairwise coprime factors with product f, roots are counted as
+    the sum of their Sturm counts: every count, and so the interval, is
+    the same as on f.
     """
     if f.degree < 1:
         raise DomainError("need degree at least 1")
@@ -361,28 +367,9 @@ def isolate_largest_real_root(f, factors=None):
             lo, vlo = mid, vmid
         else:
             hi, vhi = mid, vmid
-    # Convert to a sign-change certificate with nonvanishing endpoints.
-    coeffs = f.coeffs
-    flo = _eval_at(coeffs, lo)
-    fhi = _eval_at(coeffs, hi)
-    if fhi == 0:
-        # hi is the root itself (possible only for a rational root); re-center.
+    if _eval_at(f.coeffs, hi) == 0:
         w = (hi - lo) / 4
         lo, hi = hi - w, hi + w
-        flo = _eval_at(coeffs, lo)
-        fhi = _eval_at(coeffs, hi)
-    if flo == 0:
-        # lo landed on a smaller root; nudge it up, halving toward hi.
-        step = (hi - lo) / 4
-        while True:
-            cand = lo + step
-            v = _eval_at(coeffs, cand)
-            if v != 0 and variations(cand) - variations(hi) == 1:
-                lo, flo = cand, v
-                break
-            step /= 2
-    if flo * fhi >= 0:
-        raise InternalError("root isolation lost its sign change")
     return lo, hi
 
 
@@ -430,23 +417,22 @@ def _zpoly_mul(a, b, m):
 
 
 def _zpoly_divmod(a, b, m):
-    """Division with remainder mod m, for b whose leading coefficient is a
-    unit mod m: any nonzero one for a prime m, 1 for a prime power."""
-    a = list(a)
+    """Division with remainder mod m for a prime m, or a monic b in the
+    Hensel steps; quotient coefficients are reduced as they are found,
+    the remainder once, at the end."""
     if not b:
         raise ZeroDivisionError
     inv = pow(b[-1], -1, m)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = (a[-1] * inv) % m
-        k = len(a) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            a[k + i] = (a[k + i] - c * y) % m
-        _strip(a)
-        if not a:
-            break
-    return _strip(q), a
+    r = list(a)
+    k = len(b) - 1
+    q = [0] * max(0, len(r) - k)
+    for top in range(len(r) - 1, k - 1, -1):
+        c = r[top] * inv % m
+        if c:
+            q[top - k] = c
+            for i in range(k):
+                r[top - k + i] -= c * b[i]
+    return _strip(q), _mod(r[:k], m)
 
 
 def _gf_monic(a, p):
@@ -525,21 +511,18 @@ def _centered(c, m):
     return c
 
 
-def _zpoly_add(a, b, m):
-    return _mod(_add(a, b), m)
-
-
 def _hensel_step(f, g, h, s, t, m):
-    """Lift f = g*h with s*g + t*h = 1 from mod m to mod m*m (all monic g, h)."""
+    """Lift f = g*h with s*g + t*h = 1 from mod m to mod m*m (all monic g, h),
+    in integers, each result reduced mod m*m once."""
     mm = m * m
-    e = _zpoly_sub(f, _zpoly_mul(g, h, mm), mm)
-    q, r = _zpoly_divmod(_zpoly_mul(s, e, mm), h, mm)
-    g2 = _zpoly_add(g, _zpoly_add(_zpoly_mul(t, e, mm), _zpoly_mul(q, g, mm), mm), mm)
-    h2 = _zpoly_add(h, r, mm)
-    b = _zpoly_sub(_zpoly_add(_zpoly_mul(s, g2, mm), _zpoly_mul(t, h2, mm), mm), [1], mm)
-    c, d = _zpoly_divmod(_zpoly_mul(s, b, mm), h2, mm)
-    s2 = _zpoly_sub(s, d, mm)
-    t2 = _zpoly_sub(t, _zpoly_add(_zpoly_mul(t, b, mm), _zpoly_mul(c, g2, mm), mm), mm)
+    e = _mod(_add(f, [-c for c in _conv(g, h)]), mm)
+    q, r = _zpoly_divmod(_conv(s, e), h, mm)
+    g2 = _mod(_add(g, _add(_conv(t, e), _conv(q, g))), mm)
+    h2 = _mod(_add(h, r), mm)
+    b = _mod(_add(_add(_conv(s, g2), _conv(t, h2)), [-1]), mm)
+    c, d = _zpoly_divmod(_conv(s, b), h2, mm)
+    s2 = _mod(_add(s, [-x for x in d]), mm)
+    t2 = _mod(_add(t, [-x for x in _add(_conv(t, b), _conv(c, g2))]), mm)
     return g2, h2, s2, t2
 
 

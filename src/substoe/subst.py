@@ -548,20 +548,31 @@ class Substitution:
             images[ch] = img
         return images, blocks, enc
 
-    def _window_words(self, n):
-        """Encoded n-factor strings of the substitution language."""
+    def _window_words(self, n, budget=False):
+        """Encoded n-factor strings of the substitution language; with
+        budget, refused past LENGTH_GUARD letters, checked every SLICE."""
         images, blocks, enc = self._window_texts(n)
         texts = list(images.values())
         if n > 1:
             texts += [images[b][1 - n:] + images[c][:n - 1] for b, c in blocks]
         out = set()
+        most = LENGTH_GUARD // n if budget else sys.maxsize
+        step = max(1, SLICE // n)
         for text in texts:
-            for i in range(len(text) - n + 1):
-                out.add(text[i:i + n])
+            end = len(text) - n + 1
+            for start in range(0, end, step):
+                for i in range(start, min(start + step, end)):
+                    out.add(text[i:i + n])
+                if len(out) > most:
+                    raise CapabilityError(
+                        "factors of length %d passed %d letters, over the "
+                        "word budget of %d" % (n, len(out) * n, LENGTH_GUARD))
         return out, blocks, enc
 
     def factor_language(self, n):
-        words, blocks, enc = self._window_words(n)
+        """The n-factors and the two-block language, refused once the
+        n-factors pass LENGTH_GUARD letters."""
+        words, blocks, enc = self._window_words(n, budget=True)
         dec = {v: k for k, v in enc.items()}
         return FactorLanguage(
             n=n,

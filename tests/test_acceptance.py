@@ -20,6 +20,7 @@ from substoe import (
     IntPolynomial,
     Substitution,
     build_soe_substitution,
+    charpoly,
     diagram_from_substitution,
     enlarge_matrix,
     enumerate_rational_y,
@@ -29,12 +30,12 @@ from substoe import (
     minimal_polynomial,
     minimize_vertices,
     perron_data,
-    perron_minimal_polynomial,
     primitivity_exponent,
     s_membership,
     verify_lind_example,
 )
 from substoe.errors import RankError
+from substoe.field import dominant_root_field
 from test_subst import fixed_point_seed
 
 A0 = [[1, 1], [1, 2]]
@@ -160,7 +161,7 @@ def test_criterion_08_vertex_minimization():
         assert primitivity_exponent(small) is not None
         pd_in = perron_data(ExactMatrix.from_rows(A1))
         target = minimal_polynomial(pd_in.lam ** report["matrix_power"])
-        field_out, degree = perron_minimal_polynomial(small)
+        field_out, degree = dominant_root_field(charpoly(small))
         assert degree == 2
         assert field_out.min_poly == target
         assert report["groups"]["status"] == "equal"

@@ -263,6 +263,23 @@ class TestPerron:
             document={"matrix": [["1", "1"], ["1", "2"]]})
         assert code == 0
 
+    def test_singular_matrix_interval_changes_the_owner_sign(self, cli):
+        # charpoly t^3 - 4t^2 - 8t: the root isolation ends on the root 0
+        # of t, and the printed interval is certified by t^2 - 4t - 8
+        code, out, _ = cli(["perron", "-"], document={
+            "matrix": [[2, 2, 3], [2, 2, 1], [2, 2, 0]]})
+        assert code == 0
+        doc = out_json(out)
+        assert doc["min_poly"] == [-8, -4, 1]
+        assert doc["eigenvalue"]["approx"] == "5.464101615138"
+        lo, hi = map(Fraction, doc["eigenvalue"]["interval"])
+        owner = [Fraction(c) for c in doc["min_poly"]]
+
+        def value(x):
+            return sum(c * x ** i for i, c in enumerate(owner))
+
+        assert value(lo) * value(hi) < 0
+
 
 class TestLanguage:
     def test_two_factors(self, cli):
@@ -591,6 +608,18 @@ class TestBudgets:
         assert error["message"].startswith("coordinates of eigenvalue power ")
         assert error["message"].endswith(
             " bits, over the budget of 32768 bits")
+
+    def test_language_over_the_word_budget(self, cli):
+        doc = {"substitution": {"rules": {"a": "ab", "b": "a"}}}
+        start = time.perf_counter()
+        code, out, err = cli(["language", "-", "--n-max", "400000"],
+                             document=doc)
+        assert time.perf_counter() - start < 10
+        assert (code, out) == (2, "")
+        error = err_json(err)
+        assert error["kind"] == "capability"
+        assert error["message"].startswith("factors of length 400000 passed ")
+        assert error["message"].endswith(" word budget of 2000000")
 
     def test_telescope_over_the_length_budget(self, cli):
         doc = {"substitution": {"rules": {"a": "ab", "b": "a"}},

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import substoe.intpoly as intpoly_module
 from substoe.clopen import _same_embedded_root
-from substoe.errors import CapabilityError, DomainError
+from substoe.errors import CapabilityError, DomainError, InternalError
 from substoe.field import (
     NumberField,
     _cleared,
@@ -17,13 +17,13 @@ from substoe.field import (
     dominant_root_field,
     minimal_polynomial,
     number_field,
-    perron_minimal_polynomial,
     value_interval,
 )
 from substoe.intpoly import (IntPolynomial, _eval_at, _rem_monic,
-                             count_real_roots, isolate_largest_real_root,
+                             count_real_roots, factor_monic_squarefree,
+                             isolate_largest_real_root,
                              refine_root_interval, root_bound, squarefree_part)
-from substoe.matrix import ExactMatrix, gauss_jordan
+from substoe.matrix import ExactMatrix, charpoly, gauss_jordan
 from test_matrix import bareiss
 
 
@@ -154,26 +154,44 @@ class TestCertifiedSign:
 class TestPerronPolynomial:
     def test_fibonacci_like(self):
         a = ExactMatrix.from_rows([[1, 1], [1, 2]])
-        field, k = perron_minimal_polynomial(a)
+        field, k = dominant_root_field(charpoly(a))
         assert field.min_poly == IntPolynomial([1, -3, 1])
         assert k == 2
 
     def test_reducible_charpoly(self):
         a = ExactMatrix.from_rows([[1, 1, 1], [2, 3, 1], [8, 13, 0]])
-        field, k = perron_minimal_polynomial(a)
+        field, k = dominant_root_field(charpoly(a))
         assert field.min_poly == IntPolynomial([1, -7, 1])
         assert k == 2
 
     def test_integer_dominant(self):
         a = ExactMatrix.from_rows([[2]])
-        field, k = perron_minimal_polynomial(a)
+        field, k = dominant_root_field(charpoly(a))
         assert field.min_poly == IntPolynomial([-2, 1])
         assert k == 1
 
     def test_dominant_must_exceed_one(self):
         a = ExactMatrix.from_rows([[1]])
         with pytest.raises(DomainError):
-            perron_minimal_polynomial(a)
+            dominant_root_field(charpoly(a))
+
+    def test_isolation_ending_on_a_smaller_root(self):
+        # charpoly t^3 - 4t^2 - 8t: its isolation ends at (0, 9) on the root
+        # 0 of t, and the owner scan passes t over for t^2 - 4t - 8
+        a = ExactMatrix.from_rows([[2, 2, 3], [2, 2, 1], [2, 2, 0]])
+        field, k = dominant_root_field(charpoly(a))
+        owner = IntPolynomial([-8, -4, 1])
+        assert (field.min_poly, k) == (owner, 2)
+        lo, hi = field.interval
+        assert (lo, hi) == (Fraction(9, 2), 9)
+        assert owner(lo) * owner(hi) < 0
+
+    def test_no_owner_is_an_internal_error(self, monkeypatch):
+        import substoe.field as field_module
+        monkeypatch.setattr(field_module, "isolate_largest_real_root",
+                            lambda f, factors: (Fraction(5), Fraction(9)))
+        with pytest.raises(InternalError, match="no factor owns"):
+            dominant_root_field(IntPolynomial([-1, -3, 1]))
 
 
 class TestMinimalPolynomial:
@@ -385,8 +403,11 @@ class TestLowerEndSign:
     def test_chain_matches_reference_bisection(self, f, steps):
         bound = root_bound(f)
         assume(count_real_roots(f, -bound, bound) > 0)
-        # f may be reducible, which the checked constructor refuses
+        # f may be reducible, which the checked constructor refuses, and lo
+        # a root of one of its factors: the field is built on the factor
+        # that changes sign across (lo, hi), as dominant_root_field does
         lo, hi = isolate_largest_real_root(f)
+        [f] = [g for g in factor_monic_squarefree(f) if g(lo) * g(hi) < 0]
         field = NumberField._isolated(f, lo, hi, _eval_at(f.coeffs, lo))
         with pytest.MonkeyPatch.context() as patch:
             per_step = counted_evaluations(patch)

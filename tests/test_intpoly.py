@@ -169,6 +169,16 @@ class TestRoots:
         with pytest.raises(DomainError):
             isolate_largest_real_root(P(1, 0, 1))
 
+    def test_lower_end_on_a_smaller_rational_root(self):
+        # t^3 - 4t^2 - 8t = t (t^2 - 4t - 8): the bisection ends on the root
+        # 0 of the linear factor, and the interval is kept as it ends
+        f = P(1, -4, -8, 0)
+        owner = P(1, -4, -8)
+        assert isolate_largest_real_root(f) == (0, 9)
+        assert isolate_largest_real_root(f, [P(1, 0), owner]) == (0, 9)
+        assert f(0) == 0 and f(9) != 0
+        assert owner(0) * owner(9) < 0
+
     def test_refinement_keeps_sign_change(self):
         f = P(1, -3, 1)
         lo, hi = isolate_largest_real_root(f)
@@ -249,7 +259,7 @@ class TestIsolationShortcuts:
         if f.degree < 1 or count_real_roots(f, -bound, bound) == 0:
             return
         lo, hi = _plain_isolation_bisection(f)
-        if f(lo) != 0 and f(hi) != 0:
+        if f(hi) != 0:
             assert isolate_largest_real_root(f) == (lo, hi)
 
     def test_roots_far_below_the_crude_bound(self):

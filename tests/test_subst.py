@@ -361,6 +361,32 @@ class TestLanguage:
         assert {("".join(w))[:6] for w in big} <= small
         assert {("".join(w))[1:] for w in big} <= small
 
+    def test_words_over_the_budget_are_refused(self):
+        fib = Substitution({"a": "ab", "b": "a"})
+        assert len(fib.factor_language(1000).words) == 1001
+        # 2001 words of 2000 letters pass the budget; the count is not needed
+        with pytest.raises(CapabilityError, match=(
+                "^factors of length 2000 passed [0-9]+ letters, over the "
+                "word budget of 2000000$")):
+            fib.factor_language(2000)
+        assert fib.complexity(2000) == 2001
+        # one word of 100,000 letters is inside the budget
+        assert len(Substitution({"a": "aa"}).factor_language(100_000).words) == 1
+
+    def test_word_budget_bounds_memory(self):
+        fib = Substitution({"a": "ab", "b": "a"})
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(CapabilityError, match="word budget"):
+                fib.factor_language(400_000)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 10
+        assert peak < 64 * 2 ** 20
+
     def test_huge_runs_match_clamped_rules(self):
         # replacing run count 10**22 by 22 cannot change factors up to 22
         big = Substitution(HUGE_RUN)
