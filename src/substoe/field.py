@@ -43,10 +43,8 @@ class NumberField:
             raise DomainError("monic integer minimal polynomial required")
         if min_poly.degree < 1:
             raise DomainError("minimal polynomial must have positive degree")
-        if squarefree_part(min_poly) != min_poly:
-            raise DomainError("minimal polynomial must be squarefree")
-        # a zero divisor would have no certified sign; past
-        # FACTOR_DEGREE_CAP this refuses with a CapabilityError
+        # a zero divisor would have no certified sign; the factorizer
+        # certifies squarefreeness and refuses past FACTOR_DEGREE_CAP
         if len(factor_monic_squarefree(min_poly)) != 1:
             raise DomainError("polynomial is reducible")
         lo, hi = interval[0], interval[1]
@@ -64,10 +62,10 @@ class NumberField:
 
     @classmethod
     def _isolated(cls, min_poly, lo, hi, lo_sign):
-        """The field without the checks, for dominant_root_field, whose
-        interval holds one root of the squarefree part, owned by the
-        irreducible min_poly: the root count is already 1.  lo_sign has
-        the sign of min_poly(lo)."""
+        """The field without the checks, for number_field and
+        dominant_root_field, whose interval holds one root of the
+        irreducible min_poly, which changes sign across it (see
+        isolate_largest_real_root).  lo_sign has the sign of min_poly(lo)."""
         field = object.__new__(cls)
         object.__setattr__(field, "min_poly", min_poly)
         object.__setattr__(field, "degree", min_poly.degree)
@@ -251,16 +249,23 @@ class FieldElement:
         return "FieldElement(%s)" % ", ".join(map(_number_text, self.coords))
 
     def approx(self, digits=12):
-        """Decimal string within 10**-digits of the true value."""
+        """Decimal string of the value correctly rounded, half up, to
+        digits places.  The walk from the chain's finest interval (see
+        certified_sign) stops where both ends of the interval Horner
+        enclosure round alike.  It ends: a rational element has a point
+        enclosure, and an irrational value lies on no rounding boundary."""
         if type(digits) is not int or digits < 0:
             raise DomainError("digits must be a non-negative integer")
-        lo, hi = value_interval(self, Fraction(1, 10 ** (digits + 1)))
-        mid = (lo + hi) / 2
-        q = (mid * 10 ** digits + Fraction(1, 2)) // 1  # half rounds up
-        sign = "-" if q < 0 else ""
-        q = abs(q)
-        whole, frac = divmod(q, 10 ** digits)
-        text = "%s%d" % (sign, whole)
+        scale = 10 ** digits
+
+        def rounded(lo, hi):
+            vlo, vhi, s = _interval_horner(self.nums, lo, hi)
+            s *= self.den
+            q = (2 * vlo * scale + s) // (2 * s)
+            return q if q == (2 * vhi * scale + s) // (2 * s) else None
+        q = self.field._first_accepted(rounded, finest=True)
+        whole, frac = divmod(abs(q), scale)
+        text = "%s%d" % ("-" if q < 0 else "", whole)
         return "%s.%0*d" % (text, digits, frac) if digits else text
 
 
@@ -353,12 +358,14 @@ def certified_sign(elt):
 
 
 def number_field(min_poly):
-    """Build the field of the largest real root of a monic irreducible poly."""
+    """Build the field of the largest real root of a monic irreducible
+    poly, certified squarefree and irreducible by one factorization."""
     if not min_poly.is_monic or min_poly.degree < 1:
         raise DomainError("monic polynomial of positive degree required")
-    if squarefree_part(min_poly) != min_poly:  # as isolation requires
-        raise DomainError("minimal polynomial must be squarefree")
-    return NumberField(min_poly, isolate_largest_real_root(min_poly))
+    if len(factor_monic_squarefree(min_poly)) != 1:
+        raise DomainError("polynomial is reducible")
+    lo, hi = isolate_largest_real_root(min_poly)
+    return NumberField._isolated(min_poly, lo, hi, min_poly(lo))
 
 
 def dominant_root_field(cp):

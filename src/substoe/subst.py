@@ -81,36 +81,25 @@ def _window_feeds(images, blocks, n):
     goes in from the state of name after (from the root when after is
     None), and the state it ends at is kept under name unless that is None.
 
-    Images go in longest first.  An image that str.find locates inside a
-    longer or equal image already kept is not read: its state is taken off
-    the host's feed at the offset where it ends, so the host goes in cut
-    there.  A junction image(c)[:n-1], read on from image(b), is left out
-    when image(b)[-(n-1):] + image(c)[:n-1] lies inside a kept image.
+    The longest image is the one host.  Each image is searched once in
+    it: where found, its state is taken off the host's feed at the offset
+    where it ends, so the host goes in cut there; elsewhere it goes in
+    whole.  Every junction image(c)[:n-1] is read on from image(b).
     """
-    stops = {}
-    for ch in sorted(images, key=lambda ch: -len(images[ch])):
-        image = images[ch]
-        for host in stops:
-            at = images[host].find(image)
-            if at >= 0:
-                stops[host].append((at + len(image), ch))
-                break
+    host = max(images.values(), key=len)
+    stops, feeds = [], []
+    for ch, image in images.items():
+        at = host.find(image)
+        if at < 0:
+            feeds.append((None, image, ch))
         else:
-            stops[ch] = [(len(image), ch)]
-    feeds = []
-    for host, ends in stops.items():
-        begin, after = 0, None
-        for end, name in sorted(ends):
-            feeds.append((after, images[host][begin:end], name))
-            begin, after = end, name
-    edge = n - 1
-    if edge:
-        # one search per junction: every image letter lies in a two-block,
-        # so it keys images, and a separator past every key is in no junction
-        hay = chr(max(map(ord, images)) + 1).join(map(images.get, stops))
-        for b, c in blocks:
-            if images[b][-edge:] + images[c][:edge] not in hay:
-                feeds.append((b, images[c][:edge], None))
+            stops.append((at + len(image), ch))
+    begin, after = 0, None
+    for end, name in sorted(stops):
+        feeds.append((after, host[begin:end], name))
+        begin, after = end, name
+    if n > 1:
+        feeds += [(b, images[c][:n - 1], None) for b, c in blocks]
     return feeds
 
 
@@ -123,9 +112,8 @@ def _substring_profile(images, blocks, letters, n):
     back to n-letter windows as in the truncated suffix trees of Na,
     Apostolico, Iliopoulos and Park (TCS 2003).  The factors of at most n
     letters of a two-block text are those of image(b) and of the junction
-    image(b)[-(n-1):] + image(c)[:n-1].  An image or junction that lies
-    inside an image already read adds no substring, so _window_feeds
-    leaves it out.
+    image(b)[-(n-1):] + image(c)[:n-1].  An image inside the longest one
+    adds no substring, so _window_feeds reads it off that image's feed.
 
     Reading letters on from a state goes on from its longest string X,
     which is in the automaton already: reading X from the root would end
@@ -589,10 +577,10 @@ class Substitution:
         of the window texts: each such substring lies in an n_max-window,
         and every factor extends to an n_max-factor.  One suffix automaton
         over the images and junctions counts them all.  It is cut back to
-        n_max-letter windows, and images and junctions inside an image
-        already read are skipped: only strings longer than n_max change,
-        so no count does (see _substring_profile).  p(1) and p(3) are
-        checked against the direct counts.
+        n_max-letter windows, and images inside the longest image are read
+        off its feed: only strings longer than n_max change, so no count
+        does (see _substring_profile).  p(1) and p(3) are checked against
+        the direct counts.
         """
         images, blocks, enc = self._window_texts(n_max)
         letters = {ch: i for i, ch in enumerate(enc.values())}

@@ -280,6 +280,14 @@ class TestPerron:
 
         assert value(lo) * value(hi) < 0
 
+    def test_approximations_are_correctly_rounded(self, cli):
+        # lambda = 5.94123104841852...; rounding the midpoint of a chain
+        # interval printed ...418 or ...419 by the field's first interval
+        code, out, _ = cli(["perron", "-"], document={
+            "matrix": [[0, 1, 3, 1], [3, 1, 2, 1], [1, 3, 0, 3], [3, 1, 0, 1]]})
+        assert code == 0
+        assert out_json(out)["eigenvalue"]["approx"] == "5.941231048419"
+
 
 class TestLanguage:
     def test_two_factors(self, cli):

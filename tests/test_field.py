@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import substoe.field as field_module
 import substoe.intpoly as intpoly_module
 from substoe.clopen import _same_embedded_root
 from substoe.errors import CapabilityError, DomainError, InternalError
@@ -24,6 +25,7 @@ from substoe.intpoly import (IntPolynomial, _eval_at, _rem_monic,
                              isolate_largest_real_root,
                              refine_root_interval, root_bound, squarefree_part)
 from substoe.matrix import ExactMatrix, charpoly, gauss_jordan
+from substoe.perron import perron_data
 from test_matrix import bareiss
 
 
@@ -61,6 +63,33 @@ class TestConstruction:
             assert time.perf_counter() - start < 0.1
         with pytest.raises(CapabilityError, match="factorization cap"):
             NumberField(IntPolynomial([-2] + [0] * 12 + [1]), (1, 2))
+
+    def test_reducible_and_unfactorable_refusals(self):
+        # (t^2 + 1)(t^2 + 2) has no real root, but is refused as reducible
+        with pytest.raises(DomainError, match="polynomial is reducible"):
+            number_field(IntPolynomial([2, 0, 3, 0, 1]))
+        cube = IntPolynomial([-2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1])
+        with pytest.raises(CapabilityError, match="factorization cap"):
+            number_field(cube * cube)  # not squarefree, past the cap
+
+    def test_one_factorization_and_no_gcd(self, monkeypatch):
+        calls = {"factor": 0, "squarefree": 0, "count": 0}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+        for name, attr in (("factor", "factor_monic_squarefree"),
+                           ("squarefree", "squarefree_part"),
+                           ("count", "count_real_roots")):
+            monkeypatch.setattr(field_module, attr,
+                                counted(name, getattr(field_module, attr)))
+        field = number_field(IntPolynomial([-2, -2, 0, 1]))
+        assert calls == {"factor": 1, "squarefree": 0, "count": 0}
+        lo, hi = field.interval
+        assert count_real_roots(field.min_poly, lo, hi) == 1
+        assert field.min_poly(lo) * field.min_poly(hi) < 0
 
     def test_interval_brackets_root(self):
         lo, hi = GOLDEN.interval
@@ -149,6 +178,28 @@ class TestCertifiedSign:
         lam = GOLDEN.lam()
         assert (lam.approx(0), (-lam).approx(0)) == ("3", "-3")
         assert (lam.approx(1), (-lam).approx(1)) == ("2.6", "-2.6")
+
+    def test_approx_rounds_exact_halves_up(self):
+        for q, digits, text in ((Fraction(1, 2), 0, "1"),
+                                (Fraction(-1, 2), 0, "0"),
+                                (Fraction(-5, 2), 0, "-2"),
+                                (Fraction(1, 8), 2, "0.13"),
+                                (Fraction(-1, 8), 2, "-0.12")):
+            assert GOLDEN.from_rational(q).approx(digits) == text
+
+    def test_approx_is_the_same_on_a_refined_chain(self):
+        # the finest interval of a long chain rounds as a fresh field does
+        m = ExactMatrix.from_rows([[0, 1, 3, 1], [3, 1, 2, 1], [1, 3, 0, 3],
+                                   [3, 1, 0, 1]])
+        fresh, deep = perron_data(m), perron_data(m)
+        deep.field.refined_interval(Fraction(1, 10 ** 30))
+        for pd in (fresh, deep):
+            elements = [pd.lam] + list(pd.eigvec)
+            before = [x.approx(d) for x in elements for d in (3, 12, 20)]
+            pd.field.refined_interval(Fraction(1, 10 ** 30))
+            assert [x.approx(d) for x in elements for d in (3, 12, 20)] == \
+                before
+        assert fresh.lam.approx(12) == deep.lam.approx(12) == "5.941231048419"
 
 
 class TestPerronPolynomial:
@@ -344,7 +395,6 @@ class TestBisectionChain:
                 reference_value_interval(a, width)
 
     def test_chain_runs_each_step_once(self, monkeypatch):
-        import substoe.field as field_module
         calls = []
 
         def counting(f, lo, hi, lo_sign):

@@ -365,3 +365,33 @@ class TestFieldInverse:
             got = [_fraction(c) for c in reversed(want.all_coeffs())]
             assert x.inverse().coords == tuple(
                 got + [Fraction(0)] * (field.degree - len(got)))
+
+
+class TestApprox:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(random_fields(), st.lists(small_fractions, min_size=10, max_size=10),
+           st.integers(0, 16))
+    def test_correctly_rounded_half_up(self, field, coords, digits):
+        """approx is floor(v * 10**digits + 1/2), v taken exactly for a
+        rational element and to 80 digits by mpmath otherwise."""
+        mpmath = pytest.importorskip("mpmath")
+        root = max(_sympy_poly(field.min_poly).real_roots())
+        lam = field.lam()
+        for x in (lam, lam - 1, field.from_coords(coords[:field.degree]),
+                  field.from_rational(coords[0])):
+            scaled = x.coords[0] * 10 ** digits + Fraction(1, 2)
+            q = scaled.numerator // scaled.denominator
+            if any(x.coords[1:]):
+                with mpmath.workdps(80):
+                    t = mpmath.mpf(str(sympy.N(root, 80)))
+                    v = sum(mpmath.mpf(c.numerator) / c.denominator * t ** i
+                            for i, c in enumerate(x.coords))
+                    scaled = v * 10 ** digits + mpmath.mpf(1) / 2
+                    # no value here lies this near a rounding boundary
+                    assert abs(scaled - mpmath.nint(scaled)) > 10 ** -60
+                    q = int(mpmath.floor(scaled))
+            whole, frac = divmod(abs(q), 10 ** digits)
+            want = "%s%d" % ("-" if q < 0 else "", whole)
+            if digits:
+                want += ".%0*d" % (digits, frac)
+            assert x.approx(digits) == want
