@@ -382,7 +382,8 @@ class Substitution:
                 raise SeedError("rule of %r does not end with it" % left)
             if self.rules[right].first != right:
                 raise SeedError("rule of %r does not start with it" % right)
-            if (left, right) not in self.factor_language(2).two_blocks:
+            enc, _, blocks = self._encoded_language()
+            if (enc[left], enc[right]) not in blocks:
                 raise SeedError("seed pair %s%s is not admissible" % (left, right))
         elif seed not in self._index:
             raise SeedError("unknown seed letter %r" % seed)
@@ -473,7 +474,10 @@ class Substitution:
         return found
 
     def _encoded_language(self):
-        """Encoding, encoded rules and two-block language, built once."""
+        """Encoding, encoded rules and two-block language, built once;
+        refused for a substitution that is not primitive."""
+        if not self.is_primitive():
+            raise DomainError("factor language needs a primitive substitution")
         if self._language is None:
             enc, rules = self._encoded_rules()
             self._language = (enc, rules, self._two_blocks_encoded(rules))
@@ -507,8 +511,6 @@ class Substitution:
         with xx in the two-block language forms, is cut to n letters.
         """
         _require_positive_int(n, "factor length")
-        if not self.is_primitive():
-            raise DomainError("factor language needs a primitive substitution")
         enc, rules, blocks = self._encoded_language()
         cur = {ch: ch for ch in rules}
         for rung in self._length_ladder(n)[:-1]:
@@ -536,31 +538,25 @@ class Substitution:
             images[ch] = img
         return images, blocks, enc
 
-    def _window_words(self, n, budget=False):
-        """Encoded n-factor strings of the substitution language; with
-        budget, refused past LENGTH_GUARD letters, checked every SLICE."""
+    def factor_language(self, n):
+        """The n-factors, read as the windows of the window texts, and the
+        two-block language; the words are refused past LENGTH_GUARD
+        letters, checked every SLICE letters read."""
         images, blocks, enc = self._window_texts(n)
         texts = list(images.values())
         if n > 1:
             texts += [images[b][1 - n:] + images[c][:n - 1] for b, c in blocks]
-        out = set()
-        most = LENGTH_GUARD // n if budget else sys.maxsize
+        words = set()
         step = max(1, SLICE // n)
         for text in texts:
             end = len(text) - n + 1
             for start in range(0, end, step):
                 for i in range(start, min(start + step, end)):
-                    out.add(text[i:i + n])
-                if len(out) > most:
+                    words.add(text[i:i + n])
+                if len(words) * n > LENGTH_GUARD:
                     raise CapabilityError(
                         "factors of length %d passed %d letters, over the "
-                        "word budget of %d" % (n, len(out) * n, LENGTH_GUARD))
-        return out, blocks, enc
-
-    def factor_language(self, n):
-        """The n-factors and the two-block language, refused once the
-        n-factors pass LENGTH_GUARD letters."""
-        words, blocks, enc = self._window_words(n, budget=True)
+                        "word budget of %d" % (n, len(words) * n, LENGTH_GUARD))
         dec = {v: k for k, v in enc.items()}
         return FactorLanguage(
             n=n,
@@ -568,7 +564,7 @@ class Substitution:
             two_blocks=frozenset((dec[b], dec[c]) for b, c in blocks))
 
     def complexity(self, n):
-        return len(self._window_words(n)[0])
+        return self.complexity_profile(n)[-1]
 
     def complexity_profile(self, n_max):
         """Tuple of factor counts p(1), ..., p(n_max).
@@ -576,19 +572,22 @@ class Substitution:
         For j <= n_max the j-factors are exactly the j-letter substrings
         of the window texts: each such substring lies in an n_max-window,
         and every factor extends to an n_max-factor.  One suffix automaton
-        over the images and junctions counts them all.  It is cut back to
-        n_max-letter windows, and images inside the longest image are read
-        off its feed: only strings longer than n_max change, so no count
-        does (see _substring_profile).  p(1) and p(3) are checked against
-        the direct counts.
+        over the images and junctions counts them all in linear memory.
+        It is cut back to n_max-letter windows, and images inside the
+        longest image are read off its feed: only strings longer than
+        n_max change, so no count does (see _substring_profile).  p(1) is
+        checked against the alphabet size and p(2) against the two-block
+        closure, two counts that need no window.
         """
         images, blocks, enc = self._window_texts(n_max)
         letters = {ch: i for i, ch in enumerate(enc.values())}
         profile = _substring_profile(images, blocks, letters, n_max)
-        for k in sorted({1, min(3, n_max)}):
-            if profile[k - 1] != self.complexity(k):
-                raise InternalError("profile disagrees with direct count")
-        return tuple(profile)
+        for k, name, count in ((1, "letters", self.size),
+                               (2, "two-blocks", len(blocks))):
+            if k <= n_max and profile[k - 1] != count:
+                raise InternalError("profile p(%d) = %d disagrees with the "
+                                    "%d %s" % (k, profile[k - 1], count, name))
+        return profile
 
     def __repr__(self):
         def shown(rule):

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from substoe import subst as subst_module
-from substoe.errors import CapabilityError, DomainError, SeedError
+from substoe.errors import (CapabilityError, DomainError, InternalError,
+                            SeedError)
 from substoe.subst import FactorLanguage, Substitution, linear_bound_estimate
 from substoe.words import RunWord
 
@@ -178,6 +179,19 @@ class TestFixedPoints:
             # both edges match but aa never occurs in the alternating system
             Substitution({"a": "aba", "b": "bab"},
                          ).fixed_point_prefix("a.a", 5)
+
+    def test_two_sided_seed_reads_the_cached_two_blocks(self, monkeypatch):
+        def refused(self, n):
+            raise AssertionError("window texts built for a seed")
+        monkeypatch.setattr(Substitution, "_window_texts", refused)
+        out = golden().fixed_point_prefix("b.a", 5)
+        assert "".join(out["left"] + out["right"]) == "bbabbababb"
+
+    def test_two_sided_seed_needs_a_primitive_substitution(self):
+        # rule(b) ends with b and rule(a) starts with a, but b -> b
+        with pytest.raises(DomainError, match="^factor language needs a "
+                           "primitive substitution$"):
+            Substitution({"a": "ab", "b": "b"}).fixed_point_prefix("b.a", 5)
 
     def test_non_growing_seed(self):
         with pytest.raises(SeedError):
@@ -413,7 +427,7 @@ class TestComplexity:
         s = random_primitive(5)
         prof = s.complexity_profile(12)
         for n in (1, 4, 7, 12):
-            assert prof[n - 1] == s.complexity(n)
+            assert prof[n - 1] == len(s.factor_language(n).words)
 
     @pytest.mark.parametrize("rules, n", [
         ({"x0": ["x0", "y1", "y1"], "y1": ["x0", "zz"], "zz": ["x0"]}, 30),
@@ -425,12 +439,12 @@ class TestComplexity:
     def test_profile_matches_every_direct_count(self, rules, n):
         s = Substitution(rules)
         assert s.complexity_profile(n) == tuple(
-            s.complexity(j) for j in range(1, n + 1))
+            len(s.factor_language(j).words) for j in range(1, n + 1))
 
     def test_periodic_profile_is_constant(self):
         s = Substitution({"a": "aa"})
         assert s.complexity_profile(12) == (1,) * 12 == tuple(
-            s.complexity(j) for j in range(1, 13))
+            len(s.factor_language(j).words) for j in range(1, 13))
 
     def test_large_sturmian_profile(self):
         prof = Substitution({"a": "ab", "b": "a"}).complexity_profile(20_000)
@@ -446,6 +460,18 @@ class TestComplexity:
             tracemalloc.stop()
         assert prof == tuple(range(2, 100_002))
         assert peak < 40 * 2 ** 20
+
+    def test_large_sturmian_count_memory(self):
+        # the 20,001 windows of 20,000 letters alone are 400 MB of strings
+        s = Substitution({"a": "ab", "b": "a"})
+        tracemalloc.start()
+        try:
+            count = s.complexity(20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 20_001
+        assert peak < 50 * 2 ** 20
 
     def test_image_over_expansion_cap(self, monkeypatch):
         monkeypatch.setattr(subst_module, "EXPAND_CAP", 500)
@@ -498,7 +524,7 @@ def primitive_substitutions(draw):
 def test_random_profile_matches_direct_counts(s, n):
     """Every automaton count equals the size of the sliced window set."""
     assert s.complexity_profile(n) == tuple(
-        s.complexity(j) for j in range(1, n + 1))
+        len(s.factor_language(j).words) for j in range(1, n + 1))
 
 
 # -- clamped image steps --------------------------------------------------
@@ -700,7 +726,7 @@ def test_copy_cut_fires_and_keeps_the_profile():
     old = runword_images(s, n)
     assert any(len(images[ch]) < len(old[ch]) for ch in images)
     assert s.complexity_profile(n) == tuple(
-        s.complexity(j) for j in range(1, n + 1))
+        len(s.factor_language(j).words) for j in range(1, n + 1))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -857,6 +883,36 @@ def test_language_is_built_once(monkeypatch):
     s.complexity_profile(30)
     s.factor_language(4)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("call", ["complexity", "complexity_profile"])
+def test_a_count_builds_the_window_texts_once(monkeypatch, call):
+    calls = []
+    texts = Substitution._window_texts
+
+    def counted(self, n):
+        calls.append(n)
+        return texts(self, n)
+    monkeypatch.setattr(Substitution, "_window_texts", counted)
+    getattr(zeta(), call)(30)
+    assert calls == [30]
+
+
+@pytest.mark.parametrize("wrong, message", [
+    (0, r"^profile p\(1\) = 3 disagrees with the 2 letters$"),
+    (1, r"^profile p\(2\) = 4 disagrees with the 3 two-blocks$")],
+    ids=["p1", "p2"])
+def test_self_check_names_the_count_that_disagrees(monkeypatch, wrong,
+                                                   message):
+    kernel = subst_module._substring_profile
+
+    def off_by_one(*args):
+        profile = list(kernel(*args))
+        profile[wrong] += 1
+        return tuple(profile)
+    monkeypatch.setattr(subst_module, "_substring_profile", off_by_one)
+    with pytest.raises(InternalError, match=message):
+        golden().complexity_profile(5)
 
 
 def test_fibonacci_refusal_is_quick_and_small():
