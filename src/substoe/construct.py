@@ -447,13 +447,10 @@ def _frame_rules(letters, rows, needs, middles, what):
 
 
 def _input_perron(subst):
-    """perron_data of a builder's input, whose refusal of a non-primitive
-    matrix is the builder's; subst keeps the exponent it finds."""
+    """perron_data of a builder's input, whose refusal is the builder's."""
     if not isinstance(subst, Substitution):
         raise DomainError("expected a substitution")
-    pd = perron_data(subst.incidence_matrix())
-    subst._primitivity = pd.exponent
-    return pd
+    return perron_data(subst.incidence_matrix())
 
 
 def build_soe_substitution(subst, block_length):
@@ -597,8 +594,7 @@ def build_oe_alphabet_family(subst, steps=1):
             "groups": comparison,
         })
         current = zeta
-        # complexity_profile has cached the exponent of b
-        matrix, group, vec, e = b, member_group, grown_vec, zeta.primitivity()
+        matrix, group, vec, e = b, member_group, grown_vec, primitivity_exponent(b)
     return members
 
 

@@ -304,27 +304,28 @@ def _irreducible_aperiodic(succ):
 def primitivity_exponent(m):
     """Least e with m**e entrywise positive, or None if m is not primitive.
 
-    Only the support pattern matters, so powers are taken on row bitmasks.
-    Row i of m m**e is the OR of rows j of m**e over the successors j of
-    i, so the sparse rows of m drive each step.  The search stops at the
-    Wielandt bound, which is decisive.  Past n powers without a positive
-    one, the graph of m is checked once for strong connectivity and
-    period 1, which together are primitivity, so a non-primitive m is
-    refused without the rest of the scan.
+    The graph of m decides first: strong connectivity and period 1 are
+    primitivity, so a matrix that is not primitive takes no power.  Only
+    the support matters, so the powers of a primitive m are scanned on
+    row bitmasks up to the Wielandt bound: row i of m m**e is the OR of
+    rows j of m**e over the successors j of i, so the sparse rows of m
+    drive each step.
     """
     if not m.is_square:
         raise DimensionError("primitivity needs a square matrix")
     if not m.is_nonnegative:
         raise DomainError("nonnegative integer matrix required")
     n = m.rows
-    full = (1 << n) - 1
+    if not n:
+        raise DimensionError("empty matrix")
     succ = [[j for j, x in enumerate(m.row(i)) if x] for i in range(n)]
+    if not _irreducible_aperiodic(succ):
+        return None
+    full = (1 << n) - 1
     cur = [sum(1 << j for j in s) for s in succ]
     for e in range(1, wielandt_bound(n) + 1):
         if all(r == full for r in cur):
             return e
-        if e == n and not _irreducible_aperiodic(succ):
-            return None
         nxt = []
         for s in succ:
             mask = 0
@@ -332,7 +333,7 @@ def primitivity_exponent(m):
                 mask |= cur[j]
             nxt.append(mask)
         cur = nxt
-    return None
+    raise InternalError("primitive matrix passed the Wielandt bound")
 
 
 def first_power(m, accept, cap, start=None):

@@ -19,7 +19,8 @@ from itertools import accumulate
 
 from .errors import (CapabilityError, DomainError, InternalError, SeedError,
                      _require_positive_int)
-from .matrix import ExactMatrix, _int_apply, _int_matmul, primitivity_exponent
+from .matrix import (ExactMatrix, _int_apply, _int_matmul,
+                     _irreducible_aperiodic, primitivity_exponent)
 from .words import EXPAND_CAP, RunWord, word_of
 
 LENGTH_GUARD = 2_000_000
@@ -223,15 +224,15 @@ class Substitution:
         if alphabet is None:
             alphabet = tuple(rules)
         alphabet = tuple(alphabet)
-        seen = set()
+        index = {}
         for letter in alphabet:
             if not isinstance(letter, str) or not letter:
                 raise DomainError("letters must be nonempty strings")
             if "." in letter or any(ch.isspace() for ch in letter):
                 raise DomainError("letters may not contain dots or spaces")
-            if letter in seen:
+            if letter in index:
                 raise DomainError("duplicate letter %r" % letter)
-            seen.add(letter)
+            index[letter] = len(index)
         fixed = {}
         rows = []
         for letter in alphabet:
@@ -241,18 +242,16 @@ class Substitution:
             if image.is_empty:
                 raise DomainError("rule for %r is empty" % letter)
             counts = image.letter_counts()
-            if not counts.keys() <= seen:
+            if not counts.keys() <= index.keys():
                 raise DomainError("rule for %r uses unknown letters" % letter)
             fixed[letter] = image
-            rows.append([counts.get(l, 0) for l in alphabet])
-        if set(rules) != seen:
+            rows.append({index[l]: c for l, c in counts.items()})
+        if set(rules) != index.keys():
             raise DomainError("rules mention letters outside the alphabet")
         self.alphabet = alphabet
         self.rules = fixed
-        # _counts[i][j]: count of letter j in the rule of letter i
+        # _counts[i]: {j: count of letter j in the rule of letter i}
         self._counts = rows
-        self._index = {l: i for i, l in enumerate(alphabet)}
-        self._primitivity = False  # not searched yet; None: not primitive
         self._language = None
 
     @property
@@ -261,15 +260,17 @@ class Substitution:
 
     def incidence_matrix(self):
         """Column j counts the letters inside the rule of letter j."""
-        return ExactMatrix.from_columns(self._counts)
+        k = self.size
+        return ExactMatrix(k, k, [row.get(i, 0) for i in range(k)
+                                  for row in self._counts])
 
     def primitivity(self):
-        if self._primitivity is False:
-            self._primitivity = primitivity_exponent(self.incidence_matrix())
-        return self._primitivity
+        """Primitivity exponent of the incidence matrix, None if none."""
+        return primitivity_exponent(self.incidence_matrix())
 
     def is_primitive(self):
-        return self.primitivity() is not None
+        """Strong connectivity and period 1 of the letter graph."""
+        return _irreducible_aperiodic(self._counts)
 
     def apply(self, word):
         return _apply_rules(self.rules, word_of(word))
@@ -298,7 +299,8 @@ class Substitution:
         cap = LENGTH_GUARD + 1
         letters = self.alphabet
         # steps[i][l][x]: count of letter x in the 2^i-th image of l
-        steps = [self._counts]
+        steps = [[[row.get(x, 0) for x in range(self.size)]
+                  for row in self._counts]]
         while 1 << len(steps) < p:
             steps.append([[min(cap, x) for x in row]
                           for row in _int_matmul(steps[-1], steps[-1])])
@@ -376,7 +378,7 @@ class Substitution:
             raise SeedError("seed must be a nonempty string")
         if "." in seed:
             left, _, right = seed.partition(".")
-            if left not in self._index or right not in self._index:
+            if left not in self.rules or right not in self.rules:
                 raise SeedError("unknown seed letters in %r" % seed)
             if self.rules[left].last != left:
                 raise SeedError("rule of %r does not end with it" % left)
@@ -385,7 +387,7 @@ class Substitution:
             enc, _, blocks = self._encoded_language()
             if (enc[left], enc[right]) not in blocks:
                 raise SeedError("seed pair %s%s is not admissible" % (left, right))
-        elif seed not in self._index:
+        elif seed not in self.rules:
             raise SeedError("unknown seed letter %r" % seed)
         elif self.rules[seed].first != seed:
             raise SeedError("rule of %r does not start with it" % seed)
@@ -434,7 +436,8 @@ class Substitution:
         v = [1] * self.size
         ladder = [v]
         while min(v) < target:
-            nxt = _int_apply(self._counts, v)
+            nxt = [sum(v[x] * c for x, c in row.items())
+                   for row in self._counts]
             if nxt == v:
                 raise DomainError("substitution images do not grow")
             v = nxt
@@ -476,9 +479,9 @@ class Substitution:
     def _encoded_language(self):
         """Encoding, encoded rules and two-block language, built once;
         refused for a substitution that is not primitive."""
-        if not self.is_primitive():
-            raise DomainError("factor language needs a primitive substitution")
         if self._language is None:
+            if not self.is_primitive():
+                raise DomainError("factor language needs a primitive substitution")
             enc, rules = self._encoded_rules()
             self._language = (enc, rules, self._two_blocks_encoded(rules))
         return self._language

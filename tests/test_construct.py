@@ -808,7 +808,8 @@ class TestBuilderPrimitivity:
     def test_one_primitivity_search_on_the_input(self, monkeypatch, builder,
                                                  count):
         # perron_data's search is the refusal; the language checks on the
-        # input reuse the exponent it found
+        # input decide primitivity on the letter graph and search no
+        # exponent
         searched = []
 
         def counted(m):

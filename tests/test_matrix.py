@@ -23,6 +23,8 @@ from substoe.matrix import (
     primitivity_exponent,
     wielandt_bound,
 )
+from substoe.perron import perron_data
+from substoe.subst import Substitution
 
 
 def naive_det(rows):
@@ -237,6 +239,26 @@ def _periodic_or_reducible(draw):
     return rows
 
 
+def _check_substitution_on(rows):
+    """The substitution whose rule i holds rows[i][j] copies of letter j,
+    unless some row is zero: its graph test agrees with the dense scan,
+    and when primitive and growing, its image lengths with the dense
+    iteration of the rows."""
+    if not all(any(row) for row in rows):
+        return
+    letters = ["x%d" % j for j in range(len(rows))]
+    s = Substitution({l: [x for x, c in zip(letters, row) for _ in range(c)]
+                      for l, row in zip(letters, rows)}, letters)
+    assert s.is_primitive() == (_dense_side_exponent(rows) is not None)
+    if s.is_primitive() and rows != [[1]]:
+        v = [1] * len(rows)
+        ladder = [v]
+        while min(v) < 50:
+            v = matrix_module._int_apply(rows, v)
+            ladder.append(v)
+        assert s._length_ladder(50) == ladder
+
+
 def _refusal_seconds(rows):
     """Best of three times for primitivity_exponent to answer None."""
     a = ExactMatrix.from_rows(rows)
@@ -298,9 +320,10 @@ class TestPrimitivity:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_periodic_or_reducible())
     def test_refusal_matches_the_plain_scan(self, rows):
-        # most of these are refused by the graph check past n powers
+        # most of these are refused by the graph check before any power
         assert (primitivity_exponent(ExactMatrix.from_rows(rows))
                 == _dense_side_exponent(rows))
+        _check_substitution_on(rows)
 
     def test_cyclic_permutation_is_refused_at_once(self):
         # the scan alone would run to the Wielandt bound, 89,402 powers
@@ -323,6 +346,12 @@ class TestPrimitivity:
         e = primitivity_exponent(a)
         assert e == _dense_side_exponent(rows)
         assert e == eventual_positivity_exponent(a, cap=wielandt_bound(a.rows))
+        _check_substitution_on(rows)
+
+    @pytest.mark.parametrize("call", [primitivity_exponent, perron_data])
+    def test_empty_matrix_is_refused(self, call):
+        with pytest.raises(DimensionError, match="^empty matrix$"):
+            call(ExactMatrix(0, 0, []))
 
     def test_eventual_positivity(self):
         c = ExactMatrix.from_rows([[0, 0, 46], [1, 0, 15], [0, 1, -3]])

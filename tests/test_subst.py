@@ -840,6 +840,26 @@ def test_feed_plan_of_a_2000_letter_ring_is_quick():
     assert best < 0.1
 
 
+def test_language_path_builds_no_dense_matrix_and_searches_no_exponent(
+        monkeypatch):
+    # primitivity is decided on the letter graph and the image lengths
+    # apply the sparse counts: building the dense incidence and scanning
+    # its exponent took about 2 s and 200 MB on the 2000-letter ring, on
+    # a 2-core shared VM
+    def refuse(*args):
+        raise AssertionError("the language path reached the dense matrix")
+
+    monkeypatch.setattr(subst_module, "ExactMatrix", refuse)
+    monkeypatch.setattr(subst_module, "primitivity_exponent", refuse)
+    start = time.perf_counter()
+    s = Substitution(ring(5000))
+    assert s.is_primitive()
+    assert time.perf_counter() - start < 0.5
+    assert s._length_ladder(40) == [[2 ** t] * 5000 for t in range(7)]
+    fib = Substitution({"a": "ab", "b": "a"})
+    assert fib.complexity_profile(50) == tuple(range(2, 52))
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_cut_back_to_the_root_at_small_n(n):
     """At n = 1 contexts are cut back to the root, whose suffix link is
