@@ -12,8 +12,8 @@ from itertools import chain, product
 from math import gcd
 
 from .bratteli import diagram_from_substitution
-from .clopen import (LatticeGroup, _integer_lattice, _lattice_coords,
-                     groups_equal, lattice_of)
+from .clopen import (LatticeGroup, _integer_lattice, _lam_power,
+                     _lattice_coords, groups_equal, lattice_of)
 from .errors import (CapabilityError, DomainError, InternalError, RankError,
                      _require_positive_int)
 from .field import certified_sign, dominant_root_field
@@ -25,6 +25,7 @@ from .matrix import (
     eventual_positivity_exponent,
     first_power,
     primitivity_exponent,
+    wielandt_bound,
 )
 from .perron import _check_eigvec, adjugate_column, perron_data
 from .subst import LENGTH_GUARD, Substitution, _slope_bound
@@ -295,9 +296,12 @@ def _carried_group(m, field, power, vec, level0=None):
 
     field's root is lam0; vec is a positive eigenvector of m in field for
     lam0**power, whose entries sum to one (pair to one with the root
-    multiplicities level0, if given); m is primitive (callers certify
-    it).  The result is the lattice of vec's entries, closed under
-    lam0**power, which is the group of m, built first.  The certificate:
+    multiplicities level0, if given); m is primitive, as each caller
+    certifies: enlarge_matrix by its primitivity exponent, the rewrite as
+    a power of the certified input, a family member and the minimized
+    matrix as positive matrices.  The result is the lattice of vec's
+    entries, closed under lam0**power, which is the group of m, built
+    first.  The certificate:
 
     - Positivity is carried, not re-signed.  The callers build vec from
       the input's eigenvector entries, each certified positive by
@@ -327,7 +331,8 @@ def _certified_group(group, m, step, vec, unequal, level0=None):
     """Carry the group of m, derived from a system with group group, at
     lam0**(group.power * step) (_carried_group), and certify it equal to
     group at power step.  Returns (out, comparison); raises
-    InternalError(unequal) unless the comparison is equal."""
+    InternalError(unequal) unless the comparison is equal.  Each builder
+    calls it once, on the matrix it reports."""
     out = _carried_group(m, group.field, group.power * step, vec, level0)
     comparison = groups_equal(group, out, m=step)
     if comparison["status"] != "equal":
@@ -335,19 +340,20 @@ def _certified_group(group, m, step, vec, unequal, level0=None):
     return out, comparison
 
 
-def _least_power_over(a, e, targets):
+def _least_power_over(a, targets):
     """(p, rows) for the least p with a**p >= targets entrywise, rows the
-    integer rows of a**p; a is primitive with Perron root above 1 and
-    primitivity exponent e.
+    integer rows of a**p; a is primitive with Perron root above 1.
 
-    The scan provably ends by e * (1 + bits(T - 1)), e the primitivity
-    exponent and T the largest target (Wielandt 1950; Seneta, Non-negative
-    Matrices and Markov Chains, 2.4): a**e >= J, the all-ones matrix, with
-    row sums at least 2 (n >= 2, or a = (lam) with lam >= 2), so by
-    induction a**(e*m) >= a**e 2**(m-2) J >= 2**(m-1) J.  Column-sum
-    targets end by e + 1, as a**(e+1) >= J a.
+    The scan provably ends by w * (1 + bits(T - 1)), w the Wielandt bound
+    of n x n a, at least its primitivity exponent e, and T the largest
+    target (Wielandt 1950; Seneta, Non-negative Matrices and Markov
+    Chains, 2.4): a**w >= J, the all-ones matrix, with row sums at least
+    2 (n >= 2, or a = (lam) with lam >= 2), so by induction a**(w*m) >=
+    a**w 2**(m-2) J >= 2**(m-1) J.  Column-sum targets end by e + 1, as
+    a**(e+1) >= J a.
     """
-    bound = e * (1 + (max(chain.from_iterable(targets)) - 1).bit_length())
+    bound = wielandt_bound(a.rows) * (
+        1 + (max(chain.from_iterable(targets)) - 1).bit_length())
     p, rows = first_power(a, lambda rows: all(
         x >= t for row, target in zip(rows, targets)
         for x, t in zip(row, target)), bound)
@@ -362,49 +368,41 @@ def enlarge_matrix(a):
 
     Returns the enlarged matrix together with the power k of the input
     eigenvalue it realizes; the identity A' (x, lam-1) = lam^k (x, lam-1)
-    and the group comparison are certified exactly.
+    and the group comparison are certified exactly, and "primitivity" is
+    the enlarged matrix's primitivity exponent.
     """
     pd = perron_data(_coerce_matrix(a))
-    return _enlarge(pd.matrix, pd.exponent, lattice_of(pd), pd.eigvec)[0]
-
-
-def _enlarge(a, e, group, vec):
-    """enlarge_matrix on a, given its primitivity exponent e and group.
-
-    a has Perron root group.eigenvalue = lam0**group.power, lam0 the
-    root of group.field; vec, its positive eigenvector there, sums to 1.
-    Returns (report, out, out_group, out_vec): the report, the enlarged
-    matrix, and its group and eigenvector carried in the same field.
-    The report's "primitivity" is the exponent of out.
-    """
-    a_cols = list(zip(*a.int_rows()))
-    colsums = [sum(col) for col in a_cols]
-    step, p = _least_power_over(a, e, [colsums] * a.rows)
-    rows = [[x - (c - 1) for x, c in zip(row, colsums)] + [1] for row in p]
-    # column sums of A^(step+1) - A^step, from those of A^step
-    psums = [sum(col) for col in zip(*p)]
-    rows.append([x - q for x, q in zip(_int_apply(a_cols, psums), psums)]
-                + [0])
-    out = ExactMatrix.from_rows(rows)
-
+    group = lattice_of(pd)
+    step, out, vec = _enlarge(pd.matrix, group.eigenvalue, pd.eigvec)
     exponent = primitivity_exponent(out)
     if exponent is None:
         raise InternalError("enlargement lost primitivity")
-    lam = group.eigenvalue
-    y = list(vec) + [lam - 1]
-    # the entries of y sum to 1 + (lam - 1); _carried_group checks that y
-    # is an eigenvector of out for lam**step
-    inv = lam.inverse()
-    out_vec = [x * inv for x in y]
-    out_group, comparison = _certified_group(
-        group, out, step, out_vec, "enlargement changed the path group")
-    report = {
+    _, comparison = _certified_group(group, out, step, vec,
+                                     "enlargement changed the path group")
+    return {
         "matrix": out,
         "power": step,
         "primitivity": exponent,
         "groups": comparison,
     }
-    return report, out, out_group, out_vec
+
+
+def _enlarge(a, lam, vec):
+    """(step, out, out_vec): the enlargement out of a primitive a with
+    Perron root lam > 1 and positive eigenvector vec summing to 1, and
+    out's eigenvector (vec, lam - 1) / lam for lam**step, summing to 1.
+    Nothing is certified here; each caller certifies what it reports."""
+    a_cols = list(zip(*a.int_rows()))
+    colsums = [sum(col) for col in a_cols]
+    step, p = _least_power_over(a, [colsums] * a.rows)
+    rows = [[x - (c - 1) for x, c in zip(row, colsums)] + [1] for row in p]
+    # column sums of A^(step+1) - A^step, from those of A^step
+    psums = [sum(col) for col in zip(*p)]
+    rows.append([x - q for x, q in zip(_int_apply(a_cols, psums), psums)]
+                + [0])
+    inv = lam.inverse()
+    out_vec = [x * inv for x in list(vec) + [lam - 1]]
+    return step, ExactMatrix.from_rows(rows), out_vec
 
 
 def _needs(letters, extra_counts):
@@ -489,8 +487,7 @@ def build_soe_substitution(subst, block_length):
     # each letter stands at each of the l + 1 places in s**l of the words
     extra = [[(l + 1) * s ** l] * s] + [[0] * s for _ in range(s - 1)]
     needs = _needs(letters, extra)
-    power, rows = _least_power_over(pd.matrix, pd.exponent,
-                                    list(zip(*needs)))
+    power, rows = _least_power_over(pd.matrix, list(zip(*needs)))
     cut = (l + 1) * s ** (l + 1) - (s - 1) * l
     if cut > EXPAND_CAP and min(map(sum, zip(*rows))) > l:
         raise CapabilityError(
@@ -545,31 +542,32 @@ def build_oe_alphabet_family(subst, steps=1):
     Each member is proper, primitive, carries the same path group as the
     previous member (exact comparison at the accumulated matrix power),
     and its complexity is checked to exceed (bound+1) n for n up to
-    MEMBER_SCAN_N.
+    MEMBER_SCAN_N.  Only members are certified: each re-checks the
+    eigenvector the enlargements built and its group end to end.
     """
     _require_positive_int(steps, "steps")
     # every member's group is carried in the input's field
     pd = _input_perron(subst)
     members = []
     current = subst
-    matrix, group, vec, e = pd.matrix, lattice_of(pd), pd.eigvec, pd.exponent
+    matrix, group, vec = pd.matrix, lattice_of(pd), pd.eigvec
     # the slope bound reads p(1..SLOPE_PROBE_N) off the input's profile,
     # then off each member's, which its scan has already computed
     profile = subst.complexity_profile(SLOPE_PROBE_N)
     for _ in range(steps):
         bound = max(_slope_bound(profile[:SLOPE_PROBE_N]), current.size)
         target = bound + 2
-        grown, grown_group, grown_vec = matrix, group, vec
+        grown, grown_vec, lam = matrix, vec, group.eigenvalue
         accumulated = 1
         while grown.rows < target:
-            report, grown, grown_group, grown_vec = _enlarge(
-                grown, e, grown_group, grown_vec)
-            e = report["primitivity"]
-            accumulated *= report["power"]
+            step, grown, grown_vec = _enlarge(grown, lam, grown_vec)
+            accumulated *= step
+            # built here, a power past POWER_BITS is refused at this step
+            lam = _lam_power(group.field, group.power * accumulated)
         s = grown.rows
         # a1 opens and closes every image; every entry >= 1 keeps b positive
         frame = [[3] + [2] * (s - 1)] + [[1] * s for _ in range(s - 1)]
-        exponent, rows = _least_power_over(grown, e, frame)
+        exponent, rows = _least_power_over(grown, frame)
         accumulated *= exponent
 
         letters = _default_letters(s)
@@ -594,7 +592,7 @@ def build_oe_alphabet_family(subst, steps=1):
             "groups": comparison,
         })
         current = zeta
-        matrix, group, vec, e = b, member_group, grown_vec, primitivity_exponent(b)
+        matrix, group, vec = b, member_group, grown_vec
     return members
 
 

@@ -73,15 +73,14 @@ def carried_powers(a, powers):
 class TestEnlargeTransport:
     def test_golden_chain_three_to_eight(self):
         base = perron_data(A0)
-        m, group, vec = A0, lattice_of(base), base.eigvec
-        e = base.exponent
+        m, vec, lam, power = A0, base.eigvec, base.field.lam(), 1
         while m.rows < 8:
-            report, m, group, vec = _enlarge(m, e, group, vec)
-            e = report["primitivity"]
-            assert e == primitivity_exponent(m)
-            assert m == report["matrix"]
-            assert group.field is base.field
-            assert group.eigenvalue == group.field.lam() ** group.power
+            step, m, vec = _enlarge(m, lam, vec)
+            power *= step
+            assert primitivity_exponent(m) is not None
+            group = _carried_group(m, base.field, power, vec)
+            lam = group.eigenvalue
+            assert lam == base.field.lam() ** power
             assert_carried(group, m)
         assert group.power == 2 ** 6
 
@@ -90,11 +89,10 @@ class TestEnlargeTransport:
     def test_random_primitive(self, rows):
         assume(usable(rows))
         base = perron_data(ExactMatrix.from_rows(rows))
-        report, m, group, _ = _enlarge(base.matrix, base.exponent,
-                                       lattice_of(base), base.eigvec)
-        assert group.power == report["power"]
-        assert m == report["matrix"]
-        assert_carried(group, m)
+        step, m, vec = _enlarge(base.matrix, base.field.lam(), base.eigvec)
+        report = enlarge_matrix(rows)
+        assert (step, m) == (report["power"], report["matrix"])
+        assert_carried(_carried_group(m, base.field, step, vec), m)
 
     def test_public_enlarge_unchanged(self):
         assert enlarge_matrix(A0)["matrix"].int_rows() == [
@@ -217,6 +215,16 @@ class TestBuilders:
         for group, m, level0 in seen:
             assert_carried(group, m, level0)
 
+    @pytest.mark.parametrize("name, steps", [
+        (name, 1) for name in sorted(NAMED)] + [("fibonacci", 2)])
+    def test_family_oe_one_group_per_member(self, recorded, name, steps):
+        # the enlargements on the way to a member carry no group
+        seen, _ = recorded
+        members = build_oe_alphabet_family(Substitution(NAMED[name]),
+                                           steps=steps)
+        assert [m for _, m, _ in seen] == [
+            member["substitution"].incidence_matrix() for member in members]
+
     @pytest.mark.parametrize("name", ["golden", "tribonacci", "thue-morse"])
     def test_family_soe(self, recorded, name):
         seen, calls = recorded
@@ -306,7 +314,8 @@ class TestGroupComparisonOutcomes:
             enlarge_matrix(A0)
         with pytest.raises(InternalError, match="rewriting changed"):
             build_soe_substitution(Substitution(NAMED["golden"]), 1)
-        with pytest.raises(InternalError, match="enlargement changed"):
+        with pytest.raises(InternalError, match="family member changed "
+                           "the path group"):
             build_oe_alphabet_family(Substitution(NAMED["golden"]))
         with pytest.raises(InternalError, match="output group is not "
                            "identified with the input group"):
