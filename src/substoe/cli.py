@@ -15,13 +15,13 @@ Field elements are printed with exact rational coordinates plus a
 decimal approximation whose precision is stated alongside.
 """
 
-import argparse
 import functools
 import json
 import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .bratteli import OrderedDiagram, diagram_from_substitution
 from .clopen import groups_equal, lattice_of, s_membership
@@ -418,7 +418,7 @@ def _cmd_minimize(doc, args):
             "input needs exactly one of 'matrix' or 'substitution'")
     system = (_parse_matrix(doc["matrix"]) if has_matrix
               else _parse_substitution(doc["substitution"]))
-    # _validate_flags has refused a cap below 1
+    # _read_args has refused a cap below 1
     report = minimize_vertices(system, args.cap_power or MINIMIZE_CAP)
     # the field, letters and diagram repeat what the weights, the
     # substitution and level0 print
@@ -508,19 +508,34 @@ def _paper_checks():
     """
     a0 = [[1, 1], [1, 2]]
     a1 = [[1, 1, 1], [2, 3, 1], [8, 13, 0]]
+    golden = Substitution({"a": "ab", "b": "abb"})
+    three_letter = Substitution({
+        "a": "abbcccccccc",
+        "b": "abbbccccccccccccc",
+        "c": "ab",
+    })
 
-    def golden():
-        return Substitution({"a": "ab", "b": "abb"})
+    # What several checks read is built once, on the first read.  A build
+    # that raises is not kept, so every check reading it fails on its own
+    # with the same error.
+    @functools.cache
+    def golden_profile():
+        return golden.complexity_profile(200)
 
-    def three_letter():
-        return Substitution({
-            "a": "abbcccccccc",
-            "b": "abbbccccccccccccc",
-            "c": "ab",
-        })
+    @functools.cache
+    def rewrite_profile():
+        return three_letter.complexity_profile(120)
+
+    @functools.cache
+    def golden_perron():
+        return perron_data(ExactMatrix.from_rows(a0))
+
+    @functools.cache
+    def golden_lattice():
+        return lattice_of(golden_perron())
 
     def check_golden_complexity():
-        profile = golden().complexity_profile(200)
+        profile = golden_profile()
         bad = [n for n, p in enumerate(profile, start=1) if p != n + 1]
         if bad:
             raise InternalError("complexity differs from n+1 at %s" % bad)
@@ -533,7 +548,7 @@ def _paper_checks():
         return {"matrix": r["matrix"], "power": r["power"]}
 
     def check_eigen_identity():
-        pd = perron_data(ExactMatrix.from_rows(a0))
+        pd = golden_perron()
         lam = pd.field.lam()
         y = list(pd.eigvec) + [lam - pd.field.one()]
         _check_eigvec(ExactMatrix.from_rows(a1), lam ** 2, y, pd.field)
@@ -541,21 +556,20 @@ def _paper_checks():
 
     def check_groups_equal():
         r = groups_equal(
-            lattice_of(perron_data(ExactMatrix.from_rows(a0))),
+            golden_lattice(),
             lattice_of(perron_data(ExactMatrix.from_rows(a1))), m=2)
         if r["status"] != "equal":
             raise InternalError("group comparison returned %r" % r)
         return r
 
     def check_rewrite_incidence():
-        m = three_letter().incidence_matrix()
+        m = three_letter.incidence_matrix()
         if m.int_rows() != a1:
             raise InternalError("three-letter rewrite incidence changed")
         return {"incidence": m}
 
     def check_rewrite_complexity():
-        sub = three_letter()
-        profile = sub.complexity_profile(120)
+        profile = rewrite_profile()
         if profile[0] != 3:
             raise InternalError("three-letter rewrite has p(1) = %d"
                                 % profile[0])
@@ -568,17 +582,17 @@ def _paper_checks():
         # the displayed three-letter rules end in b and c alternately,
         # so no power has a common last letter; recorded as a documented
         # discrepancy with the surrounding text
-        witness = three_letter().properness_witness()
+        witness = three_letter.properness_witness()
         if witness is not None:
             raise InternalError("unexpected properness witness %r"
                                 % (witness,))
         return {"properness_witness": None, "last_letters": {
-            letter: three_letter().rules[letter].last
+            letter: three_letter.rules[letter].last
             for letter in ("a", "b", "c")}}
 
     def check_complexity_separation():
-        small = golden().complexity_profile(120)
-        large = three_letter().complexity_profile(120)
+        small = golden_profile()[:120]
+        large = rewrite_profile()
         bad = [n for n, (p, q) in enumerate(zip(small, large), start=1)
                if q <= p]
         if bad:
@@ -603,7 +617,7 @@ def _paper_checks():
         return {"counts": {str(q): c for q, c in counts.items()}}
 
     def check_lattice_self_similar():
-        lattice = lattice_of(perron_data(ExactMatrix.from_rows(a0)))
+        lattice = golden_lattice()
         lam = lattice.field.lam()
         inv = lam.inverse()
         for vec in lattice.basis_vectors():
@@ -689,16 +703,15 @@ def verify_paper_report():
     return {"checks": checks, "all_passed": all_passed}
 
 
+# Each flag once: the type its value is read as (None for a switch,
+# which takes no value) and its help line.  Integer values must be
+# positive.
 _FLAG_SPECS = {
-    "--n-max": dict(type=int, default=None,
-                    help="length / depth bound"),
-    "--cap-power": dict(type=int, default=None,
-                        help="budget: minimize's Brun moves and powers per "
-                             "scan (200), s-member's largest exponent (64)"),
-    "--seed-letter": dict(default=None,
-                          help="fixed point seed letter"),
-    "--dot": dict(action="store_true",
-                  help="emit DOT instead of JSON"),
+    "--n-max": (int, "length / depth bound"),
+    "--cap-power": (int, "budget: minimize's Brun moves and powers per "
+                         "scan (200), s-member's largest exponent (64)"),
+    "--seed-letter": (str, "fixed point seed letter"),
+    "--dot": (None, "emit DOT instead of JSON"),
 }
 
 # Each subcommand once: its handler, its help line and the only flags it
@@ -731,23 +744,117 @@ _COMMANDS = {
     "verify-paper": (None, "run the whole verification harness", ()),
 }
 
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise MalformedInputError(message)
+_HELP = ("-h", "--help")
 
 
-def build_parser():
-    parser = _Parser(prog="substoe", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name, (handler, help_text, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if handler is not None:
-            p.add_argument("input", nargs="?", default="-",
-                           help="JSON document path, or - for stdin")
+def _attr(flag):
+    return flag[2:].replace("-", "_")
+
+
+def _is_value(token):
+    """Whether a token is a value, not a flag: "-" (stdin), anything not
+    led by "-", or a negative number (-5, -.5, -1.5)."""
+    if token == "-" or not token.startswith("-"):
+        return True
+    whole, dot, frac = token[1:].partition(".")
+    if dot:
+        return (not whole or whole.isdecimal()) and frac.isdecimal()
+    return whole.isdecimal()
+
+
+def _read_args(argv):
+    """argv as the handlers read it: command, input, help and one
+    attribute per flag of _FLAG_SPECS (None, or False for a switch).
+
+    argv[0] names a command of _COMMANDS.  The rest are that command's
+    own flags, written in full as --flag value or --flag=value (a switch
+    as --flag alone), and at most one positional input, default "-" (none
+    for verify-paper); after "--" every token is positional.  -h or
+    --help in place of a command, or among its tokens after tokens read
+    cleanly, asks for the usage text.  Anything else is malformed input.
+    """
+    args = SimpleNamespace(command=None, input=None, help=False)
+    for flag, (kind, _) in _FLAG_SPECS.items():
+        setattr(args, _attr(flag), None if kind else False)
+    if not argv:
+        raise MalformedInputError("a subcommand is required")
+    command = argv[0]
+    if command in _HELP:
+        args.help = True
+        return args
+    if command not in _COMMANDS:
+        raise MalformedInputError("unknown command %r (choose from %s)"
+                                  % (command, ", ".join(_COMMANDS)))
+    args.command = command
+    handler, _, flags = _COMMANDS[command]
+    positional = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            positional.extend(tokens)
+        elif token in _HELP:
+            args.help = True
+            return args
+        elif _is_value(token):
+            positional.append(token)
+        else:
+            flag, eq, value = token.partition("=")
+            if flag not in flags:
+                raise MalformedInputError("%s takes no flag %s"
+                                          % (command, flag))
+            kind = _FLAG_SPECS[flag][0]
+            if kind is None:
+                if eq:
+                    raise MalformedInputError("%s takes no value" % flag)
+                value = True
+            else:
+                if not eq:
+                    value = next(tokens, None)
+                    if value is None or not _is_value(value):
+                        raise MalformedInputError("%s needs a value" % flag)
+                try:
+                    value = kind(value)
+                except ValueError:
+                    raise MalformedInputError("%s needs an integer, not %r"
+                                              % (flag, value))
+                if kind is int and value < 1:
+                    raise MalformedInputError("%s must be positive" % flag)
+            setattr(args, _attr(flag), value)
+    if handler is None:
+        if positional:
+            raise MalformedInputError("%s takes no input" % command)
+    elif len(positional) > 1:
+        raise MalformedInputError("%s takes one input, not %d"
+                                  % (command, len(positional)))
+    else:
+        args.input = positional[0] if positional else "-"
+    return args
+
+
+def _usage(command):
+    """The help text: every command with its help line, or one command's
+    input and flags with theirs."""
+    if command is None:
+        head = ["usage: substoe COMMAND [INPUT] [FLAGS]", "",
+                "JSON documents in, JSON or DOT out; substoe COMMAND --help "
+                "lists a command's flags.", "", "commands:"]
+        rows = [(name, help_text)
+                for name, (_, help_text, _) in _COMMANDS.items()]
+    else:
+        handler, help_text, flags = _COMMANDS[command]
+        rows = [("INPUT", "JSON document path, or - for stdin (the default)")
+                ] if handler is not None else []
         for flag in flags:
-            p.add_argument(flag, **_FLAG_SPECS[flag])
-    return parser
+            kind, flag_help = _FLAG_SPECS[flag]
+            rows.append((flag if kind is None
+                         else "%s %s" % (flag, _attr(flag).upper()),
+                         flag_help))
+        head = [" ".join(["usage: substoe", command]
+                         + ["[%s]" % name for name, _ in rows]),
+                "", help_text] + [""] * bool(rows)
+    width = max([len(name) for name, _ in rows], default=0)
+    return "\n".join(head + ["  %-*s  %s" % (width, name, text)
+                             for name, text in rows])
 
 
 def _load_document(source):
@@ -766,29 +873,13 @@ def _load_document(source):
         raise MalformedInputError("invalid JSON: %s" % exc)
 
 
-def _validate_flags(args):
-    for name in ("n_max", "cap_power"):
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise MalformedInputError("--%s must be positive"
-                                      % name.replace("_", "-"))
-
-
-@functools.lru_cache(maxsize=None)
-def _parser():
-    """The parser, built once per process: parsing leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv=None):
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise MalformedInputError("a subcommand is required")
-        _validate_flags(args)
-        handler = _COMMANDS[args.command][0]
-        if handler is None:
+        args = _read_args(sys.argv[1:] if argv is None else argv)
+        handler = _COMMANDS[args.command][0] if args.command else None
+        if args.help:
+            out, code = _usage(args.command), 0
+        elif handler is None:
             out = verify_paper_report()
             code = 0 if out["all_passed"] else 1
         else:

@@ -511,7 +511,8 @@ class Substitution:
         cut after every substitution step.  Each joined size is counted in
         integers and refused past LENGTH_GUARD before the join.  On the
         last level every letter run longer than n, which only a letter x
-        with xx in the two-block language forms, is cut to n letters.
+        with xx in the two-block language forms, is cut to n letters; its
+        pattern is compiled only for an image that holds such a run.
         """
         _require_positive_int(n, "factor length")
         enc, rules, blocks = self._encoded_language()
@@ -526,14 +527,13 @@ class Substitution:
                 if size > LENGTH_GUARD:
                     raise _over_guard(size)
                 cur[y] = "".join([part * r for part, r in parts])
-        cuts = [(x * (n + 1),
-                 re.compile("%s{%d,}" % (re.escape(x), n + 1)).sub)
-                for x in rules if (x, x) in blocks]
+        runs = [x * (n + 1) for x in rules if (x, x) in blocks]
         images = {}
         for ch, img in cur.items():
-            for run, cut in cuts:
+            for run in runs:
                 if run in img:
-                    img = cut(lambda _: run[:n], img)
+                    img = re.sub("%s{%d,}" % (re.escape(run[0]), n + 1),
+                                 lambda _: run[:n], img)
             if len(img) > EXPAND_CAP:
                 raise CapabilityError(
                     "clamped image has %d letters, over the expansion cap "

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from substoe import cli as cli_module
 from substoe.cli import main
 from substoe.errors import CapabilityError, InternalError, MalformedInputError
+from substoe.perron import perron_data
+from substoe.subst import Substitution
 
 GOLDEN = {"substitution": {"rules": {"a": "ab", "b": "abb"}}}
 A0 = [[1, 1], [1, 2]]
@@ -752,6 +754,50 @@ class TestVerifyPaper:
         assert entry["witness"]["properness_witness"] is None
 
 
+    def test_shared_objects_are_built_once(self):
+        # two profiles; perron_data of a0 inside enlarge_matrix, a0 once
+        # for three checks, a1 once, and a1 inside minimize_vertices
+        calls = {Substitution.complexity_profile.__code__: 0,
+                 perron_data.__code__: 0}
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code in calls:
+                calls[frame.f_code] += 1
+
+        sys.setprofile(count)
+        try:
+            report = cli_module.verify_paper_report()
+        finally:
+            sys.setprofile(None)
+        assert report["all_passed"] is True
+        assert list(calls.values()) == [2, 4]
+
+    @pytest.mark.parametrize("target, failed", [
+        ((Substitution, "complexity_profile"),
+         ["golden-complexity-linear", "rewrite-complexity-bound",
+          "complexity-separation"]),
+        ((cli_module, "perron_data"),
+         ["enlarged-eigen-identity", "clopen-groups-preserved",
+          "golden-lattice-self-similar"]),
+        ((cli_module, "lattice_of"),
+         ["clopen-groups-preserved", "golden-lattice-self-similar"]),
+    ])
+    def test_a_shared_object_fails_each_check_reading_it(
+            self, cli, monkeypatch, target, failed):
+        def broken(*args):
+            raise InternalError("shared object failed")
+
+        monkeypatch.setattr(*target, broken)
+        code, out, err = cli(["verify-paper"])
+        assert (code, err) == (1, "")
+        checks = out_json(out)["checks"]
+        assert len(checks) == 12
+        assert [(c["id"], c["witness"]) for c in checks
+                if c["status"] != "pass"] == [
+            (check_id, {"error": "shared object failed"})
+            for check_id in failed]
+
+
 FIB_DIAGRAM = {"vertices": ["a", "b"], "incidence": [[1, 1], [1, 0]],
                "level0": [1, 1], "orders": {"a": "ab", "b": "a"}}
 FIB = {"rules": {"a": "ab", "b": "a"}}
@@ -908,14 +954,16 @@ with contextlib.redirect_stderr(io.StringIO()) as err:
     assert cli.main(["complexity", "-"]) == 1
 assert '"message": "MemoryError (at <string>:' in err.getvalue()
 print(sorted({"dataclasses", "inspect", "ast", "dis", "tokenize",
-              "traceback"} & set(sys.modules)))
+              "traceback", "argparse", "shutil", "gettext", "locale"}
+             & set(sys.modules)))
 """
 
 
 def test_cold_path_loads_no_introspection_modules():
     """A fresh interpreter without site packages imports the package,
     runs verify-paper and reports an internal error without loading
-    dataclasses, inspect, ast, dis, tokenize or traceback."""
+    dataclasses, inspect, ast, dis, tokenize or traceback, nor argparse
+    with the shutil, gettext and locale its help formatter loads."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     proc = subprocess.run(
@@ -981,9 +1029,6 @@ class TestWriter:
 
 
 class TestParserReuse:
-    def test_built_once(self):
-        assert cli_module._parser() is cli_module._parser()
-
     def test_bad_flag_after_a_good_call(self, cli):
         code, first, _ = cli(["complexity", "-", "--n-max", "5"],
                              document=GOLDEN)
@@ -998,6 +1043,101 @@ class TestParserReuse:
         assert (code, second) == (0, first)
         _, default, _ = cli(["complexity", "-"], document=GOLDEN)
         assert out_json(default)["n_max"] == 20
+
+
+class TestArgvReader:
+
+    @pytest.mark.parametrize("argv", [
+        ["complexity", "-", "--n-max=5"],
+        ["complexity", "--n-max", "5", "-"],
+        ["complexity", "--n-max", "5"],
+        ["complexity", "-", "--n-max", "7", "--n-max", "5"],
+        ["complexity", "--n-max=5", "--", "-"],
+    ])
+    def test_flag_forms_give_one_document(self, cli, argv):
+        _, want, _ = cli(["complexity", "-", "--n-max", "5"], document=GOLDEN)
+        assert out_json(want)["profile"] == [2, 3, 4, 5, 6]
+        assert cli(argv, document=GOLDEN) == (0, want, "")
+
+    def test_file_input_before_and_after_flags(self, cli, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(GOLDEN))
+        _, first, _ = cli(["complexity", "--n-max", "4", str(path)])
+        _, second, _ = cli(["complexity", str(path), "--n-max=4"])
+        assert first == second
+        assert out_json(first)["profile"] == [2, 3, 4, 5]
+
+    def test_switch_and_text_flags(self, cli):
+        _, dot, _ = cli(["diagram", "--dot", "-", "--n-max", "2"],
+                        document=GOLDEN)
+        assert dot.startswith("digraph")
+        doc = {"substitution": {"rules": {"a": "aab", "b": "ab"}}}
+        code, out, _ = cli(["language", "--seed-letter=b.a", "--n-max", "3"],
+                           document=doc)
+        assert code == 0
+        assert out_json(out)["prefix"]["letters"] == {
+            "left": ["b", "a", "b"], "right": ["a", "a", "b"]}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["complexity", "-", "--n-ma", "5"], "complexity takes no flag --n-ma"),
+        (["complexity", "-", "--n-max"], "--n-max needs a value"),
+        (["complexity", "--n-max", "-"], "--n-max needs an integer, not '-'"),
+        (["language", "-", "--seed-letter", "--n-max", "3"],
+         "--seed-letter needs a value"),
+        (["complexity", "-", "--n-max", "x"],
+         "--n-max needs an integer, not 'x'"),
+        (["complexity", "-", "--n-max="], "--n-max needs an integer, not ''"),
+        (["complexity", "-", "--n-max", "-5"], "--n-max must be positive"),
+        (["minimize", "-", "--cap-power=0"], "--cap-power must be positive"),
+        (["diagram", "-", "--dot=1"], "--dot takes no value"),
+        (["perron", "-", "doc.json"], "perron takes one input, not 2"),
+        (["perron", "-", "--", "-"], "perron takes one input, not 2"),
+        (["verify-paper", "-"], "verify-paper takes no input"),
+        (["verify-paper", "--", "doc.json"], "verify-paper takes no input"),
+        (["complexity", "-", "-x"], "complexity takes no flag -x"),
+        (["--n-max", "5", "complexity"], None),
+        (["-"], None),
+    ])
+    def test_malformed_argv(self, cli, argv, message):
+        code, out, err = cli(argv, document=GOLDEN)
+        assert (code, out) == (3, "")
+        error = err_json(err)
+        assert error["kind"] == "malformed"
+        if message is not None:
+            assert error["message"] == message
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["-h", "perron"]])
+    def test_help_lists_every_command(self, cli, argv):
+        code, out, err = cli(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: substoe COMMAND")
+        for name, (_, help_text, _) in cli_module._COMMANDS.items():
+            assert "  %s  " % name in out and help_text in out
+
+    @pytest.mark.parametrize("name", sorted(cli_module._COMMANDS))
+    @pytest.mark.parametrize("where", [1, -1])
+    def test_command_help_lists_its_flags(self, cli, name, where):
+        argv = [name, "-", "--help"] if where == -1 else [name, "-h", "-"]
+        if cli_module._COMMANDS[name][0] is None:
+            argv.remove("-")
+        code, out, err = cli(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: substoe %s" % name)
+        _, help_text, flags = cli_module._COMMANDS[name]
+        assert help_text in out
+        for flag, (_, flag_help) in cli_module._FLAG_SPECS.items():
+            assert (flag in out) == (flag in flags)
+            assert (flag_help in out) == (flag in flags)
+
+    def test_help_reads_no_document(self, cli, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", None)
+        assert cli(["perron", "--help"])[0] == 0
+
+    def test_reads_sys_argv_by_default(self, cli, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["substoe", "complexity",
+                                          "--n-max", "3"])
+        code, out, _ = cli(None, document=GOLDEN)
+        assert (code, out_json(out)["profile"]) == (0, [2, 3, 4])
 
 
 class TestFamilyRefusals:
