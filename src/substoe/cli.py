@@ -41,7 +41,7 @@ from .errors import (
     SubstoeError,
 )
 from .field import FieldElement
-from .matrix import ExactMatrix
+from .matrix import ExactMatrix, primitivity_exponent
 from .perron import _check_eigvec, perron_data
 from .subst import Substitution
 from .words import RunWord
@@ -241,10 +241,11 @@ def _parse_substitution(node, where="substitution"):
 
 
 def _rational_str(value):
+    """n or n/d, each printed by _dumps, so held to OUTPUT_INT_BITS."""
     fr = Fraction(value)
     if fr.denominator == 1:
-        return str(fr.numerator)
-    return "%d/%d" % (fr.numerator, fr.denominator)
+        return _dumps(fr.numerator)
+    return "%s/%s" % (_dumps(fr.numerator), _dumps(fr.denominator))
 
 
 def _element_json(elt):
@@ -316,7 +317,7 @@ def _cmd_perron(doc, args):
             "digits": APPROX_DIGITS,
         },
         "eigenvector": pd.eigvec,
-        "primitivity_exponent": pd.exponent,
+        "primitivity_exponent": primitivity_exponent(m),
     }
 
 
@@ -602,12 +603,8 @@ def _paper_checks():
 
     def check_cubic_positivity():
         r = verify_lind_example()
-        return {
-            "exponent": r["exponent"],
-            "bound_holds": r["bound_holds"],
-            "witness_power": r["witness_power"],
-            "witness": r["witness"],
-        }
+        return {key: r[key] for key in
+                ("exponent", "bound_holds", "witness_power", "witness")}
 
     def check_rational_weights():
         counts = {q: len(enumerate_rational_y(q)["partitions"])
@@ -685,22 +682,15 @@ def _paper_checks():
 
 def verify_paper_report():
     checks = []
-    all_passed = True
     for check_id, claim, runner in _paper_checks():
         try:
-            witness = runner()
-            status = "pass"
+            witness, status = runner(), "pass"
         except SubstoeError as exc:
-            witness = {"error": str(exc)}
-            status = "fail"
-            all_passed = False
-        checks.append({
-            "id": check_id,
-            "claim": claim,
-            "status": status,
-            "witness": witness,
-        })
-    return {"checks": checks, "all_passed": all_passed}
+            witness, status = {"error": str(exc)}, "fail"
+        checks.append({"id": check_id, "claim": claim, "status": status,
+                       "witness": witness})
+    return {"checks": checks,
+            "all_passed": all(c["status"] == "pass" for c in checks)}
 
 
 # Each flag once: the type its value is read as (None for a switch,

@@ -13,11 +13,12 @@ bisected intervals, so every bisection step, one evaluation at a midpoint,
 runs once per field however many elements are certified.
 """
 
+import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, log10
 
-from .errors import (DimensionError, DomainError, InternalError, _number_text,
-                     _require_rational)
+from .errors import (CapabilityError, DimensionError, DomainError,
+                     InternalError, _number_text, _require_rational)
 from .intpoly import (
     IntPolynomial,
     _conv,
@@ -265,8 +266,16 @@ class FieldElement:
             return q if q == (2 * vhi * scale + s) // (2 * s) else None
         q = self.field._first_accepted(rounded, finest=True)
         whole, frac = divmod(abs(q), scale)
-        text = "%s%d" % ("-" if q < 0 else "", whole)
-        return "%s.%0*d" % (text, digits, frac) if digits else text
+        try:
+            text = "%s%d" % ("-" if q < 0 else "", whole)
+            return "%s.%0*d" % (text, digits, frac) if digits else text
+        except ValueError:  # past Python's int-to-str digit limit
+            n = int((max(whole.bit_length(), 1) - 1) * log10(2)) + 1
+            raise CapabilityError(
+                "approximation has %d digits before the point and %d after, "
+                "over the limit of %d digits on int-to-str conversion"
+                % (n + (whole >= 10 ** n), digits,
+                   sys.get_int_max_str_digits())) from None
 
 
 def _cleared(values):

@@ -301,6 +301,17 @@ def _irreducible_aperiodic(succ):
     return period == 1
 
 
+def _support_graph(m):
+    """Successor lists of m's support; m square, nonnegative, not empty."""
+    if not m.is_square:
+        raise DimensionError("primitivity needs a square matrix")
+    if not m.is_nonnegative:
+        raise DomainError("nonnegative integer matrix required")
+    if not m.rows:
+        raise DimensionError("empty matrix")
+    return [[j for j, x in enumerate(m.row(i)) if x] for i in range(m.rows)]
+
+
 def primitivity_exponent(m):
     """Least e with m**e entrywise positive, or None if m is not primitive.
 
@@ -311,19 +322,12 @@ def primitivity_exponent(m):
     rows j of m**e over the successors j of i, so the sparse rows of m
     drive each step.
     """
-    if not m.is_square:
-        raise DimensionError("primitivity needs a square matrix")
-    if not m.is_nonnegative:
-        raise DomainError("nonnegative integer matrix required")
-    n = m.rows
-    if not n:
-        raise DimensionError("empty matrix")
-    succ = [[j for j, x in enumerate(m.row(i)) if x] for i in range(n)]
+    succ = _support_graph(m)
     if not _irreducible_aperiodic(succ):
         return None
-    full = (1 << n) - 1
+    full = (1 << m.rows) - 1
     cur = [sum(1 << j for j in s) for s in succ]
-    for e in range(1, wielandt_bound(n) + 1):
+    for e in range(1, wielandt_bound(m.rows) + 1):
         if all(r == full for r in cur):
             return e
         nxt = []

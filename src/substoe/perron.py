@@ -13,8 +13,9 @@ from math import lcm
 from .errors import DomainError, InternalError
 from .field import _element, certified_sign, dominant_root_field
 from .intpoly import _rem_monic
-from .matrix import (ExactMatrix, _int_apply, _int_matmul, charpoly,
-                     kernel_basis, primitivity_exponent)
+from .matrix import (ExactMatrix, _int_apply, _int_matmul,
+                     _irreducible_aperiodic, _support_graph, charpoly,
+                     kernel_basis)
 
 
 def field_kernel_basis(rows, field):
@@ -26,7 +27,7 @@ def field_kernel_basis(rows, field):
     return kernel_basis([list(r) for r in rows], field.zero(), field.one())
 
 
-PerronData = namedtuple("PerronData", "matrix field k lam eigvec exponent")
+PerronData = namedtuple("PerronData", "matrix field k lam eigvec")
 MultiplicationPair = namedtuple("MultiplicationPair", "c y1")
 
 
@@ -54,15 +55,14 @@ def adjugate_column(rows, cp, min_poly):
 def perron_data(m):
     """Exact dominant eigendata of a primitive integer matrix.
 
-    The right eigenvector x is scaled so sum(x) = 1 and the primitivity
-    exponent of m is kept as exponent.  The certificate runs on the
-    integer adjugate column c, whose signs take few bisection steps:
-    x_i = c_i / total, so x > 0 when every c_i has the sign of total, and
-    m c = lam c gives m x = lam x.  The inverse of total is then
-    certified, with the signs, by sum(x) == 1.
+    Primitivity is decided on the support graph, taking no power of m.
+    The right eigenvector x is scaled so sum(x) = 1.  The certificate
+    runs on the integer adjugate column c, whose signs take few bisection
+    steps: x_i = c_i / total, so x > 0 when every c_i has the sign of
+    total, and m c = lam c gives m x = lam x.  The inverse of total is
+    then certified, with the signs, by sum(x) == 1.
     """
-    exponent = primitivity_exponent(m)
-    if exponent is None:
+    if not _irreducible_aperiodic(_support_graph(m)):
         raise DomainError("matrix is not primitive")
     cp = charpoly(m)
     field, k = dominant_root_field(cp)
@@ -80,8 +80,7 @@ def perron_data(m):
     vec = [c * inv_total for c in cs]
     if sum(vec, field.zero()) != field.one():
         raise InternalError("normalized eigenvector does not sum to one")
-    return PerronData(matrix=m, field=field, k=k, lam=lam,
-                      eigvec=tuple(vec), exponent=exponent)
+    return PerronData(matrix=m, field=field, k=k, lam=lam, eigvec=tuple(vec))
 
 
 def _check_eigvec(m, lam, vec, field):

@@ -20,7 +20,7 @@ from itertools import accumulate
 from .errors import (CapabilityError, DomainError, InternalError, SeedError,
                      _require_positive_int)
 from .matrix import (ExactMatrix, _int_apply, _int_matmul,
-                     _irreducible_aperiodic, primitivity_exponent)
+                     _irreducible_aperiodic)
 from .words import EXPAND_CAP, RunWord, word_of
 
 LENGTH_GUARD = 2_000_000
@@ -263,10 +263,6 @@ class Substitution:
         k = self.size
         return ExactMatrix(k, k, [row.get(i, 0) for i in range(k)
                                   for row in self._counts])
-
-    def primitivity(self):
-        """Primitivity exponent of the incidence matrix, None if none."""
-        return primitivity_exponent(self.incidence_matrix())
 
     def is_primitive(self):
         """Strong connectivity and period 1 of the letter graph."""

@@ -380,7 +380,7 @@ def primitive_substitutions(draw):
         n = draw(st.integers(1, 4))
         rules[l] = "".join(draw(st.sampled_from(letters)) for _ in range(n))
     s = Substitution(rules)
-    if s.primitivity() is None:
+    if not s.is_primitive():
         # salvage: append every other letter to each rule
         rules = {l: rules[l] + "".join(m for m in letters if m != l)
                  for l in letters}

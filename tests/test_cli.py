@@ -568,6 +568,18 @@ class TestBudgets:
         assert "960215 coprime partitions" in error["message"]
         assert "cap of 10000 systems" in error["message"]
 
+    def test_perron_interval_over_the_integer_budget(self, cli):
+        # lam = 1 + 10^1900: a numerator of the printed interval ends
+        # passes Python's int-to-str digit limit, and the output budget
+        # refuses it before it is printed
+        code, out, err = cli(["perron", "-"], document={
+            "matrix": [[1, 10 ** 3800], [1, 1]]})
+        assert (code, out) == (2, "")
+        assert err_json(err) == {
+            "kind": "capability",
+            "message": "output integer has 15175 bits, over the budget of "
+                       "14000 bits"}
+
     def test_diagram_depth_over_the_bit_budget(self, cli):
         doc = {"substitution": {"rules": {"a": "ab", "b": "a"}}}
         code, out, err = cli(["diagram", "-", "--n-max", "30000"],

@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 from math import gcd
@@ -200,6 +201,18 @@ class TestCertifiedSign:
             assert [x.approx(d) for x in elements for d in (3, 12, 20)] == \
                 before
         assert fresh.lam.approx(12) == deep.lam.approx(12) == "5.941231048419"
+
+    def test_approx_past_the_digit_limit_is_a_capability_error(self):
+        # Python refuses to print an int of more digits than its limit
+        limit = sys.get_int_max_str_digits()
+        last = perron_data(ExactMatrix.from_rows([[10 ** limit - 1]])).lam
+        assert last.approx(3) == "9" * limit + ".000"
+        lam = perron_data(ExactMatrix.from_rows([[3 * 10 ** limit]])).lam
+        with pytest.raises(CapabilityError, match=(
+                "^approximation has %d digits before the point and 3 after, "
+                "over the limit of %d digits on int-to-str conversion$"
+                % (limit + 1, limit))):
+            lam.approx(3)
 
 
 class TestPerronPolynomial:

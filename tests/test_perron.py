@@ -4,8 +4,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from substoe import matrix as matrix_module
+from substoe.cli import _cmd_perron
 from substoe.construct import enlarge_matrix
-from substoe.errors import DomainError, InternalError
+from substoe.errors import DimensionError, DomainError, InternalError
 from substoe.field import certified_sign, minimal_polynomial, number_field
 from substoe.intpoly import IntPolynomial
 from substoe.matrix import ExactMatrix, charpoly, primitivity_exponent
@@ -50,8 +52,42 @@ class TestPerronData:
             assert certified_sign(x) == 1
 
     def test_keeps_primitivity_exponent(self):
-        assert perron_data(A0).exponent == 1
-        assert perron_data(A1).exponent == primitivity_exponent(A1) == 2
+        # the record keeps none; the perron document still prints it
+        assert not hasattr(perron_data(A0), "exponent")
+        for m, e in ((A0, 1), (A1, 2)):
+            doc = _cmd_perron({"matrix": m.int_rows()}, None)
+            assert doc["primitivity_exponent"] == primitivity_exponent(m) == e
+
+    def test_scans_no_power(self, monkeypatch):
+        # primitivity is decided on the support graph: the exponent scan,
+        # which reads matrix.wielandt_bound, never starts
+        def refuse(n):
+            raise AssertionError("perron_data scanned the powers of m")
+
+        monkeypatch.setattr(matrix_module, "wielandt_bound", refuse)
+        ring = [[int(j in (0, (i + 1) % 8)) for j in range(8)]
+                for i in range(8)]
+        for m in (A0, A1, ExactMatrix.from_rows(ring)):
+            assert perron_data(m).matrix is m
+
+    @pytest.mark.parametrize("rows, kind, message", [
+        ([[1, 1]], DimensionError, "primitivity needs a square matrix"),
+        ([[1, -1]], DimensionError, "primitivity needs a square matrix"),
+        ([[1, -1], [1, 1]], DomainError, "nonnegative integer matrix required"),
+        ([], DimensionError, "empty matrix"),
+        ([[1, 1], [0, 1]], DomainError, "matrix is not primitive"),
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], DomainError,
+         "matrix is not primitive"),
+    ], ids=["non-square", "non-square-negative", "negative", "empty",
+            "reducible", "periodic"])
+    def test_refusals_keep_their_kinds_and_messages(self, rows, kind,
+                                                    message):
+        m = ExactMatrix(len(rows), len(rows[0]) if rows else 0,
+                        [x for row in rows for x in row])
+        with pytest.raises(DomainError) as refused:
+            perron_data(m)
+        assert type(refused.value) is kind
+        assert str(refused.value) == message
 
     def test_reducible_charpoly_field(self):
         pd = perron_data(A1)
@@ -85,12 +121,10 @@ class TestRecords:
     assignment, equality and hashing by value."""
 
     def test_fields_in_order(self):
-        assert PerronData._fields == (
-            "matrix", "field", "k", "lam", "eigvec", "exponent")
+        assert PerronData._fields == ("matrix", "field", "k", "lam", "eigvec")
         assert MultiplicationPair._fields == ("c", "y1")
         pd = perron_data(A0)
-        assert tuple(pd) == (pd.matrix, pd.field, pd.k, pd.lam, pd.eigvec,
-                             pd.exponent)
+        assert tuple(pd) == (pd.matrix, pd.field, pd.k, pd.lam, pd.eigvec)
         assert pd[2] == pd.k == 2
         pair = multiplication_matrices(pd.field)
         c, y1 = pair
@@ -115,7 +149,7 @@ class TestRecords:
         assert repr(perron_data(A0)) == (
             "PerronData(matrix=ExactMatrix.from_rows([[1, 1], [1, 2]]), "
             "field=NumberField(t^2 - 3*t + 1), k=2, lam=FieldElement(0, 1), "
-            "eigvec=(FieldElement(3, -1), FieldElement(-2, 1)), exponent=1)")
+            "eigvec=(FieldElement(3, -1), FieldElement(-2, 1)))")
         assert repr(multiplication_matrices(perron_data(A0).field)) == (
             "MultiplicationPair(c=ExactMatrix.from_rows([[0, -1], [1, 3]]), "
             "y1=(FieldElement(-1, 0), FieldElement(0, 1)))")

@@ -9,9 +9,11 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from substoe import matrix as matrix_module
 from substoe import subst as subst_module
 from substoe.errors import (CapabilityError, DomainError, InternalError,
                             SeedError)
+from substoe.matrix import primitivity_exponent
 from substoe.subst import FactorLanguage, Substitution, linear_bound_estimate
 from substoe.words import RunWord
 
@@ -118,8 +120,12 @@ class TestIncidenceAndMaps:
             [1, 1, 1], [2, 3, 1], [8, 13, 0]]
 
     def test_primitivity(self):
-        assert golden().primitivity() == 1
-        assert Substitution({"a": "b", "b": "ab"}).primitivity() == 2
+        # the exponent is read off the incidence matrix; the substitution
+        # itself decides primitivity on its letter graph
+        assert not hasattr(Substitution, "primitivity")
+        assert primitivity_exponent(golden().incidence_matrix()) == 1
+        slow = Substitution({"a": "b", "b": "ab"})
+        assert primitivity_exponent(slow.incidence_matrix()) == 2
         assert zeta().is_primitive()
         assert not Substitution({"a": "ab", "b": "b"}).is_primitive()
 
@@ -850,7 +856,9 @@ def test_language_path_builds_no_dense_matrix_and_searches_no_exponent(
         raise AssertionError("the language path reached the dense matrix")
 
     monkeypatch.setattr(subst_module, "ExactMatrix", refuse)
-    monkeypatch.setattr(subst_module, "primitivity_exponent", refuse)
+    # every exponent scan reads the Wielandt bound
+    monkeypatch.setattr(matrix_module, "wielandt_bound", refuse)
+    assert not hasattr(subst_module, "primitivity_exponent")
     start = time.perf_counter()
     s = Substitution(ring(5000))
     assert s.is_primitive()
