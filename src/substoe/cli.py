@@ -258,8 +258,8 @@ def _element_json(elt):
 
 def _word_json(word):
     doc = {"runs": word.to_runs_json()}
-    compact = word.as_compact()
-    if compact is not None and len(compact) <= 100:
+    compact = word.as_compact() if word.length <= 100 else None
+    if compact is not None:
         doc["text"] = compact
     return doc
 

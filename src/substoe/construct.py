@@ -457,20 +457,21 @@ def build_soe_substitution(subst, block_length):
     The output is proper, keeps the path group (via an exact power
     comparison), and its language contains all s^(l+1) words of length
     block_length + 1, which strictly separates its complexity from any
-    aperiodic input.  The word blocks are also read off the expanded
-    first rule while it is within EXPAND_CAP letters.  A block of more
-    than LENGTH_GUARD letters is refused before it is built.
+    aperiodic input.  That count is certified on runs, never expanding
+    the first rule: it opens with a1 a1 and then the block of all those
+    words in product order.  The output is primitive, its incidence a
+    power of the input's, so the block is in its language.  A block of
+    more than LENGTH_GUARD letters is refused before it is built.
 
     So is a block whose runs, cut to l + 1 letters, leave more than
     EXPAND_CAP, when every rule of the rewrite has at least l + 1
-    letters.  Then the language check behind the output's complexity
-    clamps the first rule in one step, cutting its runs to l + 1
-    letters; that image holds the cut block, since every run of a
-    factor lies in its own run of the word, so the check would refuse
-    on EXPAND_CAP after the block was built.  The cut length follows
-    from s and l: in product order a run longer than l + 1 letters
-    occurs only where x^(l+1) meets x^l y, once for each letter x but
-    the last, and each such run of 2l + 1 letters loses l.
+    letters.  A language computation on the output clamps the first
+    rule in one step, cutting its runs to l + 1 letters; that image
+    holds the cut block, since every run of a factor lies in its own
+    run of the word, so it would refuse on EXPAND_CAP.  The cut length
+    follows from s and l: in product order a run longer than l + 1
+    letters occurs only where x^(l+1) meets x^l y, once for each letter
+    x but the last, and each such run of 2l + 1 letters loses l.
     """
     _require_positive_int(block_length, "block length")
     pd = _input_perron(subst)
@@ -495,23 +496,17 @@ def build_soe_substitution(subst, block_length):
             "to %d, over the expansion cap of %d"
             % (l, cut, l + 1, EXPAND_CAP))
 
-    pieces = list(product(letters, repeat=l + 1))
-    block = RunWord.from_letters(chain.from_iterable(pieces))
+    block = RunWord.from_letters(
+        chain.from_iterable(product(letters, repeat=l + 1)))
     middles = [block] + [RunWord(()) for _ in range(s - 1)]
     zeta, p, proper = _frame_rules(letters, rows, needs, middles,
                                    "rewritten substitution")
-    first_rule = zeta.rules[letters[0]]
-    pieces_checked = first_rule.length <= EXPAND_CAP
-    if pieces_checked:
-        text = first_rule.expand()
-        windows = {text[i:i + l + 1] for i in range(len(text) - l)}
-        if not windows.issuperset(pieces):
-            raise InternalError("a word block is missing from the "
-                                "first rule")
-    count = zeta.complexity(l + 1)
-    if count != s ** (l + 1):
-        raise InternalError("rewritten language misses a word of length "
-                            "%d" % (l + 1))
+    # zeta(a1) opens with a1 a1 and the block, whose last run may go on
+    head = RunWord(((letters[0], 2),) + block.runs).runs
+    *runs, (x, c) = zeta.rules[letters[0]].runs[:len(head)]
+    if tuple(runs) + ((x, min(c, head[-1][1])),) != head:
+        raise InternalError("a word block is missing from the first rule")
+    count = s ** (l + 1)
     original = subst.complexity(l + 1)
     _, comparison = _certified_group(lattice_of(pd), p, power, pd.eigvec,
                                      "rewriting changed the path group")
@@ -522,7 +517,7 @@ def build_soe_substitution(subst, block_length):
         "full_count": count,
         "input_count": original,
         "separated": original < count,
-        "pieces_checked": pieces_checked,
+        "pieces_checked": True,
         "properness": proper,
         "groups": comparison,
     }

@@ -85,7 +85,8 @@ def _window_feeds(images, blocks, n):
     The longest image is the one host.  Each image is searched once in
     it: where found, its state is taken off the host's feed at the offset
     where it ends, so the host goes in cut there; elsewhere it goes in
-    whole.  Every junction image(c)[:n-1] is read on from image(b).
+    whole.  A junction image(b)[1-n:] + image(c)[:n-1] goes in once per
+    distinct text outside the host, as image(c)[:n-1] on from image(b).
     """
     host = max(images.values(), key=len)
     stops, feeds = [], []
@@ -100,7 +101,9 @@ def _window_feeds(images, blocks, n):
         feeds.append((after, host[begin:end], name))
         begin, after = end, name
     if n > 1:
-        feeds += [(b, images[c][:n - 1], None) for b, c in blocks]
+        ends = {images[b][1 - n:] + images[c][:n - 1]: b for b, c in blocks}
+        feeds += [(b, text[n - 1:], None) for text, b in ends.items()
+                  if text not in host]
     return feeds
 
 
@@ -417,8 +420,9 @@ class Substitution:
 
     def _encoded_rules(self):
         """One character per letter, and the rules over those characters."""
-        same = all(len(l) == 1 for l in self.alphabet)
-        enc = {l: l if same else chr(i) for i, l in enumerate(self.alphabet)}
+        if all(len(l) == 1 for l in self.alphabet):
+            return {l: l for l in self.alphabet}, self.rules
+        enc = {l: chr(i) for i, l in enumerate(self.alphabet)}
         return enc, {enc[letter]: RunWord((enc[l], c) for l, c in rule.runs)
                      for letter, rule in self.rules.items()}
 

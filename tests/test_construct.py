@@ -42,7 +42,7 @@ from substoe.matrix import (ExactMatrix, first_power, gauss_jordan,
                             primitivity_exponent)
 from substoe.perron import companion_matrix, perron_data
 from substoe.subst import Substitution, linear_bound_estimate
-from substoe.words import RunWord
+from substoe.words import EXPAND_CAP, RunWord
 
 A0 = [[1, 1], [1, 2]]
 A1 = [[1, 1, 1], [2, 3, 1], [8, 13, 0]]
@@ -591,8 +591,11 @@ class TestBlockCovering:
     ])
     def test_cut_block_refusal_agrees_with_the_language_check(
             self, monkeypatch, rules, l):
-        """Refused on either side of the cap exactly when the output's
-        clamped first image passes it, as before the up-front check."""
+        """Refused at a cap under the cut block exactly when every rule
+        of the rewrite has more than l letters: the output's clamped first
+        image then holds the cut block, and its language check refuses
+        too.  Any other cap, down to the cut block or the clamped image
+        less one, gives the same report."""
         subst = Substitution(rules)
         report = build_soe_substitution(subst, l)
         zeta = report["substitution"]
@@ -603,25 +606,75 @@ class TestBlockCovering:
         cut = sum(min(c, l + 1) for _, c in block.runs)
         one_step = min(rule.length for rule in zeta.rules.values()) > l
         assert image >= cut or not one_step
-        late = "clamped image has %d letters" % image
-        refusals = [(cut - 1, "word block of %d letters" % cut
-                     if one_step else late)]
-        if image > cut:
-            refusals.append((image - 1, late))
 
         def cap_at(cap):
             for module in (construct_module, subst_module, words_module):
                 monkeypatch.setattr(module, "EXPAND_CAP", cap)
 
-        for cap, text in refusals:
-            cap_at(cap)
-            with pytest.raises(CapabilityError, match=text):
+        answers = {cut - 1, cut, image - 1}
+        if one_step:
+            answers = {cap for cap in answers if cap >= cut}
+            cap_at(cut - 1)
+            with pytest.raises(CapabilityError,
+                               match="word block of %d letters" % cut):
                 build_soe_substitution(subst, l)
-        cap_at(image)
-        again = build_soe_substitution(subst, l)
-        assert again["substitution"].rules == zeta.rules
-        for key in ("power", "full_count", "input_count", "properness"):
-            assert again[key] == report[key]
+            with pytest.raises(CapabilityError,
+                               match="clamped image has %d letters" % image):
+                zeta.complexity(l + 1)
+        for cap in sorted(answers):
+            cap_at(cap)
+            again = build_soe_substitution(subst, l)
+            assert again["substitution"].rules == zeta.rules
+            for key in ("power", "full_count", "input_count", "separated",
+                        "pieces_checked", "properness", "groups"):
+                assert again[key] == report[key]
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    @pytest.mark.parametrize("rules", [
+        {"a": "ab", "b": "a"},
+        {"a": "ab", "b": "abb"},
+        {"a": "ab", "b": "ac", "c": "a"},
+        {"a": "ab", "b": "ba"},
+        {"a": "ab", "b": "aa"},
+        {"a": "abbcccccccc", "b": "abbbccccccccccccc", "c": "ab"},
+        {"a": "abc", "b": "acd", "c": "ad", "d": "a"},
+    ], ids=["fibonacci", "golden", "tribonacci", "thue-morse",
+            "period-doubling", "rewrite", "four-letter"])
+    def test_full_count_agrees_with_the_automaton(self, rules, l):
+        report = build_soe_substitution(Substitution(rules), l)
+        assert report["full_count"] == len(rules) ** (l + 1)
+        assert report["substitution"].complexity(l + 1) == \
+            report["full_count"]
+
+    def test_first_rule_missing_a_word_is_caught(self, monkeypatch):
+        # the block's letters sorted keep the incidence, but no b is
+        # followed by an a before the surplus runs
+        frame = construct_module._frame_rules
+
+        def sorted_block(letters, rows, needs, middles, what):
+            block = RunWord(sorted(middles[0].letter_counts().items()))
+            return frame(letters, rows, needs, [block] + middles[1:], what)
+
+        monkeypatch.setattr(construct_module, "_frame_rules", sorted_block)
+        with pytest.raises(InternalError,
+                           match="a word block is missing from the first "
+                                 "rule"):
+            build_soe_substitution(golden(), 1)
+
+    def test_first_rule_past_the_expansion_cap_is_certified(self):
+        # zeta(a) has about 9 * 10**12 letters; its runs hold the block
+        subst = Substitution({"a": {"runs": [["a", 1], ["b", 3_000_000]]},
+                              "b": "a"})
+        start = time.perf_counter()
+        report = build_soe_substitution(subst, 2)
+        assert time.perf_counter() - start < 0.5
+        zeta = report["substitution"]
+        assert zeta.rules["a"].length > EXPAND_CAP
+        assert report["full_count"] == 8
+        assert report["input_count"] == 7
+        assert report["separated"] is True
+        assert report["pieces_checked"] is True
+        assert zeta.complexity(3) == 8
 
     @pytest.mark.parametrize("n, power", [(8, 73), (10, 111)])
     def test_wielandt_substitution(self, n, power):

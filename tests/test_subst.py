@@ -813,10 +813,16 @@ def window_count_profile(images, blocks, letters, n):
 
 @pytest.mark.parametrize("rules, n, reference", [
     (LONG_RUNS, 150, reference_profile),
-    (ring(1000), 40, window_count_profile)], ids=["long-runs", "ring-1000"])
+    # image(a) and image(b) share their first n - 1 letters, so the
+    # junctions of aa and ab are one text, read once
+    ({"a": "ab", "b": "a"}, 10, reference_profile),
+    (ring(1000), 40, window_count_profile)],
+    ids=["long-runs", "fibonacci", "ring-1000"])
 def test_one_host_and_every_junction_are_read(rules, n, reference):
-    """Only the longest image hosts others, and no junction is searched:
-    each goes in once, on from the state of its first letter's image."""
+    """Only the longest image hosts others, and a junction is searched
+    only in it: each distinct junction text outside the host goes in once,
+    on from the state of its first letter's image, and the rest are
+    read there or by an equal junction already."""
     images, blocks, enc = Substitution(rules)._window_texts(n)
     feeds = subst_module._window_feeds(images, blocks, n)
     longest = max(images.values(), key=len)
@@ -825,9 +831,13 @@ def test_one_host_and_every_junction_are_read(rules, n, reference):
     assert all(longest.startswith(text)
                or (text == images[name] and text not in longest)
                for text, name in from_root)
-    junctions = [(after, text) for after, text, name in feeds if name is None]
-    assert sorted(junctions) == sorted((b, images[c][:n - 1])
-                                       for b, c in blocks)
+    fed = [(after, text) for after, text, name in feeds if name is None]
+    assert all(any((after, c) in blocks and text == images[c][:n - 1]
+                   for c in images) for after, text in fed)
+    planned = [images[after][1 - n:] + text for after, text in fed]
+    junctions = {images[b][1 - n:] + images[c][:n - 1] for b, c in blocks}
+    assert len(planned) == len(set(planned))
+    assert set(planned) == {text for text in junctions if text not in longest}
     letters = letter_codes(enc)
     assert subst_module._substring_profile(images, blocks, letters, n) == \
         reference(images, blocks, letters, n)
