@@ -9,9 +9,8 @@ words as rules, with F the transpose of the substitution incidence.
 
 from .errors import (CapabilityError, DomainError, PathError, _number_text,
                      _require_positive_int)
-from .matrix import _int_apply
 from .perron import perron_data
-from .subst import Substitution
+from .subst import Substitution, _apply_counts
 from .words import EXPAND_CAP, word_of
 
 PATH_COUNT_BITS = 4096
@@ -39,18 +38,19 @@ class OrderedDiagram:
             raise DomainError("root multiplicities must be integers")
         if len(level0) != k or any(m < 1 for m in level0):
             raise DomainError("every vertex needs at least one root edge")
-        fixed = {}
+        index = {v: i for i, v in enumerate(vertices)}
+        fixed, rows = {}, []
         for i, v in enumerate(vertices):
             if v not in orders:
                 raise DomainError("missing order word for vertex %r" % v)
             word = word_of(orders[v])
-            counts = word.letter_counts()
-            expected = {vertices[j]: x
-                        for j, x in enumerate(incidence.row(i)) if x}
-            if counts != expected:
+            # a letter that is not a vertex counts under None: no row has it
+            row = {index.get(l): c for l, c in word.letter_counts().items()}
+            if row != {j: x for j, x in enumerate(incidence.row(i)) if x}:
                 raise DomainError(
                     "order word of %r does not match its edge counts" % v)
             fixed[v] = word
+            rows.append(row)
         if set(orders) != set(vertices):
             raise DomainError("order words mention unknown vertices")
         for j, v in enumerate(vertices):
@@ -60,7 +60,9 @@ class OrderedDiagram:
         self.incidence = incidence
         self.level0 = level0
         self.orders = fixed
-        self._vindex = {v: i for i, v in enumerate(vertices)}
+        # _counts[i]: {j: count of vertex j in the order word of vertex i}
+        self._counts = rows
+        self._vindex = index
         self._measure = None
 
     @property
@@ -72,11 +74,11 @@ class OrderedDiagram:
         return Substitution(dict(self.orders), alphabet=self.vertices)
 
     def telescope(self, n_steps):
-        """Contract n_steps consecutive levels into one."""
-        subst = self.substitution_read().power(n_steps)
-        step = self.incidence ** (n_steps - 1)
-        return OrderedDiagram(self.vertices, step * self.incidence,
-                              step.apply(self.level0), dict(subst.rules))
+        """Contract n_steps consecutive levels into one: the diagram of the
+        n_steps-th power of the substitution read, rooted at the path counts
+        at depth n_steps, both from one Substitution._lifted_power."""
+        return diagram_from_substitution(
+            *self.substitution_read()._lifted_power(n_steps, self.level0))
 
     def path_counts(self, depth):
         """Numbers of root paths into each vertex, level by level.
@@ -91,12 +93,11 @@ class OrderedDiagram:
             raise CapabilityError(
                 "path counts to depth %d have %d entries, over the budget "
                 "of %d entries" % (depth, entries, EXPAND_CAP))
-        rows = self.incidence.int_rows()
         h = self.level0
         out = []
         for level in range(1, depth + 1):
             if level > 1:
-                h = tuple(_int_apply(rows, h))
+                h = tuple(_apply_counts(self._counts, h))
             bits = max(h).bit_length()
             if bits > PATH_COUNT_BITS:
                 raise CapabilityError(

@@ -19,8 +19,7 @@ from itertools import accumulate
 
 from .errors import (CapabilityError, DomainError, InternalError, SeedError,
                      _require_positive_int)
-from .matrix import (ExactMatrix, _int_apply, _int_matmul,
-                     _irreducible_aperiodic)
+from .matrix import ExactMatrix, _irreducible_aperiodic
 from .words import EXPAND_CAP, RunWord, word_of
 
 LENGTH_GUARD = 2_000_000
@@ -34,6 +33,11 @@ def _over_guard(size):
     return CapabilityError(
         "image passed %d letters, over the expansion budget of %d"
         % (size, LENGTH_GUARD))
+
+
+def _apply_counts(rows, v):
+    """Sparse count rows, {letter index: count}, applied to the vector v."""
+    return [sum(v[x] * c for x, c in row.items()) for row in rows]
 
 
 def _apply_rules(rules, word):
@@ -282,51 +286,59 @@ class Substitution:
         return Substitution(rules, self.alphabet)
 
     def power(self, p):
-        """The p-th iterate, composed by repeated squaring, refused before
-        any image is built when the image of a letter under some k-th
-        iterate, k <= p, would pass LENGTH_GUARD.
+        """The p-th iterate (see _lifted_power)."""
+        return self._lifted_power(p, [1] * self.size)[0]
 
-        Rules are nonempty, so images never shrink under a step and
-        |rule^k(l)| does not decrease as k grows.  The largest k <= p
-        within the guard is found in integers by binary lifting: the
-        lengths of the (k + 2^i)-th images are those of the k-th images
-        through the letter counts of the 2^i-th iterate, a matrix kept
-        saturated at LENGTH_GUARD + 1.  The refusal names the first k
-        over the guard, with its letter and exact length.
+    def _lifted_power(self, p, weights):
+        """(the p-th iterate, M^(p-1) weights) with M the letter counts,
+        refused before any image is built when some k-th iterate, k <= p,
+        has an image over LENGTH_GUARD.
+
+        Rules are nonempty, so images never shrink under a step, and the
+        largest k <= p within the guard is found by binary lifting: the
+        lengths of the (k + 2^i)-th images are those of the k-th through
+        the sparse counts of the 2^i-th iterate, and the weights take the
+        same steps.  A step is squared only while the (2^i + 1)-th images
+        fit, since no larger step is taken past that, so no count is cut
+        and a squared one stays at most LENGTH_GUARD squared.  The refusal
+        names the first k over the guard, with its letter and exact
+        length; else the iterate is composed left to right over p's bits.
         """
         _require_positive_int(p, "power")
-        cap = LENGTH_GUARD + 1
-        letters = self.alphabet
-        # steps[i][l][x]: count of letter x in the 2^i-th image of l
-        steps = [[[row.get(x, 0) for x in range(self.size)]
-                  for row in self._counts]]
-        while 1 << len(steps) < p:
-            steps.append([[min(cap, x) for x in row]
-                          for row in _int_matmul(steps[-1], steps[-1])])
+        lengths = [self.rules[l].length for l in self.alphabet]
+        # steps[i][l]: {x: count of letter x in the 2^i-th image of l}
+        steps = [self._counts]
+        while (1 << len(steps) < p
+               and max(_apply_counts(steps[-1], lengths)) <= LENGTH_GUARD):
+            rows = []
+            for row in steps[-1]:
+                square = {}
+                for y, c in row.items():
+                    for x, d in steps[-1][y].items():
+                        square[x] = square.get(x, 0) + c * d
+                rows.append(square)
+            steps.append(rows)
         k = 1
-        lengths = [self.rules[l].length for l in letters]
-        for i in range(len(steps) - 1, -1, -1):
-            if k + (1 << i) <= p:
-                nxt = [min(cap, x) for x in _int_apply(steps[i], lengths)]
-                if max(nxt) <= LENGTH_GUARD:
-                    k += 1 << i
-                    lengths = nxt
+        for i in reversed(range(len(steps))):
+            nxt = _apply_counts(steps[i], lengths)
+            if k + (1 << i) <= p and max(nxt) <= LENGTH_GUARD:
+                k += 1 << i
+                lengths = nxt
+                weights = _apply_counts(steps[i], weights)
         if k < p:
-            for l, size in zip(letters, _int_apply(steps[0], lengths)):
+            for l, size in zip(self.alphabet,
+                               _apply_counts(self._counts, lengths)):
                 if size > LENGTH_GUARD:
                     raise CapabilityError(
                         "power %d image of %r has %d letters, over the "
                         "expansion budget of %d"
                         % (k + 1, l, size, LENGTH_GUARD))
-        out = None
-        square = self
-        while True:
-            if p & 1:
-                out = square if out is None else out.compose(square)
-            p >>= 1
-            if not p:
-                return out
-            square = square.compose(square)
+        out = self
+        for bit in bin(p)[3:]:
+            out = out.compose(out)
+            if bit == "1":
+                out = out.compose(self)
+        return out, weights
 
     def first_letter_map(self):
         return {l: self.rules[l].first for l in self.alphabet}
@@ -436,8 +448,7 @@ class Substitution:
         v = [1] * self.size
         ladder = [v]
         while min(v) < target:
-            nxt = [sum(v[x] * c for x, c in row.items())
-                   for row in self._counts]
+            nxt = _apply_counts(self._counts, v)
             if nxt == v:
                 raise DomainError("substitution images do not grow")
             v = nxt

@@ -4,9 +4,10 @@ from itertools import islice
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from substoe import bratteli
+from substoe import subst as subst_module
 from substoe.bratteli import FinitePath, OrderedDiagram, diagram_from_substitution
 from substoe.errors import CapabilityError, DomainError, PathError
 from substoe.matrix import ExactMatrix
@@ -649,3 +650,63 @@ class TestTelescopeBudget:
                                  "2000000"):
             diagram_from_substitution(LINEAR).telescope(10 ** 9)
         assert time.perf_counter() - start < 5
+
+    def test_ring_telescopes_without_dense_powers(self):
+        n = 400
+        letters = ["x%d" % i for i in range(n)]
+        ring = Substitution({x: [letters[0], letters[(i + 1) % n]]
+                             for i, x in enumerate(letters)})
+        d = diagram_from_substitution(ring)
+        start = time.perf_counter()
+        tel = d.telescope(3)
+        assert time.perf_counter() - start < 1
+        assert tel.level0 == (4,) * n
+        assert all(sum(tel.incidence.row(i)) == 8 for i in range(n))
+
+
+def saturated_power(rows, n, cap):
+    """The integer matrix of the given rows to the n-th power, n >= 1, each
+    entry cut to cap, by dense squaring: cutting the factors of a product
+    of nonnegative integer matrices at cap moves no entry below cap."""
+    def product(a, b):
+        return [[min(cap, sum(x * y for x, y in zip(row, col)))
+                 for col in zip(*b)] for row in a]
+
+    out = rows
+    for bit in bin(n)[3:]:
+        out = product(out, out)
+        if bit == "1":
+            out = product(out, rows)
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ordered_diagrams(),
+       st.one_of(st.integers(1, 12), st.integers(1, 10 ** 6)))
+@example(diagram_from_substitution(IDENTITY, (3, 1)), 10 ** 6)
+@example(diagram_from_substitution(Substitution({"a": "b", "b": "a"}), (2, 5)),
+         10 ** 6 + 1)
+@example(diagram_from_substitution(LINEAR, (1, 4)), 999)
+@example(diagram_from_substitution(LINEAR, (1, 4)), 1000)
+def test_telescope_matches_the_dense_reference(d, n):
+    """telescope(n) is incidence ** n rooted at incidence ** (n - 1) applied
+    to level0, refused exactly when a row of incidence ** n, the letter
+    counts of an n-th image, passes the guard (1000 here)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subst_module, "LENGTH_GUARD", 1000)
+        try:
+            tel = d.telescope(n)
+        except CapabilityError:
+            tel = None
+    over = saturated_power(d.incidence.int_rows(), n, 1001)
+    assert (tel is None) == (max(map(sum, over)) > 1000)
+    if tel is None:
+        return
+    assert tel.vertices == d.vertices
+    assert tel.incidence == d.incidence ** n
+    assert tel.level0 == (d.incidence ** (n - 1)).apply(d.level0)
+    if n <= 12:
+        sub = out = d.substitution_read()
+        for _ in range(n - 1):
+            out = sub.compose(out)
+        assert tel.orders == out.rules

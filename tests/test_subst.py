@@ -1031,6 +1031,69 @@ def test_power_budget_matches_the_composition_guard():
             s.power(2)
 
 
+def dense_power_refusal(s, p):
+    """The refusal text of power(p), None when every iterate up to p fits.
+
+    The former guard, kept as an oracle: binary lifting over dense k x k
+    count matrices of the 2^i-th iterates, squared up to p and saturated
+    at LENGTH_GUARD + 1."""
+    guard = subst_module.LENGTH_GUARD
+    cap = guard + 1
+    letters = s.alphabet
+    counts = [s.rules[l].letter_counts() for l in letters]
+    steps = [[[row.get(x, 0) for x in letters] for row in counts]]
+    while 1 << len(steps) < p:
+        steps.append([[min(cap, x) for x in row] for row in
+                      matrix_module._int_matmul(steps[-1], steps[-1])])
+    k = 1
+    lengths = [s.rules[l].length for l in letters]
+    for i in range(len(steps) - 1, -1, -1):
+        if k + (1 << i) <= p:
+            nxt = [min(cap, x)
+                   for x in matrix_module._int_apply(steps[i], lengths)]
+            if max(nxt) <= guard:
+                k += 1 << i
+                lengths = nxt
+    if k == p:
+        return None
+    for l, size in zip(letters, matrix_module._int_apply(steps[0], lengths)):
+        if size > guard:
+            return ("power %d image of %r has %d letters, over the expansion "
+                    "budget of %d" % (k + 1, l, size, guard))
+    raise AssertionError("lifting stopped below p with every image in")
+
+
+@st.composite
+def growing_or_not_substitutions(draw):
+    """One to four letters, runs up to 3,000 letters or past the guard;
+    primitive or not, growing or not."""
+    letters = "abcd"[:draw(st.integers(1, 4))]
+    count = st.one_of(st.integers(1, 3), st.integers(1, 3000),
+                      st.just(10 ** 22))
+    return Substitution({l: {"runs": draw(st.lists(
+        st.tuples(st.sampled_from(letters), count).map(list),
+        min_size=1, max_size=3))} for l in letters})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(growing_or_not_substitutions(),
+       st.one_of(st.integers(1, 40), st.integers(1, 10 ** 6)))
+@example(Substitution({"a": "ab", "b": "a"}), 100_000)
+@example(Substitution({"a": "ab", "b": "b"}), 10 ** 9)
+@example(Substitution({"a": {"runs": [["a", 1206], ["b", 453]]}, "b": "b"}),
+         2)
+def test_power_guard_matches_dense_lifting(s, p):
+    # only the guard is under test: composing stands in as a no-op
+    want = dense_power_refusal(s, p)
+    with mock.patch.object(Substitution, "compose", lambda a, b: a):
+        if want is None:
+            s.power(p)
+            return
+        with pytest.raises(CapabilityError) as err:
+            s.power(p)
+    assert str(err.value) == want
+
+
 @pytest.mark.parametrize("rules", [{"a": "a", "b": "b"}, {"a": "ab", "b": "b"},
                                    {"a": "ab", "b": "ba"}])
 def test_power_by_squaring_equals_repeated_composition(rules):
